@@ -192,7 +192,7 @@ def bench_ops(sf_dir: str) -> dict:
         "ann_cosine", "ann_lsh", "ann_ivf", "embed_project",
         "lang_id", "quality_score", "fingerprint",
         "split_hash", "pack_sequences", "redact_pii", "repetition", "top_bigrams",
-        "events_window", "events_session",
+        "events_window", "events_session", "events_hopping",
     ]
     repeats = max(int(os.environ.get("GRAFT_OPS_REPEATS", "2")), 1)
     qs = e.queries()

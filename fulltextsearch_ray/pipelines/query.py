@@ -28,6 +28,7 @@ an actor-pool ``map_batches`` class: the index loads once per actor
 
 from __future__ import annotations
 
+import logging
 import os
 from collections import OrderedDict
 from functools import lru_cache
@@ -60,6 +61,8 @@ from ..parser import (
     parse_query,
 )
 from ..state.index import load_meta, segment_dir
+
+logger = logging.getLogger(__name__)
 
 K1 = 1.2
 B = 0.75
@@ -694,6 +697,16 @@ class IndexSearcher:
 
             self._auto_fst = _load_sidecar(self.index_dir, self.segments)
             self._auto_fst_pending = False
+            if self._auto_fst is None:
+                # once per searcher (the pending flag never re-arms):
+                # e.g. the library compact_index leaves the sidecar
+                # stale, and every EDIT then pages the whole catalog
+                logger.warning(
+                    "index %s: no fresh FST sidecar for the current segments; "
+                    "lazy WILD/EDIT expansion falls back to paged catalog scans "
+                    "(rebuild it with build_fst_sidecar or `fst-build`)",
+                    self.index_dir,
+                )
         if self._auto_fst is not None:
             # fresh sidecar present: pruned dictionary∩automaton walk
             # instead of paging catalog row groups (the EDIT path below
@@ -1411,22 +1424,28 @@ class SearcherStage:
         self.mode = mode
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        qids, docs, scores, ranks = [], [], [], []
-        for qid, q in zip(batch["query_id"].to_pylist(), batch["query"].to_pylist()):
-            top = self.searcher.bm25_topk(q, k=self.k, mode=self.mode)
-            n = top.num_rows
-            qids.extend([qid] * n)
-            docs.extend(top["doc_id"].to_pylist())
-            scores.extend(top["score"].to_pylist())
-            ranks.extend(range(1, n + 1))
+        tops = [
+            self.searcher.bm25_topk(q, k=self.k, mode=self.mode)
+            for q in batch["query"].to_pylist()
+        ]
+        counts = np.array([t.num_rows for t in tops], dtype=np.int64)
+        # per output row: index of its query in the batch, 1-based rank
+        row_query = np.repeat(np.arange(len(tops), dtype=np.int64), counts)
+        starts = np.cumsum(counts) - counts
+        ranks = np.arange(len(row_query), dtype=np.int64) - np.repeat(starts, counts) + 1
+        if tops:
+            hits = pa.concat_tables(tops).combine_chunks()
+            docs, scores = hits["doc_id"], hits["score"]
+        else:
+            docs, scores = pa.array([], pa.uint64()), pa.array([], pa.float64())
         return pa.table(
             {
-                # explicit type: an all-OOV batch yields qids == [] and
-                # an inferred pa.array([]) is null-typed, which fails
+                # explicit types: an all-OOV batch yields zero rows and
+                # an inferred empty column is null-typed, which fails
                 # schema unification against non-empty blocks downstream
-                "query_id": pa.array(qids, type=batch["query_id"].type),
-                "rank": pa.array(ranks, type=pa.int32()),
-                "doc_id": pa.array(docs, type=pa.uint64()),
-                "score": pa.array(scores, type=pa.float64()),
+                "query_id": batch["query_id"].take(pa.array(row_query)),
+                "rank": pa.array(ranks.astype(np.int32), type=pa.int32()),
+                "doc_id": docs.cast(pa.uint64()),
+                "score": scores.cast(pa.float64()),
             }
         )

@@ -20,8 +20,15 @@ the 64-char truncation counts CODEPOINTS where the reference counts
 .NET UTF-16 code units, so a token of >32 astral characters keeps 64
 codepoints here vs 32 chars there (astral chars cost 2 UTF-16 units).
 
-The hot path is a single C-level ``findall`` per document plus Arrow /
-numpy vectorized post-processing — no per-token Python loop.
+Two paths, one output.  Index-side (and any non-ASCII) text goes
+through :func:`tokenize_batch`: Arrow C++ kernels lowercase, RE2-split
+and truncate a whole batch, with numpy id arithmetic — no per-token
+Python loop.  Query-side :func:`tokenize` on pure-ASCII text skips
+Arrow: Arrow's ``split_pattern_regex`` recompiles the RE2 pattern on
+every call (for the ``\\p{L}\\p{N}`` class that compile dominated a
+warm BM25 query), while on ASCII the token class is exactly
+``[A-Za-z0-9_-]`` and ``str.lower`` equals ``utf8_lower``, so one
+precompiled Python pattern gives the identical terms.
 """
 
 from __future__ import annotations
@@ -38,6 +45,9 @@ DEFAULT_FIELD_ID = 1
 
 # Token chars: \w (Unicode letters, digits, underscore) plus '-'.
 TOKEN_RE = re.compile(r"[\w\-]+")
+# The same class restricted to ASCII, where Python and RE2 agree
+# exactly — the query fast path of :func:`tokenize`.
+_ASCII_TOKEN_RE = re.compile(r"[A-Za-z0-9_\-]+")
 
 
 class TokenizedBatch(NamedTuple):
@@ -52,12 +62,19 @@ class TokenizedBatch(NamedTuple):
 def tokenize(text: str) -> list[str]:
     """Tokenize a single document into lowercased (truncated) terms.
 
-    Delegates to the Arrow kernel path (:func:`tokenize_batch`) so
-    query-side tokenization is IDENTICAL to index-side by
-    construction: Python ``str.lower()`` applies full Unicode case
-    mapping while Arrow's ``utf8_lower`` applies utf8proc's, and the
-    two disagree on locale-special characters ('İ') — a query
-    tokenized differently from the index silently misses documents."""
+    Pure-ASCII text takes a precompiled Python ``findall`` (on ASCII
+    the token class and lowercasing match the Arrow kernels exactly,
+    and it avoids RE2 recompiling ``SPLIT_PATTERN`` per call).  Any
+    other text delegates to the Arrow kernel path
+    (:func:`tokenize_batch`) so query-side tokenization is IDENTICAL
+    to index-side by construction: Python ``str.lower()`` applies full
+    Unicode case mapping while Arrow's ``utf8_lower`` applies
+    utf8proc's, and the two disagree on locale-special characters
+    ('İ'); Python's ``\\w`` also misses letters newer than its
+    Unicode tables (see ``SPLIT_PATTERN``) — a query tokenized
+    differently from the index silently misses documents."""
+    if text.isascii():
+        return [t.lower()[:MAX_TOKEN_SIZE] for t in _ASCII_TOKEN_RE.findall(text)]
     return tokenize_batch(pa.array([text], pa.string())).terms.to_pylist()
 
 
@@ -70,7 +87,10 @@ def tokenize_with_positions(text: str) -> list[tuple[str, int, int]]:
     the index (one batched call), so highlight terms match dictionary
     terms; the span boundaries themselves come from the Python regex
     over the raw text, which can split differently from the index for
-    case-expanding characters (documented divergence)."""
+    case-expanding characters, and for the 4,388 codepoints RE2 treats
+    as letters but Python's ``\\w`` does not (see ``SPLIT_PATTERN``):
+    a span boundary can fall inside what the index keeps as one token
+    (documented divergences)."""
     ms = list(TOKEN_RE.finditer(text))
     if not ms:
         return []
@@ -88,8 +108,11 @@ def token_counts(texts: "Iterable[str] | pa.Array | pa.ChunkedArray") -> np.ndar
     return counts
 
 
-# RE2 (Arrow) splitter: complement of the token-char class.  \p{L}\p{N}
-# ≈ Python \w letters/digits; '_' and '-' added explicitly.
+# RE2 (Arrow) splitter: complement of the token-char class, with '_'
+# and '-' added explicitly.  NOT identical to Python's [\w\-]: over all
+# 1,112,064 non-surrogate codepoints the two classes disagree on 4,388,
+# every one unassigned (Cn) in Python's Unicode 14.0 tables but a
+# letter to RE2's newer ones (e.g. U+11F04).  On ASCII they agree.
 SPLIT_PATTERN = r"[^\p{L}\p{N}_\-]+"
 
 

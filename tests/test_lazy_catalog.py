@@ -2,6 +2,8 @@
 budgets to 0 must leave every query result identical to the eager
 searcher while holding no full-catalog arrays in memory."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -143,3 +145,41 @@ def test_lazy_doclens_interleaved_segments(ray_session, tmp_path):
     paged = IndexSearcher(idx, doclen_budget_rows=0)
     for q in ("alpha", "beta gamma", "delta epsilon alpha"):
         assert eager.bm25_topk(q, k=10).equals(paged.bm25_topk(q, k=10)), q
+
+
+def test_stale_fst_fallback_logged_once_per_searcher(ray_session, tmp_path, caplog):
+    """After the library compact_index the FST sidecar is stale: a lazy
+    searcher says once that WILD/EDIT falls back to paged scans."""
+    from fulltextsearch_ray.pipelines.build import compact_index
+    from fulltextsearch_ray.state.fst_store import build_fst_sidecar
+
+    d = str(tmp_path / "corpus")
+    write_synth_corpus(d, 120, rows_per_file=40)
+    idx = str(tmp_path / "idx")
+    build_index(d, idx, text_col="content", num_buckets=2, overwrite=True)
+    build_index(d, idx, text_col="content", num_buckets=2)  # second segment
+    build_fst_sidecar(idx)
+    logger = "fulltextsearch_ray.pipelines.query"
+
+    def fallback_records():
+        return [r for r in caplog.records if r.name == logger and "paged catalog" in r.getMessage()]
+
+    fresh = IndexSearcher(idx, catalog_budget_rows=0)
+    with caplog.at_level(logging.WARNING, logger=logger):
+        assert fresh.lookup("EDIT(index,1)")
+    assert fallback_records() == []
+
+    compact_index(idx)
+    for _ in range(2):  # two searchers, each logging exactly once
+        lazy = IndexSearcher(idx, catalog_budget_rows=0)
+        with caplog.at_level(logging.WARNING, logger=logger):
+            assert lazy.lookup("EDIT(index,1)") == fresh.lookup("EDIT(index,1)")
+            assert lazy.lookup("WILD(ind*)") == fresh.lookup("WILD(ind*)")
+            lazy.lookup("EDIT(class,1)")
+    recs = fallback_records()
+    assert len(recs) == 2
+    assert idx in recs[0].getMessage()
+    # the eager dictionary never pages, so it never warns
+    with caplog.at_level(logging.WARNING, logger=logger):
+        IndexSearcher(idx).lookup("EDIT(index,1)")
+    assert len(fallback_records()) == 2

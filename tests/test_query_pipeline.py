@@ -98,6 +98,24 @@ def test_binary_vs_binarycompressed_distinct():
     assert len(b3) < len(b2)
 
 
+def _assert_stage_matches_direct(stage, qt):
+    out = stage(qt)
+    assert out.schema == pa.schema(
+        [("query_id", qt["query_id"].type), ("rank", pa.int32()),
+         ("doc_id", pa.uint64()), ("score", pa.float64())]
+    )
+    want_rows = []
+    for qid, q in zip(qt["query_id"].to_pylist(), qt["query"].to_pylist()):
+        top = stage.searcher.bm25_topk(q, k=stage.k, mode=stage.mode)
+        want_rows += [
+            (qid, r + 1, d, s)
+            for r, (d, s) in enumerate(zip(top["doc_id"].to_pylist(), top["score"].to_pylist()))
+        ]
+    got_rows = list(zip(*(out[c].to_pylist() for c in out.column_names)))
+    assert got_rows == want_rows
+    return out
+
+
 def test_searcher_stage_all_oov_batch_keeps_schema(small_index):
     """A batch whose queries all miss (OOV) yields an EMPTY table whose
     query_id keeps the input type — an inferred null-typed column used
@@ -109,9 +127,8 @@ def test_searcher_stage_all_oov_batch_keeps_schema(small_index):
         }
     )
     stage = SearcherStage(small_index)
-    out = stage(qt)
+    out = _assert_stage_matches_direct(stage, qt)
     assert out.num_rows == 0
-    assert out.schema.field("query_id").type == pa.int64()
     # end-to-end: an all-OOV block unions cleanly with a hit block
     qt2 = pa.table(
         {
@@ -131,3 +148,20 @@ def test_searcher_stage_all_oov_batch_keeps_schema(small_index):
     tbl = pa.concat_tables(ray.get(ds.to_arrow_refs()), promote_options="default")
     assert tbl.schema.field("query_id").type == pa.int64()
     assert tbl.num_rows > 0
+
+
+def test_searcher_stage_mixed_batch_matches_direct(small_index):
+    """OOV queries interleaved with hits: query ids and ranks line up
+    with the per-query bm25_topk rows, in batch order."""
+    qt = pa.table(
+        {
+            "query_id": pa.array(["q7", "q3", "q11", "q5", "q2"], pa.string()),
+            "query": pa.array(
+                ["zzqxvnope", "def class return", "index builder", "missingterm", "cache token"],
+                pa.string(),
+            ),
+        }
+    )
+    out = _assert_stage_matches_direct(SearcherStage(small_index, k=4), qt)
+    assert out.num_rows > 0 and set(out["query_id"].to_pylist()) <= {"q3", "q11", "q2"}
+    _assert_stage_matches_direct(SearcherStage(small_index, mode="and"), qt)

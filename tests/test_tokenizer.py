@@ -1,6 +1,9 @@
 """Tokenizer parity tests — fixtures from FIXTURES.md §8 / reference BasicTokenizer."""
 
 import numpy as np
+import pyarrow.compute as pc
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fulltextsearch_ray.tokenizer import (
     MAX_TOKEN_SIZE,
@@ -59,3 +62,75 @@ def test_token_counts_matches_batch():
 def test_positions_offsets():
     pos = tokenize_with_positions("Hello World!")
     assert pos == [("hello", 0, 5), ("world", 6, 5)]
+
+
+# -- ASCII fast path of tokenize() == the Arrow kernel path ------------------
+
+
+def _reference(text: str) -> list[str]:
+    return tokenize_batch([text]).terms.to_pylist()
+
+
+def test_ascii_fast_path_exhaustive_chars_and_pairs():
+    """Every ASCII char and every ordered ASCII char pair tokenizes
+    exactly as the Arrow kernels do (one batched reference call)."""
+    chars = [chr(i) for i in range(128)]
+    texts = chars + [a + b for a in chars for b in chars]
+    batch = tokenize_batch(texts)
+    terms = batch.terms.to_pylist()
+    bounds = np.concatenate([[0], np.cumsum(batch.counts)])
+    for i, text in enumerate(texts):
+        assert tokenize(text) == terms[bounds[i]:bounds[i + 1]], repr(text)
+
+
+_ascii_text = st.text(st.characters(max_codepoint=127), max_size=200)
+# long runs of token chars separated by short delimiters: exercises
+# the 64-char truncation on both sides
+_long_tokens = st.lists(
+    st.tuples(
+        st.text("aZ09_-", min_size=1, max_size=150),
+        st.text(" \t\n\x00\x7f.,;", min_size=1, max_size=3),
+    ),
+    max_size=6,
+).map(lambda parts: "".join(a + b for a, b in parts))
+
+
+@given(st.one_of(_ascii_text, _long_tokens))
+@example("")
+@example("   \t\n\r ")
+@example("\x00\x01ab\x1fcd\x7f")
+@example("Q" * 65 + " " + "-_" * 40)
+@settings(max_examples=200, deadline=None)
+def test_ascii_fast_path_matches_arrow(text):
+    assert tokenize(text) == _reference(text)
+
+
+def test_non_ascii_takes_arrow_path():
+    """Non-ASCII strings keep the Arrow kernels: U+0130 lowercases the
+    utf8proc way, and U+11F04 (unassigned in Python's Unicode tables,
+    a letter to RE2) stays inside its token."""
+    assert "İstanbul".lower() != "istanbul"  # Python's full case mapping
+    for text, want in [
+        ("İstanbul", ["istanbul"]),
+        ("héllo_wörld", ["héllo_wörld"]),
+        ("ab\U00011f04cd ef", ["ab\U00011f04cd", "ef"]),
+    ]:
+        assert tokenize(text) == _reference(text) == want
+
+
+def test_ascii_input_never_reaches_re2(monkeypatch):
+    """The fast path must not call the RE2 split kernel (the per-call
+    pattern compile it exists to avoid); non-ASCII still does."""
+    calls = []
+    real = pc.split_pattern_regex
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pc, "split_pattern_regex", spy)
+    assert tokenize("Full-Text search_engine, 2017!") == ["full-text", "search_engine", "2017"]
+    assert tokenize("") == []
+    assert calls == []
+    assert tokenize("İstanbul") == _reference("İstanbul")
+    assert len(calls) == 2  # tokenize + the reference, both via RE2
