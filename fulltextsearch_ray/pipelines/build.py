@@ -761,8 +761,11 @@ def build_index(
     # shuffle) — written 1:1 as files they form an FST-style sorted-
     # term run catalog: a term lookup binary-searches the per-file
     # [term_min, term_max] ranges (recorded below from the parquet
-    # footers) and opens exactly ONE file, then row-group stats prune
-    # within it.
+    # footers) to usually ONE file (two when a term spills over a file
+    # boundary).  The searcher parses that file's footer once, then per
+    # lookup reads only the row groups whose term stats admit the term
+    # (``read_row_group`` + equality filter: rows are not term-sorted
+    # within a group, see ``PostingFileReader``).
     merged.write_parquet(os.path.join(seg_path, "postings"), row_group_size=4096)
     _mark("postings_write", t0)
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import logging
 import os
 from collections import OrderedDict
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import pyarrow as pa
@@ -60,6 +60,7 @@ from ..parser import (
     WordQuery,
     parse_query,
 )
+from ..state.caches import LRUCache, make_cache
 from ..state.index import load_meta, segment_dir
 
 logger = logging.getLogger(__name__)
@@ -187,6 +188,74 @@ class _ManifestFileMeta:
         return _ManifestFileMeta._RowGroupMeta(mn, mx, int(rows))
 
 
+# parquet files one searcher keeps open (footer parsed once per file,
+# not per lookup); the LRU bound caps its file descriptors
+OPEN_FILES = 256
+
+
+class _OpenParquet:
+    """A parquet file opened once: the handle, and (on first use) each
+    row group's ``term`` [min, max] from the footer — None for a group
+    without statistics."""
+
+    def __init__(self, path: str):
+        self.file = pq.ParquetFile(path)
+
+    @cached_property
+    def term_ranges(self) -> list:
+        md = self.file.metadata
+        col = md.schema.names.index("term")
+        out = []
+        for rg in range(md.num_row_groups):
+            st = md.row_group(rg).column(col).statistics
+            out.append((st.min, st.max) if st is not None and st.has_min_max else None)
+        return out
+
+
+class PostingFileReader:
+    """One term's rows from one postings parquet file.
+
+    The file opens once (first lookup) into a bounded handle cache;
+    each lookup then reads only the row groups whose footer ``term``
+    [min, max] admits the term (a group without statistics is always
+    read) and keeps the rows equal to the term.  Rows are NOT
+    term-sorted inside a row group — ``merge_runs_batch`` concatenates
+    its pass-through, hot, fragment and slow per-category tables — so
+    the filter is an equality scan, never a binary search.
+
+    ``files_opened`` / ``row_groups_read`` count footer parses and
+    row-group reads, so pruning is observable without a profiler."""
+
+    def __init__(self, handles: LRUCache | None = None):
+        self._handles = LRUCache(OPEN_FILES) if handles is None else handles
+        self.files_opened = 0
+        self.row_groups_read = 0
+
+    def _open(self, path: str) -> _OpenParquet:
+        self.files_opened += 1
+        return _OpenParquet(path)
+
+    def read(self, path: str, term: str, cols: list[str]) -> pa.Table:
+        f = self._handles.get_or_load(path, self._open)
+        read_cols = cols if "term" in cols else cols + ["term"]
+        parts = []
+        for rg, rng in enumerate(f.term_ranges):
+            if rng is not None and not rng[0] <= term <= rng[1]:
+                continue
+            # serial decode: a point lookup reads one small group, where
+            # Arrow's thread-pool dispatch cost about as much CPU as the
+            # decode itself; concurrency comes from the actor pool
+            t = f.file.read_row_group(rg, columns=read_cols, use_threads=False)
+            self.row_groups_read += 1
+            t = t.filter(pc.equal(t["term"], term))
+            if t.num_rows:
+                parts.append(t.select(cols))
+        if not parts:
+            schema = f.file.schema_arrow
+            return pa.schema([schema.field(c) for c in cols]).empty_table()
+        return parts[0] if len(parts) == 1 else pa.concat_tables(parts)
+
+
 class LazyRowGroupTable:
     """Row-group-paged access to a sorted parquet table (catalog or
     docs): only the footer [key_min, key_max] per row group is held in
@@ -204,8 +273,11 @@ class LazyRowGroupTable:
         columns: list[str],
         cache_groups: int = 64,
         metas: "dict | None" = None,
+        handles: LRUCache | None = None,
     ):
         self.columns = columns
+        # open files, shared with the searcher's posting reader
+        self._handles = LRUCache(OPEN_FILES) if handles is None else handles
         self.runs: list[tuple] = []  # (key_min, key_max, file, rg)
         self.total_rows = 0
         self.loads = 0  # row-group reads served (cache misses) — lets
@@ -214,7 +286,7 @@ class LazyRowGroupTable:
             md = (metas or {}).get(f)
             pf = None  # one handle per file for any stat-less groups
             if md is None:
-                pf = pq.ParquetFile(f)
+                pf = self._handles.get_or_load(f, _OpenParquet).file
                 md = pf.metadata
             self.total_rows += md.num_rows
             for rg in range(md.num_row_groups):
@@ -228,7 +300,7 @@ class LazyRowGroupTable:
                     if md.row_group(rg).num_rows == 0:
                         continue  # empty group: nothing to serve
                     if pf is None:
-                        pf = pq.ParquetFile(f)
+                        pf = self._handles.get_or_load(f, _OpenParquet).file
                     keycol = pf.read_row_group(rg, columns=[columns[0]]).column(0)
                     mm = pc.min_max(keycol)
                     self.runs.append(
@@ -261,7 +333,7 @@ class LazyRowGroupTable:
         if hit is not None:
             self._cache.move_to_end(key)
             return hit
-        t = pq.ParquetFile(f).read_row_group(rg, columns=self.columns)
+        t = self._handles.get_or_load(f, _OpenParquet).file.read_row_group(rg, columns=self.columns)
         self.loads += 1
         self._cache[key] = t
         if len(self._cache) > self._cache_groups:
@@ -389,6 +461,10 @@ class IndexSearcher:
         cat_rows = sum(md.num_rows for md in cat_md.values())
         doc_rows = sum(md.num_rows for md in docs_md.values())
 
+        # one bounded set of open parquet files for the paged tables and
+        # the posting reader; nothing is opened here
+        handles = LRUCache(OPEN_FILES)
+        self.posting_reader = PostingFileReader(handles)
         self._lazy_cats: "list[LazyRowGroupTable] | None" = None
         self._lazy_lens: "LazyRowGroupTable | None" = None
         if cat_rows <= catalog_budget_rows:
@@ -439,7 +515,9 @@ class IndexSearcher:
                     "df_docs" in cat_md[files[0]].schema.to_arrow_schema().names
                 )
                 cols = ["term", "df", "cf", "max_tf"] + (["df_docs"] if has_dd else [])
-                self._lazy_cats.append(LazyRowGroupTable(files, cols, metas=cat_md))
+                self._lazy_cats.append(
+                    LazyRowGroupTable(files, cols, metas=cat_md, handles=handles)
+                )
 
         # doc lengths for BM25 (doc_id-indexed lookup arrays)
         if doc_rows <= doclen_budget_rows:
@@ -458,7 +536,7 @@ class IndexSearcher:
             self._dl_docs = None
             self._dl_lens = None
             self._lazy_lens = LazyRowGroupTable(
-                docs_files, ["doc_id", "doc_len"], metas=docs_md
+                docs_files, ["doc_id", "doc_len"], metas=docs_md, handles=handles
             )
         self._postings_ds = {}
         self._seg_buckets = {}
@@ -489,8 +567,6 @@ class IndexSearcher:
                 )
         # posting caches: LRU default, LFU for skewed workloads (ST6;
         # reference LRUCache/LFUCache — state/caches.py)
-        from ..state.caches import make_cache
-
         # full-positions posting cache (phrase/boolean paths) — sized
         # separately from the BM25 (docs, tfs) entry cache below
         self._cache = make_cache(cache_policy, cache_postings)
@@ -754,8 +830,10 @@ class IndexSearcher:
 
     def _read_term_rows(self, seg: str, term: str, cols: list[str]) -> pa.Table:
         """Read one term's rows from one segment: run-catalog path
-        (binary search file ranges → ONE file, row-group pruned) or the
-        legacy dataset-filter fallback."""
+        (binary search file ranges → usually ONE file, read by
+        :class:`PostingFileReader`: cached footer, row groups pruned by
+        their term stats, direct ``read_row_group`` + equality filter)
+        or the legacy dataset-filter fallback."""
         rng = self._seg_ranges.get(seg)
         if rng is not None:
             import bisect
@@ -778,10 +856,7 @@ class IndexSearcher:
             idxs.reverse()
             if not idxs:
                 return pa.schema([POSTINGS_SCHEMA.field(c) for c in cols]).empty_table()
-            tabs = [
-                pq.read_table(paths[x], columns=cols, filters=[("term", "=", term)])
-                for x in idxs
-            ]
+            tabs = [self.posting_reader.read(paths[x], term, cols) for x in idxs]
             return tabs[0] if len(tabs) == 1 else pa.concat_tables(tabs)
         return self._postings_ds[seg].to_table(columns=cols, filter=self._term_filter(seg, term))
 

@@ -5,14 +5,15 @@
 Used by :class:`~fulltextsearch_ray.pipelines.query.IndexSearcher` for
 decoded posting lists: LRU (default — query streams with temporal
 locality) or LFU (skewed workloads where a hot-term working set should
-survive scan bursts).  Plain dict/OrderedDict machinery; these sit in
-front of parquet reads, not in a per-row hot loop.
+survive scan bursts); an LRU also bounds its open parquet files.
+Plain dict/OrderedDict machinery; these sit in front of parquet reads,
+not in a per-row hot loop.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Generic, Hashable, TypeVar
+from typing import Callable, Generic, Hashable, TypeVar
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
@@ -34,6 +35,16 @@ class LRUCache(Generic[K, V]):
         if hit is _MISSING:
             return default
         self._d.move_to_end(key)
+        return hit
+
+    def get_or_load(self, key: K, load: Callable[[K], V]) -> V:
+        """The cached value, or ``load(key)`` stored on a miss."""
+        hit = self._d.get(key, _MISSING)
+        if hit is _MISSING:
+            hit = load(key)
+            self.put(key, hit)
+        else:
+            self._d.move_to_end(key)
         return hit
 
     def put(self, key: K, value: V) -> None:

@@ -2,18 +2,16 @@
 
 1. merge_posting_runs bucket-column length on overlapping runs whose
    entry-snapped chunking emits more blocks than ceil(cf/block_cf);
-2. _read_term_rows boundary spill — a term whose rows span two
-   postings files must read BOTH files (term_max aware);
-3. one df definition (unique-doc df) in bm25_topk vs bm25_topk_pruned
+2. one df definition (unique-doc df) in bm25_topk vs bm25_topk_pruned
    on multi-field indexes;
-4. binary-search term lookups agree with the scan kernels.
-"""
+3. binary-search term lookups agree with the scan kernels.
 
-from types import SimpleNamespace
+(The _read_term_rows boundary-spill test lives in
+tests/test_posting_reader.py.)
+"""
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
 import pytest
 
 from fulltextsearch_ray.matchers import expand_pattern
@@ -21,7 +19,6 @@ from fulltextsearch_ray.parser import parse_query
 from fulltextsearch_ray.pipelines.build import build_index
 from fulltextsearch_ray.pipelines.query import IndexSearcher
 from fulltextsearch_ray.stages.invert import _posting_rows, merge_posting_runs
-from fulltextsearch_ray.state.index import POSTINGS_SCHEMA
 
 
 def _run(docs, tf_each):
@@ -56,51 +53,6 @@ def test_merge_overlapping_runs_entry_snapped_blocks():
         )
         all_docs.extend(d.tolist())
     assert all_docs == [1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4]
-
-
-def _posting_file(path, term_rows):
-    """Write a postings parquet file of rows [(term, block_id, docs...)]."""
-    occ = {k: [] for k in POSTINGS_SCHEMA.names}
-    for term, block_id, docs in term_rows:
-        t = _run(docs, 1)
-        occ["term"].append(term)
-        occ["bucket"].append(0)
-        occ["block_id"].append(block_id)
-        occ["first_doc"].append(docs[0])
-        occ["last_doc"].append(docs[-1])
-        occ["df"].append(t["df"][0].as_py())
-        occ["cf"].append(t["cf"][0].as_py())
-        occ["max_tf"].append(t["max_tf"][0].as_py())
-        occ["n_docs"].append(t["n_docs"][0].as_py())
-        occ["docs"].append(t["docs"][0].as_py())
-        occ["fields"].append(t["fields"][0].as_py())
-        occ["tfs"].append(t["tfs"][0].as_py())
-        occ["positions"].append(t["positions"][0].as_py())
-    tbl = pa.table(
-        {k: pa.array(occ[k], type=POSTINGS_SCHEMA.field(k).type) for k in POSTINGS_SCHEMA.names}
-    )
-    pq.write_table(tbl, path)
-
-
-def test_read_term_rows_boundary_spill(tmp_path):
-    # term 'm' spans two files: it is file0's term_max AND file1's
-    # term_min — the lookup must open BOTH files.
-    f0, f1 = str(tmp_path / "p0.parquet"), str(tmp_path / "p1.parquet")
-    _posting_file(f0, [("a", 0, [1, 2]), ("m", 0, [3, 4])])
-    _posting_file(f1, [("m", 1, [5, 6]), ("z", 0, [7])])
-    fake = SimpleNamespace(
-        _seg_ranges={"seg": (["a", "m"], ["m", "z"], [f0, f1])},
-        _postings_ds={},
-    )
-    t = IndexSearcher._read_term_rows(fake, "seg", "m", ["term", "block_id", "docs", "df"])
-    assert t.num_rows == 2
-    assert sorted(t["block_id"].to_pylist()) == [0, 1]
-    # terms fully inside one file still open exactly one file
-    t = IndexSearcher._read_term_rows(fake, "seg", "a", ["term", "block_id"])
-    assert t.num_rows == 1
-    # absent term below every range
-    t = IndexSearcher._read_term_rows(fake, "seg", "0", ["term", "block_id"])
-    assert t.num_rows == 0
 
 
 @pytest.fixture(scope="module")

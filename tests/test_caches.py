@@ -36,6 +36,22 @@ def test_lru_eviction_and_refresh():
     assert lru.get("missing", "dflt") == "dflt"
 
 
+def test_lru_get_or_load_loads_once_and_refreshes():
+    loads = []
+
+    def load(k):
+        loads.append(k)
+        return k.upper()
+
+    lru = LRUCache(2)
+    assert lru.get_or_load("a", load) == "A"
+    assert lru.get_or_load("b", load) == "B"
+    assert lru.get_or_load("a", load) == "A"  # hit: refreshes "a"
+    assert loads == ["a", "b"]
+    lru.get_or_load("c", load)  # evicts "b" (least recent)
+    assert "b" not in lru and "a" in lru and "c" in lru
+
+
 def test_make_cache_validates():
     with pytest.raises(ValueError, match="policy"):
         make_cache("mru", 4)

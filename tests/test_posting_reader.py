@@ -1,0 +1,216 @@
+"""PostingFileReader: one term's posting rows from a postings parquet
+file through a cached footer and direct row-group reads.
+
+Covers the file-range bisect with boundary spill, row-group pruning on
+term statistics, rows that are not term-sorted within a row group,
+files written without statistics, a differential check against the
+dataset-filter read (``pq.read_table(path, filters=...)``) over a real
+two-segment index, and the one-footer-parse-per-file contract.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+
+from fulltextsearch_ray.pipelines.build import build_index
+from fulltextsearch_ray.pipelines.query import IndexSearcher, PostingFileReader
+from fulltextsearch_ray.stages.invert import _posting_rows
+from fulltextsearch_ray.state.index import POSTINGS_SCHEMA
+
+
+def _run(docs):
+    """One single-block posting row for term 't', tf 1 per doc."""
+    occ_docs = np.asarray(docs, dtype=np.uint64)
+    ones = np.ones(len(occ_docs), dtype=np.uint64)
+    bounds = np.array([0, len(occ_docs)], dtype=np.int64)
+    return _posting_rows(
+        np.array(["t"], dtype=object), bounds, occ_docs, ones, ones,
+        num_buckets=4, block_cf=1 << 16,
+    )
+
+
+def _posting_file(path, term_rows, **write_kwargs):
+    """Write a postings parquet file of rows [(term, block_id, docs)], in
+    the given (not necessarily term-sorted) order."""
+    occ = {k: [] for k in POSTINGS_SCHEMA.names}
+    for term, block_id, docs in term_rows:
+        t = _run(docs)
+        occ["term"].append(term)
+        occ["bucket"].append(0)
+        occ["block_id"].append(block_id)
+        occ["first_doc"].append(docs[0])
+        occ["last_doc"].append(docs[-1])
+        for c in ("df", "cf", "max_tf", "n_docs", "docs", "fields", "tfs", "positions"):
+            occ[c].append(t[c][0].as_py())
+    tbl = pa.table(
+        {k: pa.array(occ[k], type=POSTINGS_SCHEMA.field(k).type) for k in POSTINGS_SCHEMA.names}
+    )
+    pq.write_table(tbl, path, **write_kwargs)
+
+
+def _rows(t, cols=("term", "block_id", "first_doc")):
+    return list(zip(*(t[c].to_pylist() for c in cols)))
+
+
+def test_read_term_rows_boundary_spill(tmp_path):
+    # term 'm' spans two files: it is file0's term_max AND file1's
+    # term_min — the lookup must open BOTH files.
+    f0, f1 = str(tmp_path / "p0.parquet"), str(tmp_path / "p1.parquet")
+    _posting_file(f0, [("a", 0, [1, 2]), ("m", 0, [3, 4])])
+    _posting_file(f1, [("m", 1, [5, 6]), ("z", 0, [7])])
+    fake = SimpleNamespace(
+        _seg_ranges={"seg": (["a", "m"], ["m", "z"], [f0, f1])},
+        _postings_ds={},
+        posting_reader=PostingFileReader(),
+    )
+    t = IndexSearcher._read_term_rows(fake, "seg", "m", ["term", "block_id", "docs", "df"])
+    assert t.num_rows == 2
+    assert sorted(t["block_id"].to_pylist()) == [0, 1]
+    # terms fully inside one file still open exactly one file
+    t = IndexSearcher._read_term_rows(fake, "seg", "a", ["term", "block_id"])
+    assert t.num_rows == 1
+    assert fake.posting_reader.files_opened == 2
+    # absent term below every range
+    t = IndexSearcher._read_term_rows(fake, "seg", "0", ["term", "block_id"])
+    assert t.num_rows == 0
+
+
+def test_unsorted_rows_across_row_groups(tmp_path):
+    # rows out of term order, two per row group: [c b] [b a] [a c] —
+    # 'b' spans groups 0 and 1, and no group is sorted
+    f = str(tmp_path / "p.parquet")
+    _posting_file(
+        f,
+        [("c", 0, [1]), ("b", 0, [2]), ("b", 1, [3]), ("a", 0, [4]), ("a", 1, [5]), ("c", 1, [6])],
+        row_group_size=2,
+    )
+    assert pq.ParquetFile(f).metadata.num_row_groups == 3
+    r = PostingFileReader()
+    assert _rows(r.read(f, "a", ["term", "block_id", "first_doc"])) == [("a", 0, 4), ("a", 1, 5)]
+    assert r.row_groups_read == 2  # group 0 is [b, c]: pruned
+    # a term spanning two groups, columns without 'term'
+    t = r.read(f, "b", ["block_id", "first_doc"])
+    assert t.column_names == ["block_id", "first_doc"]
+    assert _rows(t, ("block_id", "first_doc")) == [(0, 2), (1, 3)]
+    assert r.row_groups_read == 2 + 3  # every group's [min, max] admits 'b'
+    t = r.read(f, "c", ["term", "first_doc"])
+    assert _rows(t, ("term", "first_doc")) == [("c", 1), ("c", 6)]
+    assert r.row_groups_read == 2 + 3 + 2
+    # absent terms inside and outside every range
+    for absent in ("ab", "0", "z"):
+        t = r.read(f, absent, ["term", "block_id"])
+        assert t.num_rows == 0
+        assert t.schema == pa.schema([("term", pa.string()), ("block_id", pa.int32())])
+    assert r.row_groups_read == 2 + 3 + 2 + 2  # only 'ab' reads: [a, b] and [a, c]
+    assert r.files_opened == 1
+
+
+def test_file_without_statistics_is_read(tmp_path):
+    f = str(tmp_path / "p.parquet")
+    _posting_file(
+        f, [("m", 0, [1]), ("a", 0, [2]), ("m", 1, [3])], row_group_size=2, write_statistics=False
+    )
+    st = pq.ParquetFile(f).metadata.row_group(0).column(0).statistics
+    assert st is None or not st.has_min_max
+    r = PostingFileReader()
+    assert _rows(r.read(f, "m", ["term", "block_id", "first_doc"])) == [("m", 0, 1), ("m", 1, 3)]
+    assert _rows(r.read(f, "a", ["term", "block_id", "first_doc"])) == [("a", 0, 2)]
+    assert r.row_groups_read == 4  # nothing to prune on: every group read
+
+
+@pytest.fixture(scope="module")
+def two_segment_index(ray_session, tmp_path_factory):
+    import ray.data
+
+    rng = np.random.default_rng(7)
+    vocab = [f"term{i}" for i in range(300)]
+    base = [" ".join(rng.choice(vocab, size=12)) for _ in range(400)]
+    # every delta doc carries the stop word 'the' (several times): with
+    # small blocks and batches its runs exceed block_cf — the hot merge
+    # category — while the 'termN' words take the fragment category and
+    # each doc's own 'uniqN' word passes through as a single run.  The
+    # merge emits pass-through, hot, then fragment rows, so 'uniq…' and
+    # 'the' rows precede the smaller 'term…' rows in the file.
+    delta = [
+        f"uniq{i} " + "the " * 3 + " ".join(rng.choice(vocab[:40], size=6)) for i in range(200)
+    ]
+    idx = str(tmp_path_factory.mktemp("two_seg"))
+    ids = np.arange(1, len(base) + len(delta) + 1, dtype=np.uint64)
+    kw = dict(doc_id_col="doc_id", num_buckets=4, block_cf=64, batch_size=50)
+    build_index(
+        ray.data.from_arrow(pa.table({"doc_id": ids[: len(base)], "text": base})), idx,
+        overwrite=True, **kw,
+    )
+    build_index(
+        ray.data.from_arrow(pa.table({"doc_id": ids[len(base):], "text": delta})), idx, **kw
+    )
+    return idx
+
+
+def test_reader_matches_dataset_filter_read(two_segment_index):
+    s = IndexSearcher(two_segment_index)
+    assert len(s.segments) == 2 and set(s._seg_ranges) == set(s.segments)
+    cols = ["term", "block_id", "first_doc", "last_doc", "df", "docs", "fields", "tfs", "positions"]
+    unsorted_files = 0
+    for seg in s.segments:
+        mins, maxs, paths = s._seg_ranges[seg]
+        for p in paths:
+            terms = pq.read_table(p, columns=["term"])["term"].to_pylist()
+            unsorted_files += terms != sorted(terms)
+    # the merge concatenates its per-category tables: the case a binary
+    # search within a row group would get wrong must be present
+    assert unsorted_files > 0
+    terms = s.terms.to_pylist()
+    assert "the" in terms
+    for term in terms:
+        for seg in s.segments:
+            mins, maxs, paths = s._seg_ranges[seg]
+            want = [
+                pq.read_table(p, columns=cols, filters=[("term", "=", term)])
+                for p, lo, hi in zip(paths, mins, maxs)
+                if lo <= term <= hi
+            ]
+            want = pa.concat_tables(want) if want else None
+            got = s._read_term_rows(seg, term, cols)
+            if want is None:
+                assert got.num_rows == 0, (seg, term)
+            else:
+                assert got.equals(want), (seg, term)
+
+
+def test_footer_parsed_once_and_no_dataset_reads(two_segment_index, monkeypatch):
+    s = IndexSearcher(two_segment_index)
+    assert s.posting_reader.files_opened == 0  # nothing opened at construction
+    terms = s.terms.to_pylist()
+    # row groups whose term stats admit each term, over the files the
+    # range bisect selects — the reads a pruning reader may make
+    admitted = 0
+    for mins, maxs, paths in s._seg_ranges.values():
+        for p, lo, hi in zip(paths, mins, maxs):
+            md = pq.ParquetFile(p).metadata
+            for term in terms:
+                if lo <= term <= hi:
+                    for rg in range(md.num_row_groups):
+                        st = md.row_group(rg).column(0).statistics
+                        admitted += st.min <= term <= st.max
+    opened = []
+    real = pq.ParquetFile
+
+    def spy_open(path, *a, **kw):
+        opened.append(path)
+        return real(path, *a, **kw)
+
+    def no_read_table(*a, **kw):
+        raise AssertionError("posting lookups must not call pq.read_table")
+
+    monkeypatch.setattr(pq, "ParquetFile", spy_open)
+    monkeypatch.setattr(pq, "read_table", no_read_table)
+    for _ in range(3):
+        for term in terms:
+            s._fetch_term_blocks(term, with_positions=True)
+    n_files = sum(len(r[2]) for r in s._seg_ranges.values())
+    assert len(opened) == len(set(opened)) == s.posting_reader.files_opened == n_files
+    assert s.posting_reader.row_groups_read == 3 * admitted
