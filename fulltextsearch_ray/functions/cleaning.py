@@ -15,7 +15,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..tokenizer import flat_tokens
-from .common import round6
+from .common import md5_u64_batch, partitioned_sum, round6, sum_partial
 
 # RE2-syntax patterns (no lookaround/backrefs — portable to DuckDB).
 # Replacement order matters: emails first (their local part may contain
@@ -192,24 +192,21 @@ def contamination_check(
 
 def top_bigrams(ds: ray.data.Dataset, k: int = 20, text_col: str = "text") -> ray.data.Dataset:
     """Corpus-level top-k token bigrams — partial counts inside
-    ``map_batches`` (combiner), ONE small groupby over distinct
-    bigrams, deterministic (count desc, bigram asc) tie-break.  The
-    n-gram-statistics building block for contamination checks and
-    boilerplate mining."""
+    ``map_batches`` (combiner) tagged by ``md5(bigram) % K``, ONE
+    :func:`common.partitioned_sum` (an Arrow group_by per hash
+    partition, never a Ray reduce per distinct bigram), deterministic
+    (count desc, bigram asc) tie-break.  The n-gram-statistics building
+    block for contamination checks and boilerplate mining."""
 
     def partial(batch: pa.Table) -> pa.Table:
         toks, parent, _ = flat_tokens(batch[text_col])
         bg, _bparent = adjacent_bigrams(toks, parent)
-        if not len(bg):
-            return pa.table({"bigram": pa.array([], pa.string()), "n": pa.array([], pa.int64())})
         grp = pa.table({"bigram": bg}).group_by("bigram").aggregate([("bigram", "count")])
-        return pa.table({"bigram": grp["bigram"], "n": grp["bigram_count"].cast(pa.int64())})
+        keys = grp["bigram"].combine_chunks()
+        return sum_partial("bigram", keys, "n", grp["bigram_count"], md5_u64_batch(keys))
 
     return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("bigram")
-        .sum("n", ignore_nulls=True)
-        .rename_columns({"sum(n)": "n"})
+        partitioned_sum(ds.map_batches(partial, batch_format="pyarrow"), "bigram", "n")
         .sort(["n", "bigram"], descending=[True, False])
         .limit(k)
     )

@@ -175,6 +175,61 @@ def subtract_ids(
     return unioned.groupby("_part").map_groups(anti, batch_format="pyarrow")
 
 
+# Hash buckets of :func:`partitioned_sum`: a module constant, not a knob.
+SUM_PARTITIONS = 64
+
+
+def sum_partial(key: str, keys: "pa.Array", value: str, counts, hashes) -> "pa.Table":
+    """One combiner block for :func:`partitioned_sum`: the batch's
+    distinct ``keys`` with their partial ``counts``, tagged
+    ``_part = hashes % SUM_PARTITIONS`` (64-bit int or uint hashes; the
+    bits, not the sign, pick the bucket), plus one null-key zero row
+    per bucket so that every reduce partition receives rows."""
+    import pyarrow as pa
+
+    K = SUM_PARTITIONS
+    part = (np.asarray(hashes).view(np.uint64) % np.uint64(K)).astype(np.int64)
+    return pa.table(
+        {
+            key: pa.concat_arrays([keys, pa.nulls(K, keys.type)]),
+            value: pa.array(np.r_[np.asarray(counts, np.int64), np.zeros(K, np.int64)]),
+            "_part": pa.array(np.r_[part, np.arange(K, dtype=np.int64)]),
+        }
+    )
+
+
+def partitioned_sum(partials, key: str, value: str, finish=None):
+    """Exact int64 ``sum(value)`` per distinct non-null ``key`` over a
+    dataset of :func:`sum_partial` blocks; ``finish`` (table -> table)
+    post-processes each partition's (key, value) sums in the same task.
+
+    The reduce is ONE range shuffle on ``_part`` whose task runs ONE
+    Arrow ``Table.group_by(key).aggregate`` over its whole partition:
+    O(partitions) Python calls, where Ray's ``groupby(key).sum()`` pays
+    ~0.1 ms per distinct key.  The ranges are explicit (SUM_PARTITIONS
+    buckets split evenly over :func:`default_partitions` tasks) and
+    every partial block carries a null-key row in every bucket, so no
+    partition is ever empty: each reduce task runs its UDF and emits a
+    typed table (Ray skips map UDFs on empty blocks and passes them on
+    schema-less).  Only an input with no rows at all yields no typed
+    block."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    K = SUM_PARTITIONS
+    P = min(K, default_partitions())
+
+    def reduce(part: pa.Table) -> pa.Table:
+        agg = part.group_by(key).aggregate([(value, "sum")])
+        out = pa.table({key: agg[key], value: agg[f"{value}_sum"]})
+        out = out.filter(pc.is_valid(out[key]))
+        return finish(out) if finish is not None else out
+
+    return partials.sort("_part", boundaries=[K * j // P for j in range(1, P)]).map_batches(
+        reduce, batch_size=None, batch_format="pyarrow"
+    )
+
+
 def default_partitions(scale: int = 2, cap: int = 64) -> int:
     """Hash-partition count for partitioned group stages: tracks the
     cluster CPU count (× scale, capped).  At real cluster scale pass an

@@ -9,15 +9,18 @@ maximal spans per document.  Lee et al. build suffix arrays; at Ray
 scale the equivalent is hash-first — group windows by a 64-bit md5
 prefix (``common.md5_u64_batch``, bit-identical to the DuckDB oracle's
 ``('0x' || substr(md5(g),1,16))::UBIGINT``, so the oracle mirrors the
-grouping EXACTLY, collisions included) and count with a
-combiner-then-groupby.
+grouping EXACTLY, collisions included) and count with per-batch
+partial counts summed by one hash-partitioned Arrow reduce.
 
 Scale shape
 -----------
 * Pass 1 (count): per-batch window hashing + per-batch partial counts
-  (combiner) -> ONE groupby over distinct window hashes -> the
-  duplicated-hash set.  Shuffle volume is bounded by distinct windows
-  per batch, never total window occurrences.
+  (combiner) tagged ``h % K`` -> ONE range shuffle on that tag whose
+  task sums its partition with one Arrow ``group_by`` and keeps the
+  hashes reaching ``min_count`` (``common.partitioned_sum``) -> the
+  duplicated-hash set.  Python work is O(partitions), not one Ray
+  reduce per distinct window; shuffle volume is bounded by distinct
+  windows per batch, never total window occurrences.
 * Pass 2 (mark): below ``broadcast_budget`` duplicated hashes the set
   ships once via ``ray.put`` and every batch marks its windows with
   one ``searchsorted`` — no second shuffle.  Past the budget the mark
@@ -47,7 +50,15 @@ import ray
 import ray.data
 
 from ..tokenizer import flat_tokens
-from .common import default_partitions, list_array_auto, md5_u64_batch
+from .common import (
+    default_partitions,
+    list_array_auto,
+    md5_u64_batch,
+    partitioned_sum,
+    sum_partial,
+)
+
+_DUP_SCHEMA = pa.schema([("h", pa.int64())])
 
 _SPANS_SCHEMA = pa.schema(
     [
@@ -150,28 +161,23 @@ def spans_from_marks(mdoc: np.ndarray, mpos: np.ndarray, gram_len: int) -> pa.Ta
 def _dup_hash_dataset(
     ds: ray.data.Dataset, text_col: str, gram_len: int, min_count: int
 ) -> ray.data.Dataset:
-    """Single-column dataset of window hashes with corpus-wide
-    occurrence count >= min_count."""
+    """Single-column (``h: int64``) dataset of window hashes with
+    corpus-wide occurrence count >= min_count.  Each batch counts its
+    distinct windows (combiner) and tags them ``_part = h % K``; one
+    :func:`common.partitioned_sum` then sums the partial counts with one
+    Arrow group_by per partition and keeps the duplicated hashes in the
+    same task — no Ray reduce per distinct hash."""
 
     def partial(b: pa.Table) -> pa.Table:
         h = _grams_full(b[text_col], gram_len, with_pos=False)[0]
         uh, cnt = np.unique(h, return_counts=True)
-        return pa.table(
-            {"h": pa.array(uh, pa.int64()), "cnt": pa.array(cnt.astype(np.int64))}
-        )
+        return sum_partial("h", pa.array(uh, pa.int64()), "cnt", cnt, uh)
 
-    counts = (
-        ds.select_columns([text_col])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("h")
-        .sum("cnt", ignore_nulls=True)
-    )
+    def keep(sums: pa.Table) -> pa.Table:
+        return sums.filter(pc.greater_equal(sums["cnt"], min_count)).select(["h"])
 
-    def keep(b: pa.Table) -> pa.Table:
-        c = np.asarray(b["sum(cnt)"].to_numpy(zero_copy_only=False))
-        return b.filter(pa.array(c >= min_count)).select(["h"])
-
-    return counts.map_batches(keep, batch_format="pyarrow")
+    partials = ds.select_columns([text_col]).map_batches(partial, batch_format="pyarrow")
+    return partitioned_sum(partials, "h", "cnt", finish=keep)
 
 
 def _dup_hash_ref(
@@ -186,6 +192,8 @@ def _dup_hash_ref(
     fallback).  Materialized once — count() and the gather below would
     otherwise each re-execute the counting pipeline."""
     dup = _dup_hash_dataset(ds, text_col, gram_len, min_count).materialize()
+    if dup.schema() is None:  # no input rows at all: no reduce task ran
+        dup = ray.data.from_arrow(_DUP_SCHEMA.empty_table())
     if dup.count() > broadcast_budget:
         return None, dup
     parts = [

@@ -7,7 +7,8 @@
 3. binary-search term lookups agree with the scan kernels.
 
 (The _read_term_rows boundary-spill test lives in
-tests/test_posting_reader.py.)
+tests/test_posting_reader.py, the distributed cut-rebuild guard in
+tests/test_spans.py.)
 """
 
 import numpy as np
@@ -207,40 +208,6 @@ def test_enwiki_empty_titles_keep_dense_ids(tmp_path, ray_session):
     )
     assert [r["doc_id"] for r in rows] == [1, 2, 3, 4]
     assert [r["content"] for r in rows] == ["alpha", "", "", "beta"]
-
-
-def test_cut_spans_distributed_rebuild_guards_missing_doc(ray_session):
-    """Round-4 ADVICE: the distributed cut rebuild's searchsorted doc
-    lookup is guarded — a span whose doc is absent from its partition
-    raises a descriptive error instead of IndexError / silent corruption."""
-    import ray.data
-
-    from fulltextsearch_ray.functions import spans as spans_mod
-
-    docs = pa.table(
-        {
-            "doc_id": pa.array([1, 2], pa.int64()),
-            "text": pa.array(["a b c d a b c d", "x y"], pa.string()),
-        }
-    )
-    # budget 0 forces the distributed co-group path
-    out = spans_mod.cut_dup_spans(
-        ray.data.from_arrow(docs), gram_len=4, min_count=2, broadcast_budget=0
-    ).take_all()
-    assert {r["doc_id"] for r in out} == {1, 2}
-    # duplicate doc_id violates the documented uniqueness contract:
-    # spans would attach to only the first matching row (silently
-    # diverging from the broadcast path) — the rebuild raises instead
-    dup = pa.table(
-        {
-            "doc_id": pa.array([1, 1], pa.int64()),
-            "text": pa.array(["a b c d a b c d", "a b c d a b c d"], pa.string()),
-        }
-    )
-    with pytest.raises(Exception, match="unique"):
-        spans_mod.cut_dup_spans(
-            ray.data.from_arrow(dup), gram_len=4, min_count=2, broadcast_budget=0
-        ).take_all()
 
 
 def test_highlight_missing_forward_row_is_descriptive(ray_session, tmp_path):

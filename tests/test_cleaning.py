@@ -1,5 +1,8 @@
 """PII redaction, repetition stats, corpus bigram counts."""
 
+from collections import Counter
+
+import numpy as np
 import pyarrow as pa
 import ray.data
 
@@ -72,3 +75,20 @@ def test_top_bigrams_counts_and_ties(ray_session):
     # 'x y' 3×; then count-1 bigrams in ascending lexical order
     assert got[0] == ("x y", 3)
     assert got[1:] == [("q z", 1), ("y q", 1)]
+
+
+def test_top_bigrams_matches_counter_across_blocks(ray_session):
+    rng = np.random.default_rng(9)
+    vocab = [f"b{i}" for i in range(6)]
+    texts = [" ".join(rng.choice(vocab, size=rng.integers(0, 12))) for _ in range(50)]
+    ref = Counter()
+    for t in texts:
+        w = t.split()
+        ref.update(f"{a} {b}" for a, b in zip(w, w[1:]))
+    expect = sorted(ref.items(), key=lambda kv: (-kv[1], kv[0]))
+    assert len(set(ref.values())) < len(ref)  # count ties to break
+    ds = ray.data.from_arrow(_batch(texts)).repartition(4).materialize()
+    assert ds.num_blocks() == 4
+    for k in (5, len(expect)):
+        got = [(r["bigram"], r["n"]) for r in top_bigrams(ds, k=k).take_all()]
+        assert got == expect[:k]

@@ -429,47 +429,6 @@ def test_ngram_jaccard_hash_first_matches_bruteforce(ray_session):
     assert got == expect
 
 
-# -- spans: distributed (budget-0) path on a 30%-duplicated corpus ------------
-
-
-def test_cut_dup_spans_budget0_on_skewed_corpus(ray_session):
-    """The past-budget co-group rebuild (the path a 100 TB corpus always
-    takes) on a corpus where 30% of docs share one text: parity with the
-    broadcast path and a sane wall bound (it must not degenerate into
-    per-duplicate quadratic work)."""
-    import time
-
-    import ray.data
-
-    from fulltextsearch_ray.functions.spans import cut_dup_spans
-
-    n = 400
-    texts = [
-        "common boilerplate header license text all rights reserved here"
-        if i % 10 < 3
-        else f"unique document {i} alpha{i} beta{i * 7} gamma{i * 13} delta{i * 31}"
-        for i in range(n)
-    ]
-    tbl = pa.table(
-        {"doc_id": pa.array(range(n), pa.int64()), "text": pa.array(texts, pa.string())}
-    )
-    ds = ray.data.from_arrow(tbl)
-    base = {
-        r["doc_id"]: (r["text_cut"], r["n_removed"])
-        for r in cut_dup_spans(ds, gram_len=4, min_count=2).take_all()
-    }
-    t0 = time.perf_counter()
-    got = {
-        r["doc_id"]: (r["text_cut"], r["n_removed"])
-        for r in cut_dup_spans(ds, gram_len=4, min_count=2, broadcast_budget=0).take_all()
-    }
-    dt = time.perf_counter() - t0
-    assert got == base and len(got) == n
-    # every duplicated doc must actually be cut
-    assert all(got[i][1] > 0 for i in range(n) if i % 10 < 3)
-    assert dt < 120, f"budget-0 spans path took {dt:.1f}s on a 400-doc corpus"
-
-
 # -- fifth review-pass fixes -------------------------------------------------
 
 

@@ -324,32 +324,6 @@ def test_list_array_auto_large_offsets(monkeypatch):
     assert pcc.binary_join(big, " ").type == pa.string()
 
 
-def test_cut_dup_spans_large_offset_fallback(ray_session, monkeypatch):
-    """cut_dup_spans' rebuild produces identical text through the
-    LargeList fallback (forced via a tiny threshold)."""
-    import ray.data
-
-    from fulltextsearch_ray.functions import common
-    from fulltextsearch_ray.functions.spans import cut_dup_spans
-
-    texts = ["dup dup dup dup dup one two three four five six seven"] * 3 + [
-        f"unique doc {i} aa{i} bb{i} cc{i} dd{i} ee{i}" for i in range(5)
-    ]
-    tbl = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
-                    "text": pa.array(texts)})
-    base = {r["doc_id"]: r["text_cut"] for r in
-            cut_dup_spans(ray.data.from_arrow(tbl), gram_len=4, min_count=2).take_all()}
-    monkeypatch.setattr(common, "_LIST_OFFSET_MAX", 1)
-    got = {r["doc_id"]: r["text_cut"] for r in
-           cut_dup_spans(ray.data.from_arrow(tbl), gram_len=4, min_count=2).take_all()}
-    assert got == base
-    # and the distributed (budget-0) rebuild path too
-    got0 = {r["doc_id"]: r["text_cut"] for r in
-            cut_dup_spans(ray.data.from_arrow(tbl), gram_len=4, min_count=2,
-                          broadcast_budget=0).take_all()}
-    assert got0 == base
-
-
 def test_ngram_jaccard_duplicate_doc_id_raises(ray_session):
     """The ridden set size (and the packed pair key) requires unique
     doc ids; a duplicated id must fail loudly, not mis-score."""

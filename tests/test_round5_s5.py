@@ -368,34 +368,6 @@ def test_similarity_guards(ray_session, tmp_path):
     assert with_excl["neighbor_id"].to_pylist() != [7]
 
 
-def test_dup_spans_rejects_duplicate_doc_ids(ray_session):
-    """Duplicate doc_ids merged two docs' window streams and could emit
-    spans with end_tok < start_tok (position reset inside one 'doc') —
-    both span ops must fail loudly, like the index build and dedup."""
-    from fulltextsearch_ray.functions.spans import cut_dup_spans, dup_spans
-
-    t = "one two three four five six seven eight nine ten"
-    ds = ray.data.from_arrow(
-        pa.table({"doc_id": pa.array([5, 5], pa.int64()),
-                  "text": pa.array([t, t], pa.string())})
-    )
-    with pytest.raises(Exception, match="must be unique"):
-        dup_spans(ds, gram_len=4, min_count=2).take_all()
-    with pytest.raises(Exception, match="must be unique"):
-        cut_dup_spans(ds, gram_len=4, min_count=2).take_all()
-
-
-def test_spans_gram_len_validated(ray_session):
-    from fulltextsearch_ray.functions.spans import dup_spans
-
-    ds = ray.data.from_arrow(
-        pa.table({"doc_id": pa.array([1], pa.int64()),
-                  "text": pa.array(["a b c d e"], pa.string())})
-    )
-    with pytest.raises(Exception, match="gram_len"):
-        dup_spans(ds, gram_len=0).take_all()
-
-
 def test_connected_components_rejects_null_ids(ray_session):
     """A null pair endpoint round-trips NaN -> INT64_MIN and becomes a
     phantom node bridging unrelated components (canonical_docs then

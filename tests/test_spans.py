@@ -1,14 +1,22 @@
 """Duplicated-substring span detection + removal (functions/spans.py).
 
 Hand-computed goldens on tiny corpora, a brute-force cross-check of
-the window-count/merge semantics, and broadcast==distributed path
-equality (budget forced to 0)."""
+the window-count/merge semantics, broadcast==distributed path
+equality (budget forced to 0), a numpy differential of the
+duplicated-window count pass (``common.partitioned_sum``) and guards
+on empty corpora, duplicate ids and the per-key Ray reduce."""
 
 import numpy as np
 import pyarrow as pa
+import pytest
+import ray
 import ray.data
 
+from fulltextsearch_ray.functions import common
 from fulltextsearch_ray.functions.spans import (
+    _dup_hash_dataset,
+    _dup_hash_ref,
+    _grams_full,
     cut_dup_spans,
     dup_spans,
     grams_with_pos,
@@ -187,3 +195,235 @@ def test_cut_dup_spans_distributed_null_text(ray_session):
     )
     assert bc == dist
     assert len(bc) == len(texts)
+
+
+# -- duplicated-window count pass (common.partitioned_sum) -------------------
+
+
+def _np_dup_hashes(texts, gram_len, min_count):
+    """Reference: every window hash of the whole corpus in one process,
+    counted with np.unique."""
+    h = _grams_full(pa.array(texts, pa.string()), gram_len, with_pos=False)[0]
+    uh, cnt = np.unique(h, return_counts=True)
+    return uh[cnt >= min_count]
+
+
+def _got_dup_hashes(ds, gram_len, min_count):
+    rows = _dup_hash_dataset(ds, "text", gram_len, min_count).take_all()
+    return np.sort(np.array([r["h"] for r in rows], dtype=np.int64))
+
+
+def test_dup_hash_dataset_matches_numpy_across_blocks(ray_session):
+    rng = np.random.default_rng(5)
+    vocab = [f"t{i}" for i in range(5)]
+    texts = [" ".join(rng.choice(vocab, size=rng.integers(0, 30))) for _ in range(40)]
+    # one window planted once in each of the first and last doc: its
+    # count reaches 2 only when the partial counts of two blocks add up
+    texts[0] += " cross block planted window"
+    texts[-1] += " cross block planted window"
+    ds = ray.data.from_arrow(
+        pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
+                  "text": pa.array(texts, pa.string())})
+    ).repartition(4).materialize()
+    blocks = [ray.get(r) for r in ds.to_arrow_refs()]
+    assert len(blocks) == 4
+    planted = _grams_full(pa.array(["cross block planted window"]), 4, with_pos=False)[0][0]
+    per_block = [
+        int((_grams_full(b["text"], 4, with_pos=False)[0] == planted).sum()) for b in blocks
+    ]
+    assert max(per_block) == 1 and sum(per_block) == 2
+    for L in (3, 4):
+        for m in (1, 2, 3):
+            ref = _np_dup_hashes(texts, L, m)
+            got = _got_dup_hashes(ds, L, m)
+            assert got.tolist() == ref.tolist(), (L, m)
+            assert (ref < 0).any()  # int64 view of the md5 prefix: % K sign
+    assert planted in _got_dup_hashes(ds, 4, 2)
+    assert planted not in _got_dup_hashes(ds, 4, 3)
+
+
+def test_sum_partial_buckets_negative_hashes():
+    h = np.array([-1, -64, -65, 0, 63, 2**63 - 1, -(2**63)], dtype=np.int64)
+    t = common.sum_partial("h", pa.array(h), "cnt", np.ones(len(h), np.int64), h)
+    K = common.SUM_PARTITIONS
+    part = np.asarray(t["_part"])
+    assert ((part >= 0) & (part < K)).all()
+    assert part[: len(h)].tolist() == (h.view(np.uint64) % np.uint64(K)).astype(np.int64).tolist()
+    # one null-key zero row per bucket rides along
+    assert t["h"].null_count == K and sorted(part[len(h):].tolist()) == list(range(K))
+
+
+@pytest.mark.parametrize(
+    "texts", [[], ["a b", "c", "", None, "a b c"]], ids=["empty", "all-short"]
+)
+def test_no_windows_keeps_schema_and_cuts_nothing(ray_session, texts):
+    ds = _ds(texts)
+    _, dup = _dup_hash_ref(ds, "text", 4, 2, 5_000_000)
+    assert dup.schema().base_schema == pa.schema([("h", pa.int64())])
+    assert dup.count() == 0
+    if texts:
+        assert _dup_hash_dataset(ds, "text", 4, 2).schema().base_schema == pa.schema(
+            [("h", pa.int64())]
+        )
+    for budget in (5_000_000, 0):
+        rows = cut_dup_spans(ds, gram_len=4, min_count=2, broadcast_budget=budget).take_all()
+        assert sorted(r["doc_id"] for r in rows) == list(range(1, len(texts) + 1))
+        assert all(r["n_removed"] == 0 for r in rows)
+        assert dup_spans(ds, gram_len=4, min_count=2, broadcast_budget=budget).take_all() == []
+
+
+def test_span_ops_never_use_ray_per_key_reduce(ray_session, monkeypatch):
+    """The duplicated-window count (and top_bigrams) must not fall back
+    to Ray's per-distinct-key groupby reduce."""
+    from ray.data.grouped_data import GroupedData
+
+    from fulltextsearch_ray.functions.cleaning import top_bigrams
+
+    def boom(*a, **k):
+        raise AssertionError("per-key Ray groupby reduce")
+
+    monkeypatch.setattr(GroupedData, "sum", boom)
+    monkeypatch.setattr(GroupedData, "aggregate", boom)
+    texts = [
+        "alpha beta gamma delta unique-one tail",
+        "head alpha beta gamma delta unique-two",
+        "nothing shared here at all now",
+    ]
+    assert _got_spans(_ds(texts), gram_len=4, min_count=2) == [(1, 0, 4, 1), (2, 1, 5, 1)]
+    for budget in (5_000_000, 0):
+        rows = {r["doc_id"]: r for r in cut_dup_spans(
+            _ds(texts), gram_len=4, min_count=2, broadcast_budget=budget).take_all()}
+        assert rows[1]["text_cut"] == "unique-one tail" and rows[1]["n_removed"] == 4
+        assert rows[2]["text_cut"] == "head unique-two" and rows[2]["n_removed"] == 4
+        assert rows[3]["n_removed"] == 0
+    got = [(r["bigram"], r["n"]) for r in top_bigrams(_ds(texts), k=2).take_all()]
+    assert got == [("alpha beta", 2), ("beta gamma", 2)]
+
+
+# -- skewed corpus, LargeList fallback, input validation ---------------------
+
+
+def test_cut_dup_spans_budget0_on_skewed_corpus(ray_session):
+    """The past-budget co-group rebuild (the path a 100 TB corpus always
+    takes) on a corpus where 30% of docs share one text: parity with the
+    broadcast path and a sane wall bound (it must not degenerate into
+    per-duplicate quadratic work)."""
+    import time
+
+    import ray.data
+
+    from fulltextsearch_ray.functions.spans import cut_dup_spans
+
+    n = 400
+    texts = [
+        "common boilerplate header license text all rights reserved here"
+        if i % 10 < 3
+        else f"unique document {i} alpha{i} beta{i * 7} gamma{i * 13} delta{i * 31}"
+        for i in range(n)
+    ]
+    tbl = pa.table(
+        {"doc_id": pa.array(range(n), pa.int64()), "text": pa.array(texts, pa.string())}
+    )
+    ds = ray.data.from_arrow(tbl)
+    base = {
+        r["doc_id"]: (r["text_cut"], r["n_removed"])
+        for r in cut_dup_spans(ds, gram_len=4, min_count=2).take_all()
+    }
+    t0 = time.perf_counter()
+    got = {
+        r["doc_id"]: (r["text_cut"], r["n_removed"])
+        for r in cut_dup_spans(ds, gram_len=4, min_count=2, broadcast_budget=0).take_all()
+    }
+    dt = time.perf_counter() - t0
+    assert got == base and len(got) == n
+    # every duplicated doc must actually be cut
+    assert all(got[i][1] > 0 for i in range(n) if i % 10 < 3)
+    assert dt < 120, f"budget-0 spans path took {dt:.1f}s on a 400-doc corpus"
+
+
+def test_cut_dup_spans_large_offset_fallback(ray_session, monkeypatch):
+    """cut_dup_spans' rebuild produces identical text through the
+    LargeList fallback (forced via a tiny threshold)."""
+    import ray.data
+
+    from fulltextsearch_ray.functions import common
+    from fulltextsearch_ray.functions.spans import cut_dup_spans
+
+    texts = ["dup dup dup dup dup one two three four five six seven"] * 3 + [
+        f"unique doc {i} aa{i} bb{i} cc{i} dd{i} ee{i}" for i in range(5)
+    ]
+    tbl = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
+                    "text": pa.array(texts)})
+    base = {r["doc_id"]: r["text_cut"] for r in
+            cut_dup_spans(ray.data.from_arrow(tbl), gram_len=4, min_count=2).take_all()}
+    monkeypatch.setattr(common, "_LIST_OFFSET_MAX", 1)
+    got = {r["doc_id"]: r["text_cut"] for r in
+           cut_dup_spans(ray.data.from_arrow(tbl), gram_len=4, min_count=2).take_all()}
+    assert got == base
+    # and the distributed (budget-0) rebuild path too
+    got0 = {r["doc_id"]: r["text_cut"] for r in
+            cut_dup_spans(ray.data.from_arrow(tbl), gram_len=4, min_count=2,
+                          broadcast_budget=0).take_all()}
+    assert got0 == base
+
+
+def test_dup_spans_rejects_duplicate_doc_ids(ray_session):
+    """Duplicate doc_ids merged two docs' window streams and could emit
+    spans with end_tok < start_tok (position reset inside one 'doc') —
+    both span ops must fail loudly, like the index build and dedup."""
+    from fulltextsearch_ray.functions.spans import cut_dup_spans, dup_spans
+
+    t = "one two three four five six seven eight nine ten"
+    ds = ray.data.from_arrow(
+        pa.table({"doc_id": pa.array([5, 5], pa.int64()),
+                  "text": pa.array([t, t], pa.string())})
+    )
+    with pytest.raises(Exception, match="must be unique"):
+        dup_spans(ds, gram_len=4, min_count=2).take_all()
+    with pytest.raises(Exception, match="must be unique"):
+        cut_dup_spans(ds, gram_len=4, min_count=2).take_all()
+
+
+def test_spans_gram_len_validated(ray_session):
+    from fulltextsearch_ray.functions.spans import dup_spans
+
+    ds = ray.data.from_arrow(
+        pa.table({"doc_id": pa.array([1], pa.int64()),
+                  "text": pa.array(["a b c d e"], pa.string())})
+    )
+    with pytest.raises(Exception, match="gram_len"):
+        dup_spans(ds, gram_len=0).take_all()
+
+
+def test_cut_spans_distributed_rebuild_guards_missing_doc(ray_session):
+    """Round-4 ADVICE: the distributed cut rebuild's searchsorted doc
+    lookup is guarded — a span whose doc is absent from its partition
+    raises a descriptive error instead of IndexError / silent corruption."""
+    import ray.data
+
+    from fulltextsearch_ray.functions import spans as spans_mod
+
+    docs = pa.table(
+        {
+            "doc_id": pa.array([1, 2], pa.int64()),
+            "text": pa.array(["a b c d a b c d", "x y"], pa.string()),
+        }
+    )
+    # budget 0 forces the distributed co-group path
+    out = spans_mod.cut_dup_spans(
+        ray.data.from_arrow(docs), gram_len=4, min_count=2, broadcast_budget=0
+    ).take_all()
+    assert {r["doc_id"] for r in out} == {1, 2}
+    # duplicate doc_id violates the documented uniqueness contract:
+    # spans would attach to only the first matching row (silently
+    # diverging from the broadcast path) — the rebuild raises instead
+    dup = pa.table(
+        {
+            "doc_id": pa.array([1, 1], pa.int64()),
+            "text": pa.array(["a b c d a b c d", "a b c d a b c d"], pa.string()),
+        }
+    )
+    with pytest.raises(Exception, match="unique"):
+        spans_mod.cut_dup_spans(
+            ray.data.from_arrow(dup), gram_len=4, min_count=2, broadcast_budget=0
+        ).take_all()
