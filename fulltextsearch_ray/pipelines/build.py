@@ -7,7 +7,7 @@ Parquet-path fast shape (ONE streaming corpus pass, no pre-shuffle):
           # read file → tokenize → local invert into compressed runs
           # + fused doc-stats sentinel rows (doc_len, sha256)
       → sort("term") → map_batches(merge_runs_batch)     # THE shuffle
-      → write_parquet(term-range-sorted posting files, 4k row groups)
+      → write_parquet(term-sorted posting files, lookup-sized row groups)
       → docs table split from sentinel rows (bucket == -1 pushdown)
       → catalog + per-file term-range run catalog (footers only)
       → manifest.json (+ lineage/counters) + meta.json  (driver)
@@ -47,6 +47,7 @@ from ..stages.invert import (
     read_invert_batches_fn,
 )
 from ..state.index import (
+    POSTINGS_ROW_GROUP_SIZE,
     SEGMENTS_DIR,
     IndexMeta,
     SegmentManifest,
@@ -157,7 +158,9 @@ def compact_index(
         batch_format="pyarrow",
         batch_size=None,
     )
-    merged.write_parquet(os.path.join(seg_path, "postings"), row_group_size=4096)
+    merged.write_parquet(
+        os.path.join(seg_path, "postings"), row_group_size=POSTINGS_ROW_GROUP_SIZE
+    )
     if not os.path.isdir(os.path.join(seg_path, "postings")):
         # zero real postings (e.g. an empty corpus's sentinel-only
         # segments): write_parquet emits nothing — keep the segment
@@ -762,11 +765,14 @@ def build_index(
     # term run catalog: a term lookup binary-searches the per-file
     # [term_min, term_max] ranges (recorded below from the parquet
     # footers) to usually ONE file (two when a term spills over a file
-    # boundary).  The searcher parses that file's footer once, then per
-    # lookup reads only the row groups whose term stats admit the term
-    # (``read_row_group`` + equality filter: rows are not term-sorted
-    # within a group, see ``PostingFileReader``).
-    merged.write_parquet(os.path.join(seg_path, "postings"), row_group_size=4096)
+    # boundary).  ``merge_runs_batch`` emits each block term-sorted, so
+    # every file is term-sorted and its row groups hold disjoint term
+    # ranges: the searcher parses the footer once, then a lookup's
+    # footer-stats prune reads one ``POSTINGS_ROW_GROUP_SIZE``-row group
+    # (two when a term's rows cross a group boundary).
+    merged.write_parquet(
+        os.path.join(seg_path, "postings"), row_group_size=POSTINGS_ROW_GROUP_SIZE
+    )
     _mark("postings_write", t0)
 
     # file → term-range catalog from footers only (no data read)

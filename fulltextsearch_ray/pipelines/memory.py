@@ -132,11 +132,11 @@ def build_in_memory(
         batch_size=None,
     )
     # in-memory materialization — the contract of this variant.
-    # NOTE: merge_runs_batch reorders rows WITHIN a block (pass-through
-    # / hot / re-encoded tables concat per category), so the concat is
-    # NOT term-sorted; _read_term_rows binary-searches _post_terms, so
-    # re-sort here — without this, every fragmented (i.e. common) term
-    # silently vanished from in-memory search/BM25 results
+    # NOTE: merge_runs_batch emits each block term-sorted, but the
+    # blocks' arrival order is not part of that contract and
+    # _read_term_rows binary-searches _post_terms, so re-sort the
+    # concat — an unsorted table silently dropped terms from in-memory
+    # search/BM25 results
     tbl = pa.concat_tables(ray.get(merged.to_arrow_refs()))
     tbl = tbl.sort_by(
         [("term", "ascending"), ("first_doc", "ascending"), ("block_id", "ascending")]

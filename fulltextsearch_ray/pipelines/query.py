@@ -218,10 +218,12 @@ class PostingFileReader:
     The file opens once (first lookup) into a bounded handle cache;
     each lookup then reads only the row groups whose footer ``term``
     [min, max] admits the term (a group without statistics is always
-    read) and keeps the rows equal to the term.  Rows are NOT
-    term-sorted inside a row group — ``merge_runs_batch`` concatenates
-    its pass-through, hot, fragment and slow per-category tables — so
-    the filter is an equality scan, never a binary search.
+    read) and keeps the rows equal to the term.  Files this engine
+    writes are term-sorted in ``POSTINGS_ROW_GROUP_SIZE``-row groups, so
+    the prune leaves one small group per file; indexes written before
+    that (unsorted rows, 4,096-row groups with overlapping ranges) are
+    served by the same code, which is why the filter is an equality
+    scan, never a binary search.
 
     ``files_opened`` / ``row_groups_read`` count footer parses and
     row-group reads, so pruning is observable without a profiler."""

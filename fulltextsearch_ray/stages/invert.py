@@ -676,6 +676,11 @@ def merge_runs_batch(batch: pa.Table, block_cf: int = DEFAULT_BLOCK_CF) -> pa.Ta
     * genuinely overlapping runs (multi-field boundary docs,
       out-of-order ingest — rare) keep the exact per-term
       ``merge_posting_runs`` path.
+
+    Output order (part of the contract, on every path): rows sorted by
+    (``term``, ``first_doc``, ``block_id``).  Written as-is, every
+    postings file is term-sorted, so a point lookup's footer-stats
+    prune selects one small row group per file.
     """
     n = batch.num_rows
     if n == 0:
@@ -714,7 +719,7 @@ def merge_runs_batch(batch: pa.Table, block_cf: int = DEFAULT_BLOCK_CF) -> pa.Ta
     single = counts == 1
     sent = sent_code[codes[starts]]
     if (single | sent).all():
-        return batch
+        return _term_sorted(batch)
     # per-term strict disjointness (equal boundary docs = overlap —
     # multi-field docs split across batches take the exact slow path)
     okrow = np.ones(n, dtype=bool)
@@ -786,7 +791,20 @@ def merge_runs_batch(batch: pa.Table, block_cf: int = DEFAULT_BLOCK_CF) -> pa.Ta
         out_tables.append(tbl_f)
     for s, c in zip(starts[slow], counts[slow]):
         out_tables.append(merge_posting_runs(batch.slice(int(s), int(c)), block_cf=block_cf))
-    return pa.concat_tables(out_tables).combine_chunks()
+    return _term_sorted(pa.concat_tables(out_tables).combine_chunks())
+
+
+def _term_sorted(t: pa.Table) -> pa.Table:
+    """``t`` in (term, first_doc, block_id) order: one stable
+    ``sort_indices`` + ``take``, skipped when already in order."""
+    import pyarrow.compute as _pc
+
+    idx = _pc.sort_indices(
+        t, sort_keys=[("term", "ascending"), ("first_doc", "ascending"), ("block_id", "ascending")]
+    )
+    if np.array_equal(idx.to_numpy(), np.arange(t.num_rows)):
+        return t
+    return t.take(idx)
 
 
 def merge_posting_runs(group: pa.Table, block_cf: int = DEFAULT_BLOCK_CF) -> pa.Table:
