@@ -16,9 +16,11 @@ Dataset-path (explicit doc_id_col / id_cols): normalize_corpus assigns
 ids (sorted-key rank or passthrough), then InvertStage as above.
 
 Streaming throughout: nothing materializes the corpus; the only
-all-to-all exchange is the groupby on ``term`` over compressed partial
-runs.  Each build session appends a new SEGMENT; query merges segments
-(the reference's posting-chain semantic, ``PostingListWriter.cs:114-159``);
+all-to-all exchange is the sort on ``term`` over compressed partial
+runs (:func:`merge_term_runs`, shared with ``compact_index`` and
+``build_in_memory``).  Each build session appends a new SEGMENT;
+query merges segments (the reference's posting-chain semantic,
+``PostingListWriter.cs:114-159``);
 ``compact_index`` collapses chains.  Completed segments are
 checkpoints: re-running a multi-segment build skips any segment whose
 manifest validates (resume unit = segment).
@@ -125,8 +127,6 @@ def compact_index(
                 )
             )
         )
-    from ..stages.invert import merge_runs_batch
-
     def ensure_ndocs(b: pa.Table) -> pa.Table:
         # legacy (pre-n_docs) segments: per-block unique-doc proxy = df,
         # the same fallback the searcher's catalog reader applies.
@@ -153,25 +153,7 @@ def compact_index(
         .filter(expr="bucket >= 0")
         .map_batches(ensure_ndocs, batch_format="pyarrow")
     )
-    merged = runs.sort("term").map_batches(
-        lambda b: merge_runs_batch(b, block_cf=block_cf),
-        batch_format="pyarrow",
-        batch_size=None,
-    )
-    merged.write_parquet(
-        os.path.join(seg_path, "postings"), row_group_size=POSTINGS_ROW_GROUP_SIZE
-    )
-    if not os.path.isdir(os.path.join(seg_path, "postings")):
-        # zero real postings (e.g. an empty corpus's sentinel-only
-        # segments): write_parquet emits nothing — keep the segment
-        # structure uniform with build_index's empty-corpus path
-        from ..state.index import POSTINGS_SCHEMA
-
-        os.makedirs(os.path.join(seg_path, "postings"), exist_ok=True)
-        pq.write_table(
-            POSTINGS_SCHEMA.empty_table(),
-            os.path.join(seg_path, "postings", "part-0.parquet"),
-        )
+    _write_postings(runs, seg_path, block_cf)
 
     # docs table: merge of per-segment docs (ids are disjoint).  Small
     # tables concat on the driver; past the budget the merge streams
@@ -285,6 +267,7 @@ def compact_index(
     _write_catalog_and_manifest(
         index_dir, new_seg, seg_path, num_buckets=0, lineage=old_segments,
         forward_ranges=forward_ranges, block_cf=block_cf,
+        docs_driver_budget=docs_driver_budget,
     )
 
     if not meta.num_fields:
@@ -313,6 +296,52 @@ def compact_index(
     for s in old_segments:
         shutil.rmtree(segment_dir(index_dir, s), ignore_errors=True)
     return meta
+
+
+def merge_term_runs(runs: ray.data.Dataset, block_cf: int) -> ray.data.Dataset:
+    """THE term shuffle: sort posting runs on ``term`` and merge each
+    sorted block with :func:`merge_runs_batch`.
+
+    A sort-based shuffle lands every term's runs contiguously in one
+    block, so the whole-block vectorized merge avoids per-group
+    scheduling (``map_groups`` costs ~ms per key, fatal at realistic
+    million-term vocabularies).  Each output block is term-sorted and
+    the blocks hold disjoint term ranges."""
+    from ..stages.invert import merge_runs_batch
+
+    return runs.sort("term").map_batches(
+        lambda b: merge_runs_batch(b, block_cf=block_cf),
+        batch_format="pyarrow",
+        batch_size=None,
+    )
+
+
+def _write_postings(runs: ray.data.Dataset, seg_path: str, block_cf: int) -> None:
+    """Shuffle + merge ``runs`` and write ``<seg>/postings``.
+
+    The merged blocks are written 1:1 as files, so the files form an
+    FST-style sorted-term run catalog: a term lookup binary-searches
+    the per-file [term_min, term_max] ranges (recorded in the manifest
+    from the parquet footers) to usually ONE file (two when a term
+    spills over a file boundary).  Every file is term-sorted and its
+    row groups hold disjoint term ranges: the searcher parses the
+    footer once, then a lookup's footer-stats prune reads one
+    ``POSTINGS_ROW_GROUP_SIZE``-row group (two when a term's rows cross
+    a group boundary)."""
+    import pyarrow.parquet as pq
+
+    from ..state.index import POSTINGS_SCHEMA
+
+    post_dir = os.path.join(seg_path, "postings")
+    merge_term_runs(runs, block_cf).write_parquet(
+        post_dir, row_group_size=POSTINGS_ROW_GROUP_SIZE
+    )
+    if not os.path.isdir(post_dir):
+        # zero rows (an empty corpus, or sentinel-only segments under
+        # compaction): write_parquet emits nothing — keep the segment
+        # structure uniform with an empty postings file
+        os.makedirs(post_dir, exist_ok=True)
+        pq.write_table(POSTINGS_SCHEMA.empty_table(), os.path.join(post_dir, "part-0.parquet"))
 
 
 def _scan_doc_ranges(dir_path: str, seg_path: str) -> list:
@@ -416,6 +445,21 @@ def _scan_postings_ranges(seg_path: str) -> list:
 _POST_META_COLS = ["term", "bucket", "df", "cf", "max_tf", "n_docs", "first_doc", "last_doc"]
 
 
+def aggregate_catalog(blocks: pa.Table) -> pa.Table:
+    """Per-term catalog rows (term, df, cf, max_tf, df_docs, first_doc,
+    last_doc, n_blocks) sorted by term, from posting-block stat rows —
+    the one catalog aggregate of the persistent and in-memory indexes."""
+    return (
+        blocks.group_by("term")
+        .aggregate(
+            [("df", "sum"), ("cf", "sum"), ("max_tf", "max"), ("n_docs", "sum"),
+             ("first_doc", "min"), ("last_doc", "max"), ("term", "count")]
+        )
+        .rename_columns(["term", "df", "cf", "max_tf", "df_docs", "first_doc", "last_doc", "n_blocks"])
+        .sort_by("term")
+    )
+
+
 def _build_catalog(seg_path: str, driver_budget_rows: int = 50_000_000) -> tuple[int, int]:
     """Per-term catalog aggregate over the block-stat columns →
     ``<seg>/catalog`` parquet; returns ``(n_terms, total_occurrences)``.
@@ -442,15 +486,7 @@ def _build_catalog(seg_path: str, driver_budget_rows: int = 50_000_000) -> tuple
             blocks_tbl = pq.read_table(
                 post_dir, columns=_POST_META_COLS, filters=[("bucket", ">=", 0)]
             )
-            catalog_tbl = (
-                blocks_tbl.group_by("term")
-                .aggregate(
-                    [("df", "sum"), ("cf", "sum"), ("max_tf", "max"), ("n_docs", "sum"),
-                     ("first_doc", "min"), ("last_doc", "max"), ("term", "count")]
-                )
-                .rename_columns(["term", "df", "cf", "max_tf", "df_docs", "first_doc", "last_doc", "n_blocks"])
-                .sort_by("term")
-            )
+            catalog_tbl = aggregate_catalog(blocks_tbl)
             os.makedirs(cat_dir, exist_ok=True)
             pq.write_table(catalog_tbl, os.path.join(cat_dir, "part-0.parquet"), row_group_size=65536)
             return catalog_tbl.num_rows, int(pc.sum(catalog_tbl["cf"]).as_py() or 0)
@@ -488,10 +524,14 @@ def _build_catalog(seg_path: str, driver_budget_rows: int = 50_000_000) -> tuple
 def _write_catalog_and_manifest(
     index_dir: str, segment: str, seg_path: str, num_buckets: int, lineage: list[str],
     forward_ranges: list | None = None, block_cf: int = 0,
+    docs_driver_budget: int = 5_000_000,
 ) -> "SegmentManifest":
     """Catalog + file-range + counter/manifest writes shared by
     build_index and compact_index (footer/metadata-gated driver work
-    with Ray fallbacks — see _build_catalog)."""
+    with Ray fallbacks — see _build_catalog).  The per-segment counters
+    are the reference's ``IndexBuilderStatistics`` aggregates, computed
+    from the already-written docs table: driver Arrow up to
+    ``docs_driver_budget`` docs, a streaming Ray aggregate past it."""
     import pyarrow.parquet as pq
 
     file_ranges = _scan_postings_ranges(seg_path)
@@ -499,7 +539,7 @@ def _write_catalog_and_manifest(
 
     docs_dir = os.path.join(seg_path, "docs")
     n_doc_rows = sum(pq.ParquetFile(f).metadata.num_rows for f in pq.ParquetDataset(docs_dir).files)
-    if n_doc_rows > 5_000_000:
+    if n_doc_rows > docs_driver_budget:
         import ray.data
         from ray.data.aggregate import Max, Min, Sum
 
@@ -645,12 +685,6 @@ def build_index(
         shutil.rmtree(seg_path)  # incomplete previous attempt
     os.makedirs(seg_path, exist_ok=True)
 
-    timing: dict[str, float] = {}
-    _t = time.perf_counter
-
-    def _mark(name: str, t0: float) -> None:
-        timing[name] = round(_t() - t0, 2)
-
     # Task sizing only (stages run as task pools; Ray reuses worker
     # processes, so heap warmup amortizes without actors): target ≥4
     # file bundles per CPU for balance, uncapped — the old min(·, 32)
@@ -658,7 +692,6 @@ def build_index(
     n_cpus = int(ray.cluster_resources().get("CPU", 8))
     pool = max(2, n_cpus)
 
-    t0 = _t()
     ds = None
     runs = None
     input_lineage = None
@@ -667,7 +700,7 @@ def build_index(
         if doc_id_col is None and id_cols is None:
             # positional deterministic ids straight from the parquet
             # layout: fused read+invert, one task per file, no shuffle
-            # before the term groupby
+            # before the term sort
             from ..sources.corpus import corpus_file_items
 
             items, n_files = corpus_file_items(source, start_id=meta.next_doc_id)
@@ -703,7 +736,6 @@ def build_index(
             ds = normalize_corpus(src, text_col, doc_id_col=doc_id_col, id_cols=id_cols, start_id=meta.next_doc_id)
     else:
         ds = normalize_corpus(source, text_col, doc_id_col=doc_id_col, id_cols=id_cols, start_id=meta.next_doc_id)
-    _mark("read_ids", t0)
 
     if meta_cols:
         # metadata projection pass (only when extra doc columns are
@@ -732,9 +764,7 @@ def build_index(
             batch_format="pyarrow",
             batch_size=batch_size,
         )
-        t0 = _t()
         docs_ds.write_parquet(os.path.join(seg_path, "docs_meta"))
-        _mark("docs_meta_write", t0)
 
     # --- single corpus pass: tokenize → local invert → fused doc
     # stats sentinel rows → term shuffle → merge → write ---
@@ -748,54 +778,14 @@ def build_index(
             batch_format="pyarrow",
             batch_size=batch_size,
         )
-    # sort-based shuffle on term + whole-block vectorized merge: every
-    # term's runs land contiguously in one partition; merge_runs_batch
-    # avoids per-group scheduling (map_groups costs ~ms per key, fatal
-    # at realistic million-term vocabularies)
-    from ..stages.invert import merge_runs_batch
-
-    merged = runs.sort("term").map_batches(
-        lambda b: merge_runs_batch(b, block_cf=block_cf),
-        batch_format="pyarrow",
-        batch_size=None,
-    )
-    t0 = _t()
-    # The sort's output blocks are disjoint term ranges (sort-based
-    # shuffle) — written 1:1 as files they form an FST-style sorted-
-    # term run catalog: a term lookup binary-searches the per-file
-    # [term_min, term_max] ranges (recorded below from the parquet
-    # footers) to usually ONE file (two when a term spills over a file
-    # boundary).  ``merge_runs_batch`` emits each block term-sorted, so
-    # every file is term-sorted and its row groups hold disjoint term
-    # ranges: the searcher parses the footer once, then a lookup's
-    # footer-stats prune reads one ``POSTINGS_ROW_GROUP_SIZE``-row group
-    # (two when a term's rows cross a group boundary).
-    merged.write_parquet(
-        os.path.join(seg_path, "postings"), row_group_size=POSTINGS_ROW_GROUP_SIZE
-    )
-    _mark("postings_write", t0)
-
-    # file → term-range catalog from footers only (no data read)
-    t0 = _t()
-    file_ranges = _scan_postings_ranges(seg_path)
-    _mark("file_ranges", t0)
+    _write_postings(runs, seg_path, block_cf)
 
     # --- split the fused doc-stats sentinel rows into the docs table
     # (parquet filter pushdown on bucket == -1 reads only those rows)
     import pyarrow.parquet as pq
 
-    t0 = _t()
     from ..stages.invert import decode_docstats_rows
-    from ..state.index import POSTINGS_SCHEMA
 
-    if not os.path.isdir(os.path.join(seg_path, "postings")):
-        # zero-row corpus: write_parquet emits nothing — create an
-        # empty postings file so the segment structure stays uniform
-        os.makedirs(os.path.join(seg_path, "postings"), exist_ok=True)
-        pq.write_table(
-            POSTINGS_SCHEMA.empty_table(),
-            os.path.join(seg_path, "postings", "part-0.parquet"),
-        )
     # metadata-sized probe first: how many docs do the sentinels carry?
     # (reads only the tiny bucket/df columns, never the payloads)
     probe = pq.read_table(
@@ -830,14 +820,12 @@ def build_index(
             pa.array(np.argsort(docs_tbl["doc_id"].to_numpy(zero_copy_only=False)))
         )
         pq.write_table(docs_tbl, os.path.join(seg_path, "docs", "part-0.parquet"))
-    _mark("docs_split", t0)
 
     # --- optional forward store: per-doc token char spans, so highlight
     # at query time slices text directly instead of re-tokenizing
     # (the reference's persisted-positions model, PersistentBuilder.cs)
     forward_ranges: list = []
     if store_forward:
-        t0 = _t()
         from ..stages.forward import forward_batch
 
         fwd_dir = os.path.join(seg_path, "forward")
@@ -862,46 +850,6 @@ def build_index(
             ).sort("doc_id")
         fwd.write_parquet(fwd_dir, row_group_size=2048)
         forward_ranges = _scan_doc_ranges(fwd_dir, seg_path)
-        _mark("forward", t0)
-
-    # --- catalog: per-term totals over blocks (metadata-sized) —
-    # shared footer-gated helper (driver Arrow below ~50M block rows,
-    # Ray groupby with O(1)-driver counters above it)
-    t0 = _t()
-    n_terms, n_occ = _build_catalog(seg_path)
-    _mark("catalog", t0)
-    t0 = _t()
-    # --- per-segment counters (same aggregates as the reference's
-    #     IndexBuilderStatistics) + lineage manifest; computed from the
-    #     already-written small columns (driver Arrow below the docs
-    #     budget, a streaming Ray aggregate above it) ---
-    if sentinel_docs > docs_driver_budget:
-        from ray.data.aggregate import Count, Max, Min, Sum
-
-        agg_row = (
-            ray.data.read_parquet(os.path.join(seg_path, "docs"), columns=["doc_id", "doc_len"])
-            .aggregate(
-                Count(alias_name="n"),
-                Sum("doc_len", alias_name="tok"),
-                Min("doc_id", alias_name="mn"),
-                Max("doc_id", alias_name="mx"),
-            )
-        )
-        n_docs = int(agg_row["n"] or 0)
-        total_tokens = int(agg_row["tok"] or 0)
-        doc_stats = {"min_id": int(agg_row["mn"] or 0), "max_id": int(agg_row["mx"] or 0)}
-    else:
-        dl_tbl = pq.read_table(os.path.join(seg_path, "docs"), columns=["doc_id", "doc_len"])
-        n_docs = dl_tbl.num_rows
-        total_tokens = int(pc.sum(dl_tbl["doc_len"]).as_py() or 0)
-        doc_stats = {
-            "min_id": int(pc.min(dl_tbl["doc_id"]).as_py() or 0),
-            "max_id": int(pc.max(dl_tbl["doc_id"]).as_py() or 0),
-        }
-    cat_stats = {
-        "terms": n_terms,
-        "occ": n_occ,
-    }
 
     if input_lineage is not None:
         lineage = input_lineage
@@ -912,25 +860,12 @@ def build_index(
             lineage = []
     else:
         lineage = []
-    manifest = SegmentManifest(
-        name=segment,
-        num_buckets=num_buckets,
-        file_ranges=file_ranges,
-        num_docs=n_docs,
-        num_terms=int(cat_stats["terms"] or 0),
-        num_occurrences=int(cat_stats["occ"] or 0),
-        total_tokens=total_tokens,
-        min_doc_id=doc_stats["min_id"],
-        max_doc_id=doc_stats["max_id"],
-        input_lineage=list(lineage or []),
-        created_at=time.time(),
-        complete=True,
-        forward_ranges=forward_ranges,
-        catalog_stats=_scan_table_stats(os.path.join(seg_path, "catalog"), seg_path),
-        docs_stats=_scan_table_stats(os.path.join(seg_path, "docs"), seg_path),
-        block_cf=block_cf,
+    # --- catalog, file-range catalog, per-segment counters + lineage
+    manifest = _write_catalog_and_manifest(
+        index_dir, segment, seg_path, num_buckets=num_buckets, lineage=lineage,
+        forward_ranges=forward_ranges, block_cf=block_cf,
+        docs_driver_budget=docs_driver_budget,
     )
-    save_manifest(index_dir, manifest)
 
     if segment not in meta.segments:
         meta.segments.append(segment)
@@ -947,16 +882,13 @@ def build_index(
     except (OSError, TypeError, ValueError):
         # a sibling manifest is unreadable: fall back to the additive
         # update rather than corrupting the totals with a partial sum
-        meta.num_docs += n_docs
-        meta.total_tokens += total_tokens
+        meta.num_docs += manifest.num_docs
+        meta.total_tokens += manifest.total_tokens
     # num_fields=0 means a legacy index of UNKNOWN field count — an
     # incremental session must keep it unknown (the old segments may be
     # multi-field), not overwrite it with this session's count.
     if meta.num_fields:
         meta.num_fields = max(meta.num_fields, len(text_cols) if text_cols else 1)
     meta.next_doc_id = max(meta.next_doc_id, manifest.max_doc_id + 1)
-    _mark("manifest", t0)
-    if os.environ.get("FTSRAY_BUILD_TIMING"):
-        print("build_index timing:", timing)
     save_meta(index_dir, meta)
     return meta

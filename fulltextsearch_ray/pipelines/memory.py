@@ -19,8 +19,9 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..stages.invert import DEFAULT_BLOCK_CF, invert_batch_fn, merge_runs_batch
+from ..stages.invert import DEFAULT_BLOCK_CF, invert_batch_fn
 from ..state.index import IndexMeta
+from .build import aggregate_catalog, merge_term_runs
 from .query import IndexSearcher
 
 
@@ -42,23 +43,12 @@ class InMemorySearcher(IndexSearcher):
         self._post_terms = np.asarray(postings["term"].to_pylist(), dtype=object)
 
         # catalog: per-term totals over blocks
-        if postings.num_rows:
-            agg = (
-                postings.select(["term", "df", "cf", "max_tf", "n_docs"])
-                .group_by("term")
-                .aggregate(
-                    [("df", "sum"), ("cf", "sum"), ("max_tf", "max"), ("n_docs", "sum")]
-                )
-                .sort_by("term")
-            )
-            self.terms = agg["term"].combine_chunks()
-            self._df = np.asarray(agg["df_sum"].to_numpy(zero_copy_only=False))
-            self._cf = np.asarray(agg["cf_sum"].to_numpy(zero_copy_only=False))
-            self._max_tf = np.asarray(agg["max_tf_max"].to_numpy(zero_copy_only=False))
-            self._df_docs = np.asarray(agg["n_docs_sum"].to_numpy(zero_copy_only=False))
-        else:
-            self.terms = pa.array([], type=pa.string())
-            self._df = self._cf = self._max_tf = self._df_docs = np.empty(0, dtype=np.int64)
+        cat = aggregate_catalog(postings)
+        self.terms = cat["term"].combine_chunks()
+        self._df, self._cf, self._max_tf, self._df_docs = (
+            np.asarray(cat[c].to_numpy(zero_copy_only=False), dtype=np.int64)
+            for c in ("df", "cf", "max_tf", "df_docs")
+        )
         self._terms_np = np.asarray(self.terms.to_pylist(), dtype=object)
 
         self._dl_docs = np.asarray(docs["doc_id"].to_numpy(zero_copy_only=False), dtype=np.uint64)
@@ -126,11 +116,7 @@ def build_in_memory(
         batch_format="pyarrow",
         batch_size=batch_size,
     )
-    merged = runs.sort("term").map_batches(
-        lambda b: merge_runs_batch(b, block_cf=block_cf),
-        batch_format="pyarrow",
-        batch_size=None,
-    )
+    merged = merge_term_runs(runs, block_cf)
     # in-memory materialization — the contract of this variant.
     # NOTE: merge_runs_batch emits each block term-sorted, but the
     # blocks' arrival order is not part of that contract and

@@ -3,7 +3,7 @@
 The build shape (SURVEY.md §3.4):
 
     read_parquet → map_batches(InvertStage)        # tokenize + LOCAL invert
-      → groupby("term").map_groups(merge_runs)     # THE shuffle, key=term
+      → sort("term") → map_batches(merge_runs_batch)  # THE shuffle, key=term
       → write_parquet (term-sorted posting blocks)
 
 ``InvertStage`` is the crucial scale lever: instead of exploding one
@@ -11,8 +11,12 @@ row per occurrence into the shuffle (10×+ the corpus size), each input
 batch is inverted LOCALLY into one encoded posting run per distinct
 term — the partial/combiner pattern.  A stop-word term then contributes
 one compressed run per batch (not one row per occurrence), which also
-bounds the skew a single groupby key can see: the merge of a hot term
+bounds the skew a single sort key can see: the merge of a hot term
 handles ~#batches compressed runs, not raw occurrences.
+
+Both the invert and the merge write blocks through ONE encoder,
+:func:`encode_posting_rows` (delta + varint per block, the reference's
+``PostingListVarIntDeltaWriter``).
 
 This replaces the reference's single-threaded in-RAM
 ``SortedDictionary<string, List<Occurrence>>`` accumulation
@@ -26,13 +30,7 @@ import zlib
 import numpy as np
 import pyarrow as pa
 
-from ..codecs import (
-    PostingBlock,
-    decode_posting_block,
-    encode_posting_block,
-    varint_decode,
-    varint_encode_offsets,
-)
+from ..codecs import _expand_occurrences, varint_decode, varint_encode_offsets
 from ..state.index import POSTINGS_SCHEMA
 from ..tokenizer import DEFAULT_FIELD_ID, tokenize_batch
 
@@ -99,79 +97,6 @@ def term_bucket(term: str, num_buckets: int) -> int:
     return zlib.crc32(term.encode("utf-8")) % num_buckets
 
 
-def _posting_rows(
-    terms_sorted: np.ndarray,
-    bounds: np.ndarray,
-    occ_docs: np.ndarray,
-    occ_fields: np.ndarray,
-    occ_tokens: np.ndarray,
-    num_buckets: int,
-    block_cf: int,
-) -> pa.Table:
-    """Encode per-term occurrence slices into posting block rows,
-    chunking long lists at ~``block_cf`` occurrences.  Chunk points
-    snap to DOC boundaries (the first entry of a new doc) so a
-    document never spans two blocks — per-block ``n_docs`` counts sum
-    to the true per-term df in the catalog roll-up.  Fallbacks, in
-    order, when a single doc / entry exceeds ``block_cf``: entry
-    boundary (a multi-field doc splits, inflating that term's summed
-    n_docs by one per extra block), then mid-entry.
-    """
-    cols: dict[str, list] = {k: [] for k in POSTINGS_SCHEMA.names}
-    for i, term in enumerate(terms_sorted):
-        lo, hi = int(bounds[i]), int(bounds[i + 1])
-        bucket = term_bucket(term, num_buckets)
-        block_id = 0
-        d = occ_docs[lo:hi]
-        f = occ_fields[lo:hi]
-        echange = np.empty(hi - lo, dtype=bool)
-        dchange = np.empty(hi - lo, dtype=bool)
-        if hi > lo:
-            echange[0] = True
-            np.logical_or(d[1:] != d[:-1], f[1:] != f[:-1], out=echange[1:])
-            dchange[0] = True
-            np.not_equal(d[1:], d[:-1], out=dchange[1:])
-        entry_starts = np.flatnonzero(echange) + lo
-        doc_starts = np.flatnonzero(dchange) + lo
-        s = lo
-        while s < hi:
-            cap = s + block_cf
-            if cap >= hi:
-                e = hi
-            else:
-                j = int(np.searchsorted(doc_starts, cap, side="right")) - 1
-                e = int(doc_starts[j])
-                if e <= s:  # one doc exceeds block_cf: split at an entry
-                    j = int(np.searchsorted(entry_starts, cap, side="right")) - 1
-                    e = int(entry_starts[j])
-                    if e <= s:  # one ENTRY exceeds block_cf: split mid-entry
-                        e = min(cap, hi)
-            blk: PostingBlock = encode_posting_block(
-                occ_docs[s:e], occ_fields[s:e], occ_tokens[s:e]
-            )
-            blk_docs = occ_docs[s:e]
-            cols["term"].append(term)
-            cols["bucket"].append(bucket)
-            cols["block_id"].append(block_id)
-            cols["first_doc"].append(blk.first_doc)
-            cols["last_doc"].append(blk.last_doc)
-            cols["df"].append(blk.df)
-            cols["cf"].append(blk.cf)
-            cols["max_tf"].append(blk.max_tf)
-            cols["n_docs"].append(
-                1 + int(np.count_nonzero(blk_docs[1:] != blk_docs[:-1])) if e > s else 0
-            )
-            cols["docs"].append(blk.docs)
-            cols["fields"].append(blk.fields)
-            cols["tfs"].append(blk.tfs)
-            cols["positions"].append(blk.positions)
-            block_id += 1
-            s = e
-    return pa.table(
-        {name: pa.array(cols[name], type=POSTINGS_SCHEMA.field(name).type) for name in POSTINGS_SCHEMA.names}
-    )
-
-
 def _binary_column(buf: np.ndarray, ends: np.ndarray, value_bounds: np.ndarray) -> pa.Array:
     """Zero-copy Arrow binary column: slice one global varint buffer
     into per-term payloads via an offsets buffer (no bytes copies)."""
@@ -189,83 +114,103 @@ def _binary_column(buf: np.ndarray, ends: np.ndarray, value_bounds: np.ndarray) 
     )
 
 
-def _posting_rows_vectorized(
+def _block_bounds(
+    bounds: np.ndarray, doc_start: np.ndarray, entry_start: np.ndarray, block_cf: int
+) -> np.ndarray:
+    """Occurrence offsets of every posting block: each term's slice
+    ``bounds[i]:bounds[i + 1]`` is cut greedily at ~``block_cf``
+    occurrences, all terms at once — one loop step per block INDEX,
+    never per term.
+
+    A cut from block start ``s`` lands on the last doc start
+    ≤ ``s + block_cf``, so a document never spans two blocks and
+    per-block ``n_docs`` counts sum to the true per-term df in the
+    catalog roll-up.  Fallbacks, in order, when a single doc / entry
+    exceeds ``block_cf``: the last entry start (a multi-field doc
+    splits, inflating that term's summed n_docs by one per extra
+    block), then mid-entry at the cap.
+    """
+    lo, hi = bounds[:-1], bounds[1:]
+    long = hi - lo > block_cf
+    if not long.any():
+        return bounds
+    doc_starts = np.flatnonzero(doc_start)
+    entry_starts = doc_starts if entry_start is doc_start else np.flatnonzero(entry_start)
+    s, hi = lo[long], hi[long]
+    cuts = [bounds]
+    while len(s):
+        # every term start is a doc start, so the last one ≤ cap (< hi)
+        # lies inside the term
+        cap = s + block_cf
+        e = doc_starts[np.searchsorted(doc_starts, cap, side="right") - 1]
+        stuck = e <= s
+        if stuck.any():
+            e[stuck] = entry_starts[np.searchsorted(entry_starts, cap[stuck], side="right") - 1]
+            stuck = e <= s
+            e[stuck] = cap[stuck]
+        cuts.append(e)
+        more = hi - e > block_cf
+        s, hi = e[more], hi[more]
+    return np.sort(np.concatenate(cuts))
+
+
+def encode_posting_rows(
     terms_sorted: np.ndarray,
     bounds: np.ndarray,
     occ_docs: np.ndarray,
-    occ_fields: np.ndarray,
+    occ_fields: "np.ndarray | None",
     occ_tokens: np.ndarray,
-    num_buckets: int,
+    buckets: np.ndarray,
     block_cf: int = DEFAULT_BLOCK_CF,
 ) -> pa.Table:
-    """Encode ALL terms of a batch in four global varint passes.
+    """THE posting encoder: every term of a (term, doc, field,
+    token)-ordered occurrence stream → posting block rows, in four
+    global varint passes.
 
-    No per-term Python loop (except the trivial crc32 bucket pass):
-    entry detection, delta resets at term/entry starts, per-term stats
-    and the byte-slicing into per-term binary payloads are all numpy /
-    Arrow-buffer operations.  Emits ONE block row per (term, batch)
-    for terms within ``block_cf``; oversized (stop-word-heavy) terms
-    take the chunking loop path so every stored block stays bounded.
+    ``bounds`` are the per-term occurrence offsets, ``buckets`` the
+    per-term bucket ids; ``occ_fields=None`` means a single-field
+    stream (``DEFAULT_FIELD_ID``).  Terms longer than ``block_cf`` are
+    chunked by :func:`_block_bounds`; each block is then its own
+    segment of the global passes — entry detection, delta resets at
+    block/entry starts, per-block stats and the byte-slicing into
+    per-block binary payloads are all numpy / Arrow-buffer operations.
+    Rows come out in (term, block_id) order.
     """
-    T = len(terms_sorted)
     n = len(occ_docs)
     if n == 0:
         return POSTINGS_SCHEMA.empty_table()
     const_field = occ_fields is None  # single-field corpus fast path
-    cf_per_term = np.diff(bounds)
-    big = cf_per_term > block_cf
-    if big.any():
-        # split: vectorized path for normal terms, chunked loop for the
-        # few heavy ones (skew path — bounded block sizes)
-        occ_keep = np.repeat(~big, cf_per_term)
-        sub_bounds = np.zeros(int((~big).sum()) + 1, dtype=np.int64)
-        np.cumsum(cf_per_term[~big], out=sub_bounds[1:])
-        tables = []
-        if sub_bounds[-1] > 0:
-            tables.append(
-                _posting_rows_vectorized(
-                    terms_sorted[~big], sub_bounds,
-                    occ_docs[occ_keep],
-                    None if const_field else occ_fields[occ_keep],
-                    occ_tokens[occ_keep],
-                    num_buckets, block_cf,
-                )
-            )
-        big_keep = ~occ_keep
-        big_bounds = np.zeros(int(big.sum()) + 1, dtype=np.int64)
-        np.cumsum(cf_per_term[big], out=big_bounds[1:])
-        big_fields = (
-            np.full(int(big_bounds[-1]), DEFAULT_FIELD_ID, dtype=np.uint64)
-            if const_field
-            else occ_fields[big_keep]
-        )
-        tables.append(
-            _posting_rows(
-                terms_sorted[big], big_bounds,
-                occ_docs[big_keep], big_fields, occ_tokens[big_keep],
-                num_buckets, block_cf,
-            )
-        )
-        return pa.concat_tables(tables).combine_chunks()
-    term_of_occ = np.repeat(np.arange(T, dtype=np.int64), cf_per_term)
+    # doc start = (term, doc) changes; entry start = (term, doc, field)
+    doc_start = np.empty(n, dtype=bool)
+    doc_start[0] = True
+    np.not_equal(occ_docs[1:], occ_docs[:-1], out=doc_start[1:])
+    doc_start[bounds[1:-1]] = True
+    if const_field:
+        entry_start = doc_start
+    else:
+        entry_start = doc_start.copy()
+        entry_start[1:] |= occ_fields[1:] != occ_fields[:-1]
 
-    # entry = distinct (term, doc, field)
-    change = np.empty(n, dtype=bool)
-    change[0] = True
-    np.not_equal(occ_docs[1:], occ_docs[:-1], out=change[1:])
-    if not const_field:
-        change[1:] |= occ_fields[1:] != occ_fields[:-1]
-    change[1:] |= term_of_occ[1:] != term_of_occ[:-1]
-    entry_starts = np.flatnonzero(change)
+    blk_bounds = _block_bounds(bounds, doc_start, entry_start, block_cf)
+    B = len(blk_bounds) - 1
+    if B == len(terms_sorted):
+        blk_terms, blk_buckets = terms_sorted, buckets
+        block_id = np.zeros(B, dtype=np.int32)
+    else:
+        # a block opens a fresh entry (and counts its doc) even mid-entry
+        doc_start[blk_bounds[1:-1]] = True
+        entry_start[blk_bounds[1:-1]] = True
+        blk_term = np.searchsorted(bounds, blk_bounds[:-1], side="right") - 1
+        blk_terms, blk_buckets = terms_sorted[blk_term], buckets[blk_term]
+        first_blk = np.searchsorted(blk_bounds, bounds[:-1])
+        block_id = (np.arange(B) - first_blk[blk_term]).astype(np.int32)
+
+    entry_starts = np.flatnonzero(entry_start)
     e_docs = occ_docs[entry_starts]
-    e_term = term_of_occ[entry_starts]
     tfs = np.diff(np.r_[entry_starts, n]).astype(np.uint64)
+    e_bounds = np.searchsorted(entry_starts, blk_bounds)
 
-    df_per_term = np.bincount(e_term, minlength=T)
-    e_bounds = np.zeros(T + 1, dtype=np.int64)
-    np.cumsum(df_per_term, out=e_bounds[1:])
-
-    # doc gaps reset at term starts (gap vs 0 == absolute)
+    # doc gaps reset at block starts (gap vs 0 == absolute)
     d_deltas = np.empty_like(e_docs)
     d_deltas[0] = e_docs[0]
     np.subtract(e_docs[1:], e_docs[:-1], out=d_deltas[1:])
@@ -288,36 +233,26 @@ def _posting_rows_vectorized(
     tfs_b, tfs_ends = varint_encode_offsets(tfs)
     pos_b, pos_ends = varint_encode_offsets(t_deltas)
 
-    first_doc = e_docs[e_bounds[:-1]]
-    last_doc = e_docs[e_bounds[1:] - 1]
-    max_tf = np.maximum.reduceat(tfs, e_bounds[:-1]).astype(np.int64)
-    # distinct docs per term: entries where the doc (or term) changes
-    dchange = np.empty(len(e_docs), dtype=bool)
-    dchange[0] = True
-    np.not_equal(e_docs[1:], e_docs[:-1], out=dchange[1:])
-    dchange[1:] |= e_term[1:] != e_term[:-1]
-    n_docs_per_term = np.bincount(e_term[dchange], minlength=T)
-    # term_bucket is THE bucket contract (query-side pruning depends on
-    # it) — never inline the hash here or the two can silently diverge
-    buckets = np.fromiter(
-        (term_bucket(t, num_buckets) for t in terms_sorted),
-        dtype=np.int32, count=T,
+    df = np.diff(e_bounds)
+    # distinct docs per block (single-field: every entry is a new doc)
+    n_docs = df if const_field else np.add.reduceat(
+        doc_start[entry_starts].astype(np.int64), e_bounds[:-1]
     )
     return pa.table(
         {
-            "term": pa.array(terms_sorted, pa.string()),
-            "bucket": pa.array(buckets, pa.int32()),
-            "block_id": pa.array(np.zeros(T, dtype=np.int32)),
-            "first_doc": pa.array(first_doc, pa.uint64()),
-            "last_doc": pa.array(last_doc, pa.uint64()),
-            "df": pa.array(df_per_term.astype(np.int64)),
-            "cf": pa.array(cf_per_term.astype(np.int64)),
-            "max_tf": pa.array(max_tf),
-            "n_docs": pa.array(n_docs_per_term.astype(np.int64)),
+            "term": pa.array(blk_terms, pa.string()),
+            "bucket": pa.array(blk_buckets, pa.int32()),
+            "block_id": pa.array(block_id),
+            "first_doc": pa.array(e_docs[e_bounds[:-1]], pa.uint64()),
+            "last_doc": pa.array(e_docs[e_bounds[1:] - 1], pa.uint64()),
+            "df": pa.array(df.astype(np.int64)),
+            "cf": pa.array(np.diff(blk_bounds).astype(np.int64)),
+            "max_tf": pa.array(np.maximum.reduceat(tfs, e_bounds[:-1]).astype(np.int64)),
+            "n_docs": pa.array(n_docs.astype(np.int64)),
             "docs": _binary_column(docs_b, docs_ends, e_bounds),
             "fields": _binary_column(fields_b, fields_ends, e_bounds),
             "tfs": _binary_column(tfs_b, tfs_ends, e_bounds),
-            "positions": _binary_column(pos_b, pos_ends, bounds.astype(np.int64)),
+            "positions": _binary_column(pos_b, pos_ends, blk_bounds.astype(np.int64)),
         }
     )
 
@@ -515,13 +450,11 @@ class InvertStage:
         return self._invert_sorted(terms, occ_docs, occ_fields, occ_tokens, stats)
 
     def _invert_sorted(self, terms, occ_docs, occ_fields, occ_tokens, stats):
-        # single-field fast path is signalled by occ_fields is None —
-        # the one source of truth (_posting_rows_vectorized re-derives
-        # it the same way)
         """Local invert of a (doc, field, token)-ordered token stream:
         stable sort by term only — a stable term sort over an already
         (doc, field, token)-ordered stream yields full
-        (term, doc, field, token) order without a 3-key lexsort."""
+        (term, doc, field, token) order without a 3-key lexsort.
+        ``occ_fields is None`` signals a single-field stream."""
         dict_arr = terms.dictionary_encode()
         codes = np.asarray(dict_arr.indices.to_numpy(zero_copy_only=False))
         vocab = np.asarray(dict_arr.dictionary.to_pylist(), dtype=object)
@@ -542,9 +475,14 @@ class InvertStage:
         bounds = np.zeros(int(present.sum()) + 1, dtype=np.int64)
         np.cumsum(counts[present], out=bounds[1:])
         terms_sorted = vocab[vocab_order][present]
-        rows = _posting_rows_vectorized(
-            terms_sorted, bounds, occ_docs, occ_fields, occ_tokens,
-            self.num_buckets, self.block_cf,
+        # term_bucket is THE bucket contract (query-side pruning depends
+        # on it) — never inline the hash here or the two can diverge
+        buckets = np.fromiter(
+            (term_bucket(t, self.num_buckets) for t in terms_sorted),
+            dtype=np.int32, count=len(terms_sorted),
+        )
+        rows = encode_posting_rows(
+            terms_sorted, bounds, occ_docs, occ_fields, occ_tokens, buckets, self.block_cf,
         )
         if stats is not None:
             rows = pa.concat_tables([rows, stats]).combine_chunks()
@@ -652,30 +590,25 @@ def _payload_bytes(col: pa.Array) -> np.ndarray:
 def merge_runs_batch(batch: pa.Table, block_cf: int = DEFAULT_BLOCK_CF) -> pa.Table:
     """Merge a TERM-SORTED batch of posting runs (many terms at once).
 
-    Replaces ``groupby(term).map_groups(merge_posting_runs)``: after a
-    sort-based shuffle on ``term`` every term's runs are contiguous in
-    one block, so one ``map_batches`` call merges thousands of terms
-    with ZERO per-group scheduling overhead.
-
-    FULLY VECTORIZED (no per-term Python in the common paths) — a
-    per-term loop here was the single largest build stage (~14s of a
-    40s 200k-doc build) because a synthetic/bench corpus has every term
-    fragmented across every input file:
+    After the sort-based shuffle on ``term`` every term's runs are
+    contiguous in one block, so one ``map_batches`` call merges
+    thousands of terms with ZERO per-group scheduling overhead.  Fully
+    vectorized — no per-term Python on any path:
 
     * single-run terms and doc-stats sentinel rows pass through as one
       ``filter``;
     * HOT terms (disjoint runs, total cf > block_cf — stop words):
       metadata-only block renumber on the whole sub-table, payloads
       untouched (skew safety);
-    * FRAGMENTED terms (disjoint runs, total cf ≤ block_cf — the bulk):
-      ONE segmented varint decode of every payload concatenated
-      (delta resets at block/entry starts via the
-      ``decode_posting_columns`` prefix-sum trick, generalized across
-      terms) followed by the 4-pass global encoder
-      ``_posting_rows_vectorized``;
-    * genuinely overlapping runs (multi-field boundary docs,
-      out-of-order ingest — rare) keep the exact per-term
-      ``merge_posting_runs`` path.
+    * every other multi-run term — FRAGMENTED (disjoint runs, total
+      cf ≤ block_cf — the bulk) or OVERLAPPING (a multi-field doc split
+      across batches, out-of-order ingest — rare): ONE segmented varint
+      decode of every payload concatenated (delta resets at block /
+      entry starts, the ``decode_posting_columns`` prefix-sum trick
+      generalized across terms), one ``lexsort`` back into (term, doc,
+      field, token) order when any run overlaps, then the same
+      :func:`encode_posting_rows` the invert uses (which chunks a
+      merged list past ``block_cf``).
 
     Output order (part of the contract, on every path): rows sorted by
     (``term``, ``first_doc``, ``block_id``).  Written as-is, every
@@ -720,17 +653,16 @@ def merge_runs_batch(batch: pa.Table, block_cf: int = DEFAULT_BLOCK_CF) -> pa.Ta
     sent = sent_code[codes[starts]]
     if (single | sent).all():
         return _term_sorted(batch)
-    # per-term strict disjointness (equal boundary docs = overlap —
-    # multi-field docs split across batches take the exact slow path)
+    # per-term strict disjointness (equal boundary docs = overlap: a
+    # multi-field doc split across batches must re-sort its entries)
     okrow = np.ones(n, dtype=bool)
     okrow[1:] = (last[:-1] < first[1:]) | (codes[1:] != codes[:-1])
     disjoint = np.logical_and.reduceat(okrow, starts)
     total_cf = np.add.reduceat(cf, starts)
 
     multi = ~single & ~sent
-    frag = multi & disjoint & (total_cf <= block_cf)
-    hot = multi & disjoint & ~frag
-    slow = multi & ~disjoint
+    hot = multi & disjoint & (total_cf > block_cf)
+    recode = multi & ~hot
 
     out_tables = []
     pass_rows = np.repeat(single | sent, counts)
@@ -748,49 +680,38 @@ def merge_runs_batch(batch: pa.Table, block_cf: int = DEFAULT_BLOCK_CF) -> pa.Ta
             pa.array(pos_in_term[hot_rows].astype(np.int32)),
         )
         out_tables.append(sub)
-    if frag.any():
-        frag_rows = np.repeat(frag, counts)
-        sub = batch.filter(pa.array(frag_rows)).combine_chunks()
+    if recode.any():
+        sub = batch.filter(pa.array(np.repeat(recode, counts))).combine_chunks()
         dfs = np.asarray(sub["df"].to_numpy(zero_copy_only=False), dtype=np.int64)
         # segmented decode of every block at once: doc deltas reset at
-        # block starts, token deltas at entry starts (same math as
-        # decode_posting_columns, generalized across terms)
+        # block starts, token deltas at entry starts
         e_deltas = varint_decode(_payload_bytes(sub["docs"].combine_chunks()))
-        e_fields = varint_decode(_payload_bytes(sub["fields"].combine_chunks()))
-        e_tfs = varint_decode(_payload_bytes(sub["tfs"].combine_chunks()))
-        tok_d = varint_decode(_payload_bytes(sub["positions"].combine_chunks()))
         bstarts = np.zeros(len(dfs), dtype=np.int64)
         np.cumsum(dfs[:-1], out=bstarts[1:])
         csum = np.cumsum(e_deltas, dtype=np.uint64)
-        base = csum[bstarts] - e_deltas[bstarts]
-        e_docs = csum - np.repeat(base, dfs)
-        reps = e_tfs.astype(np.int64)
-        estarts = np.zeros(len(reps), dtype=np.int64)
-        np.cumsum(reps[:-1], out=estarts[1:])
-        tcsum = np.cumsum(tok_d, dtype=np.uint64)
-        tbase = tcsum[estarts] - tok_d[estarts]
-        occ_tokens = tcsum - np.repeat(tbase, reps)
-        occ_docs = np.repeat(e_docs, reps)
-        occ_fields = np.repeat(e_fields, reps)
-        f_starts = starts[frag]
-        cf_f = total_cf[frag]
-        bounds_f = np.zeros(len(cf_f) + 1, dtype=np.int64)
-        np.cumsum(cf_f, out=bounds_f[1:])
-        terms_f = np.asarray(terms.take(pa.array(f_starts)).to_pylist(), dtype=object)
-        tbl_f = _posting_rows_vectorized(
-            terms_f, bounds_f, occ_docs, occ_fields, occ_tokens,
-            num_buckets=1, block_cf=block_cf,
+        e_docs = csum - np.repeat(csum[bstarts] - e_deltas[bstarts], dfs)
+        occ_docs, occ_fields, occ_tokens = _expand_occurrences(
+            e_docs,
+            varint_decode(_payload_bytes(sub["fields"].combine_chunks())),
+            varint_decode(_payload_bytes(sub["tfs"].combine_chunks())),
+            varint_decode(_payload_bytes(sub["positions"].combine_chunks())),
         )
-        # every frag term fits one block ⇒ tbl_f is one row per term in
-        # term order; restore the ORIGINAL bucket ids (merge doesn't
-        # know num_buckets)
-        buckets_f = batch["bucket"].take(pa.array(f_starts))
-        tbl_f = tbl_f.set_column(
-            tbl_f.schema.get_field_index("bucket"), "bucket", buckets_f.combine_chunks()
+        r_starts = starts[recode]
+        bounds = np.zeros(len(r_starts) + 1, dtype=np.int64)
+        np.cumsum(total_cf[recode], out=bounds[1:])
+        if (recode & ~disjoint).any():
+            term_idx = np.repeat(np.arange(len(r_starts)), np.diff(bounds))
+            o = np.lexsort((occ_tokens, occ_fields, occ_docs, term_idx))
+            occ_docs, occ_fields, occ_tokens = occ_docs[o], occ_fields[o], occ_tokens[o]
+        out_tables.append(
+            encode_posting_rows(
+                np.asarray(terms.take(pa.array(r_starts)).to_pylist(), dtype=object),
+                bounds, occ_docs, occ_fields, occ_tokens,
+                # merge doesn't know num_buckets: keep each term's own
+                np.asarray(batch["bucket"].take(pa.array(r_starts)).to_numpy(), dtype=np.int32),
+                block_cf,
+            )
         )
-        out_tables.append(tbl_f)
-    for s, c in zip(starts[slow], counts[slow]):
-        out_tables.append(merge_posting_runs(batch.slice(int(s), int(c)), block_cf=block_cf))
     return _term_sorted(pa.concat_tables(out_tables).combine_chunks())
 
 
@@ -805,88 +726,3 @@ def _term_sorted(t: pa.Table) -> pa.Table:
     if np.array_equal(idx.to_numpy(), np.arange(t.num_rows)):
         return t
     return t.take(idx)
-
-
-def merge_posting_runs(group: pa.Table, block_cf: int = DEFAULT_BLOCK_CF) -> pa.Table:
-    """Merge all partial runs of ONE term into canonical blocks.
-
-    Fast path: when runs cover pairwise-disjoint doc ranges (the normal
-    case — doc ids are assigned contiguously per input block), merged
-    output = runs ordered by first_doc with renumbered block ids; the
-    encoded payloads are reused as-is (zero re-encode), and small
-    adjacent runs are coalesced up to ``block_cf``.
-
-    Slow path (overlapping ranges, e.g. multi-field or out-of-order
-    ingest): decode, lexsort, re-encode.
-    """
-    term0 = group["term"][0].as_py()
-    if term0.startswith(DOCSTATS_TERM_PREFIX):
-        return group  # fused doc-stats sentinel rows pass through untouched
-    order = np.lexsort(
-        (
-            np.asarray(group["block_id"].to_numpy(zero_copy_only=False)),
-            np.asarray(group["first_doc"].to_numpy(zero_copy_only=False)),
-        )
-    )
-    group = group.take(pa.array(order))
-    first = np.asarray(group["first_doc"].to_numpy(zero_copy_only=False), dtype=np.uint64)
-    last = np.asarray(group["last_doc"].to_numpy(zero_copy_only=False), dtype=np.uint64)
-    cfs = np.asarray(group["cf"].to_numpy(zero_copy_only=False))
-    n = len(first)
-    # NOTE: STRICT <: equal boundary docs (last[i] == first[i+1]) can
-    # only happen for multi-field docs split across batches;
-    # conservative: treat as overlap and take the slow path.
-    disjoint = bool((last[:-1] < first[1:]).all()) if n > 1 else True
-
-    term = group["term"][0].as_py()
-    bucket = group["bucket"][0].as_py()
-
-    if disjoint:
-        # Coalesce (decode + re-encode) fragmented lists up to one
-        # block's worth of occurrences — keeps per-term block counts
-        # low for query-time fetches; genuinely hot terms (stop words
-        # at scale) stay metadata-only so a single merge task never
-        # re-encodes an unbounded list (skew safety).
-        total_cf = int(cfs.sum())
-        fragmented = n > 1 and total_cf <= block_cf
-        if not fragmented:
-            # SKEW FAST PATH: reuse encoded rows untouched, renumber
-            # blocks — a stop-word term's merge touches only metadata,
-            # never the (potentially huge) occurrence payload.
-            return group.set_column(
-                group.schema.get_field_index("block_id"),
-                "block_id",
-                pa.array(np.arange(n, dtype=np.int32)),
-            )
-        # small fragmented list: decode + coalesce into fewer blocks
-    # slow path: decode everything, re-sort, re-encode
-    docs_l, fields_l, tokens_l = [], [], []
-    for i in range(n):
-        d, f, t, *_ = decode_posting_block(
-            group["docs"][i].as_py(),
-            group["fields"][i].as_py(),
-            group["tfs"][i].as_py(),
-            group["positions"][i].as_py(),
-        )
-        docs_l.append(d)
-        fields_l.append(f)
-        tokens_l.append(t)
-    occ_docs = np.concatenate(docs_l)
-    occ_fields = np.concatenate(fields_l)
-    occ_tokens = np.concatenate(tokens_l)
-    if not disjoint:
-        o = np.lexsort((occ_tokens, occ_fields, occ_docs))
-        occ_docs, occ_fields, occ_tokens = occ_docs[o], occ_fields[o], occ_tokens[o]
-    bounds = np.array([0, len(occ_docs)], dtype=np.int64)
-    tbl = _posting_rows(
-        np.array([term], dtype=object), bounds, occ_docs, occ_fields, occ_tokens,
-        num_buckets=max(bucket + 1, 1), block_cf=block_cf,
-    )
-    # bucket column length must follow the ACTUAL emitted block count:
-    # _posting_rows snaps chunk points to entry boundaries, so it can
-    # emit more blocks than ceil(cf/block_cf) would predict.
-    return tbl.set_column(
-        tbl.schema.get_field_index("bucket"),
-        "bucket",
-        pa.array([bucket] * tbl.num_rows, type=pa.int32()),
-    )

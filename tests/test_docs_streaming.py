@@ -59,9 +59,17 @@ def test_compact_streams_docs_past_budget(corpus, tmp_path_factory):
     build_index(corpus, idx, text_col="content", num_buckets=4)  # second segment
     s_before = IndexSearcher(idx)
     expected = {q: s_before.bm25_topk(q, k=10) for q in ["index builder", "posting merge"]}
+    before = [load_manifest(idx, s) for s in load_meta(idx).segments]
     compact_index(idx, docs_driver_budget=0)
     meta = load_meta(idx)
     assert len(meta.segments) == 1
+    # the compacted segment's counters come through the streaming
+    # aggregate (budget 0) and equal the pre-compaction roll-up
+    man = load_manifest(idx, meta.segments[0])
+    assert (man.num_docs, man.total_tokens, man.min_doc_id, man.max_doc_id) == (
+        sum(m.num_docs for m in before), sum(m.total_tokens for m in before),
+        min(m.min_doc_id for m in before), max(m.max_doc_id for m in before),
+    )
     s_after = IndexSearcher(idx)
     for q, tbl in expected.items():
         assert s_after.bm25_topk(q, k=10).equals(tbl)

@@ -24,27 +24,25 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
+from fulltextsearch_ray.codecs import encode_posting_block
 from fulltextsearch_ray.pipelines import build as build_mod
 from fulltextsearch_ray.pipelines.build import build_index, compact_index
 from fulltextsearch_ray.pipelines.query import IndexSearcher, PostingFileReader
 from fulltextsearch_ray.stages.invert import (
     DOCSTATS_TERM_PREFIX,
     InvertStage,
-    _posting_rows,
     merge_runs_batch,
 )
 from fulltextsearch_ray.state.index import POSTINGS_SCHEMA
 
 
 def _run(docs):
-    """One single-block posting row for term 't', tf 1 per doc."""
+    """One posting block of distinct docs, tf 1 per doc, field and
+    token 1: its stats and payload columns by name."""
     occ_docs = np.asarray(docs, dtype=np.uint64)
     ones = np.ones(len(occ_docs), dtype=np.uint64)
-    bounds = np.array([0, len(occ_docs)], dtype=np.int64)
-    return _posting_rows(
-        np.array(["t"], dtype=object), bounds, occ_docs, ones, ones,
-        num_buckets=4, block_cf=1 << 16,
-    )
+    blk = encode_posting_block(occ_docs, ones, ones)._asdict()
+    return {**blk, "n_docs": len(docs)}
 
 
 def _posting_file(path, term_rows, **write_kwargs):
@@ -59,7 +57,7 @@ def _posting_file(path, term_rows, **write_kwargs):
         occ["first_doc"].append(docs[0])
         occ["last_doc"].append(docs[-1])
         for c in ("df", "cf", "max_tf", "n_docs", "docs", "fields", "tfs", "positions"):
-            occ[c].append(t[c][0].as_py())
+            occ[c].append(t[c])
     tbl = pa.table(
         {k: pa.array(occ[k], type=POSTINGS_SCHEMA.field(k).type) for k in POSTINGS_SCHEMA.names}
     )
