@@ -15,7 +15,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..tokenizer import flat_tokens
-from .common import md5_u64_batch, partitioned_sum, round6, sum_partial
+from .common import md5_u64_batch, partition_apply, partitioned_sum, round6, sum_partial
 
 # RE2-syntax patterns (no lookaround/backrefs — portable to DuckDB).
 # Replacement order matters: emails first (their local part may contain
@@ -192,9 +192,10 @@ def contamination_check(
 
 def top_bigrams(ds: ray.data.Dataset, k: int = 20, text_col: str = "text") -> ray.data.Dataset:
     """Corpus-level top-k token bigrams — partial counts inside
-    ``map_batches`` (combiner) tagged by ``md5(bigram) % K``, ONE
+    ``map_batches`` (combiner) keyed by ``md5(bigram)``, ONE
     :func:`common.partitioned_sum` (an Arrow group_by per hash
-    partition, never a Ray reduce per distinct bigram), deterministic
+    partition, never a Ray reduce per distinct bigram) keeping each
+    partition's top k, then one task merging those; deterministic
     (count desc, bigram asc) tie-break.  The n-gram-statistics building
     block for contamination checks and boilerplate mining."""
 
@@ -205,8 +206,11 @@ def top_bigrams(ds: ray.data.Dataset, k: int = 20, text_col: str = "text") -> ra
         keys = grp["bigram"].combine_chunks()
         return sum_partial("bigram", keys, "n", grp["bigram_count"], md5_u64_batch(keys))
 
-    return (
-        partitioned_sum(ds.map_batches(partial, batch_format="pyarrow"), "bigram", "n")
-        .sort(["n", "bigram"], descending=[True, False])
-        .limit(k)
+    def top(t: pa.Table) -> pa.Table:
+        return t.sort_by([("n", "descending"), ("bigram", "ascending")]).slice(0, k)
+
+    schema = pa.schema([("bigram", pa.string()), ("n", pa.int64())])
+    tops = partitioned_sum(
+        ds.map_batches(partial, batch_format="pyarrow"), schema.field("bigram"), "n", finish=top
     )
+    return partition_apply([(tops, lambda t: np.zeros(t.num_rows, np.int64), schema)], 1, top, schema)

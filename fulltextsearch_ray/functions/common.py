@@ -74,6 +74,24 @@ def sorted_runs(keys: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     return starts, np.diff(np.r_[starts, n])
 
 
+def require_unique_ids(ids: np.ndarray, op: str, within=None, col: str = "doc_id") -> None:
+    """THE duplicate-id guard of every doc-keyed stage: raise
+    ``"<op>: <col> must be unique"`` when an id repeats — anywhere in
+    ``ids``, or, given ``within``, inside one run of equal ``within``
+    keys (then both arrays come sorted so that equal (within, id) pairs
+    are adjacent, e.g. the caller's lexsort order).  A duplicated id
+    merges two documents' rows: self-pairs, wrong set sizes or corrupt
+    spans instead of an error."""
+    if within is None:
+        ids = np.sort(ids)
+        same = ids[1:] == ids[:-1]
+    else:
+        same = (ids[1:] == ids[:-1]) & (within[1:] == within[:-1])
+    if same.any():
+        bad = np.unique(ids[1:][same])[:5]
+        raise ValueError(f"{op}: {col} must be unique; duplicates: {bad.tolist()}")
+
+
 def iter_capped_runs(keys: np.ndarray, cap: int, op_name: str):
     """Yield (start, size) for equal-key runs of size 2..cap in a
     sorted key array; larger runs are skipped and summarized in ONE
@@ -116,117 +134,161 @@ def subtract_ids(
     num_partitions: int | None = None,
 ):
     """Distributed anti-join: ``ds`` minus rows whose ``id_col`` appears
-    in the single-column ``drop_ids`` dataset.  Tagged union, null-
-    padded to ``ds``'s schema, hash-partitioned on ``id % P``; each
-    partition task drops its matches with one ``np.isin`` — neither
-    side touches the driver.  Shared by the curation pipeline and the
-    dedup-apply path."""
+    in the single-column ``drop_ids`` dataset.  One
+    :func:`partition_apply` on the id: each partition task drops its
+    matches with one ``np.isin`` — neither side touches the driver.
+    Shared by the curation pipeline and the dedup-apply path."""
     import pyarrow as pa
-    import pyarrow.compute as pc
 
-    P = num_partitions or default_partitions()
     sch = ds.schema(fetch_if_missing=True)
     if sch is None:  # fully-empty data side: nothing to subtract from
         return ds
     schema = sch.base_schema
-    names = schema.names
 
-    tagged_schema = pa.schema(
-        list(schema) + [pa.field("_drop", pa.int64()), pa.field("_part", pa.int64())]
+    def anti(docs: pa.Table, drops: pa.Table) -> pa.Table:
+        ids = np.asarray(docs[id_col].to_numpy(zero_copy_only=False), dtype=np.int64)
+        dropped = np.asarray(drops[drop_col].to_numpy(zero_copy_only=False), dtype=np.int64)
+        return docs.filter(pa.array(~np.isin(ids, dropped)))
+
+    return partition_apply(
+        [(ds, id_col, schema), (drop_ids, drop_col, pa.schema([(drop_col, pa.int64())]))],
+        num_partitions or default_partitions(),
+        anti,
+        schema,
     )
 
-    def tag_data(b: pa.Table) -> pa.Table:
-        if not b.num_columns or not b.num_rows:
-            return tagged_schema.empty_table()
-        ids = np.asarray(b[id_col].to_numpy(zero_copy_only=False), dtype=np.int64)
-        return b.append_column("_drop", pa.nulls(b.num_rows, pa.int64())).append_column(
-            "_part", pa.array(ids % P)
-        )
 
-    def tag_drops(b: pa.Table) -> pa.Table:
-        if not b.num_columns or not b.num_rows:
-            return tagged_schema.empty_table()
-        k = np.asarray(b[drop_col].to_numpy(zero_copy_only=False), dtype=np.int64)
-        cols = {n: pa.nulls(len(k), schema.field(n).type) for n in names}
-        cols[id_col] = pa.array(k)
-        cols["_drop"] = pa.array(np.ones(len(k), dtype=np.int64))
-        cols["_part"] = pa.array(k % P)
-        return pa.table(cols).cast(tagged_schema)
+def hash_partition(hashes, P: int) -> np.ndarray:
+    """Partition id in [0, P) of each 64-bit hash: its BITS modulo P,
+    so an int64 view and the uint64 it reinterprets land together."""
+    h = np.asarray(hashes)
+    if h.dtype != np.uint64:
+        h = h.astype(np.int64).view(np.uint64)
+    return (h % np.uint64(P)).astype(np.int64)
 
-    unioned = ds.map_batches(tag_data, batch_format="pyarrow").union(
-        drop_ids.map_batches(tag_drops, batch_format="pyarrow")
+
+def partition_apply(inputs, P: int, fn, schema: "pa.Schema"):
+    """THE hash-partitioned group stage: co-locate the rows of every
+    input by ``hash_partition(key, P)`` and run ``fn`` once per
+    partition.
+
+    ``inputs`` is a list of ``(ds, key, in_schema)``: ``key`` names an
+    integer column or is a callable ``table -> hash array``; each block
+    is projected and cast to ``in_schema``.  ``fn`` receives one Arrow
+    table per input, holding that input's rows of the partition and only
+    its columns (an input may contribute no rows; the partition as a
+    whole never is empty), and returns rows of ``schema``.
+
+    Every block is tagged with ``_side`` / ``_part``, null-padded to one
+    union schema and followed by one ``_side = -1`` sentinel row per
+    partition; ONE range shuffle on ``_part`` with explicit boundaries
+    (no sampling pass) then hands every partition to its own reduce
+    task.  The sentinels make every task run — Ray never calls a map UDF
+    on a 0-row block — and emit a ``schema`` table, empty for a
+    partition without real rows, so the output is typed however few
+    rows there are.  Only an input with no rows at all reaches no task
+    and yields no typed block: a separate sentinel dataset would type
+    that case too, but its extra union operator cost a third more CPU
+    in the curate benchmark (1 CPU).  Ray passes 0-row blocks through every later map
+    unchanged, so fold schema-changing steps into ``fn``."""
+    import pyarrow as pa
+
+    fields: dict = {}
+    for _ds, _key, in_schema in inputs:
+        for f in in_schema:
+            if fields.setdefault(f.name, f.with_nullable(True)).type != f.type:
+                raise TypeError(f"partition_apply: column {f.name!r} typed differently by two inputs")
+    tagged = pa.schema(
+        list(fields.values()) + [pa.field("_side", pa.int8()), pa.field("_part", pa.int64())]
     )
 
-    def anti(group: pa.Table) -> pa.Table:
-        if not group.num_columns or not group.num_rows:
+    # boundaries 1..tasks-1 give each partition its own reduce task;
+    # P = 1 still keeps one boundary (an empty list would mean
+    # "sample"), and its idle second task gets a sentinel like any other
+    tasks = max(P, 2)
+    sentinels = pa.Table.from_arrays(
+        [pa.nulls(tasks, f.type) for f in fields.values()]
+        + [pa.array(np.full(tasks, -1, np.int8)), pa.array(np.arange(tasks, dtype=np.int64))],
+        schema=tagged,
+    )
+
+    def tagger(side: int, key, in_schema: "pa.Schema"):
+        own = pa.schema([fields[n] for n in in_schema.names])
+
+        def tag(b: pa.Table) -> pa.Table:
+            b = b.select(own.names).cast(own)
+            n = b.num_rows
+            h = key(b) if callable(key) else b[key].to_numpy(zero_copy_only=False)
+            cols = [b[f.name] if f.name in own.names else pa.nulls(n, f.type) for f in fields.values()]
+            cols += [pa.array(np.full(n, side, np.int8)), pa.array(hash_partition(h, P))]
+            return pa.concat_tables([pa.Table.from_arrays(cols, schema=tagged), sentinels])
+
+        return tag
+
+    first, *rest = [
+        ds.map_batches(tagger(i, key, s), batch_format="pyarrow") for i, (ds, key, s) in enumerate(inputs)
+    ]
+    unioned = first.union(*rest) if rest else first
+    # run is pickled into every task: let it capture column names, not datasets
+    names = [in_schema.names for _ds, _key, in_schema in inputs]
+
+    def run(part: pa.Table) -> pa.Table:
+        side = np.asarray(part["_side"].to_numpy(zero_copy_only=False))
+        if not (side >= 0).any():
             return schema.empty_table()
-        is_drop = np.asarray(pc.is_valid(group["_drop"]).to_numpy(zero_copy_only=False))
-        doc_rows = group.filter(pa.array(~is_drop))
-        dropped = np.unique(
-            np.asarray(
-                group.filter(pa.array(is_drop))[id_col].to_numpy(zero_copy_only=False),
-                dtype=np.int64,
-            )
-        )
-        ids = np.asarray(doc_rows[id_col].to_numpy(zero_copy_only=False), dtype=np.int64)
-        keep = ~np.isin(ids, dropped)
-        return doc_rows.select(names).filter(pa.array(keep))
+        out = fn(*[part.filter(pa.array(side == i)).select(n) for i, n in enumerate(names)])
+        return out.select(schema.names).cast(schema)
 
-    return unioned.groupby("_part").map_groups(anti, batch_format="pyarrow")
-
-
-# Hash buckets of :func:`partitioned_sum`: a module constant, not a knob.
-SUM_PARTITIONS = 64
+    return unioned.sort("_part", boundaries=list(range(1, tasks))).map_batches(
+        run, batch_size=None, batch_format="pyarrow"
+    )
 
 
 def sum_partial(key: str, keys: "pa.Array", value: str, counts, hashes) -> "pa.Table":
     """One combiner block for :func:`partitioned_sum`: the batch's
-    distinct ``keys`` with their partial ``counts``, tagged
-    ``_part = hashes % SUM_PARTITIONS`` (64-bit int or uint hashes; the
-    bits, not the sign, pick the bucket), plus one null-key zero row
-    per bucket so that every reduce partition receives rows."""
+    distinct ``keys`` with their partial ``counts`` and 64-bit int or
+    uint ``hashes`` (the bits, not the sign, pick the partition).  A
+    batch without keys yields one null-key row instead of none: Ray
+    skips map UDFs on 0-row blocks, and this block must reach
+    :func:`partition_apply`'s tagging to type an all-empty sum."""
     import pyarrow as pa
 
-    K = SUM_PARTITIONS
-    part = (np.asarray(hashes).view(np.uint64) % np.uint64(K)).astype(np.int64)
+    if not len(keys):
+        return pa.table({key: pa.nulls(1, keys.type), value: [0], "_hash": [0]})
     return pa.table(
         {
-            key: pa.concat_arrays([keys, pa.nulls(K, keys.type)]),
-            value: pa.array(np.r_[np.asarray(counts, np.int64), np.zeros(K, np.int64)]),
-            "_part": pa.array(np.r_[part, np.arange(K, dtype=np.int64)]),
+            key: keys,
+            value: pa.array(np.asarray(counts, np.int64)),
+            "_hash": pa.array(np.asarray(hashes).view(np.int64)),
         }
     )
 
 
-def partitioned_sum(partials, key: str, value: str, finish=None):
-    """Exact int64 ``sum(value)`` per distinct non-null ``key`` over a
-    dataset of :func:`sum_partial` blocks; ``finish`` (table -> table)
-    post-processes each partition's (key, value) sums in the same task.
+def partitioned_sum(partials, key: "pa.Field", value: str, finish=None):
+    """Exact int64 ``sum(value)`` per distinct ``key`` (an Arrow field:
+    name and type) over a dataset of :func:`sum_partial` blocks;
+    ``finish`` (table -> table) post-processes each partition's
+    (key, value) sums in the same task.
 
-    The reduce is ONE range shuffle on ``_part`` whose task runs ONE
+    One :func:`partition_apply` on the partial hash whose task runs ONE
     Arrow ``Table.group_by(key).aggregate`` over its whole partition:
     O(partitions) Python calls, where Ray's ``groupby(key).sum()`` pays
-    ~0.1 ms per distinct key.  The ranges are explicit (SUM_PARTITIONS
-    buckets split evenly over :func:`default_partitions` tasks) and
-    every partial block carries a null-key row in every bucket, so no
-    partition is ever empty: each reduce task runs its UDF and emits a
-    typed table (Ray skips map UDFs on empty blocks and passes them on
-    schema-less).  Only an input with no rows at all yields no typed
-    block."""
+    ~0.1 ms per distinct key."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    K = SUM_PARTITIONS
-    P = min(K, default_partitions())
+    sums_schema = pa.schema([key, pa.field(value, pa.int64())])
+    finish = finish or (lambda t: t)
 
     def reduce(part: pa.Table) -> pa.Table:
-        agg = part.group_by(key).aggregate([(value, "sum")])
-        out = pa.table({key: agg[key], value: agg[f"{value}_sum"]})
-        out = out.filter(pc.is_valid(out[key]))
-        return finish(out) if finish is not None else out
+        agg = part.filter(pc.is_valid(part[key.name])).group_by(key.name).aggregate([(value, "sum")])
+        return finish(pa.table({key.name: agg[key.name], value: agg[f"{value}_sum"]}))
 
-    return partials.sort("_part", boundaries=[K * j // P for j in range(1, P)]).map_batches(
-        reduce, batch_size=None, batch_format="pyarrow"
+    return partition_apply(
+        [(partials, "_hash", sums_schema.append(pa.field("_hash", pa.int64())))],
+        default_partitions(),
+        reduce,
+        finish(sums_schema.empty_table()).schema,
     )
 
 

@@ -35,13 +35,13 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from .common import default_partitions, sorted_runs
+from .common import default_partitions, partition_apply, sorted_runs
 
 _PAIR_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64())])
 _LVL_SCHEMA = pa.schema([("u", pa.int64()), ("v", pa.int64()), ("kind", pa.int8())])
-_MSG_SCHEMA = pa.schema(
-    [("k", pa.int64()), ("dst", pa.int64()), ("lbl", pa.int64()), ("_part", pa.int64())]
-)
+_MAP_SCHEMA = pa.schema([("u", pa.int64()), ("v", pa.int64())])
+_ROOT_SCHEMA = pa.schema([("node", pa.int64()), ("root", pa.int64())])
+_LABEL_SCHEMA = pa.schema([("doc_id", pa.int64()), ("component", pa.int64())])
 
 
 def _numpy_components(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -63,22 +63,19 @@ def _numpy_components(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
     return nodes, nodes[lbl]
 
 
-def _solve_batch(batch: pa.Table) -> pa.Table:
-    """(a, b) edge batch → exact (node, label) for its subgraph."""
-    if not batch.num_rows:
-        return pa.table({"node": pa.array([], pa.int64()), "label": pa.array([], pa.int64())})
+def _solve(batch: pa.Table, schema: pa.Schema = _LABEL_SCHEMA) -> pa.Table:
+    """(a, b) edge batch → exact (node, component-min root) rows of
+    ``schema`` for its subgraph."""
     a = np.asarray(batch["a"].to_numpy(zero_copy_only=False), dtype=np.int64)
     b = np.asarray(batch["b"].to_numpy(zero_copy_only=False), dtype=np.int64)
     nodes, roots = _numpy_components(a, b)
-    return pa.table({"node": pa.array(nodes), "label": pa.array(roots)})
+    return pa.Table.from_arrays([pa.array(nodes), pa.array(roots)], schema=schema)
 
 
 def _contract_group(group: pa.Table) -> pa.Table:
     """One partition's (node, root) rows → unified-schema output:
     mapping rows (node, min-root, kind=0) and star edges
     (min-root, other-root, kind=1)."""
-    if not group.num_columns or not group.num_rows:
-        return _LVL_SCHEMA.empty_table()
     n = np.asarray(group["node"].to_numpy(zero_copy_only=False), dtype=np.int64)
     r = np.asarray(group["root"].to_numpy(zero_copy_only=False), dtype=np.int64)
     order = np.lexsort((r, n))
@@ -112,59 +109,26 @@ def _contract_group(group: pa.Table) -> pa.Table:
 
 
 def _resolve(mapping: ray.data.Dataset, labels: ray.data.Dataset, P: int) -> ray.data.Dataset:
-    """node→root mapping + root→label table → node→label (identity for
-    roots without an entry).  Tagged union, hash-partitioned on the
-    root key, one searchsorted per partition task."""
+    """node→root mapping (u, v) + root→component labels → node→
+    component (identity for roots without an entry).  One
+    partition_apply on the root key, one searchsorted per partition
+    task."""
 
-    def tag_requests(b: pa.Table) -> pa.Table:
-        root = np.asarray(b["v"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        return pa.table(
-            {
-                "k": pa.array(root),
-                "dst": b["u"].cast(pa.int64()),
-                "lbl": pa.nulls(b.num_rows, pa.int64()),
-                "_part": pa.array(root % P),
-            }
-        ).cast(_MSG_SCHEMA)
-
-    def tag_providers(b: pa.Table) -> pa.Table:
-        node = np.asarray(b["node"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        return pa.table(
-            {
-                "k": pa.array(node),
-                "dst": pa.nulls(b.num_rows, pa.int64()),
-                "lbl": b["label"].cast(pa.int64()),
-                "_part": pa.array(node % P),
-            }
-        ).cast(_MSG_SCHEMA)
-
-    def route(group: pa.Table) -> pa.Table:
-        if not group.num_columns or not group.num_rows:
-            return pa.table({"node": pa.array([], pa.int64()), "label": pa.array([], pa.int64())})
-        has_lbl = np.asarray(pc.is_valid(group["lbl"]).to_numpy(zero_copy_only=False))
-        lab_rows = group.filter(pa.array(has_lbl))
-        req_rows = group.filter(pa.array(~has_lbl))
-        if not req_rows.num_rows:
-            return pa.table({"node": pa.array([], pa.int64()), "label": pa.array([], pa.int64())})
-        rk = np.asarray(req_rows["k"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        rd = np.asarray(req_rows["dst"].to_numpy(zero_copy_only=False), dtype=np.int64)
+    def route(req: pa.Table, lab: pa.Table) -> pa.Table:
+        rk = np.asarray(req["v"].to_numpy(zero_copy_only=False), dtype=np.int64)
         out = rk.copy()  # identity default: root labels itself
-        if lab_rows.num_rows:
-            lk = np.asarray(lab_rows["k"].to_numpy(zero_copy_only=False), dtype=np.int64)
-            lv = np.asarray(lab_rows["lbl"].to_numpy(zero_copy_only=False), dtype=np.int64)
+        if lab.num_rows:
+            lk = np.asarray(lab["doc_id"].to_numpy(zero_copy_only=False), dtype=np.int64)
+            lv = np.asarray(lab["component"].to_numpy(zero_copy_only=False), dtype=np.int64)
             o = np.argsort(lk, kind="stable")
             lk, lv = lk[o], lv[o]
-            idx = np.searchsorted(lk, rk)
-            idx = np.minimum(idx, max(len(lk) - 1, 0))
+            idx = np.minimum(np.searchsorted(lk, rk), len(lk) - 1)
             found = lk[idx] == rk
             out[found] = lv[idx[found]]
-        return pa.table({"node": pa.array(rd), "label": pa.array(out)})
+        return pa.table({"doc_id": req["u"], "component": pa.array(out)})
 
-    return (
-        mapping.map_batches(tag_requests, batch_format="pyarrow")
-        .union(labels.map_batches(tag_providers, batch_format="pyarrow"))
-        .groupby("_part")
-        .map_groups(route, batch_format="pyarrow")
+    return partition_apply(
+        [(mapping, "v", _MAP_SCHEMA), (labels, "doc_id", _LABEL_SCHEMA)], P, route, _LABEL_SCHEMA
     )
 
 
@@ -225,41 +189,18 @@ def connected_components(
         if P <= 1 or n_edges <= task_budget:
             # the whole surviving graph fits one task: exact solve there
             labels = edges.repartition(1).map_batches(
-                _solve_batch, batch_format="pyarrow", batch_size=None
+                _solve, batch_format="pyarrow", batch_size=None
             )
             break
 
-        def tag(b: pa.Table, P: int = P) -> pa.Table:
-            a = np.asarray(b["a"].to_numpy(zero_copy_only=False), dtype=np.int64)
-            return b.append_column("_part", pa.array(a % P))
-
-        def local_solve(group: pa.Table) -> pa.Table:
-            if not group.num_columns or not group.num_rows:
-                return pa.table(
-                    {"node": pa.array([], pa.int64()), "root": pa.array([], pa.int64())}
-                )
-            a = np.asarray(group["a"].to_numpy(zero_copy_only=False), dtype=np.int64)
-            b = np.asarray(group["b"].to_numpy(zero_copy_only=False), dtype=np.int64)
-            nodes, roots = _numpy_components(a, b)
-            return pa.table({"node": pa.array(nodes), "root": pa.array(roots)})
-
-        lvl_rows = (
-            edges.map_batches(tag, batch_format="pyarrow")
-            .groupby("_part")
-            .map_groups(local_solve, batch_format="pyarrow")
+        lvl_rows = partition_apply(
+            [(edges, "a", _PAIR_SCHEMA)], P, lambda g: _solve(g, _ROOT_SCHEMA), _ROOT_SCHEMA
         )
-
         # combine per node across partitions: hash-partition on node
-        def tag_node(b: pa.Table, P: int = P) -> pa.Table:
-            n = np.asarray(b["node"].to_numpy(zero_copy_only=False), dtype=np.int64)
-            return b.append_column("_part", pa.array(n % P))
+        combined = partition_apply(
+            [(lvl_rows, "node", _ROOT_SCHEMA)], P, _contract_group, _LVL_SCHEMA
+        ).materialize()
 
-        combined = (
-            lvl_rows.map_batches(tag_node, batch_format="pyarrow")
-            .groupby("_part")
-            .map_groups(_contract_group, batch_format="pyarrow")
-            .materialize()
-        )
         def keep_kind(k: int):
             def fn(b: pa.Table) -> pa.Table:
                 sel = b.filter(pc.equal(b["kind"], k))
@@ -282,23 +223,13 @@ def connected_components(
     else:
         raise RuntimeError(f"connected_components did not contract within {max_levels} levels")
 
-    # top-down resolution through the contraction levels
-    if labels is None and not mappings:
-        return ray.data.from_arrow(
-            pa.table({"doc_id": pa.array([], pa.int64()), "component": pa.array([], pa.int64())})
-        )
+    # top-down resolution through the contraction levels (the deepest
+    # mapping resolves against no labels: every root labels itself)
+    if labels is None:
+        labels = ray.data.from_arrow(_LABEL_SCHEMA.empty_table())
     for mapping, lvl_P in reversed(mappings):
-        if labels is None:
-            labels = mapping.map_batches(
-                lambda b: pa.table({"node": b["u"], "label": b["v"]}), batch_format="pyarrow"
-            )
-        else:
-            labels = _resolve(mapping, labels, max(2, lvl_P)).materialize()
-
-    return labels.map_batches(
-        lambda b: pa.table({"doc_id": b["node"], "component": b["label"]}),
-        batch_format="pyarrow",
-    )
+        labels = _resolve(mapping, labels, max(2, lvl_P)).materialize()
+    return labels
 
 
 def canonical_docs(

@@ -2,8 +2,9 @@
 embedding-cosine near-dup.
 
 Scale shapes (each documented where it matters):
-* exact        — hash-partitioned groupby(md5) keep-first: one shuffle
-                 over (hash, doc_id) pairs only, never the text.
+* exact        — Ray groupby(md5) aggregate (min id, count) keep-first:
+                 one shuffle over (hash, doc_id) pairs only, never the
+                 text.
 * minhash_lsh  — shingle→minhash signature per doc (vectorized
                  map_batches: one DuckDB md5 pass + one streaming
                  permutation pass each), band→bucket explode, hash-
@@ -14,7 +15,7 @@ Scale shapes (each documented where it matters):
                  Hamming-distance near-dup pairs via bit-band LSH
                  (exact when max_hamming ≤ bands-1).
 * ngram_jaccard— exact Jaccard over word n-gram shingle sets via a
-                 df-capped shared-shingle join; packed-pair counting
+                 df-capped shared-shingle join; (a, b) pair counting
                  with a local combiner; per-doc set sizes ride the
                  pair rows (no sizes join, one corpus pass).
 * embedding    — banded random-hyperplane LSH buckets → per-bucket
@@ -22,9 +23,10 @@ Scale shapes (each documented where it matters):
                  dedup across bands.  ``method="exact"`` keeps the
                  all-pairs matmul as an explicitly small-input fallback.
 
-Every pair-emitting group stage is HASH-PARTITIONED (rows shuffle by
-key-hash % P; per-key grouping is vectorized inside the P partition
-tasks — never one scheduled task per key) and CAPPED: a degenerate
+Every pair-emitting group stage is HASH-PARTITIONED through
+``common.partition_apply`` (rows shuffle by key-hash % P; per-key
+grouping is vectorized inside the P partition tasks — never one
+scheduled task per key) and CAPPED: a degenerate
 bucket (empty docs, boilerplate, a stop-shingle) logs a skip instead
 of emitting O(g²) pairs.  No stage materializes the dataset on the
 driver.
@@ -39,9 +41,12 @@ import ray.data
 
 from ..tokenizer import flat_tokens
 from .common import (
+    default_partitions,
     iter_capped_runs,
     md5_u64,
     md5_u64_batch,
+    partition_apply,
+    require_unique_ids,
     round6,
     sorted_runs,
     vec_list_array,
@@ -57,26 +62,42 @@ from .common import (
 SMALL_PAIRS_ROW_BUDGET = 500_000
 
 
+def _pair_runs(a: np.ndarray, b: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """(order, run starts) of the (a, b) rows: ``order`` lexsorts them
+    by (a, b) and ``starts`` indexes the first row of every equal-pair
+    run in that order — the one pair-dedup kernel."""
+    order = np.lexsort((b, a))
+    a, b = a[order], b[order]
+    change = np.empty(len(a), dtype=bool)
+    change[:1] = True
+    change[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    return order, np.flatnonzero(change)
+
+
+def _pair_hash(t: pa.Table) -> np.ndarray:
+    """Partition hash of an (a, b) pair: a multiplicative mix of both
+    ids (a bare ``a`` would send one hub doc's pairs to one task)."""
+    a = np.asarray(t["a"].to_numpy(zero_copy_only=False), dtype=np.int64).astype(np.uint64)
+    b = np.asarray(t["b"].to_numpy(zero_copy_only=False), dtype=np.int64).astype(np.uint64)
+    return ((a * np.uint64(0x9E3779B97F4A7C15)) ^ (b * np.uint64(0xC2B2AE3D27D4EB4F))) >> np.uint64(33)
+
+
 def _dedup_pairs_table(tbl: pa.Table, value_col: str, agg: str) -> pa.Table:
-    """In-process twin of :func:`_dedup_pairs`: one lexsort + reduceat."""
+    """One row per (a, b) keeping the max/min value: one lexsort +
+    reduceat (the in-process gather and every dedup partition)."""
     a = np.asarray(tbl["a"].to_numpy(zero_copy_only=False), dtype=np.int64)
     b = np.asarray(tbl["b"].to_numpy(zero_copy_only=False), dtype=np.int64)
     v = np.asarray(tbl[value_col].to_numpy(zero_copy_only=False))
-    n = len(a)
-    if not n:
+    if not len(a):
         return tbl
-    order = np.lexsort((b, a))
-    a, b, v = a[order], b[order], v[order]
-    change = np.empty(n, dtype=bool)
-    change[0] = True
-    change[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-    starts = np.flatnonzero(change)
+    order, starts = _pair_runs(a, b)
+    sel = order[starts]
     reducer = np.maximum if agg == "max" else np.minimum
     return pa.table(
         {
-            "a": pa.array(a[starts]),
-            "b": pa.array(b[starts]),
-            value_col: pa.array(reducer.reduceat(v, starts)).cast(tbl.schema.field(value_col).type),
+            "a": pa.array(a[sel]),
+            "b": pa.array(b[sel]),
+            value_col: pa.array(reducer.reduceat(v[order], starts)).cast(tbl.schema.field(value_col).type),
         }
     )
 
@@ -89,12 +110,13 @@ def _pairs_pipeline(
     value_type: "pa.DataType",
     agg: str,
     P: int,
+    schema: "pa.Schema",
     small_rows_budget: "int | None" = None,
     rows_hint: "int | None" = None,
 ) -> ray.data.Dataset:
     """Shared tail of every banded pair stage: hash-partition the
-    exploded (key, id, payload) rows on ``key_col % P``, run the
-    vectorized ``part_pairs`` per partition, dedup across bands.
+    exploded (key, id, payload) rows of ``schema`` on ``key_col``, run
+    the vectorized ``part_pairs`` per partition, dedup across bands.
     Below ``small_rows_budget`` exploded rows (default
     ``SMALL_PAIRS_ROW_BUDGET``, monkeypatch-able) the whole tail runs
     in-process on ONE object-store gather — Ray's per-shuffle fixed
@@ -108,6 +130,7 @@ def _pairs_pipeline(
     learn it is too big (the payload columns, e.g. full embedding
     vectors × band fan-out, would otherwise pin/spill the whole
     corpus); only a provably-small dataset is pinned for the gather."""
+    pair_schema = pa.schema([("a", pa.int64()), ("b", pa.int64()), (value_col, value_type)])
     budget = SMALL_PAIRS_ROW_BUDGET if small_rows_budget is None else small_rows_budget
     small = False
     if rows_hint is None or rows_hint <= budget:
@@ -125,26 +148,17 @@ def _pairs_pipeline(
     if small:
         tbls = [t for t in ray.get(exploded.to_arrow_refs()) if t.num_rows]
         if not tbls:
-            return ray.data.from_arrow(
-                pa.schema(
-                    [("a", pa.int64()), ("b", pa.int64()), (value_col, value_type)]
-                ).empty_table()
-            )
+            return ray.data.from_arrow(pair_schema.empty_table())
         gathered = pa.concat_tables(tbls).combine_chunks()
         return ray.data.from_arrow(
             _dedup_pairs_table(part_pairs(gathered), value_col, agg)
         )
 
-    def tag(b: pa.Table) -> pa.Table:
+    def key(b: pa.Table) -> np.ndarray:
         k = np.asarray(b[key_col].to_numpy(zero_copy_only=False)).astype(np.uint64)
-        mix = (k * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
-        return b.append_column("_part", pa.array((mix % np.uint64(P)).astype(np.int64)))
+        return (k * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
 
-    pairs = (
-        exploded.map_batches(tag, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(part_pairs, batch_format="pyarrow")
-    )
+    pairs = partition_apply([(exploded, key, schema)], P, part_pairs, pair_schema)
     return _dedup_pairs(pairs, value_col, value_type, agg=agg, num_partitions=P)
 
 
@@ -160,33 +174,12 @@ def _dedup_pairs(
     vectorized lexsort + reduceat each) — a full-width two-key groupby
     over millions of candidate pair rows is the degenerate-corpus
     bottleneck this replaces."""
-    from .common import default_partitions
-
-    P = num_partitions or default_partitions()
     out_schema = pa.schema([("a", pa.int64()), ("b", pa.int64()), (value_col, value_type)])
-
-    def tag2(b: pa.Table) -> pa.Table:
-        if not b.num_rows or not b.num_columns:
-            return out_schema.empty_table().append_column("_p2", pa.array([], pa.int64()))
-        a = np.asarray(b["a"].to_numpy(zero_copy_only=False), dtype=np.int64).astype(np.uint64)
-        bb = np.asarray(b["b"].to_numpy(zero_copy_only=False), dtype=np.int64).astype(np.uint64)
-        mix = (
-            (a * np.uint64(0x9E3779B97F4A7C15)) ^ (bb * np.uint64(0xC2B2AE3D27D4EB4F))
-        ) >> np.uint64(33)
-        return b.append_column("_p2", pa.array((mix % np.uint64(P)).astype(np.int64)))
-
-    def reduce_group(g: pa.Table) -> pa.Table:
-        if not g.num_rows or not g.num_columns:
-            return out_schema.empty_table()
-        # same (a, b)-run lexsort+reduceat kernel as the gather path
-        return _dedup_pairs_table(
-            g.select(["a", "b", value_col]).cast(out_schema), value_col, agg
-        )
-
-    return (
-        pairs.map_batches(tag2, batch_format="pyarrow")
-        .groupby("_p2")
-        .map_groups(reduce_group, batch_format="pyarrow")
+    return partition_apply(
+        [(pairs, _pair_hash, out_schema)],
+        num_partitions or default_partitions(),
+        lambda g: _dedup_pairs_table(g, value_col, agg),
+        out_schema,
     )
 
 
@@ -358,19 +351,24 @@ class MinHashStage:
             present[docs_present] = True
         return sig, present
 
+    @property
+    def schema(self) -> pa.Schema:
+        """Schema of the exploded (doc, band-bucket) rows."""
+        return pa.schema(
+            [
+                ("doc_id", pa.int64()),
+                ("band", pa.int32()),
+                ("bucket", pa.uint64()),
+                ("sig", pa.binary(self.num_perm * 8)),
+            ]
+        )
+
     def __call__(self, batch: pa.Table) -> pa.Table:
         sig, present = self.signatures(batch)
         docs = np.flatnonzero(present)
         nd = len(docs)
         if not nd:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "band": pa.array([], pa.int32()),
-                    "bucket": pa.array([], pa.uint64()),
-                    "sig": pa.array([], pa.binary(self.num_perm * 8)),
-                }
-            )
+            return self.schema.empty_table()
         doc_ids = np.asarray(batch["doc_id"].to_numpy(zero_copy_only=False), dtype=np.int64)
         r = self.rows_per_band
         sp = sig[:, docs]  # (num_perm, nd)
@@ -423,19 +421,16 @@ def minhash_lsh_pairs(
     fast path.
 
     Pipeline: signature map_batches → band-bucket explode →
-    HASH-PARTITIONED capped pair emit (rows shuffle by
-    ``bucket % num_partitions``, so the groupby schedules only
-    ``num_partitions`` tasks — never one task per bucket — and each
-    task does vectorized per-bucket grouping) → pair dedup across
-    bands via groupby(pair).
+    HASH-PARTITIONED capped pair emit (``common.partition_apply`` on
+    the bucket: ``num_partitions`` tasks — never one task per bucket —
+    each doing vectorized per-bucket grouping) → pair dedup across
+    bands, hash-partitioned on the pair.
 
     Buckets larger than ``max_bucket`` are SKIPPED (logged, not
     silently): one degenerate bucket (empty docs, boilerplate) would
     otherwise emit O(g²) pairs — the cap bounds worst-case work per
     group at scale.
     """
-    from .common import default_partitions
-
     P = num_partitions or default_partitions()
     stage = MinHashStage(num_perm=num_perm, bands=bands, n=n, text_col=text_col)
     exploded = ds.map_batches(stage, batch_format="pyarrow")
@@ -455,22 +450,19 @@ def minhash_lsh_pairs(
         bnd = np.asarray(group["band"].to_numpy(zero_copy_only=False), dtype=np.int64)
         # (n, num_perm) signature matrix — one zero-copy buffer view of
         # the fixed-size binary column
-        if n:
-            sig_col = group["sig"].combine_chunks()
-            # buffers()[1] is the VALUES buffer only for fixed-size
-            # binary; on plain binary it would be the offsets buffer
-            # and the matrix would silently decode garbage — fail loud
-            # if a Ray serialization roundtrip ever relaxes the type
-            assert pa.types.is_fixed_size_binary(sig_col.type), sig_col.type
-            M = (
-                np.frombuffer(sig_col.buffers()[1], dtype=">u8")[
-                    sig_col.offset * num_perm : (sig_col.offset + n) * num_perm
-                ]
-                .reshape(n, num_perm)
-                .astype(np.uint64)
-            )
-        else:
-            M = np.empty((0, num_perm), dtype=np.uint64)
+        sig_col = group["sig"].combine_chunks()
+        # buffers()[1] is the VALUES buffer only for fixed-size
+        # binary; on plain binary it would be the offsets buffer
+        # and the matrix would silently decode garbage — fail loud
+        # if a Ray serialization roundtrip ever relaxes the type
+        assert pa.types.is_fixed_size_binary(sig_col.type), sig_col.type
+        M = (
+            np.frombuffer(sig_col.buffers()[1], dtype=">u8")[
+                sig_col.offset * num_perm : (sig_col.offset + n) * num_perm
+            ]
+            .reshape(n, num_perm)
+            .astype(np.uint64)
+        )
         # per-row EXACT band-signature bytes: gather the band's columns
         r = rows_per_band
         col_idx = bnd[:, None] * r + np.arange(r, dtype=np.int64)[None, :]
@@ -479,19 +471,13 @@ def minhash_lsh_pairs(
         order = np.lexsort((ids, subb, bk))
         bk, subb, ids, M = bk[order], subb[order], ids[order], M[order]
         change = np.empty(n, dtype=bool)
-        if n:
-            change[0] = True
-            change[1:] = (bk[1:] != bk[:-1]) | (subb[1:] != subb[:-1])
-            # a doc_id twice in one (bucket, band-signature) run means a
-            # DUPLICATED input id (same doc emitted by two batches) —
-            # triu would emit a silent (x, x) self-pair at est 1.0 and
-            # a pair-drop consumer would delete the doc entirely
-            dupid = (~change[1:]) & (ids[1:] == ids[:-1])
-            if dupid.any():
-                bad = np.unique(ids[1:][dupid])[:5]
-                raise ValueError(
-                    f"minhash_lsh_pairs: doc_id must be unique; duplicates: {bad.tolist()}"
-                )
+        change[0] = True
+        change[1:] = (bk[1:] != bk[:-1]) | (subb[1:] != subb[:-1])
+        # a doc_id twice in one (bucket, band-signature) run means a
+        # DUPLICATED input id (same doc emitted by two batches) —
+        # triu would emit a silent (x, x) self-pair at est 1.0 and
+        # a pair-drop consumer would delete the doc entirely
+        require_unique_ids(ids, "minhash_lsh_pairs", within=np.cumsum(change))
         starts = np.flatnonzero(change)
         counts = np.diff(np.r_[starts, n])
         out_a, out_b, out_e = [], [], []  # numpy chunks, concatenated once
@@ -523,7 +509,7 @@ def minhash_lsh_pairs(
         )
 
     return _pairs_pipeline(
-        exploded, "bucket", part_pairs, "est_jaccard", pa.float64(), "max", P,
+        exploded, "bucket", part_pairs, "est_jaccard", pa.float64(), "max", P, stage.schema,
         # byte-scaled gather budget: each exploded row carries a
         # num_perm×8-byte signature, so the row budget shrinks to keep
         # the one-gather fast path's driver footprint ≈128 MB whatever
@@ -640,9 +626,8 @@ def simhash_neardup_pairs(
     """
     assert 64 % bands == 0
     width = 64 // bands
-    from .common import default_partitions
-
     P = num_partitions or default_partitions()
+    schema = pa.schema([("key", pa.int64()), ("doc_id", pa.int64()), ("h", pa.uint64())])
 
     def explode(batch: pa.Table) -> pa.Table:
         h, present = _simhash_packed(batch, text_col)
@@ -675,12 +660,8 @@ def simhash_neardup_pairs(
         h = np.asarray(group["h"].to_numpy(zero_copy_only=False), dtype=np.uint64)
         order = np.lexsort((ids, keys))
         keys, ids, h = keys[order], ids[order], h[order]
-        dupid = (keys[1:] == keys[:-1]) & (ids[1:] == ids[:-1])
-        if dupid.any():  # duplicated input id → silent (x, x) pair
-            bad = np.unique(ids[1:][dupid])[:5]
-            raise ValueError(
-                f"simhash_neardup_pairs: doc_id must be unique; duplicates: {bad.tolist()}"
-            )
+        # duplicated input id → silent (x, x) pair
+        require_unique_ids(ids, "simhash_neardup_pairs", within=keys)
         out_a, out_b, out_h = [], [], []
         for s, g in iter_capped_runs(keys, max_bucket, "simhash_neardup"):
             gi = ids[s : s + g]
@@ -706,7 +687,7 @@ def simhash_neardup_pairs(
 
     exploded = ds.map_batches(explode, batch_format="pyarrow")
     return _pairs_pipeline(
-        exploded, "key", part_pairs, "hamming", pa.int64(), "min", P,
+        exploded, "key", part_pairs, "hamming", pa.int64(), "min", P, schema,
         # None = let _pairs_pipeline probe the exploded size with a
         # bounded limit(budget+1).count() — the probe stops upstream
         # early on a big corpus instead of pinning the exploded
@@ -733,44 +714,48 @@ def ngram_jaccard_pairs(
     """Exact word-n-gram Jaccard similarity pairs (a < b, jacc ≥ τ).
 
     Shape: distinct (shingle-HASH, doc) explode → hash-partition by
-    shingle hash (P partition tasks, vectorized per-shingle pair emit
-    with LOCAL pair pre-aggregation) → one single-int64-key groupby
-    over packed (a<<32|b) pair keys → score.  Shingles travel as their
-    64-bit md5 prefix from the explode on (``md5_u64_batch``, same
-    device as ``spans.py``): the shuffle moves 8-byte ints instead of
-    Python-object strings and the pair stage sorts int64 keys, not
-    object arrays.  Hash collisions (≈0 at 2^64) merge shingles; the
-    SQL oracle mirrors the same hash grouping exactly, collisions
-    included.  Shingles with document frequency > ``shingle_df_cap``
-    are dropped from the pair stage (stop-shingle filter, logged — a
-    shared boilerplate shingle would otherwise emit O(df²) pairs).
+    shingle hash (P ``common.partition_apply`` tasks, vectorized
+    per-shingle pair emit with LOCAL pair pre-aggregation) → one
+    partition_apply on the (a, b) pair that sums the shared-shingle
+    counts and scores.  Shingles travel as their 64-bit md5 prefix from
+    the explode on (``md5_u64_batch``, same device as ``spans.py``): the
+    shuffle moves 8-byte ints instead of Python-object strings and the
+    pair stage sorts int64 keys, not object arrays.  Hash collisions
+    (≈0 at 2^64) merge shingles; the SQL oracle mirrors the same hash
+    grouping exactly, collisions included.  Shingles with document
+    frequency > ``shingle_df_cap`` are dropped from the pair stage
+    (stop-shingle filter, logged — a shared boilerplate shingle would
+    otherwise emit O(df²) pairs).  Doc ids are any int64: pairs travel
+    as two id columns.
 
     Per-doc set sizes RIDE ON THE PAIR ROWS: the explode attaches each
     doc's distinct-shingle count to every (hash, doc) row (docs never
     span batches, so the per-batch count is the global set size), the
-    pair stage emits ``size_a + size_b`` alongside each packed pair,
-    and the scorer computes ``jacc = c / (sa + sb − c)`` with no sizes
-    join at all — the previous design re-tokenized the ENTIRE corpus a
-    second time just to build a sizes table and then joined it back
-    (broadcast or co-group).  ``sizes_broadcast_budget`` is retained
-    for API compatibility and ignored.  SQL-oracle-checkable (shared-
-    shingle join with the same df cap).
+    pair stage emits ``size_a + size_b`` alongside each pair, and the
+    scorer computes ``jacc = c / (sa + sb − c)`` with no sizes join at
+    all — the previous design re-tokenized the ENTIRE corpus a second
+    time just to build a sizes table and then joined it back (broadcast
+    or co-group).  ``sizes_broadcast_budget`` is retained for API
+    compatibility and ignored.  SQL-oracle-checkable (shared-shingle
+    join with the same df cap).
     """
-    from .common import default_partitions
-
     P = default_partitions()
+    shingle_schema = pa.schema([("h", pa.int64()), ("doc_id", pa.int64()), ("nsh", pa.int64())])
+    count_schema = pa.schema(
+        [("a", pa.int64()), ("b", pa.int64()), ("cnt", pa.int64()), ("sab", pa.int64())]
+    )
+    out_schema = pa.schema([("a", pa.int64()), ("b", pa.int64()), ("jaccard", pa.float64())])
 
     def explode(batch: pa.Table) -> pa.Table:
         sh, dix = shingle_batch(batch[text_col], n)
         doc_ids = np.asarray(batch["doc_id"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        if np.unique(doc_ids).size != len(doc_ids):
-            # a within-batch duplicate would silently merge two docs'
-            # shingle sets in the distinct below (cross-batch
-            # duplicates are caught in part_pairs)
-            raise ValueError("ngram_jaccard_pairs: doc_id must be unique")
-        # int64 VIEW of the uint64 md5 prefix (Ray groupbys reject
-        # uint64 past int64-max; the reinterpret is a bijection) — the
-        # shingle STRING never leaves this task
+        # a within-batch duplicate would silently merge two docs'
+        # shingle sets in the distinct below (cross-batch duplicates
+        # are caught in part_pairs)
+        require_unique_ids(doc_ids, "ngram_jaccard_pairs")
+        # int64 VIEW of the uint64 md5 prefix (the reinterpret is a
+        # bijection; partitions hash its bits) — the shingle STRING
+        # never leaves this task
         h = md5_u64_batch(sh).view(np.int64)
         tbl = pa.table({"h": pa.array(h), "doc_id": pa.array(doc_ids[dix], pa.int64())})
         # distinct (shingle-hash, doc) within the batch; docs never span
@@ -793,127 +778,76 @@ def ngram_jaccard_pairs(
         # per doc (~1/nsh of the shuffle).
         sent_strs = np.char.add("D:", doc_ids.astype("U"))
         sent_h = md5_u64_batch(pa.array(sent_strs)).view(np.int64)
-        all_h = np.concatenate([
-            np.asarray(tbl["h"].to_numpy(zero_copy_only=False), dtype=np.int64), sent_h,
-        ])
-        all_d = np.concatenate([d, doc_ids])
-        all_n = np.concatenate([nsh.astype(np.int64), np.full(len(doc_ids), -1, np.int64)])
-        # hash-partition tag — the pair stage groups by P partition
-        # ids, never one task per shingle
         return pa.table({
-            "h": pa.array(all_h),
-            "doc_id": pa.array(all_d),
-            "nsh": pa.array(all_n),
-            "_part": pa.array((all_h.view(np.uint64) % np.uint64(P)).astype(np.int64)),
+            "h": pa.array(np.concatenate([
+                np.asarray(tbl["h"].to_numpy(zero_copy_only=False), dtype=np.int64), sent_h,
+            ])),
+            "doc_id": pa.array(np.concatenate([d, doc_ids])),
+            "nsh": pa.array(np.concatenate([nsh.astype(np.int64), np.full(len(doc_ids), -1, np.int64)])),
         })
-
-    shingle_docs = ds.map_batches(explode, batch_format="pyarrow")
 
     def part_pairs(group: pa.Table) -> pa.Table:
         """All (shingle-hash, doc, set-size) rows of one hash partition:
-        sort by hash, emit packed doc-pair keys per shingle run
-        (df-capped) plus the pair's size sum, pre-aggregated locally
-        (combiner) before the global groupby.  Pure int64 numpy sort —
-        no Python-object strings anywhere."""
+        sort by hash, emit (a, b) doc pairs per shingle run (df-capped)
+        plus the pair's size sum, pre-aggregated locally (combiner)
+        before the pair shuffle.  Pure int64 numpy sort — no
+        Python-object strings anywhere."""
         sh = np.asarray(group["h"].to_numpy(zero_copy_only=False), dtype=np.int64)
         ids = np.asarray(group["doc_id"].to_numpy(zero_copy_only=False), dtype=np.int64)
         nsh = np.asarray(group["nsh"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        if len(ids) and (int(ids.max()) >= (1 << 31) or int(ids.min()) < 0):
-            raise ValueError(
-                "ngram_jaccard packed-pair path requires doc ids in "
-                "[0, 2^31); re-key the corpus or shard the id space"
-            )
         order = np.lexsort((ids, sh))
         sh, ids, nsh = sh[order], ids[order], nsh[order]
         # duplicated doc_id guard: the explode is distinct per batch,
         # so an adjacent equal (hash, doc) row here means the same
-        # doc_id arrived in two input batches — the packed pair key
-        # and the ridden set size would both be wrong; fail loudly
-        # (identical-content duplicates share every shingle, so this
-        # fires on the first shared partition)
-        dup = (sh[1:] == sh[:-1]) & (ids[1:] == ids[:-1])
-        if dup.any():
-            bad = np.unique(ids[1:][dup])[:10]
-            raise ValueError(
-                f"ngram_jaccard_pairs: doc_id must be unique; duplicates: {bad.tolist()}"
-            )
+        # doc_id arrived in two input batches — the ridden set size
+        # would be wrong; fail loudly (identical-content duplicates
+        # share every shingle, so this fires on the first shared
+        # partition)
+        require_unique_ids(ids, "ngram_jaccard_pairs", within=sh)
         # drop the per-doc sentinel rows (nsh = −1) now that the
         # duplicate check has seen them — they never join a pair run
         real = nsh >= 0
         sh, ids, nsh = sh[real], ids[real], nsh[real]
-        packed_parts = []
-        sab_parts = []
+        a_parts, b_parts, sab_parts = [], [], []
         for s, g in iter_capped_runs(sh, shingle_df_cap, "ngram_jaccard"):
             gi = ids[s : s + g]
             gn = nsh[s : s + g]
             iu, ju = np.triu_indices(int(g), k=1)
-            packed_parts.append((gi[iu] << np.int64(32)) | gi[ju])
+            a_parts.append(gi[iu])
+            b_parts.append(gi[ju])
             sab_parts.append(gn[iu] + gn[ju])
-        if not packed_parts:
-            return pa.table(
-                {"pair": pa.array([], pa.int64()), "cnt": pa.array([], pa.int64()),
-                 "sab": pa.array([], pa.int64()), "_p2": pa.array([], pa.int64())}
-            )
-        allp = np.concatenate(packed_parts)
-        alls = np.concatenate(sab_parts)
-        pairs, first, cnt = np.unique(allp, return_index=True, return_counts=True)
-        sab = alls[first]  # constant per pair (sizes are per-doc constants)
-        # second-stage partition tag on the PAIR (fibonacci mix of the
-        # packed key) — the combine groups by P partition ids, not by
-        # 10^6+ individual pair keys
-        mix = (pairs.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
+        if not a_parts:
+            return count_schema.empty_table()
+        a, b = np.concatenate(a_parts), np.concatenate(b_parts)
+        order, starts = _pair_runs(a, b)
+        sel = order[starts]
         return pa.table(
             {
-                "pair": pa.array(pairs),
-                "cnt": pa.array(cnt.astype(np.int64)),
-                "sab": pa.array(sab),
-                "_p2": pa.array((mix % np.uint64(P)).astype(np.int64)),
+                "a": pa.array(a[sel]),
+                "b": pa.array(b[sel]),
+                "cnt": pa.array(np.diff(np.r_[starts, len(a)])),
+                # constant per pair (sizes are per-doc constants)
+                "sab": pa.array(np.concatenate(sab_parts)[sel]),
             }
         )
 
-    def combine_pairs(group: pa.Table) -> pa.Table:
-        pair = np.asarray(group["pair"].to_numpy(zero_copy_only=False), dtype=np.int64)
+    def score(group: pa.Table) -> pa.Table:
+        a = np.asarray(group["a"].to_numpy(zero_copy_only=False), dtype=np.int64)
+        b = np.asarray(group["b"].to_numpy(zero_copy_only=False), dtype=np.int64)
         cnt = np.asarray(group["cnt"].to_numpy(zero_copy_only=False), dtype=np.int64)
         sab = np.asarray(group["sab"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        uniq, first, inv = np.unique(pair, return_index=True, return_inverse=True)
-        common = np.bincount(inv, weights=cnt).astype(np.int64)
-        return pa.table(
-            {"pair": pa.array(uniq), "common": pa.array(common),
-             "sab": pa.array(sab[first])}
-        )
-
-    pair_counts = (
-        shingle_docs.groupby("_part")
-        .map_groups(part_pairs, batch_format="pyarrow")
-        .groupby("_p2")
-        .map_groups(combine_pairs, batch_format="pyarrow")
-    )
-
-    empty_out = pa.table(
-        {"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
-         "jaccard": pa.array([], pa.float64())}
-    )
-
-    def score(batch: pa.Table) -> pa.Table:
-        if not batch.num_columns or not batch.num_rows:
-            return empty_out
-        pair = np.asarray(batch["pair"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        a = pair >> np.int64(32)
-        b = pair & np.int64(0xFFFFFFFF)
-        common = np.asarray(batch["common"].to_numpy(zero_copy_only=False), dtype=np.float64)
-        sab = np.asarray(batch["sab"].to_numpy(zero_copy_only=False), dtype=np.float64)
-        union = sab - common
-        jacc = round6(common / np.maximum(union, 1.0))
+        order, starts = _pair_runs(a, b)
+        sel = order[starts]
+        common = np.add.reduceat(cnt[order], starts).astype(np.float64)
+        jacc = round6(common / np.maximum(sab[sel] - common, 1.0))
         keep = jacc >= threshold
         return pa.table(
-            {
-                "a": pa.array(a[keep]),
-                "b": pa.array(b[keep]),
-                "jaccard": pa.array(jacc[keep], pa.float64()),
-            }
+            {"a": pa.array(a[sel][keep]), "b": pa.array(b[sel][keep]), "jaccard": pa.array(jacc[keep])}
         )
 
-    return pair_counts.map_batches(score, batch_format="pyarrow")
+    shingle_docs = ds.map_batches(explode, batch_format="pyarrow")
+    pair_counts = partition_apply([(shingle_docs, "h", shingle_schema)], P, part_pairs, count_schema)
+    return partition_apply([(pair_counts, _pair_hash, count_schema)], P, score, out_schema)
 
 
 # --------------------------------------------------------------------------
@@ -940,8 +874,9 @@ def embedding_neardup_pairs(
     Default ``method="lsh"`` is the scale path: banded random-
     hyperplane LSH (``bands`` bands × ``planes_per_band`` planes,
     seeded, deterministic) — each vector lands in ``bands`` buckets,
-    pairs are scored exactly (cosine) ONLY within shared buckets via
-    ``groupby(bucket).map_groups``, then deduped across bands.  One
+    pairs are scored exactly (cosine) ONLY within shared buckets, one
+    ``common.partition_apply`` task per bucket hash partition, then
+    deduped across bands.  One
     shuffle of (bucket, id, vector) rows, bounded per-task memory,
     recall < 1 by construction (the SQL oracle mirrors the bucketing
     exactly, so the correctness gate is still exact).
@@ -977,10 +912,11 @@ def embedding_neardup_pairs(
             )
         return pa.concat_tables(tables)
 
-    from .common import default_partitions
-
     P = num_partitions or default_partitions()
     exploded = ds.map_batches(bucket_stage, batch_format="pyarrow")
+    schema = pa.schema(
+        [("key", pa.int64()), ("vid", pa.int64()), ("vec", pa.list_(pa.float64()))]
+    )
 
     def part_pairs(group: pa.Table) -> pa.Table:
         """All rows of one hash partition: per-bucket exact pairwise
@@ -989,12 +925,8 @@ def embedding_neardup_pairs(
         ids = np.asarray(group["vid"].to_numpy(zero_copy_only=False), dtype=np.int64)
         order = np.lexsort((ids, keys))
         keys, ids = keys[order], ids[order]
-        dupid = (keys[1:] == keys[:-1]) & (ids[1:] == ids[:-1])
-        if dupid.any():  # duplicated input id → silent (x, x) pair
-            bad = np.unique(ids[1:][dupid])[:5]
-            raise ValueError(
-                f"embedding_neardup_pairs: vec_id must be unique; duplicates: {bad.tolist()}"
-            )
+        # duplicated input id → silent (x, x) pair
+        require_unique_ids(ids, "embedding_neardup_pairs", within=keys, col=id_col)
         mat = _to_matrix(group, "vec")[order]
         out_a, out_b, out_c = [], [], []
         for s, g in iter_capped_runs(keys, max_bucket, "embedding_neardup"):
@@ -1040,7 +972,7 @@ def embedding_neardup_pairs(
         dim = 0
     row_bytes = (dim or 256) * 8 + 24
     return _pairs_pipeline(
-        exploded, "key", part_pairs, "cosine", pa.float64(), "max", P,
+        exploded, "key", part_pairs, "cosine", pa.float64(), "max", P, schema,
         small_rows_budget=min(200_000, (128 << 20) // row_bytes),
         # None = let _pairs_pipeline probe the exploded size with a
         # bounded limit(budget+1).count() — the probe stops upstream

@@ -11,7 +11,8 @@ Scale shape: split/sample are embarrassingly-parallel ``map_batches``
 filters (no shuffle at all).  ``pack_sequences`` needs ONE global
 prefix sum over per-doc token counts; that is done with the two-stage
 pattern (per-bucket partial sums → driver prefix over #buckets values
-→ broadcast offsets → per-bucket local cumsum in ``map_groups``), so
+→ broadcast offsets → local cumsum per bucket inside one
+``common.partition_apply`` task per hash partition of buckets), so
 driver state is #buckets integers, never the corpus.
 """
 
@@ -23,7 +24,7 @@ import ray
 import ray.data
 
 from ..tokenizer import flat_tokens
-from .common import md5_u64_batch
+from .common import default_partitions, md5_u64_batch, partition_apply, sorted_runs
 
 HASH_BUCKETS = 10_000  # split/sample granularity: 0.01%
 
@@ -105,25 +106,6 @@ def stratified_sample(
     return ds.map_batches(keep, batch_format="pyarrow")
 
 
-_OFFSETS_CACHE: dict = {}
-
-
-def _cached_offsets(ref):
-    """Worker-process cache for the broadcast bucket-offset dict: a
-    map_groups UDF runs once per GROUP, and ray.get-ing a ~1M-entry
-    dict per group is O(buckets²) deserialization — pin it per worker
-    instead (same rationale as the actor-pinned broadcast stages)."""
-    key = ref.hex() if hasattr(ref, "hex") else id(ref)
-    hit = _OFFSETS_CACHE.get(key)
-    if hit is None:
-        # bounded FIFO of 2: clear-all would thrash when two concurrent
-        # pack_sequences ops interleave groups on one worker
-        while len(_OFFSETS_CACHE) >= 2:
-            _OFFSETS_CACHE.pop(next(iter(_OFFSETS_CACHE)))
-        hit = _OFFSETS_CACHE[key] = ray.get(ref)
-    return hit
-
-
 def pack_sequences(
     ds: ray.data.Dataset,
     *,
@@ -152,6 +134,8 @@ def pack_sequences(
     """
     if seq_len <= 0:
         raise ValueError("seq_len must be positive")
+
+    sized_schema = pa.schema([("doc_id", pa.int64()), ("n_tok", pa.int64())])
 
     def count_tokens(batch: pa.Table) -> pa.Table:
         _, _, counts = flat_tokens(batch[text_col])
@@ -194,33 +178,25 @@ def pack_sequences(
             acc_s = np.bincount(inv, weights=acc_s).astype(np.int64)
     bucket_size <<= shift
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch["doc_id"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        return batch.append_column("_bucket", pa.array(ids // bucket_size))
+    # exclusive prefix sum over the (sorted) bucket totals: the global
+    # tape offset of each bucket's first token
+    offsets_ref = ray.put((acc_b, np.cumsum(acc_s) - acc_s))
 
-    counted = sized.map_batches(add_bucket, batch_format="pyarrow")
-
-    # exclusive prefix sum over the (sorted) bucket totals
-    starts = np.concatenate([[0], np.cumsum(acc_s)[:-1]]) if len(acc_s) else acc_s
-    offsets = {int(b): int(o) for b, o in zip(acc_b, starts)}
-    offsets_ref = ray.put(offsets)
-
-    # stage 2: per-bucket local cumsum + span explode (vectorized)
-    empty_spans = pa.table(
-        {"doc_id": pa.array([], pa.int64()), "seq_id": pa.array([], pa.int64()),
-         "tok_lo": pa.array([], pa.int64()), "tok_hi": pa.array([], pa.int64())}
-    )
-
+    # stage 2: per-bucket local cumsum + span explode (vectorized), one
+    # task per hash partition of buckets
     def spans(group: pa.Table) -> pa.Table:
-        if not group.num_columns or not group.num_rows:
-            return empty_spans
-        offs = _cached_offsets(offsets_ref)
+        buckets, bucket_start = ray.get(offsets_ref)
         ids = np.asarray(group["doc_id"].to_numpy(zero_copy_only=False), dtype=np.int64)
         n = np.asarray(group["n_tok"].to_numpy(zero_copy_only=False), dtype=np.int64)
         order = np.argsort(ids, kind="stable")
         ids, n = ids[order], n[order]
-        base = int(offs[int(ids[0] // bucket_size)])
-        start = base + np.concatenate([[0], np.cumsum(n)[:-1]])  # global tape offset per doc
+        b = ids // bucket_size
+        # docs sorted by id are bucket-contiguous: the cumsum restarts
+        # at each bucket's first doc, on top of that bucket's offset
+        excl = np.cumsum(n) - n
+        first, counts = sorted_runs(b)
+        base = bucket_start[np.searchsorted(buckets, b[first])] - excl[first]
+        start = np.repeat(base, counts) + excl  # global tape offset per doc
         end = start + n
         first_seq = start // seq_len
         last_seq = (end - 1) // seq_len  # inclusive; only valid where n > 0
@@ -242,4 +218,11 @@ def pack_sequences(
             }
         )
 
-    return counted.groupby("_bucket").map_groups(spans, batch_format="pyarrow")
+    return partition_apply(
+        [(sized, lambda t: t["doc_id"].to_numpy(zero_copy_only=False) // bucket_size, sized_schema)],
+        default_partitions(),
+        spans,
+        pa.schema(
+            [("doc_id", pa.int64()), ("seq_id", pa.int64()), ("tok_lo", pa.int64()), ("tok_hi", pa.int64())]
+        ),
+    )

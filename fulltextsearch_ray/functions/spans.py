@@ -15,7 +15,7 @@ partial counts summed by one hash-partitioned Arrow reduce.
 Scale shape
 -----------
 * Pass 1 (count): per-batch window hashing + per-batch partial counts
-  (combiner) tagged ``h % K`` -> ONE range shuffle on that tag whose
+  (combiner) -> ONE range shuffle on ``h`` whose
   task sums its partition with one Arrow ``group_by`` and keeps the
   hashes reaching ``min_count`` (``common.partitioned_sum``) -> the
   duplicated-hash set.  Python work is O(partitions), not one Ray
@@ -24,9 +24,9 @@ Scale shape
 * Pass 2 (mark): below ``broadcast_budget`` duplicated hashes the set
   ships once via ``ray.put`` and every batch marks its windows with
   one ``searchsorted`` — no second shuffle.  Past the budget the mark
-  becomes a hash-partitioned semi-join (windows and dup-hashes tagged,
-  unioned, grouped by ``h % P``) followed by a doc-partitioned span
-  merge — neither side ever touches the driver.
+  becomes a hash-partitioned semi-join (one ``common.partition_apply``
+  of windows and dup-hashes on ``h``) followed by a doc-partitioned
+  span merge — neither side ever touches the driver.
 * ``cut_dup_spans`` below the budget is ONE fused map_batches pass
   (mark + window-coverage + Arrow list rebuild per batch — no span
   table, no shuffle; coverage by marked windows equals coverage by
@@ -54,7 +54,9 @@ from .common import (
     default_partitions,
     list_array_auto,
     md5_u64_batch,
+    partition_apply,
     partitioned_sum,
+    require_unique_ids,
     sum_partial,
 )
 
@@ -116,17 +118,6 @@ def grams_with_pos(
     return h, gparent, pos, counts
 
 
-def _require_unique_ids(ids: np.ndarray, where: str) -> None:
-    """Duplicate doc_ids merge two documents' window streams — the
-    mark sort then sees a POSITION RESET inside one 'doc' and emits
-    corrupt spans (end_tok < start_tok) or silently merged coverage.
-    Same contract as the index build and the dedup ops: fail loudly."""
-    if len(ids) > 1 and np.unique(ids).size != len(ids):
-        u = np.sort(ids)
-        bad = np.unique(u[1:][u[1:] == u[:-1]])[:5]
-        raise ValueError(f"{where}: doc_id must be unique; duplicates: {bad.tolist()}")
-
-
 def _mark_against(dup_sorted: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Boolean mask of window hashes present in the SORTED duplicated-
     hash array — one searchsorted, no Python loop."""
@@ -163,7 +154,7 @@ def _dup_hash_dataset(
 ) -> ray.data.Dataset:
     """Single-column (``h: int64``) dataset of window hashes with
     corpus-wide occurrence count >= min_count.  Each batch counts its
-    distinct windows (combiner) and tags them ``_part = h % K``; one
+    distinct windows (combiner); one
     :func:`common.partitioned_sum` then sums the partial counts with one
     Arrow group_by per partition and keeps the duplicated hashes in the
     same task — no Ray reduce per distinct hash."""
@@ -177,7 +168,7 @@ def _dup_hash_dataset(
         return sums.filter(pc.greater_equal(sums["cnt"], min_count)).select(["h"])
 
     partials = ds.select_columns([text_col]).map_batches(partial, batch_format="pyarrow")
-    return partitioned_sum(partials, "h", "cnt", finish=keep)
+    return partitioned_sum(partials, _DUP_SCHEMA.field("h"), "cnt", finish=keep)
 
 
 def _dup_hash_ref(
@@ -216,7 +207,7 @@ def _make_mark_fn(dup_ref, gram_len: int, text_col: str, id_col: str):
     def mark(batch: pa.Table) -> pa.Table:
         dup = ray.get(dup_ref)
         ids = np.asarray(batch[id_col].to_numpy(zero_copy_only=False), dtype=np.int64)
-        _require_unique_ids(ids, "dup_spans")
+        require_unique_ids(ids, "dup_spans")
         h, gparent, pos, _ = grams_with_pos(batch[text_col], gram_len)
         marked = _mark_against(dup, h)
         if not marked.any():
@@ -241,7 +232,7 @@ def _make_cut_fn(dup_ref, gram_len: int, text_col: str, id_col: str):
         dup = ray.get(dup_ref)
         h, gparent, pos, toks, parent, counts = _grams_full(batch[text_col], gram_len)
         ids = np.asarray(batch[id_col].to_numpy(zero_copy_only=False), dtype=np.int64)
-        _require_unique_ids(ids, "cut_dup_spans")
+        require_unique_ids(ids, "cut_dup_spans")
         marked = _mark_against(dup, h)
         T = len(toks)
         starts = np.zeros(len(counts) + 1, dtype=np.int64)
@@ -298,6 +289,9 @@ def dup_spans(
     return _dup_spans_distributed(ds, dup, text_col, id_col, gram_len, num_partitions)
 
 
+_MARK_SCHEMA = pa.schema([("doc_id", pa.int64()), ("pos", pa.int64())])
+
+
 def _dup_spans_distributed(
     ds: ray.data.Dataset,
     dup: ray.data.Dataset,
@@ -309,77 +303,27 @@ def _dup_spans_distributed(
     # distributed mark: hash-partitioned semi-join of window occurrences
     # against the duplicated-hash set, then doc-partitioned span merge.
     P = num_partitions or default_partitions()
-    mark_schema = pa.schema(
-        [
-            ("h", pa.int64()),
-            ("doc_id", pa.int64()),
-            ("pos", pa.int64()),
-            ("_dup", pa.int64()),
-            ("_part", pa.int64()),
-        ]
-    )
+    win_schema = pa.schema([("h", pa.int64())] + list(_MARK_SCHEMA))
 
     def emit_windows(b: pa.Table) -> pa.Table:
         ids = np.asarray(b[id_col].to_numpy(zero_copy_only=False), dtype=np.int64)
-        _require_unique_ids(ids, "dup_spans")
+        require_unique_ids(ids, "dup_spans")
         h, gparent, pos, _ = grams_with_pos(b[text_col], gram_len)
         if not len(h):
-            return mark_schema.empty_table()
+            return win_schema.empty_table()
         return pa.table(
-            {
-                "h": pa.array(h, pa.int64()),
-                "doc_id": pa.array(ids[gparent]),
-                "pos": pa.array(pos),
-                "_dup": pa.nulls(len(h), pa.int64()),
-                "_part": pa.array(h % P),
-            }
+            {"h": pa.array(h, pa.int64()), "doc_id": pa.array(ids[gparent]), "pos": pa.array(pos)}
         )
 
-    def tag_dup(b: pa.Table) -> pa.Table:
-        if not b.num_rows:
-            return mark_schema.empty_table()
-        h = np.asarray(b["h"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        return pa.table(
-            {
-                "h": pa.array(h, pa.int64()),
-                "doc_id": pa.nulls(len(h), pa.int64()),
-                "pos": pa.nulls(len(h), pa.int64()),
-                "_dup": pa.array(np.ones(len(h), dtype=np.int64)),
-                "_part": pa.array(h % P),
-            }
-        )
-
-    unioned = (
-        ds.select_columns([id_col, text_col])
-        .map_batches(emit_windows, batch_format="pyarrow")
-        .union(dup.map_batches(tag_dup, batch_format="pyarrow"))
-    )
-
-    def semi(group: pa.Table) -> pa.Table:
-        if not group.num_rows:
-            return pa.schema(
-                [("doc_id", pa.int64()), ("pos", pa.int64()), ("_dpart", pa.int64())]
-            ).empty_table()
-        is_dup = np.asarray(pc.is_valid(group["_dup"]).to_numpy(zero_copy_only=False))
-        dup_set = np.unique(np.asarray(group["h"].to_numpy(zero_copy_only=False), dtype=np.int64)[is_dup])
-        wins = group.filter(pa.array(~is_dup))
+    def semi(wins: pa.Table, dups: pa.Table) -> pa.Table:
+        dup_set = np.unique(np.asarray(dups["h"].to_numpy(zero_copy_only=False), dtype=np.int64))
         wh = np.asarray(wins["h"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        keep = _mark_against(dup_set, wh)  # dup_set is sorted (np.unique)
-        docs = np.asarray(wins["doc_id"].to_numpy(zero_copy_only=False), dtype=np.int64)[keep]
-        pos = np.asarray(wins["pos"].to_numpy(zero_copy_only=False), dtype=np.int64)[keep]
-        return pa.table(
-            {
-                "doc_id": pa.array(docs),
-                "pos": pa.array(pos),
-                "_dpart": pa.array(docs % P),
-            }
-        )
+        return wins.filter(pa.array(_mark_against(dup_set, wh)))  # dup_set is sorted
 
-    marks = unioned.groupby("_part").map_groups(semi, batch_format="pyarrow")
+    windows = ds.select_columns([id_col, text_col]).map_batches(emit_windows, batch_format="pyarrow")
+    marks = partition_apply([(windows, "h", win_schema), (dup, "h", _DUP_SCHEMA)], P, semi, _MARK_SCHEMA)
 
     def merge_group(group: pa.Table) -> pa.Table:
-        if not group.num_rows:
-            return _SPANS_SCHEMA.empty_table()
         docs = np.asarray(group["doc_id"].to_numpy(zero_copy_only=False), dtype=np.int64)
         pos = np.asarray(group["pos"].to_numpy(zero_copy_only=False), dtype=np.int64)
         order = np.lexsort((pos, docs))
@@ -387,13 +331,10 @@ def _dup_spans_distributed(
         # identical-content duplicate docs across batches collide on
         # (doc, pos) here — the cross-batch half of the uniqueness
         # contract (the per-batch half is checked at emit_windows)
-        dup = (docs[1:] == docs[:-1]) & (pos[1:] == pos[:-1])
-        if dup.any():
-            bad = np.unique(docs[1:][dup])[:5]
-            raise ValueError(f"dup_spans: doc_id must be unique; duplicates: {bad.tolist()}")
+        require_unique_ids(docs, "dup_spans", within=pos)
         return spans_from_marks(docs, pos, gram_len)
 
-    return marks.groupby("_dpart").map_groups(merge_group, batch_format="pyarrow")
+    return partition_apply([(marks, "doc_id", _MARK_SCHEMA)], P, merge_group, _SPANS_SCHEMA)
 
 
 def cut_dup_spans(
@@ -432,63 +373,11 @@ def cut_dup_spans(
             batch_format="pyarrow",
         )
     spans = _dup_spans_distributed(ds, dup, text_col, id_col, gram_len, num_partitions)
-    P = num_partitions or default_partitions()
-    tag_schema = pa.schema(
-        [
-            ("doc_id", pa.int64()),
-            ("text", pa.string()),
-            ("start_tok", pa.int64()),
-            ("end_tok", pa.int64()),
-            ("_part", pa.int64()),
-        ]
-    )
+    doc_schema = pa.schema([(id_col, pa.int64()), (text_col, pa.string())])
 
-    def tag_docs(b: pa.Table) -> pa.Table:
-        if not b.num_rows:
-            return tag_schema.empty_table()
-        ids = np.asarray(b[id_col].to_numpy(zero_copy_only=False), dtype=np.int64)
-        return pa.table(
-            {
-                "doc_id": pa.array(ids),
-                # fill nulls: the rebuild routes rows by text validity
-                # (doc vs span), so a null-text DOCUMENT would land on
-                # the span side and crash the lookup — the broadcast
-                # path already treats null text as "" (flat_tokens)
-                "text": pc.fill_null(b[text_col], ""),
-                "start_tok": pa.nulls(b.num_rows, pa.int64()),
-                "end_tok": pa.nulls(b.num_rows, pa.int64()),
-                "_part": pa.array(ids % P),
-            }
-        )
-
-    def tag_spans(b: pa.Table) -> pa.Table:
-        if not b.num_rows:
-            return tag_schema.empty_table()
-        ids = np.asarray(b["doc_id"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        return pa.table(
-            {
-                "doc_id": pa.array(ids),
-                "text": pa.nulls(b.num_rows, pa.string()),
-                "start_tok": b["start_tok"],
-                "end_tok": b["end_tok"],
-                "_part": pa.array(ids % P),
-            }
-        )
-
-    unioned = (
-        ds.select_columns([id_col, text_col])
-        .map_batches(tag_docs, batch_format="pyarrow")
-        .union(spans.map_batches(tag_spans, batch_format="pyarrow"))
-    )
-
-    def rebuild(group: pa.Table) -> pa.Table:
-        if not group.num_rows:
-            return _CUT_SCHEMA.empty_table()
-        is_doc = np.asarray(pc.is_valid(group["text"]).to_numpy(zero_copy_only=False))
-        docs = group.filter(pa.array(is_doc))
-        spns = group.filter(pa.array(~is_doc))
-        ids = np.asarray(docs["doc_id"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        toks, parent, counts = flat_tokens(docs["text"])
+    def rebuild(docs: pa.Table, spns: pa.Table) -> pa.Table:
+        ids = np.asarray(docs[id_col].to_numpy(zero_copy_only=False), dtype=np.int64)
+        toks, parent, counts = flat_tokens(docs[text_col])
         T = len(toks)
         starts = np.zeros(len(counts) + 1, dtype=np.int64)
         np.cumsum(counts, out=starts[1:])
@@ -509,11 +398,7 @@ def cut_dup_spans(
             hit = np.searchsorted(id_sorted, sid)
             if len(id_sorted) == 0:
                 raise ValueError("cut_dup_spans: partition has spans but no docs")
-            if (id_sorted[1:] == id_sorted[:-1]).any():
-                d = id_sorted[1:][id_sorted[1:] == id_sorted[:-1]][:5]
-                raise ValueError(
-                    f"cut_dup_spans: doc_id must be unique; duplicates: {d.tolist()}"
-                )
+            require_unique_ids(id_sorted, "cut_dup_spans")
             hit = np.minimum(hit, len(id_sorted) - 1)
             if not (id_sorted[hit] == sid).all():
                 missing = sid[id_sorted[hit] != sid][:5]
@@ -542,4 +427,12 @@ def cut_dup_spans(
             }
         )
 
-    return unioned.groupby("_part").map_groups(rebuild, batch_format="pyarrow")
+    return partition_apply(
+        [
+            (ds.select_columns([id_col, text_col]), id_col, doc_schema),
+            (spans, "doc_id", _SPANS_SCHEMA),
+        ],
+        num_partitions or default_partitions(),
+        rebuild,
+        _CUT_SCHEMA,
+    )

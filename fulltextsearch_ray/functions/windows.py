@@ -195,17 +195,34 @@ def session_window_agg(
     the time since the user's previous event exceeds ``gap_minutes``.
     Emits (user_id, session_start, n_events, sum_value).
 
-    Users are HASH-PARTITIONED (user % P) so the groupby schedules P
-    tasks, not one per user; inside a partition, session boundaries are
+    Users are HASH-PARTITIONED (``common.partition_apply`` on the user)
+    into P tasks, not one per user; inside a partition, session boundaries are
     one vectorized lexsort + diff over all its users at once.  The
     partitioning assumption: one user's events fit one task (same
     bound as any per-key session semantics)."""
-    from .common import default_partitions
+    from .common import default_partitions, partition_apply
 
     P = num_partitions or default_partitions()
     gap_us = gap_minutes * 60 * 1_000_000
+    # preserve the input's timezone on session_start (tumbling/hopping
+    # keep it via floor_temporal; a bare timestamp("us") cast silently
+    # dropped it and shifted rendered sessions to UTC wall time)
+    try:
+        in_type = ds.schema(fetch_if_missing=True).base_schema.field(ts_col).type
+        out_ts = pa.timestamp("us", getattr(in_type, "tz", None))
+    except Exception:
+        out_ts = pa.timestamp("us")
+    event_schema = pa.schema([("u", pa.int64()), ("t", pa.int64()), ("_cents", pa.int64())])
+    session_schema = pa.schema(
+        [
+            ("user_id", pa.int64()),
+            ("session_start", out_ts),
+            ("n_events", pa.int64()),
+            ("sum_value", pa.float64()),
+        ]
+    )
 
-    def tag(batch: pa.Table) -> pa.Table:
+    def events(batch: pa.Table) -> pa.Table:
         batch = _drop_null_ts(batch, ts_col)
         us, _ts_type = _ts_us(batch[ts_col])
         users = np.asarray(batch[user_col].to_numpy(zero_copy_only=False), dtype=np.int64)
@@ -214,18 +231,10 @@ def session_window_agg(
                 "u": pa.array(users),
                 "t": pa.array(us),
                 "_cents": _to_cents(batch[value_col]),  # Arrow: keeps nulls
-                "_part": pa.array(users % P),
             }
         )
 
     def sessions(group: pa.Table) -> pa.Table:
-        if not group.num_columns or not group.num_rows:
-            return pa.table(
-                {"user_id": pa.array([], pa.int64()),
-                 "session_start": pa.array([], pa.int64()),
-                 "n_events": pa.array([], pa.int64()),
-                 "sum_value": pa.array([], pa.float64())}
-            )
         u = np.asarray(group["u"].to_numpy(zero_copy_only=False), dtype=np.int64)
         t = np.asarray(group["t"].to_numpy(zero_copy_only=False), dtype=np.int64)
         c_arr = group["_cents"]
@@ -239,45 +248,24 @@ def session_window_agg(
         u, t, c, cv = u[order], t[order], c[order], cv[order]
         n = len(u)
         new_sess = np.empty(n, dtype=bool)
-        if n:
-            new_sess[0] = True
-            new_sess[1:] = (u[1:] != u[:-1]) | ((t[1:] - t[:-1]) > gap_us)
+        new_sess[0] = True
+        new_sess[1:] = (u[1:] != u[:-1]) | ((t[1:] - t[:-1]) > gap_us)
         starts = np.flatnonzero(new_sess)
         counts = np.diff(np.r_[starts, n])
-        sums = np.add.reduceat(c, starts) if n else np.empty(0, dtype=np.int64)
-        nn = np.add.reduceat(cv.astype(np.int64), starts) if n else np.empty(0, dtype=np.int64)
+        sums = np.add.reduceat(c, starts)
+        nn = np.add.reduceat(cv.astype(np.int64), starts)
         return pa.table(
             {
                 "user_id": pa.array(u[starts]),
-                "session_start": pa.array(t[starts]),
+                "session_start": pa.array(t[starts]).cast(out_ts),
                 "n_events": pa.array(counts.astype(np.int64)),
                 "sum_value": pa.array(sums / 100.0, mask=(nn == 0), type=pa.float64()),
             }
         )
 
-    out = (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(sessions, batch_format="pyarrow")
+    return partition_apply(
+        [(ds.map_batches(events, batch_format="pyarrow"), "u", event_schema)],
+        P,
+        sessions,
+        session_schema,
     )
-
-    # preserve the input's timezone on session_start (tumbling/hopping
-    # keep it via floor_temporal; a bare timestamp("us") cast silently
-    # dropped it and shifted rendered sessions to UTC wall time)
-    try:
-        in_type = ds.schema(fetch_if_missing=True).base_schema.field(ts_col).type
-        out_ts = pa.timestamp("us", getattr(in_type, "tz", None))
-    except Exception:
-        out_ts = pa.timestamp("us")
-
-    def cast_ts(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "user_id": batch["user_id"],
-                "session_start": batch["session_start"].cast(out_ts),
-                "n_events": batch["n_events"],
-                "sum_value": batch["sum_value"],
-            }
-        )
-
-    return out.map_batches(cast_ts, batch_format="pyarrow")

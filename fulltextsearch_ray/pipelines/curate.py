@@ -4,19 +4,20 @@ all streaming, producing the curated document set.
 
     documents ──► fused feature pass (ONE tokenize: lang, quality,
                   token counts) ──► filter (quality ≥ τ, lang ∈ L)
-              ──► exact dedup (md5 groupby, keep lowest id)
+              ──► exact dedup (md5 partitions, keep lowest id)
               ──► SimHash near-dedup (bit-band LSH pairs, drop the
                   higher id of every pair — one shot against the
                   post-exact set, deterministic)
               ──► curated (doc_id, pred_lang, n_tokens, quality)
 
-Scale shape: one feature pass over the text; the only text-bearing
-shuffle is the SimHash band explode of the already-filtered survivors;
-id-set subtraction is a hash-partitioned co-group (never a driver-side
-set).  The filtered set and the exact-dedup survivors are checkpointed
-in the (spillable) object store because each feeds two downstream
-consumers — re-running the tokenize+score pass per consumer costs more
-than spill at every scale; nothing is ever pulled to the driver.
+Scale shape: one feature pass over the text; exact dedup is one
+hash-partitioned shuffle of the filtered rows on md5(text); the pair
+drop is a hash-partitioned co-group of the survivors and the SimHash
+pairs that also projects the output columns (never a driver-side set).
+The filtered set and the exact-dedup survivors are checkpointed in the
+(spillable) object store because they feed two downstream consumers —
+re-running the tokenize+score pass per consumer costs more than spill
+at every scale; nothing is ever pulled to the driver.
 Every stage reuses the individually oracle-checked operators,
 and the composition itself is SQL-oracle-checked end-to-end
 (driver query ``curate_corpus``).
@@ -66,6 +67,16 @@ def curate_features_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
     )
 
 
+_CURATED_SCHEMA = pa.schema(
+    [
+        ("doc_id", pa.int64()),
+        ("pred_lang", pa.string()),
+        ("n_tokens", pa.int64()),
+        ("quality", pa.float64()),
+    ]
+)
+
+
 def curate_corpus(
     ds: ray.data.Dataset,
     *,
@@ -83,7 +94,7 @@ def curate_corpus(
     (keep lowest id per identical text) and SimHash near-dedup (drop
     the higher id of every Hamming-≤k pair, computed ONCE against the
     post-exact-dedup set)."""
-    from ..functions.common import default_partitions, subtract_ids
+    from ..functions.common import default_partitions, md5_u64_batch, partition_apply, sorted_runs
     from ..functions.dedup import simhash_neardup_pairs
 
     P = num_partitions or default_partitions()
@@ -98,71 +109,57 @@ def curate_corpus(
             keep = pc.and_(keep, pc.is_in(f["pred_lang"], value_set=lang_set))
         return f.filter(keep)
 
-    # Materialize the feature pass once: it feeds BOTH the drop-set
-    # pipeline and the anti-join's data side — without this the full
-    # tokenize+score pass re-executes per consumer.
-    filtered = ds.map_batches(features_and_filter, batch_format="pyarrow").materialize()
+    # Materialize the feature pass once: its schema types the stages
+    # below, and without exact dedup it feeds both the pair stage and
+    # the final co-group — the tokenize+score pass must not re-execute
+    # per consumer.
+    survivors = ds.map_batches(features_and_filter, batch_format="pyarrow").materialize()
+    if survivors.schema() is None:  # no input rows at all
+        return ray.data.from_arrow(_CURATED_SCHEMA.empty_table())
+    features = survivors.schema().base_schema
 
-    survivors = filtered
     if exact_dedup:
-        # drops = filtered ids minus the per-hash keepers: co-group on
-        # the hash, emit every id except the minimum
-        def tag_pairs(b: pa.Table) -> pa.Table:
-            return pa.table({"h": md5_hex_batch(pc.fill_null(b[text_col], "")),
-                             "doc_id": b["doc_id"].cast(pa.int64())})
+        # co-locate identical texts by their hash; keep the lowest id
+        # of each (a NULL text dedups as '')
+        def texts(t: pa.Table) -> pa.Array:
+            return pc.fill_null(t[text_col], "")
 
-        hashed = survivors.map_batches(tag_pairs, batch_format="pyarrow")
-
-        def tag_part(b: pa.Table) -> pa.Table:
-            from ..functions.common import md5_u64_batch
-
-            hp = md5_u64_batch(b["h"].combine_chunks())
-            return b.append_column("_part", pa.array((hp % np.uint64(P)).astype(np.int64)))
-
-        def emit_drops(group: pa.Table) -> pa.Table:
-            from ..functions.common import sorted_runs
-
-            h = np.asarray(group["h"].to_pylist(), dtype=object)
-            ids = np.asarray(group["doc_id"].to_numpy(zero_copy_only=False), dtype=np.int64)
+        def keep_first(docs: pa.Table) -> pa.Table:
+            h = np.asarray(md5_hex_batch(texts(docs)).to_pylist(), dtype=object)
+            ids = np.asarray(docs["doc_id"].to_numpy(zero_copy_only=False), dtype=np.int64)
             order = np.lexsort((ids, h))
-            h, ids = h[order], ids[order]
-            starts, _counts = sorted_runs(h)
-            first = np.zeros(len(h), dtype=bool)
-            first[starts] = True
-            return pa.table({"drop_id": pa.array(ids[~first])})
+            starts, _counts = sorted_runs(h[order])
+            return docs.take(pa.array(order[starts]))
 
-        drops = (
-            hashed.map_batches(tag_part, batch_format="pyarrow")
-            .groupby("_part")
-            .map_groups(emit_drops, batch_format="pyarrow")
+        survivors = partition_apply(
+            [(survivors, lambda t: md5_u64_batch(texts(t)), features)],
+            P,
+            keep_first,
+            features if near_dedup else _CURATED_SCHEMA,
         )
-        # consumed twice below (near-dup pair generation + anti-join)
-        survivors = subtract_ids(survivors, drops, id_col="doc_id", num_partitions=P).materialize()
+        if not near_dedup:
+            return survivors
+        survivors = survivors.materialize()  # feeds the pair stage and the anti-join
 
-    if near_dedup:
-        pairs = simhash_neardup_pairs(
+    pair_b = pa.schema([("b", pa.int64())])
+    pairs = (
+        simhash_neardup_pairs(
             survivors, max_hamming=max_hamming, bands=bands, text_col=text_col,
             num_partitions=P,
         )
+        if near_dedup
+        else ray.data.from_arrow(pair_b.empty_table())
+    )
 
-        def pair_drops(b: pa.Table) -> pa.Table:
-            if not b.num_columns or not b.num_rows:
-                return pa.table({"drop_id": pa.array([], pa.int64())})
-            return pa.table({"drop_id": b["b"].cast(pa.int64())})
+    def drop_pairs(docs: pa.Table, pairs: pa.Table) -> pa.Table:
+        # drop the higher id of every pair
+        ids = np.asarray(docs["doc_id"].to_numpy(zero_copy_only=False), dtype=np.int64)
+        gone = np.asarray(pairs["b"].to_numpy(zero_copy_only=False), dtype=np.int64)
+        return docs.filter(pa.array(~np.isin(ids, gone)))
 
-        survivors = subtract_ids(
-            survivors, pairs.map_batches(pair_drops, batch_format="pyarrow"),
-            id_col="doc_id", num_partitions=P,
-        )
-
-    def project(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": b["doc_id"],
-                "pred_lang": b["pred_lang"],
-                "n_tokens": b["n_tokens"],
-                "quality": b["quality"],
-            }
-        )
-
-    return survivors.map_batches(project, batch_format="pyarrow")
+    # the last stage also projects: its data side reads only the output
+    # columns (a map after it would pass an empty partition's 0-row
+    # block through with the full feature schema)
+    return partition_apply(
+        [(survivors, "doc_id", _CURATED_SCHEMA), (pairs, "b", pair_b)], P, drop_pairs, _CURATED_SCHEMA
+    )

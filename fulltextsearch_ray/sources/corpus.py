@@ -27,6 +27,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from ..functions.common import partition_apply
+
 KEY_SEP = "\x00\x01"
 _NUL_ESCAPE = "\x00￿"
 
@@ -95,9 +97,9 @@ def assign_doc_ids(
     """Add a ``doc_id`` column = start_id + global rank of (id_cols).
 
     Requires keys to be unique (they identify documents).  Two passes
-    over the data, one small driver-side prefix sum, one groupby-range
-    shuffle — the retry-safe re-expression of the reference's
-    "enumeration order defines ids" contract.
+    over the data, one small driver-side prefix sum, one range-partitioned
+    shuffle (``common.partition_apply``) — the retry-safe re-expression
+    of the reference's "enumeration order defines ids" contract.
     """
     if num_ranges is None:
         try:
@@ -137,7 +139,8 @@ def assign_doc_ids(
         offsets[rid + 1] = offsets[rid] + counts.get(rid, 0)
     offsets_ref = ray.put(offsets)
 
-    # pass 2: local rank within range + broadcast offset
+    # pass 2: local rank within range + broadcast offset; one
+    # partition per range (the range id is its own partition)
     def rank_group(group: pa.Table) -> pa.Table:
         offs = ray.get(offsets_ref)
         rid = int(group["_range"][0].as_py())
@@ -162,7 +165,15 @@ def assign_doc_ids(
         out = group.append_column("doc_id", pa.array(doc_id, type=pa.uint64()))
         return out.drop_columns(["_key", "_range"])
 
-    return with_range.groupby("_range").map_groups(rank_group, batch_format="pyarrow")
+    sch = with_range.schema()
+    if sch is None:  # no input rows: nothing to rank
+        return with_range
+    base = [f for f in sch.base_schema if f.name not in ("_key", "_range")]
+    in_schema = pa.schema(base + [("_key", pa.string()), ("_range", pa.int64())])
+    out_schema = pa.schema(base + [("doc_id", pa.uint64())])
+    return partition_apply(
+        [(with_range, "_range", in_schema)], len(boundaries) + 1, rank_group, out_schema
+    )
 
 
 def corpus_file_items(path: str, start_id: int = 1) -> "tuple[ray.data.Dataset, int]":

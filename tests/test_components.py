@@ -85,3 +85,16 @@ def test_random_graph_matches_reference(ray_session):
         for x in (a, b):
             expect[x] = find(x)
     assert got == expect
+
+
+def test_connected_components_rejects_null_ids(ray_session):
+    """A null pair endpoint round-trips NaN -> INT64_MIN and becomes a
+    phantom node bridging unrelated components (canonical_docs then
+    kills every member) — must fail loudly at the boundary."""
+    from fulltextsearch_ray.functions.components import connected_components
+
+    pairs = ray.data.from_arrow(
+        pa.table({"a": pa.array([1, None], pa.int64()), "b": pa.array([2, 3], pa.int64())})
+    )
+    with pytest.raises(Exception, match="null ids"):
+        connected_components(pairs).take_all()

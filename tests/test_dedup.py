@@ -236,3 +236,197 @@ def test_simhash_neardup_skips_tokenless_docs(ray_session):
     pairs = set(zip(out.a.tolist(), out.b.tolist()))
     assert (4, 5) in pairs  # the genuine duplicate pair survives
     assert all(a not in (1, 2, 3) and b not in (1, 2, 3) for a, b in pairs), pairs
+
+
+def test_ngram_jaccard_hash_first_matches_bruteforce(ray_session):
+    import itertools
+
+    import ray.data
+
+    from fulltextsearch_ray.functions.dedup import ngram_jaccard_pairs
+
+    texts = [
+        "a b c d e f g",
+        "a b c d e f h",
+        "x y z w q r s",
+        "a b c x y z w",
+    ]
+    ds = ray.data.from_arrow(
+        pa.table(
+            {
+                "doc_id": pa.array(range(len(texts)), pa.int64()),
+                "text": pa.array(texts, pa.string()),
+            }
+        )
+    )
+    got = {
+        (r["a"], r["b"]): r["jaccard"]
+        for r in ngram_jaccard_pairs(ds, n=3, threshold=0.01).take_all()
+    }
+
+    def sh(t):
+        w = t.split()
+        return {" ".join(w[i : i + 3]) for i in range(len(w) - 2)}
+
+    expect = {}
+    for i, j in itertools.combinations(range(len(texts)), 2):
+        a, b = sh(texts[i]), sh(texts[j])
+        jac = len(a & b) / len(a | b)
+        if jac >= 0.01:
+            expect[(i, j)] = round(jac, 6)
+    assert got == expect
+
+
+def test_pairs_pipeline_unknown_hint_matches_known(ray_session):
+    """rows_hint=None (unknown exploded size) must route through the
+    bounded limit(budget+1).count() probe and produce the same pairs
+    as an exact hint in BOTH budget regimes (the old probe pinned the
+    whole exploded dataset via materialize() just to count it)."""
+    import pandas as pd
+
+    from fulltextsearch_ray.functions.dedup import _pairs_pipeline
+
+    # exploded (key, id) rows: key buckets {1: [1,2,3], 2: [3,4]}
+    tbl = pa.table({
+        "key": pa.array([1, 1, 1, 2, 2], pa.uint64()),
+        "id": pa.array([1, 2, 3, 3, 4], pa.int64()),
+    })
+
+    def part_pairs(g: pa.Table) -> pa.Table:
+        out_a, out_b = [], []
+        df = g.to_pandas()
+        for _, grp in df.groupby("key"):
+            ids = sorted(grp["id"].tolist())
+            for i in range(len(ids)):
+                for j in range(i + 1, len(ids)):
+                    out_a.append(ids[i])
+                    out_b.append(ids[j])
+        return pa.table({"a": pa.array(out_a, pa.int64()),
+                         "b": pa.array(out_b, pa.int64()),
+                         "v": pa.array([1.0] * len(out_a), pa.float64())})
+
+    def run(budget, hint):
+        ds = ray.data.from_arrow(tbl)
+        out = _pairs_pipeline(ds, "key", part_pairs, "v", pa.float64(),
+                              "max", P=4, schema=tbl.schema,
+                              small_rows_budget=budget, rows_hint=hint)
+        return (out.to_pandas().sort_values(["a", "b"])
+                .reset_index(drop=True)[["a", "b"]])
+
+    want = pd.DataFrame({"a": [1, 1, 2, 3], "b": [2, 3, 3, 4]})
+    for budget in (0, 10**6):
+        for hint in (None, 5):
+            got = run(budget, hint)
+            assert got.equals(want), (budget, hint, got)
+
+
+def test_ngram_jaccard_duplicate_doc_id_raises(ray_session):
+    """The ridden set size (and the packed pair key) requires unique
+    doc ids; a duplicated id must fail loudly, not mis-score."""
+    import ray.data
+
+    from fulltextsearch_ray.functions.dedup import ngram_jaccard_pairs
+
+    tbl = pa.table({
+        "doc_id": pa.array([1, 2, 2], pa.int64()),
+        "text": pa.array(["aa bb cc dd ee", "aa bb cc dd ff", "aa bb cc dd ff gg"]),
+    })
+    with pytest.raises((ValueError, Exception), match="unique"):
+        ngram_jaccard_pairs(ray.data.from_arrow(tbl), n=3, threshold=0.01).take_all()
+    # cross-BATCH duplicate (two blocks): caught in the pair stage
+    t1 = pa.table({"doc_id": pa.array([1, 2], pa.int64()),
+                   "text": pa.array(["aa bb cc dd ee", "aa bb cc dd ff"])})
+    t2 = pa.table({"doc_id": pa.array([2], pa.int64()),
+                   "text": pa.array(["aa bb cc dd ff gg"])})
+    ds2 = ray.data.from_arrow(t1).union(ray.data.from_arrow(t2))
+    with pytest.raises((ValueError, Exception), match="unique"):
+        ngram_jaccard_pairs(ds2, n=3, threshold=0.01).take_all()
+
+
+def test_ngram_jaccard_cross_batch_duplicate_disjoint_shingles(ray_session):
+    """A doc_id duplicated across INPUT BATCHES whose two texts share
+    no word n-gram must still fail loudly: the within-batch uniqueness
+    check cannot see it and the two copies' shingle rows never share a
+    hash, so only the per-doc sentinel rows (same hash, same doc, same
+    partition) can trip the pair stage's duplicate guard."""
+    n_filler = 9000  # > any default map_batches batch_size: the two
+    # copies of doc 7 are guaranteed to arrive in different batches
+    ids = [7] + list(range(10, 10 + n_filler)) + [7]
+    texts = (
+        ["alpha beta gamma delta"]
+        + [f"filler{i} word{i} token{i} item{i}" for i in range(n_filler)]
+        + ["iota kappa lambda mu"]  # disjoint shingles from copy 1
+    )
+    ds = ray.data.from_arrow(
+        pa.table({"doc_id": pa.array(ids, pa.int64()), "text": pa.array(texts, pa.string())})
+    )
+    with pytest.raises(Exception, match="must be unique"):
+        ngram_jaccard_pairs(ds, n=3, threshold=0.1).take_all()
+
+
+def test_ngram_jaccard_sentinels_do_not_change_results(ray_session):
+    """The sentinel rows are bookkeeping only — pair output on a valid
+    corpus is unchanged (exact values, no spurious pairs)."""
+    ds = ray.data.from_arrow(
+        pa.table(
+            {
+                "doc_id": pa.array([1, 2, 3], pa.int64()),
+                "text": pa.array(
+                    [
+                        "one two three four five six",
+                        "one two three four five six",
+                        "totally different words here now",
+                    ],
+                    pa.string(),
+                ),
+            }
+        )
+    )
+    rows = ngram_jaccard_pairs(ds, n=3, threshold=0.2).take_all()
+    got = {(r["a"], r["b"]): r["jaccard"] for r in rows}
+    assert got == {(1, 2): 1.0}
+
+
+def test_ngram_jaccard_randomized_brute_force_parity(ray_session):
+    """Pipeline output == O(n²) set-based Jaccard on a random corpus:
+    validates the hash-partitioned pair machinery (incl. the
+    ridden set sizes and sentinel rows) against first principles."""
+    rng = np.random.default_rng(42)
+    vocab = np.array([f"w{i}" for i in range(12)])
+    n_docs, n = 40, 3
+    texts = [" ".join(rng.choice(vocab, size=int(rng.integers(2, 20)))) for _ in range(n_docs)]
+    # a few near-copies so high-jaccard pairs exist
+    texts[5] = texts[4] + " extra"
+    texts[9] = texts[8]
+
+    def shingles(t):
+        toks = t.split()  # vocab is lowercase alnum: engine tokenizer == split
+        if 0 < len(toks) < n:
+            return {" ".join(toks)}
+        return {" ".join(toks[j : j + n]) for j in range(len(toks) - n + 1)}
+
+    ss = [shingles(t) for t in texts]
+    thresh = 0.2
+    exp = {}
+    for a in range(n_docs):
+        for b in range(a + 1, n_docs):
+            inter = len(ss[a] & ss[b])
+            if inter:
+                j = inter / len(ss[a] | ss[b])
+                if j >= thresh:
+                    exp[(a, b)] = j
+    assert len(exp) >= 2  # the corpus actually exercises the pair path
+
+    # ids past 2^31 (and past 2^32) travel as two int64 pair columns:
+    # no packed-key ceiling, no id-range error
+    for base in (0, 2**31 - 20, 2**33):
+        ds = ray.data.from_arrow(
+            pa.table({"doc_id": pa.array(range(base, base + n_docs), pa.int64()),
+                      "text": pa.array(texts, pa.string())})
+        )
+        rows = ngram_jaccard_pairs(ds, n=n, threshold=thresh, shingle_df_cap=10**6).take_all()
+        got = {(r["a"] - base, r["b"] - base): r["jaccard"] for r in rows}
+        assert set(got) == set(exp), base
+        for k, v in exp.items():
+            # pipeline rounds to 6 decimals (oracle hash convention)
+            assert abs(got[k] - round(v, 6)) < 1e-9

@@ -1,5 +1,5 @@
 """Round-5 fixes: manifest-cached footer stats, auto-FST lazy EDIT,
-tree-reduced top_terms, hash-first ngram pairs, kvstore crash ordering,
+tree-reduced top_terms, kvstore crash ordering,
 FST-store advice items, topk pair dedup."""
 
 from __future__ import annotations
@@ -385,48 +385,6 @@ def test_topk_dedup_keeps_one_slot_for_ulp_duplicates():
     assert on.tolist() == [1, 2]  # neighbor 1 once (max score), not twice
     assert os_[0] == np.nextafter(0.9, 1.0)
     assert rank.tolist() == [0, 1]
-
-
-# -- ngram_jaccard: hash-first pair stage unchanged results -------------------
-
-
-def test_ngram_jaccard_hash_first_matches_bruteforce(ray_session):
-    import itertools
-
-    import ray.data
-
-    from fulltextsearch_ray.functions.dedup import ngram_jaccard_pairs
-
-    texts = [
-        "a b c d e f g",
-        "a b c d e f h",
-        "x y z w q r s",
-        "a b c x y z w",
-    ]
-    ds = ray.data.from_arrow(
-        pa.table(
-            {
-                "doc_id": pa.array(range(len(texts)), pa.int64()),
-                "text": pa.array(texts, pa.string()),
-            }
-        )
-    )
-    got = {
-        (r["a"], r["b"]): r["jaccard"]
-        for r in ngram_jaccard_pairs(ds, n=3, threshold=0.01).take_all()
-    }
-
-    def sh(t):
-        w = t.split()
-        return {" ".join(w[i : i + 3]) for i in range(len(w) - 2)}
-
-    expect = {}
-    for i, j in itertools.combinations(range(len(texts)), 2):
-        a, b = sh(texts[i]), sh(texts[j])
-        jac = len(a & b) / len(a | b)
-        if jac >= 0.01:
-            expect[(i, j)] = round(jac, 6)
-    assert got == expect
 
 
 # -- fifth review-pass fixes -------------------------------------------------

@@ -1,5 +1,5 @@
 """Round-5 session-4 review-fix regressions: catalog MemoryError
-fallback, list-offset overflow fallback, unknown-size pair probe."""
+fallback, list-offset overflow fallback."""
 
 import numpy as np
 import pyarrow as pa
@@ -20,49 +20,6 @@ def test_vec_list_array_large_offsets_fallback(monkeypatch):
     big = common.vec_list_array(m)
     assert big.type == pa.large_list(pa.float64())
     assert big.to_pylist() == small.to_pylist() == m.tolist()
-
-
-def test_pairs_pipeline_unknown_hint_matches_known(ray_session):
-    """rows_hint=None (unknown exploded size) must route through the
-    bounded limit(budget+1).count() probe and produce the same pairs
-    as an exact hint in BOTH budget regimes (the old probe pinned the
-    whole exploded dataset via materialize() just to count it)."""
-    import pandas as pd
-
-    from fulltextsearch_ray.functions.dedup import _pairs_pipeline
-
-    # exploded (key, id) rows: key buckets {1: [1,2,3], 2: [3,4]}
-    tbl = pa.table({
-        "key": pa.array([1, 1, 1, 2, 2], pa.uint64()),
-        "id": pa.array([1, 2, 3, 3, 4], pa.int64()),
-    })
-
-    def part_pairs(g: pa.Table) -> pa.Table:
-        out_a, out_b = [], []
-        df = g.to_pandas()
-        for _, grp in df.groupby("key"):
-            ids = sorted(grp["id"].tolist())
-            for i in range(len(ids)):
-                for j in range(i + 1, len(ids)):
-                    out_a.append(ids[i])
-                    out_b.append(ids[j])
-        return pa.table({"a": pa.array(out_a, pa.int64()),
-                         "b": pa.array(out_b, pa.int64()),
-                         "v": pa.array([1.0] * len(out_a), pa.float64())})
-
-    def run(budget, hint):
-        ds = ray.data.from_arrow(tbl)
-        out = _pairs_pipeline(ds, "key", part_pairs, "v", pa.float64(),
-                              "max", P=4, small_rows_budget=budget,
-                              rows_hint=hint)
-        return (out.to_pandas().sort_values(["a", "b"])
-                .reset_index(drop=True)[["a", "b"]])
-
-    want = pd.DataFrame({"a": [1, 1, 2, 3], "b": [2, 3, 3, 4]})
-    for budget in (0, 10**6):
-        for hint in (None, 5):
-            got = run(budget, hint)
-            assert got.equals(want), (budget, hint, got)
 
 
 def test_build_catalog_memoryerror_falls_back_to_ray(ray_session, tmp_path, monkeypatch):
@@ -322,29 +279,6 @@ def test_list_array_auto_large_offsets(monkeypatch):
     assert big.type == pa.large_list(pa.string())
     assert pcc.binary_join(big, " ").to_pylist() == ["a b", "c"]
     assert pcc.binary_join(big, " ").type == pa.string()
-
-
-def test_ngram_jaccard_duplicate_doc_id_raises(ray_session):
-    """The ridden set size (and the packed pair key) requires unique
-    doc ids; a duplicated id must fail loudly, not mis-score."""
-    import ray.data
-
-    from fulltextsearch_ray.functions.dedup import ngram_jaccard_pairs
-
-    tbl = pa.table({
-        "doc_id": pa.array([1, 2, 2], pa.int64()),
-        "text": pa.array(["aa bb cc dd ee", "aa bb cc dd ff", "aa bb cc dd ff gg"]),
-    })
-    with pytest.raises((ValueError, Exception), match="unique"):
-        ngram_jaccard_pairs(ray.data.from_arrow(tbl), n=3, threshold=0.01).take_all()
-    # cross-BATCH duplicate (two blocks): caught in the pair stage
-    t1 = pa.table({"doc_id": pa.array([1, 2], pa.int64()),
-                   "text": pa.array(["aa bb cc dd ee", "aa bb cc dd ff"])})
-    t2 = pa.table({"doc_id": pa.array([2], pa.int64()),
-                   "text": pa.array(["aa bb cc dd ff gg"])})
-    ds2 = ray.data.from_arrow(t1).union(ray.data.from_arrow(t2))
-    with pytest.raises((ValueError, Exception), match="unique"):
-        ngram_jaccard_pairs(ds2, n=3, threshold=0.01).take_all()
 
 
 def test_sampled_ivf_budget_enforced_in_combiner(ray_session):

@@ -1,5 +1,4 @@
-"""Session-5 regression tests: cross-batch duplicate doc_id detection
-in ngram_jaccard (sentinel rows), per-file fetch-manifest persistence,
+"""Session-5 regression tests: per-file fetch-manifest persistence
 and legacy num_fields recovery during compaction."""
 
 import json
@@ -10,53 +9,8 @@ import pyarrow as pa
 import pytest
 import ray.data
 
-from fulltextsearch_ray.functions.dedup import ngram_jaccard_pairs
 from fulltextsearch_ray.pipelines.build import build_index, compact_index
 from fulltextsearch_ray.sources.enwiki import fetch_to_dir
-
-
-def test_ngram_jaccard_cross_batch_duplicate_disjoint_shingles(ray_session):
-    """A doc_id duplicated across INPUT BATCHES whose two texts share
-    no word n-gram must still fail loudly: the within-batch uniqueness
-    check cannot see it and the two copies' shingle rows never share a
-    hash, so only the per-doc sentinel rows (same hash, same doc, same
-    partition) can trip the pair stage's duplicate guard."""
-    n_filler = 9000  # > any default map_batches batch_size: the two
-    # copies of doc 7 are guaranteed to arrive in different batches
-    ids = [7] + list(range(10, 10 + n_filler)) + [7]
-    texts = (
-        ["alpha beta gamma delta"]
-        + [f"filler{i} word{i} token{i} item{i}" for i in range(n_filler)]
-        + ["iota kappa lambda mu"]  # disjoint shingles from copy 1
-    )
-    ds = ray.data.from_arrow(
-        pa.table({"doc_id": pa.array(ids, pa.int64()), "text": pa.array(texts, pa.string())})
-    )
-    with pytest.raises(Exception, match="must be unique"):
-        ngram_jaccard_pairs(ds, n=3, threshold=0.1).take_all()
-
-
-def test_ngram_jaccard_sentinels_do_not_change_results(ray_session):
-    """The sentinel rows are bookkeeping only — pair output on a valid
-    corpus is unchanged (exact values, no spurious pairs)."""
-    ds = ray.data.from_arrow(
-        pa.table(
-            {
-                "doc_id": pa.array([1, 2, 3], pa.int64()),
-                "text": pa.array(
-                    [
-                        "one two three four five six",
-                        "one two three four five six",
-                        "totally different words here now",
-                    ],
-                    pa.string(),
-                ),
-            }
-        )
-    )
-    rows = ngram_jaccard_pairs(ds, n=3, threshold=0.2).take_all()
-    got = {(r["a"], r["b"]): r["jaccard"] for r in rows}
-    assert got == {(1, 2): 1.0}
 
 
 def test_fetch_to_dir_midrun_failure_keeps_manifest(tmp_path):
@@ -113,48 +67,6 @@ def test_compact_recovers_num_fields_for_legacy_meta(ray_session, tmp_path):
         json.dump(m, f)
     meta = compact_index(idx)
     assert meta.num_fields == 2
-
-
-def test_ngram_jaccard_randomized_brute_force_parity(ray_session):
-    """Pipeline output == O(n²) set-based Jaccard on a random corpus:
-    validates the hash-partitioned packed-pair machinery (incl. the
-    ridden set sizes and sentinel rows) against first principles."""
-    rng = np.random.default_rng(42)
-    vocab = np.array([f"w{i}" for i in range(12)])
-    n_docs, n = 40, 3
-    texts = [" ".join(rng.choice(vocab, size=int(rng.integers(2, 20)))) for _ in range(n_docs)]
-    # a few near-copies so high-jaccard pairs exist
-    texts[5] = texts[4] + " extra"
-    texts[9] = texts[8]
-
-    def shingles(t):
-        toks = t.split()  # vocab is lowercase alnum: engine tokenizer == split
-        if 0 < len(toks) < n:
-            return {" ".join(toks)}
-        return {" ".join(toks[j : j + n]) for j in range(len(toks) - n + 1)}
-
-    ss = [shingles(t) for t in texts]
-    thresh = 0.2
-    exp = {}
-    for a in range(n_docs):
-        for b in range(a + 1, n_docs):
-            inter = len(ss[a] & ss[b])
-            if inter:
-                j = inter / len(ss[a] | ss[b])
-                if j >= thresh:
-                    exp[(a, b)] = j
-    assert len(exp) >= 2  # the corpus actually exercises the pair path
-
-    ds = ray.data.from_arrow(
-        pa.table({"doc_id": pa.array(range(n_docs), pa.int64()),
-                  "text": pa.array(texts, pa.string())})
-    )
-    rows = ngram_jaccard_pairs(ds, n=n, threshold=thresh, shingle_df_cap=10**6).take_all()
-    got = {(r["a"], r["b"]): r["jaccard"] for r in rows}
-    assert set(got) == set(exp)
-    for k, v in exp.items():
-        # pipeline rounds to 6 decimals (oracle hash convention)
-        assert abs(got[k] - round(v, 6)) < 1e-9
 
 
 # -- MaxScore soundness: negative idf, mid-entry splits, block_cf gate --------
@@ -366,33 +278,6 @@ def test_similarity_guards(ray_session, tmp_path):
     without = query_ann_index(idx, np.array([7]), q, k=1, nprobe=4, exclude_self=False)
     assert without["neighbor_id"].to_pylist() == [7]  # its own vector
     assert with_excl["neighbor_id"].to_pylist() != [7]
-
-
-def test_connected_components_rejects_null_ids(ray_session):
-    """A null pair endpoint round-trips NaN -> INT64_MIN and becomes a
-    phantom node bridging unrelated components (canonical_docs then
-    kills every member) — must fail loudly at the boundary."""
-    from fulltextsearch_ray.functions.components import connected_components
-
-    pairs = ray.data.from_arrow(
-        pa.table({"a": pa.array([1, None], pa.int64()), "b": pa.array([2, 3], pa.int64())})
-    )
-    with pytest.raises(Exception, match="null ids"):
-        connected_components(pairs).take_all()
-
-
-def test_assign_doc_ids_rejects_duplicate_keys(ray_session):
-    """Duplicate id tuples got run-order-dependent doc ids (stable
-    argsort tie broken by block arrival order) — silent nondeterminism
-    across retries; must fail loudly."""
-    from fulltextsearch_ray.sources.corpus import assign_doc_ids
-
-    ds = ray.data.from_arrow(
-        pa.table({"k": pa.array(["a", "b", "a"], pa.string()),
-                  "text": pa.array(["x", "y", "z"], pa.string())})
-    )
-    with pytest.raises(Exception, match="duplicate id tuples"):
-        assign_doc_ids(ds, ["k"]).take_all()
 
 
 def test_write_synth_corpus_resumes_after_interruption(tmp_path):

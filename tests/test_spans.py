@@ -12,7 +12,6 @@ import pytest
 import ray
 import ray.data
 
-from fulltextsearch_ray.functions import common
 from fulltextsearch_ray.functions.spans import (
     _dup_hash_dataset,
     _dup_hash_ref,
@@ -240,17 +239,6 @@ def test_dup_hash_dataset_matches_numpy_across_blocks(ray_session):
             assert (ref < 0).any()  # int64 view of the md5 prefix: % K sign
     assert planted in _got_dup_hashes(ds, 4, 2)
     assert planted not in _got_dup_hashes(ds, 4, 3)
-
-
-def test_sum_partial_buckets_negative_hashes():
-    h = np.array([-1, -64, -65, 0, 63, 2**63 - 1, -(2**63)], dtype=np.int64)
-    t = common.sum_partial("h", pa.array(h), "cnt", np.ones(len(h), np.int64), h)
-    K = common.SUM_PARTITIONS
-    part = np.asarray(t["_part"])
-    assert ((part >= 0) & (part < K)).all()
-    assert part[: len(h)].tolist() == (h.view(np.uint64) % np.uint64(K)).astype(np.int64).tolist()
-    # one null-key zero row per bucket rides along
-    assert t["h"].null_count == K and sorted(part[len(h):].tolist()) == list(range(K))
 
 
 @pytest.mark.parametrize(
