@@ -107,7 +107,10 @@ def varint_decode(buf: bytes | memoryview | np.ndarray, count: int | None = None
     # group id per byte = number of terminators before this byte
     group = np.zeros(len(arr), dtype=np.int64)
     np.cumsum(is_end[:-1], out=group[1:])
-    starts = np.flatnonzero(np.r_[True, is_end[:-1]])
+    # value starts: byte 0 and every byte after a terminator
+    starts = np.flatnonzero(is_end)
+    starts[1:] = starts[:-1] + 1
+    starts[0] = 0
     pos = np.arange(len(arr), dtype=np.int64) - starts[group]
     # a uint64 varint is at most 10 bytes, and byte 10 (shift 63) may
     # only carry bit 0 — numpy wraps shifts >= 64 silently, so corrupt

@@ -6,10 +6,14 @@ Parquet-path fast shape (ONE streaming corpus pass, no pre-shuffle):
       → map_batches(read_invert_batches_fn, file-bundled task pool)
           # read file → tokenize → local invert into compressed runs
           # + fused doc-stats sentinel rows (doc_len, sha256)
-      → sort("term") → map_batches(merge_runs_batch)     # THE shuffle
-      → write_parquet(term-sorted posting files, lookup-sized row groups)
+      → sort("term") → map_batches(merge_runs_batch     # THE shuffle
+                                   + write_postings_partition)
+          # per sort partition, in the merging task: one payload blob
+          # (every term's bytes at one address) + one term-sorted
+          # postings parquet file of block metadata
       → docs table split from sentinel rows (bucket == -1 pushdown)
-      → catalog + per-file term-range run catalog (footers only)
+      → catalog (per-term stats + blob address) + per-file term-range
+        run catalog (footers and blob trailers only)
       → manifest.json (+ lineage/counters) + meta.json  (driver)
 
 Dataset-path (explicit doc_id_col / id_cols): normalize_corpus assigns
@@ -143,16 +147,14 @@ def compact_index(
             )
         return b.select(POSTINGS_SCHEMA.names)
 
-    # drop the fused doc-stats sentinel rows (bucket == -1): compaction
-    # rebuilds the docs table from the docs dirs below, so carrying the
-    # sentinels would store every doc's stats payload twice forever,
-    # re-pay their shuffle on every future compaction, and pollute the
-    # first postings file's term_min with sentinel keys
-    runs = (
-        ray.data.read_parquet(post_files)
-        .filter(expr="bucket >= 0")
-        .map_batches(ensure_ndocs, batch_format="pyarrow")
-    )
+    # read_postings_dataset drops the fused doc-stats sentinel rows
+    # (bucket == -1): compaction rebuilds the docs table from the docs
+    # dirs below, so carrying the sentinels would store every doc's
+    # stats payload twice forever, re-pay their shuffle on every future
+    # compaction, and pollute the first postings file's term_min with
+    # sentinel keys.  Segments of either layout (payload blobs, or
+    # payloads inline from before blobs) come out as whole rows.
+    runs = read_postings_dataset(post_files).map_batches(ensure_ndocs, batch_format="pyarrow")
     _write_postings(runs, seg_path, block_cf)
 
     # docs table: merge of per-segment docs (ids are disjoint).  Small
@@ -284,11 +286,8 @@ def compact_index(
             m = int(varint_decode(buf).max()) if buf else 0
             return pa.table({"m": pa.array([m], pa.int64())})
 
-        mx = (
-            ray.data.read_parquet(os.path.join(seg_path, "postings"), columns=["fields"])
-            .map_batches(_max_field, batch_format="pyarrow")
-            .max("m")
-        )
+        new_files = sorted(_glob.glob(os.path.join(seg_path, "postings", "*.parquet")))
+        mx = read_postings_dataset(new_files).map_batches(_max_field, batch_format="pyarrow").max("m")
         if mx:
             meta.num_fields = int(mx)
     meta.segments = [new_seg]
@@ -298,7 +297,10 @@ def compact_index(
     return meta
 
 
-def merge_term_runs(runs: ray.data.Dataset, block_cf: int) -> ray.data.Dataset:
+def merge_term_runs(
+    runs: ray.data.Dataset, block_cf: int, seg_path: "str | None" = None,
+    row_group_size: int = POSTINGS_ROW_GROUP_SIZE,
+) -> ray.data.Dataset:
     """THE term shuffle: sort posting runs on ``term`` and merge each
     sorted block with :func:`merge_runs_batch`.
 
@@ -306,40 +308,117 @@ def merge_term_runs(runs: ray.data.Dataset, block_cf: int) -> ray.data.Dataset:
     block, so the whole-block vectorized merge avoids per-group
     scheduling (``map_groups`` costs ~ms per key, fatal at realistic
     million-term vocabularies).  Each output block is term-sorted and
-    the blocks hold disjoint term ranges."""
+    the blocks hold disjoint term ranges.
+
+    With ``seg_path``, the task that merges a sort partition also writes
+    it (:func:`write_postings_partition`), so a partition becomes
+    exactly one postings file plus one payload blob, and the dataset
+    yields one ``file`` row per written postings file."""
     from ..stages.invert import merge_runs_batch
 
-    return runs.sort("term").map_batches(
-        lambda b: merge_runs_batch(b, block_cf=block_cf),
-        batch_format="pyarrow",
-        batch_size=None,
+    fn, kw = merge_runs_batch, {"block_cf": block_cf}
+    if seg_path is not None:
+        fn = _merge_and_write
+        kw.update(seg_path=seg_path, row_group_size=row_group_size)
+    return runs.sort("term").map_batches(fn, fn_kwargs=kw, batch_format="pyarrow", batch_size=None)
+
+
+def _merge_and_write(batch: pa.Table, *, block_cf: int, seg_path: str, row_group_size: int) -> pa.Table:
+    from ..stages.invert import merge_runs_batch
+
+    return write_postings_partition(merge_runs_batch(batch, block_cf=block_cf), seg_path, row_group_size)
+
+
+def write_postings_partition(rows: pa.Table, seg_path: str, row_group_size: int) -> pa.Table:
+    """Write one merged sort partition (term-sorted rows): the payload
+    blob of its posting rows, then the postings parquet file with those
+    rows' payload columns null (the doc-stats sentinel rows keep theirs
+    inline).  Both files are named from the rows and renamed into place,
+    the parquet file last, so a retried task overwrites its own files
+    instead of adding a second copy (which would double df/cf), and a
+    postings file never exists without its blob."""
+    import hashlib
+
+    import pyarrow.parquet as pq
+
+    from ..state.payloads import PAYLOAD_COLS, PAYLOAD_DIR, atomic_write, write_blob
+
+    if rows.num_rows == 0:
+        return pa.table({"file": pa.array([], pa.string())})
+    keys = ("term", "first_doc", "block_id")
+    ends = [tuple(rows[c][i].as_py() for c in keys) for i in (0, rows.num_rows - 1)]
+    stem = "part-" + hashlib.sha1(repr((ends, rows.num_rows)).encode()).hexdigest()[:16]
+    sentinel = pc.less(rows["bucket"], 0)
+    posting = rows.filter(pc.invert(sentinel))
+    if posting.num_rows:
+        write_blob(os.path.join(seg_path, PAYLOAD_DIR, stem + ".bin"), posting)
+    none = pa.scalar(None, pa.binary())
+    for c in PAYLOAD_COLS:
+        rows = rows.set_column(
+            rows.schema.get_field_index(c), c, pc.if_else(sentinel, rows[c], none)
+        )
+    rel = os.path.join("postings", stem + ".parquet")
+    atomic_write(
+        os.path.join(seg_path, rel),
+        lambda tmp: pq.write_table(rows, tmp, row_group_size=row_group_size),
+    )
+    return pa.table({"file": [rel]})
+
+
+def read_postings_dataset(files: list[str]) -> ray.data.Dataset:
+    """Whole posting rows (payload columns attached, doc-stats sentinel
+    rows dropped) of the given postings files — the Ray read for
+    compaction and the dump.  A read task takes whole files, grouped to
+    about ``target_min_block_size`` bytes each (the rule
+    ``ray.data.read_parquet`` sizes its blocks by), so a shuffle after
+    it runs as many partitions as a parquet read of those bytes would
+    (one task per file cost the ingest workload's compaction 1.6-1.8 s
+    of CPU against 0.9-1.2 s, 1 CPU)."""
+    from ..state.payloads import blob_path_for
+
+    size = 0
+    for f in files:
+        blob = blob_path_for(f)
+        size += os.path.getsize(f) + (os.path.getsize(blob) if os.path.exists(blob) else 0)
+    n = max(1, min(len(files), size // ray.data.DataContext.get_current().target_min_block_size))
+    return ray.data.from_items([{"path": f} for f in files], override_num_blocks=n).map_batches(
+        _read_postings_batch, batch_format="pyarrow", batch_size=None
     )
 
 
-def _write_postings(runs: ray.data.Dataset, seg_path: str, block_cf: int) -> None:
-    """Shuffle + merge ``runs`` and write ``<seg>/postings``.
+def _read_postings_batch(batch: pa.Table) -> pa.Table:
+    from ..state.payloads import read_postings_file
 
-    The merged blocks are written 1:1 as files, so the files form an
-    FST-style sorted-term run catalog: a term lookup binary-searches
-    the per-file [term_min, term_max] ranges (recorded in the manifest
-    from the parquet footers) to usually ONE file (two when a term
-    spills over a file boundary).  Every file is term-sorted and its
-    row groups hold disjoint term ranges: the searcher parses the
-    footer once, then a lookup's footer-stats prune reads one
-    ``POSTINGS_ROW_GROUP_SIZE``-row group (two when a term's rows cross
-    a group boundary)."""
+    # files written before n_docs existed lack the column (null here)
+    t = pa.concat_tables(
+        [read_postings_file(p) for p in batch["path"].to_pylist()], promote_options="permissive"
+    )
+    return t.filter(pc.greater_equal(t["bucket"], 0))
+
+
+def _write_postings(runs: ray.data.Dataset, seg_path: str, block_cf: int) -> None:
+    """Shuffle + merge ``runs`` and write ``<seg>/postings`` and
+    ``<seg>/payloads`` in the merging tasks (:func:`merge_term_runs`).
+
+    Every postings file holds one sort partition, so the files form an
+    FST-style sorted-term run catalog (per-file [term_min, term_max]
+    from the footers, in the manifest) and each term lies in exactly
+    one file.  A lookup never reads these parquet rows: the catalog
+    row's blob address names the term's bytes.  The parquet rows (block
+    metadata) serve the catalog build, whole-file reads and segments'
+    scans, in ``POSTINGS_ROW_GROUP_SIZE``-row groups."""
     import pyarrow.parquet as pq
 
     from ..state.index import POSTINGS_SCHEMA
 
-    post_dir = os.path.join(seg_path, "postings")
-    merge_term_runs(runs, block_cf).write_parquet(
-        post_dir, row_group_size=POSTINGS_ROW_GROUP_SIZE
-    )
-    if not os.path.isdir(post_dir):
+    written = merge_term_runs(
+        runs, block_cf, seg_path=seg_path, row_group_size=POSTINGS_ROW_GROUP_SIZE
+    ).take_all()
+    if not written:
         # zero rows (an empty corpus, or sentinel-only segments under
-        # compaction): write_parquet emits nothing — keep the segment
+        # compaction): no partition wrote a file — keep the segment
         # structure uniform with an empty postings file
+        post_dir = os.path.join(seg_path, "postings")
         os.makedirs(post_dir, exist_ok=True)
         pq.write_table(POSTINGS_SCHEMA.empty_table(), os.path.join(post_dir, "part-0.parquet"))
 
@@ -460,60 +539,92 @@ def aggregate_catalog(blocks: pa.Table) -> pa.Table:
     )
 
 
-def _build_catalog(seg_path: str, driver_budget_rows: int = 50_000_000) -> tuple[int, int]:
-    """Per-term catalog aggregate over the block-stat columns →
-    ``<seg>/catalog`` parquet; returns ``(n_terms, total_occurrences)``.
+def _file_catalog(path: str, seg_path: str) -> pa.Table:
+    """Catalog rows of one postings file: per-term stats aggregated
+    over its posting rows, plus each term's payload address
+    (``file``, ``offset``, ``bm25_len``, ``len``) from the blob trailer.
+    Every term of a fresh segment lies in exactly one file, so these
+    are the segment's catalog rows for the file's terms."""
+    import pyarrow.parquet as pq
 
-    Gated on FOOTER row counts BEFORE any read: below the budget a
-    driver-side Arrow group_by (block stats are tiny next to the
-    corpus); above it a Ray groupby whose result never rides back to
-    the driver — the counters come from catalog footers plus one
-    streaming Sum, keeping driver memory O(1) at billion-term scale.
-    Shared by build_index and compact_index so the two can never fork
-    catalog schemas."""
+    from ..state.payloads import blob_path_for, read_directory
+
+    rows = pq.read_table(path, columns=_POST_META_COLS, filters=[("bucket", ">=", 0)])
+    cat = aggregate_catalog(rows)
+    blob = blob_path_for(path)
+    if cat.num_rows:
+        offsets, _hdr, bm25_len, length = read_directory(blob)
+        # records follow the file's row order, which must be the
+        # catalog's term order
+        if len(offsets) != cat.num_rows or not pc.unique(rows["term"]).equals(
+            cat["term"].combine_chunks()
+        ):
+            raise ValueError(f"{blob}: {len(offsets)} payload records do not match the "
+                             f"{cat.num_rows} terms of {path} in order")
+    else:
+        offsets = bm25_len = length = np.empty(0, dtype=np.int64)
+    address = {
+        "file": pa.array([os.path.relpath(blob, seg_path)] * cat.num_rows, pa.string()),
+        "offset": pa.array(offsets, pa.int64()),
+        "bm25_len": pa.array(bm25_len, pa.int64()),
+        "len": pa.array(length, pa.int64()),
+    }
+    return pa.table({**{c: cat[c] for c in cat.column_names}, **address})
+
+
+def _file_catalog_batch(batch: pa.Table, *, seg_path: str) -> pa.Table:
+    return pa.concat_tables([_file_catalog(p, seg_path) for p in batch["path"].to_pylist()])
+
+
+def _build_catalog(seg_path: str, driver_budget_rows: int = 50_000_000) -> tuple[int, int]:
+    """Per-term catalog (stats + payload address) of a segment's
+    postings → ``<seg>/catalog`` parquet; returns ``(n_terms,
+    total_occurrences)``.
+
+    Each postings file holds whole terms, so the catalog is the
+    term-ordered concatenation of per-file rows (:func:`_file_catalog`).
+    Gated on FOOTER row counts BEFORE any read: below the budget the
+    files aggregate on the driver; above it a Ray map over the files
+    + sort whose result never rides back to the driver — the counters
+    come from catalog footers plus one streaming Sum, keeping driver
+    memory O(1) at billion-term scale.  Shared by build_index and
+    compact_index so the two can never fork catalog schemas."""
     import glob as _g
 
     import pyarrow.parquet as pq
 
-    post_dir = os.path.join(seg_path, "postings")
+    files = sorted(_g.glob(os.path.join(seg_path, "postings", "**", "*.parquet"), recursive=True))
     cat_dir = os.path.join(seg_path, "catalog")
-    footer_rows = sum(
-        pq.ParquetFile(f).metadata.num_rows
-        for f in _g.glob(os.path.join(post_dir, "**", "*.parquet"), recursive=True)
-    )
+    footer_rows = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
     if footer_rows <= driver_budget_rows:
         try:
-            blocks_tbl = pq.read_table(
-                post_dir, columns=_POST_META_COLS, filters=[("bucket", ">=", 0)]
-            )
-            catalog_tbl = aggregate_catalog(blocks_tbl)
+            catalog_tbl = pa.concat_tables([_file_catalog(f, seg_path) for f in files])
+            catalog_tbl = catalog_tbl.sort_by("term")
+            terms = catalog_tbl["term"]
+            if catalog_tbl.num_rows > 1 and pc.any(
+                pc.equal(terms.slice(1), terms.slice(0, catalog_tbl.num_rows - 1))
+            ).as_py():
+                raise ValueError(f"{seg_path}: a term's postings span two postings files")
             os.makedirs(cat_dir, exist_ok=True)
             pq.write_table(catalog_tbl, os.path.join(cat_dir, "part-0.parquet"), row_group_size=65536)
             return catalog_tbl.num_rows, int(pc.sum(catalog_tbl["cf"]).as_py() or 0)
         except (MemoryError, pa.lib.ArrowMemoryError):
             # The footer-row budget is a heuristic; a driver that can't
             # actually hold the block stats falls through to the Ray
-            # groupby path below (the r4 refactor dropped this guard).
-            # Clear any partial driver-side write first — a torn
-            # part-0.parquet (or a complete one, if the error hit
+            # path below.  Clear any partial driver-side write first —
+            # a torn part-0.parquet (or a complete one, if the error hit
             # after write_table) would otherwise coexist with the Ray
             # output: unreadable footer or doubled df/cf rows.
             shutil.rmtree(cat_dir, ignore_errors=True)
-    postings = ray.data.read_parquet(post_dir, columns=_POST_META_COLS).filter(expr="bucket >= 0")
-    catalog = (
-        postings.groupby("term")
-        .aggregate(
-            ray.data.aggregate.Sum("df", alias_name="df"),
-            ray.data.aggregate.Sum("cf", alias_name="cf"),
-            ray.data.aggregate.Max("max_tf", alias_name="max_tf"),
-            ray.data.aggregate.Sum("n_docs", alias_name="df_docs"),
-            ray.data.aggregate.Min("first_doc", alias_name="first_doc"),
-            ray.data.aggregate.Max("last_doc", alias_name="last_doc"),
-            ray.data.aggregate.Count(alias_name="n_blocks"),
+    (
+        ray.data.from_items([{"path": f} for f in files])
+        .map_batches(
+            _file_catalog_batch, fn_kwargs={"seg_path": seg_path},
+            batch_format="pyarrow", batch_size=1,
         )
         .sort("term")
+        .write_parquet(cat_dir)
     )
-    catalog.write_parquet(cat_dir)
     n_terms = sum(pq.ParquetFile(f).metadata.num_rows for f in pq.ParquetDataset(cat_dir).files)
     occ_row = ray.data.read_parquet(cat_dir, columns=["cf"]).aggregate(
         ray.data.aggregate.Sum("cf", alias_name="cf")

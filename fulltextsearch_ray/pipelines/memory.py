@@ -66,6 +66,7 @@ class InMemorySearcher(IndexSearcher):
         self._lazy_cats = None
         self._lazy_lens = None
         self._postings_ds = {}
+        self._blob_segs = set()
         self._seg_buckets = {"mem": 0}
         self._seg_ranges = {}
         self._fwd_ranges = {}

@@ -4,7 +4,8 @@
 reference's open index: dictionary + posting readers + header,
 ``PersistentIndex.cs:19-72``): it loads the term catalog and doc-length
 table once, then serves queries by fetching + decoding posting blocks
-on demand (term-pruned parquet reads, LRU block cache).
+on demand (one positional read of the term's payload bytes at its
+catalog address, LRU block cache).
 
 Semantics reproduce the reference exactly (goldens ported in
 tests/test_search_golden.py):
@@ -62,6 +63,7 @@ from ..parser import (
 )
 from ..state.caches import LRUCache, make_cache
 from ..state.index import load_meta, segment_dir
+from ..state.payloads import ADDRESS_COLS, TermBlocks, parse_record
 
 logger = logging.getLogger(__name__)
 
@@ -129,6 +131,8 @@ def _sum_by_doc(docs: np.ndarray, vals: np.ndarray) -> "tuple[np.ndarray, np.nda
     """(unique sorted docs, per-doc sums) over parallel arrays — the
     merge-by-doc kernel shared by the exhaustive and pruned BM25 paths
     (one definition keeps the pruned==exhaustive invariant unforkable)."""
+    if len(docs) < 2 or (docs[1:] > docs[:-1]).all():
+        return docs, vals  # already unique and sorted: nothing to sum
     o = np.argsort(docs, kind="stable")
     docs, vals = docs[o], vals[o]
     uniq, idx = np.unique(docs, return_index=True)
@@ -188,8 +192,8 @@ class _ManifestFileMeta:
         return _ManifestFileMeta._RowGroupMeta(mn, mx, int(rows))
 
 
-# parquet files one searcher keeps open (footer parsed once per file,
-# not per lookup); the LRU bound caps its file descriptors
+# files one searcher keeps open (parquet footers parsed once per file,
+# not per lookup; payload blobs); the LRU bound caps its descriptors
 OPEN_FILES = 256
 
 
@@ -212,30 +216,66 @@ class _OpenParquet:
         return out
 
 
+class _OpenBlob:
+    """A payload blob's file descriptor, closed when the handle cache
+    drops its last reference."""
+
+    fd = -1
+
+    def __init__(self, path: str):
+        self.fd = os.open(path, os.O_RDONLY)
+
+    def __del__(self):
+        if self.fd >= 0:
+            os.close(self.fd)
+
+
 class PostingFileReader:
-    """One term's rows from one postings parquet file.
+    """Posting reads from postings files and payload blobs, through a
+    bounded cache of open files (nothing opens until the first lookup).
 
-    The file opens once (first lookup) into a bounded handle cache;
-    each lookup then reads only the row groups whose footer ``term``
-    [min, max] admits the term (a group without statistics is always
-    read) and keeps the rows equal to the term.  Files this engine
-    writes are term-sorted in ``POSTINGS_ROW_GROUP_SIZE``-row groups, so
-    the prune leaves one small group per file; indexes written before
-    that (unsorted rows, 4,096-row groups with overlapping ranges) are
-    served by the same code, which is why the filter is an equality
-    scan, never a binary search.
+    :meth:`read_range` is THE lookup of a fresh segment: one
+    ``os.pread`` of a term's payload bytes at its catalog address.
+    :meth:`read` serves segments written before payload blobs, whose
+    parquet rows carry the payloads: it reads only the row groups whose
+    footer ``term`` [min, max] admits the term (a group without
+    statistics is always read) and keeps the rows equal to the term.
+    Those files may be unsorted with overlapping group ranges, which is
+    why the filter is an equality scan, never a binary search.
 
-    ``files_opened`` / ``row_groups_read`` count footer parses and
-    row-group reads, so pruning is observable without a profiler."""
+    ``files_opened`` counts parquet footer parses and blob opens,
+    ``row_groups_read`` legacy row-group reads, ``payload_reads`` /
+    ``payload_bytes`` the positional reads, so the I/O of a lookup is
+    observable without a profiler."""
 
     def __init__(self, handles: LRUCache | None = None):
         self._handles = LRUCache(OPEN_FILES) if handles is None else handles
         self.files_opened = 0
         self.row_groups_read = 0
+        self.payload_reads = 0
+        self.payload_bytes = 0
 
     def _open(self, path: str) -> _OpenParquet:
         self.files_opened += 1
         return _OpenParquet(path)
+
+    def _open_blob(self, path: str) -> _OpenBlob:
+        self.files_opened += 1
+        return _OpenBlob(path)
+
+    def read_range(self, path: str, offset: int, length: int, term: str) -> bytes:
+        """``length`` bytes of a payload blob at ``offset``; a short
+        read (truncated blob, address past EOF) raises ValueError."""
+        f = self._handles.get_or_load(path, self._open_blob)
+        buf = os.pread(f.fd, length, offset)
+        self.payload_reads += 1
+        self.payload_bytes += len(buf)
+        if len(buf) != length:
+            raise ValueError(
+                f"{path}: payload of term {term!r} at [{offset}, {offset + length}) "
+                f"runs past the end of the file (read {len(buf)} bytes)"
+            )
+        return buf
 
     def read(self, path: str, term: str, cols: list[str]) -> pa.Table:
         f = self._handles.get_or_load(path, self._open)
@@ -462,6 +502,14 @@ class IndexSearcher:
             docs_md.update(ms)
         cat_rows = sum(md.num_rows for md in cat_md.values())
         doc_rows = sum(md.num_rows for md in docs_md.values())
+        cat_cols = {
+            seg: (cat_md[fs[0]].schema.to_arrow_schema().names if fs else [])
+            for seg, fs in seg_cat_files.items()
+        }
+        # segments whose catalog rows address payload blobs; the others
+        # predate blobs and read posting rows from parquet
+        self._blob_segs = {seg for seg, names in cat_cols.items() if "offset" in names}
+        self._addrs: dict = {}
 
         # one bounded set of open parquet files for the paged tables and
         # the posting reader; nothing is opened here
@@ -473,17 +521,25 @@ class IndexSearcher:
             # merged catalog across segments: term → (df, cf) totals;
             # terms kept as ONE sorted arrow column for matcher kernels.
             cats = []
+            addr_tables = {}
             for seg in self.segments:
                 seg_files = seg_cat_files[seg]
                 cols = ["term", "df", "cf", "max_tf"]
-                if seg_files and "df_docs" in cat_md[seg_files[0]].schema.to_arrow_schema().names:
+                if "df_docs" in cat_cols[seg]:
                     cols.append("df_docs")
+                if seg in self._blob_segs:
+                    cols += ADDRESS_COLS
                 t = pq.read_table(seg_files, columns=cols) if seg_files else pa.table(
                     {c: pa.array([], pa.string() if c == "term" else pa.int64()) for c in cols}
                 )
                 if "df_docs" not in t.column_names:
                     # legacy catalog (pre-n_docs): entry df is the proxy
                     t = t.append_column("df_docs", t["df"])
+                if seg in self._blob_segs:
+                    if len(seg_files) > 1:
+                        t = t.sort_by("term")
+                    addr_tables[seg] = t.select(["term"] + ADDRESS_COLS)
+                    t = t.drop_columns(ADDRESS_COLS)
                 cats.append(t)
             if cats:
                 cat = pa.concat_tables(cats)
@@ -505,6 +561,22 @@ class IndexSearcher:
             # numpy view of the sorted term column: O(log vocab) binary
             # search instead of O(vocab) pc.index scans per query term
             self._terms_np = np.asarray(self.terms.to_pylist(), dtype=object)
+            # per-segment payload addresses, one sorted array each (the
+            # merged catalog above holds cross-segment totals only); a
+            # single segment's terms ARE the merged column
+            for seg, a in addr_tables.items():
+                terms = (
+                    self._terms_np if len(self.segments) == 1
+                    else np.asarray(a["term"].to_pylist(), dtype=object)
+                )
+                files = a["file"].combine_chunks().dictionary_encode()
+                segp = segment_dir(index_dir, seg)
+                self._addrs[seg] = (
+                    terms,
+                    np.asarray(files.indices.to_numpy(zero_copy_only=False)),
+                    *(np.asarray(a[c].to_numpy(), dtype=np.int64) for c in ADDRESS_COLS[1:]),
+                    [os.path.join(segp, rel) for rel in files.dictionary.to_pylist()],
+                )
         else:
             # one paged catalog PER SEGMENT (each is term-sorted; totals
             # sum across segments at lookup time)
@@ -513,10 +585,9 @@ class IndexSearcher:
             self._lazy_cats = []
             for seg in self.segments:
                 files = seg_cat_files[seg]
-                has_dd = bool(files) and (
-                    "df_docs" in cat_md[files[0]].schema.to_arrow_schema().names
-                )
-                cols = ["term", "df", "cf", "max_tf"] + (["df_docs"] if has_dd else [])
+                cols = ["term", "df", "cf", "max_tf"]
+                cols += ["df_docs"] if "df_docs" in cat_cols[seg] else []
+                cols += ADDRESS_COLS if seg in self._blob_segs else []
                 self._lazy_cats.append(
                     LazyRowGroupTable(files, cols, metas=cat_md, handles=handles)
                 )
@@ -561,11 +632,6 @@ class IndexSearcher:
                     [int(r[1]) for r in man.forward_ranges],
                     [int(r[2]) for r in man.forward_ranges],
                     [os.path.join(segment_dir(index_dir, seg), r[0]) for r in man.forward_ranges],
-                )
-            else:
-                # legacy layout fallback: full dataset with filters
-                self._postings_ds[seg] = pads.dataset(
-                    os.path.join(segment_dir(index_dir, seg), "postings"), partitioning="hive"
                 )
         # posting caches: LRU default, LFU for skewed workloads (ST6;
         # reference LRUCache/LFUCache — state/caches.py)
@@ -642,30 +708,54 @@ class IndexSearcher:
         dfd = cf = mtf = df = 0
         found = False
         for cat in self._lazy_cats:
-            for gi in cat.covering(term):
-                t = cat.load(gi)
-                # binary search on the sorted Arrow column directly (no
-                # per-lookup list copy; the row-group LRU keeps t warm)
-                col = t["term"]
-                if isinstance(col, pa.ChunkedArray):
-                    col = col.combine_chunks()
-                lo, hi = 0, len(col)
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if col[mid].as_py() < term:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                j = lo
-                if j < len(col) and col[j].as_py() == term:
-                    found = True
-                    df += int(t["df"][j].as_py())
-                    cf += int(t["cf"][j].as_py())
-                    mtf = max(mtf, int(t["max_tf"][j].as_py()))
-                    dfd += int(
-                        t["df_docs"][j].as_py() if "df_docs" in t.column_names else t["df"][j].as_py()
-                    )
+            for t, j in self._lazy_find(cat, term):
+                found = True
+                df += int(t["df"][j].as_py())
+                cf += int(t["cf"][j].as_py())
+                mtf = max(mtf, int(t["max_tf"][j].as_py()))
+                dfd += int(
+                    t["df_docs"][j].as_py() if "df_docs" in t.column_names else t["df"][j].as_py()
+                )
         return (dfd, cf, mtf, df) if found else None
+
+    @staticmethod
+    def _lazy_find(cat: "LazyRowGroupTable", term: str):
+        """(row group table, row) of every paged-catalog row of ``term``."""
+        for gi in cat.covering(term):
+            t = cat.load(gi)
+            # binary search on the sorted Arrow column directly (no
+            # per-lookup list copy; the row-group LRU keeps t warm)
+            col = t["term"]
+            if isinstance(col, pa.ChunkedArray):
+                col = col.combine_chunks()
+            lo, hi = 0, len(col)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if col[mid].as_py() < term:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            if lo < len(col) and col[lo].as_py() == term:
+                yield t, lo
+
+    def _term_address(self, i: int, term: str) -> "tuple[str, int, int, int] | None":
+        """(blob path, offset, bm25_len, len) of ``term`` in blob
+        segment ``self.segments[i]``, or None if the segment lacks it —
+        the eager per-segment address arrays, or the paged catalog row
+        group that :meth:`_term_row` loads."""
+        seg = self.segments[i]
+        if self._lazy_cats is None:
+            terms, files, offs, bm25, lens, paths = self._addrs[seg]
+            j = int(np.searchsorted(terms, term))
+            if j == len(terms) or terms[j] != term:
+                return None
+            return paths[files[j]], int(offs[j]), int(bm25[j]), int(lens[j])
+        for t, j in self._lazy_find(self._lazy_cats[i], term):
+            return (
+                os.path.join(segment_dir(self.index_dir, seg), t["file"][j].as_py()),
+                *(int(t[c][j].as_py()) for c in ADDRESS_COLS[1:]),
+            )
+        return None
 
     def term_stats(self, term: str) -> tuple[int, int]:
         """(df, cf) for a term, summed across segments; (0, 0) if absent.
@@ -860,69 +950,105 @@ class IndexSearcher:
                 return pa.schema([POSTINGS_SCHEMA.field(c) for c in cols]).empty_table()
             tabs = [self.posting_reader.read(paths[x], term, cols) for x in idxs]
             return tabs[0] if len(tabs) == 1 else pa.concat_tables(tabs)
-        return self._postings_ds[seg].to_table(columns=cols, filter=self._term_filter(seg, term))
+        # legacy layout fallback (no run catalog): full dataset with
+        # filters, discovered on the segment's first lookup
+        ds = self._postings_ds.get(seg)
+        if ds is None:
+            ds = self._postings_ds[seg] = pads.dataset(
+                os.path.join(segment_dir(self.index_dir, seg), "postings"), partitioning="hive"
+            )
+        return ds.to_table(columns=cols, filter=self._term_filter(seg, term))
 
-    def _fetch_term_blocks(self, term: str, with_positions: bool) -> pa.Table | None:
-        """All posting block rows of a term across segments, ordered by
-        (segment, first_doc, block_id) — the decode order."""
-        cols = ["term", "block_id", "first_doc", "df", "docs", "fields", "tfs"]
+    def _fetch_term_blocks(self, term: str, with_positions: bool) -> list[TermBlocks]:
+        """A term's posting blocks, one :class:`TermBlocks` per segment
+        holding it, in segment order.  A blob segment reads the term's
+        payload record at its catalog address — header + docs + tfs, or
+        with positions the whole record — in one ``pread``; a segment
+        written before blobs reads its rows through
+        :meth:`_read_term_rows`, ordered (first_doc, block_id)."""
+        cols = ["block_id", "first_doc", "last_doc", "df", "docs", "tfs"]
         if with_positions:
-            cols.append("positions")
-        tables = []
-        for seg in self.segments:
-            t = self._read_term_rows(seg, term, cols)
-            if t.num_rows:
-                order = np.lexsort(
-                    (
-                        np.asarray(t["block_id"].to_numpy(zero_copy_only=False)),
-                        np.asarray(t["first_doc"].to_numpy(zero_copy_only=False)),
-                    )
+            cols += ["fields", "positions"]
+        out = []
+        for i, seg in enumerate(self.segments):
+            if seg in self._blob_segs:
+                addr = self._term_address(i, term)
+                if addr is None:
+                    continue
+                path, off, bm25_len, length = addr
+                buf = self.posting_reader.read_range(
+                    path, off, length if with_positions else bm25_len, term
                 )
-                tables.append(t.take(pa.array(order)))
-        if not tables:
-            return None
-        return pa.concat_tables(tables)
+                out.append(parse_record(buf, with_positions, path, term))
+                continue
+            t = self._read_term_rows(seg, term, cols)
+            if not t.num_rows:
+                continue
+            order = np.lexsort(
+                (
+                    np.asarray(t["block_id"].to_numpy(zero_copy_only=False)),
+                    np.asarray(t["first_doc"].to_numpy(zero_copy_only=False)),
+                )
+            )
+            t = t.take(pa.array(order))
+            out.append(TermBlocks(
+                seg,
+                np.asarray(t["df"].to_numpy(zero_copy_only=False)),
+                np.asarray(t["first_doc"].to_numpy(zero_copy_only=False), dtype=np.uint64),
+                np.asarray(t["last_doc"].to_numpy(zero_copy_only=False), dtype=np.uint64),
+                t["docs"].to_pylist(), t["tfs"].to_pylist(),
+                *((t["fields"].to_pylist(), t["positions"].to_pylist()) if with_positions else (None, None)),
+            ))
+        return out
+
+    @staticmethod
+    def _decode(b: TermBlocks, term: str, with_positions: bool) -> tuple:
+        """``decode_posting_columns`` over one source's blocks, with
+        every decoded count checked against the block dfs; any mismatch
+        raises ValueError naming the source and the term."""
+        from ..codecs import decode_posting_columns
+
+        try:
+            out = decode_posting_columns(
+                b.docs, b.fields if with_positions else [], b.tfs,
+                b.positions if with_positions else None, b.dfs,
+            )
+            n = int(b.dfs.sum())
+            got = [len(out[0]), len(out[2])] + ([len(out[1])] if with_positions else [])
+            if any(g != n for g in got):
+                raise ValueError(f"blocks hold {n} entries, the payloads decode to {got}")
+        except (ValueError, IndexError) as e:
+            raise ValueError(f"{b.source}: corrupt postings of term {term!r}: {e}") from None
+        return out
 
     def get_postings(self, term: str) -> OccurrenceList:
         """Full decoded occurrence list of a term, global (d,f,t) order."""
         hit = self._cache.get(term)
         if hit is not None:
             return hit
-        t = self._fetch_term_blocks(term, with_positions=True)
-        if t is None:
+        parts = [self._decode(b, term, True) for b in self._fetch_term_blocks(term, True)]
+        if not parts:
             occ = empty_occurrences()
         else:
-            from ..codecs import decode_posting_columns
-
-            *_, od, of, ot = decode_posting_columns(
-                t["docs"].to_pylist(), t["fields"].to_pylist(),
-                t["tfs"].to_pylist(), t["positions"].to_pylist(),
-                np.asarray(t["df"].to_numpy(zero_copy_only=False)),
-            )
-            occ = lex_sort(OccurrenceList(od, of, ot))
+            occ = lex_sort(OccurrenceList(*(np.concatenate([p[i] for p in parts]) for i in (3, 4, 5))))
         self._cache.put(term, occ)
         return occ
 
     def get_doc_tfs(self, term: str) -> tuple[np.ndarray, np.ndarray]:
-        """(doc_ids, tfs) per doc for BM25 — decodes docs/tfs only,
-        skipping position payloads (the scoring fast path); all blocks
-        decode in two varint passes via the concat decoder."""
+        """(doc_ids, tfs) per doc for BM25 — reads and decodes docs/tfs
+        only, never the fields or position payloads (the scoring fast
+        path); each source's blocks decode in two varint passes."""
         hit = self._cache_entries.get(term)
         if hit is not None:
             return hit
-        t = self._fetch_term_blocks(term, with_positions=False)
-        if t is None:
+        parts = [self._decode(b, term, False) for b in self._fetch_term_blocks(term, False)]
+        if not parts:
             out = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64))
         else:
-            from ..codecs import decode_posting_columns
-
-            d, _f, tf = decode_posting_columns(
-                t["docs"].to_pylist(), t["fields"].to_pylist(),
-                t["tfs"].to_pylist(), None,
-                np.asarray(t["df"].to_numpy(zero_copy_only=False)),
-            )
             # multi-field/block duplicates: aggregate tf per doc
-            out = _sum_by_doc(d, tf)
+            out = _sum_by_doc(
+                np.concatenate([p[0] for p in parts]), np.concatenate([p[2] for p in parts])
+            )
         self._cache_entries.put(term, out)
         return out
 
@@ -1356,23 +1482,17 @@ class IndexSearcher:
         only blocks whose doc range intersects the candidate set."""
         if candidates is None:
             return self.get_doc_tfs(term)
-        from ..codecs import delta_decode, varint_decode
-
         docs_parts, tf_parts = [], []
-        for seg in self.segments:
-            t = self._read_term_rows(seg, term, ["first_doc", "last_doc", "docs", "tfs"])
-            firsts = np.asarray(t["first_doc"].to_numpy(zero_copy_only=False), dtype=np.uint64)
-            lasts = np.asarray(t["last_doc"].to_numpy(zero_copy_only=False), dtype=np.uint64)
-            for i in range(t.num_rows):
-                lo = np.searchsorted(candidates, firsts[i], side="left")
-                hi = np.searchsorted(candidates, lasts[i], side="right")
-                if hi <= lo:
-                    continue  # block-max skip: no candidate in range
-                d = delta_decode(varint_decode(t["docs"][i].as_py()))
-                tf = varint_decode(t["tfs"][i].as_py())
-                mask = np.isin(d, candidates)
-                docs_parts.append(d[mask])
-                tf_parts.append(tf[mask])
+        for b in self._fetch_term_blocks(term, False):
+            lo = np.searchsorted(candidates, b.firsts, side="left")
+            hi = np.searchsorted(candidates, b.lasts, side="right")
+            keep = hi > lo  # block-max skip: no candidate in range
+            if not keep.any():
+                continue
+            d, _f, tf = self._decode(b.select(keep), term, False)
+            mask = np.isin(d, candidates)
+            docs_parts.append(d[mask])
+            tf_parts.append(tf[mask])
         if not docs_parts:
             return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64)
         return _sum_by_doc(np.concatenate(docs_parts), np.concatenate(tf_parts))
@@ -1417,25 +1537,18 @@ def dump_postings_dataset(index_dir: str) -> "ray.data.Dataset":
     """Distributed conformance dump (the reference `print` verb,
     ``ConsoleUtil/Program.cs:228-238``): every occurrence as a row
     (term, doc_id, field_id, token_id) — a map_batches decode over the
-    posting-block parquet, no driver-side loop."""
-    import ray
-    import ray.data
-
-    meta = load_meta(index_dir)
-    # expand to FILES: ray.data.read_parquet accepts one directory or a
-    # list of files, but a LIST of directories fails at open time —
-    # multi-segment dumps crashed with 'path ... is a directory'
+    whole posting rows of every postings file, no driver-side loop."""
     import glob as _glob
 
+    from .build import read_postings_dataset
+
+    meta = load_meta(index_dir)
     paths = []
     for s in meta.segments:
         d = os.path.join(segment_dir(index_dir, s), "postings")
         paths.extend(sorted(_glob.glob(os.path.join(d, "**", "*.parquet"), recursive=True)))
 
     def decode_rows(batch: pa.Table) -> pa.Table:
-        # drop fused doc-stats sentinel rows (term starts with '\x00')
-        keep = pc.invert(pc.starts_with(batch["term"], "\x00"))
-        batch = batch.filter(keep)
         if not batch.num_rows:
             return pa.table(
                 {"term": pa.array([], pa.string()), "doc_id": pa.array([], pa.int64()),
@@ -1461,10 +1574,7 @@ def dump_postings_dataset(index_dir: str) -> "ray.data.Dataset":
             }
         )
 
-    ds = ray.data.read_parquet(
-        paths, columns=["term", "df", "cf", "docs", "fields", "tfs", "positions"]
-    )
-    return ds.map_batches(decode_rows, batch_format="pyarrow")
+    return read_postings_dataset(paths).map_batches(decode_rows, batch_format="pyarrow")
 
 
 @lru_cache(maxsize=8)

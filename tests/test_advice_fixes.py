@@ -1,78 +1,16 @@
-"""Regression tests for the round-1 ADVICE findings:
+"""Regression tests for the ADVICE findings.
 
-1. one df definition (unique-doc df) in bm25_topk vs bm25_topk_pruned
-   on multi-field indexes;
-2. binary-search term lookups agree with the scan kernels.
-
-(The posting encoder / run merge tests live in tests/test_invert.py,
-the _read_term_rows boundary-spill test in tests/test_posting_reader.py,
-the distributed cut-rebuild guard in tests/test_spans.py.)
+(The round-1 df-definition and binary-search lookup tests live in
+tests/test_bm25.py, the posting encoder / run merge tests in
+tests/test_invert.py, the _read_term_rows boundary-spill test in
+tests/test_posting_reader.py, the distributed cut-rebuild guard in
+tests/test_spans.py.)
 """
 
-import numpy as np
 import pyarrow as pa
 import pytest
 
-from fulltextsearch_ray.matchers import expand_pattern
-from fulltextsearch_ray.parser import parse_query
 from fulltextsearch_ray.pipelines.build import build_index
-from fulltextsearch_ray.pipelines.query import IndexSearcher
-
-
-@pytest.fixture(scope="module")
-def multifield_index(ray_session, tmp_path_factory):
-    import ray.data
-
-    # doc 1 has 'shared' in BOTH fields (the df double-count trap);
-    # several docs pad the corpus so idf ordering matters.
-    rows = {
-        "doc_id": list(range(1, 9)),
-        "t1": [
-            "shared alpha beta", "alpha beta gamma", "beta gamma delta",
-            "shared delta", "epsilon zeta", "eta theta", "iota kappa", "alpha",
-        ],
-        "t2": [
-            "shared gamma", "delta epsilon", "zeta eta", "theta iota",
-            "kappa alpha", "beta gamma", "shared", "gamma delta",
-        ],
-    }
-    idx = str(tmp_path_factory.mktemp("mfidx"))
-    build_index(
-        ray.data.from_arrow(pa.table(rows)), idx,
-        text_cols=["t1", "t2"], doc_id_col="doc_id", num_buckets=2, overwrite=True,
-    )
-    return idx
-
-
-def test_multifield_df_is_unique_docs(multifield_index):
-    s = IndexSearcher(multifield_index)
-    # 'shared' occurs in docs 1 (both fields), 4, 7 → df must be 3, not 4
-    df, cf = s.term_stats("shared")
-    assert df == 3
-    assert cf == 4
-
-
-def test_pruned_bm25_exact_on_multifield(multifield_index):
-    s = IndexSearcher(multifield_index)
-    terms = ["shared", "alpha", "gamma"]
-    exact = s.bm25_topk(terms, k=5)
-    pruned = s.bm25_topk_pruned(terms, k=5)
-    assert exact["doc_id"].to_pylist() == pruned["doc_id"].to_pylist()
-    np.testing.assert_allclose(
-        exact["score"].to_numpy(), pruned["score"].to_numpy(), rtol=0, atol=0
-    )
-
-
-def test_binary_search_lookup_parity(multifield_index):
-    s = IndexSearcher(multifield_index)
-    # WORD / WILD / EDIT expansion with the cached numpy view must equal
-    # the scan-kernel path
-    for pat in ["WORD(alpha)", "WORD(absent)", "WILD(a*)", "WILD(*ta)", "EDIT(gama,1)"]:
-        ast = parse_query(pat)
-        assert expand_pattern(ast, s.terms, s._terms_np) == expand_pattern(ast, s.terms)
-    assert s.term_stats("absent") == (0, 0)
-    assert s._term_index("alpha") >= 0
-    assert s._term_index("zzzz") == -1
 
 
 # ---------------------------------------------------------------------------

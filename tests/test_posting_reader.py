@@ -1,19 +1,27 @@
-"""PostingFileReader: one term's posting rows from a postings parquet
-file through a cached footer and direct row-group reads, and the
-postings layout it reads.
+"""Posting reads: a fresh segment's lookup is one positional read of
+the term's payload record at its catalog address; a segment written
+before payload blobs reads its rows through ``PostingFileReader``
+(cached footer, direct row-group reads).
 
 Covers the file-range bisect with boundary spill, row-group pruning on
 term statistics, rows that are not term-sorted within a row group,
-files written without statistics, a differential check against the
-dataset-filter read (``pq.read_table(path, filters=...)``) over a real
-two-segment index and over the same index rewritten in the legacy
-layout (unsorted rows, 4,096-row groups), and the one-footer-parse-per-
-file contract.  The layout side: ``merge_runs_batch`` returns rows in
-(term, first_doc, block_id) order, and ``build_index`` /
-``compact_index`` write term-sorted files in ``POSTINGS_ROW_GROUP_SIZE``
-groups, so a single-row term costs one row-group read per file.
+files written without statistics, the one-footer-parse-per-file
+contract, and differential checks over a real two-segment index: every
+term's blocks as the searcher reads them equal a whole-file read of the
+postings (the parquet rows with the blob's payloads attached), the blob
+path equals the legacy reader on the same index rewritten in the
+pre-blob layout (payloads inline, unsorted rows, 4,096-row groups),
+eager and paged catalogs alike, and ``compact_index`` turns that legacy
+index into blobs.  Corrupt blobs (truncated, lengths that disagree)
+raise ValueError naming the file and the term.  The layout side:
+``merge_runs_batch`` returns rows in (term, first_doc, block_id) order,
+and ``build_index`` / ``compact_index`` write term-sorted files in
+``POSTINGS_ROW_GROUP_SIZE`` groups.  Also the cold-start contract: a
+searcher built from manifest stats opens no parquet footer and no blob.
 """
 
+import glob
+import os
 import hashlib
 import shutil
 from types import SimpleNamespace
@@ -24,7 +32,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
-from fulltextsearch_ray.codecs import encode_posting_block
+from fulltextsearch_ray.codecs import encode_posting_block, varint_decode, varint_encode
 from fulltextsearch_ray.pipelines import build as build_mod
 from fulltextsearch_ray.pipelines.build import build_index, compact_index
 from fulltextsearch_ray.pipelines.query import IndexSearcher, PostingFileReader
@@ -33,7 +41,20 @@ from fulltextsearch_ray.stages.invert import (
     InvertStage,
     merge_runs_batch,
 )
-from fulltextsearch_ray.state.index import POSTINGS_SCHEMA
+from fulltextsearch_ray.state.index import (
+    POSTINGS_SCHEMA,
+    load_manifest,
+    load_meta,
+    save_manifest,
+    segment_dir,
+)
+from fulltextsearch_ray.state.payloads import (
+    ADDRESS_COLS,
+    PAYLOAD_COLS,
+    PAYLOAD_DIR,
+    read_postings_file,
+)
+from fulltextsearch_ray.tokenizer import tokenize
 
 
 def _run(docs):
@@ -165,19 +186,31 @@ def two_segment_index(ray_session, tmp_path_factory):
     return _build_two_segments(str(tmp_path_factory.mktemp("two_seg")))
 
 
+QUERIES = ("the term3", "uniq5 term7 term39", "term0 term1 term2 the", "the uniq7 uniq9 term12")
+
+
 @pytest.fixture(scope="module")
 def legacy_index(two_segment_index, tmp_path_factory):
-    """``two_segment_index`` with every postings file rewritten the way
-    the category-concatenating merge wrote them: rows out of term order,
-    4,096-row groups.  Footer [min, max] ranges stay those of the fresh
-    files, so the run catalog still matches."""
+    """``two_segment_index`` rewritten in the layout indexes had before
+    payload blobs: every postings row carries its payloads inline, the
+    rows shuffled out of term order in 4,096-row groups the way the
+    category-concatenating merge wrote them, no payloads directory, and
+    catalogs without address columns.  Footer [min, max] ranges stay
+    those of the fresh files, so the run catalog still matches."""
     idx = str(tmp_path_factory.mktemp("legacy") / "idx")
     shutil.copytree(two_segment_index, idx)
     rng = np.random.default_rng(11)
-    for seg_ranges in IndexSearcher(idx)._seg_ranges.values():
-        for p in seg_ranges[2]:
-            t = pq.read_table(p)
+    for seg in load_meta(idx).segments:
+        segp = segment_dir(idx, seg)
+        for p in sorted(glob.glob(os.path.join(segp, "postings", "*.parquet"))):
+            t = read_postings_file(p)
             pq.write_table(t.take(rng.permutation(t.num_rows)), p, row_group_size=4096)
+        shutil.rmtree(os.path.join(segp, PAYLOAD_DIR))
+        for p in glob.glob(os.path.join(segp, "catalog", "*.parquet")):
+            pq.write_table(pq.read_table(p).drop_columns(ADDRESS_COLS), p)
+        man = load_manifest(idx, seg)
+        man.catalog_stats = build_mod._scan_table_stats(os.path.join(segp, "catalog"), segp)
+        save_manifest(idx, man)
     return idx
 
 
@@ -211,36 +244,58 @@ def _unsorted_files(s) -> int:
 
 
 def _assert_matches_dataset_filter_read(s):
+    """Every term's blocks as ``s`` reads them — a blob record at its
+    catalog address, or legacy rows through ``PostingFileReader`` —
+    equal the rows of a whole-file read filtered to the term
+    (``read_postings_file``: the parquet rows with their payloads),
+    segment by segment.  On a legacy segment the row reader must also
+    equal the dataset-filter read (``pq.read_table(path, filters=...)``)."""
     cols = ["term", "block_id", "first_doc", "last_doc", "df", "docs", "fields", "tfs", "positions"]
-    terms = s.terms.to_pylist()
+    whole = {p: read_postings_file(p) for _seg, p in _postings_files(s)}
+    terms = IndexSearcher(s.index_dir).terms.to_pylist()
     assert "the" in terms
     for term in terms:
+        want = []
         for seg in s.segments:
             mins, maxs, paths = s._seg_ranges[seg]
-            want = [
-                pq.read_table(p, columns=cols, filters=[("term", "=", term)])
-                for p, lo, hi in zip(paths, mins, maxs)
-                if lo <= term <= hi
-            ]
-            want = pa.concat_tables(want) if want else None
+            covering = [p for p, lo, hi in zip(paths, mins, maxs) if lo <= term <= hi]
+            rows = [whole[p].filter(pc.equal(whole[p]["term"], term)) for p in covering]
+            rows = pa.concat_tables(rows) if rows else None
+            if rows is not None and rows.num_rows:
+                want.append(rows.sort_by([("first_doc", "ascending"), ("block_id", "ascending")]))
+            if seg in s._blob_segs:
+                continue
+            filtered = [pq.read_table(p, columns=cols, filters=[("term", "=", term)]) for p in covering]
             got = s._read_term_rows(seg, term, cols)
-            if want is None:
+            if not filtered:
                 assert got.num_rows == 0, (seg, term)
             else:
-                assert got.equals(want), (seg, term)
+                assert got.equals(pa.concat_tables(filtered)), (seg, term)
+        for with_positions in (False, True):
+            got = s._fetch_term_blocks(term, with_positions)
+            assert len(got) == len(want), term
+            for b, w in zip(got, want):
+                assert b.dfs.tolist() == w["df"].to_pylist(), term
+                assert b.firsts.tolist() == w["first_doc"].to_pylist(), term
+                assert b.lasts.tolist() == w["last_doc"].to_pylist(), term
+                for c in PAYLOAD_COLS if with_positions else ("docs", "tfs"):
+                    assert [bytes(x) for x in getattr(b, c)] == w[c].to_pylist(), (term, c)
 
 
 def test_reader_matches_dataset_filter_read(two_segment_index):
     s = IndexSearcher(two_segment_index)
     assert len(s.segments) == 2 and set(s._seg_ranges) == set(s.segments)
+    assert s._blob_segs == set(s.segments)
     # a fresh build writes term-sorted files only
     assert _unsorted_files(s) == 0
     _assert_matches_dataset_filter_read(s)
+    _assert_matches_dataset_filter_read(IndexSearcher(two_segment_index, catalog_budget_rows=0))
 
 
 def test_legacy_layout_matches_dataset_filter_read(legacy_index, two_segment_index):
     s = IndexSearcher(legacy_index)
     assert len(s.segments) == 2
+    assert not s._blob_segs
     # the case a binary search within a row group would get wrong
     assert _unsorted_files(s) > 0
     assert all(
@@ -252,8 +307,57 @@ def test_legacy_layout_matches_dataset_filter_read(legacy_index, two_segment_ind
         assert s.bm25_topk(q, k=10).equals(fresh.bm25_topk(q, k=10)), q
 
 
-def test_footer_parsed_once_and_no_dataset_reads(two_segment_index, monkeypatch):
-    s = IndexSearcher(two_segment_index)
+def _assert_same_answers(got: IndexSearcher, want: IndexSearcher, terms):
+    for term in terms:
+        for g, w in zip(got.get_doc_tfs(term), want.get_doc_tfs(term)):
+            np.testing.assert_array_equal(g, w, err_msg=term)
+        g, w = got.get_postings(term), want.get_postings(term)
+        for c in ("docs", "fields", "tokens"):
+            np.testing.assert_array_equal(getattr(g, c), getattr(w, c), err_msg=term)
+    for q in QUERIES:
+        for k in (3, 10):
+            assert got.bm25_topk(q, k=k).equals(want.bm25_topk(q, k=k)), (q, k)
+            assert got.bm25_topk_pruned(tokenize(q), k=k).equals(
+                want.bm25_topk_pruned(tokenize(q), k=k)
+            ), (q, k)
+
+
+@pytest.mark.parametrize("budget", [2_000_000, 0], ids=["eager", "lazy"])
+def test_blob_read_matches_legacy_reader(two_segment_index, legacy_index, budget):
+    """The blob read and the legacy row reader give the same postings
+    and the same BM25 answers, and pruned == exhaustive on both."""
+    blob = IndexSearcher(two_segment_index, catalog_budget_rows=budget)
+    legacy = IndexSearcher(legacy_index, catalog_budget_rows=budget)
+    assert (blob._lazy_cats is None) == (legacy._lazy_cats is None) == (budget > 0)
+    assert blob._blob_segs == set(blob.segments) and not legacy._blob_segs
+    _assert_same_answers(blob, legacy, IndexSearcher(two_segment_index).terms.to_pylist() + ["absent"])
+    for s in (blob, legacy):
+        for q in QUERIES:
+            for k in (3, 10):
+                exact, pruned = s.bm25_topk(q, k=k), s.bm25_topk_pruned(tokenize(q), k=k)
+                assert exact["doc_id"].to_pylist() == pruned["doc_id"].to_pylist(), (q, k)
+                np.testing.assert_allclose(
+                    pruned["score"].to_numpy(), exact["score"].to_numpy(), rtol=1e-12, atol=0
+                )
+    assert blob.posting_reader.payload_reads > 0 and blob.posting_reader.row_groups_read == 0
+    assert legacy.posting_reader.payload_reads == 0 and legacy.posting_reader.row_groups_read > 0
+
+
+def test_legacy_index_compacts_into_blobs(legacy_index, tmp_path):
+    idx = str(tmp_path / "idx")
+    shutil.copytree(legacy_index, idx)
+    compact_index(idx, block_cf=64)
+    before = IndexSearcher(legacy_index)
+    after = IndexSearcher(idx)
+    assert len(after.segments) == 1 and after._blob_segs == set(after.segments)
+    assert os.listdir(os.path.join(segment_dir(idx, after.segments[0]), PAYLOAD_DIR))
+    _assert_same_answers(after, before, before.terms.to_pylist() + ["absent"])
+    assert after.posting_reader.row_groups_read == 0
+
+
+def test_footer_parsed_once_and_no_dataset_reads(legacy_index, monkeypatch):
+    # the parquet row reader serves segments written before blobs
+    s = IndexSearcher(legacy_index)
     assert s.posting_reader.files_opened == 0  # nothing opened at construction
     terms = s.terms.to_pylist()
     # row groups whose term stats admit each term, over the files the
@@ -380,3 +484,260 @@ def test_merge_runs_batch_output_is_term_sorted():
     got = merge_runs_batch(sub, block_cf=64)
     terms = got["term"].to_pylist()
     assert terms == sorted(terms) and got.num_rows == sub.num_rows
+
+
+# -- payload reads: counters and loud errors ----------------------------------
+
+
+def _encoded_rows(block_cf):
+    """Term-sorted posting rows of three terms: 'a' in 300 docs (so
+    ``block_cf=2`` cuts it into 150 blocks, a two-byte block count),
+    'b' in one doc with three positions, 'c' in docs 2^40 and 2^40 + 5."""
+    from fulltextsearch_ray.stages.invert import encode_posting_rows
+
+    docs = np.r_[np.arange(1, 301), [7, 7, 7], [1 << 40, (1 << 40) + 5]].astype(np.uint64)
+    tokens = np.r_[np.ones(300), [2, 5, 9], [1, 1]].astype(np.uint64)
+    return encode_posting_rows(
+        np.array(["a", "b", "c"], dtype=object), np.array([0, 300, 303, 305]),
+        docs, None, tokens, np.zeros(3, dtype=np.int32), block_cf,
+    )
+
+
+def test_blob_round_trip(tmp_path):
+    """write_blob → read by address (parse_record) and whole-file
+    (attach_payloads) give back every row's payload bytes."""
+    from fulltextsearch_ray.state.payloads import (
+        attach_payloads,
+        parse_record,
+        read_directory,
+        write_blob,
+    )
+
+    rows = _encoded_rows(block_cf=2)
+    assert rows.num_rows > 150
+    blob = str(tmp_path / "payloads" / "p.bin")
+    write_blob(blob, rows)
+    offsets, _hdr, bm25_len, length = read_directory(blob)
+    data = open(blob, "rb").read()
+    for t, term in enumerate(["a", "b", "c"]):
+        want = rows.filter(pc.equal(rows["term"], term))
+        for rest, n in ((False, bm25_len[t]), (True, length[t])):
+            got = parse_record(data[offsets[t] : offsets[t] + n], rest, blob, term)
+            assert got.dfs.tolist() == want["df"].to_pylist()
+            assert got.firsts.tolist() == want["first_doc"].to_pylist()
+            assert got.lasts.tolist() == want["last_doc"].to_pylist()
+            for c in PAYLOAD_COLS if rest else ("docs", "tfs"):
+                assert [bytes(x) for x in getattr(got, c)] == want[c].to_pylist(), (term, c)
+    # a sentinel row (payload inline) ahead of the blob-backed rows
+    nulls = {c: pa.nulls(rows.num_rows, pa.binary()) for c in PAYLOAD_COLS}
+    stripped = rows
+    for c, col in nulls.items():
+        stripped = stripped.set_column(stripped.schema.get_field_index(c), c, col)
+    sentinel = rows.slice(0, 1).set_column(rows.schema.get_field_index("term"), "term",
+                                           pa.array(["\x00docs:1"]))
+    sentinel = sentinel.set_column(sentinel.schema.get_field_index("bucket"), "bucket",
+                                   pa.array([-1], pa.int32()))
+    got = attach_payloads(pa.concat_tables([sentinel, stripped]), blob)
+    assert got.equals(pa.concat_tables([sentinel, rows]))
+
+
+def test_rewritten_partition_replaces_its_files(tmp_path):
+    """A retried write of the same partition lands on the same names:
+    one parquet file and one blob, not two copies (double df/cf)."""
+    rows = _encoded_rows(block_cf=64)
+    seg = str(tmp_path / "seg")
+    for _ in range(2):
+        out = build_mod.write_postings_partition(rows, seg, row_group_size=4096)
+    assert os.listdir(os.path.join(seg, "postings")) == [os.path.basename(out["file"][0].as_py())]
+    assert len(os.listdir(os.path.join(seg, PAYLOAD_DIR))) == 1
+    assert read_postings_file(os.path.join(seg, out["file"][0].as_py())).equals(rows)
+
+
+def test_cold_single_segment_lookup_is_one_payload_read(small_group_indexes):
+    s = IndexSearcher(small_group_indexes["compacted"])
+    assert len(s.segments) == 1
+    r = s.posting_reader
+    assert (r.files_opened, r.payload_reads, r.payload_bytes) == (0, 0, 0)
+    path, _off, bm25_len, length = s._term_address(0, "term7")
+    assert os.path.dirname(path).endswith(PAYLOAD_DIR) and 0 < bm25_len < length
+    assert len(s.get_doc_tfs("term7")[0]) > 0
+    assert (r.payload_reads, r.payload_bytes, r.row_groups_read, r.files_opened) == (1, bm25_len, 0, 1)
+    s.get_doc_tfs("term7")  # cached: no read
+    assert r.payload_reads == 1
+    assert len(s.get_postings("term7").docs) > 0  # positions: the whole record
+    assert (r.payload_reads, r.payload_bytes, r.files_opened) == (2, bm25_len + length, 1)
+    assert len(s.get_doc_tfs("absent")[0]) == 0  # not in the catalog: no read
+    assert r.payload_reads == 2 and r.row_groups_read == 0
+
+
+def _single_block_record(idx):
+    """(blob path, offset, term) of a single-block term with df ≥ 2 in
+    the first segment, and the index of its header's end."""
+    s = IndexSearcher(idx)
+    for term in s.terms.to_pylist():
+        addr = s._term_address(0, term)
+        if addr is None:
+            continue
+        path, off, _bm25, length = addr
+        with open(path, "rb") as f:
+            f.seek(off)
+            rec = np.frombuffer(f.read(length), dtype=np.uint8)
+        ends = np.flatnonzero(rec < 0x80)
+        vals = varint_decode(rec[: ends[7] + 1])
+        if vals[0] == 1 and vals[1] >= 2 and vals[4] < 127:
+            return path, off, term, int(ends[7]) + 1, vals
+    raise AssertionError("no single-block term")
+
+
+def test_truncated_blob_raises(two_segment_index, tmp_path):
+    idx = str(tmp_path / "idx")
+    shutil.copytree(two_segment_index, idx)
+    s = IndexSearcher(idx)
+    term = max(s.terms.to_pylist(), key=lambda t: s._term_address(0, t)[1] if s._term_address(0, t) else -1)
+    path, off, _bm25, _len = s._term_address(0, term)
+    with open(path, "r+b") as f:
+        f.truncate(off + 1)
+    with pytest.raises(ValueError, match=f"{os.path.basename(path)}.*{term!r}"):
+        IndexSearcher(idx).get_doc_tfs(term)
+    parquet = os.path.join(segment_dir(idx, s.segments[0]), "postings",
+                           os.path.basename(path).replace(".bin", ".parquet"))
+    with pytest.raises(ValueError, match=os.path.basename(path)):
+        read_postings_file(parquet)
+
+
+def test_corrupt_header_length_raises(two_segment_index, tmp_path):
+    idx = str(tmp_path / "idx")
+    shutil.copytree(two_segment_index, idx)
+    path, off, term, hdr_end, vals = _single_block_record(idx)
+
+    def patch(docs_delta, tfs_delta):
+        v = vals.copy()
+        v[4] += np.uint64(docs_delta)
+        v[5] -= np.uint64(tfs_delta)
+        b = varint_encode(v)
+        assert len(b) == hdr_end
+        with open(path, "r+b") as f:
+            f.seek(off)
+            f.write(b)
+
+    # lengths that still sum to the address: the docs region swallows
+    # the first tfs byte, and the decoded counts disagree with df
+    patch(1, 1)
+    with pytest.raises(ValueError, match=f"{os.path.basename(path)}.*corrupt postings of term {term!r}"):
+        IndexSearcher(idx).get_doc_tfs(term)
+    with pytest.raises(ValueError, match=os.path.basename(path)):
+        read_postings_file(path.replace(PAYLOAD_DIR, "postings").replace(".bin", ".parquet"))
+    # lengths that disagree with the address
+    patch(1, 0)
+    with pytest.raises(ValueError, match=f"{os.path.basename(path)}.*{term!r}.*header lengths"):
+        IndexSearcher(idx).get_doc_tfs(term)
+
+
+# -- manifest-cached footer stats (cold start opens no parquet footers) ------
+
+
+DOCS = [
+    "the quick brown fox jumps over the lazy dog",
+    "pack my box with five dozen liquor jugs",
+    "how vexingly quick daft zebras jump",
+    "the five boxing wizards jump quickly",
+    "sphinx of black quartz judge my vow",
+    "quick zephyrs blow vexing daft jim",
+] * 5
+
+
+@pytest.fixture(scope="module")
+def built_index(ray_session, tmp_path_factory):
+    import ray.data
+
+    idx = str(tmp_path_factory.mktemp("r5") / "idx")
+    ds = ray.data.from_arrow(
+        pa.table(
+            {
+                "doc_id": pa.array(range(1, len(DOCS) + 1), pa.int64()),
+                "text": pa.array(DOCS, pa.string()),
+            }
+        )
+    )
+    build_index(ds, idx, text_col="text", doc_id_col="doc_id", num_buckets=4, overwrite=True)
+    return idx
+
+
+def test_manifest_persists_table_stats(built_index):
+    from fulltextsearch_ray.state.index import load_manifest, load_meta
+
+    meta = load_meta(built_index)
+    man = load_manifest(built_index, meta.segments[0])
+    assert man.catalog_stats and man.docs_stats
+    for stats in (man.catalog_stats, man.docs_stats):
+        for rel, info in stats.items():
+            assert info["num_rows"] > 0
+            assert info["columns"]
+            assert info["row_groups"]  # this engine's writers emit stats
+            for mn, mx, rows in info["row_groups"]:
+                assert rows > 0 and mn <= mx
+
+
+def test_cold_start_opens_zero_footers(built_index, monkeypatch):
+    """With manifest stats present, IndexSearcher.__init__ in lazy mode
+    must not construct a single pq.ParquetFile (the old cold start did
+    one footer fetch per catalog/docs file per actor)."""
+    import fulltextsearch_ray.pipelines.query as qmod
+
+    calls = []
+    real = qmod.pq.ParquetFile
+
+    class CountingPF:
+        def __new__(cls, path, *a, **k):
+            calls.append(str(path))
+            return real(path, *a, **k)
+
+    monkeypatch.setattr(qmod.pq, "ParquetFile", CountingPF)
+    s = qmod.IndexSearcher(built_index, catalog_budget_rows=0, doclen_budget_rows=0)
+    assert calls == [], f"cold start opened footers: {calls}"
+    # ... and no payload blob
+    r = s.posting_reader
+    assert (r.files_opened, r.payload_reads, r.payload_bytes) == (0, 0, 0)
+    # the paged tables still serve lookups (reads happen lazily, now)
+    assert s.term_stats("quick")[0] > 0
+    assert calls, "lookups should read row groups on demand"
+    # a posting lookup opens the one blob holding the term and reads
+    # its record once, with no parquet row-group read
+    assert len(s.get_doc_tfs("quick")[0]) > 0
+    assert (r.files_opened, r.payload_reads, r.row_groups_read) == (1, 1, 0)
+
+
+def test_manifest_stats_lookup_parity(built_index):
+    """Lazy searcher built from manifest stats == eager searcher."""
+    from fulltextsearch_ray.pipelines.query import IndexSearcher
+
+    eager = IndexSearcher(built_index)
+    lazy = IndexSearcher(built_index, catalog_budget_rows=0, doclen_budget_rows=0)
+    for t in ("quick", "jump", "sphinx", "absentterm"):
+        assert eager.term_stats(t) == lazy.term_stats(t)
+    assert eager.bm25_topk("quick fox", k=5) == lazy.bm25_topk("quick fox", k=5)
+
+
+def test_legacy_manifest_without_stats_still_serves(built_index, tmp_path):
+    """An index whose manifest predates catalog_stats/docs_stats falls
+    back to footer reads — same results."""
+    import json
+    import shutil
+
+    from fulltextsearch_ray.pipelines.query import IndexSearcher
+
+    legacy = str(tmp_path / "legacy")
+    shutil.copytree(built_index, legacy)
+    from fulltextsearch_ray.state.index import load_meta, segment_dir
+
+    for seg in load_meta(legacy).segments:
+        mpath = os.path.join(segment_dir(legacy, seg), "manifest.json")
+        with open(mpath) as f:
+            d = json.load(f)
+        d.pop("catalog_stats", None)
+        d.pop("docs_stats", None)
+        with open(mpath, "w") as f:
+            json.dump(d, f)
+    a = IndexSearcher(built_index).bm25_topk("lazy dog", k=5)
+    b = IndexSearcher(legacy).bm25_topk("lazy dog", k=5)
+    assert a == b

@@ -1,8 +1,9 @@
 """Golden postings digests: the bytes ``build_index`` / ``compact_index``
 write for small fixed corpora are pinned as sha256 constants.
 
-Each digest hashes every postings row of an index, all columns, in the
-canonical (``term``, ``first_doc``, ``block_id``) order, so any change
+Each digest hashes every postings row of an index, all columns (the
+payload columns attached from the blobs), in the canonical (``term``,
+``first_doc``, ``block_id``) order, so any change
 to the encoder, the chunk rule, the run merge or the sentinel rows
 shows up here.  Corpora:
 
@@ -15,6 +16,7 @@ shows up here.  Corpora:
 * that two-segment index after ``compact_index``.
 """
 
+import glob
 import hashlib
 import os
 
@@ -25,6 +27,7 @@ import pyarrow.parquet as pq
 
 from fulltextsearch_ray.pipelines.build import build_index, compact_index
 from fulltextsearch_ray.state.index import POSTINGS_SCHEMA, load_meta, segment_dir
+from fulltextsearch_ray.state.payloads import read_postings_file
 
 SINGLE_FIELD_DIGEST = "3c358dfb33f67340d5577b022af36a692d771550af919b6f53c7e67eb6e3fe03"
 MULTI_FIELD_DIGEST = "fcd06349ad8045828fbea03ad1e20ead35c8142c9a9d5b9c4e9cc3297a0bd267"
@@ -34,8 +37,9 @@ COMPACTED_DIGEST = "f96742f96819787c12ece910d48e2a3742cf0cead67220d0fd6d7c451cc8
 def postings_digest(index_dir: str) -> str:
     meta = load_meta(index_dir)
     tbl = pa.concat_tables(
-        pq.read_table(os.path.join(segment_dir(index_dir, s), "postings"), schema=POSTINGS_SCHEMA)
+        read_postings_file(f).select(POSTINGS_SCHEMA.names).cast(POSTINGS_SCHEMA)
         for s in meta.segments
+        for f in sorted(glob.glob(os.path.join(segment_dir(index_dir, s), "postings", "*.parquet")))
     )
     idx = pc.sort_indices(
         tbl, sort_keys=[("term", "ascending"), ("first_doc", "ascending"), ("block_id", "ascending")]

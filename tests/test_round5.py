@@ -1,6 +1,6 @@
-"""Round-5 fixes: manifest-cached footer stats, auto-FST lazy EDIT,
-tree-reduced top_terms, kvstore crash ordering,
-FST-store advice items, topk pair dedup."""
+"""Round-5 fixes: auto-FST lazy EDIT, tree-reduced top_terms, kvstore
+crash ordering, FST-store advice items, topk pair dedup.  (The
+manifest-cached footer stats tests live in tests/test_posting_reader.py.)"""
 
 from __future__ import annotations
 
@@ -39,82 +39,6 @@ def built_index(ray_session, tmp_path_factory):
     )
     build_index(ds, idx, text_col="text", doc_id_col="doc_id", num_buckets=4, overwrite=True)
     return idx
-
-
-# -- manifest-cached footer stats (cold start opens no parquet footers) ------
-
-
-def test_manifest_persists_table_stats(built_index):
-    from fulltextsearch_ray.state.index import load_manifest, load_meta
-
-    meta = load_meta(built_index)
-    man = load_manifest(built_index, meta.segments[0])
-    assert man.catalog_stats and man.docs_stats
-    for stats in (man.catalog_stats, man.docs_stats):
-        for rel, info in stats.items():
-            assert info["num_rows"] > 0
-            assert info["columns"]
-            assert info["row_groups"]  # this engine's writers emit stats
-            for mn, mx, rows in info["row_groups"]:
-                assert rows > 0 and mn <= mx
-
-
-def test_cold_start_opens_zero_footers(built_index, monkeypatch):
-    """With manifest stats present, IndexSearcher.__init__ in lazy mode
-    must not construct a single pq.ParquetFile (the old cold start did
-    one footer fetch per catalog/docs file per actor)."""
-    import fulltextsearch_ray.pipelines.query as qmod
-
-    calls = []
-    real = qmod.pq.ParquetFile
-
-    class CountingPF:
-        def __new__(cls, path, *a, **k):
-            calls.append(str(path))
-            return real(path, *a, **k)
-
-    monkeypatch.setattr(qmod.pq, "ParquetFile", CountingPF)
-    s = qmod.IndexSearcher(built_index, catalog_budget_rows=0, doclen_budget_rows=0)
-    assert calls == [], f"cold start opened footers: {calls}"
-    # the paged tables still serve lookups (reads happen lazily, now)
-    assert s.term_stats("quick")[0] > 0
-    assert calls, "lookups should read row groups on demand"
-
-
-def test_manifest_stats_lookup_parity(built_index):
-    """Lazy searcher built from manifest stats == eager searcher."""
-    from fulltextsearch_ray.pipelines.query import IndexSearcher
-
-    eager = IndexSearcher(built_index)
-    lazy = IndexSearcher(built_index, catalog_budget_rows=0, doclen_budget_rows=0)
-    for t in ("quick", "jump", "sphinx", "absentterm"):
-        assert eager.term_stats(t) == lazy.term_stats(t)
-    assert eager.bm25_topk("quick fox", k=5) == lazy.bm25_topk("quick fox", k=5)
-
-
-def test_legacy_manifest_without_stats_still_serves(built_index, tmp_path):
-    """An index whose manifest predates catalog_stats/docs_stats falls
-    back to footer reads — same results."""
-    import json
-    import shutil
-
-    from fulltextsearch_ray.pipelines.query import IndexSearcher
-
-    legacy = str(tmp_path / "legacy")
-    shutil.copytree(built_index, legacy)
-    from fulltextsearch_ray.state.index import load_meta, segment_dir
-
-    for seg in load_meta(legacy).segments:
-        mpath = os.path.join(segment_dir(legacy, seg), "manifest.json")
-        with open(mpath) as f:
-            d = json.load(f)
-        d.pop("catalog_stats", None)
-        d.pop("docs_stats", None)
-        with open(mpath, "w") as f:
-            json.dump(d, f)
-    a = IndexSearcher(built_index).bm25_topk("lazy dog", k=5)
-    b = IndexSearcher(legacy).bm25_topk("lazy dog", k=5)
-    assert a == b
 
 
 # -- auto-FST sidecar accelerates lazy-mode EDIT/WILD ------------------------
