@@ -21,8 +21,9 @@ ids (sorted-key rank or passthrough), then InvertStage as above.
 
 Streaming throughout: nothing materializes the corpus; the only
 all-to-all exchange is the sort on ``term`` over compressed partial
-runs (:func:`merge_term_runs`, shared with ``compact_index`` and
-``build_in_memory``).  Each build session appends a new SEGMENT;
+runs (:func:`_write_postings`, shared with ``compact_index``;
+:func:`merge_term_runs` is the same sort + merge without the write,
+for ``build_in_memory``).  Each build session appends a new SEGMENT;
 query merges segments (the reference's posting-chain semantic,
 ``PostingListWriter.cs:114-159``);
 ``compact_index`` collapses chains.  Completed segments are
@@ -155,7 +156,7 @@ def compact_index(
     # sentinel keys.  Segments of either layout (payload blobs, or
     # payloads inline from before blobs) come out as whole rows.
     runs = read_postings_dataset(post_files).map_batches(ensure_ndocs, batch_format="pyarrow")
-    _write_postings(runs, seg_path, block_cf)
+    max_field = _write_postings(runs, seg_path, block_cf)
 
     # docs table: merge of per-segment docs (ids are disjoint).  Small
     # tables concat on the driver; past the budget the merge streams
@@ -272,24 +273,13 @@ def compact_index(
         docs_driver_budget=docs_driver_budget,
     )
 
-    if not meta.num_fields:
+    if not meta.num_fields and max_field:
         # Legacy meta (num_fields=0, field count UNKNOWN) kept pruned
         # BM25 on the loosest tf→∞ upper bound forever.  Compaction is
-        # the one moment the true count becomes derivable cheaply: one
-        # column-pruned scan of the fields column of the postings just
-        # rewritten (field ids are 1-based varints — the count is the
-        # max id).
-        from ..codecs import varint_decode
-
-        def _max_field(b: pa.Table) -> pa.Table:
-            buf = b"".join(v for v in b["fields"].to_pylist() if v)
-            m = int(varint_decode(buf).max()) if buf else 0
-            return pa.table({"m": pa.array([m], pa.int64())})
-
-        new_files = sorted(_glob.glob(os.path.join(seg_path, "postings", "*.parquet")))
-        mx = read_postings_dataset(new_files).map_batches(_max_field, batch_format="pyarrow").max("m")
-        if mx:
-            meta.num_fields = int(mx)
+        # the one moment the true count becomes derivable cheaply: the
+        # merging tasks report the largest field id they wrote (field
+        # ids are 1-based — the count is the max id).
+        meta.num_fields = max_field
     meta.segments = [new_seg]
     save_meta(index_dir, meta)
     for s in old_segments:
@@ -297,10 +287,7 @@ def compact_index(
     return meta
 
 
-def merge_term_runs(
-    runs: ray.data.Dataset, block_cf: int, seg_path: "str | None" = None,
-    row_group_size: int = POSTINGS_ROW_GROUP_SIZE,
-) -> ray.data.Dataset:
+def merge_term_runs(runs: ray.data.Dataset, block_cf: int) -> ray.data.Dataset:
     """THE term shuffle: sort posting runs on ``term`` and merge each
     sorted block with :func:`merge_runs_batch`.
 
@@ -308,19 +295,14 @@ def merge_term_runs(
     block, so the whole-block vectorized merge avoids per-group
     scheduling (``map_groups`` costs ~ms per key, fatal at realistic
     million-term vocabularies).  Each output block is term-sorted and
-    the blocks hold disjoint term ranges.
-
-    With ``seg_path``, the task that merges a sort partition also writes
-    it (:func:`write_postings_partition`), so a partition becomes
-    exactly one postings file plus one payload blob, and the dataset
-    yields one ``file`` row per written postings file."""
+    the blocks hold disjoint term ranges."""
     from ..stages.invert import merge_runs_batch
 
-    fn, kw = merge_runs_batch, {"block_cf": block_cf}
-    if seg_path is not None:
-        fn = _merge_and_write
-        kw.update(seg_path=seg_path, row_group_size=row_group_size)
-    return runs.sort("term").map_batches(fn, fn_kwargs=kw, batch_format="pyarrow", batch_size=None)
+    return runs.sort("term").map_batches(
+        lambda b: merge_runs_batch(b, block_cf=block_cf),
+        batch_format="pyarrow",
+        batch_size=None,
+    )
 
 
 def _merge_and_write(batch: pa.Table, *, block_cf: int, seg_path: str, row_group_size: int) -> pa.Table:
@@ -336,15 +318,23 @@ def write_postings_partition(rows: pa.Table, seg_path: str, row_group_size: int)
     inline).  Both files are named from the rows and renamed into place,
     the parquet file last, so a retried task overwrites its own files
     instead of adding a second copy (which would double df/cf), and a
-    postings file never exists without its blob."""
+    postings file never exists without its blob.  Returns the file's
+    relative path and the largest field id its postings hold."""
     import hashlib
 
     import pyarrow.parquet as pq
 
-    from ..state.payloads import PAYLOAD_COLS, PAYLOAD_DIR, atomic_write, write_blob
+    from ..state.payloads import (
+        PAYLOAD_COLS,
+        PAYLOAD_DIR,
+        atomic_write,
+        max_field_id,
+        replace_where,
+        write_blob,
+    )
 
     if rows.num_rows == 0:
-        return pa.table({"file": pa.array([], pa.string())})
+        return pa.table({"file": pa.array([], pa.string()), "max_field": pa.array([], pa.int64())})
     keys = ("term", "first_doc", "block_id")
     ends = [tuple(rows[c][i].as_py() for c in keys) for i in (0, rows.num_rows - 1)]
     stem = "part-" + hashlib.sha1(repr((ends, rows.num_rows)).encode()).hexdigest()[:16]
@@ -352,17 +342,17 @@ def write_postings_partition(rows: pa.Table, seg_path: str, row_group_size: int)
     posting = rows.filter(pc.invert(sentinel))
     if posting.num_rows:
         write_blob(os.path.join(seg_path, PAYLOAD_DIR, stem + ".bin"), posting)
-    none = pa.scalar(None, pa.binary())
+    max_field = max_field_id(posting["fields"].combine_chunks())
+    blob_backed = np.invert(sentinel.to_numpy(zero_copy_only=False))
     for c in PAYLOAD_COLS:
-        rows = rows.set_column(
-            rows.schema.get_field_index(c), c, pc.if_else(sentinel, rows[c], none)
-        )
+        col = replace_where(rows[c].combine_chunks(), blob_backed, None)
+        rows = rows.set_column(rows.schema.get_field_index(c), c, col)
     rel = os.path.join("postings", stem + ".parquet")
     atomic_write(
         os.path.join(seg_path, rel),
         lambda tmp: pq.write_table(rows, tmp, row_group_size=row_group_size),
     )
-    return pa.table({"file": [rel]})
+    return pa.table({"file": [rel], "max_field": pa.array([max_field], pa.int64())})
 
 
 def read_postings_dataset(files: list[str]) -> ray.data.Dataset:
@@ -396,9 +386,12 @@ def _read_postings_batch(batch: pa.Table) -> pa.Table:
     return t.filter(pc.greater_equal(t["bucket"], 0))
 
 
-def _write_postings(runs: ray.data.Dataset, seg_path: str, block_cf: int) -> None:
+def _write_postings(runs: ray.data.Dataset, seg_path: str, block_cf: int) -> int:
     """Shuffle + merge ``runs`` and write ``<seg>/postings`` and
-    ``<seg>/payloads`` in the merging tasks (:func:`merge_term_runs`).
+    ``<seg>/payloads``: the task that merges a sort partition also
+    writes it (:func:`write_postings_partition`), so a partition becomes
+    exactly one postings file plus one payload blob.  Returns the
+    largest field id written (0 for no postings).
 
     Every postings file holds one sort partition, so the files form an
     FST-style sorted-term run catalog (per-file [term_min, term_max]
@@ -411,9 +404,14 @@ def _write_postings(runs: ray.data.Dataset, seg_path: str, block_cf: int) -> Non
 
     from ..state.index import POSTINGS_SCHEMA
 
-    written = merge_term_runs(
-        runs, block_cf, seg_path=seg_path, row_group_size=POSTINGS_ROW_GROUP_SIZE
-    ).take_all()
+    # the row-group size is read here, on the driver, so the value the
+    # driver runs with is the one the Ray tasks write with
+    kw = {"block_cf": block_cf, "seg_path": seg_path, "row_group_size": POSTINGS_ROW_GROUP_SIZE}
+    written = (
+        runs.sort("term")
+        .map_batches(_merge_and_write, fn_kwargs=kw, batch_format="pyarrow", batch_size=None)
+        .take_all()
+    )
     if not written:
         # zero rows (an empty corpus, or sentinel-only segments under
         # compaction): no partition wrote a file — keep the segment
@@ -421,6 +419,7 @@ def _write_postings(runs: ray.data.Dataset, seg_path: str, block_cf: int) -> Non
         post_dir = os.path.join(seg_path, "postings")
         os.makedirs(post_dir, exist_ok=True)
         pq.write_table(POSTINGS_SCHEMA.empty_table(), os.path.join(post_dir, "part-0.parquet"))
+    return max((r["max_field"] for r in written), default=0)
 
 
 def _scan_doc_ranges(dir_path: str, seg_path: str) -> list:
@@ -576,6 +575,30 @@ def _file_catalog_batch(batch: pa.Table, *, seg_path: str) -> pa.Table:
     return pa.concat_tables([_file_catalog(p, seg_path) for p in batch["path"].to_pylist()])
 
 
+def _term_bounds(batch: pa.Table) -> pa.Table:
+    """First and last term of a term-sorted block of catalog rows, and
+    whether two adjacent rows share a term (no row for an empty block)."""
+    n = batch.num_rows
+    if not n:
+        return pa.table({"lo": pa.array([], pa.string()), "hi": pa.array([], pa.string()),
+                         "dup": pa.array([], pa.bool_())})
+    terms = batch["term"]
+    dup = n > 1 and pc.any(pc.equal(terms.slice(1), terms.slice(0, n - 1))).as_py()
+    return pa.table({"lo": [terms[0].as_py()], "hi": [terms[n - 1].as_py()], "dup": [bool(dup)]})
+
+
+def _check_one_file_per_term(seg_path: str, bounds: list[dict]) -> None:
+    """Raise ValueError when a term has catalog rows from two postings
+    files (``bounds``: :func:`_term_bounds` rows of the sorted catalog's
+    blocks).  A searcher reads one address per term and segment, so the
+    term's postings in the second file would go unread."""
+    bounds = sorted(bounds, key=lambda b: b["lo"])
+    if any(b["dup"] for b in bounds) or any(
+        b["lo"] <= a["hi"] for a, b in zip(bounds, bounds[1:])
+    ):
+        raise ValueError(f"{seg_path}: a term's postings span two postings files")
+
+
 def _build_catalog(seg_path: str, driver_budget_rows: int = 50_000_000) -> tuple[int, int]:
     """Per-term catalog (stats + payload address) of a segment's
     postings → ``<seg>/catalog`` parquet; returns ``(n_terms,
@@ -600,11 +623,7 @@ def _build_catalog(seg_path: str, driver_budget_rows: int = 50_000_000) -> tuple
         try:
             catalog_tbl = pa.concat_tables([_file_catalog(f, seg_path) for f in files])
             catalog_tbl = catalog_tbl.sort_by("term")
-            terms = catalog_tbl["term"]
-            if catalog_tbl.num_rows > 1 and pc.any(
-                pc.equal(terms.slice(1), terms.slice(0, catalog_tbl.num_rows - 1))
-            ).as_py():
-                raise ValueError(f"{seg_path}: a term's postings span two postings files")
+            _check_one_file_per_term(seg_path, _term_bounds(catalog_tbl).to_pylist())
             os.makedirs(cat_dir, exist_ok=True)
             pq.write_table(catalog_tbl, os.path.join(cat_dir, "part-0.parquet"), row_group_size=65536)
             return catalog_tbl.num_rows, int(pc.sum(catalog_tbl["cf"]).as_py() or 0)
@@ -616,15 +635,20 @@ def _build_catalog(seg_path: str, driver_budget_rows: int = 50_000_000) -> tuple
             # after write_table) would otherwise coexist with the Ray
             # output: unreadable footer or doubled df/cf rows.
             shutil.rmtree(cat_dir, ignore_errors=True)
-    (
+    catalog = (
         ray.data.from_items([{"path": f} for f in files])
         .map_batches(
             _file_catalog_batch, fn_kwargs={"seg_path": seg_path},
             batch_format="pyarrow", batch_size=1,
         )
         .sort("term")
-        .write_parquet(cat_dir)
+        .materialize()
     )
+    _check_one_file_per_term(
+        seg_path,
+        catalog.map_batches(_term_bounds, batch_format="pyarrow", batch_size=None).take_all(),
+    )
+    catalog.write_parquet(cat_dir)
     n_terms = sum(pq.ParquetFile(f).metadata.num_rows for f in pq.ParquetDataset(cat_dir).files)
     occ_row = ray.data.read_parquet(cat_dir, columns=["cf"]).aggregate(
         ray.data.aggregate.Sum("cf", alias_name="cf")

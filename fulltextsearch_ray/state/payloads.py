@@ -15,6 +15,9 @@ then a directory trailer.
     header    = varints [B, df×B, first_doc×B, last_doc×B,
                          docs_len×B, tfs_len×B, fields_len×B, positions_len×B]
     region    = the term's B per-block payloads of one column, concatenated
+                (a block's ``fields`` payload is stored empty when every
+                entry is field 1 — every block of a single-field index —
+                and read back as df bytes of 0x01)
     trailer   = varints [record_len×T, header_len×T, bm25_len×T]
                 | u64 trailer varint bytes | u64 T | MAGIC
 
@@ -113,6 +116,67 @@ def _layout(starts: np.ndarray, counts: np.ndarray, width: int):
     return lead, (lead[g] + 1 + np.arange(n) - starts[g], counts[g])
 
 
+def _flat(col: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets rebased to 0, bytes) of a binary column's values."""
+    col = col.cast(pa.large_binary())
+    if not len(col):
+        return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.uint8)
+    offs = np.frombuffer(col.buffers()[1], dtype=np.int64)[col.offset : col.offset + len(col) + 1]
+    data = col.buffers()[2]
+    if data is None:
+        return offs - offs[0], np.empty(0, dtype=np.uint8)
+    return offs - offs[0], np.frombuffer(data, dtype=np.uint8)[offs[0] : offs[-1]]
+
+
+def replace_where(col: pa.Array, mask: np.ndarray, value) -> pa.Array:
+    """``col`` with its values where ``mask`` holds replaced by
+    ``value``, as one ``take`` (``pc.if_else`` returns wrong values for
+    sliced binary arrays in this pyarrow)."""
+    n = len(col)
+    return pa.concat_arrays([col, pa.array([value], col.type)]).take(
+        pa.array(np.where(mask, n, np.arange(n)))
+    )
+
+
+def _field_one_blocks(fields: pa.Array, dfs: np.ndarray) -> np.ndarray:
+    """Per block: is its fields payload df bytes of 0x01 (every entry
+    field 1)?  Those payloads are stored empty in the blob."""
+    offs, buf = _flat(fields)
+    lens = np.diff(offs)
+    ones = np.zeros(len(buf) + 1, dtype=np.int64)
+    np.cumsum(buf == 1, out=ones[1:])
+    dfs = np.asarray(dfs, dtype=np.int64)
+    return (dfs > 0) & (lens == dfs) & (ones[offs[1:]] - ones[offs[:-1]] == lens)
+
+
+def max_field_id(fields: pa.Array) -> int:
+    """Largest field id (1-based varints) in a fields payload column;
+    0 when it holds none.  Ids below 128 are single bytes, so the
+    largest byte is the answer unless a varint runs longer."""
+    _offs, buf = _flat(fields)
+    if not len(buf):
+        return 0
+    m = int(buf.max())
+    return m if m < 0x80 else int(varint_decode(buf).max())
+
+
+def _expand_fields(arr: np.ndarray, start: np.ndarray, length: np.ndarray, dfs: np.ndarray) -> pa.Array:
+    """The fields payloads at ``arr[start : start + length]`` as a
+    binary column, each empty one of a non-empty block read back as df
+    bytes of 0x01."""
+    elided = (length == 0) & (dfs > 0)
+    out_len = np.where(elided, dfs, length)
+    off = np.zeros(len(out_len) + 1, dtype=np.int64)
+    np.cumsum(out_len, out=off[1:])
+    rep = np.repeat(elided, out_len)
+    src = np.repeat(start - off[:-1], out_len) + np.arange(off[-1])
+    data = arr[np.where(rep, 0, src)]
+    data[rep] = 1
+    return pa.Array.from_buffers(
+        pa.large_binary(), len(out_len), [None, pa.py_buffer(off), pa.py_buffer(data)]
+    ).cast(pa.binary())
+
+
 def atomic_write(path: str, write) -> None:
     """Write through a private temp name, then rename into place: a
     retried task overwrites its own file instead of leaving two."""
@@ -135,6 +199,10 @@ def write_blob(path: str, rows: pa.Table) -> None:
     starts, counts = _term_groups(rows["term"].combine_chunks())
     T = len(starts)
     cols = [rows[c].combine_chunks() for c in PAYLOAD_COLS]
+    fi = PAYLOAD_COLS.index("fields")
+    ones = _field_one_blocks(cols[fi], rows["df"].to_numpy())
+    if ones.any():
+        cols[fi] = replace_where(cols[fi], ones, b"")
     lens = [pc.binary_length(c).to_numpy(zero_copy_only=False).astype(np.uint64) for c in cols]
 
     # headers: [B, df.., first.., last.., len per column..] per term
@@ -240,9 +308,12 @@ def parse_record(buf: bytes, with_rest: bool, source: str, term: str) -> TermBlo
     cuts = (hdr_end + np.cumsum(lens)).tolist()
     cuts.insert(0, hdr_end)
     out = [[mv[cuts[i] : cuts[i + 1]] for i in range(f * B, (f + 1) * B)] for f in range(regions)]
+    fields = None
+    if with_rest:
+        fields = [b if len(b) or not d else b"\x01" * d for b, d in zip(out[2], dfs.tolist())]
     return TermBlocks(
         source, dfs, firsts.astype(np.uint64), lasts.astype(np.uint64), out[0], out[1],
-        out[2] if with_rest else None, out[3] if with_rest else None,
+        fields, out[3] if with_rest else None,
     )
 
 
@@ -301,13 +372,17 @@ def attach_payloads(table: pa.Table, blob: str) -> pa.Table:
     piece_off = np.zeros(len(piece_len) + 1, dtype=np.int64)
     np.cumsum(piece_len, out=piece_off[1:])
     # every payload piece must hold exactly its block's count of whole
-    # varints (df entries; cf positions): count the terminator bytes
+    # varints (df entries; cf positions): count the terminator bytes.
+    # An empty fields piece stands for df entries of field 1.
     ends = np.add.reduceat(arr[: piece_off[-1]] < 0x80, piece_off[:-1], dtype=np.int64)
     ends[piece_len == 0] = 0
     want = [sub[c].to_numpy().astype(np.int64) for c in ("df", "df", "df", "cf")]
     for f, c in enumerate(PAYLOAD_COLS):
         idx = row_p + f * pscale
-        wrong = (ends[idx] != want[f]) | (arr[piece_off[idx + 1] - 1] >= 0x80)
+        full = piece_len[idx] > 0
+        wrong = (ends[idx] != want[f]) | (full & (arr[piece_off[idx + 1] - 1] >= 0x80))
+        if c == "fields":
+            wrong &= full
         if wrong.any():
             r = int(np.flatnonzero(wrong)[0])
             raise bad(f"{c} payload of term {sub['term'][r].as_py()!r} disagrees with its "
@@ -320,7 +395,11 @@ def attach_payloads(table: pa.Table, blob: str) -> pa.Table:
     src = np.arange(table.num_rows)
     src[need] = table.num_rows + np.arange(n)
     for f, c in enumerate(PAYLOAD_COLS):
-        col = pieces.take(pa.array(row_p + f * pscale)).cast(pa.binary())
+        idx = row_p + f * pscale
+        if c == "fields":
+            col = _expand_fields(arr, piece_off[idx], piece_len[idx], want[0])
+        else:
+            col = pieces.take(pa.array(idx)).cast(pa.binary())
         if n < table.num_rows:
             col = pa.concat_arrays([table[c].combine_chunks(), col]).take(pa.array(src))
         table = table.set_column(table.schema.get_field_index(c), c, col)

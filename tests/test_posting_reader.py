@@ -547,10 +547,79 @@ def test_rewritten_partition_replaces_its_files(tmp_path):
     rows = _encoded_rows(block_cf=64)
     seg = str(tmp_path / "seg")
     for _ in range(2):
-        out = build_mod.write_postings_partition(rows, seg, row_group_size=4096)
+        out = build_mod.write_postings_partition(rows, seg, 4096)
     assert os.listdir(os.path.join(seg, "postings")) == [os.path.basename(out["file"][0].as_py())]
     assert len(os.listdir(os.path.join(seg, PAYLOAD_DIR))) == 1
     assert read_postings_file(os.path.join(seg, out["file"][0].as_py())).equals(rows)
+    assert out["max_field"].to_pylist() == [1]
+
+
+def _mixed_field_rows():
+    """Term-sorted posting rows of two terms over two fields: 'x' has
+    field-1-only blocks and mixed blocks (block_cf=2 cuts it small),
+    'y' only field 2."""
+    from fulltextsearch_ray.stages.invert import encode_posting_rows
+
+    docs = np.r_[[1, 2, 3, 3, 4, 5], [6, 7]].astype(np.uint64)
+    fields = np.r_[[1, 1, 1, 2, 2, 1], [2, 2]].astype(np.uint64)
+    tokens = np.r_[[1, 1, 1, 1, 1, 1], [1, 1]].astype(np.uint64)
+    return encode_posting_rows(
+        np.array(["x", "y"], dtype=object), np.array([0, 6, 8]),
+        docs, fields, tokens, np.zeros(2, dtype=np.int32), 2,
+    )
+
+
+def test_field_one_payloads_stored_empty(tmp_path):
+    """A block whose entries are all field 1 stores no fields bytes in
+    the blob (its header length is 0); every other block keeps them,
+    and both read back as the encoder's bytes, by address and whole-file."""
+    from fulltextsearch_ray.state.payloads import attach_payloads, parse_record, read_directory, write_blob
+
+    for rows in (_encoded_rows(block_cf=2), _mixed_field_rows()):
+        blob = str(tmp_path / "payloads" / "p.bin")
+        write_blob(blob, rows)
+        offsets, hdr_len, _bm25, length = read_directory(blob)
+        data = open(blob, "rb").read()
+        terms = pc.unique(rows["term"]).to_pylist()
+        stored = []
+        for t, term in enumerate(terms):
+            B = int(varint_decode(data[offsets[t] : offsets[t] + 2])[0])
+            hdr = varint_decode(data[offsets[t] : offsets[t] + hdr_len[t]])
+            stored += hdr[1 + 5 * B : 1 + 6 * B].tolist()  # fields_len per block
+            got = parse_record(data[offsets[t] : offsets[t] + length[t]], True, blob, term)
+            want = rows.filter(pc.equal(rows["term"], term))
+            assert [bytes(x) for x in got.fields] == want["fields"].to_pylist(), term
+        field_one = [f == b"\x01" * d for f, d in zip(rows["fields"].to_pylist(), rows["df"].to_pylist())]
+        assert stored == [0 if one else len(f) for one, f in zip(field_one, rows["fields"].to_pylist())]
+        stripped = rows
+        for c in PAYLOAD_COLS:
+            stripped = stripped.set_column(stripped.schema.get_field_index(c), c,
+                                           pa.nulls(rows.num_rows, pa.binary()))
+        assert attach_payloads(stripped, blob).equals(rows)
+    assert any(field_one) and not all(field_one)  # the mixed rows cover both kinds
+    assert build_mod.write_postings_partition(_mixed_field_rows(), str(tmp_path / "seg"), 4096)[
+        "max_field"
+    ].to_pylist() == [2]
+
+
+def test_term_split_across_files_raises(ray_session, tmp_path):
+    """A term whose rows land in two postings files cannot be addressed
+    (a searcher reads one address per term and segment): the catalog
+    build refuses it on the driver path and the Ray path alike."""
+    rows = _encoded_rows(block_cf=2)
+    seg = str(tmp_path / "seg")
+    build_mod.write_postings_partition(rows.slice(0, 75), seg, 4096)  # 'a' blocks 0..74
+    build_mod.write_postings_partition(rows.slice(75), seg, 4096)  # the rest of 'a', 'b', 'c'
+    for budget in (50_000_000, 0):
+        with pytest.raises(ValueError, match="span two postings files"):
+            build_mod._build_catalog(seg, driver_budget_rows=budget)
+        shutil.rmtree(os.path.join(seg, "catalog"), ignore_errors=True)
+    os.remove(glob.glob(os.path.join(seg, "postings", "*.parquet"))[0])
+    got = []
+    for budget in (50_000_000, 0):  # one file per term: both paths agree
+        shutil.rmtree(os.path.join(seg, "catalog"), ignore_errors=True)
+        got.append(build_mod._build_catalog(seg, driver_budget_rows=budget))
+    assert got[0] == got[1] and got[0][0] in (1, 3)
 
 
 def test_cold_single_segment_lookup_is_one_payload_read(small_group_indexes):
