@@ -238,7 +238,7 @@ def _index_dir_for(sf_dir: str) -> str:
     # oracles running on the new one (same device _ann_index_dir uses)
     st = os.stat(os.path.join(sf_dir, "documents.parquet"))
     tag = hashlib.md5(
-        f"{sf_dir}:v5:{st.st_mtime_ns}:{st.st_size}".encode()
+        f"{sf_dir}:v6:{st.st_mtime_ns}:{st.st_size}".encode()
     ).hexdigest()[:10]
     idx = os.path.join("/tmp", "ftsray_cache", f"docs-{tag}")
     if not os.path.exists(os.path.join(idx, "meta.json")):

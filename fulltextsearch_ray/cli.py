@@ -120,7 +120,10 @@ def _main(argv: list[str] | None = None) -> int:
     p_top.add_argument("--index", required=True)
     p_top.add_argument("-k", type=int, default=20)
 
-    p_compact = sub.add_parser("compact", help="merge all segments into one (posting-chain collapse)")
+    p_compact = sub.add_parser(
+        "compact", help="merge all segments into one (posting-chain collapse); also rewrites "
+        "a segment written before payload blobs, which search refuses",
+    )
     p_compact.add_argument("--index", required=True)
     p_compact.add_argument(
         "--fst",

@@ -12,8 +12,8 @@ Parquet-path fast shape (ONE streaming corpus pass, no pre-shuffle):
           # (every term's bytes at one address) + one term-sorted
           # postings parquet file of block metadata
       → docs table split from sentinel rows (bucket == -1 pushdown)
-      → catalog (per-term stats + blob address) + per-file term-range
-        run catalog (footers and blob trailers only)
+      → catalog (per-term stats + blob address, from block metadata
+        rows and blob trailers)
       → manifest.json (+ lineage/counters) + meta.json  (driver)
 
 Dataset-path (explicit doc_id_col / id_cols): normalize_corpus assigns
@@ -83,8 +83,15 @@ def compact_index(
     by term, merges runs, rewrites one segment, then swaps meta
     atomically.  Query results are identical before/after (the chain
     merge the searcher did at query time is now materialized).
+
+    This is also the one migration path: it reads postings of every
+    layout, so an index with a segment written before payload blobs
+    (which a searcher refuses) is rewritten even when it has only that
+    one segment.
     """
     import pyarrow.parquet as pq
+
+    from ..state.payloads import predates_blobs
 
     meta = load_meta(index_dir)
     # Sweep segment dirs that meta does not reference: a crash between
@@ -98,7 +105,9 @@ def compact_index(
         for d_name in os.listdir(seg_root):
             if d_name not in meta.segments:
                 shutil.rmtree(os.path.join(seg_root, d_name), ignore_errors=True)
-    if len(meta.segments) <= 1:
+    if not meta.segments or (
+        len(meta.segments) == 1 and not predates_blobs(_catalog_columns(index_dir, meta.segments[0]))
+    ):
         return meta
     old_segments = list(meta.segments)
     # Name derived from the INPUT SEGMENT LIST, not wall-clock time:
@@ -268,7 +277,7 @@ def compact_index(
     forward_ranges = _scan_doc_ranges(os.path.join(seg_path, "forward"), seg_path)
 
     _write_catalog_and_manifest(
-        index_dir, new_seg, seg_path, num_buckets=0, lineage=old_segments,
+        index_dir, new_seg, seg_path, lineage=old_segments,
         forward_ranges=forward_ranges, block_cf=block_cf,
         docs_driver_budget=docs_driver_budget,
     )
@@ -285,6 +294,18 @@ def compact_index(
     for s in old_segments:
         shutil.rmtree(segment_dir(index_dir, s), ignore_errors=True)
     return meta
+
+
+def _catalog_columns(index_dir: str, segment: str) -> list[str]:
+    """Column names of a segment's catalog (from its first file's
+    footer; none when it has no catalog file)."""
+    import glob as _glob
+
+    import pyarrow.parquet as pq
+
+    cat_dir = os.path.join(segment_dir(index_dir, segment), "catalog")
+    files = sorted(_glob.glob(os.path.join(cat_dir, "**", "*.parquet"), recursive=True))
+    return pq.read_schema(files[0]).names if files else []
 
 
 def merge_term_runs(runs: ray.data.Dataset, block_cf: int) -> ray.data.Dataset:
@@ -305,13 +326,13 @@ def merge_term_runs(runs: ray.data.Dataset, block_cf: int) -> ray.data.Dataset:
     )
 
 
-def _merge_and_write(batch: pa.Table, *, block_cf: int, seg_path: str, row_group_size: int) -> pa.Table:
+def _merge_and_write(batch: pa.Table, *, block_cf: int, seg_path: str) -> pa.Table:
     from ..stages.invert import merge_runs_batch
 
-    return write_postings_partition(merge_runs_batch(batch, block_cf=block_cf), seg_path, row_group_size)
+    return write_postings_partition(merge_runs_batch(batch, block_cf=block_cf), seg_path)
 
 
-def write_postings_partition(rows: pa.Table, seg_path: str, row_group_size: int) -> pa.Table:
+def write_postings_partition(rows: pa.Table, seg_path: str) -> pa.Table:
     """Write one merged sort partition (term-sorted rows): the payload
     blob of its posting rows, then the postings parquet file with those
     rows' payload columns null (the doc-stats sentinel rows keep theirs
@@ -350,7 +371,7 @@ def write_postings_partition(rows: pa.Table, seg_path: str, row_group_size: int)
     rel = os.path.join("postings", stem + ".parquet")
     atomic_write(
         os.path.join(seg_path, rel),
-        lambda tmp: pq.write_table(rows, tmp, row_group_size=row_group_size),
+        lambda tmp: pq.write_table(rows, tmp, row_group_size=POSTINGS_ROW_GROUP_SIZE),
     )
     return pa.table({"file": [rel], "max_field": pa.array([max_field], pa.int64())})
 
@@ -393,20 +414,17 @@ def _write_postings(runs: ray.data.Dataset, seg_path: str, block_cf: int) -> int
     exactly one postings file plus one payload blob.  Returns the
     largest field id written (0 for no postings).
 
-    Every postings file holds one sort partition, so the files form an
-    FST-style sorted-term run catalog (per-file [term_min, term_max]
-    from the footers, in the manifest) and each term lies in exactly
-    one file.  A lookup never reads these parquet rows: the catalog
-    row's blob address names the term's bytes.  The parquet rows (block
-    metadata) serve the catalog build, whole-file reads and segments'
-    scans, in ``POSTINGS_ROW_GROUP_SIZE``-row groups."""
+    Every postings file holds one sort partition, so each term lies in
+    exactly one file (the catalog build checks it).  A lookup never
+    reads these parquet rows: the catalog row's blob address names the
+    term's bytes.  The parquet rows (block metadata) serve the catalog
+    build and whole-file reads, in ``POSTINGS_ROW_GROUP_SIZE``-row
+    groups."""
     import pyarrow.parquet as pq
 
     from ..state.index import POSTINGS_SCHEMA
 
-    # the row-group size is read here, on the driver, so the value the
-    # driver runs with is the one the Ray tasks write with
-    kw = {"block_cf": block_cf, "seg_path": seg_path, "row_group_size": POSTINGS_ROW_GROUP_SIZE}
+    kw = {"block_cf": block_cf, "seg_path": seg_path}
     written = (
         runs.sort("term")
         .map_batches(_merge_and_write, fn_kwargs=kw, batch_format="pyarrow", batch_size=None)
@@ -495,29 +513,6 @@ def cap_lineage(files: list[str], budget: int = 10_000) -> list[str]:
         *head,
         *tail,
     ]
-
-
-def _scan_postings_ranges(seg_path: str) -> list:
-    """Per-file ``[relpath, term_min, term_max]`` over the postings
-    directory, from parquet FOOTERS only (no data read) — the
-    FST-style sorted-term run catalog both build and compact persist."""
-    import glob as _glob
-
-    import pyarrow.parquet as pq
-
-    file_ranges = []
-    for f in sorted(_glob.glob(os.path.join(seg_path, "postings", "**", "*.parquet"), recursive=True)):
-        md = pq.ParquetFile(f).metadata
-        tmins, tmaxs = [], []
-        for rg in range(md.num_row_groups):
-            st = md.row_group(rg).column(0).statistics  # 'term' is column 0
-            if st is not None and st.has_min_max:
-                tmins.append(st.min)
-                tmaxs.append(st.max)
-        if tmins:
-            file_ranges.append([os.path.relpath(f, seg_path), min(tmins), max(tmaxs)])
-    file_ranges.sort(key=lambda r: r[1])
-    return file_ranges
 
 
 _POST_META_COLS = ["term", "bucket", "df", "cf", "max_tf", "n_docs", "first_doc", "last_doc"]
@@ -657,11 +652,11 @@ def _build_catalog(seg_path: str, driver_budget_rows: int = 50_000_000) -> tuple
 
 
 def _write_catalog_and_manifest(
-    index_dir: str, segment: str, seg_path: str, num_buckets: int, lineage: list[str],
+    index_dir: str, segment: str, seg_path: str, lineage: list[str],
     forward_ranges: list | None = None, block_cf: int = 0,
     docs_driver_budget: int = 5_000_000,
 ) -> "SegmentManifest":
-    """Catalog + file-range + counter/manifest writes shared by
+    """Catalog + counter/manifest writes shared by
     build_index and compact_index (footer/metadata-gated driver work
     with Ray fallbacks — see _build_catalog).  The per-segment counters
     are the reference's ``IndexBuilderStatistics`` aggregates, computed
@@ -669,7 +664,6 @@ def _write_catalog_and_manifest(
     ``docs_driver_budget`` docs, a streaming Ray aggregate past it."""
     import pyarrow.parquet as pq
 
-    file_ranges = _scan_postings_ranges(seg_path)
     n_terms, n_occ = _build_catalog(seg_path)
 
     docs_dir = os.path.join(seg_path, "docs")
@@ -701,8 +695,6 @@ def _write_catalog_and_manifest(
         input_lineage=lineage,
         created_at=time.time(),
         complete=True,
-        num_buckets=num_buckets,
-        file_ranges=file_ranges,
         forward_ranges=forward_ranges or [],
         catalog_stats=_scan_table_stats(os.path.join(seg_path, "catalog"), seg_path),
         docs_stats=_scan_table_stats(docs_dir, seg_path),
@@ -995,9 +987,9 @@ def build_index(
             lineage = []
     else:
         lineage = []
-    # --- catalog, file-range catalog, per-segment counters + lineage
+    # --- catalog, per-segment counters + lineage
     manifest = _write_catalog_and_manifest(
-        index_dir, segment, seg_path, num_buckets=num_buckets, lineage=lineage,
+        index_dir, segment, seg_path, lineage=lineage,
         forward_ranges=forward_ranges, block_cf=block_cf,
         docs_driver_budget=docs_driver_budget,
     )

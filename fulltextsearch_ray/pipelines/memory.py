@@ -21,6 +21,7 @@ import ray.data
 
 from ..stages.invert import DEFAULT_BLOCK_CF, invert_batch_fn
 from ..state.index import IndexMeta
+from ..state.payloads import TermBlocks
 from .build import aggregate_catalog, merge_term_runs
 from .query import IndexSearcher
 
@@ -30,8 +31,9 @@ class InMemorySearcher(IndexSearcher):
 
     Reuses every query path of :class:`IndexSearcher` (boolean/phrase
     algebra, BM25 exhaustive + MaxScore-pruned, lookup/matchers) by
-    overriding only the posting fetch: term rows come from a binary-
-    searched slice of the term-sorted in-memory postings table.
+    overriding only the posting fetch: a term's blocks are one binary-
+    searched slice of the in-memory postings table, which is sorted by
+    (term, first_doc, block_id) — the decode order.
     """
 
     def __init__(self, postings: pa.Table, docs: pa.Table):
@@ -65,20 +67,26 @@ class InMemorySearcher(IndexSearcher):
 
         self._lazy_cats = None
         self._lazy_lens = None
-        self._postings_ds = {}
-        self._blob_segs = set()
-        self._seg_buckets = {"mem": 0}
-        self._seg_ranges = {}
         self._fwd_ranges = {}
         from ..state.caches import make_cache
 
         self._cache = make_cache("lru", 64)
         self._cache_entries = make_cache("lru", 4096)
 
-    def _read_term_rows(self, seg: str, term: str, cols: list[str]) -> pa.Table:
+    def _fetch_term_blocks(self, term: str, with_positions: bool) -> list[TermBlocks]:
         lo = int(np.searchsorted(self._post_terms, term, side="left"))
         hi = int(np.searchsorted(self._post_terms, term, side="right"))
-        return self._postings.slice(lo, hi - lo).select(cols)
+        if lo == hi:
+            return []
+        t = self._postings.slice(lo, hi - lo)
+        return [TermBlocks(
+            "mem",
+            np.asarray(t["df"].to_numpy(zero_copy_only=False)),
+            np.asarray(t["first_doc"].to_numpy(zero_copy_only=False), dtype=np.uint64),
+            np.asarray(t["last_doc"].to_numpy(zero_copy_only=False), dtype=np.uint64),
+            t["docs"].to_pylist(), t["tfs"].to_pylist(),
+            *((t["fields"].to_pylist(), t["positions"].to_pylist()) if with_positions else (None, None)),
+        )]
 
 
 def build_in_memory(
@@ -121,7 +129,7 @@ def build_in_memory(
     # in-memory materialization — the contract of this variant.
     # NOTE: merge_runs_batch emits each block term-sorted, but the
     # blocks' arrival order is not part of that contract and
-    # _read_term_rows binary-searches _post_terms, so re-sort the
+    # _fetch_term_blocks binary-searches _post_terms, so re-sort the
     # concat — an unsorted table silently dropped terms from in-memory
     # search/BM25 results
     tbl = pa.concat_tables(ray.get(merged.to_arrow_refs()))

@@ -32,12 +32,11 @@ from __future__ import annotations
 import logging
 import os
 from collections import OrderedDict
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from ..matchers import expand_pattern
@@ -63,12 +62,15 @@ from ..parser import (
 )
 from ..state.caches import LRUCache, make_cache
 from ..state.index import load_meta, segment_dir
-from ..state.payloads import ADDRESS_COLS, TermBlocks, parse_record
+from ..state.payloads import ADDRESS_COLS, TermBlocks, parse_record, predates_blobs
 
 logger = logging.getLogger(__name__)
 
 K1 = 1.2
 B = 0.75
+
+# catalog stats columns a searcher loads (the payload address follows)
+CATALOG_COLS = ["term", "df", "cf", "max_tf", "df_docs"]
 
 
 def _bm25_idf(N: float, df):
@@ -192,28 +194,10 @@ class _ManifestFileMeta:
         return _ManifestFileMeta._RowGroupMeta(mn, mx, int(rows))
 
 
-# files one searcher keeps open (parquet footers parsed once per file,
-# not per lookup; payload blobs); the LRU bound caps its descriptors
+# files one searcher keeps open (parquet footers of the paged tables
+# parsed once per file, not per lookup; payload blobs); the LRU bound
+# caps its descriptors
 OPEN_FILES = 256
-
-
-class _OpenParquet:
-    """A parquet file opened once: the handle, and (on first use) each
-    row group's ``term`` [min, max] from the footer — None for a group
-    without statistics."""
-
-    def __init__(self, path: str):
-        self.file = pq.ParquetFile(path)
-
-    @cached_property
-    def term_ranges(self) -> list:
-        md = self.file.metadata
-        col = md.schema.names.index("term")
-        out = []
-        for rg in range(md.num_row_groups):
-            st = md.row_group(rg).column(col).statistics
-            out.append((st.min, st.max) if st is not None and st.has_min_max else None)
-        return out
 
 
 class _OpenBlob:
@@ -231,33 +215,20 @@ class _OpenBlob:
 
 
 class PostingFileReader:
-    """Posting reads from postings files and payload blobs, through a
-    bounded cache of open files (nothing opens until the first lookup).
+    """Posting reads from payload blobs, through a bounded cache of open
+    files (nothing opens until the first lookup): :meth:`read_range` is
+    THE posting lookup, one ``os.pread`` of a term's payload bytes at
+    its catalog address.
 
-    :meth:`read_range` is THE lookup of a fresh segment: one
-    ``os.pread`` of a term's payload bytes at its catalog address.
-    :meth:`read` serves segments written before payload blobs, whose
-    parquet rows carry the payloads: it reads only the row groups whose
-    footer ``term`` [min, max] admits the term (a group without
-    statistics is always read) and keeps the rows equal to the term.
-    Those files may be unsorted with overlapping group ranges, which is
-    why the filter is an equality scan, never a binary search.
-
-    ``files_opened`` counts parquet footer parses and blob opens,
-    ``row_groups_read`` legacy row-group reads, ``payload_reads`` /
+    ``files_opened`` counts blob opens, ``payload_reads`` /
     ``payload_bytes`` the positional reads, so the I/O of a lookup is
     observable without a profiler."""
 
     def __init__(self, handles: LRUCache | None = None):
         self._handles = LRUCache(OPEN_FILES) if handles is None else handles
         self.files_opened = 0
-        self.row_groups_read = 0
         self.payload_reads = 0
         self.payload_bytes = 0
-
-    def _open(self, path: str) -> _OpenParquet:
-        self.files_opened += 1
-        return _OpenParquet(path)
 
     def _open_blob(self, path: str) -> _OpenBlob:
         self.files_opened += 1
@@ -276,26 +247,6 @@ class PostingFileReader:
                 f"runs past the end of the file (read {len(buf)} bytes)"
             )
         return buf
-
-    def read(self, path: str, term: str, cols: list[str]) -> pa.Table:
-        f = self._handles.get_or_load(path, self._open)
-        read_cols = cols if "term" in cols else cols + ["term"]
-        parts = []
-        for rg, rng in enumerate(f.term_ranges):
-            if rng is not None and not rng[0] <= term <= rng[1]:
-                continue
-            # serial decode: a point lookup reads one small group, where
-            # Arrow's thread-pool dispatch cost about as much CPU as the
-            # decode itself; concurrency comes from the actor pool
-            t = f.file.read_row_group(rg, columns=read_cols, use_threads=False)
-            self.row_groups_read += 1
-            t = t.filter(pc.equal(t["term"], term))
-            if t.num_rows:
-                parts.append(t.select(cols))
-        if not parts:
-            schema = f.file.schema_arrow
-            return pa.schema([schema.field(c) for c in cols]).empty_table()
-        return parts[0] if len(parts) == 1 else pa.concat_tables(parts)
 
 
 class LazyRowGroupTable:
@@ -328,7 +279,7 @@ class LazyRowGroupTable:
             md = (metas or {}).get(f)
             pf = None  # one handle per file for any stat-less groups
             if md is None:
-                pf = self._handles.get_or_load(f, _OpenParquet).file
+                pf = self._handles.get_or_load(f, pq.ParquetFile)
                 md = pf.metadata
             self.total_rows += md.num_rows
             for rg in range(md.num_row_groups):
@@ -342,7 +293,7 @@ class LazyRowGroupTable:
                     if md.row_group(rg).num_rows == 0:
                         continue  # empty group: nothing to serve
                     if pf is None:
-                        pf = self._handles.get_or_load(f, _OpenParquet).file
+                        pf = self._handles.get_or_load(f, pq.ParquetFile)
                     keycol = pf.read_row_group(rg, columns=[columns[0]]).column(0)
                     mm = pc.min_max(keycol)
                     self.runs.append(
@@ -375,7 +326,7 @@ class LazyRowGroupTable:
         if hit is not None:
             self._cache.move_to_end(key)
             return hit
-        t = self._handles.get_or_load(f, _OpenParquet).file.read_row_group(rg, columns=self.columns)
+        t = self._handles.get_or_load(f, pq.ParquetFile).read_row_group(rg, columns=self.columns)
         self.loads += 1
         self._cache[key] = t
         if len(self._cache) > self._cache_groups:
@@ -422,7 +373,11 @@ class IndexSearcher:
     catalog and doc-length table load eagerly into numpy (fastest, the
     default at bench scale); past either budget the searcher switches
     to row-group-paged access (:class:`LazyRowGroupTable`) so an actor
-    opens a multi-billion-term index within a fixed memory budget."""
+    opens a multi-billion-term index within a fixed memory budget.
+
+    Postings are read only through the payload-blob address of each
+    catalog row; a segment written before payload blobs raises
+    ValueError here (``compact_index`` rewrites it)."""
 
     # class defaults so variants that bypass __init__ (InMemorySearcher)
     # stay on the column dictionary
@@ -487,28 +442,25 @@ class IndexSearcher:
                 metas = {f: pq.ParquetFile(f).metadata for f in files}
             return files, metas
 
-        cat_files: list[str] = []
         docs_files: list[str] = []
         seg_cat_files: dict[str, list[str]] = {}
         cat_md: dict = {}
         docs_md: dict = {}
         for seg in self.segments:
             fs, ms = table_files(seg, "catalog", "catalog_stats")
+            if predates_blobs(ms[fs[0]].schema.to_arrow_schema().names if fs else []):
+                raise ValueError(
+                    f"index {index_dir}: segment {seg} was written before payload blobs "
+                    f"(its catalog has no {'/'.join(ADDRESS_COLS)} columns); rewrite it "
+                    "once with compact_index (CLI: compact --index DIR)"
+                )
             seg_cat_files[seg] = fs
-            cat_files.extend(fs)
             cat_md.update(ms)
             fs, ms = table_files(seg, "docs", "docs_stats")
             docs_files.extend(fs)
             docs_md.update(ms)
         cat_rows = sum(md.num_rows for md in cat_md.values())
         doc_rows = sum(md.num_rows for md in docs_md.values())
-        cat_cols = {
-            seg: (cat_md[fs[0]].schema.to_arrow_schema().names if fs else [])
-            for seg, fs in seg_cat_files.items()
-        }
-        # segments whose catalog rows address payload blobs; the others
-        # predate blobs and read posting rows from parquet
-        self._blob_segs = {seg for seg, names in cat_cols.items() if "offset" in names}
         self._addrs: dict = {}
 
         # one bounded set of open parquet files for the paged tables and
@@ -524,23 +476,11 @@ class IndexSearcher:
             addr_tables = {}
             for seg in self.segments:
                 seg_files = seg_cat_files[seg]
-                cols = ["term", "df", "cf", "max_tf"]
-                if "df_docs" in cat_cols[seg]:
-                    cols.append("df_docs")
-                if seg in self._blob_segs:
-                    cols += ADDRESS_COLS
-                t = pq.read_table(seg_files, columns=cols) if seg_files else pa.table(
-                    {c: pa.array([], pa.string() if c == "term" else pa.int64()) for c in cols}
-                )
-                if "df_docs" not in t.column_names:
-                    # legacy catalog (pre-n_docs): entry df is the proxy
-                    t = t.append_column("df_docs", t["df"])
-                if seg in self._blob_segs:
-                    if len(seg_files) > 1:
-                        t = t.sort_by("term")
-                    addr_tables[seg] = t.select(["term"] + ADDRESS_COLS)
-                    t = t.drop_columns(ADDRESS_COLS)
-                cats.append(t)
+                t = pq.read_table(seg_files, columns=CATALOG_COLS + ADDRESS_COLS)
+                if len(seg_files) > 1:
+                    t = t.sort_by("term")
+                addr_tables[seg] = t.select(["term"] + ADDRESS_COLS)
+                cats.append(t.drop_columns(ADDRESS_COLS))
             if cats:
                 cat = pa.concat_tables(cats)
                 agg = cat.group_by("term").aggregate(
@@ -584,13 +524,9 @@ class IndexSearcher:
             self._terms_np = None
             self._lazy_cats = []
             for seg in self.segments:
-                files = seg_cat_files[seg]
-                cols = ["term", "df", "cf", "max_tf"]
-                cols += ["df_docs"] if "df_docs" in cat_cols[seg] else []
-                cols += ADDRESS_COLS if seg in self._blob_segs else []
-                self._lazy_cats.append(
-                    LazyRowGroupTable(files, cols, metas=cat_md, handles=handles)
-                )
+                self._lazy_cats.append(LazyRowGroupTable(
+                    seg_cat_files[seg], CATALOG_COLS + ADDRESS_COLS, metas=cat_md, handles=handles
+                ))
 
         # doc lengths for BM25 (doc_id-indexed lookup arrays)
         if doc_rows <= doclen_budget_rows:
@@ -611,23 +547,10 @@ class IndexSearcher:
             self._lazy_lens = LazyRowGroupTable(
                 docs_files, ["doc_id", "doc_len"], metas=docs_md, handles=handles
             )
-        self._postings_ds = {}
-        self._seg_buckets = {}
-        self._seg_ranges: dict[str, tuple[list[str], list[str], list[str]]] = {}
         self._fwd_ranges: dict[str, tuple[list[int], list[int], list[str]]] = {}
         for seg in self.segments:
             man = self._manifests[seg]  # already read once at the top
-            self._seg_buckets[seg] = (man.num_buckets or 0) if man is not None else 0
-            if man is not None and man.file_ranges:
-                # FST-style run catalog: sorted file [term_min, term_max]
-                # + paths; term_max is needed for boundary-spill lookups
-                # (a term whose rows span two files sits at file i's max
-                # AND file i+1's min)
-                paths = [os.path.join(segment_dir(index_dir, seg), r[0]) for r in man.file_ranges]
-                mins = [r[1] for r in man.file_ranges]
-                maxs = [r[2] for r in man.file_ranges]
-                self._seg_ranges[seg] = (mins, maxs, paths)
-            if man is not None and getattr(man, "forward_ranges", None):
+            if man is not None and man.forward_ranges:
                 self._fwd_ranges[seg] = (
                     [int(r[1]) for r in man.forward_ranges],
                     [int(r[2]) for r in man.forward_ranges],
@@ -713,9 +636,7 @@ class IndexSearcher:
                 df += int(t["df"][j].as_py())
                 cf += int(t["cf"][j].as_py())
                 mtf = max(mtf, int(t["max_tf"][j].as_py()))
-                dfd += int(
-                    t["df_docs"][j].as_py() if "df_docs" in t.column_names else t["df"][j].as_py()
-                )
+                dfd += int(t["df_docs"][j].as_py())
         return (dfd, cf, mtf, df) if found else None
 
     @staticmethod
@@ -739,8 +660,8 @@ class IndexSearcher:
                 yield t, lo
 
     def _term_address(self, i: int, term: str) -> "tuple[str, int, int, int] | None":
-        """(blob path, offset, bm25_len, len) of ``term`` in blob
-        segment ``self.segments[i]``, or None if the segment lacks it —
+        """(blob path, offset, bm25_len, len) of ``term`` in segment
+        ``self.segments[i]``, or None if the segment lacks it —
         the eager per-segment address arrays, or the paged catalog row
         group that :meth:`_term_row` loads."""
         seg = self.segments[i]
@@ -779,20 +700,17 @@ class IndexSearcher:
         from ray.data.aggregate import Sum
 
         def norm(b: pa.Table) -> pa.Table:
-            df = b["df_docs"] if "df_docs" in b.column_names else b["df"]
             return pa.table(
-                {"term": b["term"], "df": df.cast(pa.int64()), "cf": b["cf"].cast(pa.int64())}
+                {"term": b["term"], "df": b["df_docs"].cast(pa.int64()), "cf": b["cf"].cast(pa.int64())}
             )
 
         parts = []
         for seg in self.segments:
             d = os.path.join(segment_dir(self.index_dir, seg), "catalog")
-            has_dd = "df_docs" in pads.dataset(d).schema.names
-            cols = ["term", "cf"] + (["df_docs"] if has_dd else ["df"])
             parts.append(
-                ray.data.read_parquet(pq.ParquetDataset(d).files, columns=cols).map_batches(
-                    norm, batch_format="pyarrow"
-                )
+                ray.data.read_parquet(
+                    pq.ParquetDataset(d).files, columns=["term", "cf", "df_docs"]
+                ).map_batches(norm, batch_format="pyarrow")
             )
         if not parts:
             import ray.data as rd
@@ -908,97 +826,19 @@ class IndexSearcher:
 
     # -- posting fetch ------------------------------------------------------
 
-    def _term_filter(self, seg: str, term: str):
-        """Predicate for one term: bucket-partition prune (opens 1 of
-        num_buckets hive directories) + term equality (row-group stats
-        prune within the bucket)."""
-        from ..stages.invert import term_bucket
-
-        filt = pads.field("term") == term
-        nb = self._seg_buckets.get(seg, 0)
-        if nb:
-            filt = (pads.field("bucket") == term_bucket(term, nb)) & filt
-        return filt
-
-    def _read_term_rows(self, seg: str, term: str, cols: list[str]) -> pa.Table:
-        """Read one term's rows from one segment: run-catalog path
-        (binary search file ranges → usually ONE file, read by
-        :class:`PostingFileReader`: cached footer, row groups pruned by
-        their term stats, direct ``read_row_group`` + equality filter)
-        or the legacy dataset-filter fallback."""
-        rng = self._seg_ranges.get(seg)
-        if rng is not None:
-            import bisect
-
-            from ..state.index import POSTINGS_SCHEMA
-
-            mins, maxs, paths = rng
-            # candidate files: term_min <= term <= term_max.  Files are
-            # sorted by term_min with non-decreasing term_max (disjoint
-            # sort partitions), so the qualifying files are a contiguous
-            # run ending at the last file with term_min <= term; walk
-            # back while term_max still covers the term (boundary spill:
-            # a term's rows can span files, then max[i] == min[i+1]).
-            hi = bisect.bisect_right(mins, term)
-            idxs = []
-            j = hi - 1
-            while j >= 0 and maxs[j] >= term:
-                idxs.append(j)
-                j -= 1
-            idxs.reverse()
-            if not idxs:
-                return pa.schema([POSTINGS_SCHEMA.field(c) for c in cols]).empty_table()
-            tabs = [self.posting_reader.read(paths[x], term, cols) for x in idxs]
-            return tabs[0] if len(tabs) == 1 else pa.concat_tables(tabs)
-        # legacy layout fallback (no run catalog): full dataset with
-        # filters, discovered on the segment's first lookup
-        ds = self._postings_ds.get(seg)
-        if ds is None:
-            ds = self._postings_ds[seg] = pads.dataset(
-                os.path.join(segment_dir(self.index_dir, seg), "postings"), partitioning="hive"
-            )
-        return ds.to_table(columns=cols, filter=self._term_filter(seg, term))
-
     def _fetch_term_blocks(self, term: str, with_positions: bool) -> list[TermBlocks]:
         """A term's posting blocks, one :class:`TermBlocks` per segment
-        holding it, in segment order.  A blob segment reads the term's
-        payload record at its catalog address — header + docs + tfs, or
-        with positions the whole record — in one ``pread``; a segment
-        written before blobs reads its rows through
-        :meth:`_read_term_rows`, ordered (first_doc, block_id)."""
-        cols = ["block_id", "first_doc", "last_doc", "df", "docs", "tfs"]
-        if with_positions:
-            cols += ["fields", "positions"]
+        holding it, in segment order: the term's payload record read at
+        its catalog address — header + docs + tfs, or with positions the
+        whole record — in one ``pread``."""
         out = []
-        for i, seg in enumerate(self.segments):
-            if seg in self._blob_segs:
-                addr = self._term_address(i, term)
-                if addr is None:
-                    continue
-                path, off, bm25_len, length = addr
-                buf = self.posting_reader.read_range(
-                    path, off, length if with_positions else bm25_len, term
-                )
-                out.append(parse_record(buf, with_positions, path, term))
+        for i in range(len(self.segments)):
+            addr = self._term_address(i, term)
+            if addr is None:
                 continue
-            t = self._read_term_rows(seg, term, cols)
-            if not t.num_rows:
-                continue
-            order = np.lexsort(
-                (
-                    np.asarray(t["block_id"].to_numpy(zero_copy_only=False)),
-                    np.asarray(t["first_doc"].to_numpy(zero_copy_only=False)),
-                )
-            )
-            t = t.take(pa.array(order))
-            out.append(TermBlocks(
-                seg,
-                np.asarray(t["df"].to_numpy(zero_copy_only=False)),
-                np.asarray(t["first_doc"].to_numpy(zero_copy_only=False), dtype=np.uint64),
-                np.asarray(t["last_doc"].to_numpy(zero_copy_only=False), dtype=np.uint64),
-                t["docs"].to_pylist(), t["tfs"].to_pylist(),
-                *((t["fields"].to_pylist(), t["positions"].to_pylist()) if with_positions else (None, None)),
-            ))
+            path, off, bm25_len, length = addr
+            buf = self.posting_reader.read_range(path, off, length if with_positions else bm25_len, term)
+            out.append(parse_record(buf, with_positions, path, term))
         return out
 
     @staticmethod

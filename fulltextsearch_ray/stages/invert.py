@@ -475,8 +475,8 @@ class InvertStage:
         bounds = np.zeros(int(present.sum()) + 1, dtype=np.int64)
         np.cumsum(counts[present], out=bounds[1:])
         terms_sorted = vocab[vocab_order][present]
-        # term_bucket is THE bucket contract (query-side pruning depends
-        # on it) — never inline the hash here or the two can diverge
+        # term_bucket is the one bucket definition; readers use only the
+        # column's sign (doc-stats sentinel rows carry -1)
         buckets = np.fromiter(
             (term_bucket(t, self.num_buckets) for t in terms_sorted),
             dtype=np.int32, count=len(terms_sorted),

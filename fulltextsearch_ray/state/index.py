@@ -16,6 +16,12 @@ per-partition resume:
                                      #   payload bytes at one address
         catalog/*.parquet            # term, df, cf, n_blocks, address (sorted)
 
+A searcher reads a term's postings only through the address in its
+catalog row.  Segments written before payload blobs (postings rows
+with their payloads inline, catalogs without address columns) are
+refused by the searcher and rewritten by ``compact_index``, the one
+reader of every older layout.
+
 Each build session writes a NEW segment (append-only), mirroring the
 reference's incremental-session model where repeated terms chain a new
 posting list onto the old one (``PersistentBuilder.cs:69-80``,
@@ -82,10 +88,6 @@ class SegmentManifest:
     input_lineage: list[str] = field(default_factory=list)
     created_at: float = 0.0
     complete: bool = False
-    num_buckets: int = 0
-    # sorted disjoint [relpath, term_min, term_max] per postings file —
-    # the FST-style run catalog used for single-file term lookups
-    file_ranges: list = field(default_factory=list)
     # sorted disjoint [relpath, doc_min, doc_max] per forward-store
     # file (present when the segment was built with store_forward)
     forward_ranges: list = field(default_factory=list)
@@ -162,7 +164,13 @@ def save_meta(index_dir: str, meta: IndexMeta) -> None:
 
 def load_manifest(index_dir: str, name: str) -> SegmentManifest:
     with open(os.path.join(segment_dir(index_dir, name), "manifest.json")) as f:
-        return SegmentManifest(**json.load(f))
+        d = json.load(f)
+    # keys that manifests written before payload blobs carry (the
+    # postings run catalog and its bucket count): dropped, so those
+    # manifests keep their stats and block budget
+    for retired in ("file_ranges", "num_buckets"):
+        d.pop(retired, None)
+    return SegmentManifest(**d)
 
 
 def save_manifest(index_dir: str, m: SegmentManifest) -> None:

@@ -30,7 +30,8 @@ record without walking the headers one by one.
 The doc-stats sentinel rows (bucket = -1) keep their payloads inline in
 the parquet columns; the payload columns of every blob-backed row are
 null there.  Files written before blobs existed have no null payloads
-and no blob, and are read as they are.
+and no blob; only ``compact_index`` reads them (whole files, through
+:func:`read_postings_file`), to rewrite their segment into blobs.
 """
 
 from __future__ import annotations
@@ -83,6 +84,13 @@ class TermBlocks(NamedTuple):
             self.source, self.dfs[idx], self.firsts[idx], self.lasts[idx],
             pick(self.docs), pick(self.tfs), pick(self.fields), pick(self.positions),
         )
+
+
+def predates_blobs(catalog_columns) -> bool:
+    """Whether a segment whose catalog has ``catalog_columns`` was
+    written before payload blobs: its catalog rows carry no address.
+    A searcher refuses such a segment; ``compact_index`` rewrites it."""
+    return not set(ADDRESS_COLS) <= set(catalog_columns)
 
 
 def blob_path_for(parquet_path: str) -> str:

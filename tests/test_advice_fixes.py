@@ -2,9 +2,10 @@
 
 (The round-1 df-definition and binary-search lookup tests live in
 tests/test_bm25.py, the posting encoder / run merge tests in
-tests/test_invert.py, the _read_term_rows boundary-spill test in
-tests/test_posting_reader.py, the distributed cut-rebuild guard in
-tests/test_spans.py.)
+tests/test_invert.py, the distributed cut-rebuild guard in
+tests/test_spans.py.  The boundary-spill lookup a term split across
+two postings files needed is gone: the catalog build now refuses such
+a split, tested in tests/test_posting_reader.py.)
 """
 
 import pyarrow as pa

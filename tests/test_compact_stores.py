@@ -1,7 +1,12 @@
 """Compaction must carry the forward store, docs_meta and legacy
-segments — regression tests for segment-merge data loss."""
+segments — regression tests for segment-merge data loss — and stay
+safe to repeat: segment names derive from the inputs, orphaned segment
+dirs are swept, mixed docs / docs_meta schemas unify, and a legacy
+meta's unknown field count is recovered."""
 
+import glob
 import json
+import os
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -10,6 +15,7 @@ import ray.data
 
 from fulltextsearch_ray.pipelines.build import build_index, compact_index
 from fulltextsearch_ray.pipelines.query import IndexSearcher
+from fulltextsearch_ray.state.index import SEGMENTS_DIR, load_meta, segment_dir
 
 
 def _tbl(ids, texts, metas=None):
@@ -71,9 +77,6 @@ def test_compact_mixed_meta_sessions(ray_session, tmp_path):
 
 
 def test_compact_legacy_segment_without_ndocs(ray_session, tmp_path):
-    import glob
-    import os
-
     idx = str(tmp_path / "idx")
     for tbl in (_tbl([1, 2], ["apple pie", "banana split"]),
                 _tbl([3], ["cherry apple tart"])):
@@ -130,9 +133,6 @@ def test_compact_streaming_rewrite_mixed_schemas(ray_session, tmp_path):
     """Streaming rewrite with a legacy (field_id-less) forward store
     and differing docs_meta schemas across sessions: normalization +
     per-schema-group rewrite keep every row served correctly."""
-    import glob
-    import os
-
     idx = str(tmp_path / "idx")
     build_index(
         ray.data.from_arrow(_tbl([1], ["apple pie"], [{"k": 1}])),
@@ -140,8 +140,6 @@ def test_compact_streaming_rewrite_mixed_schemas(ray_session, tmp_path):
         num_buckets=2, store_forward=True,
     )
     # strip field_id from session 1's forward files → legacy layout
-    from fulltextsearch_ray.state.index import load_meta, segment_dir
-
     seg0 = load_meta(idx).segments[0]
     for f in glob.glob(os.path.join(segment_dir(idx, seg0), "forward", "**", "*.parquet"),
                        recursive=True):
@@ -160,3 +158,116 @@ def test_compact_streaming_rewrite_mixed_schemas(ray_session, tmp_path):
         assert after.get_positions_many([d])[d] == want_pos[d], d
     assert json.loads(after.get_metadata(1)["meta"]) == {"k": 1}
     assert after.get_metadata(2) == {}
+
+
+def test_repeated_compaction_is_safe_and_sweeps_orphans(ray_session, tmp_path):
+    """Two compactions back-to-back (same wall-clock second) must not
+    collide segment names — the old count+timestamp scheme deleted a
+    LIVE compact segment.  Also: an orphaned segment dir (crash between
+    a compaction's save_meta and its cleanup rmtree) is swept."""
+    idx = str(tmp_path / "cidx")
+    build_index(ray.data.from_arrow(_tbl([1], ["alpha beta"])), idx,
+                doc_id_col="doc_id", num_buckets=2, overwrite=True)
+    build_index(ray.data.from_arrow(_tbl([2], ["beta gamma"])), idx,
+                doc_id_col="doc_id", num_buckets=2)
+    m1 = compact_index(idx)
+    first_compact = m1.segments[0]
+    # two more sessions, then compact again IMMEDIATELY (same second)
+    build_index(ray.data.from_arrow(_tbl([3], ["gamma delta"])), idx,
+                doc_id_col="doc_id", num_buckets=2)
+    build_index(ray.data.from_arrow(_tbl([4], ["delta epsilon"])), idx,
+                doc_id_col="doc_id", num_buckets=2)
+    # orphan dir simulating a crashed earlier compaction's leftovers
+    orphan = os.path.join(idx, SEGMENTS_DIR, "seg-orphan")
+    os.makedirs(orphan)
+    m2 = compact_index(idx)
+    assert m2.segments[0] != first_compact  # input-derived, no collision
+    assert not os.path.exists(orphan)  # swept
+    s = IndexSearcher(idx)
+    assert s.search_to_string("WORD(beta)") != ""
+    got = {int(d) for d in s.evaluate("OR(WORD(alpha),WORD(epsilon))").docs}
+    assert got == {1, 4}
+    assert load_meta(idx).num_docs == 4
+
+
+def test_compact_unifies_mixed_docs_schemas(ray_session, tmp_path):
+    """A legacy segment whose docs table carries extra metadata columns
+    must still compact with a current segment (plain concat raised
+    ArrowInvalid — the index could never be compacted)."""
+    idx = str(tmp_path / "midx")
+    build_index(ray.data.from_arrow(_tbl([1], ["alpha beta"])), idx,
+                doc_id_col="doc_id", num_buckets=2, overwrite=True)
+    build_index(ray.data.from_arrow(_tbl([2], ["beta gamma"])), idx,
+                doc_id_col="doc_id", num_buckets=2)
+    # make segment 0's docs table legacy-shaped: extra 'lang' column
+    seg0 = segment_dir(idx, load_meta(idx).segments[0])
+    f = glob.glob(os.path.join(seg0, "docs", "**", "*.parquet"), recursive=True)[0]
+    t = pq.read_table(f)
+    t = t.append_column("lang", pa.array(["en"] * t.num_rows))
+    pq.write_table(t, f)
+    compact_index(idx)
+    s = IndexSearcher(idx)
+    assert {int(d) for d in s.evaluate("WORD(beta)").docs} == {1, 2}
+    # the legacy metadata column survives (null for the other segment)
+    assert s.get_metadata(1).get("lang") == "en"
+    assert s.get_metadata(2).get("lang") is None
+
+
+def test_compact_recovers_num_fields_for_legacy_meta(ray_session, tmp_path):
+    """num_fields=0 (legacy meta, field count unknown) forces the
+    loosest BM25 prune bound; compaction rewrites every posting row,
+    so it must derive the true count from the fields column instead of
+    leaving the index degraded forever."""
+    idx = str(tmp_path / "idx")
+    kw = dict(
+        text_col="title", text_cols=["title", "body"], doc_id_col="doc_id", num_buckets=2
+    )
+
+    def tbl(ids, titles, bodies):
+        return pa.table(
+            {
+                "doc_id": pa.array(ids, pa.int64()),
+                "title": pa.array(titles, pa.string()),
+                "body": pa.array(bodies, pa.string()),
+            }
+        )
+
+    build_index(ray.data.from_arrow(tbl([1, 2], ["apple pie", "rye loaf"],
+                                        ["banana bread", "oat cake"])), idx, **kw)
+    build_index(ray.data.from_arrow(tbl([3], ["cherry tart"], ["plum jam"])), idx, **kw)
+    # forge a legacy meta: drop the field-count key entirely
+    meta_path = os.path.join(idx, "meta.json")
+    m = json.loads(open(meta_path).read())
+    del m["num_fields"]
+    with open(meta_path, "w") as f:
+        json.dump(m, f)
+    meta = compact_index(idx)
+    assert meta.num_fields == 2
+
+
+def test_compact_mixed_meta_columns_both_survive(ray_session, tmp_path):
+    """Two sessions with DIFFERENT meta columns compact into one
+    docs_meta dir of mixed schemas; a directory-level read inferred
+    the schema from the first fragment and silently dropped the other
+    session's column — per-file reads keep both."""
+    idx = str(tmp_path / "idx")
+    build_index(
+        ray.data.from_arrow(pa.table({
+            "doc_id": pa.array([1], pa.int64()),
+            "text": pa.array(["apple pie"], pa.string()),
+            "alpha": pa.array(["A1"], pa.string()),
+        })),
+        idx, text_col="text", doc_id_col="doc_id", meta_cols=("alpha",), num_buckets=2,
+    )
+    build_index(
+        ray.data.from_arrow(pa.table({
+            "doc_id": pa.array([2], pa.int64()),
+            "text": pa.array(["banana split"], pa.string()),
+            "beta": pa.array(["B2"], pa.string()),
+        })),
+        idx, text_col="text", doc_id_col="doc_id", meta_cols=("beta",), num_buckets=2,
+    )
+    compact_index(idx)
+    s = IndexSearcher(idx)
+    assert s.get_metadata(1).get("alpha") == "A1"
+    assert s.get_metadata(2).get("beta") == "B2"

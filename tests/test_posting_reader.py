@@ -1,30 +1,27 @@
-"""Posting reads: a fresh segment's lookup is one positional read of
-the term's payload record at its catalog address; a segment written
-before payload blobs reads its rows through ``PostingFileReader``
-(cached footer, direct row-group reads).
+"""Posting reads: a lookup is one positional read of the term's
+payload record at its catalog address.
 
-Covers the file-range bisect with boundary spill, row-group pruning on
-term statistics, rows that are not term-sorted within a row group,
-files written without statistics, the one-footer-parse-per-file
-contract, and differential checks over a real two-segment index: every
-term's blocks as the searcher reads them equal a whole-file read of the
-postings (the parquet rows with the blob's payloads attached), the blob
-path equals the legacy reader on the same index rewritten in the
-pre-blob layout (payloads inline, unsorted rows, 4,096-row groups),
-eager and paged catalogs alike, and ``compact_index`` turns that legacy
-index into blobs.  Corrupt blobs (truncated, lengths that disagree)
+Covers differential checks over a real two-segment index: every term's
+blocks as the searcher reads them equal a whole-file read of the
+postings (the parquet rows with the blob's payloads attached), eager and
+paged catalogs alike.  An index written before payload blobs (payloads
+inline, unsorted rows, catalogs without address columns), of one
+segment or of two, is refused by the searcher with an error naming
+``compact_index``, and after ``compact_index`` serves the same answers
+as the fresh index.  Corrupt blobs (truncated, lengths that disagree)
 raise ValueError naming the file and the term.  The layout side:
 ``merge_runs_batch`` returns rows in (term, first_doc, block_id) order,
-and ``build_index`` / ``compact_index`` write term-sorted files in
-``POSTINGS_ROW_GROUP_SIZE`` groups.  Also the cold-start contract: a
-searcher built from manifest stats opens no parquet footer and no blob.
+and ``build_index`` / ``compact_index`` write term-sorted files.  Also
+the cold-start contract: a searcher built from manifest stats opens no
+parquet footer and no blob, also from a manifest that still carries
+the retired postings run-catalog keys.
 """
 
 import glob
-import os
 import hashlib
+import json
+import os
 import shutil
-from types import SimpleNamespace
 
 import numpy as np
 import pyarrow as pa
@@ -32,127 +29,30 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
-from fulltextsearch_ray.codecs import encode_posting_block, varint_decode, varint_encode
+from fulltextsearch_ray.codecs import varint_decode, varint_encode
 from fulltextsearch_ray.pipelines import build as build_mod
 from fulltextsearch_ray.pipelines.build import build_index, compact_index
-from fulltextsearch_ray.pipelines.query import IndexSearcher, PostingFileReader
+from fulltextsearch_ray.pipelines.query import IndexSearcher
 from fulltextsearch_ray.stages.invert import (
     DOCSTATS_TERM_PREFIX,
     InvertStage,
     merge_runs_batch,
 )
 from fulltextsearch_ray.state.index import (
-    POSTINGS_SCHEMA,
     load_manifest,
     load_meta,
     save_manifest,
     segment_dir,
+    segment_is_complete,
 )
 from fulltextsearch_ray.state.payloads import (
     ADDRESS_COLS,
     PAYLOAD_COLS,
     PAYLOAD_DIR,
+    predates_blobs,
     read_postings_file,
 )
 from fulltextsearch_ray.tokenizer import tokenize
-
-
-def _run(docs):
-    """One posting block of distinct docs, tf 1 per doc, field and
-    token 1: its stats and payload columns by name."""
-    occ_docs = np.asarray(docs, dtype=np.uint64)
-    ones = np.ones(len(occ_docs), dtype=np.uint64)
-    blk = encode_posting_block(occ_docs, ones, ones)._asdict()
-    return {**blk, "n_docs": len(docs)}
-
-
-def _posting_file(path, term_rows, **write_kwargs):
-    """Write a postings parquet file of rows [(term, block_id, docs)], in
-    the given (not necessarily term-sorted) order."""
-    occ = {k: [] for k in POSTINGS_SCHEMA.names}
-    for term, block_id, docs in term_rows:
-        t = _run(docs)
-        occ["term"].append(term)
-        occ["bucket"].append(0)
-        occ["block_id"].append(block_id)
-        occ["first_doc"].append(docs[0])
-        occ["last_doc"].append(docs[-1])
-        for c in ("df", "cf", "max_tf", "n_docs", "docs", "fields", "tfs", "positions"):
-            occ[c].append(t[c])
-    tbl = pa.table(
-        {k: pa.array(occ[k], type=POSTINGS_SCHEMA.field(k).type) for k in POSTINGS_SCHEMA.names}
-    )
-    pq.write_table(tbl, path, **write_kwargs)
-
-
-def _rows(t, cols=("term", "block_id", "first_doc")):
-    return list(zip(*(t[c].to_pylist() for c in cols)))
-
-
-def test_read_term_rows_boundary_spill(tmp_path):
-    # term 'm' spans two files: it is file0's term_max AND file1's
-    # term_min — the lookup must open BOTH files.
-    f0, f1 = str(tmp_path / "p0.parquet"), str(tmp_path / "p1.parquet")
-    _posting_file(f0, [("a", 0, [1, 2]), ("m", 0, [3, 4])])
-    _posting_file(f1, [("m", 1, [5, 6]), ("z", 0, [7])])
-    fake = SimpleNamespace(
-        _seg_ranges={"seg": (["a", "m"], ["m", "z"], [f0, f1])},
-        _postings_ds={},
-        posting_reader=PostingFileReader(),
-    )
-    t = IndexSearcher._read_term_rows(fake, "seg", "m", ["term", "block_id", "docs", "df"])
-    assert t.num_rows == 2
-    assert sorted(t["block_id"].to_pylist()) == [0, 1]
-    # terms fully inside one file still open exactly one file
-    t = IndexSearcher._read_term_rows(fake, "seg", "a", ["term", "block_id"])
-    assert t.num_rows == 1
-    assert fake.posting_reader.files_opened == 2
-    # absent term below every range
-    t = IndexSearcher._read_term_rows(fake, "seg", "0", ["term", "block_id"])
-    assert t.num_rows == 0
-
-
-def test_unsorted_rows_across_row_groups(tmp_path):
-    # rows out of term order, two per row group: [c b] [b a] [a c] —
-    # 'b' spans groups 0 and 1, and no group is sorted
-    f = str(tmp_path / "p.parquet")
-    _posting_file(
-        f,
-        [("c", 0, [1]), ("b", 0, [2]), ("b", 1, [3]), ("a", 0, [4]), ("a", 1, [5]), ("c", 1, [6])],
-        row_group_size=2,
-    )
-    assert pq.ParquetFile(f).metadata.num_row_groups == 3
-    r = PostingFileReader()
-    assert _rows(r.read(f, "a", ["term", "block_id", "first_doc"])) == [("a", 0, 4), ("a", 1, 5)]
-    assert r.row_groups_read == 2  # group 0 is [b, c]: pruned
-    # a term spanning two groups, columns without 'term'
-    t = r.read(f, "b", ["block_id", "first_doc"])
-    assert t.column_names == ["block_id", "first_doc"]
-    assert _rows(t, ("block_id", "first_doc")) == [(0, 2), (1, 3)]
-    assert r.row_groups_read == 2 + 3  # every group's [min, max] admits 'b'
-    t = r.read(f, "c", ["term", "first_doc"])
-    assert _rows(t, ("term", "first_doc")) == [("c", 1), ("c", 6)]
-    assert r.row_groups_read == 2 + 3 + 2
-    # absent terms inside and outside every range
-    for absent in ("ab", "0", "z"):
-        t = r.read(f, absent, ["term", "block_id"])
-        assert t.num_rows == 0
-        assert t.schema == pa.schema([("term", pa.string()), ("block_id", pa.int32())])
-    assert r.row_groups_read == 2 + 3 + 2 + 2  # only 'ab' reads: [a, b] and [a, c]
-    assert r.files_opened == 1
-
-
-def test_file_without_statistics_is_read(tmp_path):
-    f = str(tmp_path / "p.parquet")
-    _posting_file(
-        f, [("m", 0, [1]), ("a", 0, [2]), ("m", 1, [3])], row_group_size=2, write_statistics=False
-    )
-    st = pq.ParquetFile(f).metadata.row_group(0).column(0).statistics
-    assert st is None or not st.has_min_max
-    r = PostingFileReader()
-    assert _rows(r.read(f, "m", ["term", "block_id", "first_doc"])) == [("m", 0, 1), ("m", 1, 3)]
-    assert _rows(r.read(f, "a", ["term", "block_id", "first_doc"])) == [("a", 0, 2)]
-    assert r.row_groups_read == 4  # nothing to prune on: every group read
 
 
 def _build_two_segments(idx):
@@ -186,24 +86,32 @@ def two_segment_index(ray_session, tmp_path_factory):
     return _build_two_segments(str(tmp_path_factory.mktemp("two_seg")))
 
 
+@pytest.fixture(scope="module")
+def compacted_index(two_segment_index, tmp_path_factory):
+    """``two_segment_index`` after ``compact_index``: one segment."""
+    idx = str(tmp_path_factory.mktemp("compacted") / "idx")
+    shutil.copytree(two_segment_index, idx)
+    compact_index(idx, block_cf=64)
+    return idx
+
+
 QUERIES = ("the term3", "uniq5 term7 term39", "term0 term1 term2 the", "the uniq7 uniq9 term12")
 
 
-@pytest.fixture(scope="module")
-def legacy_index(two_segment_index, tmp_path_factory):
-    """``two_segment_index`` rewritten in the layout indexes had before
-    payload blobs: every postings row carries its payloads inline, the
-    rows shuffled out of term order in 4,096-row groups the way the
-    category-concatenating merge wrote them, no payloads directory, and
-    catalogs without address columns.  Footer [min, max] ranges stay
-    those of the fresh files, so the run catalog still matches."""
-    idx = str(tmp_path_factory.mktemp("legacy") / "idx")
-    shutil.copytree(two_segment_index, idx)
+def _to_pre_blob_layout(idx):
+    """Rewrite ``idx`` in place in the layout indexes had before payload
+    blobs: every postings row carries its payloads inline, the rows
+    shuffled out of term order in 4,096-row groups the way the
+    category-concatenating merge wrote them, no payloads directory,
+    catalogs without address columns, and manifests that carry the
+    postings run catalog (``file_ranges``, ``num_buckets``)."""
     rng = np.random.default_rng(11)
     for seg in load_meta(idx).segments:
         segp = segment_dir(idx, seg)
+        ranges = []
         for p in sorted(glob.glob(os.path.join(segp, "postings", "*.parquet"))):
             t = read_postings_file(p)
+            ranges.append([os.path.relpath(p, segp), pc.min(t["term"]).as_py(), pc.max(t["term"]).as_py()])
             pq.write_table(t.take(rng.permutation(t.num_rows)), p, row_group_size=4096)
         shutil.rmtree(os.path.join(segp, PAYLOAD_DIR))
         for p in glob.glob(os.path.join(segp, "catalog", "*.parquet")):
@@ -211,66 +119,73 @@ def legacy_index(two_segment_index, tmp_path_factory):
         man = load_manifest(idx, seg)
         man.catalog_stats = build_mod._scan_table_stats(os.path.join(segp, "catalog"), segp)
         save_manifest(idx, man)
+        mpath = os.path.join(segp, "manifest.json")
+        with open(mpath) as f:
+            d = json.load(f)
+        d.update(file_ranges=ranges, num_buckets=4)
+        with open(mpath, "w") as f:
+            json.dump(d, f)
     return idx
 
 
-SMALL_GROUPS = 16
+@pytest.fixture(scope="module")
+def legacy_indexes(two_segment_index, compacted_index, tmp_path_factory):
+    """The fresh two-segment index and its one-segment compaction, each
+    rewritten in the pre-blob layout."""
+    root = tmp_path_factory.mktemp("legacy")
+    out = {}
+    for kind, src in (("two", two_segment_index), ("one", compacted_index)):
+        out[kind] = str(root / kind)
+        shutil.copytree(src, out[kind])
+        _to_pre_blob_layout(out[kind])
+    return out
 
 
 @pytest.fixture(scope="module")
-def small_group_indexes(ray_session, tmp_path_factory):
-    """The same two segments written with 16-row groups (so a file has
-    many groups to prune), before and after ``compact_index``."""
-    root = tmp_path_factory.mktemp("small_groups")
-    built, compacted = str(root / "built"), str(root / "compacted")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(build_mod, "POSTINGS_ROW_GROUP_SIZE", SMALL_GROUPS)
-        _build_two_segments(built)
-        shutil.copytree(built, compacted)
-        compact_index(compacted, block_cf=64)
-    return {"built": built, "compacted": compacted}
+def compacted_legacy(legacy_indexes, tmp_path_factory):
+    """Each pre-blob index of ``legacy_indexes`` after ``compact_index``."""
+    root = tmp_path_factory.mktemp("compacted_legacy")
+    out = {}
+    for kind, src in legacy_indexes.items():
+        out[kind] = str(root / kind)
+        shutil.copytree(src, out[kind])
+        compact_index(out[kind], block_cf=64)
+    return out
 
 
-def _postings_files(s):
-    return [(seg, p) for seg in s.segments for p in s._seg_ranges[seg][2]]
+def _postings_files(idx):
+    return [
+        (seg, p)
+        for seg in load_meta(idx).segments
+        for p in sorted(glob.glob(os.path.join(segment_dir(idx, seg), "postings", "*.parquet")))
+    ]
 
 
-def _unsorted_files(s) -> int:
+def _unsorted_files(idx) -> int:
     n = 0
-    for _seg, p in _postings_files(s):
+    for _seg, p in _postings_files(idx):
         terms = pq.read_table(p, columns=["term"])["term"].to_pylist()
         n += terms != sorted(terms)
     return n
 
 
-def _assert_matches_dataset_filter_read(s):
+def _assert_matches_whole_file_read(s):
     """Every term's blocks as ``s`` reads them — a blob record at its
-    catalog address, or legacy rows through ``PostingFileReader`` —
-    equal the rows of a whole-file read filtered to the term
-    (``read_postings_file``: the parquet rows with their payloads),
-    segment by segment.  On a legacy segment the row reader must also
-    equal the dataset-filter read (``pq.read_table(path, filters=...)``)."""
-    cols = ["term", "block_id", "first_doc", "last_doc", "df", "docs", "fields", "tfs", "positions"]
-    whole = {p: read_postings_file(p) for _seg, p in _postings_files(s)}
+    catalog address — equal the rows of a whole-file read filtered to
+    the term (``read_postings_file``: the parquet rows with their
+    payloads), segment by segment."""
+    whole = {}
+    for seg, p in _postings_files(s.index_dir):
+        whole.setdefault(seg, []).append(read_postings_file(p))
+    whole = {seg: pa.concat_tables(ts) for seg, ts in whole.items()}
     terms = IndexSearcher(s.index_dir).terms.to_pylist()
     assert "the" in terms
     for term in terms:
         want = []
         for seg in s.segments:
-            mins, maxs, paths = s._seg_ranges[seg]
-            covering = [p for p, lo, hi in zip(paths, mins, maxs) if lo <= term <= hi]
-            rows = [whole[p].filter(pc.equal(whole[p]["term"], term)) for p in covering]
-            rows = pa.concat_tables(rows) if rows else None
-            if rows is not None and rows.num_rows:
+            rows = whole[seg].filter(pc.equal(whole[seg]["term"], term))
+            if rows.num_rows:
                 want.append(rows.sort_by([("first_doc", "ascending"), ("block_id", "ascending")]))
-            if seg in s._blob_segs:
-                continue
-            filtered = [pq.read_table(p, columns=cols, filters=[("term", "=", term)]) for p in covering]
-            got = s._read_term_rows(seg, term, cols)
-            if not filtered:
-                assert got.num_rows == 0, (seg, term)
-            else:
-                assert got.equals(pa.concat_tables(filtered)), (seg, term)
         for with_positions in (False, True):
             got = s._fetch_term_blocks(term, with_positions)
             assert len(got) == len(want), term
@@ -282,29 +197,14 @@ def _assert_matches_dataset_filter_read(s):
                     assert [bytes(x) for x in getattr(b, c)] == w[c].to_pylist(), (term, c)
 
 
-def test_reader_matches_dataset_filter_read(two_segment_index):
+def test_reader_matches_dataset_filter_read(two_segment_index, compacted_index):
     s = IndexSearcher(two_segment_index)
-    assert len(s.segments) == 2 and set(s._seg_ranges) == set(s.segments)
-    assert s._blob_segs == set(s.segments)
-    # a fresh build writes term-sorted files only
-    assert _unsorted_files(s) == 0
-    _assert_matches_dataset_filter_read(s)
-    _assert_matches_dataset_filter_read(IndexSearcher(two_segment_index, catalog_budget_rows=0))
-
-
-def test_legacy_layout_matches_dataset_filter_read(legacy_index, two_segment_index):
-    s = IndexSearcher(legacy_index)
     assert len(s.segments) == 2
-    assert not s._blob_segs
-    # the case a binary search within a row group would get wrong
-    assert _unsorted_files(s) > 0
-    assert all(
-        pq.ParquetFile(p).metadata.num_row_groups == 1 for _seg, p in _postings_files(s)
-    )
-    _assert_matches_dataset_filter_read(s)
-    fresh = IndexSearcher(two_segment_index)
-    for q in ("the term3", "uniq5 term7 term39", "term0 term1 term2 the"):
-        assert s.bm25_topk(q, k=10).equals(fresh.bm25_topk(q, k=10)), q
+    # a fresh build and a compaction write term-sorted files only
+    assert _unsorted_files(two_segment_index) == 0
+    assert _unsorted_files(compacted_index) == 0
+    _assert_matches_whole_file_read(s)
+    _assert_matches_whole_file_read(IndexSearcher(two_segment_index, catalog_budget_rows=0))
 
 
 def _assert_same_answers(got: IndexSearcher, want: IndexSearcher, terms):
@@ -322,16 +222,42 @@ def _assert_same_answers(got: IndexSearcher, want: IndexSearcher, terms):
             ), (q, k)
 
 
+def test_searcher_refuses_pre_blob_segments(legacy_indexes):
+    """A pre-blob segment fails loudly at open, eager and paged alike,
+    naming the segment and the migration, instead of being served."""
+    for kind, idx in legacy_indexes.items():
+        segs = load_meta(idx).segments
+        assert len(segs) == (2 if kind == "two" else 1)
+        for budget in (2_000_000, 0):
+            with pytest.raises(ValueError, match=f"segment {segs[0]} .*compact_index"):
+                IndexSearcher(idx, catalog_budget_rows=budget)
+
+
+def test_legacy_index_compacts_into_blobs(legacy_indexes, compacted_legacy):
+    """``compact_index`` rewrites a pre-blob index of one segment or of
+    two into one segment of payload blobs and term-sorted files; a
+    second compaction of that one blob segment changes nothing."""
+    for kind, idx in compacted_legacy.items():
+        before = load_meta(legacy_indexes[kind]).segments
+        assert all(predates_blobs(build_mod._catalog_columns(legacy_indexes[kind], s)) for s in before)
+        (seg,) = load_meta(idx).segments
+        assert seg not in before
+        assert not predates_blobs(build_mod._catalog_columns(idx, seg))
+        assert os.listdir(os.path.join(segment_dir(idx, seg), PAYLOAD_DIR))
+        assert _unsorted_files(idx) == 0
+        assert compact_index(idx, block_cf=64).segments == [seg]
+
+
 @pytest.mark.parametrize("budget", [2_000_000, 0], ids=["eager", "lazy"])
-def test_blob_read_matches_legacy_reader(two_segment_index, legacy_index, budget):
-    """The blob read and the legacy row reader give the same postings
-    and the same BM25 answers, and pruned == exhaustive on both."""
-    blob = IndexSearcher(two_segment_index, catalog_budget_rows=budget)
-    legacy = IndexSearcher(legacy_index, catalog_budget_rows=budget)
-    assert (blob._lazy_cats is None) == (legacy._lazy_cats is None) == (budget > 0)
-    assert blob._blob_segs == set(blob.segments) and not legacy._blob_segs
-    _assert_same_answers(blob, legacy, IndexSearcher(two_segment_index).terms.to_pylist() + ["absent"])
-    for s in (blob, legacy):
+def test_compacted_legacy_matches_fresh(two_segment_index, compacted_legacy, budget):
+    """Both compacted pre-blob indexes give the fresh index's postings
+    and BM25 answers for every term, and pruned == exhaustive on them."""
+    fresh = IndexSearcher(two_segment_index, catalog_budget_rows=budget)
+    terms = IndexSearcher(two_segment_index).terms.to_pylist() + ["absent"]
+    for idx in compacted_legacy.values():
+        s = IndexSearcher(idx, catalog_budget_rows=budget)
+        assert (s._lazy_cats is None) == (budget > 0)
+        _assert_same_answers(s, fresh, terms)
         for q in QUERIES:
             for k in (3, 10):
                 exact, pruned = s.bm25_topk(q, k=k), s.bm25_topk_pruned(tokenize(q), k=k)
@@ -339,85 +265,7 @@ def test_blob_read_matches_legacy_reader(two_segment_index, legacy_index, budget
                 np.testing.assert_allclose(
                     pruned["score"].to_numpy(), exact["score"].to_numpy(), rtol=1e-12, atol=0
                 )
-    assert blob.posting_reader.payload_reads > 0 and blob.posting_reader.row_groups_read == 0
-    assert legacy.posting_reader.payload_reads == 0 and legacy.posting_reader.row_groups_read > 0
-
-
-def test_legacy_index_compacts_into_blobs(legacy_index, tmp_path):
-    idx = str(tmp_path / "idx")
-    shutil.copytree(legacy_index, idx)
-    compact_index(idx, block_cf=64)
-    before = IndexSearcher(legacy_index)
-    after = IndexSearcher(idx)
-    assert len(after.segments) == 1 and after._blob_segs == set(after.segments)
-    assert os.listdir(os.path.join(segment_dir(idx, after.segments[0]), PAYLOAD_DIR))
-    _assert_same_answers(after, before, before.terms.to_pylist() + ["absent"])
-    assert after.posting_reader.row_groups_read == 0
-
-
-def test_footer_parsed_once_and_no_dataset_reads(legacy_index, monkeypatch):
-    # the parquet row reader serves segments written before blobs
-    s = IndexSearcher(legacy_index)
-    assert s.posting_reader.files_opened == 0  # nothing opened at construction
-    terms = s.terms.to_pylist()
-    # row groups whose term stats admit each term, over the files the
-    # range bisect selects — the reads a pruning reader may make
-    admitted = 0
-    for mins, maxs, paths in s._seg_ranges.values():
-        for p, lo, hi in zip(paths, mins, maxs):
-            md = pq.ParquetFile(p).metadata
-            for term in terms:
-                if lo <= term <= hi:
-                    for rg in range(md.num_row_groups):
-                        st = md.row_group(rg).column(0).statistics
-                        admitted += st.min <= term <= st.max
-    opened = []
-    real = pq.ParquetFile
-
-    def spy_open(path, *a, **kw):
-        opened.append(path)
-        return real(path, *a, **kw)
-
-    def no_read_table(*a, **kw):
-        raise AssertionError("posting lookups must not call pq.read_table")
-
-    monkeypatch.setattr(pq, "ParquetFile", spy_open)
-    monkeypatch.setattr(pq, "read_table", no_read_table)
-    for _ in range(3):
-        for term in terms:
-            s._fetch_term_blocks(term, with_positions=True)
-    n_files = sum(len(r[2]) for r in s._seg_ranges.values())
-    assert len(opened) == len(set(opened)) == s.posting_reader.files_opened == n_files
-    assert s.posting_reader.row_groups_read == 3 * admitted
-
-
-@pytest.mark.parametrize("which", ["built", "compacted"])
-def test_fresh_layout_one_group_per_single_row_term(small_group_indexes, two_segment_index, which):
-    s = IndexSearcher(small_group_indexes[which])
-    assert len(s.segments) == (2 if which == "built" else 1)
-    assert _unsorted_files(s) == 0
-    groups = [pq.ParquetFile(p).metadata for _seg, p in _postings_files(s)]
-    assert max(md.row_group(i).num_rows for md in groups for i in range(md.num_row_groups)) <= SMALL_GROUPS
-    assert max(md.num_row_groups for md in groups) > 1  # something to prune
-    cols = ["term", "block_id", "first_doc", "df", "docs", "fields", "tfs"]
-    checked = 0
-    for seg in s.segments:
-        mins, maxs, paths = s._seg_ranges[seg]
-        rows = pa.concat_tables([pq.read_table(p, columns=["term"]) for p in paths])
-        counts = rows.group_by("term").aggregate([("term", "count")])
-        single = pc.filter(counts["term"], pc.equal(counts["term_count"], 1)).to_pylist()
-        for term in single:
-            if term.startswith(DOCSTATS_TERM_PREFIX):
-                continue
-            files = sum(lo <= term <= hi for lo, hi in zip(mins, maxs))
-            before = s.posting_reader.row_groups_read
-            assert s._read_term_rows(seg, term, cols).num_rows == 1
-            assert s.posting_reader.row_groups_read - before == files, (seg, term)
-            checked += 1
-    assert checked > 200  # every uniqN word at least
-    fresh = IndexSearcher(two_segment_index)
-    for q in ("the term3", "uniq5 term7 term39", "term0 term1 term2 the"):
-        assert s.bm25_topk(q, k=10).equals(fresh.bm25_topk(q, k=10)), q
+        assert s.posting_reader.payload_reads > 0
 
 
 def _mixed_runs():
@@ -547,7 +395,7 @@ def test_rewritten_partition_replaces_its_files(tmp_path):
     rows = _encoded_rows(block_cf=64)
     seg = str(tmp_path / "seg")
     for _ in range(2):
-        out = build_mod.write_postings_partition(rows, seg, 4096)
+        out = build_mod.write_postings_partition(rows, seg)
     assert os.listdir(os.path.join(seg, "postings")) == [os.path.basename(out["file"][0].as_py())]
     assert len(os.listdir(os.path.join(seg, PAYLOAD_DIR))) == 1
     assert read_postings_file(os.path.join(seg, out["file"][0].as_py())).equals(rows)
@@ -597,7 +445,7 @@ def test_field_one_payloads_stored_empty(tmp_path):
                                            pa.nulls(rows.num_rows, pa.binary()))
         assert attach_payloads(stripped, blob).equals(rows)
     assert any(field_one) and not all(field_one)  # the mixed rows cover both kinds
-    assert build_mod.write_postings_partition(_mixed_field_rows(), str(tmp_path / "seg"), 4096)[
+    assert build_mod.write_postings_partition(_mixed_field_rows(), str(tmp_path / "seg"))[
         "max_field"
     ].to_pylist() == [2]
 
@@ -608,8 +456,8 @@ def test_term_split_across_files_raises(ray_session, tmp_path):
     build refuses it on the driver path and the Ray path alike."""
     rows = _encoded_rows(block_cf=2)
     seg = str(tmp_path / "seg")
-    build_mod.write_postings_partition(rows.slice(0, 75), seg, 4096)  # 'a' blocks 0..74
-    build_mod.write_postings_partition(rows.slice(75), seg, 4096)  # the rest of 'a', 'b', 'c'
+    build_mod.write_postings_partition(rows.slice(0, 75), seg)  # 'a' blocks 0..74
+    build_mod.write_postings_partition(rows.slice(75), seg)  # the rest of 'a', 'b', 'c'
     for budget in (50_000_000, 0):
         with pytest.raises(ValueError, match="span two postings files"):
             build_mod._build_catalog(seg, driver_budget_rows=budget)
@@ -622,21 +470,21 @@ def test_term_split_across_files_raises(ray_session, tmp_path):
     assert got[0] == got[1] and got[0][0] in (1, 3)
 
 
-def test_cold_single_segment_lookup_is_one_payload_read(small_group_indexes):
-    s = IndexSearcher(small_group_indexes["compacted"])
+def test_cold_single_segment_lookup_is_one_payload_read(compacted_index):
+    s = IndexSearcher(compacted_index)
     assert len(s.segments) == 1
     r = s.posting_reader
     assert (r.files_opened, r.payload_reads, r.payload_bytes) == (0, 0, 0)
     path, _off, bm25_len, length = s._term_address(0, "term7")
     assert os.path.dirname(path).endswith(PAYLOAD_DIR) and 0 < bm25_len < length
     assert len(s.get_doc_tfs("term7")[0]) > 0
-    assert (r.payload_reads, r.payload_bytes, r.row_groups_read, r.files_opened) == (1, bm25_len, 0, 1)
+    assert (r.payload_reads, r.payload_bytes, r.files_opened) == (1, bm25_len, 1)
     s.get_doc_tfs("term7")  # cached: no read
     assert r.payload_reads == 1
     assert len(s.get_postings("term7").docs) > 0  # positions: the whole record
     assert (r.payload_reads, r.payload_bytes, r.files_opened) == (2, bm25_len + length, 1)
     assert len(s.get_doc_tfs("absent")[0]) == 0  # not in the catalog: no read
-    assert r.payload_reads == 2 and r.row_groups_read == 0
+    assert r.payload_reads == 2
 
 
 def _single_block_record(idx):
@@ -747,11 +595,25 @@ def test_manifest_persists_table_stats(built_index):
                 assert rows > 0 and mn <= mx
 
 
-def test_cold_start_opens_zero_footers(built_index, monkeypatch):
+def test_cold_start_opens_zero_footers(built_index, tmp_path, monkeypatch):
     """With manifest stats present, IndexSearcher.__init__ in lazy mode
     must not construct a single pq.ParquetFile (the old cold start did
-    one footer fetch per catalog/docs file per actor)."""
+    one footer fetch per catalog/docs file per actor).  The same holds
+    for a manifest that still carries the retired postings run-catalog
+    keys (``file_ranges``, ``num_buckets``): it loads, counts as
+    complete, and keeps its stats and block budget."""
     import fulltextsearch_ray.pipelines.query as qmod
+
+    retired = str(tmp_path / "retired")
+    shutil.copytree(built_index, retired)
+    (seg,) = load_meta(retired).segments
+    mpath = os.path.join(segment_dir(retired, seg), "manifest.json")
+    with open(mpath) as f:
+        d = json.load(f)
+    d.update(file_ranges=[["postings/part-0.parquet", "box", "zebras"]], num_buckets=4)
+    with open(mpath, "w") as f:
+        json.dump(d, f)
+    assert load_manifest(retired, seg).catalog_stats and segment_is_complete(retired, seg)
 
     calls = []
     real = qmod.pq.ParquetFile
@@ -762,18 +624,21 @@ def test_cold_start_opens_zero_footers(built_index, monkeypatch):
             return real(path, *a, **k)
 
     monkeypatch.setattr(qmod.pq, "ParquetFile", CountingPF)
-    s = qmod.IndexSearcher(built_index, catalog_budget_rows=0, doclen_budget_rows=0)
-    assert calls == [], f"cold start opened footers: {calls}"
-    # ... and no payload blob
-    r = s.posting_reader
-    assert (r.files_opened, r.payload_reads, r.payload_bytes) == (0, 0, 0)
-    # the paged tables still serve lookups (reads happen lazily, now)
-    assert s.term_stats("quick")[0] > 0
-    assert calls, "lookups should read row groups on demand"
-    # a posting lookup opens the one blob holding the term and reads
-    # its record once, with no parquet row-group read
-    assert len(s.get_doc_tfs("quick")[0]) > 0
-    assert (r.files_opened, r.payload_reads, r.row_groups_read) == (1, 1, 0)
+    for idx in (built_index, retired):
+        calls.clear()
+        s = qmod.IndexSearcher(idx, catalog_budget_rows=0, doclen_budget_rows=0)
+        assert calls == [], f"cold start opened footers: {calls}"
+        assert s._min_block_cf > 0  # the manifest's block budget: the tight MaxScore bound
+        # ... and no payload blob
+        r = s.posting_reader
+        assert (r.files_opened, r.payload_reads, r.payload_bytes) == (0, 0, 0)
+        # the paged tables still serve lookups (reads happen lazily, now)
+        assert s.term_stats("quick")[0] > 0
+        assert calls, "lookups should read row groups on demand"
+        # a posting lookup opens the one blob holding the term and reads
+        # its record once, with no parquet row-group read
+        assert len(s.get_doc_tfs("quick")[0]) > 0
+        assert (r.files_opened, r.payload_reads) == (1, 1)
 
 
 def test_manifest_stats_lookup_parity(built_index):

@@ -69,44 +69,6 @@ def _mini_tbl(ids, words):
     })
 
 
-def test_repeated_compaction_is_safe_and_sweeps_orphans(ray_session, tmp_path):
-    """Two compactions back-to-back (same wall-clock second) must not
-    collide segment names — the old count+timestamp scheme deleted a
-    LIVE compact segment.  Also: an orphaned segment dir (crash between
-    a compaction's save_meta and its cleanup rmtree) is swept."""
-    import os
-
-    import ray.data
-
-    from fulltextsearch_ray.pipelines.build import build_index, compact_index
-    from fulltextsearch_ray.pipelines.query import IndexSearcher
-    from fulltextsearch_ray.state.index import SEGMENTS_DIR, load_meta
-
-    idx = str(tmp_path / "cidx")
-    build_index(ray.data.from_arrow(_mini_tbl([1], ["alpha beta"])), idx,
-                doc_id_col="doc_id", num_buckets=2, overwrite=True)
-    build_index(ray.data.from_arrow(_mini_tbl([2], ["beta gamma"])), idx,
-                doc_id_col="doc_id", num_buckets=2)
-    m1 = compact_index(idx)
-    first_compact = m1.segments[0]
-    # two more sessions, then compact again IMMEDIATELY (same second)
-    build_index(ray.data.from_arrow(_mini_tbl([3], ["gamma delta"])), idx,
-                doc_id_col="doc_id", num_buckets=2)
-    build_index(ray.data.from_arrow(_mini_tbl([4], ["delta epsilon"])), idx,
-                doc_id_col="doc_id", num_buckets=2)
-    # orphan dir simulating a crashed earlier compaction's leftovers
-    orphan = os.path.join(idx, SEGMENTS_DIR, "seg-orphan")
-    os.makedirs(orphan)
-    m2 = compact_index(idx)
-    assert m2.segments[0] != first_compact  # input-derived, no collision
-    assert not os.path.exists(orphan)  # swept
-    s = IndexSearcher(idx)
-    assert s.search_to_string("WORD(beta)") != ""
-    got = {int(d) for d in s.evaluate("OR(WORD(alpha),WORD(epsilon))").docs}
-    assert got == {1, 4}
-    assert load_meta(idx).num_docs == 4
-
-
 def test_rebuild_of_listed_segment_does_not_double_count(ray_session, tmp_path):
     """A segment listed in meta whose manifest is lost gets rebuilt;
     meta.num_docs/total_tokens must be RECOMPUTED from manifests, not
@@ -132,39 +94,6 @@ def test_rebuild_of_listed_segment_does_not_double_count(ray_session, tmp_path):
     after = load_meta(idx)
     assert after.num_docs == 2, "rebuild double-counted num_docs"
     assert after.total_tokens == 5, "rebuild double-counted total_tokens"
-
-
-def test_compact_unifies_mixed_docs_schemas(ray_session, tmp_path):
-    """A legacy segment whose docs table carries extra metadata columns
-    must still compact with a current segment (plain concat raised
-    ArrowInvalid — the index could never be compacted)."""
-    import glob
-    import os
-
-    import pyarrow.parquet as pq
-    import ray.data
-
-    from fulltextsearch_ray.pipelines.build import build_index, compact_index
-    from fulltextsearch_ray.pipelines.query import IndexSearcher
-    from fulltextsearch_ray.state.index import load_meta, segment_dir
-
-    idx = str(tmp_path / "midx")
-    build_index(ray.data.from_arrow(_mini_tbl([1], ["alpha beta"])), idx,
-                doc_id_col="doc_id", num_buckets=2, overwrite=True)
-    build_index(ray.data.from_arrow(_mini_tbl([2], ["beta gamma"])), idx,
-                doc_id_col="doc_id", num_buckets=2)
-    # make segment 0's docs table legacy-shaped: extra 'lang' column
-    seg0 = segment_dir(idx, load_meta(idx).segments[0])
-    f = glob.glob(os.path.join(seg0, "docs", "**", "*.parquet"), recursive=True)[0]
-    t = pq.read_table(f)
-    t = t.append_column("lang", pa.array(["en"] * t.num_rows))
-    pq.write_table(t, f)
-    compact_index(idx)
-    s = IndexSearcher(idx)
-    assert {int(d) for d in s.evaluate("WORD(beta)").docs} == {1, 2}
-    # the legacy metadata column survives (null for the other segment)
-    assert s.get_metadata(1).get("lang") == "en"
-    assert s.get_metadata(2).get("lang") is None
 
 
 def test_get_searcher_cache_invalidated_by_rebuild(ray_session, tmp_path):

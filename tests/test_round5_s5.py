@@ -1,5 +1,4 @@
-"""Session-5 regression tests: per-file fetch-manifest persistence
-and legacy num_fields recovery during compaction."""
+"""Session-5 regression tests: per-file fetch-manifest persistence."""
 
 import json
 import os
@@ -9,7 +8,7 @@ import pyarrow as pa
 import pytest
 import ray.data
 
-from fulltextsearch_ray.pipelines.build import build_index, compact_index
+from fulltextsearch_ray.pipelines.build import build_index
 from fulltextsearch_ray.sources.enwiki import fetch_to_dir
 
 
@@ -35,68 +34,6 @@ def test_fetch_to_dir_midrun_failure_keeps_manifest(tmp_path):
     f2.write_text("from url B")
     got = fetch_to_dir(["file://" + str(f2)], dest)
     assert open(got[0]).read() == "from url B"
-
-
-def test_compact_recovers_num_fields_for_legacy_meta(ray_session, tmp_path):
-    """num_fields=0 (legacy meta, field count unknown) forces the
-    loosest BM25 prune bound; compaction rewrites every posting row,
-    so it must derive the true count from the fields column instead of
-    leaving the index degraded forever."""
-    idx = str(tmp_path / "idx")
-    kw = dict(
-        text_col="title", text_cols=["title", "body"], doc_id_col="doc_id", num_buckets=2
-    )
-
-    def tbl(ids, titles, bodies):
-        return pa.table(
-            {
-                "doc_id": pa.array(ids, pa.int64()),
-                "title": pa.array(titles, pa.string()),
-                "body": pa.array(bodies, pa.string()),
-            }
-        )
-
-    build_index(ray.data.from_arrow(tbl([1, 2], ["apple pie", "rye loaf"],
-                                        ["banana bread", "oat cake"])), idx, **kw)
-    build_index(ray.data.from_arrow(tbl([3], ["cherry tart"], ["plum jam"])), idx, **kw)
-    # forge a legacy meta: drop the field-count key entirely
-    meta_path = os.path.join(idx, "meta.json")
-    m = json.loads(open(meta_path).read())
-    del m["num_fields"]
-    with open(meta_path, "w") as f:
-        json.dump(m, f)
-    meta = compact_index(idx)
-    assert meta.num_fields == 2
-
-
-def test_compact_mixed_meta_columns_both_survive(ray_session, tmp_path):
-    """Two sessions with DIFFERENT meta columns compact into one
-    docs_meta dir of mixed schemas; a directory-level read inferred
-    the schema from the first fragment and silently dropped the other
-    session's column — per-file reads keep both."""
-    idx = str(tmp_path / "idx")
-    build_index(
-        ray.data.from_arrow(pa.table({
-            "doc_id": pa.array([1], pa.int64()),
-            "text": pa.array(["apple pie"], pa.string()),
-            "alpha": pa.array(["A1"], pa.string()),
-        })),
-        idx, text_col="text", doc_id_col="doc_id", meta_cols=("alpha",), num_buckets=2,
-    )
-    build_index(
-        ray.data.from_arrow(pa.table({
-            "doc_id": pa.array([2], pa.int64()),
-            "text": pa.array(["banana split"], pa.string()),
-            "beta": pa.array(["B2"], pa.string()),
-        })),
-        idx, text_col="text", doc_id_col="doc_id", meta_cols=("beta",), num_buckets=2,
-    )
-    from fulltextsearch_ray.pipelines.query import IndexSearcher
-
-    compact_index(idx)
-    s = IndexSearcher(idx)
-    assert s.get_metadata(1).get("alpha") == "A1"
-    assert s.get_metadata(2).get("beta") == "B2"
 
 
 def test_build_rejects_duplicate_doc_ids_in_batch(ray_session, tmp_path):
