@@ -310,9 +310,10 @@ def bench_skew(n_docs: int = 20000) -> dict:
     # --- (c) spans/cut on the same 30%-duplicated corpus (protocol v3):
     # every copy of the shared text marks the same window hashes, so the
     # duplicated-hash set is tiny but EVERY duplicated doc rebuilds.
-    # Run both budget regimes: broadcast (the default) and budget 0
-    # (the distributed semi-join / co-group rebuild a 100 TB corpus
-    # always takes) so the scale path has a recorded number.
+    # Run both size regimes: the default and the shared gather budget
+    # forced to -1 (the distributed semi-join / co-group rebuild a
+    # 100 TB corpus always takes) so the scale path has a recorded number.
+    from fulltextsearch_ray.functions import common
     from fulltextsearch_ray.functions.spans import cut_dup_spans, dup_spans
 
     t0 = time.perf_counter()
@@ -321,9 +322,13 @@ def bench_skew(n_docs: int = 20000) -> dict:
     t0 = time.perf_counter()
     cut_dup_spans(ds, gram_len=4, min_count=2).count()
     out["cut_spans_degenerate_sec"] = round(time.perf_counter() - t0, 3)
-    t0 = time.perf_counter()
-    cut_dup_spans(ds, gram_len=4, min_count=2, broadcast_budget=0).count()
-    out["cut_spans_degenerate_budget0_sec"] = round(time.perf_counter() - t0, 3)
+    budget, common.GATHER_BYTES = common.GATHER_BYTES, -1
+    try:
+        t0 = time.perf_counter()
+        cut_dup_spans(ds, gram_len=4, min_count=2).count()
+        out["cut_spans_degenerate_budget0_sec"] = round(time.perf_counter() - t0, 3)
+    finally:
+        common.GATHER_BYTES = budget
     return out
 
 

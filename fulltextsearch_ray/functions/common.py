@@ -125,39 +125,6 @@ def iter_capped_precomputed(starts, counts, cap: int, op_name: str):
         )
 
 
-def subtract_ids(
-    ds,
-    drop_ids,
-    *,
-    id_col: str = "doc_id",
-    drop_col: str = "drop_id",
-    num_partitions: int | None = None,
-):
-    """Distributed anti-join: ``ds`` minus rows whose ``id_col`` appears
-    in the single-column ``drop_ids`` dataset.  One
-    :func:`partition_apply` on the id: each partition task drops its
-    matches with one ``np.isin`` — neither side touches the driver.
-    Shared by the curation pipeline and the dedup-apply path."""
-    import pyarrow as pa
-
-    sch = ds.schema(fetch_if_missing=True)
-    if sch is None:  # fully-empty data side: nothing to subtract from
-        return ds
-    schema = sch.base_schema
-
-    def anti(docs: pa.Table, drops: pa.Table) -> pa.Table:
-        ids = np.asarray(docs[id_col].to_numpy(zero_copy_only=False), dtype=np.int64)
-        dropped = np.asarray(drops[drop_col].to_numpy(zero_copy_only=False), dtype=np.int64)
-        return docs.filter(pa.array(~np.isin(ids, dropped)))
-
-    return partition_apply(
-        [(ds, id_col, schema), (drop_ids, drop_col, pa.schema([(drop_col, pa.int64())]))],
-        num_partitions or default_partitions(),
-        anti,
-        schema,
-    )
-
-
 def hash_partition(hashes, P: int) -> np.ndarray:
     """Partition id in [0, P) of each 64-bit hash: its BITS modulo P,
     so an int64 view and the uint64 it reinterprets land together."""
@@ -167,41 +134,167 @@ def hash_partition(hashes, P: int) -> np.ndarray:
     return (h % np.uint64(P)).astype(np.int64)
 
 
+# THE size budget of every group stage: when the non-empty blocks of
+# all its inputs total at most this many bytes, partition_apply runs
+# in-process (monkeypatch-able: -1 forces the shuffle for any input
+# that has rows)
+GATHER_BYTES = 128 << 20
+
+
+def _gather(ds, budget: int) -> "tuple[list, int] | None":
+    """(refs, bytes) of ``ds``'s non-empty blocks, or None as soon as
+    their bytes pass ``budget``: the stream stops there, so an
+    over-budget input never runs (or pins) past the budget plus one
+    bundle."""
+    refs, size = [], 0
+    for bundle in ds.iter_internal_ref_bundles():
+        for ref, meta in bundle.blocks:
+            if meta.num_rows != 0:  # unknown (None) counts as rows
+                refs.append(ref)
+                size += meta.size_bytes
+        if refs and size > budget:
+            return None
+    return refs, size
+
+
+def _tables(refs) -> list:
+    import ray
+    from ray.data.block import BlockAccessor
+
+    return [BlockAccessor.for_block(b).to_arrow() for b in ray.get(refs)]
+
+
+def _hashes(b: "pa.Table", key) -> np.ndarray:
+    return key(b) if callable(key) else b[key].to_numpy(zero_copy_only=False)
+
+
+def isin_sorted(sorted_vals: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Boolean mask of ``vals`` present in the SORTED array — one
+    searchsorted, no Python loop."""
+    if not len(vals) or not len(sorted_vals):
+        return np.zeros(len(vals), dtype=bool)
+    j = np.minimum(np.searchsorted(sorted_vals, vals), len(sorted_vals) - 1)
+    return sorted_vals[j] == vals
+
+
+def broadcast_apply(ds, keys, col: str, fn, schema: "pa.Schema"):
+    """Map-side join under :data:`GATHER_BYTES`: ``fn(table, sorted)``
+    over ``ds``, where ``sorted`` holds the SORTED int64 values of the
+    ``keys`` dataset's ``col``; None when ``keys`` passes the budget
+    (the caller then co-partitions with :func:`partition_apply`).  When
+    ``ds`` fits the rest of the budget, ``fn`` runs in-process once over
+    all of it and the output carries ``schema`` even without rows;
+    otherwise the array ships once via ``ray.put`` and every batch of
+    ``ds`` calls ``fn`` — ``ds`` never shuffles.  Pass a materialized
+    ``keys``: its probe then runs nothing twice."""
+    import pyarrow as pa
+    import ray
+
+    got = _gather(keys, GATHER_BYTES)
+    if got is None:
+        return None
+    vals = [np.asarray(t[col].to_numpy(zero_copy_only=False), dtype=np.int64) for t in _tables(got[0])]
+    arr = np.sort(np.concatenate(vals)) if vals else np.empty(0, np.int64)
+    data = _gather(ds, GATHER_BYTES - got[1])
+    if data is None:
+        ref = ray.put(arr)
+        return ds.map_batches(lambda b: fn(b, ray.get(ref)), batch_format="pyarrow")
+    tables = _tables(data[0])
+    out = fn(pa.concat_tables(tables, promote_options="default"), arr) if tables else schema.empty_table()
+    return ray.data.from_arrow(out.select(schema.names).cast(schema))
+
+
+def subtract_ids(
+    ds,
+    drop_ids,
+    *,
+    id_col: str = "doc_id",
+    drop_col: str = "drop_id",
+    num_partitions: int | None = None,
+):
+    """Anti-join: ``ds`` minus rows whose ``id_col`` appears in the
+    single-column ``drop_ids`` dataset.  A drop side within
+    :data:`GATHER_BYTES` joins map-side (:func:`broadcast_apply`: no
+    shuffle of ``ds``); a larger one co-partitions with ``ds`` in one
+    :func:`partition_apply` on the id, each partition dropping its
+    matches with one ``np.isin``.  The dedup-apply step
+    (``components.canonical_docs``) runs on it."""
+    import pyarrow as pa
+
+    schema = ds.schema(fetch_if_missing=True).base_schema
+
+    def ids(t: pa.Table, col: str) -> np.ndarray:
+        return np.asarray(t[col].to_numpy(zero_copy_only=False), dtype=np.int64)
+
+    drop_ids = drop_ids.materialize()
+    out = broadcast_apply(
+        ds, drop_ids, drop_col, lambda t, gone: t.filter(pa.array(~isin_sorted(gone, ids(t, id_col)))), schema
+    )
+    if out is not None:
+        return out
+
+    def anti(docs: pa.Table, drops: pa.Table) -> pa.Table:
+        return docs.filter(pa.array(~np.isin(ids(docs, id_col), ids(drops, drop_col))))
+
+    return partition_apply(
+        [(ds, id_col, schema), (drop_ids, drop_col, pa.schema([(drop_col, pa.int64())]))],
+        num_partitions or default_partitions(),
+        anti,
+        schema,
+    )
+
+
 def partition_apply(inputs, P: int, fn, schema: "pa.Schema"):
     """THE hash-partitioned group stage: co-locate the rows of every
     input by ``hash_partition(key, P)`` and run ``fn`` once per
-    partition.
+    non-empty partition.
 
     ``inputs`` is a list of ``(ds, key, in_schema)``: ``key`` names an
     integer column or is a callable ``table -> hash array``; each block
     is projected and cast to ``in_schema``.  ``fn`` receives one Arrow
     table per input, holding that input's rows of the partition and only
     its columns (an input may contribute no rows; the partition as a
-    whole never is empty), and returns rows of ``schema``.
+    whole never is empty), and returns rows of ``schema``.  The output
+    carries ``schema`` however few rows there are, none included.
 
-    Every block is tagged with ``_side`` / ``_part``, null-padded to one
-    union schema and followed by one ``_side = -1`` sentinel row per
-    partition; ONE range shuffle on ``_part`` with explicit boundaries
-    (no sampling pass) then hands every partition to its own reduce
-    task.  The sentinels make every task run — Ray never calls a map UDF
-    on a 0-row block — and emit a ``schema`` table, empty for a
-    partition without real rows, so the output is typed however few
-    rows there are.  Only an input with no rows at all reaches no task
-    and yields no typed block: a separate sentinel dataset would type
-    that case too, but its extra union operator cost a third more CPU
-    in the curate benchmark (1 CPU).  Ray passes 0-row blocks through every later map
+    ONE size policy picks where the partitions run.  The inputs stream
+    in turn, block by block, until their blocks together pass
+    :data:`GATHER_BYTES`.  When all of them fit, the gathered blocks are
+    split by partition and ``fn`` runs in-process, once per non-empty
+    partition — the same rows per call as the shuffle, without Ray's
+    fixed cost per stage.  Otherwise every block is tagged with
+    ``_side`` / ``_part``, null-padded to one union schema and followed
+    by one ``_side = -1`` sentinel row per partition; ONE range shuffle
+    on ``_part`` with explicit boundaries (no sampling pass) then hands
+    every partition to its own reduce task, and an input gathered whole
+    feeds it from its gathered blocks instead of running again.  The
+    sentinels make every task run — Ray never calls a map UDF on a 0-row
+    block — and emit a ``schema`` table, empty for a partition without
+    real rows.  Ray passes 0-row blocks through every later map
     unchanged, so fold schema-changing steps into ``fn``."""
     import pyarrow as pa
+    import ray
 
     fields: dict = {}
     for _ds, _key, in_schema in inputs:
         for f in in_schema:
             if fields.setdefault(f.name, f.with_nullable(True)).type != f.type:
                 raise TypeError(f"partition_apply: column {f.name!r} typed differently by two inputs")
+    owns = [pa.schema([fields[n] for n in in_schema.names]) for _ds, _key, in_schema in inputs]
+
+    gathered, budget = [], GATHER_BYTES
+    for ds, _key, _s in inputs:
+        got = _gather(ds, budget)
+        if got is None:
+            break
+        gathered.append(got[0])
+        budget -= got[1]
+    if len(gathered) == len(inputs):
+        return ray.data.from_arrow(_apply_in_process(gathered, inputs, owns, P, fn, schema))
+
     tagged = pa.schema(
         list(fields.values()) + [pa.field("_side", pa.int8()), pa.field("_part", pa.int64())]
     )
-
     # boundaries 1..tasks-1 give each partition its own reduce task;
     # P = 1 still keeps one boundary (an empty list would mean
     # "sample"), and its idle second task gets a sentinel like any other
@@ -212,25 +305,28 @@ def partition_apply(inputs, P: int, fn, schema: "pa.Schema"):
         schema=tagged,
     )
 
-    def tagger(side: int, key, in_schema: "pa.Schema"):
-        own = pa.schema([fields[n] for n in in_schema.names])
-
+    def tagger(side: int, key, own: "pa.Schema"):
         def tag(b: pa.Table) -> pa.Table:
             b = b.select(own.names).cast(own)
             n = b.num_rows
-            h = key(b) if callable(key) else b[key].to_numpy(zero_copy_only=False)
             cols = [b[f.name] if f.name in own.names else pa.nulls(n, f.type) for f in fields.values()]
-            cols += [pa.array(np.full(n, side, np.int8)), pa.array(hash_partition(h, P))]
+            cols += [pa.array(np.full(n, side, np.int8)), pa.array(hash_partition(_hashes(b, key), P))]
             return pa.concat_tables([pa.Table.from_arrays(cols, schema=tagged), sentinels])
 
         return tag
 
+    # a gathered input without rows adds nothing to the shuffle; the
+    # input cut short by the probe (and any after it) runs from scratch
+    feeds = [ray.data.from_arrow_refs(refs) if refs else None for refs in gathered]
+    feeds += [ds for ds, _key, _s in inputs[len(gathered):]]
     first, *rest = [
-        ds.map_batches(tagger(i, key, s), batch_format="pyarrow") for i, (ds, key, s) in enumerate(inputs)
+        ds.map_batches(tagger(i, key, own), batch_format="pyarrow")
+        for i, (ds, (_ds, key, _s), own) in enumerate(zip(feeds, inputs, owns))
+        if ds is not None
     ]
     unioned = first.union(*rest) if rest else first
     # run is pickled into every task: let it capture column names, not datasets
-    names = [in_schema.names for _ds, _key, in_schema in inputs]
+    names = [own.names for own in owns]
 
     def run(part: pa.Table) -> pa.Table:
         side = np.asarray(part["_side"].to_numpy(zero_copy_only=False))
@@ -244,17 +340,34 @@ def partition_apply(inputs, P: int, fn, schema: "pa.Schema"):
     )
 
 
+def _apply_in_process(gathered, inputs, owns, P: int, fn, schema: "pa.Schema") -> "pa.Table":
+    """:func:`partition_apply` over gathered blocks: each input's rows
+    are ordered by partition once, and ``fn`` sees one slice per input
+    for every partition that holds a row."""
+    import pyarrow as pa
+
+    tables, bounds = [], []
+    for refs, (_ds, key, _s), own in zip(gathered, inputs, owns):
+        t = pa.concat_tables([own.empty_table()] + [b.select(own.names).cast(own) for b in _tables(refs)])
+        part = hash_partition(_hashes(t, key), P) if t.num_rows else np.empty(0, np.int64)
+        order = np.argsort(part, kind="stable")
+        tables.append(t.take(pa.array(order)).combine_chunks())
+        bounds.append(np.searchsorted(part[order], np.arange(P + 1)))
+    outs = [schema.empty_table()]
+    for p in range(P):
+        sizes = [int(b[p + 1] - b[p]) for b in bounds]
+        if any(sizes):
+            out = fn(*[t.slice(b[p], n) for t, b, n in zip(tables, bounds, sizes)])
+            outs.append(out.select(schema.names).cast(schema))
+    return pa.concat_tables(outs)
+
+
 def sum_partial(key: str, keys: "pa.Array", value: str, counts, hashes) -> "pa.Table":
     """One combiner block for :func:`partitioned_sum`: the batch's
     distinct ``keys`` with their partial ``counts`` and 64-bit int or
-    uint ``hashes`` (the bits, not the sign, pick the partition).  A
-    batch without keys yields one null-key row instead of none: Ray
-    skips map UDFs on 0-row blocks, and this block must reach
-    :func:`partition_apply`'s tagging to type an all-empty sum."""
+    uint ``hashes`` (the bits, not the sign, pick the partition)."""
     import pyarrow as pa
 
-    if not len(keys):
-        return pa.table({key: pa.nulls(1, keys.type), value: [0], "_hash": [0]})
     return pa.table(
         {
             key: keys,
@@ -275,13 +388,12 @@ def partitioned_sum(partials, key: "pa.Field", value: str, finish=None):
     O(partitions) Python calls, where Ray's ``groupby(key).sum()`` pays
     ~0.1 ms per distinct key."""
     import pyarrow as pa
-    import pyarrow.compute as pc
 
     sums_schema = pa.schema([key, pa.field(value, pa.int64())])
     finish = finish or (lambda t: t)
 
     def reduce(part: pa.Table) -> pa.Table:
-        agg = part.filter(pc.is_valid(part[key.name])).group_by(key.name).aggregate([(value, "sum")])
+        agg = part.group_by(key.name).aggregate([(value, "sum")])
         return finish(pa.table({key.name: agg[key.name], value: agg[f"{value}_sum"]}))
 
     return partition_apply(

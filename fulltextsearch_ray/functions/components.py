@@ -12,19 +12,20 @@ structure only):
    loop over edges).
 2. A node seen in several partitions gets several local roots; star
    edges between those roots form the next level's (much smaller)
-   edge set.  Contraction repeats until the surviving edges fit one
-   task (``task_budget``), which solves them exactly.
+   edge set.  Contraction repeats until the surviving edges need one
+   partition (``rows_per_partition``); a ``partition_apply`` with
+   P = 1 then solves them exactly.
 3. Labels resolve top-down: each level's (node → local-min-root)
    mapping looks up the next level's final label for its root
    (hash-partitioned lookup, identity default for roots whose
    component never left their partition).
 
-A near-dup candidate graph at bench scale is one task end-to-end; at
-100-TB scale each level is two shuffles and the edge set shrinks
-geometrically — versus O(diameter / log) shuffle ROUNDS for
-message-passing label propagation, whose fixed per-round cost
-dominated this op's wall time.  Driver state: one edge count per
-level.
+A near-dup candidate graph at bench scale is one in-process solve
+(``partition_apply``'s size policy); at 100-TB scale each level is two
+shuffles and the edge set shrinks geometrically — versus
+O(diameter / log) shuffle ROUNDS for message-passing label
+propagation, whose fixed per-round cost dominated this op's wall
+time.  Driver state: one edge count per level.
 """
 
 from __future__ import annotations
@@ -32,10 +33,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 import ray.data
 
-from .common import default_partitions, partition_apply, sorted_runs
+from .common import default_partitions, partition_apply, sorted_runs, subtract_ids
 
 _PAIR_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64())])
 _LVL_SCHEMA = pa.schema([("u", pa.int64()), ("v", pa.int64()), ("kind", pa.int8())])
@@ -140,7 +140,6 @@ def connected_components(
     max_levels: int = 12,
     num_partitions: int | None = None,
     rows_per_partition: int = 1_000_000,
-    task_budget: int = 5_000_000,
 ) -> ray.data.Dataset:
     """(a, b) undirected pair rows → (doc_id, component) where
     ``component`` is the minimum doc id reachable from ``doc_id``
@@ -186,11 +185,9 @@ def connected_components(
             # solves ~100M edges in numpy comfortably.
             P = min(P, max(1, prev_P // 8))
         prev_P = P
-        if P <= 1 or n_edges <= task_budget:
-            # the whole surviving graph fits one task: exact solve there
-            labels = edges.repartition(1).map_batches(
-                _solve, batch_format="pyarrow", batch_size=None
-            )
+        if P <= 1:
+            # the whole surviving graph fits one partition: exact solve there
+            labels = partition_apply([(edges, "a", _PAIR_SCHEMA)], 1, _solve, _LABEL_SCHEMA)
             break
 
         lvl_rows = partition_apply(
@@ -237,7 +234,6 @@ def canonical_docs(
     pairs: ray.data.Dataset,
     *,
     id_col: str = "doc_id",
-    broadcast_budget: int = 5_000_000,
     num_partitions: int | None = None,
     **cc_kwargs,
 ) -> ray.data.Dataset:
@@ -246,16 +242,9 @@ def canonical_docs(
     "drop the duplicates" step of a dedup pipeline.
 
     ``num_partitions`` sizes BOTH the component computation and the
-    anti-join fallback (it forwards to :func:`connected_components`
-    unless ``cc_kwargs`` overrides it explicitly).
-
-    The kill set (non-canonical member ids) is usually a small
-    fraction of the corpus: below ``broadcast_budget`` rows it ships
-    once via ``ray.put`` (sorted array, searchsorted per batch — no
-    shuffle of the doc payloads).  Past the budget the filter becomes
-    a distributed anti-join: docs and kill keys hash-partition on
-    ``id % P`` and each partition task drops its matches — doc rows
-    shuffle once, driver holds nothing.
+    anti-join (it forwards to :func:`connected_components` unless
+    ``cc_kwargs`` overrides it explicitly).  The kill set (non-canonical
+    member ids) leaves ``docs`` through :func:`common.subtract_ids`.
     """
     cc_kwargs.setdefault("num_partitions", num_partitions)
     comp = connected_components(pairs, **cc_kwargs)
@@ -264,34 +253,5 @@ def canonical_docs(
         keep = pc.not_equal(b["doc_id"], b["component"])
         return pa.table({"kill": b.filter(keep)["doc_id"].cast(pa.int64())})
 
-    kills = comp.map_batches(kill_rows, batch_format="pyarrow").materialize()
-    n_kills = kills.count()
-    if n_kills <= broadcast_budget:
-        arr = np.sort(
-            np.concatenate(
-                [
-                    np.asarray(b["kill"].to_numpy(zero_copy_only=False), dtype=np.int64)
-                    for b in kills.iter_batches(batch_format="pyarrow")
-                ]
-                or [np.array([], dtype=np.int64)]
-            )
-        )
-        kills_ref = ray.put(arr)
-
-        def drop(batch: pa.Table) -> pa.Table:
-            k = ray.get(kills_ref)
-            ids = np.asarray(batch[id_col].to_numpy(zero_copy_only=False), dtype=np.int64)
-            if not len(k):
-                return batch
-            idx = np.searchsorted(k, ids)
-            idx = np.minimum(idx, len(k) - 1)
-            return batch.filter(pa.array(k[idx] != ids))
-
-        return docs.map_batches(drop, batch_format="pyarrow")
-
-    # large-kill-set path: shared hash-partitioned anti-join
-    from .common import subtract_ids
-
-    return subtract_ids(
-        docs, kills, id_col=id_col, drop_col="kill", num_partitions=num_partitions
-    )
+    kills = comp.map_batches(kill_rows, batch_format="pyarrow")
+    return subtract_ids(docs, kills, id_col=id_col, drop_col="kill", num_partitions=num_partitions)

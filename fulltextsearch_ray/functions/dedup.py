@@ -2,9 +2,9 @@
 embedding-cosine near-dup.
 
 Scale shapes (each documented where it matters):
-* exact        — Ray groupby(md5) aggregate (min id, count) keep-first:
-                 one shuffle over (hash, doc_id) pairs only, never the
-                 text.
+* exact        — one ``partition_apply`` on the md5 of the text, min id
+                 and count per digest: it moves (digest, doc_id) pairs
+                 only, never the text.
 * minhash_lsh  — shingle→minhash signature per doc (vectorized
                  map_batches: one DuckDB md5 pass + one streaming
                  permutation pass each), band→bucket explode, hash-
@@ -26,7 +26,8 @@ Scale shapes (each documented where it matters):
 Every pair-emitting group stage is HASH-PARTITIONED through
 ``common.partition_apply`` (rows shuffle by key-hash % P; per-key
 grouping is vectorized inside the P partition tasks — never one
-scheduled task per key) and CAPPED: a degenerate
+scheduled task per key; a small input runs in-process under the
+primitive's one size budget) and CAPPED: a degenerate
 bucket (empty docs, boilerplate, a stop-shingle) logs a skip instead
 of emitting O(g²) pairs.  No stage materializes the dataset on the
 driver.
@@ -52,16 +53,6 @@ from .common import (
     vec_list_array,
 )
 
-# Exploded-row budget under which a pair stage takes the ONE-GATHER
-# fast path: the (key, id, payload) rows are fetched once from the
-# object store and verified + deduped in-process, skipping two Ray
-# sort-shuffles whose FIXED cost (~2s each on this host) dwarfs the
-# compute at small scale.  Past the budget the fully distributed
-# hash-partitioned path runs unchanged (and is what a 100-TB corpus
-# always takes).
-SMALL_PAIRS_ROW_BUDGET = 500_000
-
-
 def _pair_runs(a: np.ndarray, b: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     """(order, run starts) of the (a, b) rows: ``order`` lexsorts them
     by (a, b) and ``starts`` indexes the first row of every equal-pair
@@ -84,7 +75,7 @@ def _pair_hash(t: pa.Table) -> np.ndarray:
 
 def _dedup_pairs_table(tbl: pa.Table, value_col: str, agg: str) -> pa.Table:
     """One row per (a, b) keeping the max/min value: one lexsort +
-    reduceat (the in-process gather and every dedup partition)."""
+    reduceat per dedup partition."""
     a = np.asarray(tbl["a"].to_numpy(zero_copy_only=False), dtype=np.int64)
     b = np.asarray(tbl["b"].to_numpy(zero_copy_only=False), dtype=np.int64)
     v = np.asarray(tbl[value_col].to_numpy(zero_copy_only=False))
@@ -111,48 +102,11 @@ def _pairs_pipeline(
     agg: str,
     P: int,
     schema: "pa.Schema",
-    small_rows_budget: "int | None" = None,
-    rows_hint: "int | None" = None,
 ) -> ray.data.Dataset:
     """Shared tail of every banded pair stage: hash-partition the
     exploded (key, id, payload) rows of ``schema`` on ``key_col``, run
-    the vectorized ``part_pairs`` per partition, dedup across bands.
-    Below ``small_rows_budget`` exploded rows (default
-    ``SMALL_PAIRS_ROW_BUDGET``, monkeypatch-able) the whole tail runs
-    in-process on ONE object-store gather — Ray's per-shuffle fixed
-    cost dominates at that size.  ``rows_hint`` is the caller's exact
-    exploded row count (input rows × band fan-out): when it already
-    exceeds the budget the pipeline streams straight into the shuffle
-    without pinning the exploded payload in the object store.  When
-    the count is UNKNOWN, a ``limit(budget+1).count()`` probe decides
-    — the streaming executor stops producing blocks once the limit is
-    met, so a huge exploded dataset is never materialized just to
-    learn it is too big (the payload columns, e.g. full embedding
-    vectors × band fan-out, would otherwise pin/spill the whole
-    corpus); only a provably-small dataset is pinned for the gather."""
+    the vectorized ``part_pairs`` per partition, dedup across bands."""
     pair_schema = pa.schema([("a", pa.int64()), ("b", pa.int64()), (value_col, value_type)])
-    budget = SMALL_PAIRS_ROW_BUDGET if small_rows_budget is None else small_rows_budget
-    small = False
-    if rows_hint is None or rows_hint <= budget:
-        # ONE bounded execution decides AND (in the small case) feeds
-        # the gather: the limited dataset pins at most budget+1 rows,
-        # and when its count is ≤ budget it IS the full dataset.  A
-        # caller-supplied under-budget rows_hint goes through the SAME
-        # bounded probe — an undercounting hint must not fully
-        # materialize (pin) an over-budget exploded payload just to
-        # discover the mistake.
-        limited = exploded.limit(budget + 1).materialize()
-        if limited.count() <= budget:
-            exploded = limited
-            small = True
-    if small:
-        tbls = [t for t in ray.get(exploded.to_arrow_refs()) if t.num_rows]
-        if not tbls:
-            return ray.data.from_arrow(pair_schema.empty_table())
-        gathered = pa.concat_tables(tbls).combine_chunks()
-        return ray.data.from_arrow(
-            _dedup_pairs_table(part_pairs(gathered), value_col, agg)
-        )
 
     def key(b: pa.Table) -> np.ndarray:
         k = np.asarray(b[key_col].to_numpy(zero_copy_only=False)).astype(np.uint64)
@@ -191,9 +145,13 @@ def _dedup_pairs(
 def exact_dedup(ds: ray.data.Dataset, text_col: str = "text", id_col: str = "doc_id") -> ray.data.Dataset:
     """Keep the smallest id per exact text; emit (doc_id, n_copies).
 
-    The shuffle moves only (md5, doc_id) pairs — the text stays put.
+    One :func:`common.partition_apply` on the md5 of the text, one Arrow
+    ``group_by`` (min id, row count) per partition.  The stage moves
+    only (md5, doc_id) pairs — the text stays put.
     """
     from .common import md5_hex_batch
+
+    hashed = pa.schema([("h", pa.string()), ("doc_id", pa.int64())])
 
     def to_hash(batch: pa.Table) -> pa.Table:
         t = batch[text_col]
@@ -204,14 +162,18 @@ def exact_dedup(ds: ray.data.Dataset, text_col: str = "text", id_col: str = "doc
             # chars).  fill_null alone silently merged a NULL doc with
             # an empty doc and the apply path dropped a non-duplicate.
             h = pc.if_else(pc.is_null(t), pa.scalar("NULL"), h)
-        return pa.table({"h": h, id_col: batch[id_col]})
+        return pa.table({"h": h, "doc_id": batch[id_col].cast(pa.int64())})
 
-    from ray.data.aggregate import Count, Min
+    def keep_first(t: pa.Table) -> pa.Table:
+        agg = t.group_by("h").aggregate([("doc_id", "min"), ([], "count_all")])
+        return pa.table({"doc_id": agg["doc_id_min"], "n_copies": agg["count_all"]})
 
-    agg = ds.map_batches(to_hash, batch_format="pyarrow").groupby("h").aggregate(
-        Min(id_col, alias_name="doc_id"), Count(alias_name="n_copies")
+    return partition_apply(
+        [(ds.map_batches(to_hash, batch_format="pyarrow"), lambda t: md5_u64_batch(t["h"]), hashed)],
+        default_partitions(),
+        keep_first,
+        pa.schema([("doc_id", pa.int64()), ("n_copies", pa.int64())]),
     )
-    return agg.select_columns(["doc_id", "n_copies"])
 
 
 # --------------------------------------------------------------------------
@@ -416,9 +378,8 @@ def minhash_lsh_pairs(
 ) -> ray.data.Dataset:
     """Near-duplicate candidate pairs via MinHash + LSH banding.
 
-    ``n_rows`` (when the caller already knows the input row count)
-    avoids an extra upstream execution just to size the small-gather
-    fast path.
+    ``n_rows`` is accepted and ignored: the input's size is measured
+    where it matters, in ``common.partition_apply``.
 
     Pipeline: signature map_batches → band-bucket explode →
     HASH-PARTITIONED capped pair emit (``common.partition_apply`` on
@@ -509,21 +470,7 @@ def minhash_lsh_pairs(
         )
 
     return _pairs_pipeline(
-        exploded, "bucket", part_pairs, "est_jaccard", pa.float64(), "max", P, stage.schema,
-        # byte-scaled gather budget: each exploded row carries a
-        # num_perm×8-byte signature, so the row budget shrinks to keep
-        # the one-gather fast path's driver footprint ≈128 MB whatever
-        # num_perm is (the embedding path hardcodes 200k for the same
-        # reason)
-        small_rows_budget=min(
-            SMALL_PAIRS_ROW_BUDGET, (128 << 20) // (num_perm * 8 + 24)
-        ),
-        # None = let _pairs_pipeline probe the exploded size with a
-        # bounded limit(budget+1).count() — the probe stops upstream
-        # early on a big corpus instead of pinning the exploded
-        # payload; a driver-side ds.count() here would re-execute the
-        # whole upstream pass just to size the hint
-        rows_hint=None if n_rows is None else n_rows * bands,
+        exploded, "bucket", part_pairs, "est_jaccard", pa.float64(), "max", P, stage.schema
     )
 
 
@@ -611,7 +558,6 @@ def simhash_neardup_pairs(
     text_col: str = "text",
     max_bucket: int = 1024,
     num_partitions: int | None = None,
-    n_rows: int | None = None,
 ) -> ray.data.Dataset:
     """Near-duplicate pairs by SimHash Hamming distance: (a < b,
     hamming ≤ ``max_hamming``).
@@ -686,15 +632,7 @@ def simhash_neardup_pairs(
         )
 
     exploded = ds.map_batches(explode, batch_format="pyarrow")
-    return _pairs_pipeline(
-        exploded, "key", part_pairs, "hamming", pa.int64(), "min", P, schema,
-        # None = let _pairs_pipeline probe the exploded size with a
-        # bounded limit(budget+1).count() — the probe stops upstream
-        # early on a big corpus instead of pinning the exploded
-        # payload; a driver-side ds.count() here would re-execute the
-        # whole upstream pass just to size the hint
-        rows_hint=None if n_rows is None else n_rows * bands,
-    )
+    return _pairs_pipeline(exploded, "key", part_pairs, "hamming", pa.int64(), "min", P, schema)
 
 
 # --------------------------------------------------------------------------
@@ -709,7 +647,6 @@ def ngram_jaccard_pairs(
     threshold: float = 0.5,
     text_col: str = "text",
     shingle_df_cap: int = 1024,
-    sizes_broadcast_budget: int = 5_000_000,
 ) -> ray.data.Dataset:
     """Exact word-n-gram Jaccard similarity pairs (a < b, jacc ≥ τ).
 
@@ -735,9 +672,8 @@ def ngram_jaccard_pairs(
     scorer computes ``jacc = c / (sa + sb − c)`` with no sizes join at
     all — the previous design re-tokenized the ENTIRE corpus a second
     time just to build a sizes table and then joined it back (broadcast
-    or co-group).  ``sizes_broadcast_budget`` is retained for API
-    compatibility and ignored.  SQL-oracle-checkable (shared-shingle
-    join with the same df cap).
+    or co-group).  SQL-oracle-checkable (shared-shingle join with the
+    same df cap).
     """
     P = default_partitions()
     shingle_schema = pa.schema([("h", pa.int64()), ("doc_id", pa.int64()), ("nsh", pa.int64())])
@@ -867,7 +803,6 @@ def embedding_neardup_pairs(
     seed: int = 13,
     max_bucket: int = 4096,
     num_partitions: int | None = None,
-    n_rows: int | None = None,
 ) -> "ray.data.Dataset | pa.Table":
     """Pairs (a < b) with cosine(v_a, v_b) ≥ τ.
 
@@ -952,35 +887,7 @@ def embedding_neardup_pairs(
             }
         )
 
-    # byte-scaled gather budget: each exploded row carries the FULL
-    # float64 vector, so a flat row count would let a high-dim corpus
-    # pull gigabytes onto the driver (dim 1536 × 8 B × 200k rows ≈
-    # 2.4 GB); cap the one-gather fast path at ~128 MB like minhash
-    dim = 0
-    try:
-        f = ds.schema().base_schema.field(vec_col).type
-        if pa.types.is_fixed_size_list(f):
-            dim = int(f.list_size)
-        elif pa.types.is_list(f) or pa.types.is_large_list(f):
-            # variable list (this repo's own layout): measure ONE row —
-            # assuming a small dim here let a 4096-dim corpus blow past
-            # the ~128 MB gather cap by 16×
-            row = ds.limit(1).take_all()
-            if row and row[0].get(vec_col) is not None:
-                dim = len(row[0][vec_col])
-    except Exception:
-        dim = 0
-    row_bytes = (dim or 256) * 8 + 24
-    return _pairs_pipeline(
-        exploded, "key", part_pairs, "cosine", pa.float64(), "max", P, schema,
-        small_rows_budget=min(200_000, (128 << 20) // row_bytes),
-        # None = let _pairs_pipeline probe the exploded size with a
-        # bounded limit(budget+1).count() — the probe stops upstream
-        # early on a big corpus instead of pinning the exploded
-        # payload; a driver-side ds.count() here would re-execute the
-        # whole upstream pass just to size the hint
-        rows_hint=None if n_rows is None else n_rows * bands,
-    )
+    return _pairs_pipeline(exploded, "key", part_pairs, "cosine", pa.float64(), "max", P, schema)
 
 
 def _embedding_neardup_exact(

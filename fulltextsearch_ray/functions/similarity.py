@@ -68,30 +68,6 @@ def _to_matrix(batch: pa.Table, vec_col: str) -> np.ndarray:
     return flat.reshape(n, dim)
 
 
-class BruteForceScorer:
-    """Actor-pool batch stage: score batch vectors against the broadcast
-    query matrix, emit per-batch top-k candidate rows per query."""
-
-    def __init__(self, queries_ref, k: int, id_col: str, vec_col: str, exclude_self: bool):
-        q = ray.get(queries_ref)  # once per actor
-        self.q = {
-            "ids": np.asarray(q["ids"], dtype=np.int64),
-            "mat": _normalize(np.asarray(q["mat"], dtype=np.float64)),
-        }
-        self.k = k
-        self.id_col = id_col
-        self.vec_col = vec_col
-        self.exclude_self = exclude_self
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch[self.id_col].to_numpy(zero_copy_only=False), dtype=np.int64)
-        mat = _normalize(_to_matrix(batch, self.vec_col))
-        allowed = np.ones((len(self.q["ids"]), len(ids)), dtype=bool)
-        return _score_allowed(
-            self.q, ids, mat, allowed, self.k, exclude_self=self.exclude_self
-        )
-
-
 def brute_force_topk(
     ds: ray.data.Dataset,
     query_ids: np.ndarray,
@@ -107,18 +83,24 @@ def brute_force_topk(
     """Exact cosine top-k per query over the dataset (small result).
     The candidate merge is the distributed tree reduce — driver state
     is O(k · n_queries), independent of batch count."""
-    queries_ref = ray.put({"ids": np.asarray(query_ids, dtype=np.int64), "mat": np.asarray(query_mat, dtype=np.float64)})
-    cand_ds = ds.map_batches(
-        BruteForceScorer,
-        fn_constructor_args=(queries_ref, k, id_col, vec_col, exclude_self),
-        batch_format="pyarrow",
-        # autoscaling pool (min 1): a FIXED pool of num_cpus actors
-        # pre-reserves every cluster CPU and deadlocks any AllToAll
-        # stage (e.g. an upstream repartition) that needs a CPU to
-        # feed it — observed as a hard hang on a 4-CPU test cluster.
-        concurrency=(1, concurrency or 4),
-        batch_size=1024,
+    queries_ref = ray.put(
+        {
+            "ids": np.asarray(query_ids, dtype=np.int64),
+            "mat": _normalize(np.asarray(query_mat, dtype=np.float64)),
+        }
     )
+
+    def score_batch(batch: pa.Table) -> pa.Table:
+        q = ray.get(queries_ref)
+        ids = np.asarray(batch[id_col].to_numpy(zero_copy_only=False), dtype=np.int64)
+        mat = _normalize(_to_matrix(batch, vec_col))
+        allowed = np.ones((len(q["ids"]), len(ids)), dtype=bool)
+        return _score_allowed(q, ids, mat, allowed, k, exclude_self=exclude_self)
+
+    # plain tasks, like the IVF and LSH scorers: an actor pool's idle
+    # actors keep their CPUs after the call until the garbage collector
+    # frees the pool's executor, and a later stage waits for those CPUs
+    cand_ds = ds.map_batches(score_batch, batch_format="pyarrow", batch_size=1024, concurrency=concurrency)
     return _distributed_topk(cand_ds, k, stats=stats)
 
 
@@ -481,7 +463,9 @@ def _tree_reduce_tables(
         batch_size=batch_rows or _REDUCE_BATCH_ROWS,
         num_cpus=0,
     )
-    refs = list(reduced.to_arrow_refs())
+    # materialized first: to_arrow_refs alone re-runs the pipeline up
+    # to its first row just to learn the schema
+    refs = list(reduced.materialize().to_arrow_refs())
     while len(refs) > _REDUCE_FANIN:
         refs = [
             _combine_refs_task.remote(combine, *refs[i : i + _REDUCE_FANIN])
@@ -500,7 +484,7 @@ def _reduce_refs_task(k: int, *tbls: pa.Table) -> pa.Table:
     """Tree-reduce node: merge ≤ _REDUCE_FANIN candidate blocks (each
     already ≤ k rows per query) into one ≤-k-rows-per-query block.
     Runs AFTER the scoring dataset finished, so it never competes with
-    the scorer actor pool for CPUs (fractional num_cpus keeps many
+    the scorer for CPUs (fractional num_cpus keeps many
     merge tasks runnable even on a small test cluster)."""
     live = [t for t in tbls if t.num_rows]
     if not live:
@@ -528,12 +512,12 @@ def _distributed_topk(
     block) until ≤ _REDUCE_FANIN refs remain; (4) the driver gathers
     those — O(fanin·k·q) rows, never O(batches) — and runs the exact
     final merge.  A mid-stream ``repartition`` would deadlock on a
-    small cluster (AllToAll starved by the saturated scorer actor
-    pool), so the coalesce is deliberately plain tasks after the
+    small cluster (AllToAll starved by a scorer holding every CPU),
+    so the coalesce is deliberately plain tasks after the
     dataset completes.  ``stats['driver_candidate_rows']`` records the
     gathered row count for the scale test."""
-    # num_cpus=0: the scorer actor pool may hold EVERY cluster CPU
-    # (concurrency × 1.0); a reduce task with a CPU requirement would
+    # num_cpus=0: the scorer's tasks may hold EVERY cluster CPU;
+    # a reduce task with a CPU requirement would
     # never schedule, downstream backpressure would pause the scorer
     # mid-input, and the pipeline deadlocks (observed on a 4-CPU test
     # cluster).  The reduce is a ~ms lexsort over ≤ ~64k tiny rows, so
@@ -545,7 +529,9 @@ def _distributed_topk(
         batch_size=_REDUCE_BATCH_ROWS,
         num_cpus=0,
     )
-    refs = list(reduced.to_arrow_refs())
+    # materialized first: to_arrow_refs alone re-runs the pipeline up
+    # to its first row just to learn the schema
+    refs = list(reduced.materialize().to_arrow_refs())
     while len(refs) > _REDUCE_FANIN:
         refs = [
             _reduce_refs_task.remote(k, *refs[i : i + _REDUCE_FANIN])

@@ -21,18 +21,21 @@ Scale shape
   duplicated-hash set.  Python work is O(partitions), not one Ray
   reduce per distinct window; shuffle volume is bounded by distinct
   windows per batch, never total window occurrences.
-* Pass 2 (mark): below ``broadcast_budget`` duplicated hashes the set
-  ships once via ``ray.put`` and every batch marks its windows with
-  one ``searchsorted`` — no second shuffle.  Past the budget the mark
-  becomes a hash-partitioned semi-join (one ``common.partition_apply``
-  of windows and dup-hashes on ``h``) followed by a doc-partitioned
-  span merge — neither side ever touches the driver.
-* ``cut_dup_spans`` below the budget is ONE fused map_batches pass
-  (mark + window-coverage + Arrow list rebuild per batch — no span
-  table, no shuffle; coverage by marked windows equals coverage by
-  merged spans).  Past the budget documents co-group with their spans
-  by ``doc_id % P`` and each rebuild task holds one partition, never
-  the corpus.
+* Pass 2 (mark): while the duplicated-hash set fits the one size
+  budget (``common.GATHER_BYTES``) it joins map-side
+  (``common.broadcast_apply``): every batch marks its windows with one
+  ``searchsorted`` against the sorted set — no second shuffle, and no
+  Ray stage at all when the documents fit the budget too.  Past the
+  budget the mark becomes a hash-partitioned semi-join (one
+  ``common.partition_apply`` of windows and dup-hashes on ``h``)
+  followed by a doc-partitioned span merge — neither side ever touches
+  the driver.
+* ``cut_dup_spans`` on the map-side join is ONE fused pass (mark +
+  window-coverage + Arrow list rebuild per batch — no span table, no
+  shuffle; coverage by marked windows equals coverage by merged
+  spans).  Past the budget documents co-group with their spans by
+  ``doc_id % P`` and each rebuild task holds one partition, never the
+  corpus.
 
 Everything is vectorized: window construction is the same shifted
 Arrow ``binary_join_element_wise`` as ``dedup.shingle_batch``, span
@@ -46,12 +49,13 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 import ray.data
 
 from ..tokenizer import flat_tokens
 from .common import (
+    broadcast_apply,
     default_partitions,
+    isin_sorted,
     list_array_auto,
     md5_u64_batch,
     partition_apply,
@@ -118,16 +122,6 @@ def grams_with_pos(
     return h, gparent, pos, counts
 
 
-def _mark_against(dup_sorted: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Boolean mask of window hashes present in the SORTED duplicated-
-    hash array — one searchsorted, no Python loop."""
-    if not len(h) or not len(dup_sorted):
-        return np.zeros(len(h), dtype=bool)
-    j = np.searchsorted(dup_sorted, h)
-    j[j == len(dup_sorted)] = 0  # wrap: compare against [0], never matches h>max
-    return dup_sorted[j] == h
-
-
 def spans_from_marks(mdoc: np.ndarray, mpos: np.ndarray, gram_len: int) -> pa.Table:
     """Merge (doc, pos)-SORTED marked window starts into maximal spans:
     consecutive marks in one doc merge while the gap is <= gram_len
@@ -171,47 +165,16 @@ def _dup_hash_dataset(
     return partitioned_sum(partials, _DUP_SCHEMA.field("h"), "cnt", finish=keep)
 
 
-def _dup_hash_ref(
-    ds: ray.data.Dataset,
-    text_col: str,
-    gram_len: int,
-    min_count: int,
-    broadcast_budget: int,
-):
-    """(object-store ref of the SORTED duplicated-hash array, or None
-    past the budget; the materialized dup dataset for the distributed
-    fallback).  Materialized once — count() and the gather below would
-    otherwise each re-execute the counting pipeline."""
-    dup = _dup_hash_dataset(ds, text_col, gram_len, min_count).materialize()
-    if dup.schema() is None:  # no input rows at all: no reduce task ran
-        dup = ray.data.from_arrow(_DUP_SCHEMA.empty_table())
-    if dup.count() > broadcast_budget:
-        return None, dup
-    parts = [
-        np.asarray(b["h"], dtype=np.int64)
-        for b in dup.iter_batches(batch_format="numpy")
-    ]
-    dup_sorted = np.sort(np.concatenate(parts)) if parts else np.empty(0, np.int64)
-    return ray.put(dup_sorted), dup
+def _make_mark_fn(gram_len: int, text_col: str, id_col: str):
+    """Map-side mark: ``mark(batch, dup_sorted)`` marks the batch's
+    windows with one searchsorted and merges spans locally (a doc's
+    windows are always whole inside its batch row)."""
 
-
-def _make_mark_fn(dup_ref, gram_len: int, text_col: str, id_col: str):
-    """Task-based mark pass: the sorted duplicated-hash array ships
-    once via ``ray.put``; ``ray.get`` inside the task is a zero-copy
-    plasma mmap after the first fetch per worker (no actor-pool
-    spin-up — the state is one read-only array, not expensive init).
-    Each batch marks its windows with one searchsorted and merges
-    spans locally (a doc's windows are always whole inside its batch
-    row)."""
-
-    def mark(batch: pa.Table) -> pa.Table:
-        dup = ray.get(dup_ref)
+    def mark(batch: pa.Table, dup: np.ndarray) -> pa.Table:
         ids = np.asarray(batch[id_col].to_numpy(zero_copy_only=False), dtype=np.int64)
         require_unique_ids(ids, "dup_spans")
         h, gparent, pos, _ = grams_with_pos(batch[text_col], gram_len)
-        marked = _mark_against(dup, h)
-        if not marked.any():
-            return _SPANS_SCHEMA.empty_table()
+        marked = isin_sorted(dup, h)
         return spans_from_marks(ids[gparent[marked]], pos[marked], gram_len)
 
     return mark
@@ -222,18 +185,18 @@ _CUT_SCHEMA = pa.schema(
 )
 
 
-def _make_cut_fn(dup_ref, gram_len: int, text_col: str, id_col: str):
-    """Fused broadcast cut: mark + window-coverage + text rebuild in
-    one batch pass.  Coverage by raw marked windows equals coverage by
-    merged maximal spans (merging only joins overlapping/adjacent
-    ranges), so the span table is never built."""
+def _make_cut_fn(gram_len: int, text_col: str, id_col: str):
+    """Fused map-side cut: ``cut(batch, dup_sorted)`` runs mark +
+    window-coverage + text rebuild in one batch pass.  Coverage by raw
+    marked windows equals coverage by merged maximal spans (merging only
+    joins overlapping/adjacent ranges), so the span table is never
+    built."""
 
-    def cut(batch: pa.Table) -> pa.Table:
-        dup = ray.get(dup_ref)
+    def cut(batch: pa.Table, dup: np.ndarray) -> pa.Table:
         h, gparent, pos, toks, parent, counts = _grams_full(batch[text_col], gram_len)
         ids = np.asarray(batch[id_col].to_numpy(zero_copy_only=False), dtype=np.int64)
         require_unique_ids(ids, "cut_dup_spans")
-        marked = _mark_against(dup, h)
+        marked = isin_sorted(dup, h)
         T = len(toks)
         starts = np.zeros(len(counts) + 1, dtype=np.int64)
         np.cumsum(counts, out=starts[1:])
@@ -273,19 +236,16 @@ def dup_spans(
     id_col: str = "doc_id",
     gram_len: int = 4,
     min_count: int = 2,
-    broadcast_budget: int = 5_000_000,
     num_partitions: "int | None" = None,
 ) -> ray.data.Dataset:
     """Maximal duplicated token spans per document:
     (doc_id, start_tok, end_tok, n_grams), token positions 0-based,
     ``end_tok`` exclusive.  See the module docstring for the two-pass
     scale shape."""
-    ref, dup = _dup_hash_ref(ds, text_col, gram_len, min_count, broadcast_budget)
-    if ref is not None:
-        return ds.select_columns([id_col, text_col]).map_batches(
-            _make_mark_fn(ref, gram_len, text_col, id_col),
-            batch_format="pyarrow",
-        )
+    dup = _dup_hash_dataset(ds, text_col, gram_len, min_count).materialize()
+    spans = broadcast_apply(ds, dup, "h", _make_mark_fn(gram_len, text_col, id_col), _SPANS_SCHEMA)
+    if spans is not None:
+        return spans
     return _dup_spans_distributed(ds, dup, text_col, id_col, gram_len, num_partitions)
 
 
@@ -318,7 +278,7 @@ def _dup_spans_distributed(
     def semi(wins: pa.Table, dups: pa.Table) -> pa.Table:
         dup_set = np.unique(np.asarray(dups["h"].to_numpy(zero_copy_only=False), dtype=np.int64))
         wh = np.asarray(wins["h"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        return wins.filter(pa.array(_mark_against(dup_set, wh)))  # dup_set is sorted
+        return wins.filter(pa.array(isin_sorted(dup_set, wh)))
 
     windows = ds.select_columns([id_col, text_col]).map_batches(emit_windows, batch_format="pyarrow")
     marks = partition_apply([(windows, "h", win_schema), (dup, "h", _DUP_SCHEMA)], P, semi, _MARK_SCHEMA)
@@ -344,7 +304,6 @@ def cut_dup_spans(
     id_col: str = "doc_id",
     gram_len: int = 4,
     min_count: int = 2,
-    broadcast_budget: int = 5_000_000,
     num_partitions: "int | None" = None,
 ) -> ray.data.Dataset:
     """Remove every duplicated span from every document (the
@@ -355,23 +314,21 @@ def cut_dup_spans(
     normalization, like every text op in this package) and
     ``n_removed`` counts dropped tokens.
 
-    Below ``broadcast_budget`` duplicated hashes the whole cut is ONE
-    fused map_batches pass (mark + coverage + rebuild per batch — no
-    span table, no shuffle: coverage by marked windows equals coverage
-    by merged spans).  Past the budget, documents co-group with their
-    spans by ``doc_id % P`` — each rebuild task holds one partition,
-    never the corpus.
+    While the duplicated-hash set fits ``common.GATHER_BYTES`` the whole
+    cut is ONE fused map-side pass (mark + coverage + rebuild per batch
+    — no span table, no shuffle: coverage by marked windows equals
+    coverage by merged spans).  Past the budget, documents co-group
+    with their spans by ``doc_id % P`` — each rebuild task holds one
+    partition, never the corpus.
 
     ``id_col`` values must be UNIQUE: the distributed rebuild resolves
     spans to docs by id (duplicates would attach every span to only the
     first matching row; its guarded lookup raises rather than silently
-    diverging from the broadcast path, which tolerates duplicates)."""
-    ref, dup = _dup_hash_ref(ds, text_col, gram_len, min_count, broadcast_budget)
-    if ref is not None:
-        return ds.select_columns([id_col, text_col]).map_batches(
-            _make_cut_fn(ref, gram_len, text_col, id_col),
-            batch_format="pyarrow",
-        )
+    diverging from the map-side path, which checks each batch)."""
+    dup = _dup_hash_dataset(ds, text_col, gram_len, min_count).materialize()
+    cut = broadcast_apply(ds, dup, "h", _make_cut_fn(gram_len, text_col, id_col), _CUT_SCHEMA)
+    if cut is not None:
+        return cut
     spans = _dup_spans_distributed(ds, dup, text_col, id_col, gram_len, num_partitions)
     doc_schema = pa.schema([(id_col, pa.int64()), (text_col, pa.string())])
 
@@ -429,7 +386,7 @@ def cut_dup_spans(
 
     return partition_apply(
         [
-            (ds.select_columns([id_col, text_col]), id_col, doc_schema),
+            (ds, id_col, doc_schema),
             (spans, "doc_id", _SPANS_SCHEMA),
         ],
         num_partitions or default_partitions(),

@@ -189,6 +189,9 @@ def _parse_edit(s: str, pos: int) -> tuple[EditQuery, int]:
     pos = _skip_ws(s, pos)
     try:
         distance = int(dist.value)
+        valid = distance >= 0  # a negative one would parse, then match nothing
     except ValueError:
-        raise QueryParseError(f"invalid edit distance {dist.value!r}", pos) from None
+        valid = False
+    if not valid:
+        raise QueryParseError(f"invalid edit distance {dist.value!r}", pos)
     return EditQuery("EDIT", word.value, word.escaped, distance), pos

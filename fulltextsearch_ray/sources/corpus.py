@@ -165,9 +165,8 @@ def assign_doc_ids(
         out = group.append_column("doc_id", pa.array(doc_id, type=pa.uint64()))
         return out.drop_columns(["_key", "_range"])
 
-    sch = with_range.schema()
-    if sch is None:  # no input rows: nothing to rank
-        return with_range
+    # no input rows: add_range never ran, and the input types the output
+    sch = with_range.schema() or ds.schema(fetch_if_missing=True)
     base = [f for f in sch.base_schema if f.name not in ("_key", "_range")]
     in_schema = pa.schema(base + [("_key", pa.string()), ("_range", pa.int64())])
     out_schema = pa.schema(base + [("doc_id", pa.uint64())])

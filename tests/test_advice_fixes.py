@@ -3,7 +3,8 @@
 (The round-1 df-definition and binary-search lookup tests live in
 tests/test_bm25.py, the posting encoder / run merge tests in
 tests/test_invert.py, the distributed cut-rebuild guard in
-tests/test_spans.py.  The boundary-spill lookup a term split across
+tests/test_spans.py, the window-cents rounding test in
+tests/test_windows_sessions.py.  The boundary-spill lookup a term split across
 two postings files needed is gone: the catalog build now refuses such
 a split, tested in tests/test_posting_reader.py.)
 """
@@ -17,36 +18,6 @@ from fulltextsearch_ray.pipelines.build import build_index
 # ---------------------------------------------------------------------------
 # round-2 ADVICE findings
 # ---------------------------------------------------------------------------
-
-
-def test_window_cents_round_half_away_from_zero(ray_session):
-    """Binary-exact midpoint values (0.125*100 == 12.5 exactly) must
-    round like DuckDB round (half AWAY from zero), not Arrow's default
-    half-to-even (round-2 ADVICE #4)."""
-    import ray.data
-
-    from fulltextsearch_ray.functions.windows import tumbling_window_agg
-
-    tbl = pa.table(
-        {
-            "ts": pa.array([1_000_000] * 2, pa.timestamp("us")),
-            "event_type": pa.array(["a", "a"]),
-            "value": pa.array([0.125, -0.125], pa.float64()),
-        }
-    )
-    out = tumbling_window_agg(ray.data.from_arrow(tbl), window="1h").take_all()
-    assert len(out) == 1
-    # 13 + (-13) cents = 0.0; half-to-even would give 12 + (-12) = 0 too,
-    # so ALSO check the one-sided sum
-    tbl2 = pa.table(
-        {
-            "ts": pa.array([1_000_000], pa.timestamp("us")),
-            "event_type": pa.array(["a"]),
-            "value": pa.array([0.125], pa.float64()),
-        }
-    )
-    out2 = tumbling_window_agg(ray.data.from_arrow(tbl2), window="1h").take_all()
-    assert out2[0]["sum_value"] == 0.13  # DuckDB round(12.5) = 13 cents
 
 
 def test_enwiki_empty_titles_keep_dense_ids(tmp_path, ray_session):

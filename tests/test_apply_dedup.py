@@ -35,10 +35,11 @@ def test_canonical_docs_broadcast_path(ray_session):
     assert all(r["text"].startswith("body of") for r in kept)  # payload survives
 
 
-def test_canonical_docs_distributed_path_matches(ray_session):
-    kept = canonical_docs(
-        _docs(6), _pairs([(1, 2), (2, 3), (5, 6)]), broadcast_budget=0
-    ).take_all()
+def test_canonical_docs_distributed_path_matches(ray_session, monkeypatch):
+    from fulltextsearch_ray.functions import common
+
+    monkeypatch.setattr(common, "GATHER_BYTES", -1)  # the anti-join shuffles
+    kept = canonical_docs(_docs(6), _pairs([(1, 2), (2, 3), (5, 6)])).take_all()
     assert sorted(r["doc_id"] for r in kept) == [1, 4, 5]
 
 

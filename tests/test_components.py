@@ -37,10 +37,12 @@ def test_merging_components(ray_session):
     assert set(got.values()) == {1}
 
 
-def test_multilevel_contraction_matches_single_task(ray_session):
-    # task_budget=0 forbids the single-task solve: the contraction
-    # levels + top-down resolution must produce identical labels
+def test_multilevel_contraction_matches_single_task(ray_session, monkeypatch):
+    # one edge per partition forces the contraction levels, and a
+    # budget of -1 their shuffles: the levels + top-down resolution
+    # must produce the single-task labels
     import ray.data
+    from fulltextsearch_ray.functions import common
     from fulltextsearch_ray.functions.components import connected_components
 
     pairs = [(1, 2), (2, 3), (3, 4), (10, 11), (11, 12), (4, 10), (20, 21)]
@@ -48,11 +50,10 @@ def test_multilevel_contraction_matches_single_task(ray_session):
         pa.table({"a": pa.array([p[0] for p in pairs], pa.int64()),
                   "b": pa.array([p[1] for p in pairs], pa.int64())})
     )
+    monkeypatch.setattr(common, "GATHER_BYTES", -1)
     multi = {
         r["doc_id"]: r["component"]
-        for r in connected_components(
-            ds, task_budget=0, rows_per_partition=1, num_partitions=3
-        ).take_all()
+        for r in connected_components(ds, rows_per_partition=1, num_partitions=3).take_all()
     }
     assert multi == _cc(pairs)
 

@@ -190,9 +190,10 @@ def test_embedding_neardup_bucket_cap(ray_session):
 
 
 def test_pair_pipeline_small_and_distributed_paths_agree(ray_session, monkeypatch):
-    """The one-gather small-input fast path and the hash-partitioned
+    """The in-process small-input path and the hash-partitioned
     distributed path must produce identical pair sets."""
     import fulltextsearch_ray.functions.dedup as dd
+    from fulltextsearch_ray.functions import common
 
     import pyarrow as pa
     import ray.data
@@ -208,7 +209,7 @@ def test_pair_pipeline_small_and_distributed_paths_agree(ray_session, monkeypatc
                   "text": pa.array(texts, pa.string())})
     )
     small = dd.minhash_lsh_pairs(docs, num_perm=32, bands=8, threshold=0.3).take_all()
-    monkeypatch.setattr(dd, "SMALL_PAIRS_ROW_BUDGET", 0)
+    monkeypatch.setattr(common, "GATHER_BYTES", -1)
     dist = dd.minhash_lsh_pairs(docs, num_perm=32, bands=8, threshold=0.3).take_all()
     key = lambda r: (r["a"], r["b"])
     assert sorted(small, key=key) == sorted(dist, key=key)
@@ -275,49 +276,6 @@ def test_ngram_jaccard_hash_first_matches_bruteforce(ray_session):
         if jac >= 0.01:
             expect[(i, j)] = round(jac, 6)
     assert got == expect
-
-
-def test_pairs_pipeline_unknown_hint_matches_known(ray_session):
-    """rows_hint=None (unknown exploded size) must route through the
-    bounded limit(budget+1).count() probe and produce the same pairs
-    as an exact hint in BOTH budget regimes (the old probe pinned the
-    whole exploded dataset via materialize() just to count it)."""
-    import pandas as pd
-
-    from fulltextsearch_ray.functions.dedup import _pairs_pipeline
-
-    # exploded (key, id) rows: key buckets {1: [1,2,3], 2: [3,4]}
-    tbl = pa.table({
-        "key": pa.array([1, 1, 1, 2, 2], pa.uint64()),
-        "id": pa.array([1, 2, 3, 3, 4], pa.int64()),
-    })
-
-    def part_pairs(g: pa.Table) -> pa.Table:
-        out_a, out_b = [], []
-        df = g.to_pandas()
-        for _, grp in df.groupby("key"):
-            ids = sorted(grp["id"].tolist())
-            for i in range(len(ids)):
-                for j in range(i + 1, len(ids)):
-                    out_a.append(ids[i])
-                    out_b.append(ids[j])
-        return pa.table({"a": pa.array(out_a, pa.int64()),
-                         "b": pa.array(out_b, pa.int64()),
-                         "v": pa.array([1.0] * len(out_a), pa.float64())})
-
-    def run(budget, hint):
-        ds = ray.data.from_arrow(tbl)
-        out = _pairs_pipeline(ds, "key", part_pairs, "v", pa.float64(),
-                              "max", P=4, schema=tbl.schema,
-                              small_rows_budget=budget, rows_hint=hint)
-        return (out.to_pandas().sort_values(["a", "b"])
-                .reset_index(drop=True)[["a", "b"]])
-
-    want = pd.DataFrame({"a": [1, 1, 2, 3], "b": [2, 3, 3, 4]})
-    for budget in (0, 10**6):
-        for hint in (None, 5):
-            got = run(budget, hint)
-            assert got.equals(want), (budget, hint, got)
 
 
 def test_ngram_jaccard_duplicate_doc_id_raises(ray_session):
@@ -430,3 +388,13 @@ def test_ngram_jaccard_randomized_brute_force_parity(ray_session):
         for k, v in exp.items():
             # pipeline rounds to 6 decimals (oracle hash convention)
             assert abs(got[k] - round(v, 6)) < 1e-9
+
+
+def test_shingles_matches_arrow_tokenizer_on_u0130():
+    """_shingles must delegate to the SAME utf8proc tokenizer as
+    shingle_batch — Python str.lower() diverges on U+0130."""
+    from fulltextsearch_ray.functions.dedup import _shingles, shingle_batch
+
+    text = "İstanbul kebap İyi"
+    sh, _ = shingle_batch(pa.array([text], pa.string()), 2)
+    assert set(_shingles(text, 2)) == set(sh.to_pylist())

@@ -94,3 +94,13 @@ def test_edit_missing_comma_at_eof_reports_comma_position():
         parse_query("EDIT(word ")
     assert "Expected character ," in str(ei.value)
     assert "(at 10)" in str(ei.value)
+
+
+def test_edit_rejects_negative_distance():
+    """A negative distance parsed and then silently matched nothing;
+    it is refused like a non-numeric one."""
+    with pytest.raises(QueryParseError, match="invalid edit distance '-1'"):
+        parse_query("EDIT(abc,-1)")
+    with pytest.raises(QueryParseError, match="invalid edit distance 'x'"):
+        parse_query("EDIT(abc,x)")
+    assert parse_query("EDIT(abc,0)").distance == 0

@@ -1,25 +1,10 @@
 """Round-5 session-4 review-fix regressions: catalog MemoryError
-fallback, list-offset overflow fallback."""
+fallback, segment rebuild and searcher/FST cache invalidation."""
 
 import numpy as np
 import pyarrow as pa
 import pytest
 import ray.data
-
-
-def test_vec_list_array_large_offsets_fallback(monkeypatch):
-    """Past the int32 offset ceiling the column switches to 64-bit
-    LargeList offsets instead of silently wrapping negative (the old
-    .astype(np.int32) built a corrupt column)."""
-    from fulltextsearch_ray.functions import common
-
-    m = np.arange(12, dtype=np.float64).reshape(4, 3)
-    small = common.vec_list_array(m)
-    assert small.type == pa.list_(pa.float64())
-    monkeypatch.setattr(common, "_LIST_OFFSET_MAX", 5)  # 12 values > 5
-    big = common.vec_list_array(m)
-    assert big.type == pa.large_list(pa.float64())
-    assert big.to_pylist() == small.to_pylist() == m.tolist()
 
 
 def test_build_catalog_memoryerror_falls_back_to_ray(ray_session, tmp_path, monkeypatch):
@@ -170,65 +155,3 @@ def test_fst_sidecar_load_detects_concurrent_rebuild(ray_session, tmp_path):
         fst_store.Fst = real_fst
         build_fst_sidecar(idx, shard_terms=1)  # restore a clean sidecar
     assert load_fst_sidecar(idx, segs) is not None
-
-
-def test_to_matrix_rejects_null_and_ragged_rows():
-    """A null embedding row used to silently shift every later vector
-    when the shrunken flat size still divided the row count (1023·1024
-    ≡ 0 mod 1024) — now a loud ValueError; ragged rows likewise."""
-    from fulltextsearch_ray.functions.similarity import _to_matrix
-
-    ok = pa.table({"embedding": pa.array([[1.0, 2.0], [3.0, 4.0]],
-                                         pa.list_(pa.float64()))})
-    assert _to_matrix(ok, "embedding").shape == (2, 2)
-    withnull = pa.table({"embedding": pa.array([[1.0, 2.0], None],
-                                               pa.list_(pa.float64()))})
-    with pytest.raises(ValueError, match="null embedding"):
-        _to_matrix(withnull, "embedding")
-    ragged = pa.table({"embedding": pa.array([[1.0, 2.0], [3.0]],
-                                             pa.list_(pa.float64()))})
-    with pytest.raises(ValueError, match="ragged"):
-        _to_matrix(ragged, "embedding")
-    empty = pa.table({"embedding": pa.array([], pa.list_(pa.float64()))})
-    assert _to_matrix(empty, "embedding").shape == (0, 0)
-
-
-def test_list_array_auto_large_offsets(monkeypatch):
-    """Past the int32 ceiling the span-cut text rebuild switches to
-    LargeList offsets; binary_join output stays plain string."""
-    import pyarrow.compute as pcc
-
-    from fulltextsearch_ray.functions import common
-
-    offs = np.array([0, 2, 3], dtype=np.int64)
-    vals = pa.array(["a", "b", "c"])
-    small = common.list_array_auto(offs, vals)
-    assert small.type == pa.list_(pa.string())
-    monkeypatch.setattr(common, "_LIST_OFFSET_MAX", 2)
-    big = common.list_array_auto(offs, vals)
-    assert big.type == pa.large_list(pa.string())
-    assert pcc.binary_join(big, " ").to_pylist() == ["a b", "c"]
-    assert pcc.binary_join(big, " ").type == pa.string()
-
-
-def test_sampled_ivf_budget_enforced_in_combiner(ray_session):
-    """The train budget must fire (bounded) even when the hash sample
-    is far larger than the budget — the old post-gather check would
-    have concatenated the whole oversized sample on the driver first."""
-    import ray.data
-
-    from fulltextsearch_ray.functions.similarity import sampled_ivf_centroids
-
-    rng = np.random.default_rng(11)
-    n = 400
-    tbl = pa.table({
-        "vec_id": pa.array(range(n), pa.int64()),
-        "embedding": pa.array([list(map(float, v)) for v in rng.normal(size=(n, 8))],
-                              pa.list_(pa.float64())),
-    })
-    ds = ray.data.from_arrow(tbl)
-    with pytest.raises((ValueError, Exception), match="train_budget"):
-        sampled_ivf_centroids(ds, n_clusters=4, train_mod=1, train_budget=8)
-    # under the budget: unchanged behavior
-    c = sampled_ivf_centroids(ds, n_clusters=4, train_mod=1, train_budget=10_000)
-    assert c.shape == (4, 8)

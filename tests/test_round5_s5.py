@@ -76,51 +76,6 @@ def test_codec_corrupt_inputs_fail_loudly():
         decode_posting_columns([blk.docs], [blk.fields], [blk.tfs], None, np.array([0]))
 
 
-def test_similarity_guards(ray_session, tmp_path):
-    """Element-level embedding nulls fail loud; a second ANN build
-    refuses to merge into a live index; >64 LSH planes rejected;
-    exclude_self is optional for external query ids."""
-    from fulltextsearch_ray.functions.similarity import (
-        brute_force_topk,
-        build_ann_index,
-        lsh_bucket,
-        lsh_hyperplanes,
-        query_ann_index,
-    )
-
-    # element-level null inside a list row (row-level null_count == 0)
-    vecs = pa.array([[0.1, None, 0.2], [0.3, 0.4, 0.5]], pa.list_(pa.float32()))
-    ds_bad = ray.data.from_arrow(
-        pa.table({"vec_id": pa.array([1, 2], pa.int64()), "embedding": vecs})
-    )
-    with pytest.raises(Exception, match="null element"):
-        brute_force_topk(ds_bad, np.array([1]), np.array([[1.0, 0.0, 0.0]]), k=2)
-
-    # >64 hyperplanes would silently wrap to weight 0
-    with pytest.raises(ValueError, match="64 hyperplanes"):
-        lsh_bucket(np.ones((2, 8)), lsh_hyperplanes(8, bits=65))
-
-    rng = np.random.default_rng(5)
-    mat = rng.standard_normal((30, 8)).astype(np.float64)
-    ds = ray.data.from_arrow(
-        pa.table({"vec_id": pa.array(range(30), pa.int64()),
-                  "embedding": pa.array([r.tolist() for r in mat], pa.list_(pa.float32()))})
-    )
-    idx = str(tmp_path / "ann")
-    build_ann_index(ds, idx, n_clusters=4, iters=2)
-    with pytest.raises(ValueError, match="already holds an index"):
-        build_ann_index(ds, idx, n_clusters=4, iters=2, overwrite=False)
-    build_ann_index(ds, idx, n_clusters=4, iters=2, overwrite=True)  # fine
-
-    # external queries whose ids collide with corpus vec_ids: with
-    # exclude_self=False the colliding corpus vector stays eligible
-    q = mat[7:8] / np.linalg.norm(mat[7])
-    with_excl = query_ann_index(idx, np.array([7]), q, k=1, nprobe=4)
-    without = query_ann_index(idx, np.array([7]), q, k=1, nprobe=4, exclude_self=False)
-    assert without["neighbor_id"].to_pylist() == [7]  # its own vector
-    assert with_excl["neighbor_id"].to_pylist() != [7]
-
-
 def test_write_synth_corpus_resumes_after_interruption(tmp_path):
     """An interrupted run must resume from finished shards, not wipe
     them (the stamp used to be written only at the end)."""
@@ -138,13 +93,3 @@ def test_write_synth_corpus_resumes_after_interruption(tmp_path):
     assert os.path.getmtime(first) == mtime  # finished shard untouched
     assert sum(pq.ParquetFile(os.path.join(d, f)).metadata.num_rows
                for f in sorted(os.listdir(d)) if f.endswith(".parquet")) == 300
-
-
-def test_shingles_matches_arrow_tokenizer_on_u0130():
-    """_shingles must delegate to the SAME utf8proc tokenizer as
-    shingle_batch — Python str.lower() diverges on U+0130."""
-    from fulltextsearch_ray.functions.dedup import _shingles, shingle_batch
-
-    text = "İstanbul kebap İyi"
-    sh, _ = shingle_batch(pa.array([text], pa.string()), 2)
-    assert set(_shingles(text, 2)) == set(sh.to_pylist())

@@ -53,6 +53,30 @@ def test_brute_force_is_exact(vectors):
         assert mine == oracle[int(qid)]
 
 
+def test_brute_force_returns_its_cpus(vectors):
+    """The scorer holds no CPU once the call returns.  As an actor pool
+    its idle actors kept their CPUs until the garbage collector freed
+    the pool's executor, and the next stage waited for them."""
+    import gc
+    import time
+
+    def cpus_reach(target: float) -> float:
+        deadline = time.monotonic() + 30
+        while (free := ray.available_resources().get("CPU", 0)) < target and time.monotonic() < deadline:
+            time.sleep(0.2)
+        return free
+
+    ds, q_ids, q_mat, _ = vectors
+    gc.collect()  # what earlier tests left to the collector goes first
+    gc.disable()
+    try:
+        before = cpus_reach(ray.cluster_resources()["CPU"])
+        brute_force_topk(ds, q_ids, q_mat, k=5)
+        assert cpus_reach(before) >= before
+    finally:
+        gc.enable()
+
+
 def test_ivf_recall(vectors):
     ds, q_ids, q_mat, mat = vectors
     got = ivf_topk(ds, q_ids, q_mat, k=10, n_clusters=8, nprobe=3)
@@ -427,3 +451,92 @@ def test_sampled_ivf_budget_guard(vectors):
     ds, *_ = vectors
     with pytest.raises(ValueError, match="train_budget"):
         sampled_ivf_centroids(ds, n_clusters=4, iters=1, train_mod=1, train_budget=10)
+
+
+def test_to_matrix_rejects_null_and_ragged_rows():
+    """A null embedding row used to silently shift every later vector
+    when the shrunken flat size still divided the row count (1023·1024
+    ≡ 0 mod 1024) — now a loud ValueError; ragged rows likewise."""
+    from fulltextsearch_ray.functions.similarity import _to_matrix
+
+    ok = pa.table({"embedding": pa.array([[1.0, 2.0], [3.0, 4.0]],
+                                         pa.list_(pa.float64()))})
+    assert _to_matrix(ok, "embedding").shape == (2, 2)
+    withnull = pa.table({"embedding": pa.array([[1.0, 2.0], None],
+                                               pa.list_(pa.float64()))})
+    with pytest.raises(ValueError, match="null embedding"):
+        _to_matrix(withnull, "embedding")
+    ragged = pa.table({"embedding": pa.array([[1.0, 2.0], [3.0]],
+                                             pa.list_(pa.float64()))})
+    with pytest.raises(ValueError, match="ragged"):
+        _to_matrix(ragged, "embedding")
+    empty = pa.table({"embedding": pa.array([], pa.list_(pa.float64()))})
+    assert _to_matrix(empty, "embedding").shape == (0, 0)
+
+
+def test_sampled_ivf_budget_enforced_in_combiner(ray_session):
+    """The train budget must fire (bounded) even when the hash sample
+    is far larger than the budget — the old post-gather check would
+    have concatenated the whole oversized sample on the driver first."""
+    import ray.data
+
+    from fulltextsearch_ray.functions.similarity import sampled_ivf_centroids
+
+    rng = np.random.default_rng(11)
+    n = 400
+    tbl = pa.table({
+        "vec_id": pa.array(range(n), pa.int64()),
+        "embedding": pa.array([list(map(float, v)) for v in rng.normal(size=(n, 8))],
+                              pa.list_(pa.float64())),
+    })
+    ds = ray.data.from_arrow(tbl)
+    with pytest.raises((ValueError, Exception), match="train_budget"):
+        sampled_ivf_centroids(ds, n_clusters=4, train_mod=1, train_budget=8)
+    # under the budget: unchanged behavior
+    c = sampled_ivf_centroids(ds, n_clusters=4, train_mod=1, train_budget=10_000)
+    assert c.shape == (4, 8)
+
+
+def test_similarity_guards(ray_session, tmp_path):
+    """Element-level embedding nulls fail loud; a second ANN build
+    refuses to merge into a live index; >64 LSH planes rejected;
+    exclude_self is optional for external query ids."""
+    from fulltextsearch_ray.functions.similarity import (
+        brute_force_topk,
+        build_ann_index,
+        lsh_bucket,
+        lsh_hyperplanes,
+        query_ann_index,
+    )
+
+    # element-level null inside a list row (row-level null_count == 0)
+    vecs = pa.array([[0.1, None, 0.2], [0.3, 0.4, 0.5]], pa.list_(pa.float32()))
+    ds_bad = ray.data.from_arrow(
+        pa.table({"vec_id": pa.array([1, 2], pa.int64()), "embedding": vecs})
+    )
+    with pytest.raises(Exception, match="null element"):
+        brute_force_topk(ds_bad, np.array([1]), np.array([[1.0, 0.0, 0.0]]), k=2)
+
+    # >64 hyperplanes would silently wrap to weight 0
+    with pytest.raises(ValueError, match="64 hyperplanes"):
+        lsh_bucket(np.ones((2, 8)), lsh_hyperplanes(8, bits=65))
+
+    rng = np.random.default_rng(5)
+    mat = rng.standard_normal((30, 8)).astype(np.float64)
+    ds = ray.data.from_arrow(
+        pa.table({"vec_id": pa.array(range(30), pa.int64()),
+                  "embedding": pa.array([r.tolist() for r in mat], pa.list_(pa.float32()))})
+    )
+    idx = str(tmp_path / "ann")
+    build_ann_index(ds, idx, n_clusters=4, iters=2)
+    with pytest.raises(ValueError, match="already holds an index"):
+        build_ann_index(ds, idx, n_clusters=4, iters=2, overwrite=False)
+    build_ann_index(ds, idx, n_clusters=4, iters=2, overwrite=True)  # fine
+
+    # external queries whose ids collide with corpus vec_ids: with
+    # exclude_self=False the colliding corpus vector stays eligible
+    q = mat[7:8] / np.linalg.norm(mat[7])
+    with_excl = query_ann_index(idx, np.array([7]), q, k=1, nprobe=4)
+    without = query_ann_index(idx, np.array([7]), q, k=1, nprobe=4, exclude_self=False)
+    assert without["neighbor_id"].to_pylist() == [7]  # its own vector
+    assert with_excl["neighbor_id"].to_pylist() != [7]

@@ -1,8 +1,9 @@
 """Duplicated-substring span detection + removal (functions/spans.py).
 
 Hand-computed goldens on tiny corpora, a brute-force cross-check of
-the window-count/merge semantics, broadcast==distributed path
-equality (budget forced to 0), a numpy differential of the
+the window-count/merge semantics, map-side==distributed path
+equality (the shared ``common.GATHER_BYTES`` forced to -1), a numpy
+differential of the
 duplicated-window count pass (``common.partitioned_sum``) and guards
 on empty corpora, duplicate ids and the per-key Ray reduce."""
 
@@ -12,9 +13,9 @@ import pytest
 import ray
 import ray.data
 
+from fulltextsearch_ray.functions import common
 from fulltextsearch_ray.functions.spans import (
     _dup_hash_dataset,
-    _dup_hash_ref,
     _grams_full,
     cut_dup_spans,
     dup_spans,
@@ -72,6 +73,11 @@ def _got_spans(ds, **kw):
     return sorted((r["doc_id"], r["start_tok"], r["end_tok"], r["n_grams"]) for r in rows)
 
 
+# the default size budget, and -1: every duplicated-hash set (and every
+# group stage) past it, so the distributed mark / co-group rebuild runs
+BUDGETS = (common.GATHER_BYTES, -1)
+
+
 def test_dup_spans_golden(ray_session):
     # "alpha beta gamma delta" appears in docs 1 and 2 -> one 4-token span each
     texts = [
@@ -118,12 +124,13 @@ def test_dup_spans_matches_brute_force(ray_session):
         assert got == _brute_spans(texts, ids, L, m)
 
 
-def test_dup_spans_distributed_matches_broadcast(ray_session):
+def test_dup_spans_distributed_matches_broadcast(ray_session, monkeypatch):
     rng = np.random.default_rng(11)
     vocab = [f"v{i}" for i in range(20)]
     texts = [" ".join(rng.choice(vocab, size=25)) for _ in range(40)]
     bc = _got_spans(_ds(texts), gram_len=3, min_count=2)
-    dist = _got_spans(_ds(texts), gram_len=3, min_count=2, broadcast_budget=0)
+    monkeypatch.setattr(common, "GATHER_BYTES", -1)
+    dist = _got_spans(_ds(texts), gram_len=3, min_count=2)
     assert bc == dist and len(bc) > 0
 
 
@@ -149,13 +156,14 @@ def test_cut_dup_spans_fully_removed_doc_is_empty(ray_session):
     assert rows[3]["n_removed"] == 0
 
 
-def test_cut_dup_spans_distributed_matches(ray_session):
+def test_cut_dup_spans_distributed_matches(ray_session, monkeypatch):
     rng = np.random.default_rng(3)
     vocab = [f"u{i}" for i in range(15)]
     texts = [" ".join(rng.choice(vocab, size=20)) for _ in range(30)]
     key = lambda rows: sorted((r["doc_id"], r["text_cut"], r["n_removed"]) for r in rows)
     bc = key(cut_dup_spans(_ds(texts), gram_len=3, min_count=2).take_all())
-    dist = key(cut_dup_spans(_ds(texts), gram_len=3, min_count=2, broadcast_budget=0).take_all())
+    monkeypatch.setattr(common, "GATHER_BYTES", -1)
+    dist = key(cut_dup_spans(_ds(texts), gram_len=3, min_count=2).take_all())
     assert bc == dist
 
 
@@ -174,11 +182,11 @@ def test_spans_from_marks_empty():
     assert t.num_rows == 0
 
 
-def test_cut_dup_spans_distributed_null_text(ray_session):
-    """Regression: a NULL-text document in the distributed (budget-0)
+def test_cut_dup_spans_distributed_null_text(ray_session, monkeypatch):
+    """Regression: a NULL-text document in the distributed (budget -1)
     cut used to be routed to the SPAN side of the co-group (the
     rebuild classifies rows by text validity) and crashed the doc
-    lookup; the broadcast path always treated null as ''."""
+    lookup; the map-side path always treated null as ''."""
     texts = ["w x y z w x y z", "w x y z q r s t", None, "unrelated words only here"]
     tbl = pa.table(
         {
@@ -189,9 +197,8 @@ def test_cut_dup_spans_distributed_null_text(ray_session):
     ds = ray.data.from_arrow(tbl)
     key = lambda rows: sorted((r["doc_id"], r["text_cut"], r["n_removed"]) for r in rows)
     bc = key(cut_dup_spans(ds, gram_len=3, min_count=2).take_all())
-    dist = key(
-        cut_dup_spans(ds, gram_len=3, min_count=2, broadcast_budget=0).take_all()
-    )
+    monkeypatch.setattr(common, "GATHER_BYTES", -1)
+    dist = key(cut_dup_spans(ds, gram_len=3, min_count=2).take_all())
     assert bc == dist
     assert len(bc) == len(texts)
 
@@ -244,28 +251,26 @@ def test_dup_hash_dataset_matches_numpy_across_blocks(ray_session):
 @pytest.mark.parametrize(
     "texts", [[], ["a b", "c", "", None, "a b c"]], ids=["empty", "all-short"]
 )
-def test_no_windows_keeps_schema_and_cuts_nothing(ray_session, texts):
+def test_no_windows_keeps_schema_and_cuts_nothing(ray_session, monkeypatch, texts):
     ds = _ds(texts)
-    _, dup = _dup_hash_ref(ds, "text", 4, 2, 5_000_000)
-    assert dup.schema().base_schema == pa.schema([("h", pa.int64())])
-    assert dup.count() == 0
-    if texts:
-        assert _dup_hash_dataset(ds, "text", 4, 2).schema().base_schema == pa.schema(
-            [("h", pa.int64())]
-        )
-    for budget in (5_000_000, 0):
-        rows = cut_dup_spans(ds, gram_len=4, min_count=2, broadcast_budget=budget).take_all()
+    for budget in BUDGETS:
+        monkeypatch.setattr(common, "GATHER_BYTES", budget)
+        dup = _dup_hash_dataset(ds, "text", 4, 2).materialize()
+        assert dup.schema().base_schema == pa.schema([("h", pa.int64())])
+        assert dup.count() == 0
+        rows = cut_dup_spans(ds, gram_len=4, min_count=2).take_all()
         assert sorted(r["doc_id"] for r in rows) == list(range(1, len(texts) + 1))
         assert all(r["n_removed"] == 0 for r in rows)
-        assert dup_spans(ds, gram_len=4, min_count=2, broadcast_budget=budget).take_all() == []
+        assert dup_spans(ds, gram_len=4, min_count=2).take_all() == []
 
 
 def test_span_ops_never_use_ray_per_key_reduce(ray_session, monkeypatch):
-    """The duplicated-window count (and top_bigrams) must not fall back
-    to Ray's per-distinct-key groupby reduce."""
+    """The duplicated-window count (and top_bigrams and exact_dedup)
+    must not fall back to Ray's per-distinct-key groupby reduce."""
     from ray.data.grouped_data import GroupedData
 
     from fulltextsearch_ray.functions.cleaning import top_bigrams
+    from fulltextsearch_ray.functions.dedup import exact_dedup
 
     def boom(*a, **k):
         raise AssertionError("per-key Ray groupby reduce")
@@ -278,20 +283,23 @@ def test_span_ops_never_use_ray_per_key_reduce(ray_session, monkeypatch):
         "nothing shared here at all now",
     ]
     assert _got_spans(_ds(texts), gram_len=4, min_count=2) == [(1, 0, 4, 1), (2, 1, 5, 1)]
-    for budget in (5_000_000, 0):
+    for budget in BUDGETS:
+        monkeypatch.setattr(common, "GATHER_BYTES", budget)
         rows = {r["doc_id"]: r for r in cut_dup_spans(
-            _ds(texts), gram_len=4, min_count=2, broadcast_budget=budget).take_all()}
+            _ds(texts), gram_len=4, min_count=2).take_all()}
         assert rows[1]["text_cut"] == "unique-one tail" and rows[1]["n_removed"] == 4
         assert rows[2]["text_cut"] == "head unique-two" and rows[2]["n_removed"] == 4
         assert rows[3]["n_removed"] == 0
-    got = [(r["bigram"], r["n"]) for r in top_bigrams(_ds(texts), k=2).take_all()]
-    assert got == [("alpha beta", 2), ("beta gamma", 2)]
+        got = [(r["bigram"], r["n"]) for r in top_bigrams(_ds(texts), k=2).take_all()]
+        assert got == [("alpha beta", 2), ("beta gamma", 2)]
+        copies = sorted((r["doc_id"], r["n_copies"]) for r in exact_dedup(_ds(texts + texts[:1])).take_all())
+        assert copies == [(1, 2), (2, 1), (3, 1)]
 
 
 # -- skewed corpus, LargeList fallback, input validation ---------------------
 
 
-def test_cut_dup_spans_budget0_on_skewed_corpus(ray_session):
+def test_cut_dup_spans_budget0_on_skewed_corpus(ray_session, monkeypatch):
     """The past-budget co-group rebuild (the path a 100 TB corpus always
     takes) on a corpus where 30% of docs share one text: parity with the
     broadcast path and a sane wall bound (it must not degenerate into
@@ -317,16 +325,17 @@ def test_cut_dup_spans_budget0_on_skewed_corpus(ray_session):
         r["doc_id"]: (r["text_cut"], r["n_removed"])
         for r in cut_dup_spans(ds, gram_len=4, min_count=2).take_all()
     }
+    monkeypatch.setattr(common, "GATHER_BYTES", -1)
     t0 = time.perf_counter()
     got = {
         r["doc_id"]: (r["text_cut"], r["n_removed"])
-        for r in cut_dup_spans(ds, gram_len=4, min_count=2, broadcast_budget=0).take_all()
+        for r in cut_dup_spans(ds, gram_len=4, min_count=2).take_all()
     }
     dt = time.perf_counter() - t0
     assert got == base and len(got) == n
     # every duplicated doc must actually be cut
     assert all(got[i][1] > 0 for i in range(n) if i % 10 < 3)
-    assert dt < 120, f"budget-0 spans path took {dt:.1f}s on a 400-doc corpus"
+    assert dt < 120, f"budget -1 spans path took {dt:.1f}s on a 400-doc corpus"
 
 
 def test_cut_dup_spans_large_offset_fallback(ray_session, monkeypatch):
@@ -334,7 +343,6 @@ def test_cut_dup_spans_large_offset_fallback(ray_session, monkeypatch):
     LargeList fallback (forced via a tiny threshold)."""
     import ray.data
 
-    from fulltextsearch_ray.functions import common
     from fulltextsearch_ray.functions.spans import cut_dup_spans
 
     texts = ["dup dup dup dup dup one two three four five six seven"] * 3 + [
@@ -348,10 +356,10 @@ def test_cut_dup_spans_large_offset_fallback(ray_session, monkeypatch):
     got = {r["doc_id"]: r["text_cut"] for r in
            cut_dup_spans(ray.data.from_arrow(tbl), gram_len=4, min_count=2).take_all()}
     assert got == base
-    # and the distributed (budget-0) rebuild path too
+    # and the distributed (budget -1) rebuild path too
+    monkeypatch.setattr(common, "GATHER_BYTES", -1)
     got0 = {r["doc_id"]: r["text_cut"] for r in
-            cut_dup_spans(ray.data.from_arrow(tbl), gram_len=4, min_count=2,
-                          broadcast_budget=0).take_all()}
+            cut_dup_spans(ray.data.from_arrow(tbl), gram_len=4, min_count=2).take_all()}
     assert got0 == base
 
 
@@ -383,7 +391,7 @@ def test_spans_gram_len_validated(ray_session):
         dup_spans(ds, gram_len=0).take_all()
 
 
-def test_cut_spans_distributed_rebuild_guards_missing_doc(ray_session):
+def test_cut_spans_distributed_rebuild_guards_missing_doc(ray_session, monkeypatch):
     """Round-4 ADVICE: the distributed cut rebuild's searchsorted doc
     lookup is guarded — a span whose doc is absent from its partition
     raises a descriptive error instead of IndexError / silent corruption."""
@@ -397,10 +405,9 @@ def test_cut_spans_distributed_rebuild_guards_missing_doc(ray_session):
             "text": pa.array(["a b c d a b c d", "x y"], pa.string()),
         }
     )
-    # budget 0 forces the distributed co-group path
-    out = spans_mod.cut_dup_spans(
-        ray.data.from_arrow(docs), gram_len=4, min_count=2, broadcast_budget=0
-    ).take_all()
+    # budget -1 forces the distributed co-group path
+    monkeypatch.setattr(common, "GATHER_BYTES", -1)
+    out = spans_mod.cut_dup_spans(ray.data.from_arrow(docs), gram_len=4, min_count=2).take_all()
     assert {r["doc_id"] for r in out} == {1, 2}
     # duplicate doc_id violates the documented uniqueness contract:
     # spans would attach to only the first matching row (silently
@@ -412,6 +419,4 @@ def test_cut_spans_distributed_rebuild_guards_missing_doc(ray_session):
         }
     )
     with pytest.raises(Exception, match="unique"):
-        spans_mod.cut_dup_spans(
-            ray.data.from_arrow(dup), gram_len=4, min_count=2, broadcast_budget=0
-        ).take_all()
+        spans_mod.cut_dup_spans(ray.data.from_arrow(dup), gram_len=4, min_count=2).take_all()

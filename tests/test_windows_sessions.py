@@ -206,3 +206,33 @@ def test_tumbling_rejects_unknown_window(ray_session):
                                        "value": pa.array([], pa.float64())}))
     with pytest.raises(ValueError, match="unsupported window"):
         tumbling_window_agg(ds, window="15m")
+
+
+def test_window_cents_round_half_away_from_zero(ray_session):
+    """Binary-exact midpoint values (0.125*100 == 12.5 exactly) must
+    round like DuckDB round (half AWAY from zero), not Arrow's default
+    half-to-even (round-2 ADVICE #4)."""
+    import ray.data
+
+    from fulltextsearch_ray.functions.windows import tumbling_window_agg
+
+    tbl = pa.table(
+        {
+            "ts": pa.array([1_000_000] * 2, pa.timestamp("us")),
+            "event_type": pa.array(["a", "a"]),
+            "value": pa.array([0.125, -0.125], pa.float64()),
+        }
+    )
+    out = tumbling_window_agg(ray.data.from_arrow(tbl), window="1h").take_all()
+    assert len(out) == 1
+    # 13 + (-13) cents = 0.0; half-to-even would give 12 + (-12) = 0 too,
+    # so ALSO check the one-sided sum
+    tbl2 = pa.table(
+        {
+            "ts": pa.array([1_000_000], pa.timestamp("us")),
+            "event_type": pa.array(["a"]),
+            "value": pa.array([0.125], pa.float64()),
+        }
+    )
+    out2 = tumbling_window_agg(ray.data.from_arrow(tbl2), window="1h").take_all()
+    assert out2[0]["sum_value"] == 0.13  # DuckDB round(12.5) = 13 cents
