@@ -130,29 +130,36 @@ def repetition_batch(
     )
 
 
-class ContaminationStage:
+def contamination_check(
+    ds: ray.data.Dataset,
+    bench_texts,
+    *,
+    n: int = 3,
+    text_col: str = "text",
+    concurrency: int | None = None,
+) -> ray.data.Dataset:
     """Benchmark-contamination scoring — the eval-leak check a training
     pipeline runs before shipping a corpus: the fraction of each
-    document's word-n-gram shingles that appear in a (small) benchmark
-    shingle set.  The benchmark set is broadcast ONCE via ``ray.put``
-    and pinned per actor in ``__init__`` (never re-shipped per batch);
-    membership is one Arrow ``is_in`` kernel per batch."""
+    document's word-n-gram shingles that appear in a benchmark shingle
+    set.  The benchmark is the small side by definition (eval suites
+    are KBs to MBs, the corpus is the 100-TB side): it is shingled once
+    up front and broadcast ONCE via ``ray.put``; membership is one
+    Arrow ``is_in`` kernel per batch.  A plain task UDF that fetches the
+    set from the object store, so no actor outlives the dataset holding
+    a CPU; ``concurrency`` caps concurrent tasks."""
+    from .dedup import shingle_batch
 
-    def __init__(self, bench_ref, n: int = 3, text_col: str = "text"):
-        self._set = ray.get(bench_ref)
-        self.n = n
-        self.text_col = text_col
+    sh, _ = shingle_batch(pa.array(list(bench_texts), pa.string()), n)
+    bench_ref = ray.put(pc.unique(sh))
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from .dedup import shingle_batch
-
+    def score(batch: pa.Table) -> pa.Table:
         n_docs = batch.num_rows
-        sh, dix = shingle_batch(batch[self.text_col], self.n)
+        sh, dix = shingle_batch(batch[text_col], n)
         tot = np.bincount(dix, minlength=n_docs).astype(np.int64)
         hits = np.zeros(n_docs)
         if len(sh):
             m = np.asarray(
-                pc.is_in(sh, value_set=self._set).to_numpy(zero_copy_only=False)
+                pc.is_in(sh, value_set=ray.get(bench_ref)).to_numpy(zero_copy_only=False)
             )
             hits = np.bincount(dix[m], minlength=n_docs)
         frac = np.where(tot > 0, hits / np.maximum(tot, 1), 0.0)
@@ -164,30 +171,7 @@ class ContaminationStage:
             }
         )
 
-
-def contamination_check(
-    ds: ray.data.Dataset,
-    bench_texts,
-    *,
-    n: int = 3,
-    text_col: str = "text",
-    concurrency=(1, 8),
-) -> ray.data.Dataset:
-    """Score every document against a benchmark text set (the small
-    side by definition — eval suites are KBs to MBs, the corpus is the
-    100-TB side).  Benchmark shingling happens once up front."""
-    import ray as _ray
-
-    from .dedup import shingle_batch
-
-    sh, _ = shingle_batch(pa.array(list(bench_texts), pa.string()), n)
-    bench_ref = _ray.put(pc.unique(sh))
-    return ds.map_batches(
-        ContaminationStage,
-        fn_constructor_kwargs=dict(bench_ref=bench_ref, n=n, text_col=text_col),
-        batch_format="pyarrow",
-        concurrency=concurrency,
-    )
+    return ds.map_batches(score, batch_format="pyarrow", concurrency=concurrency)
 
 
 def top_bigrams(ds: ray.data.Dataset, k: int = 20, text_col: str = "text") -> ray.data.Dataset:

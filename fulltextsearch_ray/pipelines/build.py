@@ -9,12 +9,13 @@ Parquet-path fast shape (ONE streaming corpus pass, no pre-shuffle):
       → sort("term") → map_batches(merge_runs_batch     # THE shuffle
                                    + write_postings_partition)
           # per sort partition, in the merging task: one payload blob
-          # (every term's bytes at one address) + one term-sorted
-          # postings parquet file of block metadata
+          # (every term's bytes at one address), the partition's
+          # catalog rows (per-term stats + blob address) and one
+          # term-sorted postings parquet file of block metadata; the
+          # task returns one row of counters
       → docs table split from sentinel rows (bucket == -1 pushdown)
-      → catalog (per-term stats + blob address, from block metadata
-        rows and blob trailers)
-      → manifest.json (+ lineage/counters) + meta.json  (driver)
+      → manifest.json (counters summed from the task rows, + lineage)
+        + meta.json  (driver)
 
 Dataset-path (explicit doc_id_col / id_cols): normalize_corpus assigns
 ids (sorted-key rank or passthrough), then InvertStage as above.
@@ -30,9 +31,11 @@ query merges segments (the reference's posting-chain semantic,
 checkpoints: re-running a multi-segment build skips any segment whose
 manifest validates (resume unit = segment).
 
-Driver-side catalog/manifest aggregates read only footers and small
-metadata columns; the >50M-block Ray-groupby fallback covers catalogs
-too large for one process.
+The segment commit reads no postings, blob or docs rows back: the
+catalog is one file per sort partition (disjoint term ranges, so
+together they are the term-sorted catalog), and the manifest's
+counters are sums over the rows the tasks return (over the input
+manifests, for a compaction's docs).
 """
 
 from __future__ import annotations
@@ -110,6 +113,7 @@ def compact_index(
     ):
         return meta
     old_segments = list(meta.segments)
+    inputs = _input_manifests(index_dir, old_segments)
     # Name derived from the INPUT SEGMENT LIST, not wall-clock time:
     # deterministic across crash retries (same inputs ⇒ same name, so
     # a partial dir from a crashed attempt is found and cleaned), and
@@ -165,25 +169,29 @@ def compact_index(
     # sentinel keys.  Segments of either layout (payload blobs, or
     # payloads inline from before blobs) come out as whole rows.
     runs = read_postings_dataset(post_files).map_batches(ensure_ndocs, batch_format="pyarrow")
-    max_field = _write_postings(runs, seg_path, block_cf)
+    max_field, counters = _write_postings(runs, seg_path, block_cf)
+    # the compacted postings carry no sentinel rows: the docs counters
+    # are those of the input segments, whose doc ids are disjoint
+    with_docs = [m for m in inputs if m.num_docs]
+    counters.update(
+        num_docs=sum(m.num_docs for m in inputs),
+        total_tokens=sum(m.total_tokens for m in inputs),
+        min_doc_id=min((m.min_doc_id for m in with_docs), default=0),
+        max_doc_id=max((m.max_doc_id for m in with_docs), default=0),
+    )
 
     # docs table: merge of per-segment docs (ids are disjoint).  Small
     # tables concat on the driver; past the budget the merge streams
     # through Ray (read → sort(doc_id) → partitioned write).
     docs_dirs = [os.path.join(segment_dir(index_dir, s), "docs") for s in old_segments]
     os.makedirs(os.path.join(seg_path, "docs"), exist_ok=True)
-    total_docs = sum(
-        pq.ParquetFile(f).metadata.num_rows
-        for d in docs_dirs
-        for f in pq.ParquetDataset(d).files
-    )
     # Sessions may disagree on the docs schema (legacy builds stored
     # meta columns directly in docs; current ones use docs_meta) — a
     # plain concat/union raises ArrowInvalid and the index could never
     # be compacted.  Unify permissively: missing columns fill with
     # null, which is exactly the searcher's extra-docs-columns
     # metadata fallback semantics for docs that lack a value.
-    if total_docs > docs_driver_budget:
+    if counters["num_docs"] > docs_driver_budget:
         doc_files = [f for d in docs_dirs for f in pq.ParquetDataset(d).files]
         by_docs_schema: dict[str, list[str]] = {}
         for f in doc_files:
@@ -277,9 +285,8 @@ def compact_index(
     forward_ranges = _scan_doc_ranges(os.path.join(seg_path, "forward"), seg_path)
 
     _write_catalog_and_manifest(
-        index_dir, new_seg, seg_path, lineage=old_segments,
+        index_dir, new_seg, seg_path, old_segments, counters,
         forward_ranges=forward_ranges, block_cf=block_cf,
-        docs_driver_budget=docs_driver_budget,
     )
 
     if not meta.num_fields and max_field:
@@ -294,6 +301,21 @@ def compact_index(
     for s in old_segments:
         shutil.rmtree(segment_dir(index_dir, s), ignore_errors=True)
     return meta
+
+
+def _input_manifests(index_dir: str, segments: list[str]) -> list[SegmentManifest]:
+    """The manifests of the segments a compaction merges; a ValueError
+    names the first that cannot be read (its doc counters are unknown)."""
+    out = []
+    for s in segments:
+        try:
+            out.append(load_manifest(index_dir, s))
+        except (OSError, TypeError, ValueError) as e:
+            raise ValueError(
+                f"index {index_dir}: segment {s} has no readable manifest ({e}); "
+                "compact_index takes its doc counters from there"
+            ) from None
+    return out
 
 
 def _catalog_columns(index_dir: str, segment: str) -> list[str]:
@@ -332,15 +354,34 @@ def _merge_and_write(batch: pa.Table, *, block_cf: int, seg_path: str) -> pa.Tab
     return write_postings_partition(merge_runs_batch(batch, block_cf=block_cf), seg_path)
 
 
+# What the task that writes a sort partition returns: one row of what
+# it wrote and counted (see write_postings_partition)
+_PARTITION_SCHEMA = pa.schema([
+    ("file", pa.string()), ("max_field", pa.int64()),
+    ("num_terms", pa.int64()), ("num_occurrences", pa.int64()),
+    ("first_term", pa.string()), ("last_term", pa.string()),
+    ("num_docs", pa.int64()), ("total_tokens", pa.int64()),
+    ("min_doc_id", pa.uint64()), ("max_doc_id", pa.uint64()),
+])
+
+
 def write_postings_partition(rows: pa.Table, seg_path: str) -> pa.Table:
-    """Write one merged sort partition (term-sorted rows): the payload
-    blob of its posting rows, then the postings parquet file with those
-    rows' payload columns null (the doc-stats sentinel rows keep theirs
-    inline).  Both files are named from the rows and renamed into place,
-    the parquet file last, so a retried task overwrites its own files
-    instead of adding a second copy (which would double df/cf), and a
-    postings file never exists without its blob.  Returns the file's
-    relative path and the largest field id its postings hold."""
+    """Commit one merged sort partition (term-sorted rows): the payload
+    blob of its posting rows, the partition's catalog rows (per-term
+    stats plus each term's address, from the directory the blob write
+    returns), then the postings parquet file with the posting rows'
+    payload columns null (the doc-stats sentinel rows keep theirs
+    inline).  The files share one stem named from the rows and are
+    renamed into place, the parquet file last, so a retried task
+    overwrites its own files instead of adding a second copy (which
+    would double df/cf), and a postings file never exists without its
+    blob and catalog.
+
+    Returns one :data:`_PARTITION_SCHEMA` row: the postings file's
+    relative path, the largest field id its postings hold, its term
+    count, occurrences and first/last term (null without terms), and,
+    summed from its sentinel rows without decoding them, the docs, the
+    tokens and the doc id range they hold (null without docs)."""
     import hashlib
 
     import pyarrow.parquet as pq
@@ -355,25 +396,62 @@ def write_postings_partition(rows: pa.Table, seg_path: str) -> pa.Table:
     )
 
     if rows.num_rows == 0:
-        return pa.table({"file": pa.array([], pa.string()), "max_field": pa.array([], pa.int64())})
+        return _PARTITION_SCHEMA.empty_table()
     keys = ("term", "first_doc", "block_id")
     ends = [tuple(rows[c][i].as_py() for c in keys) for i in (0, rows.num_rows - 1)]
     stem = "part-" + hashlib.sha1(repr((ends, rows.num_rows)).encode()).hexdigest()[:16]
     sentinel = pc.less(rows["bucket"], 0)
     posting = rows.filter(pc.invert(sentinel))
+    stats = rows.filter(pc.and_(sentinel, pc.greater(rows["df"], 0)))
+    row = {
+        "max_field": max_field_id(posting["fields"].combine_chunks()),
+        "num_terms": 0, "num_occurrences": int(pc.sum(posting["cf"]).as_py() or 0),
+        "num_docs": int(pc.sum(stats["df"]).as_py() or 0),
+        "total_tokens": int(pc.sum(stats["cf"]).as_py() or 0),
+        "min_doc_id": pc.min(stats["first_doc"]).as_py(),
+        "max_doc_id": pc.max(stats["last_doc"]).as_py(),
+    }
     if posting.num_rows:
-        write_blob(os.path.join(seg_path, PAYLOAD_DIR, stem + ".bin"), posting)
-    max_field = max_field_id(posting["fields"].combine_chunks())
+        blob = os.path.join(PAYLOAD_DIR, stem + ".bin")
+        cat = _catalog_rows(posting, blob, write_blob(os.path.join(seg_path, blob), posting))
+        atomic_write(
+            os.path.join(seg_path, "catalog", stem + ".parquet"),
+            lambda tmp: pq.write_table(cat, tmp, row_group_size=65536),
+        )
+        row.update(num_terms=cat.num_rows, first_term=cat["term"][0].as_py(),
+                   last_term=cat["term"][-1].as_py())
     blob_backed = np.invert(sentinel.to_numpy(zero_copy_only=False))
     for c in PAYLOAD_COLS:
         col = replace_where(rows[c].combine_chunks(), blob_backed, None)
         rows = rows.set_column(rows.schema.get_field_index(c), c, col)
-    rel = os.path.join("postings", stem + ".parquet")
+    row["file"] = os.path.join("postings", stem + ".parquet")
     atomic_write(
-        os.path.join(seg_path, rel),
+        os.path.join(seg_path, row["file"]),
         lambda tmp: pq.write_table(rows, tmp, row_group_size=POSTINGS_ROW_GROUP_SIZE),
     )
-    return pa.table({"file": [rel], "max_field": pa.array([max_field], pa.int64())})
+    return pa.Table.from_pylist([row], schema=_PARTITION_SCHEMA)
+
+
+def _catalog_rows(posting: pa.Table, blob: str, directory) -> pa.Table:
+    """Catalog rows of term-sorted posting rows (no sentinel rows):
+    :func:`aggregate_catalog` plus each term's payload address in the
+    blob at relative path ``blob``, whose ``directory`` (one record per
+    term, in row order) :func:`~..state.payloads.write_blob` returned."""
+    cat = aggregate_catalog(posting)
+    offsets, _hdr, bm25_len, length = directory
+    # records follow the row order, which must be the catalog's term order
+    if len(offsets) != cat.num_rows or not pc.unique(posting["term"]).equals(
+        cat["term"].combine_chunks()
+    ):
+        raise ValueError(f"{blob}: {len(offsets)} payload records do not match the "
+                         f"{cat.num_rows} terms of its rows in order")
+    address = {
+        "file": pa.array([blob] * cat.num_rows, pa.string()),
+        "offset": pa.array(offsets, pa.int64()),
+        "bm25_len": pa.array(bm25_len, pa.int64()),
+        "len": pa.array(length, pa.int64()),
+    }
+    return pa.table({**{c: cat[c] for c in cat.column_names}, **address})
 
 
 def read_postings_dataset(files: list[str]) -> ray.data.Dataset:
@@ -407,37 +485,55 @@ def _read_postings_batch(batch: pa.Table) -> pa.Table:
     return t.filter(pc.greater_equal(t["bucket"], 0))
 
 
-def _write_postings(runs: ray.data.Dataset, seg_path: str, block_cf: int) -> int:
-    """Shuffle + merge ``runs`` and write ``<seg>/postings`` and
-    ``<seg>/payloads``: the task that merges a sort partition also
-    writes it (:func:`write_postings_partition`), so a partition becomes
-    exactly one postings file plus one payload blob.  Returns the
-    largest field id written (0 for no postings).
+def _write_postings(runs: ray.data.Dataset, seg_path: str, block_cf: int) -> tuple[int, dict]:
+    """Shuffle + merge ``runs`` and write ``<seg>/postings``,
+    ``<seg>/payloads`` and ``<seg>/catalog``: the task that merges a
+    sort partition also commits it (:func:`write_postings_partition`),
+    so a partition becomes exactly one postings file, one payload blob
+    and one catalog file.  Returns the largest field id written (0 for
+    no postings) and the segment manifest's counters over the partition
+    rows: sums, and the doc id range.
 
-    Every postings file holds one sort partition, so each term lies in
-    exactly one file (the catalog build checks it).  A lookup never
-    reads these parquet rows: the catalog row's blob address names the
-    term's bytes.  The parquet rows (block metadata) serve the catalog
-    build and whole-file reads, in ``POSTINGS_ROW_GROUP_SIZE``-row
-    groups."""
+    Sort partitions hold disjoint term ranges, so each term lies in
+    exactly one partition (checked here on the ranges the tasks
+    return), and the catalog files together are the term-sorted
+    catalog.  A lookup never reads the postings parquet rows: the
+    catalog row's blob address names the term's bytes.  The parquet
+    rows (block metadata) serve the docs split and whole-file reads, in
+    ``POSTINGS_ROW_GROUP_SIZE``-row groups."""
     import pyarrow.parquet as pq
 
     from ..state.index import POSTINGS_SCHEMA
 
     kw = {"block_cf": block_cf, "seg_path": seg_path}
-    written = (
+    parts = (
         runs.sort("term")
         .map_batches(_merge_and_write, fn_kwargs=kw, batch_format="pyarrow", batch_size=None)
         .take_all()
     )
-    if not written:
+    _check_one_file_per_term(seg_path, parts)
+    if not parts:
         # zero rows (an empty corpus, or sentinel-only segments under
         # compaction): no partition wrote a file — keep the segment
         # structure uniform with an empty postings file
         post_dir = os.path.join(seg_path, "postings")
         os.makedirs(post_dir, exist_ok=True)
         pq.write_table(POSTINGS_SCHEMA.empty_table(), os.path.join(post_dir, "part-0.parquet"))
-    return max((r["max_field"] for r in written), default=0)
+    with_docs = [p for p in parts if p["num_docs"]]
+    counters = {c: sum(p[c] for p in parts)
+                for c in ("num_terms", "num_occurrences", "num_docs", "total_tokens")}
+    counters["min_doc_id"] = min((p["min_doc_id"] for p in with_docs), default=0)
+    counters["max_doc_id"] = max((p["max_doc_id"] for p in with_docs), default=0)
+    return max((p["max_field"] for p in parts), default=0), counters
+
+
+def _check_one_file_per_term(seg_path: str, parts: list[dict]) -> None:
+    """Raise ValueError when two partition rows' (first, last) term
+    ranges overlap: a searcher reads one address per term and segment,
+    so a term's postings in the second file would go unread."""
+    bounds = sorted((p["first_term"], p["last_term"]) for p in parts if p["num_terms"])
+    if any(lo <= hi for (_lo, hi), (lo, _hi) in zip(bounds, bounds[1:])):
+        raise ValueError(f"{seg_path}: a term's postings span two postings files")
 
 
 def _scan_doc_ranges(dir_path: str, seg_path: str) -> list:
@@ -515,9 +611,6 @@ def cap_lineage(files: list[str], budget: int = 10_000) -> list[str]:
     ]
 
 
-_POST_META_COLS = ["term", "bucket", "df", "cf", "max_tf", "n_docs", "first_doc", "last_doc"]
-
-
 def aggregate_catalog(blocks: pa.Table) -> pa.Table:
     """Per-term catalog rows (term, df, cf, max_tf, df_docs, first_doc,
     last_doc, n_blocks) sorted by term, from posting-block stat rows —
@@ -533,171 +626,38 @@ def aggregate_catalog(blocks: pa.Table) -> pa.Table:
     )
 
 
-def _file_catalog(path: str, seg_path: str) -> pa.Table:
-    """Catalog rows of one postings file: per-term stats aggregated
-    over its posting rows, plus each term's payload address
-    (``file``, ``offset``, ``bm25_len``, ``len``) from the blob trailer.
-    Every term of a fresh segment lies in exactly one file, so these
-    are the segment's catalog rows for the file's terms."""
-    import pyarrow.parquet as pq
-
-    from ..state.payloads import blob_path_for, read_directory
-
-    rows = pq.read_table(path, columns=_POST_META_COLS, filters=[("bucket", ">=", 0)])
-    cat = aggregate_catalog(rows)
-    blob = blob_path_for(path)
-    if cat.num_rows:
-        offsets, _hdr, bm25_len, length = read_directory(blob)
-        # records follow the file's row order, which must be the
-        # catalog's term order
-        if len(offsets) != cat.num_rows or not pc.unique(rows["term"]).equals(
-            cat["term"].combine_chunks()
-        ):
-            raise ValueError(f"{blob}: {len(offsets)} payload records do not match the "
-                             f"{cat.num_rows} terms of {path} in order")
-    else:
-        offsets = bm25_len = length = np.empty(0, dtype=np.int64)
-    address = {
-        "file": pa.array([os.path.relpath(blob, seg_path)] * cat.num_rows, pa.string()),
-        "offset": pa.array(offsets, pa.int64()),
-        "bm25_len": pa.array(bm25_len, pa.int64()),
-        "len": pa.array(length, pa.int64()),
-    }
-    return pa.table({**{c: cat[c] for c in cat.column_names}, **address})
-
-
-def _file_catalog_batch(batch: pa.Table, *, seg_path: str) -> pa.Table:
-    return pa.concat_tables([_file_catalog(p, seg_path) for p in batch["path"].to_pylist()])
-
-
-def _term_bounds(batch: pa.Table) -> pa.Table:
-    """First and last term of a term-sorted block of catalog rows, and
-    whether two adjacent rows share a term (no row for an empty block)."""
-    n = batch.num_rows
-    if not n:
-        return pa.table({"lo": pa.array([], pa.string()), "hi": pa.array([], pa.string()),
-                         "dup": pa.array([], pa.bool_())})
-    terms = batch["term"]
-    dup = n > 1 and pc.any(pc.equal(terms.slice(1), terms.slice(0, n - 1))).as_py()
-    return pa.table({"lo": [terms[0].as_py()], "hi": [terms[n - 1].as_py()], "dup": [bool(dup)]})
-
-
-def _check_one_file_per_term(seg_path: str, bounds: list[dict]) -> None:
-    """Raise ValueError when a term has catalog rows from two postings
-    files (``bounds``: :func:`_term_bounds` rows of the sorted catalog's
-    blocks).  A searcher reads one address per term and segment, so the
-    term's postings in the second file would go unread."""
-    bounds = sorted(bounds, key=lambda b: b["lo"])
-    if any(b["dup"] for b in bounds) or any(
-        b["lo"] <= a["hi"] for a, b in zip(bounds, bounds[1:])
-    ):
-        raise ValueError(f"{seg_path}: a term's postings span two postings files")
-
-
-def _build_catalog(seg_path: str, driver_budget_rows: int = 50_000_000) -> tuple[int, int]:
-    """Per-term catalog (stats + payload address) of a segment's
-    postings → ``<seg>/catalog`` parquet; returns ``(n_terms,
-    total_occurrences)``.
-
-    Each postings file holds whole terms, so the catalog is the
-    term-ordered concatenation of per-file rows (:func:`_file_catalog`).
-    Gated on FOOTER row counts BEFORE any read: below the budget the
-    files aggregate on the driver; above it a Ray map over the files
-    + sort whose result never rides back to the driver — the counters
-    come from catalog footers plus one streaming Sum, keeping driver
-    memory O(1) at billion-term scale.  Shared by build_index and
-    compact_index so the two can never fork catalog schemas."""
-    import glob as _g
-
-    import pyarrow.parquet as pq
-
-    files = sorted(_g.glob(os.path.join(seg_path, "postings", "**", "*.parquet"), recursive=True))
-    cat_dir = os.path.join(seg_path, "catalog")
-    footer_rows = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
-    if footer_rows <= driver_budget_rows:
-        try:
-            catalog_tbl = pa.concat_tables([_file_catalog(f, seg_path) for f in files])
-            catalog_tbl = catalog_tbl.sort_by("term")
-            _check_one_file_per_term(seg_path, _term_bounds(catalog_tbl).to_pylist())
-            os.makedirs(cat_dir, exist_ok=True)
-            pq.write_table(catalog_tbl, os.path.join(cat_dir, "part-0.parquet"), row_group_size=65536)
-            return catalog_tbl.num_rows, int(pc.sum(catalog_tbl["cf"]).as_py() or 0)
-        except (MemoryError, pa.lib.ArrowMemoryError):
-            # The footer-row budget is a heuristic; a driver that can't
-            # actually hold the block stats falls through to the Ray
-            # path below.  Clear any partial driver-side write first —
-            # a torn part-0.parquet (or a complete one, if the error hit
-            # after write_table) would otherwise coexist with the Ray
-            # output: unreadable footer or doubled df/cf rows.
-            shutil.rmtree(cat_dir, ignore_errors=True)
-    catalog = (
-        ray.data.from_items([{"path": f} for f in files])
-        .map_batches(
-            _file_catalog_batch, fn_kwargs={"seg_path": seg_path},
-            batch_format="pyarrow", batch_size=1,
-        )
-        .sort("term")
-        .materialize()
-    )
-    _check_one_file_per_term(
-        seg_path,
-        catalog.map_batches(_term_bounds, batch_format="pyarrow", batch_size=None).take_all(),
-    )
-    catalog.write_parquet(cat_dir)
-    n_terms = sum(pq.ParquetFile(f).metadata.num_rows for f in pq.ParquetDataset(cat_dir).files)
-    occ_row = ray.data.read_parquet(cat_dir, columns=["cf"]).aggregate(
-        ray.data.aggregate.Sum("cf", alias_name="cf")
-    )
-    return n_terms, int(occ_row["cf"] or 0)
-
-
 def _write_catalog_and_manifest(
-    index_dir: str, segment: str, seg_path: str, lineage: list[str],
+    index_dir: str, segment: str, seg_path: str, lineage: list[str], counters: dict,
     forward_ranges: list | None = None, block_cf: int = 0,
-    docs_driver_budget: int = 5_000_000,
 ) -> "SegmentManifest":
-    """Catalog + counter/manifest writes shared by
-    build_index and compact_index (footer/metadata-gated driver work
-    with Ray fallbacks — see _build_catalog).  The per-segment counters
-    are the reference's ``IndexBuilderStatistics`` aggregates, computed
-    from the already-written docs table: driver Arrow up to
-    ``docs_driver_budget`` docs, a streaming Ray aggregate past it."""
+    """The segment commit shared by build_index and compact_index: the
+    manifest, with ``counters`` (the reference's
+    ``IndexBuilderStatistics`` aggregates, as :func:`_write_postings`
+    returns them) and the footer stats of the catalog and docs files.
+    When no partition held a term (an empty corpus, or a compaction of
+    sentinel-only segments), none wrote a catalog file, and one empty
+    typed file stands in for them: a searcher checks its columns."""
     import pyarrow.parquet as pq
 
-    n_terms, n_occ = _build_catalog(seg_path)
+    from ..state.index import POSTINGS_SCHEMA
 
-    docs_dir = os.path.join(seg_path, "docs")
-    n_doc_rows = sum(pq.ParquetFile(f).metadata.num_rows for f in pq.ParquetDataset(docs_dir).files)
-    if n_doc_rows > docs_driver_budget:
-        import ray.data
-        from ray.data.aggregate import Max, Min, Sum
-
-        agg = ray.data.read_parquet(docs_dir, columns=["doc_id", "doc_len"]).aggregate(
-            Sum("doc_len", alias_name="tok"),
-            Min("doc_id", alias_name="mn"),
-            Max("doc_id", alias_name="mx"),
+    cat_dir = os.path.join(seg_path, "catalog")
+    if not counters["num_terms"]:
+        empty = np.empty(0, dtype=np.int64)
+        os.makedirs(cat_dir, exist_ok=True)
+        pq.write_table(
+            _catalog_rows(POSTINGS_SCHEMA.empty_table(), "", (empty,) * 4),
+            os.path.join(cat_dir, "part-0.parquet"),
         )
-        total_tokens = int(agg["tok"] or 0)
-        min_id, max_id = int(agg["mn"] or 0), int(agg["mx"] or 0)
-    else:
-        dl_tbl = pq.read_table(docs_dir, columns=["doc_id", "doc_len"])
-        total_tokens = int(pc.sum(dl_tbl["doc_len"]).as_py() or 0)
-        min_id = int(pc.min(dl_tbl["doc_id"]).as_py() or 0)
-        max_id = int(pc.max(dl_tbl["doc_id"]).as_py() or 0)
     manifest = SegmentManifest(
         name=segment,
-        num_docs=n_doc_rows,
-        num_terms=n_terms,
-        num_occurrences=n_occ,
-        total_tokens=total_tokens,
-        min_doc_id=min_id,
-        max_doc_id=max_id,
+        **counters,
         input_lineage=lineage,
         created_at=time.time(),
         complete=True,
         forward_ranges=forward_ranges or [],
-        catalog_stats=_scan_table_stats(os.path.join(seg_path, "catalog"), seg_path),
-        docs_stats=_scan_table_stats(docs_dir, seg_path),
+        catalog_stats=_scan_table_stats(cat_dir, seg_path),
+        docs_stats=_scan_table_stats(os.path.join(seg_path, "docs"), seg_path),
         block_cf=block_cf,
     )
     save_manifest(index_dir, manifest)
@@ -905,22 +865,17 @@ def build_index(
             batch_format="pyarrow",
             batch_size=batch_size,
         )
-    _write_postings(runs, seg_path, block_cf)
+    _max_field, counters = _write_postings(runs, seg_path, block_cf)
 
     # --- split the fused doc-stats sentinel rows into the docs table
-    # (parquet filter pushdown on bucket == -1 reads only those rows)
+    # (parquet filter pushdown on bucket == -1 reads only those rows;
+    # the tasks counted the docs they carry)
     import pyarrow.parquet as pq
 
     from ..stages.invert import decode_docstats_rows
 
-    # metadata-sized probe first: how many docs do the sentinels carry?
-    # (reads only the tiny bucket/df columns, never the payloads)
-    probe = pq.read_table(
-        os.path.join(seg_path, "postings"), columns=["df"], filters=[("bucket", "=", -1)]
-    )
-    sentinel_docs = int(pc.sum(probe["df"]).as_py() or 0)
     os.makedirs(os.path.join(seg_path, "docs"), exist_ok=True)
-    if sentinel_docs > docs_driver_budget:
+    if counters["num_docs"] > docs_driver_budget:
         # SCALE PATH: the docs table never touches the driver — Ray
         # filter → decode → sort(doc_id) → partitioned parquet write
         # (multiple range-partitioned files, resumable unit = file).
@@ -987,11 +942,10 @@ def build_index(
             lineage = []
     else:
         lineage = []
-    # --- catalog, per-segment counters + lineage
+    # --- per-segment counters + lineage
     manifest = _write_catalog_and_manifest(
-        index_dir, segment, seg_path, lineage=lineage,
+        index_dir, segment, seg_path, lineage, counters,
         forward_ranges=forward_ranges, block_cf=block_cf,
-        docs_driver_budget=docs_driver_budget,
     )
 
     if segment not in meta.segments:

@@ -692,17 +692,25 @@ class IndexSearcher:
         in eager mode): the catalog parquet is read as a Ray dataset,
         so a multi-billion-term index enumerates its terms without ever
         materializing the vocabulary in one process.  Cross-segment
-        totals come from one groupby (skipped for single-segment
-        indexes — a segment catalog is already one row per term).
-        The reference analog is ``Visit``-based printing
+        totals come from one ``partition_apply`` keyed on the term's
+        md5, one Arrow ``group_by`` per partition (skipped for
+        single-segment indexes — a segment catalog is already one row
+        per term).  The reference analog is ``Visit``-based printing
         (``FullTextIndexExtensions.cs:7-17``), which also streams."""
         import ray.data
-        from ray.data.aggregate import Sum
+
+        from ..functions.common import default_partitions, md5_u64_batch, partition_apply
+
+        schema = pa.schema([("term", pa.string()), ("df", pa.int64()), ("cf", pa.int64())])
 
         def norm(b: pa.Table) -> pa.Table:
             return pa.table(
                 {"term": b["term"], "df": b["df_docs"].cast(pa.int64()), "cf": b["cf"].cast(pa.int64())}
             )
+
+        def totals(t: pa.Table) -> pa.Table:
+            agg = t.group_by("term").aggregate([("df", "sum"), ("cf", "sum")])
+            return pa.table({"term": agg["term"], "df": agg["df_sum"], "cf": agg["cf_sum"]})
 
         parts = []
         for seg in self.segments:
@@ -713,17 +721,12 @@ class IndexSearcher:
                 ).map_batches(norm, batch_format="pyarrow")
             )
         if not parts:
-            import ray.data as rd
-
-            return rd.from_arrow(
-                pa.table({"term": pa.array([], pa.string()),
-                          "df": pa.array([], pa.int64()), "cf": pa.array([], pa.int64())})
-            )
-        ds = parts[0] if len(parts) == 1 else parts[0].union(*parts[1:])
+            return ray.data.from_arrow(schema.empty_table())
         if len(parts) == 1:
-            return ds
-        return ds.groupby("term").aggregate(
-            Sum("df", alias_name="df"), Sum("cf", alias_name="cf")
+            return parts[0]
+        return partition_apply(
+            [(parts[0].union(*parts[1:]), lambda t: md5_u64_batch(t["term"]), schema)],
+            default_partitions(), totals, schema,
         )
 
     def top_terms(self, k: int = 20, *, stats: "dict | None" = None) -> pa.Table:
@@ -735,7 +738,7 @@ class IndexSearcher:
         all-to-all shuffle a full distributed sort would pay for k=20
         over 10^9 terms.  Associativity holds because
         ``term_stats_dataset`` emits each term exactly once (segment
-        totals are pre-merged by its groupby).  ``stats['driver_rows']``
+        totals are pre-merged by its group stage).  ``stats['driver_rows']``
         records the gathered row count for the scale test."""
         from ..functions.similarity import _tree_reduce_tables
 

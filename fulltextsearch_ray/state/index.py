@@ -66,7 +66,7 @@ POSTINGS_SCHEMA = pa.schema(
 # Rows per postings row group.  Fresh segments keep only block
 # metadata in these rows (payloads live in the blobs, addressed from
 # the catalog), so no lookup reads a row group; the size serves the
-# whole-file reads (catalog build, compaction, dump) and footer bytes
+# whole-file reads (docs split, compaction, dump) and footer bytes
 # (~1 KB per group).  A 256/4096 sweep on the ingest corpus (seeds
 # 11, 12): 4096 writes 11% fewer postings bytes and 38% fewer footer
 # bytes after build, 26-30% / 36-40% fewer after compaction.

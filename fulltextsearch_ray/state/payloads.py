@@ -6,7 +6,9 @@ payload columns of its posting rows live in one flat sibling file,
 ``<seg>/payloads/<stem>.bin``.  This is the reference's
 ``PostingListAddress`` model (PAPER.md §1.1): the catalog row of a
 term carries ``(file, offset, bm25_len, len)`` and a lookup reads
-exactly that byte range, with no parquet row-group decode.
+exactly that byte range, with no parquet row-group decode.  The task
+that writes a blob writes those catalog rows too, from the directory
+:func:`write_blob` returns; nothing reads a blob back to address it.
 
 Blob layout: one RECORD per term, in the parquet file's row order,
 then a directory trailer.
@@ -24,8 +26,8 @@ then a directory trailer.
 ``bm25_len`` covers header + docs + tfs, everything BM25 scoring (and
 its block-max skipping, via the header's first/last doc) needs; ``len``
 is the whole record, for positional lookups.  The trailer lets whole-
-file readers (compaction, the dump, the catalog build) locate every
-record without walking the headers one by one.
+file readers (compaction, the dump) locate every record without
+walking the headers one by one.
 
 The doc-stats sentinel rows (bucket = -1) keep their payloads inline in
 the parquet columns; the payload columns of every blob-backed row are
@@ -198,11 +200,13 @@ def atomic_write(path: str, write) -> None:
             os.remove(tmp)
 
 
-def write_blob(path: str, rows: pa.Table) -> None:
+def write_blob(path: str, rows: pa.Table):
     """Write the payload blob of term-sorted posting ``rows`` (no
-    sentinel rows).  Vectorized: the headers are one varint encode, and
-    the records are one Arrow ``take`` over [headers, docs, tfs, fields,
-    positions] in blob order, so the blob is that array's data buffer."""
+    sentinel rows) and return its directory, as :func:`read_directory`
+    would read it back.  Vectorized: the headers are one varint encode,
+    and the records are one Arrow ``take`` over [headers, docs, tfs,
+    fields, positions] in blob order, so the blob is that array's data
+    buffer."""
     n = rows.num_rows
     starts, counts = _term_groups(rows["term"].combine_chunks())
     T = len(starts)
@@ -241,7 +245,8 @@ def write_blob(path: str, rows: pa.Table) -> None:
     rec_start = offs[hp]
     rec_len = np.r_[rec_start[1:], offs[-1]] - rec_start
     bm25_len = offs[hp + 1 + 2 * counts] - rec_start
-    trailer = varint_encode(np.concatenate([rec_len, np.diff(hdr_off), bm25_len]).astype(np.uint64))
+    hdr_len = np.diff(hdr_off)
+    trailer = varint_encode(np.concatenate([rec_len, hdr_len, bm25_len]).astype(np.uint64))
     data = memoryview(pieces.buffers()[2])[int(offs[0]) : int(offs[-1])]
 
     def write(tmp):
@@ -251,6 +256,7 @@ def write_blob(path: str, rows: pa.Table) -> None:
             f.write(_TRAILER.pack(len(trailer), T, MAGIC))
 
     atomic_write(path, write)
+    return rec_start - offs[0], hdr_len, bm25_len, rec_len
 
 
 def read_directory(path: str, blob: "bytes | None" = None):

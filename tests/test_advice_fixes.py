@@ -5,8 +5,8 @@ tests/test_bm25.py, the posting encoder / run merge tests in
 tests/test_invert.py, the distributed cut-rebuild guard in
 tests/test_spans.py, the window-cents rounding test in
 tests/test_windows_sessions.py.  The boundary-spill lookup a term split across
-two postings files needed is gone: the catalog build now refuses such
-a split, tested in tests/test_posting_reader.py.)
+two postings files needed is gone: the build now refuses such a
+split, tested in tests/test_posting_reader.py.)
 """
 
 import pyarrow as pa

@@ -72,3 +72,33 @@ def test_contamination_scores(ray_session):
     # doc2 shares only the shingle "the quick brown" → 1 of 4
     assert out[2] == (0.25, 4)
     assert out[3] == (0.0, 3)  # 5 words → 3 trigram shingles
+
+
+def test_contamination_returns_its_cpus(ray_session):
+    """The scorer holds no CPU once its dataset is consumed, with the
+    garbage collector off: an idle scorer actor kept alive until the
+    collector frees its executor would hold a CPU the next stage waits
+    for."""
+    import gc
+    import time
+
+    def cpus_reach(target: float) -> float:
+        deadline = time.monotonic() + 30
+        while (free := ray.available_resources().get("CPU", 0)) < target and time.monotonic() < deadline:
+            time.sleep(0.2)
+        return free
+
+    docs = ray.data.from_arrow(
+        pa.table({"doc_id": pa.array(range(40), pa.int64()),
+                  "text": [f"doc {i} says the quick brown fox" for i in range(40)]})
+    ).repartition(4)
+    gc.collect()  # what earlier tests left to the collector goes first
+    gc.disable()
+    try:
+        before = cpus_reach(ray.cluster_resources()["CPU"])
+        for _ in range(2):
+            got = contamination_check(docs, ["the quick brown fox"]).take_all()
+            assert len(got) == 40
+        assert cpus_reach(before) >= before
+    finally:
+        gc.enable()

@@ -252,3 +252,98 @@ def test_unsorted_doc_ids_within_batch_build_correctly(ray_session, tmp_path):
         ra = s_sorted.search_to_string(f"WORD({w})")
         rb = s_shuf.search_to_string(f"WORD({w})")
         assert ra == rb, w
+
+
+def test_rebuild_of_listed_segment_does_not_double_count(ray_session, tmp_path):
+    """A segment listed in meta whose manifest is lost gets rebuilt;
+    meta.num_docs/total_tokens must be RECOMPUTED from manifests, not
+    incremented on top of the previously-counted totals (the old +=
+    permanently inflated avgdl → silently wrong BM25)."""
+    from fulltextsearch_ray.state.index import segment_dir
+
+    idx = str(tmp_path / "ridx")
+    src = ray.data.from_arrow(
+        pa.table({"doc_id": pa.array([1, 2], pa.uint64()), "text": ["aa bb cc", "dd ee"]})
+    )
+    build_index(src, idx, doc_id_col="doc_id", segment="seg-00000",
+                num_buckets=2, overwrite=True)
+    before = load_meta(idx)
+    assert before.num_docs == 2 and before.total_tokens == 5
+    # lose the manifest: segment now listed but "incomplete"
+    os.remove(os.path.join(segment_dir(idx, "seg-00000"), "manifest.json"))
+    build_index(src, idx, doc_id_col="doc_id", segment="seg-00000",
+                num_buckets=2)
+    after = load_meta(idx)
+    assert after.num_docs == 2, "rebuild double-counted num_docs"
+    assert after.total_tokens == 5, "rebuild double-counted total_tokens"
+
+
+def _recount(idx: str, seg: str) -> dict:
+    """A segment's manifest counters, recounted from its docs and catalog."""
+    from fulltextsearch_ray.state.index import segment_dir
+
+    docs = pq.read_table(os.path.join(segment_dir(idx, seg), "docs"), columns=["doc_id", "doc_len"])
+    cat = pq.read_table(os.path.join(segment_dir(idx, seg), "catalog"), columns=["cf"])
+    ids = docs["doc_id"].to_numpy()
+    return {
+        "num_docs": docs.num_rows, "total_tokens": int(docs["doc_len"].to_numpy().sum()),
+        "min_doc_id": int(ids.min()), "max_doc_id": int(ids.max()),
+        "num_terms": cat.num_rows, "num_occurrences": int(cat["cf"].to_numpy().sum()),
+    }
+
+
+def test_segment_commit_reads_nothing_back(ray_session, corpus_dir, tmp_path, monkeypatch):
+    """The segment commit takes its counters from the rows the merging
+    tasks return, and a compaction's docs counters from its input
+    manifests: with parquet table reads, blob directory reads and Ray
+    parquet reads failing for the whole of ``_write_catalog_and_manifest``,
+    a build, a second session and their compaction complete, with the
+    counters a recount of what they wrote gives."""
+    from fulltextsearch_ray.pipelines import build as build_mod
+    from fulltextsearch_ray.state import payloads
+
+    def refuse(*_a, **_k):
+        raise AssertionError("the segment commit read rows back")
+
+    commit = build_mod._write_catalog_and_manifest
+
+    def commit_without_reads(*a, **kw):
+        with pytest.MonkeyPatch.context() as mp:
+            for owner, name in ((pq, "read_table"), (payloads, "read_directory"),
+                                (ray.data, "read_parquet")):
+                mp.setattr(owner, name, refuse)
+            return commit(*a, **kw)
+
+    monkeypatch.setattr(build_mod, "_write_catalog_and_manifest", commit_without_reads)
+    idx = str(tmp_path / "idx")
+    build_index(corpus_dir, idx, text_col="content", overwrite=True)
+    more = pa.table({"doc_id": pa.array([1000, 1001], pa.uint64()),
+                     "text": ["fresh session words", "more fresh words here"]})
+    build_index(ray.data.from_arrow(more), idx, doc_id_col="doc_id")
+    segs = load_meta(idx).segments
+    want = [_recount(idx, s) for s in segs]
+    got = [{k: getattr(load_manifest(idx, s), k) for k in want[0]} for s in segs]
+    assert got == want and want[1]["num_docs"] == 2
+    build_mod.compact_index(idx)
+    (seg,) = load_meta(idx).segments
+    counters = _recount(idx, seg)
+    assert {k: getattr(load_manifest(idx, seg), k) for k in counters} == counters
+    assert counters["num_docs"] == 402 and counters["max_doc_id"] == 1001
+
+
+def test_compact_without_manifest_raises(ray_session, tmp_path):
+    """A compaction takes its docs counters from the input manifests, so
+    an input segment without one is refused by name, and the index is
+    left as it was."""
+    from fulltextsearch_ray.pipelines.build import compact_index
+    from fulltextsearch_ray.state.index import segment_dir
+
+    idx = str(tmp_path / "idx")
+    for i, words in enumerate(["aa bb", "bb cc"]):
+        tbl = pa.table({"doc_id": pa.array([i + 1], pa.uint64()), "text": [words]})
+        build_index(ray.data.from_arrow(tbl), idx, doc_id_col="doc_id", overwrite=not i)
+    segs = load_meta(idx).segments
+    os.remove(os.path.join(segment_dir(idx, segs[1]), "manifest.json"))
+    with pytest.raises(ValueError, match=f"segment {segs[1]} has no readable manifest"):
+        compact_index(idx)
+    assert load_meta(idx).segments == segs

@@ -400,3 +400,52 @@ def test_sharded_fst_sidecar_parity(ray_session, tmp_path):
     # staleness: a new segment invalidates the sharded sidecar too
     build_index(str(corpus), idx, text_col="content", num_buckets=2)
     assert load_fst_sidecar(idx, list(load_meta(idx).segments)) is None
+
+
+def test_fst_sidecar_load_detects_concurrent_rebuild(ray_session, tmp_path):
+    """load_fst_sidecar re-reads fst.json after the shard/image bytes:
+    a rebuild racing the load (json swapped between the two reads) must
+    yield None — old ranges paired with new shard bytes would route
+    terms to the wrong shard."""
+    import json
+    import os
+
+    from fulltextsearch_ray.pipelines.build import build_index
+    from fulltextsearch_ray.state import fst_store
+    from fulltextsearch_ray.state.fst_store import (
+        build_fst_sidecar,
+        fst_dir,
+        load_fst_sidecar,
+    )
+    from fulltextsearch_ray.state.index import load_meta
+
+    idx = str(tmp_path / "fidx")
+    build_index(_ds(["alpha beta gamma"], 1), idx,
+                doc_id_col="doc_id", num_buckets=2, overwrite=True)
+    segs = list(load_meta(idx).segments)
+    # force the SHARDED layout (1 term/shard): the race window is the
+    # shard-read loop between the two fst.json reads
+    build_fst_sidecar(idx, shard_terms=1)
+    assert load_fst_sidecar(idx, segs) is not None  # clean load works
+
+    # simulate a racing rebuild: first Fst construction mutates fst.json
+    meta_path = os.path.join(fst_dir(idx), "fst.json")
+    real_fst = fst_store.Fst
+    tripped = {"done": False}
+
+    class RacingFst(real_fst):
+        def __init__(self, img):
+            if not tripped["done"]:
+                tripped["done"] = True
+                info = json.load(open(meta_path))
+                info["n_bytes"] = info.get("n_bytes", 0) + 1  # any change
+                json.dump(info, open(meta_path, "w"))
+            super().__init__(img)
+
+    fst_store.Fst = RacingFst
+    try:
+        assert load_fst_sidecar(idx, segs) is None
+    finally:
+        fst_store.Fst = real_fst
+        build_fst_sidecar(idx, shard_terms=1)  # restore a clean sidecar
+    assert load_fst_sidecar(idx, segs) is not None

@@ -183,3 +183,92 @@ def test_stale_fst_fallback_logged_once_per_searcher(ray_session, tmp_path, capl
     with caplog.at_level(logging.WARNING, logger=logger):
         IndexSearcher(idx).lookup("EDIT(index,1)")
     assert len(fallback_records()) == 2
+
+
+@pytest.fixture(scope="module")
+def multi_file_index(ray_session, tmp_path_factory):
+    """A segment whose catalog is one file per sort partition: eight
+    corpus files give eight invert blocks into the term sort."""
+    d = str(tmp_path_factory.mktemp("multifilecorpus"))
+    write_synth_corpus(d, 400, rows_per_file=50)
+    idx = str(tmp_path_factory.mktemp("multifileidx"))
+    build_index(d, idx, text_col="content", overwrite=True)
+    return idx
+
+
+def test_multi_file_catalog_searchers_agree(multi_file_index):
+    """Catalog files are named by a hash of their rows, so their name
+    order is not their term order; the eager, lazy and FST searchers
+    read them as one term-sorted catalog all the same."""
+    import glob
+    import os
+
+    import pyarrow.parquet as pq
+
+    from fulltextsearch_ray.state.index import load_manifest, load_meta, segment_dir
+
+    idx = multi_file_index
+    (seg,) = load_meta(idx).segments
+    files = sorted(glob.glob(os.path.join(segment_dir(idx, seg), "catalog", "*.parquet")))
+    firsts = [pq.read_table(f, columns=["term"])["term"][0].as_py() for f in files]
+    assert len(files) >= 3 and firsts != sorted(firsts)
+
+    eager = IndexSearcher(idx)
+    assert len(eager._terms_np) == load_manifest(idx, seg).num_terms
+    assert list(eager._terms_np) == sorted(set(eager._terms_np))
+    others = [IndexSearcher(idx, catalog_budget_rows=0), IndexSearcher(idx, term_dict="fst")]
+    assert others[0]._lazy_cats is not None
+    terms = eager._terms_np[:: max(len(eager._terms_np) // 60, 1)].tolist() + ["absent_zz"]
+    for s in others:
+        for q in ["index builder", "def class return", "posting merge block"]:
+            assert s.bm25_topk(q, k=10).equals(eager.bm25_topk(q, k=10)), q
+        for p in ["WILD(ind*)", "WILD(*0)", "WILD(cach*)", "EDIT(merge1,1)", "EDIT(cache1,2)"]:
+            assert s.lookup(p) == eager.lookup(p), p
+        assert s.top_terms(15).equals(eager.top_terms(15))
+        for t in terms:
+            assert s.term_stats(t) == eager.term_stats(t), t
+
+
+def test_empty_corpus_index_opens(ray_session, tmp_path):
+    """A build without documents writes no catalog rows; every kind of
+    searcher still opens it, with no terms."""
+    import pyarrow as pa
+    import ray.data
+
+    idx = str(tmp_path / "empty")
+    empty = pa.table({"doc_id": pa.array([], pa.uint64()), "text": pa.array([], pa.string())})
+    meta = build_index(ray.data.from_arrow(empty), idx, doc_id_col="doc_id", overwrite=True)
+    assert meta.num_docs == 0
+    for kw in ({}, {"catalog_budget_rows": 0}, {"term_dict": "fst"}):
+        s = IndexSearcher(idx, **kw)
+        assert s.term_stats("anything") == (0, 0)
+        assert s.lookup("WILD(a*)") == [] and s.lookup("EDIT(abc,1)") == []
+        assert s.top_terms(5).num_rows == 0
+        assert s.bm25_topk("anything", k=5).num_rows == 0
+    assert len(IndexSearcher(idx).terms) == 0
+
+
+@pytest.mark.parametrize("gather_bytes", [None, -1], ids=["in-process", "shuffle"])
+def test_term_stats_dataset_sums_segments(ray_session, tmp_path, monkeypatch, gather_bytes):
+    """Across segments, term_stats_dataset emits each term once with its
+    totals, on both paths of the group stage, and top_terms agrees."""
+    import pyarrow as pa
+    import ray.data
+
+    from fulltextsearch_ray.functions import common
+
+    if gather_bytes is not None:
+        monkeypatch.setattr(common, "GATHER_BYTES", gather_bytes)
+    idx = str(tmp_path / "idx")
+    sessions = [(1, ["red green", "green blue blue"]), (3, ["blue red", "violet"])]
+    for start, texts in sessions:
+        tbl = pa.table({"doc_id": pa.array(range(start, start + len(texts)), pa.uint64()), "text": texts})
+        build_index(ray.data.from_arrow(tbl), idx, doc_id_col="doc_id", overwrite=start == 1)
+    s = IndexSearcher(idx)
+    rows = s.term_stats_dataset().take_all()
+    assert sorted((r["term"], r["df"], r["cf"]) for r in rows) == [
+        ("blue", 2, 3), ("green", 2, 2), ("red", 2, 2), ("violet", 1, 1)
+    ]
+    assert s.top_terms(2).to_pylist() == [
+        {"term": "blue", "df": 2, "cf": 3}, {"term": "green", "df": 2, "cf": 2}
+    ]

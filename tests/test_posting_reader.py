@@ -364,8 +364,10 @@ def test_blob_round_trip(tmp_path):
     rows = _encoded_rows(block_cf=2)
     assert rows.num_rows > 150
     blob = str(tmp_path / "payloads" / "p.bin")
-    write_blob(blob, rows)
+    directory = write_blob(blob, rows)
     offsets, _hdr, bm25_len, length = read_directory(blob)
+    # the directory the writer returns is the one a reader finds
+    assert all(np.array_equal(a, b) for a, b in zip(directory, read_directory(blob)))
     data = open(blob, "rb").read()
     for t, term in enumerate(["a", "b", "c"]):
         want = rows.filter(pc.equal(rows["term"], term))
@@ -391,15 +393,28 @@ def test_blob_round_trip(tmp_path):
 
 def test_rewritten_partition_replaces_its_files(tmp_path):
     """A retried write of the same partition lands on the same names:
-    one parquet file and one blob, not two copies (double df/cf)."""
+    one parquet file, one blob and one catalog file, not two copies
+    (double df/cf).  The catalog rows address every term's record."""
+    from fulltextsearch_ray.state.payloads import parse_record
+
     rows = _encoded_rows(block_cf=64)
     seg = str(tmp_path / "seg")
     for _ in range(2):
         out = build_mod.write_postings_partition(rows, seg)
     assert os.listdir(os.path.join(seg, "postings")) == [os.path.basename(out["file"][0].as_py())]
     assert len(os.listdir(os.path.join(seg, PAYLOAD_DIR))) == 1
+    (cat_file,) = glob.glob(os.path.join(seg, "catalog", "*"))
     assert read_postings_file(os.path.join(seg, out["file"][0].as_py())).equals(rows)
     assert out["max_field"].to_pylist() == [1]
+    cat = pq.read_table(cat_file)
+    assert cat.drop_columns(ADDRESS_COLS).equals(build_mod.aggregate_catalog(rows))
+    for r in cat.to_pylist():
+        with open(os.path.join(seg, r["file"]), "rb") as f:
+            got = parse_record(os.pread(f.fileno(), r["len"], r["offset"]), True, r["file"], r["term"])
+        assert got.dfs.tolist() == rows.filter(pc.equal(rows["term"], r["term"]))["df"].to_pylist()
+    assert out.select(["num_terms", "num_occurrences", "first_term", "last_term", "num_docs"]).to_pylist() == [
+        {"num_terms": 3, "num_occurrences": 305, "first_term": "a", "last_term": "c", "num_docs": 0}
+    ]
 
 
 def _mixed_field_rows():
@@ -450,24 +465,28 @@ def test_field_one_payloads_stored_empty(tmp_path):
     ].to_pylist() == [2]
 
 
-def test_term_split_across_files_raises(ray_session, tmp_path):
-    """A term whose rows land in two postings files cannot be addressed
-    (a searcher reads one address per term and segment): the catalog
-    build refuses it on the driver path and the Ray path alike."""
+def test_term_split_across_files_raises(tmp_path):
+    """A term whose rows land in two sort partitions cannot be addressed
+    (a searcher reads one address per term and segment): the driver
+    refuses overlapping (first, last) term ranges of the rows the
+    partition tasks return, and accepts disjoint ones."""
     rows = _encoded_rows(block_cf=2)
     seg = str(tmp_path / "seg")
-    build_mod.write_postings_partition(rows.slice(0, 75), seg)  # 'a' blocks 0..74
-    build_mod.write_postings_partition(rows.slice(75), seg)  # the rest of 'a', 'b', 'c'
-    for budget in (50_000_000, 0):
-        with pytest.raises(ValueError, match="span two postings files"):
-            build_mod._build_catalog(seg, driver_budget_rows=budget)
-        shutil.rmtree(os.path.join(seg, "catalog"), ignore_errors=True)
-    os.remove(glob.glob(os.path.join(seg, "postings", "*.parquet"))[0])
-    got = []
-    for budget in (50_000_000, 0):  # one file per term: both paths agree
-        shutil.rmtree(os.path.join(seg, "catalog"), ignore_errors=True)
-        got.append(build_mod._build_catalog(seg, driver_budget_rows=budget))
-    assert got[0] == got[1] and got[0][0] in (1, 3)
+    split = [  # 'a' blocks 0..74, then the rest of 'a', 'b', 'c'
+        build_mod.write_postings_partition(part, seg).to_pylist()[0]
+        for part in (rows.slice(0, 75), rows.slice(75))
+    ]
+    assert [(p["first_term"], p["last_term"], p["num_terms"]) for p in split] == [
+        ("a", "a", 1), ("a", "c", 3)
+    ]
+    with pytest.raises(ValueError, match="span two postings files"):
+        build_mod._check_one_file_per_term(seg, split)
+    disjoint = [
+        build_mod.write_postings_partition(rows.filter(pc.equal(rows["term"], t)), seg).to_pylist()[0]
+        for t in ("c", "a", "b")
+    ]
+    build_mod._check_one_file_per_term(seg, disjoint)
+    assert [p["first_term"] for p in disjoint] == ["c", "a", "b"]
 
 
 def test_cold_single_segment_lookup_is_one_payload_read(compacted_index):

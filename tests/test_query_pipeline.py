@@ -165,3 +165,33 @@ def test_searcher_stage_mixed_batch_matches_direct(small_index):
     out = _assert_stage_matches_direct(SearcherStage(small_index, k=4), qt)
     assert out.num_rows > 0 and set(out["query_id"].to_pylist()) <= {"q3", "q11", "q2"}
     _assert_stage_matches_direct(SearcherStage(small_index, mode="and"), qt)
+
+
+def _mini_tbl(ids, words):
+    return pa.table({
+        "doc_id": pa.array(ids, pa.uint64()),
+        "text": pa.array(words),
+    })
+
+
+def test_get_searcher_cache_invalidated_by_rebuild(ray_session, tmp_path):
+    """An in-process incremental build/compaction must invalidate the
+    get_searcher cache (stale searchers silently omitted new docs and
+    crashed on compacted-away segment dirs)."""
+    from fulltextsearch_ray.pipelines.build import compact_index
+    from fulltextsearch_ray.pipelines.query import get_searcher
+
+    idx = str(tmp_path / "gidx")
+    build_index(ray.data.from_arrow(_mini_tbl([1], ["alpha beta"])), idx,
+                doc_id_col="doc_id", num_buckets=2, overwrite=True)
+    s1 = get_searcher(idx)
+    assert {int(d) for d in s1.evaluate("WORD(beta)").docs} == {1}
+    build_index(ray.data.from_arrow(_mini_tbl([2], ["beta gamma"])), idx,
+                doc_id_col="doc_id", num_buckets=2)
+    s2 = get_searcher(idx)
+    assert s2 is not s1
+    assert {int(d) for d in s2.evaluate("WORD(beta)").docs} == {1, 2}
+    compact_index(idx)
+    s3 = get_searcher(idx)
+    assert s3 is not s2
+    assert {int(d) for d in s3.evaluate("WORD(beta)").docs} == {1, 2}
