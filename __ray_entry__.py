@@ -248,7 +248,7 @@ def _index_dir_for(sf_dir: str) -> str:
             os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
         )
         build_index(
-            ds, idx, text_col="text", doc_id_col="doc_id", num_buckets=8,
+            ds, idx, text_col="text", doc_id_col="doc_id",
             overwrite=True, store_forward=True,
         )
     _INDEX_CACHE[sf_dir] = idx

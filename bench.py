@@ -76,7 +76,6 @@ def bench_build(num_cpus: int, n_docs: int) -> dict:
         corpus,
         idx,
         text_col="content",
-        num_buckets=64,
         overwrite=True,
     )
     dt = time.perf_counter() - t0
@@ -99,7 +98,7 @@ def bench_docs_table(sf_dir: str) -> dict:
     idx = f"/tmp/ftsray_bench/docs-idx-{time.time_ns()}"
     t0 = time.perf_counter()
     ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"])
-    meta = build_index(ds, idx, text_col="text", doc_id_col="doc_id", num_buckets=16, overwrite=True)
+    meta = build_index(ds, idx, text_col="text", doc_id_col="doc_id", overwrite=True)
     dt = time.perf_counter() - t0
     return {"sec": round(dt, 3), "docs": meta.num_docs, "index_dir": idx}
 
@@ -265,7 +264,7 @@ def bench_skew(n_docs: int = 20000) -> dict:
     def _timed_build(corpus, name: str) -> float:
         idx = f"/tmp/ftsray_bench/skew-idx-{name}-{time.time_ns()}"
         t0 = time.perf_counter()
-        meta = build_index(corpus, idx, text_col="content", num_buckets=16, overwrite=True)
+        meta = build_index(corpus, idx, text_col="content", overwrite=True)
         return round(meta.num_docs / (time.perf_counter() - t0), 1)
 
     _timed_build(normal, "warmup")

@@ -58,7 +58,6 @@ def _main(argv: list[str] | None = None) -> int:
     p_index.add_argument("--input", required=True)
     p_index.add_argument("--index", required=True)
     p_index.add_argument("--text-col", default="content")
-    p_index.add_argument("--num-buckets", type=int, default=64)
     p_index.add_argument(
         "--input-type",
         default="parquet",
@@ -291,9 +290,7 @@ def _main(argv: list[str] | None = None) -> int:
         from .pipelines.build import build_index
 
         if args.input_type == "parquet":
-            meta = build_index(
-                args.input, args.index, text_col=args.text_col, num_buckets=args.num_buckets
-            )
+            meta = build_index(args.input, args.index, text_col=args.text_col)
         else:
             from .pipelines.build import load_meta
             from .sources.enwiki import read_enwiki_corpus, read_text_dir
@@ -320,7 +317,6 @@ def _main(argv: list[str] | None = None) -> int:
                 text_col="content",
                 doc_id_col="doc_id",
                 meta_cols=("meta",),
-                num_buckets=args.num_buckets,
             )
         if args.fst:
             # keep the sidecar fresh for this session's segment set so

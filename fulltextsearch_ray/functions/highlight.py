@@ -63,67 +63,56 @@ def annotate_matches_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
     return pa.table({"doc_id": batch["doc_id"], "annotated": pa.array(out, pa.string())})
 
 
-class HighlightStage:
-    """Actor-pool highlight stage — the distributed search-display
-    pipeline (Q8) with NO driver-side per-match state.
+def highlight_batch(batch: pa.Table, *, hits_ref, index_dir: str, text_col: str = "text") -> pa.Table:
+    """Task UDF of :func:`highlight_matches`: the batch's documents that
+    the hit table holds, annotated — (doc_id, annotated).
 
-    The (doc_id, token_ids) hit table travels through the object store
-    (``ray.put`` once, pinned per actor in ``__init__`` — never shipped
-    per batch and never a driver dict); per-doc character spans are
-    fetched INSIDE the task from the forward store, restricted to the
-    batch's matching ids (point lookups, nothing tokenized).  Driver
-    memory is O(1); per-task memory is O(batch ∩ matches)."""
+    The (doc_id, token_ids) hit table comes from the object store
+    (``ray.put`` once by the driver, never shipped per batch and never
+    a driver dict), the searcher from the process cache
+    (:func:`~..pipelines.query.get_searcher`); per-doc character spans
+    are fetched from the forward store for the batch's matching ids
+    only (point lookups, nothing tokenized).  A task holds nothing once
+    it returns, so no idle worker keeps a CPU after the dataset is
+    consumed."""
+    import ray
 
-    def __init__(self, hits_ref, index_dir: str, text_col: str = "text"):
-        import ray
+    from ..pipelines.query import get_searcher
 
-        from ..pipelines.query import IndexSearcher
-
-        hits: pa.Table = ray.get(hits_ref)  # zero-copy object-store read
-        self.hit_docs = np.asarray(hits["doc_id"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        order = np.argsort(self.hit_docs, kind="stable")
-        self.hit_docs = self.hit_docs[order]
-        self.hit_tokens = hits["token_ids"].combine_chunks().take(pa.array(order))
-        self.searcher = IndexSearcher(index_dir)
-        self.text_col = text_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch["doc_id"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        pos = np.searchsorted(self.hit_docs, ids)
-        pos = np.minimum(pos, max(len(self.hit_docs) - 1, 0))
-        hit = (self.hit_docs[pos] == ids) if len(self.hit_docs) else np.zeros(len(ids), bool)
-        if not hit.any():
-            return pa.table(
-                {"doc_id": pa.array([], pa.int64()), "annotated": pa.array([], pa.string())}
+    hits: pa.Table = ray.get(hits_ref)  # zero-copy object-store read
+    hit_docs = np.asarray(hits["doc_id"].to_numpy(zero_copy_only=False), dtype=np.int64)
+    order = np.argsort(hit_docs, kind="stable")
+    hit_docs = hit_docs[order]
+    ids = np.asarray(batch["doc_id"].to_numpy(zero_copy_only=False), dtype=np.int64)
+    pos = np.minimum(np.searchsorted(hit_docs, ids), max(len(hit_docs) - 1, 0))
+    hit = (hit_docs[pos] == ids) if len(hit_docs) else np.zeros(len(ids), bool)
+    if not hit.any():
+        return pa.table({"doc_id": pa.array([], pa.int64()), "annotated": pa.array([], pa.string())})
+    rows = np.flatnonzero(hit)
+    spans = get_searcher(index_dir).get_positions_many(ids[rows])
+    hit_tokens = hits["token_ids"].combine_chunks().take(pa.array(order[pos[rows]]))
+    # materialize ONLY the matched rows' texts (a whole-batch
+    # to_pylist allocates every document's string for 2 matches)
+    col = batch[text_col]
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    matched_texts = col.take(pa.array(rows)).to_pylist()
+    out_ids, out = [], []
+    for j, r in enumerate(rows):
+        did = int(ids[r])
+        if did not in spans:
+            # forward row missing for a hit doc (index built without
+            # store_forward, or a partially-compacted segment) — a
+            # descriptive error instead of an opaque KeyError
+            raise ValueError(
+                f"highlight: doc {did} matched the query but has no "
+                f"forward-store positions (was the index built with "
+                f"store_forward=True and fully compacted?)"
             )
-        rows = np.flatnonzero(hit)
-        spans = self.searcher.get_positions_many(ids[rows])
-        # materialize ONLY the matched rows' texts (a whole-batch
-        # to_pylist allocates every document's string for 2 matches)
-        col = batch[self.text_col]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        matched_texts = col.take(pa.array(rows)).to_pylist()
-        out_ids, out = [], []
-        for j, r in enumerate(rows):
-            did = int(ids[r])
-            if did not in spans:
-                # forward row missing for a hit doc (index built
-                # without store_forward, or a partially-compacted
-                # segment) — raise a descriptive error instead of an
-                # opaque KeyError deep inside the actor
-                raise ValueError(
-                    f"highlight: doc {did} matched the query but has no "
-                    f"forward-store positions (was the index built with "
-                    f"store_forward=True and fully compacted?)"
-                )
-            offs, lens = spans[did]
-            tids = self.hit_tokens[int(pos[r])].as_py()
-            out_ids.append(did)
-            out.append(annotate_from_positions(matched_texts[j] or "", tids, offs, lens))
-        return pa.table(
-            {"doc_id": pa.array(out_ids, pa.int64()), "annotated": pa.array(out, pa.string())}
-        )
+        offs, lens = spans[did]
+        out_ids.append(did)
+        out.append(annotate_from_positions(matched_texts[j] or "", hit_tokens[j].as_py(), offs, lens))
+    return pa.table({"doc_id": pa.array(out_ids, pa.int64()), "annotated": pa.array(out, pa.string())})
 
 
 def highlight_matches(
@@ -136,9 +125,10 @@ def highlight_matches(
 ):
     """Distributed highlight of every document matching ``query``:
     one searcher query produces the (match-sized) hit table, which is
-    broadcast via the OBJECT STORE and joined to the corpus inside an
-    actor-pool stage (:class:`HighlightStage`).  The driver never holds
-    a per-match dict or any character spans."""
+    broadcast via the OBJECT STORE and joined to the corpus inside a
+    task UDF (:func:`highlight_batch`); ``concurrency`` caps concurrent
+    tasks.  The driver never holds a per-match dict or any character
+    spans."""
     import ray
 
     from ..pipelines.query import get_searcher
@@ -156,8 +146,8 @@ def highlight_matches(
         )
     )
     return docs_ds.map_batches(
-        HighlightStage,
-        fn_constructor_args=(hits_ref, index_dir, text_col),
+        highlight_batch,
+        fn_kwargs={"hits_ref": hits_ref, "index_dir": index_dir, "text_col": text_col},
         batch_format="pyarrow",
         concurrency=concurrency,
     )

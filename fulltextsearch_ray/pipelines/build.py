@@ -10,10 +10,9 @@ Parquet-path fast shape (ONE streaming corpus pass, no pre-shuffle):
                                    + write_postings_partition)
           # per sort partition, in the merging task: one payload blob
           # (every term's bytes at one address), the partition's
-          # catalog rows (per-term stats + blob address) and one
-          # term-sorted postings parquet file of block metadata; the
-          # task returns one row of counters
-      → docs table split from sentinel rows (bucket == -1 pushdown)
+          # catalog rows (per-term stats + blob address) and its docs
+          # rows (the decoded sentinel rows, doc_id-sorted); the task
+          # returns one row of counters
       → manifest.json (counters summed from the task rows, + lineage)
         + meta.json  (driver)
 
@@ -31,11 +30,15 @@ query merges segments (the reference's posting-chain semantic,
 checkpoints: re-running a multi-segment build skips any segment whose
 manifest validates (resume unit = segment).
 
-The segment commit reads no postings, blob or docs rows back: the
-catalog is one file per sort partition (disjoint term ranges, so
-together they are the term-sorted catalog), and the manifest's
-counters are sums over the rows the tasks return (over the input
-manifests, for a compaction's docs).
+A segment is its catalog, payload blobs and docs table, one file of
+each per sort partition.  Catalog files hold disjoint term ranges, so
+together they are the term-sorted catalog.  Sentinel keys are
+zero-padded doc ids, so on the parquet path docs files hold disjoint
+doc ranges (on the dataset path they may overlap; the searcher's docs
+tables serve overlapping files).  The segment commit reads no blob,
+catalog or docs rows back: the manifest's counters are sums over the
+rows the tasks return (over the input manifests, for a compaction's
+docs).
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from ..stages.invert import (
     read_invert_batches_fn,
 )
 from ..state.index import (
-    POSTINGS_ROW_GROUP_SIZE,
+    POSTINGS_SCHEMA,
     SEGMENTS_DIR,
     IndexMeta,
     SegmentManifest,
@@ -133,42 +136,10 @@ def compact_index(
         shutil.rmtree(seg_path)
     os.makedirs(seg_path, exist_ok=True)
 
-    import glob as _glob
-
-    post_files: list[str] = []
-    for s in old_segments:
-        post_files.extend(
-            sorted(
-                _glob.glob(
-                    os.path.join(segment_dir(index_dir, s), "postings", "**", "*.parquet"),
-                    recursive=True,
-                )
-            )
-        )
-    def ensure_ndocs(b: pa.Table) -> pa.Table:
-        # legacy (pre-n_docs) segments: per-block unique-doc proxy = df,
-        # the same fallback the searcher's catalog reader applies.
-        # Emit the CANONICAL column order — merge_runs_batch concats
-        # its output with schema-ordered tables, and an appended
-        # n_docs at the end raised ArrowInvalid on legacy compactions
-        from ..state.index import POSTINGS_SCHEMA
-
-        if "n_docs" not in b.column_names:
-            b = b.append_column("n_docs", b["df"])
-        else:
-            b = b.set_column(
-                b.column_names.index("n_docs"), "n_docs", pc.coalesce(b["n_docs"], b["df"])
-            )
-        return b.select(POSTINGS_SCHEMA.names)
-
-    # read_postings_dataset drops the fused doc-stats sentinel rows
-    # (bucket == -1): compaction rebuilds the docs table from the docs
-    # dirs below, so carrying the sentinels would store every doc's
-    # stats payload twice forever, re-pay their shuffle on every future
-    # compaction, and pollute the first postings file's term_min with
-    # sentinel keys.  Segments of either layout (payload blobs, or
-    # payloads inline from before blobs) come out as whole rows.
-    runs = read_postings_dataset(post_files).map_batches(ensure_ndocs, batch_format="pyarrow")
+    # whole posting rows of either layout (payload blobs, or payloads
+    # inline from before blobs), without sentinel rows: the input docs
+    # tables merge below
+    runs = read_postings_dataset(index_dir, old_segments)
     max_field, counters = _write_postings(runs, seg_path, block_cf)
     # the compacted postings carry no sentinel rows: the docs counters
     # are those of the input segments, whose doc ids are disjoint
@@ -192,7 +163,7 @@ def compact_index(
     # null, which is exactly the searcher's extra-docs-columns
     # metadata fallback semantics for docs that lack a value.
     if counters["num_docs"] > docs_driver_budget:
-        doc_files = [f for d in docs_dirs for f in pq.ParquetDataset(d).files]
+        doc_files = [f for d in docs_dirs for f in _parquet_files(d)]
         by_docs_schema: dict[str, list[str]] = {}
         for f in doc_files:
             by_docs_schema.setdefault(str(pq.ParquetFile(f).schema_arrow), []).append(f)
@@ -238,13 +209,7 @@ def compact_index(
         src_files: list[tuple[str, str]] = []
         for s in old_segments:
             src = os.path.join(segment_dir(index_dir, s), sub)
-            if os.path.isdir(src):
-                src_files.extend(
-                    (s, f)
-                    for f in sorted(
-                        _glob.glob(os.path.join(src, "**", "*.parquet"), recursive=True)
-                    )
-                )
+            src_files.extend((s, f) for f in _parquet_files(src))
         if not src_files:
             continue
         dst = os.path.join(seg_path, sub)
@@ -318,15 +283,20 @@ def _input_manifests(index_dir: str, segments: list[str]) -> list[SegmentManifes
     return out
 
 
+def _parquet_files(dir_path: str, pattern: str = "*.parquet") -> list[str]:
+    """The parquet (or ``pattern``) files under ``dir_path``, sorted;
+    none when it is missing."""
+    import glob as _glob
+
+    return sorted(_glob.glob(os.path.join(dir_path, "**", pattern), recursive=True))
+
+
 def _catalog_columns(index_dir: str, segment: str) -> list[str]:
     """Column names of a segment's catalog (from its first file's
     footer; none when it has no catalog file)."""
-    import glob as _glob
-
     import pyarrow.parquet as pq
 
-    cat_dir = os.path.join(segment_dir(index_dir, segment), "catalog")
-    files = sorted(_glob.glob(os.path.join(cat_dir, "**", "*.parquet"), recursive=True))
+    files = _parquet_files(os.path.join(segment_dir(index_dir, segment), "catalog"))
     return pq.read_schema(files[0]).names if files else []
 
 
@@ -357,7 +327,7 @@ def _merge_and_write(batch: pa.Table, *, block_cf: int, seg_path: str) -> pa.Tab
 # What the task that writes a sort partition returns: one row of what
 # it wrote and counted (see write_postings_partition)
 _PARTITION_SCHEMA = pa.schema([
-    ("file", pa.string()), ("max_field", pa.int64()),
+    ("max_field", pa.int64()),
     ("num_terms", pa.int64()), ("num_occurrences", pa.int64()),
     ("first_term", pa.string()), ("last_term", pa.string()),
     ("num_docs", pa.int64()), ("total_tokens", pa.int64()),
@@ -369,31 +339,22 @@ def write_postings_partition(rows: pa.Table, seg_path: str) -> pa.Table:
     """Commit one merged sort partition (term-sorted rows): the payload
     blob of its posting rows, the partition's catalog rows (per-term
     stats plus each term's address, from the directory the blob write
-    returns), then the postings parquet file with the posting rows'
-    payload columns null (the doc-stats sentinel rows keep theirs
-    inline).  The files share one stem named from the rows and are
-    renamed into place, the parquet file last, so a retried task
-    overwrites its own files instead of adding a second copy (which
-    would double df/cf), and a postings file never exists without its
-    blob and catalog.
+    returns) and the docs rows its doc-stats sentinel rows carry, sorted
+    by doc_id.  The files share one stem named from the rows and are
+    renamed into place, so a retried task overwrites its own files
+    instead of adding a second copy (which would double df/cf and the
+    docs).
 
-    Returns one :data:`_PARTITION_SCHEMA` row: the postings file's
-    relative path, the largest field id its postings hold, its term
-    count, occurrences and first/last term (null without terms), and,
-    summed from its sentinel rows without decoding them, the docs, the
+    Returns one :data:`_PARTITION_SCHEMA` row: the largest field id its
+    postings hold, its term count, occurrences and first/last term (null
+    without terms), and, summed from its sentinel rows, the docs, the
     tokens and the doc id range they hold (null without docs)."""
     import hashlib
 
     import pyarrow.parquet as pq
 
-    from ..state.payloads import (
-        PAYLOAD_COLS,
-        PAYLOAD_DIR,
-        atomic_write,
-        max_field_id,
-        replace_where,
-        write_blob,
-    )
+    from ..stages.invert import decode_docstats_rows
+    from ..state.payloads import PAYLOAD_DIR, atomic_write, max_field_id, write_blob
 
     if rows.num_rows == 0:
         return _PARTITION_SCHEMA.empty_table()
@@ -420,15 +381,12 @@ def write_postings_partition(rows: pa.Table, seg_path: str) -> pa.Table:
         )
         row.update(num_terms=cat.num_rows, first_term=cat["term"][0].as_py(),
                    last_term=cat["term"][-1].as_py())
-    blob_backed = np.invert(sentinel.to_numpy(zero_copy_only=False))
-    for c in PAYLOAD_COLS:
-        col = replace_where(rows[c].combine_chunks(), blob_backed, None)
-        rows = rows.set_column(rows.schema.get_field_index(c), c, col)
-    row["file"] = os.path.join("postings", stem + ".parquet")
-    atomic_write(
-        os.path.join(seg_path, row["file"]),
-        lambda tmp: pq.write_table(rows, tmp, row_group_size=POSTINGS_ROW_GROUP_SIZE),
-    )
+    if stats.num_rows:
+        docs = decode_docstats_rows(stats).sort_by("doc_id")
+        atomic_write(
+            os.path.join(seg_path, "docs", stem + ".parquet"),
+            lambda tmp: pq.write_table(docs, tmp),
+        )
     return pa.Table.from_pylist([row], schema=_PARTITION_SCHEMA)
 
 
@@ -454,57 +412,75 @@ def _catalog_rows(posting: pa.Table, blob: str, directory) -> pa.Table:
     return pa.table({**{c: cat[c] for c in cat.column_names}, **address})
 
 
-def read_postings_dataset(files: list[str]) -> ray.data.Dataset:
-    """Whole posting rows (payload columns attached, doc-stats sentinel
-    rows dropped) of the given postings files — the Ray read for
-    compaction and the dump.  A read task takes whole files, grouped to
-    about ``target_min_block_size`` bytes each (the rule
+def read_postings_dataset(index_dir: str, segments: list[str]) -> ray.data.Dataset:
+    """Whole posting rows (the in-memory run schema, no doc-stats
+    sentinel rows) of the given segments — the Ray read for compaction
+    and the dump.  A segment's rows come from its catalog files and the
+    blobs they address (:func:`~..state.payloads.read_blob_rows`); a
+    segment written before blobs is read from its inline-payload
+    postings parquet files instead, once, by the compaction that
+    migrates it.
+
+    A read task takes whole files, grouped to about
+    ``target_min_block_size`` bytes each (the rule
     ``ray.data.read_parquet`` sizes its blocks by), so a shuffle after
     it runs as many partitions as a parquet read of those bytes would
     (one task per file cost the ingest workload's compaction 1.6-1.8 s
     of CPU against 0.9-1.2 s, 1 CPU)."""
-    from ..state.payloads import blob_path_for
+    from ..state.payloads import PAYLOAD_DIR, predates_blobs
 
-    size = 0
-    for f in files:
-        blob = blob_path_for(f)
-        size += os.path.getsize(f) + (os.path.getsize(blob) if os.path.exists(blob) else 0)
-    n = max(1, min(len(files), size // ray.data.DataContext.get_current().target_min_block_size))
-    return ray.data.from_items([{"path": f} for f in files], override_num_blocks=n).map_batches(
+    items, size = [], 0
+    for s in segments:
+        seg_path = segment_dir(index_dir, s)
+        inline = predates_blobs(_catalog_columns(index_dir, s))
+        files = _parquet_files(os.path.join(seg_path, "postings" if inline else "catalog"))
+        items.extend({"path": f, "seg": seg_path, "inline": inline} for f in files)
+        if not inline:
+            files = files + _parquet_files(os.path.join(seg_path, PAYLOAD_DIR), "*.bin")
+        size += sum(os.path.getsize(f) for f in files)
+    n = max(1, min(len(items), size // ray.data.DataContext.get_current().target_min_block_size))
+    return ray.data.from_items(items, override_num_blocks=n).map_batches(
         _read_postings_batch, batch_format="pyarrow", batch_size=None
     )
 
 
 def _read_postings_batch(batch: pa.Table) -> pa.Table:
-    from ..state.payloads import read_postings_file
+    import pyarrow.parquet as pq
 
-    # files written before n_docs existed lack the column (null here)
-    t = pa.concat_tables(
-        [read_postings_file(p) for p in batch["path"].to_pylist()], promote_options="permissive"
-    )
-    return t.filter(pc.greater_equal(t["bucket"], 0))
+    from ..state.payloads import read_blob_rows
+
+    out = [POSTINGS_SCHEMA.empty_table()]
+    for path, seg_path, inline in zip(*(batch[c].to_pylist() for c in ("path", "seg", "inline"))):
+        t = pq.read_table(path)
+        out.append(_inline_rows(t) if inline else read_blob_rows(t, seg_path))
+    return pa.concat_tables(out)
+
+
+def _inline_rows(t: pa.Table) -> pa.Table:
+    """The posting rows of a postings file written before payload blobs
+    (payloads inline, doc-stats sentinel rows among them).  Files from
+    before n_docs existed take df as each block's unique-doc count, the
+    fallback the searcher's catalog reader applied."""
+    t = t.filter(pc.greater_equal(t["bucket"], 0))
+    if "n_docs" not in t.column_names:
+        t = t.append_column("n_docs", t["df"])
+    t = t.set_column(t.column_names.index("n_docs"), "n_docs", pc.coalesce(t["n_docs"], t["df"]))
+    return t.select(POSTINGS_SCHEMA.names).cast(POSTINGS_SCHEMA)
 
 
 def _write_postings(runs: ray.data.Dataset, seg_path: str, block_cf: int) -> tuple[int, dict]:
-    """Shuffle + merge ``runs`` and write ``<seg>/postings``,
-    ``<seg>/payloads`` and ``<seg>/catalog``: the task that merges a
-    sort partition also commits it (:func:`write_postings_partition`),
-    so a partition becomes exactly one postings file, one payload blob
-    and one catalog file.  Returns the largest field id written (0 for
-    no postings) and the segment manifest's counters over the partition
+    """Shuffle + merge ``runs`` and write ``<seg>/payloads``,
+    ``<seg>/catalog`` and ``<seg>/docs``: the task that merges a sort
+    partition also commits it (:func:`write_postings_partition`), so a
+    partition becomes at most one payload blob, one catalog file and
+    one docs file.  Returns the largest field id written (0 for no
+    postings) and the segment manifest's counters over the partition
     rows: sums, and the doc id range.
 
     Sort partitions hold disjoint term ranges, so each term lies in
     exactly one partition (checked here on the ranges the tasks
     return), and the catalog files together are the term-sorted
-    catalog.  A lookup never reads the postings parquet rows: the
-    catalog row's blob address names the term's bytes.  The parquet
-    rows (block metadata) serve the docs split and whole-file reads, in
-    ``POSTINGS_ROW_GROUP_SIZE``-row groups."""
-    import pyarrow.parquet as pq
-
-    from ..state.index import POSTINGS_SCHEMA
-
+    catalog."""
     kw = {"block_cf": block_cf, "seg_path": seg_path}
     parts = (
         runs.sort("term")
@@ -512,13 +488,6 @@ def _write_postings(runs: ray.data.Dataset, seg_path: str, block_cf: int) -> tup
         .take_all()
     )
     _check_one_file_per_term(seg_path, parts)
-    if not parts:
-        # zero rows (an empty corpus, or sentinel-only segments under
-        # compaction): no partition wrote a file — keep the segment
-        # structure uniform with an empty postings file
-        post_dir = os.path.join(seg_path, "postings")
-        os.makedirs(post_dir, exist_ok=True)
-        pq.write_table(POSTINGS_SCHEMA.empty_table(), os.path.join(post_dir, "part-0.parquet"))
     with_docs = [p for p in parts if p["num_docs"]]
     counters = {c: sum(p[c] for p in parts)
                 for c in ("num_terms", "num_occurrences", "num_docs", "total_tokens")}
@@ -533,21 +502,17 @@ def _check_one_file_per_term(seg_path: str, parts: list[dict]) -> None:
     so a term's postings in the second file would go unread."""
     bounds = sorted((p["first_term"], p["last_term"]) for p in parts if p["num_terms"])
     if any(lo <= hi for (_lo, hi), (lo, _hi) in zip(bounds, bounds[1:])):
-        raise ValueError(f"{seg_path}: a term's postings span two postings files")
+        raise ValueError(f"{seg_path}: a term's postings span two payload blobs")
 
 
 def _scan_doc_ranges(dir_path: str, seg_path: str) -> list:
     """[relpath, min_doc, max_doc] per parquet file under ``dir_path``
     (footer statistics of the first column only), sorted by min —
     the forward-store range catalog shape."""
-    import glob as _glob
-
     import pyarrow.parquet as pq
 
     out: list = []
-    if not os.path.isdir(dir_path):
-        return out
-    for f in sorted(_glob.glob(os.path.join(dir_path, "**", "*.parquet"), recursive=True)):
+    for f in _parquet_files(dir_path):
         md = pq.ParquetFile(f).metadata
         dmins, dmaxs = [], []
         for rg in range(md.num_row_groups):
@@ -569,14 +534,10 @@ def _scan_table_stats(dir_path: str, seg_path: str) -> dict:
     reads ONE manifest JSON instead of O(files) footers.  ``row_groups``
     is None when any group lacks key statistics — the searcher then
     falls back to that file's footer."""
-    import glob as _glob
-
     import pyarrow.parquet as pq
 
     out: dict = {}
-    if not os.path.isdir(dir_path):
-        return out
-    for f in sorted(_glob.glob(os.path.join(dir_path, "**", "*.parquet"), recursive=True)):
+    for f in _parquet_files(dir_path):
         md = pq.ParquetFile(f).metadata
         groups: "list | None" = []
         for rg in range(md.num_row_groups):
@@ -636,18 +597,27 @@ def _write_catalog_and_manifest(
     returns them) and the footer stats of the catalog and docs files.
     When no partition held a term (an empty corpus, or a compaction of
     sentinel-only segments), none wrote a catalog file, and one empty
-    typed file stands in for them: a searcher checks its columns."""
+    typed file stands in for them: a searcher checks its columns.  An
+    empty docs file stands in the same way when no partition held a
+    doc."""
     import pyarrow.parquet as pq
 
-    from ..state.index import POSTINGS_SCHEMA
+    from ..stages.invert import decode_docstats_rows
 
     cat_dir = os.path.join(seg_path, "catalog")
+    docs_dir = os.path.join(seg_path, "docs")
     if not counters["num_terms"]:
         empty = np.empty(0, dtype=np.int64)
         os.makedirs(cat_dir, exist_ok=True)
         pq.write_table(
             _catalog_rows(POSTINGS_SCHEMA.empty_table(), "", (empty,) * 4),
             os.path.join(cat_dir, "part-0.parquet"),
+        )
+    if not os.path.isdir(docs_dir):
+        os.makedirs(docs_dir)
+        pq.write_table(
+            decode_docstats_rows(POSTINGS_SCHEMA.empty_table()),
+            os.path.join(docs_dir, "part-0.parquet"),
         )
     manifest = SegmentManifest(
         name=segment,
@@ -657,7 +627,7 @@ def _write_catalog_and_manifest(
         complete=True,
         forward_ranges=forward_ranges or [],
         catalog_stats=_scan_table_stats(cat_dir, seg_path),
-        docs_stats=_scan_table_stats(os.path.join(seg_path, "docs"), seg_path),
+        docs_stats=_scan_table_stats(docs_dir, seg_path),
         block_cf=block_cf,
     )
     save_manifest(index_dir, manifest)
@@ -738,11 +708,9 @@ def build_index(
     id_cols: list[str] | None = None,
     meta_cols: tuple[str, ...] = (),
     segment: str | None = None,
-    num_buckets: int = 64,
     block_cf: int = DEFAULT_BLOCK_CF,
     batch_size: int | None = 1024,
     overwrite: bool = False,
-    docs_driver_budget: int = 5_000_000,
     store_forward: bool = False,
     lineage_budget: int = 10_000,
 ) -> IndexMeta:
@@ -800,8 +768,7 @@ def build_index(
             runs = items.map_batches(
                 read_invert_batches_fn,
                 fn_kwargs=dict(
-                    text_col=text_col, text_cols=text_cols, columns=cols,
-                    num_buckets=num_buckets, block_cf=block_cf,
+                    text_col=text_col, text_cols=text_cols, columns=cols, block_cf=block_cf,
                 ),
                 batch_format="pyarrow",
                 # bundle several file items per task (file items are
@@ -854,54 +821,19 @@ def build_index(
         docs_ds.write_parquet(os.path.join(seg_path, "docs_meta"))
 
     # --- single corpus pass: tokenize → local invert → fused doc
-    # stats sentinel rows → term shuffle → merge → write ---
+    # stats sentinel rows → term shuffle → merge → write (blobs,
+    # catalog, docs) ---
     if runs is None:
         runs = ds.map_batches(
             invert_batch_fn,
             fn_kwargs=dict(
                 text_col=text_col, text_cols=text_cols, doc_id_col="doc_id",
-                num_buckets=num_buckets, block_cf=block_cf, emit_docstats=True,
+                block_cf=block_cf, emit_docstats=True,
             ),
             batch_format="pyarrow",
             batch_size=batch_size,
         )
     _max_field, counters = _write_postings(runs, seg_path, block_cf)
-
-    # --- split the fused doc-stats sentinel rows into the docs table
-    # (parquet filter pushdown on bucket == -1 reads only those rows;
-    # the tasks counted the docs they carry)
-    import pyarrow.parquet as pq
-
-    from ..stages.invert import decode_docstats_rows
-
-    os.makedirs(os.path.join(seg_path, "docs"), exist_ok=True)
-    if counters["num_docs"] > docs_driver_budget:
-        # SCALE PATH: the docs table never touches the driver — Ray
-        # filter → decode → sort(doc_id) → partitioned parquet write
-        # (multiple range-partitioned files, resumable unit = file).
-        import pyarrow.dataset as pads
-
-        (
-            ray.data.read_parquet(
-                os.path.join(seg_path, "postings"),
-                columns=["docs", "tfs", "positions"],
-                filter=pads.field("bucket") == -1,
-            )
-            .map_batches(decode_docstats_rows, batch_format="pyarrow")
-            .sort("doc_id")
-            .write_parquet(os.path.join(seg_path, "docs"))
-        )
-    else:
-        sentinel = pq.read_table(
-            os.path.join(seg_path, "postings"),
-            columns=["docs", "tfs", "positions"],
-            filters=[("bucket", "=", -1)],
-        )
-        docs_tbl = decode_docstats_rows(sentinel)
-        docs_tbl = docs_tbl.take(
-            pa.array(np.argsort(docs_tbl["doc_id"].to_numpy(zero_copy_only=False)))
-        )
-        pq.write_table(docs_tbl, os.path.join(seg_path, "docs", "part-0.parquet"))
 
     # --- optional forward store: per-doc token char spans, so highlight
     # at query time slices text directly instead of re-tokenizing

@@ -120,7 +120,7 @@ def build_in_memory(
         invert_batch_fn,
         fn_kwargs=dict(
             text_col=text_col, text_cols=text_cols, doc_id_col="doc_id",
-            num_buckets=1, block_cf=block_cf, emit_docstats=True,
+            block_cf=block_cf, emit_docstats=True,
         ),
         batch_format="pyarrow",
         batch_size=batch_size,

@@ -1380,16 +1380,8 @@ def dump_postings_dataset(index_dir: str) -> "ray.data.Dataset":
     """Distributed conformance dump (the reference `print` verb,
     ``ConsoleUtil/Program.cs:228-238``): every occurrence as a row
     (term, doc_id, field_id, token_id) — a map_batches decode over the
-    whole posting rows of every postings file, no driver-side loop."""
-    import glob as _glob
-
+    whole posting rows of every segment, no driver-side loop."""
     from .build import read_postings_dataset
-
-    meta = load_meta(index_dir)
-    paths = []
-    for s in meta.segments:
-        d = os.path.join(segment_dir(index_dir, s), "postings")
-        paths.extend(sorted(_glob.glob(os.path.join(d, "**", "*.parquet"), recursive=True)))
 
     def decode_rows(batch: pa.Table) -> pa.Table:
         if not batch.num_rows:
@@ -1417,7 +1409,9 @@ def dump_postings_dataset(index_dir: str) -> "ray.data.Dataset":
             }
         )
 
-    return read_postings_dataset(paths).map_batches(decode_rows, batch_format="pyarrow")
+    return read_postings_dataset(index_dir, load_meta(index_dir).segments).map_batches(
+        decode_rows, batch_format="pyarrow"
+    )
 
 
 @lru_cache(maxsize=8)

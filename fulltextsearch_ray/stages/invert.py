@@ -4,7 +4,7 @@ The build shape (SURVEY.md §3.4):
 
     read_parquet → map_batches(InvertStage)        # tokenize + LOCAL invert
       → sort("term") → map_batches(merge_runs_batch)  # THE shuffle, key=term
-      → write_parquet (term-sorted posting blocks)
+      → write_postings_partition (payload blob + catalog + docs per partition)
 
 ``InvertStage`` is the crucial scale lever: instead of exploding one
 row per occurrence into the shuffle (10×+ the corpus size), each input
@@ -24,8 +24,6 @@ This replaces the reference's single-threaded in-RAM
 """
 
 from __future__ import annotations
-
-import zlib
 
 import numpy as np
 import pyarrow as pa
@@ -91,12 +89,6 @@ def _warm_heap(mb: int = 0) -> None:
         del buf
 
 
-def term_bucket(term: str, num_buckets: int) -> int:
-    """Stable term → partition bucket (crc32 — deterministic across
-    processes/nodes, unlike Python's salted hash())."""
-    return zlib.crc32(term.encode("utf-8")) % num_buckets
-
-
 def _binary_column(buf: np.ndarray, ends: np.ndarray, value_bounds: np.ndarray) -> pa.Array:
     """Zero-copy Arrow binary column: slice one global varint buffer
     into per-term payloads via an offsets buffer (no bytes copies)."""
@@ -160,16 +152,15 @@ def encode_posting_rows(
     occ_docs: np.ndarray,
     occ_fields: "np.ndarray | None",
     occ_tokens: np.ndarray,
-    buckets: np.ndarray,
     block_cf: int = DEFAULT_BLOCK_CF,
 ) -> pa.Table:
     """THE posting encoder: every term of a (term, doc, field,
     token)-ordered occurrence stream → posting block rows, in four
     global varint passes.
 
-    ``bounds`` are the per-term occurrence offsets, ``buckets`` the
-    per-term bucket ids; ``occ_fields=None`` means a single-field
-    stream (``DEFAULT_FIELD_ID``).  Terms longer than ``block_cf`` are
+    ``bounds`` are the per-term occurrence offsets; ``occ_fields=None``
+    means a single-field stream (``DEFAULT_FIELD_ID``).  Every row's
+    ``bucket`` is 0 (a posting row).  Terms longer than ``block_cf`` are
     chunked by :func:`_block_bounds`; each block is then its own
     segment of the global passes — entry detection, delta resets at
     block/entry starts, per-block stats and the byte-slicing into
@@ -194,14 +185,14 @@ def encode_posting_rows(
     blk_bounds = _block_bounds(bounds, doc_start, entry_start, block_cf)
     B = len(blk_bounds) - 1
     if B == len(terms_sorted):
-        blk_terms, blk_buckets = terms_sorted, buckets
+        blk_terms = terms_sorted
         block_id = np.zeros(B, dtype=np.int32)
     else:
         # a block opens a fresh entry (and counts its doc) even mid-entry
         doc_start[blk_bounds[1:-1]] = True
         entry_start[blk_bounds[1:-1]] = True
         blk_term = np.searchsorted(bounds, blk_bounds[:-1], side="right") - 1
-        blk_terms, blk_buckets = terms_sorted[blk_term], buckets[blk_term]
+        blk_terms = terms_sorted[blk_term]
         first_blk = np.searchsorted(blk_bounds, bounds[:-1])
         block_id = (np.arange(B) - first_blk[blk_term]).astype(np.int32)
 
@@ -241,7 +232,7 @@ def encode_posting_rows(
     return pa.table(
         {
             "term": pa.array(blk_terms, pa.string()),
-            "bucket": pa.array(blk_buckets, pa.int32()),
+            "bucket": pa.array(np.zeros(B, dtype=np.int32)),
             "block_id": pa.array(block_id),
             "first_doc": pa.array(e_docs[e_bounds[:-1]], pa.uint64()),
             "last_doc": pa.array(e_docs[e_bounds[1:] - 1], pa.uint64()),
@@ -265,9 +256,11 @@ def encode_docstats_row(doc_ids: np.ndarray, doc_lens: np.ndarray, shas: list[st
 
     Fusing doc stats into the invert pass halves the corpus passes
     (one tokenize instead of two) and drops a whole actor pool; the
-    rows travel through the same shuffle/write (bucket = -1, term =
-    '\\x00docs:<first_doc>' so each batch stays its own group) and are
-    split back out into the docs table after the postings write.
+    rows travel through the same shuffle (bucket = -1, term =
+    '\\x00docs:<first_doc>' with the id zero-padded to 20 digits, so
+    each batch stays its own group and key order is doc order) and the
+    task that merges their sort partition writes them out as its docs
+    file.
     """
     from ..codecs import varint_encode
 
@@ -278,7 +271,7 @@ def encode_docstats_row(doc_ids: np.ndarray, doc_lens: np.ndarray, shas: list[st
     order = np.argsort(doc_ids, kind="stable") if len(doc_ids) else np.empty(0, np.int64)
     sorted_ids = doc_ids[order]
     return {
-        "term": f"{DOCSTATS_TERM_PREFIX}{int(sorted_ids[0]) if len(doc_ids) else 0}",
+        "term": f"{DOCSTATS_TERM_PREFIX}{int(sorted_ids[0]) if len(doc_ids) else 0:020d}",
         "bucket": -1,
         "block_id": 0,
         "first_doc": int(sorted_ids[0]) if len(doc_ids) else 0,
@@ -338,6 +331,10 @@ class InvertStage:
 
     Runs as a TASK pool via :func:`invert_batch_fn` (construction is
     config-only; the heap warmup is memoized per worker process).
+
+    ``num_buckets`` is accepted and ignored: the ``bucket`` column only
+    tells posting rows (0) from sentinel rows (-1), and the traced
+    ingest benchmark's replay still passes the argument.
     """
 
     def __init__(
@@ -356,7 +353,6 @@ class InvertStage:
         self.text_cols = list(text_cols) if text_cols else None
         self.text_col = text_col
         self.doc_id_col = doc_id_col
-        self.num_buckets = num_buckets
         self.block_cf = block_cf
         self.field_id = field_id
         self.emit_docstats = emit_docstats
@@ -475,14 +471,8 @@ class InvertStage:
         bounds = np.zeros(int(present.sum()) + 1, dtype=np.int64)
         np.cumsum(counts[present], out=bounds[1:])
         terms_sorted = vocab[vocab_order][present]
-        # term_bucket is the one bucket definition; readers use only the
-        # column's sign (doc-stats sentinel rows carry -1)
-        buckets = np.fromiter(
-            (term_bucket(t, self.num_buckets) for t in terms_sorted),
-            dtype=np.int32, count=len(terms_sorted),
-        )
         rows = encode_posting_rows(
-            terms_sorted, bounds, occ_docs, occ_fields, occ_tokens, buckets, self.block_cf,
+            terms_sorted, bounds, occ_docs, occ_fields, occ_tokens, self.block_cf,
         )
         if stats is not None:
             rows = pa.concat_tables([rows, stats]).combine_chunks()
@@ -509,14 +499,13 @@ class ReadInvertStage:
         self,
         text_col: str,
         columns: list[str] | None = None,
-        num_buckets: int = 64,
         block_cf: int = DEFAULT_BLOCK_CF,
         chunk_rows: int = 8192,
         text_cols: list[str] | None = None,
     ):
         self.inner = InvertStage(
             text_col=text_col, text_cols=text_cols, doc_id_col="doc_id",
-            num_buckets=num_buckets, block_cf=block_cf, emit_docstats=True,
+            block_cf=block_cf, emit_docstats=True,
         )
         self.columns = columns
         self.chunk_rows = chunk_rows
@@ -611,9 +600,8 @@ def merge_runs_batch(batch: pa.Table, block_cf: int = DEFAULT_BLOCK_CF) -> pa.Ta
       merged list past ``block_cf``).
 
     Output order (part of the contract, on every path): rows sorted by
-    (``term``, ``first_doc``, ``block_id``).  Written as-is, every
-    postings file is term-sorted, so a point lookup's footer-stats
-    prune selects one small row group per file.
+    (``term``, ``first_doc``, ``block_id``), the order in which a
+    partition's blob records and catalog rows are written.
     """
     n = batch.num_rows
     if n == 0:
@@ -706,10 +694,7 @@ def merge_runs_batch(batch: pa.Table, block_cf: int = DEFAULT_BLOCK_CF) -> pa.Ta
         out_tables.append(
             encode_posting_rows(
                 np.asarray(terms.take(pa.array(r_starts)).to_pylist(), dtype=object),
-                bounds, occ_docs, occ_fields, occ_tokens,
-                # merge doesn't know num_buckets: keep each term's own
-                np.asarray(batch["bucket"].take(pa.array(r_starts)).to_numpy(), dtype=np.int32),
-                block_cf,
+                bounds, occ_docs, occ_fields, occ_tokens, block_cf,
             )
         )
     return _term_sorted(pa.concat_tables(out_tables).combine_chunks())

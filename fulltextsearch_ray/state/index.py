@@ -10,17 +10,16 @@ per-partition resume:
       meta.json                      # header: doc counts, avgdl, segments
       segments/<seg>/
         manifest.json                # per-segment lineage + counters
-        docs/*.parquet               # doc_id, doc_len, sha256, meta cols
-        postings/*.parquet           # term-sorted posting block metadata rows
-        payloads/*.bin               # per postings file: every term's
+        docs/*.parquet               # doc_id, doc_len, sha256 (doc_id-sorted)
+        payloads/*.bin               # per sort partition: every term's
                                      #   payload bytes at one address
         catalog/*.parquet            # term, df, cf, n_blocks, address (sorted)
 
 A searcher reads a term's postings only through the address in its
-catalog row.  Segments written before payload blobs (postings rows
-with their payloads inline, catalogs without address columns) are
-refused by the searcher and rewritten by ``compact_index``, the one
-reader of every older layout.
+catalog row.  Segments written before payload blobs (a postings
+parquet file with payloads inline, catalogs without address columns)
+are refused by the searcher and rewritten by ``compact_index``, the
+one reader of every older layout.
 
 Each build session writes a NEW segment (append-only), mirroring the
 reference's incremental-session model where repeated terms chain a new
@@ -40,6 +39,12 @@ from dataclasses import asdict, dataclass, field
 
 import pyarrow as pa
 
+# The in-memory run schema: the rows the invert emits and the term
+# shuffle merges, and the whole posting rows compaction and the dump
+# read back from catalog + blob.  ``bucket`` is -1 on doc-stats
+# sentinel rows and 0 on posting rows.  No segment file has this
+# schema; segments written before payload blobs kept it as a postings
+# parquet file.
 POSTINGS_SCHEMA = pa.schema(
     [
         ("term", pa.string()),
@@ -62,15 +67,6 @@ POSTINGS_SCHEMA = pa.schema(
         ("positions", pa.binary()),
     ]
 )
-
-# Rows per postings row group.  Fresh segments keep only block
-# metadata in these rows (payloads live in the blobs, addressed from
-# the catalog), so no lookup reads a row group; the size serves the
-# whole-file reads (docs split, compaction, dump) and footer bytes
-# (~1 KB per group).  A 256/4096 sweep on the ingest corpus (seeds
-# 11, 12): 4096 writes 11% fewer postings bytes and 38% fewer footer
-# bytes after build, 26-30% / 36-40% fewer after compaction.
-POSTINGS_ROW_GROUP_SIZE = 4096
 
 META_FILE = "meta.json"
 SEGMENTS_DIR = "segments"

@@ -1,17 +1,16 @@
 """Posting payload blobs: every term's encoded bytes at one address.
 
-A postings parquet file keeps the per-block metadata columns (term,
-bucket, block_id, first/last doc, df, cf, max_tf, n_docs); the four
-payload columns of its posting rows live in one flat sibling file,
-``<seg>/payloads/<stem>.bin``.  This is the reference's
-``PostingListAddress`` model (PAPER.md §1.1): the catalog row of a
-term carries ``(file, offset, bm25_len, len)`` and a lookup reads
-exactly that byte range, with no parquet row-group decode.  The task
-that writes a blob writes those catalog rows too, from the directory
-:func:`write_blob` returns; nothing reads a blob back to address it.
+A segment is its catalog, its payload blobs and its docs table.  The
+task that merges a sort partition writes one blob of the partition's
+posting rows, ``<seg>/payloads/<stem>.bin``, and the partition's
+catalog rows next to it.  This is the reference's ``PostingListAddress``
+model (PAPER.md §1.1): the catalog row of a term carries ``(file,
+offset, bm25_len, len)`` and a lookup reads exactly that byte range.
+The catalog rows come from the directory :func:`write_blob` returns;
+nothing reads a blob back to address it.
 
-Blob layout: one RECORD per term, in the parquet file's row order,
-then a directory trailer.
+Blob layout: one RECORD per term, in term order, then a directory
+trailer.
 
     record    = header | docs | tfs | fields | positions
     header    = varints [B, df×B, first_doc×B, last_doc×B,
@@ -25,15 +24,13 @@ then a directory trailer.
 
 ``bm25_len`` covers header + docs + tfs, everything BM25 scoring (and
 its block-max skipping, via the header's first/last doc) needs; ``len``
-is the whole record, for positional lookups.  The trailer lets whole-
-file readers (compaction, the dump) locate every record without
-walking the headers one by one.
+is the whole record, for positional lookups.
 
-The doc-stats sentinel rows (bucket = -1) keep their payloads inline in
-the parquet columns; the payload columns of every blob-backed row are
-null there.  Files written before blobs existed have no null payloads
-and no blob; only ``compact_index`` reads them (whole files, through
-:func:`read_postings_file`), to rewrite their segment into blobs.
+Whole posting rows (compaction, the dump) come from catalog rows plus
+the blobs they address (:func:`read_blob_rows`).  Segments written
+before blobs kept their payloads inline in a postings parquet file and
+have catalogs without addresses (:func:`predates_blobs`); only
+``compact_index`` reads them, to rewrite their segment into blobs.
 """
 
 from __future__ import annotations
@@ -46,7 +43,6 @@ from typing import NamedTuple
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 from ..codecs import varint_decode, varint_encode, varint_encode_offsets
 
@@ -93,13 +89,6 @@ def predates_blobs(catalog_columns) -> bool:
     written before payload blobs: its catalog rows carry no address.
     A searcher refuses such a segment; ``compact_index`` rewrites it."""
     return not set(ADDRESS_COLS) <= set(catalog_columns)
-
-
-def blob_path_for(parquet_path: str) -> str:
-    """``<seg>/postings/<stem>.parquet`` → ``<seg>/payloads/<stem>.bin``."""
-    seg = os.path.dirname(os.path.dirname(parquet_path))
-    stem = os.path.splitext(os.path.basename(parquet_path))[0]
-    return os.path.join(seg, PAYLOAD_DIR, stem + ".bin")
 
 
 def _term_groups(terms: pa.Array) -> tuple[np.ndarray, np.ndarray]:
@@ -170,21 +159,36 @@ def max_field_id(fields: pa.Array) -> int:
     return m if m < 0x80 else int(varint_decode(buf).max())
 
 
-def _expand_fields(arr: np.ndarray, start: np.ndarray, length: np.ndarray, dfs: np.ndarray) -> pa.Array:
-    """The fields payloads at ``arr[start : start + length]`` as a
-    binary column, each empty one of a non-empty block read back as df
-    bytes of 0x01."""
-    elided = (length == 0) & (dfs > 0)
-    out_len = np.where(elided, dfs, length)
-    off = np.zeros(len(out_len) + 1, dtype=np.int64)
-    np.cumsum(out_len, out=off[1:])
-    rep = np.repeat(elided, out_len)
-    src = np.repeat(start - off[:-1], out_len) + np.arange(off[-1])
-    data = arr[np.where(rep, 0, src)]
-    data[rep] = 1
-    return pa.Array.from_buffers(
-        pa.large_binary(), len(out_len), [None, pa.py_buffer(off), pa.py_buffer(data)]
+def _slices(data: pa.Buffer, start: np.ndarray, length: np.ndarray) -> pa.Array:
+    """Binary column whose value i is ``data[start[i] : start[i] +
+    length[i]]``: one Arrow ``take`` over a view of ``data`` that
+    alternates the slices, in (start, end) order, with the gaps between
+    them.  Raises ValueError when two slices overlap."""
+    order = np.lexsort((start + length, start))
+    bounds = np.empty(2 * len(order), dtype=np.int64)
+    bounds[0::2], bounds[1::2] = start[order], start[order] + length[order]
+    if (np.diff(bounds) < 0).any():
+        raise ValueError("payload regions overlap")
+    view = pa.Array.from_buffers(
+        pa.large_binary(), len(bounds) - 1, [None, pa.py_buffer(bounds), data]
+    )
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = 2 * np.arange(len(order))
+    return view.take(pa.array(rank)).cast(pa.binary())
+
+
+def _field_ones(fields: pa.Array, elided: np.ndarray, dfs: np.ndarray) -> pa.Array:
+    """``fields`` with each elided (empty) payload read back as df bytes
+    of 0x01."""
+    off = np.zeros(int(elided.sum()) + 1, dtype=np.int64)
+    np.cumsum(dfs[elided], out=off[1:])
+    ones = pa.Array.from_buffers(
+        pa.large_binary(), len(off) - 1,
+        [None, pa.py_buffer(off), pa.py_buffer(np.ones(off[-1], dtype=np.uint8))],
     ).cast(pa.binary())
+    idx = np.arange(len(fields))
+    idx[elided] = len(fields) + np.arange(len(off) - 1)
+    return pa.concat_arrays([fields, ones]).take(pa.array(idx))
 
 
 def atomic_write(path: str, write) -> None:
@@ -331,96 +335,123 @@ def parse_record(buf: bytes, with_rest: bool, source: str, term: str) -> TermBlo
     )
 
 
-def attach_payloads(table: pa.Table, blob: str) -> pa.Table:
-    """``table`` (all rows of one postings file, in file order) with
-    the payload columns of its blob-backed rows filled from ``blob``.
+def read_blob_rows(cat: pa.Table, seg_path: str) -> pa.Table:
+    """Whole posting rows (the in-memory run schema, ``bucket`` 0) of
+    the terms of ``cat``, catalog rows of the segment at ``seg_path``,
+    read from the blobs their addresses name — the one whole-row read
+    (compaction, the dump).  Rows come out in catalog order, each
+    term's blocks in record order.
 
-    Rows whose ``docs`` is null are blob-backed; a table without any
-    (a file written before blobs, or only sentinel rows) returns as is.
-    The blob is cut into one zero-copy slice per header and per block
-    payload, and each payload column is one Arrow ``take`` of those
-    slices.  Every header is checked against the parquet rows."""
-    need = table["docs"].is_null().to_numpy(zero_copy_only=False)
-    if not need.any():
-        return table
-    sub = table.filter(pa.array(need))
-    n = sub.num_rows
-    starts, counts = _term_groups(sub["term"].combine_chunks())
-    T = len(starts)
-    with open(blob, "rb") as f:
-        data = f.read()
-    offsets, hdr_len, _bm25, rec_len = read_directory(blob, data)
+    A record's header gives its blocks' df, first_doc and last_doc,
+    and block_id is a block's position in the record.  cf (Σ tfs),
+    max_tf and n_docs (entries that open a new doc) are recomputed from
+    one decode of the docs and tfs regions.  A ValueError names the
+    blob and term whose record is malformed or disagrees with its
+    catalog row."""
+    from .index import POSTINGS_SCHEMA
 
-    def bad(why):
-        return ValueError(f"{blob}: {why}")
-
-    if len(offsets) != T:
-        raise bad(f"{len(offsets)} payload records for {T} terms")
-    # gather the T headers' bytes (small) and decode them in one pass
-    hdr_start = np.zeros(T, dtype=np.int64)
-    np.cumsum(hdr_len[:-1], out=hdr_start[1:])
-    take = np.repeat(offsets - hdr_start, hdr_len) + np.arange(int(hdr_len.sum()))
-    hv, (row_v, scale) = _layout(starts, counts, 7)
+    T = cat.num_rows
+    if not T:
+        return POSTINGS_SCHEMA.empty_table()
+    files = cat["file"].combine_chunks().dictionary_encode()
+    paths = [os.path.join(seg_path, f) for f in files.dictionary.to_pylist()]
+    fidx = np.asarray(files.indices.to_numpy(zero_copy_only=False), dtype=np.int64)
+    blobs = []
+    for p in paths:
+        with open(p, "rb") as f:
+            blobs.append(f.read())
+    sizes = np.array([len(b) for b in blobs], dtype=np.int64)
+    data = pa.py_buffer(blobs[0] if len(blobs) == 1 else b"".join(blobs))
     arr = np.frombuffer(data, dtype=np.uint8)
+    terms = cat["term"].combine_chunks()
+
+    def col(c):
+        return np.asarray(cat[c].to_numpy(zero_copy_only=False)).astype(np.int64)
+
+    def check(ok, why, rec=None):
+        """Raise for the first False in ``ok`` (per record, or per block
+        with ``rec`` its record); ``why(i)`` describes entry i."""
+        if not ok.all():
+            i = int(np.flatnonzero(~ok)[0])
+            r = i if rec is None else int(rec[i])
+            raise ValueError(f"{paths[fidx[r]]}: payload record of term "
+                             f"{terms[r].as_py()!r}: {why(i)}")
+
+    off, rec_len, B = col("offset"), col("len"), col("n_blocks")
+    check((B >= 1) & (off >= 0) & (off + rec_len <= sizes[fidx]),
+          lambda r: f"address [{off[r]}, {off[r] + rec_len[r]}) with {B[r]} blocks "
+                    f"does not fit the {sizes[fidx[r]]}-byte blob")
+    off = off + (np.cumsum(sizes) - sizes)[fidx]
+    # a header is 1 + 7B varints: its end is the (7B)-th terminator
+    # byte after the record start
+    ends = np.flatnonzero(arr < 0x80)
+    last = np.searchsorted(ends, off) + 7 * B
+    check(last < len(ends), lambda r: "truncated header")
+    hdr_len = ends[last] + 1 - off
+    check(hdr_len <= rec_len, lambda r: "truncated header")
+    hdr_start = np.cumsum(hdr_len) - hdr_len
+    n = int(B.sum())
+    starts = np.cumsum(B) - B  # first block row of each term
+    hv, (row_v, scale) = _layout(starts, B, 7)
+    vals = varint_decode(
+        arr[np.repeat(off - hdr_start, hdr_len) + np.arange(int(hdr_len.sum()))], count=T + 7 * n
+    ).astype(np.int64)
+    check(vals[hv] == B, lambda r: f"header holds {vals[hv][r]} blocks, its catalog row {B[r]}")
+    dfs, firsts, lasts, *lens = (vals[row_v + f * scale] for f in range(7))
+    covered = hdr_len + np.add.reduceat(sum(lens), starts)
+    check(covered == rec_len,
+          lambda r: f"header lengths cover {covered[r]} bytes, the address {rec_len[r]}")
+
+    # each region's block payloads follow one another from the region start
+    g = np.repeat(np.arange(T), B)
+    piece_start, region = [], off + hdr_len
+    for ln in lens:
+        before = np.cumsum(ln) - ln
+        piece_start.append(region[g] + before - before[starts][g])
+        region = region + np.add.reduceat(ln, starts)
+
+    def whole_varints(f):
+        """Values in each block's payload of region ``f``, -1 where the
+        payload ends mid-varint."""
+        s, ln = piece_start[f], lens[f]
+        cnt = np.searchsorted(ends, s + ln) - np.searchsorted(ends, s)
+        return np.where((ln > 0) & (arr[np.maximum(s + ln - 1, 0)] >= 0x80), -1, cnt)
+
+    elided = lens[2] == 0
+    for f, c in ((0, "docs"), (1, "tfs"), (2, "fields")):
+        got = whole_varints(f)
+        check((dfs >= 1) & ((got == dfs) | ((f == 2) & elided)),
+              lambda i: f"{c} payload of block {i - starts[g[i]]} holds {got[i]} values "
+                        f"for df {dfs[i]}", g)
     try:
-        vals = varint_decode(arr[take], count=T + 7 * n).astype(np.int64)
+        docs, tfs, fields, positions = (_slices(data, piece_start[f], lens[f]) for f in range(4))
     except ValueError as e:
-        raise bad(f"corrupt record headers: {e}") from None
-    if not np.array_equal(vals[hv], counts):
-        raise bad("record block counts disagree with the parquet rows")
-    for f, c in enumerate(_HEADER_ROW):
-        if not np.array_equal(vals[row_v + f * scale], sub[c].to_numpy().astype(np.int64)):
-            raise bad(f"record headers disagree with the parquet {c} column")
-    lens = [vals[row_v + (3 + f) * scale] for f in range(4)]
-    per_term = hdr_len + np.add.reduceat(sum(lens), starts)
-    if not np.array_equal(per_term, rec_len):
-        bad_t = int(np.flatnonzero(per_term != rec_len)[0])
-        raise bad(f"header lengths of term {sub['term'][int(starts[bad_t])].as_py()!r} "
-                  f"cover {per_term[bad_t]} bytes, the record {rec_len[bad_t]}")
-
-    hp, (row_p, pscale) = _layout(starts, counts, 4)
-    piece_len = np.empty(T + 4 * n, dtype=np.int64)
-    piece_len[hp] = hdr_len
-    for f in range(4):
-        piece_len[row_p + f * pscale] = lens[f]
-    piece_off = np.zeros(len(piece_len) + 1, dtype=np.int64)
-    np.cumsum(piece_len, out=piece_off[1:])
-    # every payload piece must hold exactly its block's count of whole
-    # varints (df entries; cf positions): count the terminator bytes.
-    # An empty fields piece stands for df entries of field 1.
-    ends = np.add.reduceat(arr[: piece_off[-1]] < 0x80, piece_off[:-1], dtype=np.int64)
-    ends[piece_len == 0] = 0
-    want = [sub[c].to_numpy().astype(np.int64) for c in ("df", "df", "df", "cf")]
-    for f, c in enumerate(PAYLOAD_COLS):
-        idx = row_p + f * pscale
-        full = piece_len[idx] > 0
-        wrong = (ends[idx] != want[f]) | (full & (arr[piece_off[idx + 1] - 1] >= 0x80))
-        if c == "fields":
-            wrong &= full
-        if wrong.any():
-            r = int(np.flatnonzero(wrong)[0])
-            raise bad(f"{c} payload of term {sub['term'][r].as_py()!r} disagrees with its "
-                      f"header lengths ({ends[idx][r]} values for {want[f][r]})")
-    pieces = pa.Array.from_buffers(
-        pa.large_binary(), len(piece_len), [None, pa.py_buffer(piece_off), pa.py_buffer(data)]
-    )
-    # row index of each blob-backed row in the full table; the other
-    # (sentinel) rows keep their inline values
-    src = np.arange(table.num_rows)
-    src[need] = table.num_rows + np.arange(n)
-    for f, c in enumerate(PAYLOAD_COLS):
-        idx = row_p + f * pscale
-        if c == "fields":
-            col = _expand_fields(arr, piece_off[idx], piece_len[idx], want[0])
-        else:
-            col = pieces.take(pa.array(idx)).cast(pa.binary())
-        if n < table.num_rows:
-            col = pa.concat_arrays([table[c].combine_chunks(), col]).take(pa.array(src))
-        table = table.set_column(table.schema.get_field_index(c), c, col)
-    return table
-
-
-def read_postings_file(path: str) -> pa.Table:
-    """Every row of one postings parquet file with its payload columns
-    — the one whole-row read (compaction, the dump, digests)."""
-    return attach_payloads(pq.read_table(path), blob_path_for(path))
+        raise ValueError(f"{', '.join(paths)}: {e}") from None
+    fields = _field_ones(fields, elided, dfs)
+    bstart = np.cumsum(dfs) - dfs
+    tf = varint_decode(_flat(tfs)[1]).astype(np.int64)
+    cf, max_tf = np.add.reduceat(tf, bstart), np.maximum.reduceat(tf, bstart)
+    opens = varint_decode(_flat(docs)[1]) != 0  # a doc gap of 0 continues a doc
+    opens[bstart] = True
+    n_docs = np.add.reduceat(opens, bstart, dtype=np.int64)
+    got = whole_varints(3)
+    check(got == cf, lambda i: f"positions payload of block {i - starts[g[i]]} holds "
+                               f"{got[i]} values for cf {cf[i]}", g)
+    for c, blocks, agg in (
+        ("df", dfs, np.add), ("cf", cf, np.add), ("max_tf", max_tf, np.maximum),
+        ("df_docs", n_docs, np.add), ("first_doc", firsts, np.minimum),
+        ("last_doc", lasts, np.maximum),
+    ):
+        per_term, want = agg.reduceat(blocks, starts), col(c)
+        check(per_term == want,
+              lambda r: f"its blocks give {c} {per_term[r]}, its catalog row {want[r]}")
+    return pa.table({
+        "term": terms.take(pa.array(g)),
+        "bucket": pa.array(np.zeros(n, dtype=np.int32)),
+        "block_id": pa.array((np.arange(n) - starts[g]).astype(np.int32)),
+        "first_doc": pa.array(firsts.astype(np.uint64)),
+        "last_doc": pa.array(lasts.astype(np.uint64)),
+        "df": pa.array(dfs), "cf": pa.array(cf), "max_tf": pa.array(max_tf),
+        "n_docs": pa.array(n_docs),
+        "docs": docs, "fields": fields, "tfs": tfs, "positions": positions,
+    })

@@ -50,7 +50,7 @@ def child(repo: str, variant: str) -> None:
     )
     idx = f"/tmp/ftsray_ab/idx-{tag}-{variant}-{time.time_ns()}"
     t0 = time.perf_counter()
-    meta = build_index(corpus, idx, text_col="content", num_buckets=16, overwrite=True)
+    meta = build_index(corpus, idx, text_col="content", overwrite=True)
     dps = meta.num_docs / (time.perf_counter() - t0)
     print(json.dumps({"docs_per_sec": round(dps, 1)}))
     ray.shutdown()

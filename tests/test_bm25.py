@@ -36,7 +36,7 @@ def multifield_index(ray_session, tmp_path_factory):
     idx = str(tmp_path_factory.mktemp("mfidx"))
     build_index(
         ray.data.from_arrow(pa.table(rows)), idx,
-        text_cols=["t1", "t2"], doc_id_col="doc_id", num_buckets=2, overwrite=True,
+        text_cols=["t1", "t2"], doc_id_col="doc_id", overwrite=True,
     )
     return idx
 
@@ -142,7 +142,7 @@ def test_manifest_block_cf_gates_tight_bound(ray_session, tmp_path):
 
     idx = str(tmp_path / "idx")
     build_index(_mk_docs(["apple pie", "banana split"]), idx,
-                text_col="text", doc_id_col="doc_id", num_buckets=2)
+                text_col="text", doc_id_col="doc_id")
     s = IndexSearcher(idx)
     assert s._min_block_cf > 0
     tight = s._term_upper_bound("apple")

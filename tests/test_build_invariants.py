@@ -55,7 +55,7 @@ def test_sorted_rank_ids_permutation_invariant(ray_session, corpus_dir):
 @pytest.fixture(scope="module")
 def built_index(corpus_dir, tmp_path_factory):
     idx = str(tmp_path_factory.mktemp("synthidx"))
-    build_index(corpus_dir, idx, text_col="content", num_buckets=8, overwrite=True)
+    build_index(corpus_dir, idx, text_col="content", overwrite=True)
     return idx
 
 
@@ -99,7 +99,7 @@ def test_bm25_partition_invariance(ray_session, corpus_dir, built_index, tmp_pat
     built with different block structure must score identically."""
     idx2 = str(tmp_path_factory.mktemp("synthidx2"))
     ds = read_corpus_with_ids(corpus_dir).repartition(13)
-    build_index(ds, idx2, text_col="content", doc_id_col="doc_id", num_buckets=3, overwrite=True)
+    build_index(ds, idx2, text_col="content", doc_id_col="doc_id", overwrite=True)
     s1 = IndexSearcher(built_index)
     s2 = IndexSearcher(idx2)
     for q in ["index builder query", "def class return", "posting merge block cache"]:
@@ -164,7 +164,7 @@ def test_skewed_term_build(ray_session, tmp_path_factory):
     d = str(tmp_path_factory.mktemp("skew"))
     write_synth_corpus(d, 200, rows_per_file=50, heavy_term="the_end_marker", heavy_every=2)
     idx = str(tmp_path_factory.mktemp("skewidx"))
-    build_index(d, idx, text_col="content", num_buckets=4, overwrite=True, block_cf=64)
+    build_index(d, idx, text_col="content", overwrite=True, block_cf=64)
     s = IndexSearcher(idx)
     df, cf = s.term_stats("the_end_marker")
     assert df == 100  # every 2nd doc
@@ -173,12 +173,9 @@ def test_skewed_term_build(ray_session, tmp_path_factory):
     assert len(occ.docs) == 300
     assert (np.diff(occ.docs.astype(np.int64)) >= 0).all()
     # block chunking honored (cf=300 > block_cf=64 → several blocks)
-    import pyarrow.dataset as pads
-
-    meta = load_meta(idx)
-    seg_post = os.path.join(idx, "segments", meta.segments[0], "postings")
-    t = pads.dataset(seg_post).to_table(filter=pads.field("term") == "the_end_marker")
-    assert t.num_rows >= 4
+    cat = os.path.join(idx, "segments", load_meta(idx).segments[0], "catalog")
+    t = pq.read_table(cat, filters=[("term", "=", "the_end_marker")])
+    assert t["n_blocks"].to_pylist()[0] >= 4
 
 
 def test_cap_lineage_pure():
@@ -201,7 +198,7 @@ def test_manifest_lineage_capped_and_resume(ray_session, corpus_dir, tmp_path):
 
     idx = str(tmp_path / "idx")
     meta = build_index(
-        corpus_dir, idx, text_col="content", num_buckets=4,
+        corpus_dir, idx, text_col="content",
         overwrite=True, lineage_budget=2,
     )
     seg = meta.segments[-1]
@@ -210,7 +207,7 @@ def test_manifest_lineage_capped_and_resume(ray_session, corpus_dir, tmp_path):
     assert man.input_lineage[0].startswith("<lineage summary: 4 files")
     # checkpoint hit: rebuilding the same segment is a no-op
     meta2 = build_index(
-        corpus_dir, idx, text_col="content", num_buckets=4,
+        corpus_dir, idx, text_col="content",
         segment=seg, lineage_budget=2,
     )
     assert meta2.segments == meta.segments
@@ -240,7 +237,7 @@ def test_unsorted_doc_ids_within_batch_build_correctly(ray_session, tmp_path):
              "text": pa.array([texts[i] for i in order], pa.string())}
         )
         build_index(ray.data.from_arrow(tbl), path, text_col="text",
-                    doc_id_col="doc_id", num_buckets=2, overwrite=True)
+                    doc_id_col="doc_id", overwrite=True)
         return IndexSearcher(path)
 
     s_sorted = build(np.arange(n), str(tmp_path / "sorted"))
@@ -254,6 +251,19 @@ def test_unsorted_doc_ids_within_batch_build_correctly(ray_session, tmp_path):
         assert ra == rb, w
 
 
+def test_build_rejects_duplicate_doc_ids_in_batch(ray_session, tmp_path):
+    """Duplicate user doc_ids in one batch used to skip the occurrence
+    sort (nondecreasing guard) and silently merge two documents into
+    one posting entry with non-monotonic positions — must fail loud."""
+    idx = str(tmp_path / "idx")
+    tbl = pa.table({
+        "doc_id": pa.array([5, 5], pa.int64()),
+        "text": pa.array(["b a", "a"], pa.string()),
+    })
+    with pytest.raises(Exception, match="must be unique"):
+        build_index(ray.data.from_arrow(tbl), idx, text_col="text", doc_id_col="doc_id")
+
+
 def test_rebuild_of_listed_segment_does_not_double_count(ray_session, tmp_path):
     """A segment listed in meta whose manifest is lost gets rebuilt;
     meta.num_docs/total_tokens must be RECOMPUTED from manifests, not
@@ -265,14 +275,12 @@ def test_rebuild_of_listed_segment_does_not_double_count(ray_session, tmp_path):
     src = ray.data.from_arrow(
         pa.table({"doc_id": pa.array([1, 2], pa.uint64()), "text": ["aa bb cc", "dd ee"]})
     )
-    build_index(src, idx, doc_id_col="doc_id", segment="seg-00000",
-                num_buckets=2, overwrite=True)
+    build_index(src, idx, doc_id_col="doc_id", segment="seg-00000", overwrite=True)
     before = load_meta(idx)
     assert before.num_docs == 2 and before.total_tokens == 5
     # lose the manifest: segment now listed but "incomplete"
     os.remove(os.path.join(segment_dir(idx, "seg-00000"), "manifest.json"))
-    build_index(src, idx, doc_id_col="doc_id", segment="seg-00000",
-                num_buckets=2)
+    build_index(src, idx, doc_id_col="doc_id", segment="seg-00000")
     after = load_meta(idx)
     assert after.num_docs == 2, "rebuild double-counted num_docs"
     assert after.total_tokens == 5, "rebuild double-counted total_tokens"
@@ -293,28 +301,57 @@ def _recount(idx: str, seg: str) -> dict:
 
 
 def test_segment_commit_reads_nothing_back(ray_session, corpus_dir, tmp_path, monkeypatch):
-    """The segment commit takes its counters from the rows the merging
-    tasks return, and a compaction's docs counters from its input
-    manifests: with parquet table reads, blob directory reads and Ray
-    parquet reads failing for the whole of ``_write_catalog_and_manifest``,
-    a build, a second session and their compaction complete, with the
-    counters a recount of what they wrote gives."""
+    """From the end of the term shuffle to the manifest, nothing reads
+    a row of the segment being written: the merging tasks write its
+    docs table and return its counters, and a compaction takes its docs
+    counters from its input manifests.  With parquet table and dataset
+    reads, Ray parquet reads, blob directory reads and Python file
+    opens for reading refused for every path under that segment (its
+    footers stay readable: the manifest keeps their stats), a build, a
+    second session and their compaction complete, no segment has a
+    postings directory, the parquet-path docs files hold disjoint doc
+    ranges, and every counter equals a recount of what was written."""
+    import builtins
+
     from fulltextsearch_ray.pipelines import build as build_mod
     from fulltextsearch_ray.state import payloads
+    from fulltextsearch_ray.state.index import segment_dir
 
-    def refuse(*_a, **_k):
-        raise AssertionError("the segment commit read rows back")
+    sealed = []  # the directory of the segment whose commit runs
 
-    commit = build_mod._write_catalog_and_manifest
+    def inside(path) -> bool:
+        return bool(sealed) and os.path.abspath(str(path)).startswith(sealed[0])
 
-    def commit_without_reads(*a, **kw):
-        with pytest.MonkeyPatch.context() as mp:
-            for owner, name in ((pq, "read_table"), (payloads, "read_directory"),
-                                (ray.data, "read_parquet")):
-                mp.setattr(owner, name, refuse)
+    def refusing(real, reads=lambda *_a, **_k: True):
+        def call(source, *a, **kw):
+            paths = source if isinstance(source, (list, tuple)) else [source]
+            if reads(source, *a, **kw) and any(inside(p) for p in paths):
+                raise AssertionError(f"the segment commit read {source} back")
+            return real(source, *a, **kw)
+        return call
+
+    def read_mode(_file, mode="r", *_a, **_k):
+        return not any(c in mode for c in "wax+")
+
+    for owner, name in ((pq, "read_table"), (pq, "ParquetDataset"), (ray.data, "read_parquet"),
+                        (payloads, "read_directory")):
+        monkeypatch.setattr(owner, name, refusing(getattr(owner, name)))
+    monkeypatch.setattr(builtins, "open", refusing(builtins.open, read_mode))
+    write, commit = build_mod._write_postings, build_mod._write_catalog_and_manifest
+
+    def write_then_seal(runs, seg_path, block_cf):
+        out = write(runs, seg_path, block_cf)
+        sealed.append(os.path.join(os.path.abspath(seg_path), ""))
+        return out
+
+    def commit_then_unseal(*a, **kw):
+        try:
             return commit(*a, **kw)
+        finally:
+            sealed.clear()
 
-    monkeypatch.setattr(build_mod, "_write_catalog_and_manifest", commit_without_reads)
+    monkeypatch.setattr(build_mod, "_write_postings", write_then_seal)
+    monkeypatch.setattr(build_mod, "_write_catalog_and_manifest", commit_then_unseal)
     idx = str(tmp_path / "idx")
     build_index(corpus_dir, idx, text_col="content", overwrite=True)
     more = pa.table({"doc_id": pa.array([1000, 1001], pa.uint64()),
@@ -324,11 +361,15 @@ def test_segment_commit_reads_nothing_back(ray_session, corpus_dir, tmp_path, mo
     want = [_recount(idx, s) for s in segs]
     got = [{k: getattr(load_manifest(idx, s), k) for k in want[0]} for s in segs]
     assert got == want and want[1]["num_docs"] == 2
+    ranges = sorted(g[:2] for info in load_manifest(idx, segs[0]).docs_stats.values()
+                    for g in info["row_groups"])
+    assert all(hi < lo for (_, hi), (lo, _) in zip(ranges, ranges[1:]))
     build_mod.compact_index(idx)
     (seg,) = load_meta(idx).segments
     counters = _recount(idx, seg)
     assert {k: getattr(load_manifest(idx, seg), k) for k in counters} == counters
     assert counters["num_docs"] == 402 and counters["max_doc_id"] == 1001
+    assert not any(os.path.exists(os.path.join(segment_dir(idx, s), "postings")) for s in segs + [seg])
 
 
 def test_compact_without_manifest_raises(ray_session, tmp_path):

@@ -75,7 +75,7 @@ def test_searcher_lfu_policy_matches_lru(ray_session, tmp_path):
         }
     )
     idx = str(tmp_path / "idx")
-    build_index(ray.data.from_arrow(tbl), idx, text_col="text", doc_id_col="doc_id", num_buckets=2)
+    build_index(ray.data.from_arrow(tbl), idx, text_col="text", doc_id_col="doc_id")
     a = IndexSearcher(idx)  # default lru
     b = IndexSearcher(idx, cache_policy="lfu", cache_blocks=2)
     for q in ("WORD(apple)", "WORD(banana)", "WORD(cherry)", "WORD(apple)"):

@@ -32,7 +32,7 @@ def small_index(ray_session, tmp_path_factory):
     corpus.mkdir()
     pq.write_table(tbl, str(corpus / "part-0.parquet"))
     idx = str(root / "idx")
-    assert main(["index", "--input", str(corpus), "--index", idx, "--num-buckets", "2"]) == 0
+    assert main(["index", "--input", str(corpus), "--index", idx]) == 0
     return str(corpus), idx
 
 
@@ -48,7 +48,7 @@ def test_top_terms_verb(small_index, capsys):
 def test_compact_verb_preserves_search(small_index, capsys):
     corpus, idx = small_index
     # second session -> incremental segment, then collapse
-    assert main(["index", "--input", corpus, "--index", idx, "--num-buckets", "2"]) == 0
+    assert main(["index", "--input", corpus, "--index", idx]) == 0
     assert main(["compact", "--index", idx]) == 0
     out = capsys.readouterr().out
     assert "docs: 6" in out
@@ -142,8 +142,8 @@ def test_print_merges_terms_across_segments(small_index, capsys, tmp_path):
     in (doc, field, token) order."""
     corpus, _idx = small_index
     idx2 = str(tmp_path / "idx2")
-    assert main(["index", "--input", corpus, "--index", idx2, "--num-buckets", "2"]) == 0
-    assert main(["index", "--input", corpus, "--index", idx2, "--num-buckets", "2"]) == 0
+    assert main(["index", "--input", corpus, "--index", idx2]) == 0
+    assert main(["index", "--input", corpus, "--index", idx2]) == 0
     capsys.readouterr()
     assert main(["print", "--index", idx2]) == 0
     lines = [l for l in capsys.readouterr().out.strip().splitlines() if " -> " in l]
@@ -168,15 +168,13 @@ def test_index_fst_flag_keeps_sidecar_fresh(ray_session, tmp_path, capsys):
         str(corpus / "part-0.parquet"),
     )
     idx = str(tmp_path / "idx")
-    assert main(["index", "--input", str(corpus), "--index", idx,
-                 "--num-buckets", "2", "--fst"]) == 0
+    assert main(["index", "--input", str(corpus), "--index", idx, "--fst"]) == 0
     assert "FST sidecar:" in capsys.readouterr().out
     fst = load_fst_sidecar(idx, load_meta(idx).segments)
     assert fst is not None and fst.try_match("apple")[0]
 
     # incremental session with --fst: sidecar covers BOTH segments
-    assert main(["index", "--input", str(corpus), "--index", idx,
-                 "--num-buckets", "2", "--fst"]) == 0
+    assert main(["index", "--input", str(corpus), "--index", idx, "--fst"]) == 0
     segs = load_meta(idx).segments
     assert len(segs) == 2
     fst2 = load_fst_sidecar(idx, segs)
@@ -184,8 +182,7 @@ def test_index_fst_flag_keeps_sidecar_fresh(ray_session, tmp_path, capsys):
 
     # a third session WITHOUT --fst leaves the sidecar stale -> loader
     # refuses it (searcher falls back to the paged scan)
-    assert main(["index", "--input", str(corpus), "--index", idx,
-                 "--num-buckets", "2"]) == 0
+    assert main(["index", "--input", str(corpus), "--index", idx]) == 0
     assert load_fst_sidecar(idx, load_meta(idx).segments) is None
 
     # compact --fst: the collapsed segment set gets a matching sidecar

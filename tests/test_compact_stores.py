@@ -30,8 +30,7 @@ def _tbl(ids, texts, metas=None):
 
 def test_compact_preserves_forward_and_metadata(ray_session, tmp_path):
     idx = str(tmp_path / "idx")
-    kw = dict(text_col="text", doc_id_col="doc_id", meta_cols=("meta",),
-              num_buckets=2, store_forward=True)
+    kw = dict(text_col="text", doc_id_col="doc_id", meta_cols=("meta",), store_forward=True)
     build_index(
         ray.data.from_arrow(_tbl([1, 2], ["apple pie", "banana split"],
                                  [{"k": 1}, {"k": 2}])),
@@ -64,11 +63,11 @@ def test_compact_mixed_meta_sessions(ray_session, tmp_path):
     idx = str(tmp_path / "idx")
     build_index(
         ray.data.from_arrow(_tbl([1], ["apple pie"], [{"k": 1}])),
-        idx, text_col="text", doc_id_col="doc_id", meta_cols=("meta",), num_buckets=2,
+        idx, text_col="text", doc_id_col="doc_id", meta_cols=("meta",),
     )
     build_index(
         ray.data.from_arrow(_tbl([2], ["banana split"])),
-        idx, text_col="text", doc_id_col="doc_id", num_buckets=2,
+        idx, text_col="text", doc_id_col="doc_id",
     )
     compact_index(idx)
     s = IndexSearcher(idx)
@@ -77,17 +76,28 @@ def test_compact_mixed_meta_sessions(ray_session, tmp_path):
 
 
 def test_compact_legacy_segment_without_ndocs(ray_session, tmp_path):
+    """A segment written before payload blobs and before n_docs (payloads
+    inline in a postings parquet file without the n_docs column, a
+    catalog without addresses) compacts with the answers it had."""
+    import shutil
+
+    from fulltextsearch_ray.state.payloads import ADDRESS_COLS, PAYLOAD_DIR, read_blob_rows
+
     idx = str(tmp_path / "idx")
     for tbl in (_tbl([1, 2], ["apple pie", "banana split"]),
                 _tbl([3], ["cherry apple tart"])):
         build_index(ray.data.from_arrow(tbl), idx, text_col="text",
-                    doc_id_col="doc_id", num_buckets=2)
-    # simulate a pre-n_docs segment: rewrite its postings without the column
-    seg0 = sorted(glob.glob(os.path.join(idx, "segments", "*")))[0]
-    for f in glob.glob(os.path.join(seg0, "postings", "**", "*.parquet"), recursive=True):
-        t = pq.read_table(f)
-        pq.write_table(t.drop_columns(["n_docs"]), f)
+                    doc_id_col="doc_id")
     want = IndexSearcher(idx).search_to_string("WORD(apple)")
+    # rewrite the first segment in that layout
+    seg0 = sorted(glob.glob(os.path.join(idx, "segments", "*")))[0]
+    os.makedirs(os.path.join(seg0, "postings"))
+    for f in glob.glob(os.path.join(seg0, "catalog", "*.parquet")):
+        cat = pq.read_table(f)
+        rows = read_blob_rows(cat, seg0).drop_columns(["n_docs"])
+        pq.write_table(rows, os.path.join(seg0, "postings", os.path.basename(f)))
+        pq.write_table(cat.drop_columns(ADDRESS_COLS), f)
+    shutil.rmtree(os.path.join(seg0, PAYLOAD_DIR))
 
     compact_index(idx)
 
@@ -101,8 +111,7 @@ def test_compact_streaming_store_rewrite(ray_session, tmp_path):
     streaming rewrite (no per-file driver copies) — served results must
     be identical to the copy path (round-2 VERDICT #8)."""
     idx = str(tmp_path / "idx")
-    kw = dict(text_col="text", doc_id_col="doc_id", meta_cols=("meta",),
-              num_buckets=2, store_forward=True)
+    kw = dict(text_col="text", doc_id_col="doc_id", meta_cols=("meta",), store_forward=True)
     build_index(
         ray.data.from_arrow(_tbl([1, 2], ["apple pie", "banana split"],
                                  [{"k": 1}, {"k": 2}])),
@@ -136,8 +145,7 @@ def test_compact_streaming_rewrite_mixed_schemas(ray_session, tmp_path):
     idx = str(tmp_path / "idx")
     build_index(
         ray.data.from_arrow(_tbl([1], ["apple pie"], [{"k": 1}])),
-        idx, text_col="text", doc_id_col="doc_id", meta_cols=("meta",),
-        num_buckets=2, store_forward=True,
+        idx, text_col="text", doc_id_col="doc_id", meta_cols=("meta",), store_forward=True,
     )
     # strip field_id from session 1's forward files → legacy layout
     seg0 = load_meta(idx).segments[0]
@@ -148,7 +156,7 @@ def test_compact_streaming_rewrite_mixed_schemas(ray_session, tmp_path):
             pq.write_table(t.drop_columns(["field_id"]), f)
     build_index(
         ray.data.from_arrow(_tbl([2], ["banana split"])),
-        idx, text_col="text", doc_id_col="doc_id", num_buckets=2, store_forward=True,
+        idx, text_col="text", doc_id_col="doc_id", store_forward=True,
     )
     before = IndexSearcher(idx)
     want_pos = {d: before.get_positions_many([d])[d] for d in (1, 2)}
@@ -167,16 +175,16 @@ def test_repeated_compaction_is_safe_and_sweeps_orphans(ray_session, tmp_path):
     a compaction's save_meta and its cleanup rmtree) is swept."""
     idx = str(tmp_path / "cidx")
     build_index(ray.data.from_arrow(_tbl([1], ["alpha beta"])), idx,
-                doc_id_col="doc_id", num_buckets=2, overwrite=True)
+                doc_id_col="doc_id", overwrite=True)
     build_index(ray.data.from_arrow(_tbl([2], ["beta gamma"])), idx,
-                doc_id_col="doc_id", num_buckets=2)
+                doc_id_col="doc_id")
     m1 = compact_index(idx)
     first_compact = m1.segments[0]
     # two more sessions, then compact again IMMEDIATELY (same second)
     build_index(ray.data.from_arrow(_tbl([3], ["gamma delta"])), idx,
-                doc_id_col="doc_id", num_buckets=2)
+                doc_id_col="doc_id")
     build_index(ray.data.from_arrow(_tbl([4], ["delta epsilon"])), idx,
-                doc_id_col="doc_id", num_buckets=2)
+                doc_id_col="doc_id")
     # orphan dir simulating a crashed earlier compaction's leftovers
     orphan = os.path.join(idx, SEGMENTS_DIR, "seg-orphan")
     os.makedirs(orphan)
@@ -196,9 +204,9 @@ def test_compact_unifies_mixed_docs_schemas(ray_session, tmp_path):
     ArrowInvalid — the index could never be compacted)."""
     idx = str(tmp_path / "midx")
     build_index(ray.data.from_arrow(_tbl([1], ["alpha beta"])), idx,
-                doc_id_col="doc_id", num_buckets=2, overwrite=True)
+                doc_id_col="doc_id", overwrite=True)
     build_index(ray.data.from_arrow(_tbl([2], ["beta gamma"])), idx,
-                doc_id_col="doc_id", num_buckets=2)
+                doc_id_col="doc_id")
     # make segment 0's docs table legacy-shaped: extra 'lang' column
     seg0 = segment_dir(idx, load_meta(idx).segments[0])
     f = glob.glob(os.path.join(seg0, "docs", "**", "*.parquet"), recursive=True)[0]
@@ -220,7 +228,7 @@ def test_compact_recovers_num_fields_for_legacy_meta(ray_session, tmp_path):
     leaving the index degraded forever."""
     idx = str(tmp_path / "idx")
     kw = dict(
-        text_col="title", text_cols=["title", "body"], doc_id_col="doc_id", num_buckets=2
+        text_col="title", text_cols=["title", "body"], doc_id_col="doc_id"
     )
 
     def tbl(ids, titles, bodies):
@@ -257,7 +265,7 @@ def test_compact_mixed_meta_columns_both_survive(ray_session, tmp_path):
             "text": pa.array(["apple pie"], pa.string()),
             "alpha": pa.array(["A1"], pa.string()),
         })),
-        idx, text_col="text", doc_id_col="doc_id", meta_cols=("alpha",), num_buckets=2,
+        idx, text_col="text", doc_id_col="doc_id", meta_cols=("alpha",),
     )
     build_index(
         ray.data.from_arrow(pa.table({
@@ -265,7 +273,7 @@ def test_compact_mixed_meta_columns_both_survive(ray_session, tmp_path):
             "text": pa.array(["banana split"], pa.string()),
             "beta": pa.array(["B2"], pa.string()),
         })),
-        idx, text_col="text", doc_id_col="doc_id", meta_cols=("beta",), num_buckets=2,
+        idx, text_col="text", doc_id_col="doc_id", meta_cols=("beta",),
     )
     compact_index(idx)
     s = IndexSearcher(idx)

@@ -60,7 +60,7 @@ def test_random_corpus_doc_sets(ray_session, tmp_path, seed):
                 }
             )
         )
-        build_index(ds, idx, text_col="text", doc_id_col="doc_id", num_buckets=4)
+        build_index(ds, idx, text_col="text", doc_id_col="doc_id")
     s = IndexSearcher(idx)
 
     toks_by_doc = {d + 1: tokenize(t) for d, t in enumerate(texts)}
@@ -152,7 +152,7 @@ def test_combined_features_random_parity(ray_session, tmp_path, seed):
 
     idx = str(tmp_path / "idx")
     half = n_docs // 2
-    kw = dict(doc_id_col="doc_id", num_buckets=4)
+    kw = dict(doc_id_col="doc_id")
     if multifield:
         kw["text_cols"] = ["a", "b"]
     else:

@@ -85,7 +85,6 @@ def test_enwiki_index_end_to_end(ray_session, wiki_dir, tmp_path):
         text_col="content",
         doc_id_col="doc_id",
         meta_cols=("meta",),
-        num_buckets=2,
     )
     s = IndexSearcher(idx)
     assert s.search_to_string("WORD(apollo)") == "{[2,1,1]}"
@@ -106,9 +105,9 @@ def test_enwiki_cli_incremental_sessions(ray_session, wiki_dir, tmp_path):
     )
     idx = str(tmp_path / "idx")
     assert main(["index", "--input", wiki_dir, "--index", idx,
-                 "--input-type", "enwiki", "--num-buckets", "2"]) == 0
+                 "--input-type", "enwiki"]) == 0
     assert main(["index", "--input", str(more), "--index", idx,
-                 "--input-type", "enwiki", "--num-buckets", "2"]) == 0
+                 "--input-type", "enwiki"]) == 0
     s = IndexSearcher(idx)
     assert s.search_to_string("WORD(apollo)") == "{[2,1,1]}"  # session 1
     assert s.search_to_string("WORD(cherry)") == "{[5,1,1]}"  # session 2 continues ids

@@ -19,7 +19,7 @@ def fwd_index(ray_session, tmp_path_factory):
     d = str(tmp_path_factory.mktemp("fwdcorpus"))
     write_synth_corpus(d, 200, rows_per_file=50)
     idx = str(tmp_path_factory.mktemp("fwdidx"))
-    build_index(d, idx, text_col="content", num_buckets=4, overwrite=True, store_forward=True)
+    build_index(d, idx, text_col="content", overwrite=True, store_forward=True)
     return d, idx
 
 
@@ -91,21 +91,32 @@ def test_forward_missing_raises(ray_session, tmp_path_factory):
     d = str(tmp_path_factory.mktemp("nofwd"))
     write_synth_corpus(d, 50, rows_per_file=50)
     idx = str(tmp_path_factory.mktemp("nofwdidx"))
-    build_index(d, idx, text_col="content", num_buckets=2, overwrite=True)
+    build_index(d, idx, text_col="content", overwrite=True)
     s = IndexSearcher(idx)
     assert not s.has_forward
     with pytest.raises(ValueError):
         s.get_positions_many([1])
 
 
-def test_highlight_matches_distributed(fwd_index):
-    """The distributed highlight pipeline (HighlightStage: hits via
-    object store, spans fetched in-task) must reproduce the per-doc
-    annotate() output exactly, emitting only matching docs."""
+def _corpus_docs(corpus) -> pa.Table:
+    """(doc_id, text) of the corpus files, with their positional ids."""
     import glob
     import os
 
     import pyarrow.parquet as pq
+
+    texts = [
+        t for f in sorted(glob.glob(os.path.join(corpus, "*.parquet")))
+        for t in pq.read_table(f, columns=["content"])["content"].to_pylist()
+    ]
+    return pa.table({"doc_id": pa.array(range(1, len(texts) + 1), pa.int64()),
+                     "text": pa.array(texts, pa.string())})
+
+
+def test_highlight_matches_distributed(fwd_index):
+    """The distributed highlight pipeline (a task UDF: hits via the
+    object store, spans fetched in-task) must reproduce the per-doc
+    annotate() output exactly, emitting only matching docs."""
     import ray.data
 
     from fulltextsearch_ray.functions.highlight import highlight_matches
@@ -114,29 +125,78 @@ def test_highlight_matches_distributed(fwd_index):
     s = IndexSearcher(idx)
     term = "index0"
     hits = s.search_docs(f"WORD({term})")
-    want = {}
-    doc_id = 1
-    texts = {}
-    for f in sorted(glob.glob(os.path.join(corpus, "*.parquet"))):
-        for t in pq.read_table(f, columns=["content"])["content"].to_pylist():
-            texts[doc_id] = t
-            doc_id += 1
-    for d, tids in zip(hits["doc_id"].to_pylist(), hits["token_ids"].to_pylist()):
-        want[int(d)] = annotate(texts[int(d)], tids)
-
-    docs_tbl = pa.table(
-        {
-            "doc_id": pa.array(sorted(texts), pa.int64()),
-            "text": pa.array([texts[d] for d in sorted(texts)], pa.string()),
-        }
-    )
-    import ray
-
+    docs_tbl = _corpus_docs(corpus)
+    texts = dict(zip(docs_tbl["doc_id"].to_pylist(), docs_tbl["text"].to_pylist()))
+    want = {
+        int(d): annotate(texts[int(d)], tids)
+        for d, tids in zip(hits["doc_id"].to_pylist(), hits["token_ids"].to_pylist())
+    }
     out = highlight_matches(
         ray.data.from_arrow(docs_tbl), idx, f"WORD({term})", concurrency=2
     ).take_all()
     got = {r["doc_id"]: r["annotated"] for r in out}
     assert got == want
+
+
+def test_highlight_returns_its_cpus(fwd_index):
+    """The highlight stage holds no CPU once its dataset is consumed,
+    with the garbage collector off and the consumed datasets still
+    referenced: an idle highlight actor kept alive until the dataset
+    and its executor are freed would hold a CPU the next stage waits
+    for."""
+    import gc
+    import time
+
+    import ray
+    import ray.data
+
+    from fulltextsearch_ray.functions.highlight import highlight_matches
+
+    def cpus_reach(target: float) -> float:
+        deadline = time.monotonic() + 30
+        while (free := ray.available_resources().get("CPU", 0)) < target and time.monotonic() < deadline:
+            time.sleep(0.2)
+        return free
+
+    corpus, idx = fwd_index
+    docs = ray.data.from_arrow(_corpus_docs(corpus)).repartition(4)
+    gc.collect()  # what earlier tests left to the collector goes first
+    gc.disable()
+    try:
+        before = cpus_reach(ray.cluster_resources()["CPU"])
+        consumed = []
+        for _ in range(2):
+            consumed.append(highlight_matches(docs, idx, "WORD(index0)", concurrency=2))
+            assert consumed[-1].take_all()
+        assert cpus_reach(before) >= before
+    finally:
+        gc.enable()
+
+
+def test_highlight_missing_forward_row_is_descriptive(ray_session, tmp_path):
+    """A hit doc with no forward-store row surfaces a descriptive
+    error, not a KeyError inside the task."""
+    import ray
+    import ray.data
+
+    from fulltextsearch_ray.functions.highlight import highlight_batch
+
+    tbl = pa.table(
+        {
+            "doc_id": pa.array([1, 2], pa.int64()),
+            "text": pa.array(["apple banana", "banana cherry"], pa.string()),
+        }
+    )
+    idx = str(tmp_path / "idx")
+    build_index(
+        ray.data.from_arrow(tbl), idx, text_col="text", doc_id_col="doc_id",
+        overwrite=True, store_forward=False,  # no forward rows
+    )
+    hits = pa.table(
+        {"doc_id": pa.array([1], pa.int64()), "token_ids": pa.array([[1]], pa.list_(pa.int64()))}
+    )
+    with pytest.raises(ValueError, match="forward-store|store_forward"):
+        highlight_batch(tbl, hits_ref=ray.put(hits), index_dir=idx)
 
 
 def test_positions_doc_straddling_two_range_files(fwd_index, tmp_path):

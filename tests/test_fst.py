@@ -259,7 +259,7 @@ def fst_index(ray_session, tmp_path_factory):
     from fulltextsearch_ray.pipelines.build import build_index
 
     d = str(tmp_path_factory.mktemp("fst_idx"))
-    build_index(_ds(DOCS, 1), d, doc_id_col="doc_id", overwrite=True, num_buckets=4)
+    build_index(_ds(DOCS, 1), d, doc_id_col="doc_id", overwrite=True)
     return d
 
 
@@ -301,7 +301,7 @@ def test_fst_sidecar_build_load_and_staleness(fst_index, tmp_path):
 
     # a new session invalidates the sidecar (segment list changed) and
     # the searcher transparently rebuilds from the catalogs
-    build_index(_ds(["fresh session terms"], 9), fst_index, doc_id_col="doc_id", num_buckets=4)
+    build_index(_ds(["fresh session terms"], 9), fst_index, doc_id_col="doc_id")
     s2 = IndexSearcher(fst_index, term_dict="fst")
     assert load_fst_sidecar(fst_index, s2.segments) is None
     assert s2.lookup("WORD(fresh)") == ["fresh"]
@@ -377,7 +377,7 @@ def test_sharded_fst_sidecar_parity(ray_session, tmp_path):
         str(corpus / "p.parquet"),
     )
     idx = str(tmp_path / "idx")
-    build_index(str(corpus), idx, text_col="content", num_buckets=2, overwrite=True)
+    build_index(str(corpus), idx, text_col="content", overwrite=True)
 
     info = build_fst_sidecar(idx, shard_terms=7)
     assert len(info["shards"]) > 3
@@ -398,7 +398,7 @@ def test_sharded_fst_sidecar_parity(ray_session, tmp_path):
     s = IndexSearcher(idx, term_dict="fst")
     assert s.lookup("WILD(ap*)") == got
     # staleness: a new segment invalidates the sharded sidecar too
-    build_index(str(corpus), idx, text_col="content", num_buckets=2)
+    build_index(str(corpus), idx, text_col="content")
     assert load_fst_sidecar(idx, list(load_meta(idx).segments)) is None
 
 
@@ -421,7 +421,7 @@ def test_fst_sidecar_load_detects_concurrent_rebuild(ray_session, tmp_path):
 
     idx = str(tmp_path / "fidx")
     build_index(_ds(["alpha beta gamma"], 1), idx,
-                doc_id_col="doc_id", num_buckets=2, overwrite=True)
+                doc_id_col="doc_id", overwrite=True)
     segs = list(load_meta(idx).segments)
     # force the SHARDED layout (1 term/shard): the race window is the
     # shard-read loop between the two fst.json reads

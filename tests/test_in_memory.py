@@ -27,7 +27,7 @@ def both_indexes(ray_session, tmp_path_factory):
     d = str(tmp_path_factory.mktemp("memcorpus"))
     write_synth_corpus(d, 150, rows_per_file=50)
     idx = str(tmp_path_factory.mktemp("memidx"))
-    build_index(d, idx, text_col="content", num_buckets=4, overwrite=True)
+    build_index(d, idx, text_col="content", overwrite=True)
     mem = build_in_memory(d, text_col="content")
     return IndexSearcher(idx), mem
 

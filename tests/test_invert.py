@@ -22,7 +22,6 @@ from fulltextsearch_ray.stages.invert import (
     encode_docstats_row,
     encode_posting_rows,
     merge_runs_batch,
-    term_bucket,
 )
 from fulltextsearch_ray.state.index import POSTINGS_SCHEMA
 from fulltextsearch_ray.tokenizer import DEFAULT_FIELD_ID
@@ -32,7 +31,7 @@ from fulltextsearch_ray.tokenizer import DEFAULT_FIELD_ID
 # ---------------------------------------------------------------------------
 
 
-def scalar_posting_rows(terms, bounds, occ_docs, occ_fields, occ_tokens, buckets, block_cf):
+def scalar_posting_rows(terms, bounds, occ_docs, occ_fields, occ_tokens, block_cf):
     """Per-term greedy chunk loop: cut at the last doc start ≤ s +
     block_cf, else the last entry start, else mid-entry at the cap; one
     ``encode_posting_block`` per block."""
@@ -58,7 +57,7 @@ def scalar_posting_rows(terms, bounds, occ_docs, occ_fields, occ_tokens, buckets
             blk = encode_posting_block(occ_docs[s:e], occ_fields[s:e], occ_tokens[s:e])
             blk_docs = occ_docs[s:e]
             cols["term"].append(term)
-            cols["bucket"].append(int(buckets[i]))
+            cols["bucket"].append(0)
             cols["block_id"].append(block_id)
             cols["first_doc"].append(blk.first_doc)
             cols["last_doc"].append(blk.last_doc)
@@ -103,8 +102,7 @@ def scalar_merge_term(group: pa.Table, block_cf: int) -> pa.Table:
         o = np.lexsort((tokens, fields, docs))
         docs, fields, tokens = docs[o], fields[o], tokens[o]
     return scalar_posting_rows(
-        [group["term"][0].as_py()], [0, len(docs)], docs, fields, tokens,
-        [group["bucket"][0].as_py()], block_cf,
+        [group["term"][0].as_py()], [0, len(docs)], docs, fields, tokens, block_cf,
     )
 
 
@@ -128,7 +126,7 @@ def _canon(t: pa.Table) -> pa.Table:
 
 def _stream(term_entries):
     """[[(doc, field, tf, pos0), ...] per term] → (term names, bounds,
-    occ_docs, occ_fields, occ_tokens, buckets); entries must be (doc,
+    occ_docs, occ_fields, occ_tokens); entries must be (doc,
     field)-sorted per term, positions pos0, pos0+3, ..."""
     docs, fields, tokens, bounds = [], [], [], [0]
     for entries in term_entries:
@@ -138,10 +136,9 @@ def _stream(term_entries):
             tokens += range(p0, p0 + 3 * tf, 3)
         bounds.append(len(docs))
     names = np.array([f"t{i:02d}" for i in range(len(term_entries))], dtype=object)
-    buckets = np.array([term_bucket(t, 8) for t in names], dtype=np.int32)
     return (
         names, np.array(bounds, dtype=np.int64), np.array(docs, dtype=np.uint64),
-        np.array(fields, dtype=np.uint64), np.array(tokens, dtype=np.uint64), buckets,
+        np.array(fields, dtype=np.uint64), np.array(tokens, dtype=np.uint64),
     )
 
 
@@ -153,8 +150,7 @@ def _stream(term_entries):
 def _encode_one(occ_docs, occ_fields, occ_tokens, block_cf):
     return encode_posting_rows(
         np.array(["t"], dtype=object), np.array([0, len(occ_docs)], dtype=np.int64),
-        occ_docs, occ_fields, occ_tokens, np.array([term_bucket("t", 4)], dtype=np.int32),
-        block_cf,
+        occ_docs, occ_fields, occ_tokens, block_cf,
     )
 
 
@@ -217,11 +213,9 @@ def _term_entries(draw, single_field=None):
 @example((True, [[(1, 1, 1, 5), (2, 1, 9, 1), (3, 1, 1, 1)]]), 4)
 def test_encoder_matches_scalar_oracle(entries, block_cf):
     single_field, terms = entries
-    names, bounds, docs, fields, tokens, buckets = _stream(terms)
-    got = encode_posting_rows(
-        names, bounds, docs, None if single_field else fields, tokens, buckets, block_cf
-    )
-    want = scalar_posting_rows(names, bounds, docs, fields, tokens, buckets, block_cf)
+    names, bounds, docs, fields, tokens = _stream(terms)
+    got = encode_posting_rows(names, bounds, docs, None if single_field else fields, tokens, block_cf)
+    want = scalar_posting_rows(names, bounds, docs, fields, tokens, block_cf)
     assert got.equals(want)
     assert (got["cf"].to_numpy() <= block_cf).all()
     for name, term in zip(names, terms):
@@ -244,8 +238,7 @@ def _run(docs, tf_each):
     occ_fields = np.full(len(occ_docs), 1, dtype=np.uint64)
     occ_tokens = np.concatenate([np.arange(1, tf_each + 1, dtype=np.uint64) for _ in docs])
     return scalar_posting_rows(
-        ["t"], [0, len(occ_docs)], occ_docs, occ_fields, occ_tokens,
-        [term_bucket("t", 4)], block_cf=1 << 16,
+        ["t"], [0, len(occ_docs)], occ_docs, occ_fields, occ_tokens, block_cf=1 << 16,
     )
 
 
@@ -256,7 +249,7 @@ def test_merge_overlapping_runs_entry_snapped_blocks():
     group = pa.concat_tables([_run([1, 3], 3), _run([2, 4], 3)])
     merged = merge_runs_batch(group, block_cf=4)
     assert merged.num_rows == 4  # > ceil(12/4): the old crash case
-    assert merged["bucket"].to_pylist() == [group["bucket"][0].as_py()] * 4
+    assert merged["bucket"].to_pylist() == [0] * 4
     all_docs = []
     for i in range(merged.num_rows):
         d, _f, _t, *_ = decode_posting_block(
@@ -281,7 +274,7 @@ def test_merge_runs_batch_matches_old_implementation_randomized():
         # boundary
         stage = InvertStage(
             text_col="a", text_cols=["a", "b"], doc_id_col="doc_id",
-            num_buckets=4, block_cf=block_cf, emit_docstats=False,
+            block_cf=block_cf, emit_docstats=False,
         )
         vocab = [f"t{j}" for j in range(int(rng.integers(3, 12)))]
         base = 1
@@ -332,9 +325,9 @@ def test_merge_matches_scalar_oracle(entries, block_cf, data):
         start = 0
         for i in range(len(term)):
             if i == len(term) - 1 or cuts[i]:
-                names, bounds, docs, fields, tokens, buckets = _stream([term[start : i + 1]])
+                names, bounds, docs, fields, tokens = _stream([term[start : i + 1]])
                 runs.append(scalar_posting_rows(
-                    [f"t{t:02d}"], bounds, docs, fields, tokens, buckets, 1 << 16
+                    [f"t{t:02d}"], bounds, docs, fields, tokens, 1 << 16
                 ))
                 start = i + 1
     allruns = pa.concat_tables(runs)

@@ -88,7 +88,7 @@ def test_store_from_index_parity(ray_session, tmp_path):
     )
     build_index(
         ray.data.from_arrow(tbl), idx, text_col="text", doc_id_col="doc_id",
-        meta_cols=("lang",), num_buckets=2, overwrite=True,
+        meta_cols=("lang",), overwrite=True,
     )
     s = IndexSearcher(idx)
     for kind in sorted(METADATA_STORE_KINDS):
@@ -117,7 +117,7 @@ def test_cli_meta_store(ray_session, tmp_path, capsys):
     )
     build_index(
         ray.data.from_arrow(tbl), idx, text_col="text", doc_id_col="doc_id",
-        meta_cols=("tag",), num_buckets=2, overwrite=True,
+        meta_cols=("tag",), overwrite=True,
     )
     assert main(["meta-store", "--index", idx, "--kind", "hash"]) == 0
     capsys.readouterr()
@@ -243,7 +243,7 @@ def test_store_build_atomic_and_staleness_stamp(ray_session, tmp_path):
         "tag": pa.array(["x", "y"], pa.string()),
     })
     build_index(ray.data.from_arrow(tbl), idx, text_col="text",
-                doc_id_col="doc_id", meta_cols=("tag",), num_buckets=2,
+                doc_id_col="doc_id", meta_cols=("tag",),
                 overwrite=True)
     info = build_store_from_index(idx, "btree")
     path = info["path"]
@@ -286,7 +286,7 @@ def test_store_build_atomic_and_staleness_stamp(ray_session, tmp_path):
         "tag": pa.array(["z", "w"], pa.string()),
     })
     build_index(ray.data.from_arrow(tbl2), idx, text_col="text",
-                doc_id_col="doc_id", meta_cols=("tag",), num_buckets=2)
+                doc_id_col="doc_id", meta_cols=("tag",))
     assert store_is_stale(idx, "btree") is True
     # rebuild clears it and covers the new docs
     build_store_from_index(idx, "btree")

@@ -7,7 +7,7 @@ import logging
 import numpy as np
 import pytest
 
-from fulltextsearch_ray.pipelines.build import build_index
+from fulltextsearch_ray.pipelines.build import build_index, compact_index
 from fulltextsearch_ray.pipelines.query import IndexSearcher
 from fulltextsearch_ray.sources.corpus import write_synth_corpus
 
@@ -17,7 +17,7 @@ def pair(ray_session, tmp_path_factory):
     d = str(tmp_path_factory.mktemp("lazycorpus"))
     write_synth_corpus(d, 250, rows_per_file=50)
     idx = str(tmp_path_factory.mktemp("lazyidx"))
-    build_index(d, idx, text_col="content", num_buckets=4, overwrite=True)
+    build_index(d, idx, text_col="content", overwrite=True)
     eager = IndexSearcher(idx)
     lazy = IndexSearcher(idx, catalog_budget_rows=0, doclen_budget_rows=0)
     return eager, lazy
@@ -140,7 +140,7 @@ def test_lazy_doclens_interleaved_segments(ray_session, tmp_path):
     for rows in (rows_a, rows_b):
         ds = ray.data.from_arrow(pa.table({"doc_id": pa.array(rows["doc_id"], pa.uint64()),
                                            "text": pa.array(rows["text"])}))
-        build_index(ds, idx, text_col="text", doc_id_col="doc_id", num_buckets=2)
+        build_index(ds, idx, text_col="text", doc_id_col="doc_id")
     eager = IndexSearcher(idx)
     paged = IndexSearcher(idx, doclen_budget_rows=0)
     for q in ("alpha", "beta gamma", "delta epsilon alpha"):
@@ -156,8 +156,8 @@ def test_stale_fst_fallback_logged_once_per_searcher(ray_session, tmp_path, capl
     d = str(tmp_path / "corpus")
     write_synth_corpus(d, 120, rows_per_file=40)
     idx = str(tmp_path / "idx")
-    build_index(d, idx, text_col="content", num_buckets=2, overwrite=True)
-    build_index(d, idx, text_col="content", num_buckets=2)  # second segment
+    build_index(d, idx, text_col="content", overwrite=True)
+    build_index(d, idx, text_col="content")  # second segment
     build_fst_sidecar(idx)
     logger = "fulltextsearch_ray.pipelines.query"
 
@@ -230,8 +230,9 @@ def test_multi_file_catalog_searchers_agree(multi_file_index):
 
 
 def test_empty_corpus_index_opens(ray_session, tmp_path):
-    """A build without documents writes no catalog rows; every kind of
-    searcher still opens it, with no terms."""
+    """A build without documents writes no catalog rows, no blob and
+    an empty docs file; every kind of searcher still opens it, with no
+    terms, and it compacts with a later session."""
     import pyarrow as pa
     import ray.data
 
@@ -246,6 +247,11 @@ def test_empty_corpus_index_opens(ray_session, tmp_path):
         assert s.top_terms(5).num_rows == 0
         assert s.bm25_topk("anything", k=5).num_rows == 0
     assert len(IndexSearcher(idx).terms) == 0
+    one = pa.table({"doc_id": pa.array([7], pa.uint64()), "text": pa.array(["lone word"])})
+    build_index(ray.data.from_arrow(one), idx, doc_id_col="doc_id")
+    meta = compact_index(idx)
+    assert len(meta.segments) == 1 and meta.num_docs == 1
+    assert IndexSearcher(idx).bm25_topk("lone", k=5)["doc_id"].to_pylist() == [7]
 
 
 @pytest.mark.parametrize("gather_bytes", [None, -1], ids=["in-process", "shuffle"])

@@ -27,7 +27,7 @@ def meta_index(ray_session, tmp_path_factory):
     idx = str(tmp_path_factory.mktemp("metaidx"))
     build_index(
         ray.data.from_arrow(tbl), idx, text_col="text", doc_id_col="doc_id",
-        meta_cols=("lang", "payload"), num_buckets=2, overwrite=True,
+        meta_cols=("lang", "payload"), overwrite=True,
     )
     return idx
 
@@ -70,7 +70,7 @@ def test_meta_cols_build_streams_no_materialize(ray_session, tmp_path, monkeypat
     idx = str(tmp_path / "idx")
     build_index(
         ray.data.from_arrow(tbl), idx, text_col="text", doc_id_col="doc_id",
-        meta_cols=("lang",), num_buckets=2, overwrite=True,
+        meta_cols=("lang",), overwrite=True,
     )
     # write_parquet materializes its own Write plan (tiny ack blocks);
     # anything else materialized here would be the pinned corpus
@@ -111,7 +111,7 @@ def test_meta_cols_on_positional_fast_path(ray_session, tmp_path):
         str(corpus / "part-0.parquet"),
     )
     idx = str(tmp_path / "idx")
-    build_index(str(corpus), idx, text_col="content", meta_cols=("lang",), num_buckets=2)
+    build_index(str(corpus), idx, text_col="content", meta_cols=("lang",))
     s = IndexSearcher(idx)
     assert s.get_metadata(1).get("lang") == "en"
     assert s.get_metadata(3).get("lang") == "fr"
@@ -142,7 +142,7 @@ def test_meta_cols_with_text_cols(ray_session, tmp_path):
     idx = str(tmp_path / "idx")
     build_index(
         ray.data.from_arrow(tbl), idx, text_cols=["title", "body"],
-        doc_id_col="doc_id", meta_cols=("lang",), num_buckets=2,
+        doc_id_col="doc_id", meta_cols=("lang",),
     )
     s = IndexSearcher(idx)
     assert s.get_metadata(2).get("lang") == "de"

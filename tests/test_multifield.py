@@ -22,8 +22,7 @@ def multifield_index(ray_session, tmp_path_factory):
     idx = str(tmp_path_factory.mktemp("mfidx"))
     build_index(
         ray.data.from_arrow(tbl), idx,
-        text_cols=["title", "body"], doc_id_col="doc_id",
-        num_buckets=4, overwrite=True,
+        text_cols=["title", "body"], doc_id_col="doc_id", overwrite=True,
     )
     return IndexSearcher(idx)
 
@@ -73,8 +72,7 @@ def multifield_fwd_index(ray_session, tmp_path_factory):
     idx = str(tmp_path_factory.mktemp("mf_fwd_idx"))
     build_index(
         ray.data.from_arrow(tbl), idx,
-        text_cols=["title", "body"], doc_id_col="doc_id",
-        num_buckets=4, overwrite=True, store_forward=True,
+        text_cols=["title", "body"], doc_id_col="doc_id", overwrite=True, store_forward=True,
     )
     return IndexSearcher(idx), tbl
 
@@ -208,8 +206,7 @@ def test_legacy_meta_unknown_num_fields_still_prunes_exactly(
     idx = str(tmp_path / "legacyidx")
     build_index(
         ray.data.from_arrow(tbl), idx,
-        text_cols=["a", "b"], doc_id_col="doc_id",
-        num_buckets=4, overwrite=True,
+        text_cols=["a", "b"], doc_id_col="doc_id", overwrite=True,
     )
     # simulate the legacy header: drop the num_fields key in place
     meta_path = os.path.join(idx, "meta.json")

@@ -2,16 +2,18 @@
 payload record at its catalog address.
 
 Covers differential checks over a real two-segment index: every term's
-blocks as the searcher reads them equal a whole-file read of the
-postings (the parquet rows with the blob's payloads attached), eager and
+blocks as the searcher reads them equal the whole posting rows
+``read_postings_dataset`` reads back from catalog + blob, eager and
 paged catalogs alike.  An index written before payload blobs (payloads
-inline, unsorted rows, catalogs without address columns), of one
-segment or of two, is refused by the searcher with an error naming
-``compact_index``, and after ``compact_index`` serves the same answers
-as the fresh index.  Corrupt blobs (truncated, lengths that disagree)
-raise ValueError naming the file and the term.  The layout side:
-``merge_runs_batch`` returns rows in (term, first_doc, block_id) order,
-and ``build_index`` / ``compact_index`` write term-sorted files.  Also
+inline in a postings parquet file, unsorted rows, catalogs without
+address columns), of one segment or of two, is refused by the searcher
+with an error naming ``compact_index``, and after ``compact_index``
+serves the same answers as the fresh index.  Corrupt blobs (truncated,
+lengths that disagree, records that disagree with their catalog row)
+raise ValueError naming the file and the term, by address and in the
+whole-row read.  The layout side: ``merge_runs_batch`` returns rows in
+(term, first_doc, block_id) order, and ``build_index`` /
+``compact_index`` write term-sorted catalog files.  Also
 the cold-start contract: a searcher built from manifest stats opens no
 parquet footer and no blob, also from a manifest that still carries
 the retired postings run-catalog keys.
@@ -36,9 +38,11 @@ from fulltextsearch_ray.pipelines.query import IndexSearcher
 from fulltextsearch_ray.stages.invert import (
     DOCSTATS_TERM_PREFIX,
     InvertStage,
+    encode_docstats_row,
     merge_runs_batch,
 )
 from fulltextsearch_ray.state.index import (
+    POSTINGS_SCHEMA,
     load_manifest,
     load_meta,
     save_manifest,
@@ -50,7 +54,7 @@ from fulltextsearch_ray.state.payloads import (
     PAYLOAD_COLS,
     PAYLOAD_DIR,
     predates_blobs,
-    read_postings_file,
+    read_blob_rows,
 )
 from fulltextsearch_ray.tokenizer import tokenize
 
@@ -70,7 +74,7 @@ def _build_two_segments(idx):
         f"uniq{i} " + "the " * 3 + " ".join(rng.choice(vocab[:40], size=6)) for i in range(200)
     ]
     ids = np.arange(1, len(base) + len(delta) + 1, dtype=np.uint64)
-    kw = dict(doc_id_col="doc_id", num_buckets=4, block_cf=64, batch_size=50)
+    kw = dict(doc_id_col="doc_id", block_cf=64, batch_size=50)
     build_index(
         ray.data.from_arrow(pa.table({"doc_id": ids[: len(base)], "text": base})), idx,
         overwrite=True, **kw,
@@ -100,22 +104,32 @@ QUERIES = ("the term3", "uniq5 term7 term39", "term0 term1 term2 the", "the uniq
 
 def _to_pre_blob_layout(idx):
     """Rewrite ``idx`` in place in the layout indexes had before payload
-    blobs: every postings row carries its payloads inline, the rows
-    shuffled out of term order in 4,096-row groups the way the
-    category-concatenating merge wrote them, no payloads directory,
+    blobs: a postings parquet file per catalog file whose rows carry
+    their payloads inline, with one doc-stats sentinel row per docs file
+    among them, shuffled out of term order in 4,096-row groups the way
+    the category-concatenating merge wrote them; no payloads directory,
     catalogs without address columns, and manifests that carry the
     postings run catalog (``file_ranges``, ``num_buckets``)."""
     rng = np.random.default_rng(11)
     for seg in load_meta(idx).segments:
         segp = segment_dir(idx, seg)
+        sentinels = []
+        for p in glob.glob(os.path.join(segp, "docs", "*.parquet")):
+            d = pq.read_table(p)
+            lens = d["doc_len"].to_numpy()
+            row = encode_docstats_row(d["doc_id"].to_numpy(), lens, d["sha256"].to_pylist(), lens.sum())
+            sentinels.append(pa.Table.from_pylist([row], schema=POSTINGS_SCHEMA))
         ranges = []
-        for p in sorted(glob.glob(os.path.join(segp, "postings", "*.parquet"))):
-            t = read_postings_file(p)
-            ranges.append([os.path.relpath(p, segp), pc.min(t["term"]).as_py(), pc.max(t["term"]).as_py()])
-            pq.write_table(t.take(rng.permutation(t.num_rows)), p, row_group_size=4096)
+        os.makedirs(os.path.join(segp, "postings"))
+        for p in sorted(glob.glob(os.path.join(segp, "catalog", "*.parquet"))):
+            cat = pq.read_table(p)
+            t = pa.concat_tables([read_blob_rows(cat, segp)] + sentinels)
+            sentinels = []
+            post = os.path.join(segp, "postings", os.path.basename(p))
+            ranges.append([os.path.relpath(post, segp), pc.min(t["term"]).as_py(), pc.max(t["term"]).as_py()])
+            pq.write_table(t.take(rng.permutation(t.num_rows)), post, row_group_size=4096)
+            pq.write_table(cat.drop_columns(ADDRESS_COLS), p)
         shutil.rmtree(os.path.join(segp, PAYLOAD_DIR))
-        for p in glob.glob(os.path.join(segp, "catalog", "*.parquet")):
-            pq.write_table(pq.read_table(p).drop_columns(ADDRESS_COLS), p)
         man = load_manifest(idx, seg)
         man.catalog_stats = build_mod._scan_table_stats(os.path.join(segp, "catalog"), segp)
         save_manifest(idx, man)
@@ -153,31 +167,26 @@ def compacted_legacy(legacy_indexes, tmp_path_factory):
     return out
 
 
-def _postings_files(idx):
-    return [
-        (seg, p)
-        for seg in load_meta(idx).segments
-        for p in sorted(glob.glob(os.path.join(segment_dir(idx, seg), "postings", "*.parquet")))
-    ]
-
-
 def _unsorted_files(idx) -> int:
+    """Catalog files of ``idx`` whose rows are not in term order."""
     n = 0
-    for _seg, p in _postings_files(idx):
-        terms = pq.read_table(p, columns=["term"])["term"].to_pylist()
-        n += terms != sorted(terms)
+    for seg in load_meta(idx).segments:
+        for p in glob.glob(os.path.join(segment_dir(idx, seg), "catalog", "*.parquet")):
+            terms = pq.read_table(p, columns=["term"])["term"].to_pylist()
+            n += terms != sorted(terms)
     return n
 
 
-def _assert_matches_whole_file_read(s):
+def _assert_matches_whole_row_read(s):
     """Every term's blocks as ``s`` reads them — a blob record at its
-    catalog address — equal the rows of a whole-file read filtered to
-    the term (``read_postings_file``: the parquet rows with their
-    payloads), segment by segment."""
-    whole = {}
-    for seg, p in _postings_files(s.index_dir):
-        whole.setdefault(seg, []).append(read_postings_file(p))
-    whole = {seg: pa.concat_tables(ts) for seg, ts in whole.items()}
+    catalog address — equal the whole posting rows of its segment
+    (``read_postings_dataset``: catalog + blob) filtered to the term,
+    segment by segment."""
+    whole = {
+        seg: pa.concat_tables(build_mod.read_postings_dataset(s.index_dir, [seg]).iter_batches(
+            batch_format="pyarrow", batch_size=None))
+        for seg in s.segments
+    }
     terms = IndexSearcher(s.index_dir).terms.to_pylist()
     assert "the" in terms
     for term in terms:
@@ -200,11 +209,13 @@ def _assert_matches_whole_file_read(s):
 def test_reader_matches_dataset_filter_read(two_segment_index, compacted_index):
     s = IndexSearcher(two_segment_index)
     assert len(s.segments) == 2
-    # a fresh build and a compaction write term-sorted files only
-    assert _unsorted_files(two_segment_index) == 0
-    assert _unsorted_files(compacted_index) == 0
-    _assert_matches_whole_file_read(s)
-    _assert_matches_whole_file_read(IndexSearcher(two_segment_index, catalog_budget_rows=0))
+    # a fresh build and a compaction write term-sorted catalog files and
+    # no postings parquet file
+    for idx in (two_segment_index, compacted_index):
+        assert _unsorted_files(idx) == 0
+        assert not glob.glob(os.path.join(idx, "**", "postings"), recursive=True)
+    _assert_matches_whole_row_read(s)
+    _assert_matches_whole_row_read(IndexSearcher(two_segment_index, catalog_budget_rows=0))
 
 
 def _assert_same_answers(got: IndexSearcher, want: IndexSearcher, terms):
@@ -278,8 +289,7 @@ def _mixed_runs():
     rng = np.random.default_rng(7)
     vocab = [f"term{i}" for i in range(300)]
     stage = InvertStage(
-        text_col="a", text_cols=["a", "b"], doc_id_col="doc_id",
-        num_buckets=4, block_cf=64, emit_docstats=True,
+        text_col="a", text_cols=["a", "b"], doc_id_col="doc_id", block_cf=64, emit_docstats=True,
     )
     a = [" ".join(rng.choice(vocab, size=12)) for _ in range(200)]
     a += [f"uniq{i} " + "the " * 3 + " ".join(rng.choice(vocab[:40], size=6)) for i in range(100)]
@@ -322,10 +332,13 @@ def test_merge_runs_batch_output_is_term_sorted():
     out = merge_runs_batch(runs, block_cf=64)
     keys = list(zip(*(out[c].to_pylist() for c in ("term", "first_doc", "block_id"))))
     assert keys == sorted(keys)
-    # the rows are those of the category-concatenating merge this order
-    # replaced: sha256 of its output, sorted the same way
-    digest = hashlib.sha256(repr(out.to_pydict()).encode()).hexdigest()
-    assert digest == "349acdea1c69889914dff8ad9406b5166ce2a84478f5395232bc5aefe80db45d"
+    # the posting rows are those of the category-concatenating merge
+    # this order replaced: sha256 of its output without the sentinel
+    # rows and the bucket column, sorted the same way
+    post = out.filter(pc.invert(pc.starts_with(out["term"], DOCSTATS_TERM_PREFIX)))
+    digest = hashlib.sha256(repr(post.drop_columns(["bucket"]).to_pydict()).encode()).hexdigest()
+    assert digest == "480b5494a5f5513e810a0c67d906c17b197717a58c29cb404ea9045a43ae24ce"
+    assert out.num_rows - post.num_rows == 6
     # an input that is already single-run / sentinel only returns sorted too
     sub = runs.filter(pc.is_in(runs["term"], pa.array(cats["single"] + cats["sentinel"])))
     sub = sub.take(np.random.default_rng(0).permutation(sub.num_rows))
@@ -347,27 +360,32 @@ def _encoded_rows(block_cf):
     tokens = np.r_[np.ones(300), [2, 5, 9], [1, 1]].astype(np.uint64)
     return encode_posting_rows(
         np.array(["a", "b", "c"], dtype=object), np.array([0, 300, 303, 305]),
-        docs, None, tokens, np.zeros(3, dtype=np.int32), block_cf,
+        docs, None, tokens, block_cf,
     )
+
+
+def _blob_and_catalog(rows, seg):
+    """Write ``rows``' payload blob under ``seg`` and return the catalog
+    rows that address it."""
+    from fulltextsearch_ray.state.payloads import write_blob
+
+    blob = os.path.join(PAYLOAD_DIR, "p.bin")
+    return build_mod._catalog_rows(rows, blob, write_blob(os.path.join(seg, blob), rows))
 
 
 def test_blob_round_trip(tmp_path):
-    """write_blob → read by address (parse_record) and whole-file
-    (attach_payloads) give back every row's payload bytes."""
-    from fulltextsearch_ray.state.payloads import (
-        attach_payloads,
-        parse_record,
-        read_directory,
-        write_blob,
-    )
+    """write_blob → read by address (parse_record) and whole-row
+    (read_blob_rows, from the catalog rows) give back every row."""
+    from fulltextsearch_ray.state.payloads import parse_record, read_directory
 
     rows = _encoded_rows(block_cf=2)
     assert rows.num_rows > 150
-    blob = str(tmp_path / "payloads" / "p.bin")
-    directory = write_blob(blob, rows)
+    cat = _blob_and_catalog(rows, str(tmp_path))
+    blob = str(tmp_path / PAYLOAD_DIR / "p.bin")
     offsets, _hdr, bm25_len, length = read_directory(blob)
-    # the directory the writer returns is the one a reader finds
-    assert all(np.array_equal(a, b) for a, b in zip(directory, read_directory(blob)))
+    # the directory the writer returned is the one a reader finds
+    assert cat["offset"].to_pylist() == offsets.tolist() and cat["len"].to_pylist() == length.tolist()
+    assert cat["bm25_len"].to_pylist() == bm25_len.tolist()
     data = open(blob, "rb").read()
     for t, term in enumerate(["a", "b", "c"]):
         want = rows.filter(pc.equal(rows["term"], term))
@@ -378,43 +396,64 @@ def test_blob_round_trip(tmp_path):
             assert got.lasts.tolist() == want["last_doc"].to_pylist()
             for c in PAYLOAD_COLS if rest else ("docs", "tfs"):
                 assert [bytes(x) for x in getattr(got, c)] == want[c].to_pylist(), (term, c)
-    # a sentinel row (payload inline) ahead of the blob-backed rows
-    nulls = {c: pa.nulls(rows.num_rows, pa.binary()) for c in PAYLOAD_COLS}
-    stripped = rows
-    for c, col in nulls.items():
-        stripped = stripped.set_column(stripped.schema.get_field_index(c), c, col)
-    sentinel = rows.slice(0, 1).set_column(rows.schema.get_field_index("term"), "term",
-                                           pa.array(["\x00docs:1"]))
-    sentinel = sentinel.set_column(sentinel.schema.get_field_index("bucket"), "bucket",
-                                   pa.array([-1], pa.int32()))
-    got = attach_payloads(pa.concat_tables([sentinel, stripped]), blob)
-    assert got.equals(pa.concat_tables([sentinel, rows]))
+    assert read_blob_rows(cat, str(tmp_path)).equals(rows)
+    # any subset of the catalog rows reads its own terms' rows
+    assert read_blob_rows(cat.slice(1), str(tmp_path)).equals(rows.filter(pc.not_equal(rows["term"], "a")))
+
+
+def test_blob_rows_check_the_catalog(tmp_path):
+    """The whole-row read recomputes each block's cf, max_tf and n_docs
+    from the docs and tfs payloads and checks the per-term sums against
+    the catalog row: a row that disagrees raises ValueError naming the
+    blob and the term, and rows whose addresses overlap raise too."""
+    rows = _encoded_rows(block_cf=2)
+    cat = _blob_and_catalog(rows, str(tmp_path))
+    for c in ("df", "cf", "max_tf", "df_docs", "first_doc", "last_doc", "n_blocks"):
+        vals = cat[c].to_pylist()
+        vals[1] += 1  # term 'b'
+        bad = cat.set_column(cat.schema.get_field_index(c), c, pa.array(vals, cat.schema.field(c).type))
+        with pytest.raises(ValueError, match=r"p\.bin: payload record of term 'b'"):
+            read_blob_rows(bad, str(tmp_path))
+    # two catalog rows addressing one record
+    with pytest.raises(ValueError, match=r"p\.bin: payload regions overlap"):
+        read_blob_rows(pa.concat_tables([cat, cat.slice(1, 1)]), str(tmp_path))
 
 
 def test_rewritten_partition_replaces_its_files(tmp_path):
     """A retried write of the same partition lands on the same names:
-    one parquet file, one blob and one catalog file, not two copies
-    (double df/cf).  The catalog rows address every term's record."""
+    one blob, one catalog file and one docs file, not two copies
+    (double df/cf and docs), and no postings parquet file.  The catalog
+    rows address every term's record, and the docs file holds the
+    sentinel rows' docs in doc_id order."""
     from fulltextsearch_ray.state.payloads import parse_record
 
-    rows = _encoded_rows(block_cf=64)
+    posting = _encoded_rows(block_cf=64)
+    ids, lens = np.array([9, 4, 6], dtype=np.uint64), np.array([3, 1, 2])
+    sentinel = pa.Table.from_pylist(
+        [encode_docstats_row(ids, lens, ["a" * 64, "b" * 64, "c" * 64], 6)], schema=POSTINGS_SCHEMA
+    )
+    rows = pa.concat_tables([sentinel, posting])
     seg = str(tmp_path / "seg")
     for _ in range(2):
         out = build_mod.write_postings_partition(rows, seg)
-    assert os.listdir(os.path.join(seg, "postings")) == [os.path.basename(out["file"][0].as_py())]
-    assert len(os.listdir(os.path.join(seg, PAYLOAD_DIR))) == 1
+    assert sorted(os.listdir(seg)) == ["catalog", "docs", PAYLOAD_DIR]
+    assert all(len(os.listdir(os.path.join(seg, d))) == 1 for d in os.listdir(seg))
     (cat_file,) = glob.glob(os.path.join(seg, "catalog", "*"))
-    assert read_postings_file(os.path.join(seg, out["file"][0].as_py())).equals(rows)
     assert out["max_field"].to_pylist() == [1]
     cat = pq.read_table(cat_file)
-    assert cat.drop_columns(ADDRESS_COLS).equals(build_mod.aggregate_catalog(rows))
+    assert cat.drop_columns(ADDRESS_COLS).equals(build_mod.aggregate_catalog(posting))
+    assert read_blob_rows(cat, seg).equals(posting)
     for r in cat.to_pylist():
         with open(os.path.join(seg, r["file"]), "rb") as f:
             got = parse_record(os.pread(f.fileno(), r["len"], r["offset"]), True, r["file"], r["term"])
-        assert got.dfs.tolist() == rows.filter(pc.equal(rows["term"], r["term"]))["df"].to_pylist()
-    assert out.select(["num_terms", "num_occurrences", "first_term", "last_term", "num_docs"]).to_pylist() == [
-        {"num_terms": 3, "num_occurrences": 305, "first_term": "a", "last_term": "c", "num_docs": 0}
-    ]
+        assert got.dfs.tolist() == posting.filter(pc.equal(posting["term"], r["term"]))["df"].to_pylist()
+    assert pq.read_table(os.path.join(seg, "docs")).to_pydict() == {
+        "doc_id": [4, 6, 9], "doc_len": [1, 2, 3], "sha256": ["b" * 64, "c" * 64, "a" * 64],
+    }
+    assert out.drop_columns(["max_field"]).to_pylist() == [{
+        "num_terms": 3, "num_occurrences": 305, "first_term": "a", "last_term": "c",
+        "num_docs": 3, "total_tokens": 6, "min_doc_id": 4, "max_doc_id": 9,
+    }]
 
 
 def _mixed_field_rows():
@@ -428,19 +467,19 @@ def _mixed_field_rows():
     tokens = np.r_[[1, 1, 1, 1, 1, 1], [1, 1]].astype(np.uint64)
     return encode_posting_rows(
         np.array(["x", "y"], dtype=object), np.array([0, 6, 8]),
-        docs, fields, tokens, np.zeros(2, dtype=np.int32), 2,
+        docs, fields, tokens, 2,
     )
 
 
 def test_field_one_payloads_stored_empty(tmp_path):
     """A block whose entries are all field 1 stores no fields bytes in
     the blob (its header length is 0); every other block keeps them,
-    and both read back as the encoder's bytes, by address and whole-file."""
-    from fulltextsearch_ray.state.payloads import attach_payloads, parse_record, read_directory, write_blob
+    and both read back as the encoder's bytes, by address and whole-row."""
+    from fulltextsearch_ray.state.payloads import parse_record, read_directory
 
     for rows in (_encoded_rows(block_cf=2), _mixed_field_rows()):
-        blob = str(tmp_path / "payloads" / "p.bin")
-        write_blob(blob, rows)
+        cat = _blob_and_catalog(rows, str(tmp_path))
+        blob = str(tmp_path / PAYLOAD_DIR / "p.bin")
         offsets, hdr_len, _bm25, length = read_directory(blob)
         data = open(blob, "rb").read()
         terms = pc.unique(rows["term"]).to_pylist()
@@ -454,11 +493,7 @@ def test_field_one_payloads_stored_empty(tmp_path):
             assert [bytes(x) for x in got.fields] == want["fields"].to_pylist(), term
         field_one = [f == b"\x01" * d for f, d in zip(rows["fields"].to_pylist(), rows["df"].to_pylist())]
         assert stored == [0 if one else len(f) for one, f in zip(field_one, rows["fields"].to_pylist())]
-        stripped = rows
-        for c in PAYLOAD_COLS:
-            stripped = stripped.set_column(stripped.schema.get_field_index(c), c,
-                                           pa.nulls(rows.num_rows, pa.binary()))
-        assert attach_payloads(stripped, blob).equals(rows)
+        assert read_blob_rows(cat, str(tmp_path)).equals(rows)
     assert any(field_one) and not all(field_one)  # the mixed rows cover both kinds
     assert build_mod.write_postings_partition(_mixed_field_rows(), str(tmp_path / "seg"))[
         "max_field"
@@ -479,7 +514,7 @@ def test_term_split_across_files_raises(tmp_path):
     assert [(p["first_term"], p["last_term"], p["num_terms"]) for p in split] == [
         ("a", "a", 1), ("a", "c", 3)
     ]
-    with pytest.raises(ValueError, match="span two postings files"):
+    with pytest.raises(ValueError, match="span two payload blobs"):
         build_mod._check_one_file_per_term(seg, split)
     disjoint = [
         build_mod.write_postings_partition(rows.filter(pc.equal(rows["term"], t)), seg).to_pylist()[0]
@@ -525,6 +560,12 @@ def _single_block_record(idx):
     raise AssertionError("no single-block term")
 
 
+def _catalog_of(blob):
+    """The catalog rows that address ``blob`` (the file with its stem)."""
+    seg, name = os.path.dirname(os.path.dirname(blob)), os.path.basename(blob)
+    return pq.read_table(os.path.join(seg, "catalog", name.replace(".bin", ".parquet")))
+
+
 def test_truncated_blob_raises(two_segment_index, tmp_path):
     idx = str(tmp_path / "idx")
     shutil.copytree(two_segment_index, idx)
@@ -535,10 +576,8 @@ def test_truncated_blob_raises(two_segment_index, tmp_path):
         f.truncate(off + 1)
     with pytest.raises(ValueError, match=f"{os.path.basename(path)}.*{term!r}"):
         IndexSearcher(idx).get_doc_tfs(term)
-    parquet = os.path.join(segment_dir(idx, s.segments[0]), "postings",
-                           os.path.basename(path).replace(".bin", ".parquet"))
-    with pytest.raises(ValueError, match=os.path.basename(path)):
-        read_postings_file(parquet)
+    with pytest.raises(ValueError, match=f"{os.path.basename(path)}.*{term!r}"):
+        read_blob_rows(_catalog_of(path), os.path.dirname(os.path.dirname(path)))
 
 
 def test_corrupt_header_length_raises(two_segment_index, tmp_path):
@@ -561,8 +600,8 @@ def test_corrupt_header_length_raises(two_segment_index, tmp_path):
     patch(1, 1)
     with pytest.raises(ValueError, match=f"{os.path.basename(path)}.*corrupt postings of term {term!r}"):
         IndexSearcher(idx).get_doc_tfs(term)
-    with pytest.raises(ValueError, match=os.path.basename(path)):
-        read_postings_file(path.replace(PAYLOAD_DIR, "postings").replace(".bin", ".parquet"))
+    with pytest.raises(ValueError, match=f"{os.path.basename(path)}.*{term!r}"):
+        read_blob_rows(_catalog_of(path), os.path.dirname(os.path.dirname(path)))
     # lengths that disagree with the address
     patch(1, 0)
     with pytest.raises(ValueError, match=f"{os.path.basename(path)}.*{term!r}.*header lengths"):
@@ -595,7 +634,7 @@ def built_index(ray_session, tmp_path_factory):
             }
         )
     )
-    build_index(ds, idx, text_col="text", doc_id_col="doc_id", num_buckets=4, overwrite=True)
+    build_index(ds, idx, text_col="text", doc_id_col="doc_id", overwrite=True)
     return idx
 
 

@@ -16,7 +16,7 @@ def small_index(ray_session, tmp_path_factory):
     d = str(tmp_path_factory.mktemp("qcorpus"))
     write_synth_corpus(d, 300, rows_per_file=75)
     idx = str(tmp_path_factory.mktemp("qidx"))
-    build_index(d, idx, text_col="content", num_buckets=4, overwrite=True)
+    build_index(d, idx, text_col="content", overwrite=True)
     return idx
 
 
@@ -183,11 +183,11 @@ def test_get_searcher_cache_invalidated_by_rebuild(ray_session, tmp_path):
 
     idx = str(tmp_path / "gidx")
     build_index(ray.data.from_arrow(_mini_tbl([1], ["alpha beta"])), idx,
-                doc_id_col="doc_id", num_buckets=2, overwrite=True)
+                doc_id_col="doc_id", overwrite=True)
     s1 = get_searcher(idx)
     assert {int(d) for d in s1.evaluate("WORD(beta)").docs} == {1}
     build_index(ray.data.from_arrow(_mini_tbl([2], ["beta gamma"])), idx,
-                doc_id_col="doc_id", num_buckets=2)
+                doc_id_col="doc_id")
     s2 = get_searcher(idx)
     assert s2 is not s1
     assert {int(d) for d in s2.evaluate("WORD(beta)").docs} == {1, 2}

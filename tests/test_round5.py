@@ -37,7 +37,7 @@ def built_index(ray_session, tmp_path_factory):
             }
         )
     )
-    build_index(ds, idx, text_col="text", doc_id_col="doc_id", num_buckets=4, overwrite=True)
+    build_index(ds, idx, text_col="text", doc_id_col="doc_id", overwrite=True)
     return idx
 
 
@@ -263,7 +263,7 @@ def test_sharded_fst_sequential_writes_at_dispatch(tmp_path):
             }
         )
     )
-    build_index(ds, idx, text_col="text", doc_id_col="doc_id", num_buckets=2, overwrite=True)
+    build_index(ds, idx, text_col="text", doc_id_col="doc_id", overwrite=True)
 
     orig = ray.is_initialized
 

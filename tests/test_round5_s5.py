@@ -1,14 +1,12 @@
-"""Session-5 regression tests: per-file fetch-manifest persistence."""
+"""Session-5 regression tests: per-file fetch-manifest persistence.
+(The duplicate-doc-id build test lives in tests/test_build_invariants.py.)"""
 
 import json
 import os
 
 import numpy as np
-import pyarrow as pa
 import pytest
-import ray.data
 
-from fulltextsearch_ray.pipelines.build import build_index
 from fulltextsearch_ray.sources.enwiki import fetch_to_dir
 
 
@@ -34,20 +32,6 @@ def test_fetch_to_dir_midrun_failure_keeps_manifest(tmp_path):
     f2.write_text("from url B")
     got = fetch_to_dir(["file://" + str(f2)], dest)
     assert open(got[0]).read() == "from url B"
-
-
-def test_build_rejects_duplicate_doc_ids_in_batch(ray_session, tmp_path):
-    """Duplicate user doc_ids in one batch used to skip the occurrence
-    sort (nondecreasing guard) and silently merge two documents into
-    one posting entry with non-monotonic positions — must fail loud."""
-    idx = str(tmp_path / "idx")
-    tbl = pa.table({
-        "doc_id": pa.array([5, 5], pa.int64()),
-        "text": pa.array(["b a", "a"], pa.string()),
-    })
-    with pytest.raises(Exception, match="must be unique"):
-        build_index(ray.data.from_arrow(tbl), idx,
-                    text_col="text", doc_id_col="doc_id", num_buckets=2)
 
 
 def test_codec_corrupt_inputs_fail_loudly():

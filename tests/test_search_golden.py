@@ -36,11 +36,11 @@ def _ds(texts, start_id):
 def index_sessions(ray_session, tmp_path_factory):
     """Build the 6-doc index, then two incremental sessions (docs 7, 8)."""
     d = str(tmp_path_factory.mktemp("golden_idx"))
-    build_index(_ds(DOCS_6, 1), d, doc_id_col="doc_id", overwrite=True, num_buckets=4)
+    build_index(_ds(DOCS_6, 1), d, doc_id_col="doc_id", overwrite=True)
     s1 = IndexSearcher(d)
-    build_index(_ds(["this is not a joke"], 7), d, doc_id_col="doc_id", num_buckets=4)
+    build_index(_ds(["this is not a joke"], 7), d, doc_id_col="doc_id")
     s2 = IndexSearcher(d)
-    build_index(_ds(["Really, this is not a joke"], 8), d, doc_id_col="doc_id", num_buckets=4)
+    build_index(_ds(["Really, this is not a joke"], 8), d, doc_id_col="doc_id")
     s3 = IndexSearcher(d)
     return s1, s2, s3
 
@@ -180,30 +180,36 @@ def test_term_stats_and_meta(index_sessions):
 
 
 def test_compaction_drops_docstats_sentinels(index_sessions, tmp_path_factory):
-    """The compacted postings carry no bucket == -1 sentinel rows (the
-    docs table is rebuilt from the docs dirs — storing the stats twice
-    would re-pay their shuffle on every future compaction)."""
+    """Doc stats live in the docs tables only: no catalog holds a
+    sentinel key and every posting row read back is a posting row,
+    before compaction and after it (the docs table is rebuilt from the
+    docs dirs — storing the stats twice would re-pay their shuffle on
+    every future compaction)."""
     import shutil
 
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    from fulltextsearch_ray.pipelines.build import compact_index
+    from fulltextsearch_ray.pipelines.build import compact_index, read_postings_dataset
+    from fulltextsearch_ray.stages.invert import DOCSTATS_TERM_PREFIX
     from fulltextsearch_ray.state.index import load_meta, segment_dir
+
+    def sentinels(idx) -> int:
+        segs = load_meta(idx).segments
+        rows = read_postings_dataset(idx, segs).take_all()
+        assert rows and {r["bucket"] for r in rows} == {0}
+        n = sum(r["term"].startswith(DOCSTATS_TERM_PREFIX) for r in rows)
+        for seg in segs:
+            t = pq.read_table(os.path.join(segment_dir(idx, seg), "catalog"), columns=["term"])
+            n += pc.sum(pc.starts_with(t["term"], DOCSTATS_TERM_PREFIX)).as_py() or 0
+        return n
 
     _, _, s3 = index_sessions
     d2 = str(tmp_path_factory.mktemp("compact_nosent"))
     shutil.copytree(s3.index_dir, d2, dirs_exist_ok=True)
-    # the pre-compaction segments DO carry sentinels
-    pre = 0
-    for seg in load_meta(d2).segments:
-        t = pq.read_table(os.path.join(segment_dir(d2, seg), "postings"), columns=["bucket"])
-        pre += int(pc.sum(pc.cast(pc.less(t["bucket"], 0), "int64")).as_py() or 0)
-    assert pre > 0
+    assert sentinels(d2) == 0
     compact_index(d2)
-    seg = load_meta(d2).segments[0]
-    t = pq.read_table(os.path.join(segment_dir(d2, seg), "postings"), columns=["bucket"])
-    assert int(pc.min(t["bucket"]).as_py()) >= 0
+    assert sentinels(d2) == 0
     # and the docs table still serves every doc
     from fulltextsearch_ray.pipelines.query import IndexSearcher
 

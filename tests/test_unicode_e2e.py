@@ -23,7 +23,7 @@ def unicode_index(ray_session, tmp_path_factory):
         }
     )
     idx = str(tmp_path_factory.mktemp("uniidx"))
-    build_index(ray.data.from_arrow(tbl), idx, doc_id_col="doc_id", num_buckets=4, overwrite=True)
+    build_index(ray.data.from_arrow(tbl), idx, doc_id_col="doc_id", overwrite=True)
     return IndexSearcher(idx)
 
 
