@@ -29,6 +29,7 @@ __all__ = [
     "encode_posting_block",
     "decode_posting_block",
     "decode_posting_columns",
+    "restart_prefix_sum",
     "format_posting_text",
     "PostingBlock",
     "SkipList",
@@ -95,32 +96,32 @@ def varint_decode(buf: bytes | memoryview | np.ndarray, count: int | None = None
             # corruption as a short one — fail at the codec boundary
             raise ValueError(f"varint_decode: expected {count}, got 0")
         return np.empty(0, dtype=np.uint64)
-    is_end = (arr & 0x80) == 0
+    is_end = arr < 0x80
     if not is_end[-1]:
         raise ValueError("varint_decode: truncated stream (ends mid-varint)")
     if is_end.all():
         # all-1-byte fast path: every byte is its own value
         values = arr.astype(np.uint64)
-        if count is not None and len(values) != count:
-            raise ValueError(f"varint_decode: expected {count}, got {len(values)}")
-        return values
-    # group id per byte = number of terminators before this byte
-    group = np.zeros(len(arr), dtype=np.int64)
-    np.cumsum(is_end[:-1], out=group[1:])
-    # value starts: byte 0 and every byte after a terminator
-    starts = np.flatnonzero(is_end)
-    starts[1:] = starts[:-1] + 1
-    starts[0] = 0
-    pos = np.arange(len(arr), dtype=np.int64) - starts[group]
-    # a uint64 varint is at most 10 bytes, and byte 10 (shift 63) may
-    # only carry bit 0 — numpy wraps shifts >= 64 silently, so corrupt
-    # over-long varints would otherwise decode to garbage, not an error
-    if int(pos.max()) > 9:
-        raise ValueError("varint_decode: varint longer than 10 bytes (corrupt stream)")
-    if ((pos == 9) & ((arr & 0x7F) > 1)).any():
-        raise ValueError("varint_decode: varint overflows uint64 (corrupt stream)")
-    contrib = (arr & 0x7F).astype(np.uint64) << (np.uint64(7) * pos.astype(np.uint64))
-    values = np.add.reduceat(contrib, starts)
+    else:
+        ends = np.flatnonzero(is_end)
+        starts = np.empty_like(ends)
+        starts[0] = 0
+        starts[1:] = ends[:-1] + 1
+        width = ends - starts  # bytes of each varint, minus one
+        # a uint64 varint is at most 10 bytes, and byte 10 (shift 63) may
+        # only carry bit 0 — numpy wraps shifts >= 64 silently, so corrupt
+        # over-long varints would otherwise decode to garbage, not an error
+        wmax = int(width.max())
+        if wmax > 9:
+            raise ValueError("varint_decode: varint longer than 10 bytes (corrupt stream)")
+        if wmax == 9 and (arr[ends[width == 9]] > 1).any():
+            raise ValueError("varint_decode: varint overflows uint64 (corrupt stream)")
+        # byte k of every value longer than k bytes, one pass per k: most
+        # values take one or two bytes
+        values = (arr[starts] & 0x7F).astype(np.uint64)
+        for k in range(1, wmax + 1):
+            sel = np.flatnonzero(width >= k)
+            values[sel] |= (arr[starts[sel] + k] & 0x7F).astype(np.uint64) << np.uint64(7 * k)
     if count is not None and len(values) != count:
         raise ValueError(f"varint_decode: expected {count}, got {len(values)}")
     return values
@@ -225,19 +226,29 @@ def decode_posting_block(docs: bytes, fields: bytes, tfs: bytes, positions: byte
     return occ_docs, occ_fields, occ_tokens, e_docs, e_fields, e_tfs
 
 
+def restart_prefix_sum(deltas: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Prefix sum of ``deltas`` that restarts with each run of
+    ``counts[i]`` values (a run's first delta is absolute): doc ids from
+    the doc gaps of consecutive blocks, token ids from the position
+    deltas of consecutive entries.  Zero counts are empty runs; the
+    counts must sum to ``len(deltas)``."""
+    csum = np.cumsum(deltas, dtype=np.uint64)
+    if len(counts) < 2:  # one run: the plain prefix sum
+        return csum
+    counts = np.asarray(counts, dtype=np.int64)
+    counts = counts[counts > 0]
+    starts = np.zeros(len(counts), dtype=np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    base = csum[starts] - deltas[starts]
+    return csum - np.repeat(base, counts)
+
+
 def _expand_occurrences(e_docs, e_fields, e_tfs, tok_d):
-    """Segmented prefix-sum expansion of per-entry arrays plus
-    concatenated position deltas into occurrence arrays — the ONE copy
-    of the vectorized trick shared by the single-block and many-block
-    decoders (token ids restart per entry: global cumsum minus the
-    cumsum value at each entry start)."""
+    """Per-entry arrays plus concatenated position deltas → occurrence
+    arrays (docs, fields, tokens): the ONE copy of the expansion shared
+    by every decoder (token ids restart per entry)."""
     reps = e_tfs.astype(np.int64)
-    starts = np.zeros(len(e_tfs), dtype=np.int64)
-    np.cumsum(reps[:-1], out=starts[1:])
-    csum = np.cumsum(tok_d, dtype=np.uint64)
-    base = csum[starts] - tok_d[starts]
-    occ_tokens = csum - np.repeat(base, reps)
-    return np.repeat(e_docs, reps), np.repeat(e_fields, reps), occ_tokens
+    return np.repeat(e_docs, reps), np.repeat(e_fields, reps), restart_prefix_sum(tok_d, reps)
 
 
 def decode_posting_columns(
@@ -282,11 +293,7 @@ def decode_posting_columns(
         if pos_bufs is None:
             return e, e.copy(), e.copy()
         return e, e.copy(), e.copy(), e.copy(), e.copy(), e.copy()
-    starts = np.zeros(len(dfs), dtype=np.int64)
-    np.cumsum(dfs[:-1], out=starts[1:])
-    csum = np.cumsum(e_deltas, dtype=np.uint64)
-    base = csum[starts] - e_deltas[starts]
-    e_docs = csum - np.repeat(base, dfs)
+    e_docs = restart_prefix_sum(e_deltas, dfs)
     if pos_bufs is None:
         return e_docs, e_fields, e_tfs
     tok_d = varint_decode(b"".join(pos_bufs))

@@ -19,9 +19,10 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from ..codecs import decode_posting_columns
 from ..stages.invert import DEFAULT_BLOCK_CF, invert_batch_fn
 from ..state.index import IndexMeta
-from ..state.payloads import TermBlocks
+from ..state.payloads import TermPostings
 from .build import aggregate_catalog, merge_term_runs
 from .query import IndexSearcher
 
@@ -33,7 +34,8 @@ class InMemorySearcher(IndexSearcher):
     algebra, BM25 exhaustive + MaxScore-pruned, lookup/matchers) by
     overriding only the posting fetch: a term's blocks are one binary-
     searched slice of the in-memory postings table, which is sorted by
-    (term, first_doc, block_id) — the decode order.
+    (term, first_doc, block_id) — the decode order — decoded by
+    ``decode_posting_columns``.
     """
 
     def __init__(self, postings: pa.Table, docs: pa.Table):
@@ -73,19 +75,22 @@ class InMemorySearcher(IndexSearcher):
         self._cache = make_cache("lru", 64)
         self._cache_entries = make_cache("lru", 4096)
 
-    def _fetch_term_blocks(self, term: str, with_positions: bool) -> list[TermBlocks]:
+    def _term_postings(self, term: str, with_positions: bool) -> list[TermPostings]:
         lo = int(np.searchsorted(self._post_terms, term, side="left"))
         hi = int(np.searchsorted(self._post_terms, term, side="right"))
         if lo == hi:
             return []
         t = self._postings.slice(lo, hi - lo)
-        return [TermBlocks(
-            "mem",
-            np.asarray(t["df"].to_numpy(zero_copy_only=False)),
+        dfs = np.asarray(t["df"].to_numpy(zero_copy_only=False), dtype=np.int64)
+        cols = decode_posting_columns(
+            t["docs"].to_pylist(), t["fields"].to_pylist() if with_positions else [],
+            t["tfs"].to_pylist(), t["positions"].to_pylist() if with_positions else None, dfs,
+        )
+        return [TermPostings(
+            dfs,
             np.asarray(t["first_doc"].to_numpy(zero_copy_only=False), dtype=np.uint64),
             np.asarray(t["last_doc"].to_numpy(zero_copy_only=False), dtype=np.uint64),
-            t["docs"].to_pylist(), t["tfs"].to_pylist(),
-            *((t["fields"].to_pylist(), t["positions"].to_pylist()) if with_positions else (None, None)),
+            cols[0], cols[2], tuple(cols[3:]) if with_positions else None,
         )]
 
 
@@ -129,7 +134,7 @@ def build_in_memory(
     # in-memory materialization — the contract of this variant.
     # NOTE: merge_runs_batch emits each block term-sorted, but the
     # blocks' arrival order is not part of that contract and
-    # _fetch_term_blocks binary-searches _post_terms, so re-sort the
+    # _term_postings binary-searches _post_terms, so re-sort the
     # concat — an unsorted table silently dropped terms from in-memory
     # search/BM25 results
     tbl = pa.concat_tables(ray.get(merged.to_arrow_refs()))

@@ -3,9 +3,10 @@
 ``IndexSearcher`` is the warm per-worker query state (the analog of the
 reference's open index: dictionary + posting readers + header,
 ``PersistentIndex.cs:19-72``): it loads the term catalog and doc-length
-table once, then serves queries by fetching + decoding posting blocks
+table once, then serves queries by fetching + decoding posting records
 on demand (one positional read of the term's payload bytes at its
-catalog address, LRU block cache).
+catalog address, decoded in one varint pass; LRU caches of the decoded
+results).
 
 Semantics reproduce the reference exactly (goldens ported in
 tests/test_search_golden.py):
@@ -62,7 +63,7 @@ from ..parser import (
 )
 from ..state.caches import LRUCache, make_cache
 from ..state.index import load_meta, segment_dir
-from ..state.payloads import ADDRESS_COLS, TermBlocks, parse_record, predates_blobs
+from ..state.payloads import ADDRESS_COLS, TermPostings, decode_record, predates_blobs
 
 logger = logging.getLogger(__name__)
 
@@ -829,11 +830,12 @@ class IndexSearcher:
 
     # -- posting fetch ------------------------------------------------------
 
-    def _fetch_term_blocks(self, term: str, with_positions: bool) -> list[TermBlocks]:
-        """A term's posting blocks, one :class:`TermBlocks` per segment
-        holding it, in segment order: the term's payload record read at
-        its catalog address — header + docs + tfs, or with positions the
-        whole record — in one ``pread``."""
+    def _term_postings(self, term: str, with_positions: bool) -> list[TermPostings]:
+        """A term's decoded postings, one :class:`TermPostings` per
+        segment holding it, in segment order: the term's payload record
+        read at its catalog address — header + docs + tfs, or with
+        positions the whole record — in one ``pread``, and decoded in
+        one varint pass (:func:`decode_record`)."""
         out = []
         for i in range(len(self.segments)):
             addr = self._term_address(i, term)
@@ -841,27 +843,7 @@ class IndexSearcher:
                 continue
             path, off, bm25_len, length = addr
             buf = self.posting_reader.read_range(path, off, length if with_positions else bm25_len, term)
-            out.append(parse_record(buf, with_positions, path, term))
-        return out
-
-    @staticmethod
-    def _decode(b: TermBlocks, term: str, with_positions: bool) -> tuple:
-        """``decode_posting_columns`` over one source's blocks, with
-        every decoded count checked against the block dfs; any mismatch
-        raises ValueError naming the source and the term."""
-        from ..codecs import decode_posting_columns
-
-        try:
-            out = decode_posting_columns(
-                b.docs, b.fields if with_positions else [], b.tfs,
-                b.positions if with_positions else None, b.dfs,
-            )
-            n = int(b.dfs.sum())
-            got = [len(out[0]), len(out[2])] + ([len(out[1])] if with_positions else [])
-            if any(g != n for g in got):
-                raise ValueError(f"blocks hold {n} entries, the payloads decode to {got}")
-        except (ValueError, IndexError) as e:
-            raise ValueError(f"{b.source}: corrupt postings of term {term!r}: {e}") from None
+            out.append(decode_record(buf, with_positions, path, term))
         return out
 
     def get_postings(self, term: str) -> OccurrenceList:
@@ -869,28 +851,29 @@ class IndexSearcher:
         hit = self._cache.get(term)
         if hit is not None:
             return hit
-        parts = [self._decode(b, term, True) for b in self._fetch_term_blocks(term, True)]
+        parts = [p.occurrences for p in self._term_postings(term, True)]
         if not parts:
             occ = empty_occurrences()
         else:
-            occ = lex_sort(OccurrenceList(*(np.concatenate([p[i] for p in parts]) for i in (3, 4, 5))))
+            occ = lex_sort(OccurrenceList(*(np.concatenate([p[i] for p in parts]) for i in range(3))))
         self._cache.put(term, occ)
         return occ
 
     def get_doc_tfs(self, term: str) -> tuple[np.ndarray, np.ndarray]:
-        """(doc_ids, tfs) per doc for BM25 — reads and decodes docs/tfs
-        only, never the fields or position payloads (the scoring fast
-        path); each source's blocks decode in two varint passes."""
+        """(doc_ids, tfs) per doc for BM25 — reads and decodes the
+        header, docs and tfs only, never the fields or position payloads
+        (the scoring fast path): one ``pread`` and one varint pass per
+        segment."""
         hit = self._cache_entries.get(term)
         if hit is not None:
             return hit
-        parts = [self._decode(b, term, False) for b in self._fetch_term_blocks(term, False)]
+        parts = self._term_postings(term, False)
         if not parts:
             out = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64))
         else:
             # multi-field/block duplicates: aggregate tf per doc
             out = _sum_by_doc(
-                np.concatenate([p[0] for p in parts]), np.concatenate([p[2] for p in parts])
+                np.concatenate([p.docs for p in parts]), np.concatenate([p.tfs for p in parts])
             )
         self._cache_entries.put(term, out)
         return out
@@ -1264,9 +1247,9 @@ class IndexSearcher:
         Terms are processed in DECREASING upper-bound order; once the
         sum of remaining terms' upper bounds cannot displace the
         current k-th score, remaining terms can only refine docs
-        already seen — their posting blocks are decoded only where the
-        block's [first_doc, last_doc] range intersects the candidate
-        set (block-max skipping via the per-block metadata, the analog
+        already seen — their entries are kept only from blocks whose
+        [first_doc, last_doc] range intersects the candidate set
+        (block-max skipping via the per-block metadata, the analog
         of the reference's ``LowerBound`` block bisection,
         ``PostingListVarIntDeltaReader.cs:163-222``).
 
@@ -1321,21 +1304,22 @@ class IndexSearcher:
         )
 
     def get_doc_tfs_pruned(self, term: str, candidates: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-        """(docs, tfs) for a term; when ``candidates`` is given, decode
-        only blocks whose doc range intersects the candidate set."""
+        """(docs, tfs) for a term; when ``candidates`` is given, only the
+        candidates' entries, looked for only in blocks whose doc range
+        intersects the candidate set."""
         if candidates is None:
             return self.get_doc_tfs(term)
         docs_parts, tf_parts = [], []
-        for b in self._fetch_term_blocks(term, False):
-            lo = np.searchsorted(candidates, b.firsts, side="left")
-            hi = np.searchsorted(candidates, b.lasts, side="right")
+        for p in self._term_postings(term, False):
+            lo = np.searchsorted(candidates, p.firsts, side="left")
+            hi = np.searchsorted(candidates, p.lasts, side="right")
             keep = hi > lo  # block-max skip: no candidate in range
             if not keep.any():
                 continue
-            d, _f, tf = self._decode(b.select(keep), term, False)
-            mask = np.isin(d, candidates)
-            docs_parts.append(d[mask])
-            tf_parts.append(tf[mask])
+            mask = np.repeat(keep, p.dfs)
+            mask[mask] = np.isin(p.docs[mask], candidates)
+            docs_parts.append(p.docs[mask])
+            tf_parts.append(p.tfs[mask])
         if not docs_parts:
             return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64)
         return _sum_by_doc(np.concatenate(docs_parts), np.concatenate(tf_parts))

@@ -24,7 +24,11 @@ trailer.
 
 ``bm25_len`` covers header + docs + tfs, everything BM25 scoring (and
 its block-max skipping, via the header's first/last doc) needs; ``len``
-is the whole record, for positional lookups.
+is the whole record, for positional lookups.  Every payload is whole
+varints, so either prefix is one varint stream: a lookup is one
+``pread`` of it and one ``varint_decode`` over all its bytes
+(:func:`decode_record`), the header's lengths then cutting the decoded
+values into regions.
 
 Whole posting rows (compaction, the dump) come from catalog rows plus
 the blobs they address (:func:`read_blob_rows`).  Segments written
@@ -44,7 +48,13 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..codecs import varint_decode, varint_encode, varint_encode_offsets
+from ..codecs import (
+    _expand_occurrences,
+    restart_prefix_sum,
+    varint_decode,
+    varint_encode,
+    varint_encode_offsets,
+)
 
 PAYLOAD_DIR = "payloads"
 # blob order of the payload columns: a BM25 read stops after tfs
@@ -56,32 +66,19 @@ _TRAILER = struct.Struct("<QQ8s")
 _HEADER_ROW = ("df", "first_doc", "last_doc")
 
 
-class TermBlocks(NamedTuple):
-    """One term's posting blocks from one source, in decode order
-    ((first_doc, block_id)): per-block metadata arrays and per-block
-    payload buffers (``fields`` / ``positions`` are None when the read
-    stopped before them).  ``source`` names the file for errors."""
+class TermPostings(NamedTuple):
+    """One term's postings from one source, decoded.  ``dfs``,
+    ``firsts`` and ``lasts`` are per block, in decode order
+    ((first_doc, block_id)); ``docs`` and ``tfs`` are per entry, in
+    (doc, field) order.  ``occurrences`` is the (docs, fields, tokens)
+    occurrence arrays, None when the read stopped before positions."""
 
-    source: str
     dfs: np.ndarray
     firsts: np.ndarray
     lasts: np.ndarray
-    docs: list
-    tfs: list
-    fields: "list | None"
-    positions: "list | None"
-
-    def select(self, keep: np.ndarray) -> "TermBlocks":
-        """The blocks where ``keep`` is True."""
-        idx = np.flatnonzero(keep)
-
-        def pick(bufs):
-            return None if bufs is None else [bufs[i] for i in idx]
-
-        return TermBlocks(
-            self.source, self.dfs[idx], self.firsts[idx], self.lasts[idx],
-            pick(self.docs), pick(self.tfs), pick(self.fields), pick(self.positions),
-        )
+    docs: np.ndarray
+    tfs: np.ndarray
+    occurrences: "tuple[np.ndarray, np.ndarray, np.ndarray] | None"
 
 
 def predates_blobs(catalog_columns) -> bool:
@@ -293,45 +290,64 @@ def _directory(path: str, size: int, read):
     return offsets, hdr, bm25, lens
 
 
-def parse_record(buf: bytes, with_rest: bool, source: str, term: str) -> TermBlocks:
-    """One term record read by address → :class:`TermBlocks` of
-    per-block memoryviews.  ``buf`` is the ``bm25_len`` prefix
-    (``with_rest=False``: docs and tfs only) or the whole record.  The
-    header must account for every byte of ``buf``."""
+def decode_record(buf: bytes, with_rest: bool, source: str, term: str) -> TermPostings:
+    """One term record read by address → :class:`TermPostings`, in one
+    ``varint_decode`` over all of ``buf``: every region is whole
+    varints, so the record is one varint stream.  ``buf`` is the
+    ``bm25_len`` prefix (``with_rest=False``: docs and tfs only) or the
+    whole record.
 
-    def bad(why):
-        return ValueError(f"{source}: corrupt payload record of term {term!r}: {why}")
-
-    arr = np.frombuffer(buf, dtype=np.uint8)
-    regions = 4 if with_rest else 2
+    The first 1 + 7B values are the header, whose lengths set each
+    region's byte range; they must cover ``buf`` exactly, and each
+    region must end on a varint terminator and hold its count (docs and
+    tfs Σdf, fields Σdf of the blocks that store them, positions Σtf).
+    Any violation raises ValueError naming ``source`` and ``term``."""
     try:
-        # the block count is a one-byte varint below 128 blocks
-        B = int(arr[0])
-        if B >= 0x80:
-            B = int(varint_decode(arr[: 1 + int(np.flatnonzero(arr[:10] < 0x80)[0])])[0])
-        n_hdr = 1 + 7 * B
-        ends = np.flatnonzero(arr[: 10 * n_hdr] < 0x80)
-        if len(ends) < n_hdr:
-            raise ValueError("truncated header")
-        hdr_end = int(ends[n_hdr - 1]) + 1
-        h = varint_decode(arr[:hdr_end], count=n_hdr).astype(np.int64)
+        return _decode_record(np.frombuffer(buf, dtype=np.uint8), with_rest)
     except (ValueError, IndexError) as e:
-        raise bad(e) from None
-    dfs, firsts, lasts = h[1 : 1 + B], h[1 + B : 1 + 2 * B], h[1 + 2 * B : 1 + 3 * B]
-    lens = h[1 + 3 * B : 1 + (3 + regions) * B]
-    covered = hdr_end + int(lens.sum())
-    if covered != len(buf):
-        raise bad(f"header lengths cover {covered} bytes, the address {len(buf)}")
-    mv = memoryview(buf)
-    cuts = (hdr_end + np.cumsum(lens)).tolist()
-    cuts.insert(0, hdr_end)
-    out = [[mv[cuts[i] : cuts[i + 1]] for i in range(f * B, (f + 1) * B)] for f in range(regions)]
-    fields = None
+        raise ValueError(f"{source}: corrupt postings of term {term!r}: {e}") from None
+
+
+def _decode_record(arr: np.ndarray, with_rest: bool) -> TermPostings:
+    # a long-tail record is a few dozen bytes, so the header arithmetic
+    # runs on Python ints: numpy's fixed cost per call would dominate
+    ends = np.flatnonzero(arr < 0x80)
+    vals = varint_decode(arr)
+    B = int(vals[0]) if len(vals) else 0
+    if not B or len(vals) < 1 + 7 * B:
+        raise ValueError(f"truncated header ({len(vals)} values for {B} blocks)")
+    h = vals[: 1 + 7 * B].tolist()
+    dfs = h[1 : 1 + B]
+    lens = [h[1 + r * B : 1 + (r + 1) * B] for r in range(3, 7 if with_rest else 5)]
+    bounds = [int(ends[7 * B]) + 1]
+    for ln in lens:
+        bounds.append(bounds[-1] + sum(ln))
+    if bounds[-1] != len(arr):
+        raise ValueError(f"header lengths cover {bounds[-1]} bytes, the address {len(arr)}")
+    if any(arr[b - 1] >= 0x80 for b in bounds[1:]):
+        raise ValueError(f"a region boundary of {bounds} falls inside a varint")
+    at = np.searchsorted(ends, bounds).tolist()
+    docs, tfs, *rest = (vals[at[r] : at[r + 1]] for r in range(len(lens)))
+    n = sum(dfs)
+    want = [n, n]
     if with_rest:
-        fields = [b if len(b) or not d else b"\x01" * d for b, d in zip(out[2], dfs.tolist())]
-    return TermBlocks(
-        source, dfs, firsts.astype(np.uint64), lasts.astype(np.uint64), out[0], out[1],
-        fields, out[3] if with_rest else None,
+        stored = [ln > 0 for ln in lens[2]]
+        want += [sum(d for d, st in zip(dfs, stored) if st), int(tfs.sum())]
+    for r, w in enumerate(want):
+        if at[r + 1] - at[r] != w:
+            raise ValueError(f"{PAYLOAD_COLS[r]} region holds {at[r + 1] - at[r]} values, expected {w}")
+    docs = restart_prefix_sum(docs, dfs)
+    occurrences = None
+    if with_rest:
+        stored_fields, positions = rest
+        fields = stored_fields
+        if len(stored_fields) < n:  # blocks of all-field-1 entries store none
+            fields = np.ones(n, dtype=np.uint64)
+            fields[np.repeat(stored, dfs)] = stored_fields
+        occurrences = _expand_occurrences(docs, fields, tfs, positions)
+    return TermPostings(
+        vals[1 : 1 + B].astype(np.int64), vals[1 + B : 1 + 2 * B], vals[1 + 2 * B : 1 + 3 * B],
+        docs, tfs, occurrences,
     )
 
 

@@ -164,6 +164,26 @@ def test_decode_posting_columns_zero_df_block():
     assert len(out[0]) == 0
 
 
+def test_codec_corrupt_inputs_fail_loudly():
+    """Empty-but-expected payloads must raise at the codec boundary,
+    not decode as 'no data'."""
+    from fulltextsearch_ray.codecs import decode_posting_columns
+
+    with pytest.raises(ValueError, match="expected 5"):
+        varint_decode(b"", count=5)
+    # a block whose positions payload was lost entirely
+    blk = encode_posting_block(
+        np.array([1, 2], dtype=np.uint64),
+        np.array([1, 1], dtype=np.uint64),
+        np.array([1, 1], dtype=np.uint64),
+    )
+    with pytest.raises(ValueError, match="positions payload"):
+        decode_posting_block(blk.docs, blk.fields, blk.tfs, b"")
+    # all-zero dfs with non-empty payloads
+    with pytest.raises(ValueError, match="every df is 0"):
+        decode_posting_columns([blk.docs], [blk.fields], [blk.tfs], None, np.array([0]))
+
+
 def test_varint_decode_rejects_overlong_and_overflow():
     """Corrupt over-long varints must raise, not wrap shifts mod 64."""
     import pytest

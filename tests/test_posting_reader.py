@@ -1,22 +1,25 @@
 """Posting reads: a lookup is one positional read of the term's
 payload record at its catalog address.
 
-Covers differential checks over a real two-segment index: every term's
-blocks as the searcher reads them equal the whole posting rows
+Covers differential checks: every term's postings as the searcher
+decodes them (one ``pread`` and one ``varint_decode`` per record) equal
+``decode_posting_columns`` over the whole posting rows
 ``read_postings_dataset`` reads back from catalog + blob, eager and
-paged catalogs alike.  An index written before payload blobs (payloads
-inline in a postings parquet file, unsorted rows, catalogs without
-address columns), of one segment or of two, is refused by the searcher
-with an error naming ``compact_index``, and after ``compact_index``
-serves the same answers as the fresh index.  Corrupt blobs (truncated,
-lengths that disagree, records that disagree with their catalog row)
-raise ValueError naming the file and the term, by address and in the
-whole-row read.  The layout side: ``merge_runs_batch`` returns rows in
-(term, first_doc, block_id) order, and ``build_index`` /
-``compact_index`` write term-sorted catalog files.  Also
-the cold-start contract: a searcher built from manifest stats opens no
-parquet footer and no blob, also from a manifest that still carries
-the retired postings run-catalog keys.
+paged catalogs alike, over a two-segment index, its compaction, a
+multi-field index and a record of 150 blocks.  An index written before
+payload blobs (payloads inline in a postings parquet file, unsorted
+rows, catalogs without address columns), of one segment or of two, is
+refused by the searcher with an error naming ``compact_index``, and
+after ``compact_index`` serves the same answers as the fresh index.
+Corrupt blobs (truncated, lengths that disagree, a region boundary
+inside a varint, region counts that disagree with the header, records
+that disagree with their catalog row) raise ValueError naming the file
+and the term, by address and in the whole-row read.  The layout side:
+``merge_runs_batch`` returns rows in (term, first_doc, block_id) order,
+and ``build_index`` / ``compact_index`` write term-sorted catalog
+files.  Also the cold-start contract: a searcher built from manifest
+stats opens no parquet footer and no blob, also from a manifest that
+still carries the retired postings run-catalog keys.
 """
 
 import glob
@@ -31,7 +34,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
-from fulltextsearch_ray.codecs import varint_decode, varint_encode
+from fulltextsearch_ray.codecs import decode_posting_columns, varint_decode, varint_encode
 from fulltextsearch_ray.pipelines import build as build_mod
 from fulltextsearch_ray.pipelines.build import build_index, compact_index
 from fulltextsearch_ray.pipelines.query import IndexSearcher
@@ -51,8 +54,8 @@ from fulltextsearch_ray.state.index import (
 )
 from fulltextsearch_ray.state.payloads import (
     ADDRESS_COLS,
-    PAYLOAD_COLS,
     PAYLOAD_DIR,
+    decode_record,
     predates_blobs,
     read_blob_rows,
 )
@@ -96,6 +99,41 @@ def compacted_index(two_segment_index, tmp_path_factory):
     idx = str(tmp_path_factory.mktemp("compacted") / "idx")
     shutil.copytree(two_segment_index, idx)
     compact_index(idx, block_cf=64)
+    return idx
+
+
+@pytest.fixture(scope="module")
+def multi_field_index(ray_session, tmp_path_factory):
+    """Two text fields: field 'b' holds words of its own and some of
+    field 'a''s, so records mix blocks whose entries are all field 1
+    (fields payload stored empty) with blocks that store one."""
+    import ray.data
+
+    rng = np.random.default_rng(5)
+    vocab = [f"term{i}" for i in range(60)]
+    a = [" ".join(rng.choice(vocab, size=8)) for _ in range(300)]
+    b = [" ".join(rng.choice(vocab[:10], size=3)) if i % 7 == 0 else "" for i in range(300)]
+    idx = str(tmp_path_factory.mktemp("multi_field") / "idx")
+    build_index(
+        ray.data.from_arrow(pa.table({"doc_id": np.arange(1, 301, dtype=np.uint64), "a": a, "b": b})),
+        idx, text_cols=["a", "b"], doc_id_col="doc_id", block_cf=16, batch_size=100, overwrite=True,
+    )
+    return idx
+
+
+@pytest.fixture(scope="module")
+def many_block_index(ray_session, tmp_path_factory):
+    """``block_cf=2`` over 300 docs that each hold 'common' once: its
+    record has 150 blocks, so the block count takes two varint bytes."""
+    import ray.data
+
+    rng = np.random.default_rng(3)
+    text = [f"common {' '.join(rng.choice(['x', 'y', 'z'], size=2))}" for _ in range(300)]
+    idx = str(tmp_path_factory.mktemp("many_block") / "idx")
+    build_index(
+        ray.data.from_arrow(pa.table({"doc_id": np.arange(1, 301, dtype=np.uint64), "text": text})),
+        idx, doc_id_col="doc_id", block_cf=2, batch_size=100, overwrite=True,
+    )
     return idx
 
 
@@ -177,38 +215,58 @@ def _unsorted_files(idx) -> int:
     return n
 
 
-def _assert_matches_whole_row_read(s):
-    """Every term's blocks as ``s`` reads them — a blob record at its
-    catalog address — equal the whole posting rows of its segment
-    (``read_postings_dataset``: catalog + blob) filtered to the term,
-    segment by segment."""
+def _assert_decodes_as(got, rows, with_positions, msg):
+    """``got``, one :class:`TermPostings`, equals
+    ``decode_posting_columns`` over the whole posting ``rows`` of its
+    term, in decode order: the block headers, the per-entry (docs, tfs)
+    and, with positions, the occurrences."""
+    want = decode_posting_columns(
+        *(rows[c].to_pylist() for c in ("docs", "fields", "tfs", "positions")),
+        rows["df"].to_numpy(),
+    )
+    assert got.dfs.tolist() == rows["df"].to_pylist(), msg
+    assert got.firsts.tolist() == rows["first_doc"].to_pylist(), msg
+    assert got.lasts.tolist() == rows["last_doc"].to_pylist(), msg
+    np.testing.assert_array_equal(got.docs, want[0], err_msg=msg)
+    np.testing.assert_array_equal(got.tfs, want[2], err_msg=msg)
+    if not with_positions:
+        assert got.occurrences is None, msg
+        return
+    for g, w in zip(got.occurrences, want[3:]):
+        np.testing.assert_array_equal(g, w, err_msg=msg)
+
+
+def _assert_matches_whole_row_read(s) -> int:
+    """Every term's postings as ``s`` decodes them — a blob record at
+    its catalog address, one varint pass — equal ``decode_posting_columns``
+    over the whole posting rows of its segment (``read_postings_dataset``:
+    catalog + blob) filtered to the term, segment by segment.  Returns
+    the largest block count of a record."""
     whole = {
         seg: pa.concat_tables(build_mod.read_postings_dataset(s.index_dir, [seg]).iter_batches(
             batch_format="pyarrow", batch_size=None))
         for seg in s.segments
     }
-    terms = IndexSearcher(s.index_dir).terms.to_pylist()
-    assert "the" in terms
-    for term in terms:
+    most = 0
+    for term in IndexSearcher(s.index_dir).terms.to_pylist():
         want = []
         for seg in s.segments:
             rows = whole[seg].filter(pc.equal(whole[seg]["term"], term))
             if rows.num_rows:
                 want.append(rows.sort_by([("first_doc", "ascending"), ("block_id", "ascending")]))
+                most = max(most, rows.num_rows)
         for with_positions in (False, True):
-            got = s._fetch_term_blocks(term, with_positions)
+            got = s._term_postings(term, with_positions)
             assert len(got) == len(want), term
-            for b, w in zip(got, want):
-                assert b.dfs.tolist() == w["df"].to_pylist(), term
-                assert b.firsts.tolist() == w["first_doc"].to_pylist(), term
-                assert b.lasts.tolist() == w["last_doc"].to_pylist(), term
-                for c in PAYLOAD_COLS if with_positions else ("docs", "tfs"):
-                    assert [bytes(x) for x in getattr(b, c)] == w[c].to_pylist(), (term, c)
+            for g, w in zip(got, want):
+                _assert_decodes_as(g, w, with_positions, (term, with_positions))
+    return most
 
 
 def test_reader_matches_dataset_filter_read(two_segment_index, compacted_index):
     s = IndexSearcher(two_segment_index)
     assert len(s.segments) == 2
+    assert "the" in s.terms.to_pylist()
     # a fresh build and a compaction write term-sorted catalog files and
     # no postings parquet file
     for idx in (two_segment_index, compacted_index):
@@ -216,6 +274,21 @@ def test_reader_matches_dataset_filter_read(two_segment_index, compacted_index):
         assert not glob.glob(os.path.join(idx, "**", "postings"), recursive=True)
     _assert_matches_whole_row_read(s)
     _assert_matches_whole_row_read(IndexSearcher(two_segment_index, catalog_budget_rows=0))
+    _assert_matches_whole_row_read(IndexSearcher(compacted_index))
+
+
+def test_reader_matches_whole_rows_multi_field_and_many_blocks(multi_field_index, many_block_index):
+    """The by-address decode over records that store fields payloads
+    (next to elided ones) and over a record of 150 blocks."""
+    _assert_matches_whole_row_read(IndexSearcher(multi_field_index))
+    rows = pa.concat_tables(build_mod.read_postings_dataset(
+        multi_field_index, load_meta(multi_field_index).segments,
+    ).iter_batches(batch_format="pyarrow", batch_size=None)).to_pydict()
+    field_one = {}
+    for term, f, df in zip(rows["term"], rows["fields"], rows["df"]):
+        field_one.setdefault(term, set()).add(f == b"\x01" * df)
+    assert {True, False} in field_one.values()  # a record of both kinds of block
+    assert _assert_matches_whole_row_read(IndexSearcher(many_block_index)) >= 128
 
 
 def _assert_same_answers(got: IndexSearcher, want: IndexSearcher, terms):
@@ -374,9 +447,9 @@ def _blob_and_catalog(rows, seg):
 
 
 def test_blob_round_trip(tmp_path):
-    """write_blob → read by address (parse_record) and whole-row
+    """write_blob → read by address (decode_record) and whole-row
     (read_blob_rows, from the catalog rows) give back every row."""
-    from fulltextsearch_ray.state.payloads import parse_record, read_directory
+    from fulltextsearch_ray.state.payloads import read_directory
 
     rows = _encoded_rows(block_cf=2)
     assert rows.num_rows > 150
@@ -390,12 +463,8 @@ def test_blob_round_trip(tmp_path):
     for t, term in enumerate(["a", "b", "c"]):
         want = rows.filter(pc.equal(rows["term"], term))
         for rest, n in ((False, bm25_len[t]), (True, length[t])):
-            got = parse_record(data[offsets[t] : offsets[t] + n], rest, blob, term)
-            assert got.dfs.tolist() == want["df"].to_pylist()
-            assert got.firsts.tolist() == want["first_doc"].to_pylist()
-            assert got.lasts.tolist() == want["last_doc"].to_pylist()
-            for c in PAYLOAD_COLS if rest else ("docs", "tfs"):
-                assert [bytes(x) for x in getattr(got, c)] == want[c].to_pylist(), (term, c)
+            got = decode_record(data[offsets[t] : offsets[t] + n], rest, blob, term)
+            _assert_decodes_as(got, want, rest, (term, rest))
     assert read_blob_rows(cat, str(tmp_path)).equals(rows)
     # any subset of the catalog rows reads its own terms' rows
     assert read_blob_rows(cat.slice(1), str(tmp_path)).equals(rows.filter(pc.not_equal(rows["term"], "a")))
@@ -425,8 +494,6 @@ def test_rewritten_partition_replaces_its_files(tmp_path):
     (double df/cf and docs), and no postings parquet file.  The catalog
     rows address every term's record, and the docs file holds the
     sentinel rows' docs in doc_id order."""
-    from fulltextsearch_ray.state.payloads import parse_record
-
     posting = _encoded_rows(block_cf=64)
     ids, lens = np.array([9, 4, 6], dtype=np.uint64), np.array([3, 1, 2])
     sentinel = pa.Table.from_pylist(
@@ -445,8 +512,8 @@ def test_rewritten_partition_replaces_its_files(tmp_path):
     assert read_blob_rows(cat, seg).equals(posting)
     for r in cat.to_pylist():
         with open(os.path.join(seg, r["file"]), "rb") as f:
-            got = parse_record(os.pread(f.fileno(), r["len"], r["offset"]), True, r["file"], r["term"])
-        assert got.dfs.tolist() == posting.filter(pc.equal(posting["term"], r["term"]))["df"].to_pylist()
+            got = decode_record(os.pread(f.fileno(), r["len"], r["offset"]), True, r["file"], r["term"])
+        _assert_decodes_as(got, posting.filter(pc.equal(posting["term"], r["term"])), True, r["term"])
     assert pq.read_table(os.path.join(seg, "docs")).to_pydict() == {
         "doc_id": [4, 6, 9], "doc_len": [1, 2, 3], "sha256": ["b" * 64, "c" * 64, "a" * 64],
     }
@@ -474,8 +541,9 @@ def _mixed_field_rows():
 def test_field_one_payloads_stored_empty(tmp_path):
     """A block whose entries are all field 1 stores no fields bytes in
     the blob (its header length is 0); every other block keeps them,
-    and both read back as the encoder's bytes, by address and whole-row."""
-    from fulltextsearch_ray.state.payloads import parse_record, read_directory
+    and both read back as the encoder's field ids, by address and
+    whole-row."""
+    from fulltextsearch_ray.state.payloads import read_directory
 
     for rows in (_encoded_rows(block_cf=2), _mixed_field_rows()):
         cat = _blob_and_catalog(rows, str(tmp_path))
@@ -488,9 +556,8 @@ def test_field_one_payloads_stored_empty(tmp_path):
             B = int(varint_decode(data[offsets[t] : offsets[t] + 2])[0])
             hdr = varint_decode(data[offsets[t] : offsets[t] + hdr_len[t]])
             stored += hdr[1 + 5 * B : 1 + 6 * B].tolist()  # fields_len per block
-            got = parse_record(data[offsets[t] : offsets[t] + length[t]], True, blob, term)
-            want = rows.filter(pc.equal(rows["term"], term))
-            assert [bytes(x) for x in got.fields] == want["fields"].to_pylist(), term
+            got = decode_record(data[offsets[t] : offsets[t] + length[t]], True, blob, term)
+            _assert_decodes_as(got, rows.filter(pc.equal(rows["term"], term)), True, term)
         field_one = [f == b"\x01" * d for f, d in zip(rows["fields"].to_pylist(), rows["df"].to_pylist())]
         assert stored == [0 if one else len(f) for one, f in zip(field_one, rows["fields"].to_pylist())]
         assert read_blob_rows(cat, str(tmp_path)).equals(rows)
@@ -524,7 +591,19 @@ def test_term_split_across_files_raises(tmp_path):
     assert [p["first_term"] for p in disjoint] == ["c", "a", "b"]
 
 
-def test_cold_single_segment_lookup_is_one_payload_read(compacted_index):
+def test_cold_single_segment_lookup_is_one_payload_read(compacted_index, monkeypatch):
+    """A cold lookup in one segment is one ``pread`` of the term's
+    record and one ``varint_decode`` over it, for BM25 and positions."""
+    from fulltextsearch_ray.state import payloads
+
+    decodes = []
+    real = payloads.varint_decode
+
+    def counting(buf, *a, **k):
+        decodes.append(len(buf))
+        return real(buf, *a, **k)
+
+    monkeypatch.setattr(payloads, "varint_decode", counting)
     s = IndexSearcher(compacted_index)
     assert len(s.segments) == 1
     r = s.posting_reader
@@ -533,30 +612,40 @@ def test_cold_single_segment_lookup_is_one_payload_read(compacted_index):
     assert os.path.dirname(path).endswith(PAYLOAD_DIR) and 0 < bm25_len < length
     assert len(s.get_doc_tfs("term7")[0]) > 0
     assert (r.payload_reads, r.payload_bytes, r.files_opened) == (1, bm25_len, 1)
+    assert decodes == [bm25_len]
     s.get_doc_tfs("term7")  # cached: no read
     assert r.payload_reads == 1
     assert len(s.get_postings("term7").docs) > 0  # positions: the whole record
     assert (r.payload_reads, r.payload_bytes, r.files_opened) == (2, bm25_len + length, 1)
+    assert decodes == [bm25_len, length]
     assert len(s.get_doc_tfs("absent")[0]) == 0  # not in the catalog: no read
-    assert r.payload_reads == 2
+    assert r.payload_reads == 2 and len(decodes) == 2
+
+
+def _records(idx):
+    """(blob path, offset, term, record bytes, header end, header
+    values) of every record of ``idx``, segment by segment."""
+    s = IndexSearcher(idx)
+    for i in range(len(s.segments)):
+        for term in s.terms.to_pylist():
+            addr = s._term_address(i, term)
+            if addr is None:
+                continue
+            path, off, _bm25, length = addr
+            with open(path, "rb") as f:
+                rec = np.frombuffer(os.pread(f.fileno(), length, off), dtype=np.uint8)
+            ends = np.flatnonzero(rec < 0x80)
+            B = int(varint_decode(rec[: ends[0] + 1])[0])
+            hdr_end = int(ends[7 * B]) + 1
+            yield path, off, term, rec, hdr_end, varint_decode(rec[:hdr_end])
 
 
 def _single_block_record(idx):
-    """(blob path, offset, term) of a single-block term with df ≥ 2 in
-    the first segment, and the index of its header's end."""
-    s = IndexSearcher(idx)
-    for term in s.terms.to_pylist():
-        addr = s._term_address(0, term)
-        if addr is None:
-            continue
-        path, off, _bm25, length = addr
-        with open(path, "rb") as f:
-            f.seek(off)
-            rec = np.frombuffer(f.read(length), dtype=np.uint8)
-        ends = np.flatnonzero(rec < 0x80)
-        vals = varint_decode(rec[: ends[7] + 1])
+    """(blob path, offset, term) of the first single-block term with
+    df ≥ 2, segment by segment, and the index of its header's end."""
+    for path, off, term, _rec, hdr_end, vals in _records(idx):
         if vals[0] == 1 and vals[1] >= 2 and vals[4] < 127:
-            return path, off, term, int(ends[7]) + 1, vals
+            return path, off, term, hdr_end, vals
     raise AssertionError("no single-block term")
 
 
@@ -606,6 +695,72 @@ def test_corrupt_header_length_raises(two_segment_index, tmp_path):
     patch(1, 0)
     with pytest.raises(ValueError, match=f"{os.path.basename(path)}.*{term!r}.*header lengths"):
         IndexSearcher(idx).get_doc_tfs(term)
+
+
+def _overwrite(path, off, data):
+    with open(path, "r+b") as f:
+        f.seek(off)
+        f.write(bytes(data))
+
+
+def _corrupt(path, term, region):
+    return f"{os.path.basename(path)}: corrupt postings of term {term!r}: {region}"
+
+
+def test_region_boundary_inside_varint_raises(two_segment_index, tmp_path):
+    """Header lengths that still cover the address but end the docs
+    region one byte early, on the continuation byte of its last
+    (two-byte) varint, fail by address naming the blob and the term."""
+    idx = str(tmp_path / "idx")
+    shutil.copytree(two_segment_index, idx)
+    for path, off, term, rec, hdr_end, v in _records(idx):
+        B = int(v[0])
+        docs_end = hdr_end + int(v[1 + 3 * B : 1 + 4 * B].sum())
+        v = v.copy()
+        v[1 + 3 * B] -= np.uint64(1)  # block 0: docs one byte shorter,
+        v[1 + 4 * B] += np.uint64(1)  # tfs one byte longer
+        if rec[docs_end - 2] >= 0x80 and len(varint_encode(v)) == hdr_end:
+            break
+    else:
+        raise AssertionError("no record whose docs region ends on a two-byte varint")
+    _overwrite(path, off, varint_encode(v))
+    with pytest.raises(ValueError, match=_corrupt(path, term, "a region boundary .* inside a varint")):
+        IndexSearcher(idx).get_doc_tfs(term)
+
+
+def test_positions_count_mismatch_raises(two_segment_index, tmp_path):
+    """A tf one higher than its positions: the BM25 prefix still reads,
+    the positional read fails naming the blob and the term."""
+    idx = str(tmp_path / "idx")
+    shutil.copytree(two_segment_index, idx)
+    path, off, term, rec, hdr_end, v = next(_records(idx))
+    B = int(v[0])
+    tfs_start = hdr_end + int(v[1 + 3 * B : 1 + 4 * B].sum())
+    assert rec[tfs_start] < 0x7F
+    _overwrite(path, off + tfs_start, [rec[tfs_start] + 1])
+    s = IndexSearcher(idx)
+    s.get_doc_tfs(term)
+    with pytest.raises(ValueError, match=_corrupt(path, term, "positions region holds")):
+        s.get_postings(term)
+
+
+def test_fields_count_mismatch_raises(multi_field_index, tmp_path):
+    """A fields region whose first two field ids merge into one varint
+    holds one value too few: the positional read fails naming the blob
+    and the term."""
+    idx = str(tmp_path / "idx")
+    shutil.copytree(multi_field_index, idx)
+    for path, off, term, rec, hdr_end, v in _records(idx):
+        B = int(v[0])
+        lens = v[1 + 3 * B :].reshape(4, B).sum(axis=1).astype(np.int64)
+        if lens[2] >= 2:
+            break
+    else:
+        raise AssertionError("no record that stores two field ids")
+    fields_start = hdr_end + int(lens[:2].sum())
+    _overwrite(path, off + fields_start, [rec[fields_start] | 0x80])
+    with pytest.raises(ValueError, match=_corrupt(path, term, "fields region holds")):
+        IndexSearcher(idx).get_postings(term)
 
 
 # -- manifest-cached footer stats (cold start opens no parquet footers) ------

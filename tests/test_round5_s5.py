@@ -4,7 +4,6 @@
 import json
 import os
 
-import numpy as np
 import pytest
 
 from fulltextsearch_ray.sources.enwiki import fetch_to_dir
@@ -32,32 +31,6 @@ def test_fetch_to_dir_midrun_failure_keeps_manifest(tmp_path):
     f2.write_text("from url B")
     got = fetch_to_dir(["file://" + str(f2)], dest)
     assert open(got[0]).read() == "from url B"
-
-
-def test_codec_corrupt_inputs_fail_loudly():
-    """Empty-but-expected payloads must raise at the codec boundary,
-    not decode as 'no data'."""
-    from fulltextsearch_ray.codecs import (
-        decode_posting_block,
-        decode_posting_columns,
-        encode_posting_block,
-        varint_decode,
-        varint_encode,
-    )
-
-    with pytest.raises(ValueError, match="expected 5"):
-        varint_decode(b"", count=5)
-    # a block whose positions payload was lost entirely
-    blk = encode_posting_block(
-        np.array([1, 2], dtype=np.uint64),
-        np.array([1, 1], dtype=np.uint64),
-        np.array([1, 1], dtype=np.uint64),
-    )
-    with pytest.raises(ValueError, match="positions payload"):
-        decode_posting_block(blk.docs, blk.fields, blk.tfs, b"")
-    # all-zero dfs with non-empty payloads
-    with pytest.raises(ValueError, match="every df is 0"):
-        decode_posting_columns([blk.docs], [blk.fields], [blk.tfs], None, np.array([0]))
 
 
 def test_write_synth_corpus_resumes_after_interruption(tmp_path):
