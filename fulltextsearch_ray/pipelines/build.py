@@ -21,9 +21,10 @@ ids (sorted-key rank or passthrough), then InvertStage as above.
 
 Streaming throughout: nothing materializes the corpus; the only
 all-to-all exchange is the sort on ``term`` over compressed partial
-runs (:func:`_write_postings`, shared with ``compact_index``;
-:func:`merge_term_runs` is the same sort + merge without the write,
-for ``build_in_memory``).  Each build session appends a new SEGMENT;
+runs (:func:`_write_postings`, shared with ``compact_index``).  A sort
+partition's commit is encoded in memory (:func:`encode_postings_partition`)
+and then written (:func:`write_postings_partition`); ``build_in_memory``
+keeps the encoded partitions instead.  Each build session appends a new SEGMENT;
 query merges segments (the reference's posting-chain semantic,
 ``PostingListWriter.cs:114-159``);
 ``compact_index`` collapses chains.  Completed segments are
@@ -46,6 +47,7 @@ from __future__ import annotations
 import os
 import shutil
 import time
+from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
@@ -336,28 +338,55 @@ _PARTITION_SCHEMA = pa.schema([
 
 
 def write_postings_partition(rows: pa.Table, seg_path: str) -> pa.Table:
-    """Commit one merged sort partition (term-sorted rows): the payload
-    blob of its posting rows, the partition's catalog rows (per-term
-    stats plus each term's address, from the directory the blob write
-    returns) and the docs rows its doc-stats sentinel rows carry, sorted
-    by doc_id.  The files share one stem named from the rows and are
-    renamed into place, so a retried task overwrites its own files
-    instead of adding a second copy (which would double df/cf and the
-    docs).
-
-    Returns one :data:`_PARTITION_SCHEMA` row: the largest field id its
-    postings hold, its term count, occurrences and first/last term (null
-    without terms), and, summed from its sentinel rows, the docs, the
-    tokens and the doc id range they hold (null without docs)."""
-    import hashlib
-
+    """Commit one merged sort partition (term-sorted rows) under
+    ``seg_path``: the blob, catalog and docs files of
+    :func:`encode_postings_partition`, renamed into place, so a retried
+    task overwrites its own files instead of adding a second copy
+    (which would double df/cf and the docs).  Returns its counters as
+    one :data:`_PARTITION_SCHEMA` row."""
     import pyarrow.parquet as pq
 
-    from ..stages.invert import decode_docstats_rows
-    from ..state.payloads import PAYLOAD_DIR, atomic_write, max_field_id, write_blob
+    from ..state.payloads import PAYLOAD_DIR, atomic_write
 
     if rows.num_rows == 0:
         return _PARTITION_SCHEMA.empty_table()
+    stem, blob, cat, docs, row = encode_postings_partition(rows)
+    if blob is not None:
+        atomic_write(
+            os.path.join(seg_path, PAYLOAD_DIR, stem + ".bin"),
+            lambda tmp: Path(tmp).write_bytes(blob),
+        )
+        atomic_write(
+            os.path.join(seg_path, "catalog", stem + ".parquet"),
+            lambda tmp: pq.write_table(cat, tmp, row_group_size=65536),
+        )
+    if docs is not None:
+        atomic_write(
+            os.path.join(seg_path, "docs", stem + ".parquet"),
+            lambda tmp: pq.write_table(docs, tmp),
+        )
+    return pa.Table.from_pylist([row], schema=_PARTITION_SCHEMA)
+
+
+def encode_postings_partition(rows: pa.Table) -> tuple:
+    """One merged sort partition (term-sorted rows, at least one) as
+    its commit, in memory: ``(stem, blob, catalog, docs, counters)``.
+    ``blob`` is the payload blob of its posting rows and ``catalog``
+    their catalog rows, addressing ``payloads/<stem>.bin`` (both None
+    without posting rows); ``docs`` is the docs rows of its doc-stats
+    sentinel rows, by doc_id (None without them).  The stem is named
+    from the rows.
+
+    ``counters`` is a :data:`_PARTITION_SCHEMA` row as a dict: the
+    largest field id its postings hold, its term count, occurrences and
+    first/last term (null without terms), and, summed from its sentinel
+    rows, the docs, the tokens and the doc id range they hold (null
+    without docs)."""
+    import hashlib
+
+    from ..stages.invert import decode_docstats_rows
+    from ..state.payloads import PAYLOAD_DIR, encode_blob, max_field_id
+
     keys = ("term", "first_doc", "block_id")
     ends = [tuple(rows[c][i].as_py() for c in keys) for i in (0, rows.num_rows - 1)]
     stem = "part-" + hashlib.sha1(repr((ends, rows.num_rows)).encode()).hexdigest()[:16]
@@ -367,34 +396,28 @@ def write_postings_partition(rows: pa.Table, seg_path: str) -> pa.Table:
     row = {
         "max_field": max_field_id(posting["fields"].combine_chunks()),
         "num_terms": 0, "num_occurrences": int(pc.sum(posting["cf"]).as_py() or 0),
+        "first_term": None, "last_term": None,
         "num_docs": int(pc.sum(stats["df"]).as_py() or 0),
         "total_tokens": int(pc.sum(stats["cf"]).as_py() or 0),
         "min_doc_id": pc.min(stats["first_doc"]).as_py(),
         "max_doc_id": pc.max(stats["last_doc"]).as_py(),
     }
+    blob = cat = docs = None
     if posting.num_rows:
-        blob = os.path.join(PAYLOAD_DIR, stem + ".bin")
-        cat = _catalog_rows(posting, blob, write_blob(os.path.join(seg_path, blob), posting))
-        atomic_write(
-            os.path.join(seg_path, "catalog", stem + ".parquet"),
-            lambda tmp: pq.write_table(cat, tmp, row_group_size=65536),
-        )
+        blob, directory = encode_blob(posting)
+        cat = _catalog_rows(posting, os.path.join(PAYLOAD_DIR, stem + ".bin"), directory)
         row.update(num_terms=cat.num_rows, first_term=cat["term"][0].as_py(),
                    last_term=cat["term"][-1].as_py())
     if stats.num_rows:
         docs = decode_docstats_rows(stats).sort_by("doc_id")
-        atomic_write(
-            os.path.join(seg_path, "docs", stem + ".parquet"),
-            lambda tmp: pq.write_table(docs, tmp),
-        )
-    return pa.Table.from_pylist([row], schema=_PARTITION_SCHEMA)
+    return stem, blob, cat, docs, row
 
 
 def _catalog_rows(posting: pa.Table, blob: str, directory) -> pa.Table:
     """Catalog rows of term-sorted posting rows (no sentinel rows):
     :func:`aggregate_catalog` plus each term's payload address in the
     blob at relative path ``blob``, whose ``directory`` (one record per
-    term, in row order) :func:`~..state.payloads.write_blob` returned."""
+    term, in row order) :func:`~..state.payloads.encode_blob` returned."""
     cat = aggregate_catalog(posting)
     offsets, _hdr, bm25_len, length = directory
     # records follow the row order, which must be the catalog's term order
@@ -410,6 +433,12 @@ def _catalog_rows(posting: pa.Table, blob: str, directory) -> pa.Table:
         "len": pa.array(length, pa.int64()),
     }
     return pa.table({**{c: cat[c] for c in cat.column_names}, **address})
+
+
+def empty_catalog() -> pa.Table:
+    """Catalog rows of no term, typed as :func:`_catalog_rows` types them."""
+    empty = np.empty(0, dtype=np.int64)
+    return _catalog_rows(POSTINGS_SCHEMA.empty_table(), "", (empty,) * 4)
 
 
 def read_postings_dataset(index_dir: str, segments: list[str]) -> ray.data.Dataset:
@@ -607,12 +636,8 @@ def _write_catalog_and_manifest(
     cat_dir = os.path.join(seg_path, "catalog")
     docs_dir = os.path.join(seg_path, "docs")
     if not counters["num_terms"]:
-        empty = np.empty(0, dtype=np.int64)
         os.makedirs(cat_dir, exist_ok=True)
-        pq.write_table(
-            _catalog_rows(POSTINGS_SCHEMA.empty_table(), "", (empty,) * 4),
-            os.path.join(cat_dir, "part-0.parquet"),
-        )
+        pq.write_table(empty_catalog(), os.path.join(cat_dir, "part-0.parquet"))
     if not os.path.isdir(docs_dir):
         os.makedirs(docs_dir)
         pq.write_table(

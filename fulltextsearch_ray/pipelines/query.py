@@ -235,11 +235,14 @@ class PostingFileReader:
         self.files_opened += 1
         return _OpenBlob(path)
 
+    @staticmethod
+    def _read(blob: _OpenBlob, offset: int, length: int) -> bytes:
+        return os.pread(blob.fd, length, offset)
+
     def read_range(self, path: str, offset: int, length: int, term: str) -> bytes:
         """``length`` bytes of a payload blob at ``offset``; a short
         read (truncated blob, address past EOF) raises ValueError."""
-        f = self._handles.get_or_load(path, self._open_blob)
-        buf = os.pread(f.fd, length, offset)
+        buf = self._read(self._handles.get_or_load(path, self._open_blob), offset, length)
         self.payload_reads += 1
         self.payload_bytes += len(buf)
         if len(buf) != length:
@@ -248,6 +251,24 @@ class PostingFileReader:
                 f"runs past the end of the file (read {len(buf)} bytes)"
             )
         return buf
+
+
+class PostingMemoryReader(PostingFileReader):
+    """Posting reads from payload blobs held in memory (name → blob
+    bytes): :meth:`read_range` slices a blob where the file reader
+    calls ``pread``, with the same counters and short-read error."""
+
+    def __init__(self, blobs: dict[str, bytes]):
+        super().__init__()
+        self._blobs = blobs
+
+    def _open_blob(self, path: str) -> bytes:
+        self.files_opened += 1
+        return self._blobs[path]
+
+    @staticmethod
+    def _read(blob: bytes, offset: int, length: int) -> bytes:
+        return blob[offset : offset + length]
 
 
 class LazyRowGroupTable:
@@ -368,7 +389,8 @@ class LazyRowGroupTable:
 
 
 class IndexSearcher:
-    """Warm query state over a persistent index directory.
+    """Warm query state over a persistent index directory, or over an
+    index held in memory (:meth:`from_tables`).
 
     Below ``catalog_budget_rows`` / ``doclen_budget_rows`` the term
     catalog and doc-length table load eagerly into numpy (fastest, the
@@ -379,13 +401,6 @@ class IndexSearcher:
     Postings are read only through the payload-blob address of each
     catalog row; a segment written before payload blobs raises
     ValueError here (``compact_index`` rewrites it)."""
-
-    # class defaults so variants that bypass __init__ (InMemorySearcher)
-    # stay on the column dictionary
-    _fst = None
-    _auto_fst = None
-    _min_block_cf = 0  # unknown block budget → supremum tf bound
-    _auto_fst_pending = False
 
     def __init__(
         self,
@@ -403,17 +418,17 @@ class IndexSearcher:
 
         from ..state.index import load_manifest
 
-        self._manifests: dict = {}
+        manifests: dict = {}
         for seg in self.segments:
             try:
-                self._manifests[seg] = load_manifest(index_dir, seg)
+                manifests[seg] = load_manifest(index_dir, seg)
             except (FileNotFoundError, TypeError):
-                self._manifests[seg] = None
+                manifests[seg] = None
         # smallest posting-block budget any segment was written with —
         # 0 (unknown) if ANY manifest is legacy/missing.  Gates the
         # tight MaxScore tf bound in _term_upper_bound: a mid-entry
         # block split is impossible while max_tf ≤ block_cf/2.
-        bcs = [getattr(m, "block_cf", 0) or 0 for m in self._manifests.values()]
+        bcs = [getattr(m, "block_cf", 0) or 0 for m in manifests.values()]
         self._min_block_cf = min(bcs) if bcs and all(b > 0 for b in bcs) else 0
 
         def table_files(seg: str, sub: str, stats_attr: str):
@@ -424,7 +439,7 @@ class IndexSearcher:
             stats were unavailable at build time) falls back to the
             real footer."""
             segp = segment_dir(index_dir, seg)
-            man = self._manifests[seg]
+            man = manifests[seg]
             stats = getattr(man, stats_attr, None) if man is not None else None
             files: list[str] = []
             metas: dict = {}
@@ -462,112 +477,48 @@ class IndexSearcher:
             docs_md.update(ms)
         cat_rows = sum(md.num_rows for md in cat_md.values())
         doc_rows = sum(md.num_rows for md in docs_md.values())
-        self._addrs: dict = {}
 
         # one bounded set of open parquet files for the paged tables and
         # the posting reader; nothing is opened here
         handles = LRUCache(OPEN_FILES)
-        self.posting_reader = PostingFileReader(handles)
-        self._lazy_cats: "list[LazyRowGroupTable] | None" = None
-        self._lazy_lens: "LazyRowGroupTable | None" = None
+        cats = doc_lens = self._lazy_cats = self._lazy_lens = None
         if cat_rows <= catalog_budget_rows:
-            # merged catalog across segments: term → (df, cf) totals;
-            # terms kept as ONE sorted arrow column for matcher kernels.
-            cats = []
-            addr_tables = {}
+            cats = {}
             for seg in self.segments:
-                seg_files = seg_cat_files[seg]
-                t = pq.read_table(seg_files, columns=CATALOG_COLS + ADDRESS_COLS)
-                if len(seg_files) > 1:
-                    t = t.sort_by("term")
-                addr_tables[seg] = t.select(["term"] + ADDRESS_COLS)
-                cats.append(t.drop_columns(ADDRESS_COLS))
-            if cats:
-                cat = pa.concat_tables(cats)
-                agg = cat.group_by("term").aggregate(
-                    [("df", "sum"), ("cf", "sum"), ("max_tf", "max"), ("df_docs", "sum")]
-                )
-                agg = agg.sort_by("term")
-                self.terms: pa.Array = agg["term"].combine_chunks()
-                self._df = np.asarray(agg["df_sum"].to_numpy(zero_copy_only=False))
-                self._cf = np.asarray(agg["cf_sum"].to_numpy(zero_copy_only=False))
-                self._max_tf = np.asarray(agg["max_tf_max"].to_numpy(zero_copy_only=False))
-                self._df_docs = np.asarray(agg["df_docs_sum"].to_numpy(zero_copy_only=False))
-            else:
-                self.terms = pa.array([], type=pa.string())
-                self._df = np.empty(0, dtype=np.int64)
-                self._cf = np.empty(0, dtype=np.int64)
-                self._max_tf = np.empty(0, dtype=np.int64)
-                self._df_docs = np.empty(0, dtype=np.int64)
-            # numpy view of the sorted term column: O(log vocab) binary
-            # search instead of O(vocab) pc.index scans per query term
-            self._terms_np = np.asarray(self.terms.to_pylist(), dtype=object)
-            # per-segment payload addresses, one sorted array each (the
-            # merged catalog above holds cross-segment totals only); a
-            # single segment's terms ARE the merged column
-            for seg, a in addr_tables.items():
-                terms = (
-                    self._terms_np if len(self.segments) == 1
-                    else np.asarray(a["term"].to_pylist(), dtype=object)
-                )
-                files = a["file"].combine_chunks().dictionary_encode()
-                segp = segment_dir(index_dir, seg)
-                self._addrs[seg] = (
-                    terms,
-                    np.asarray(files.indices.to_numpy(zero_copy_only=False)),
-                    *(np.asarray(a[c].to_numpy(), dtype=np.int64) for c in ADDRESS_COLS[1:]),
-                    [os.path.join(segp, rel) for rel in files.dictionary.to_pylist()],
-                )
+                t = pq.read_table(seg_cat_files[seg], columns=CATALOG_COLS + ADDRESS_COLS)
+                cats[seg] = t.sort_by("term") if len(seg_cat_files[seg]) > 1 else t
         else:
             # one paged catalog PER SEGMENT (each is term-sorted; totals
             # sum across segments at lookup time)
-            self.terms = None
-            self._terms_np = None
-            self._lazy_cats = []
-            for seg in self.segments:
-                self._lazy_cats.append(LazyRowGroupTable(
+            self._lazy_cats = [
+                LazyRowGroupTable(
                     seg_cat_files[seg], CATALOG_COLS + ADDRESS_COLS, metas=cat_md, handles=handles
-                ))
-
-        # doc lengths for BM25 (doc_id-indexed lookup arrays)
+                )
+                for seg in self.segments
+            ]
         if doc_rows <= doclen_budget_rows:
-            dl = [pq.read_table(f, columns=["doc_id", "doc_len"]) for f in docs_files]
-            if dl:
-                dl_t = pa.concat_tables(dl)
-                self._dl_docs = np.asarray(dl_t["doc_id"].to_numpy(zero_copy_only=False), dtype=np.uint64)
-                self._dl_lens = np.asarray(dl_t["doc_len"].to_numpy(zero_copy_only=False), dtype=np.float64)
-                o = np.argsort(self._dl_docs, kind="stable")
-                self._dl_docs = self._dl_docs[o]
-                self._dl_lens = self._dl_lens[o]
-            else:
-                self._dl_docs = np.empty(0, dtype=np.uint64)
-                self._dl_lens = np.empty(0, dtype=np.float64)
+            doc_lens = [pq.read_table(f, columns=["doc_id", "doc_len"]) for f in docs_files]
         else:
-            self._dl_docs = None
-            self._dl_lens = None
             self._lazy_lens = LazyRowGroupTable(
                 docs_files, ["doc_id", "doc_len"], metas=docs_md, handles=handles
             )
-        self._fwd_ranges: dict[str, tuple[list[int], list[int], list[str]]] = {}
+        self._open(
+            PostingFileReader(handles), cats, doc_lens,
+            {seg: segment_dir(index_dir, seg) for seg in self.segments},
+            cache_policy, cache_blocks, cache_postings,
+        )
         for seg in self.segments:
-            man = self._manifests[seg]  # already read once at the top
+            man = manifests[seg]  # already read once at the top
             if man is not None and man.forward_ranges:
                 self._fwd_ranges[seg] = (
                     [int(r[1]) for r in man.forward_ranges],
                     [int(r[2]) for r in man.forward_ranges],
                     [os.path.join(segment_dir(index_dir, seg), r[0]) for r in man.forward_ranges],
                 )
-        # posting caches: LRU default, LFU for skewed workloads (ST6;
-        # reference LRUCache/LFUCache — state/caches.py)
-        # full-positions posting cache (phrase/boolean paths) — sized
-        # separately from the BM25 (docs, tfs) entry cache below
-        self._cache = make_cache(cache_policy, cache_postings)
-        self._cache_entries = make_cache(cache_policy, cache_blocks)
 
         # opt-in FST term dictionary (reference PersistentDictionaryFst;
         # parquet catalog stays the default — SURVEY §1.5): pattern
         # expansion runs as dictionary ∩ automaton over the byte image.
-        self._fst = None
         if term_dict == "fst":
             from ..state.fst_store import (
                 build_fst_from_terms,
@@ -599,8 +550,93 @@ class IndexSearcher:
         # on the first WILD/EDIT expansion: a wide actor pool serving
         # pure WORD/BM25 traffic never reads the O(vocabulary) image,
         # keeping lazy mode's fixed cold-start memory promise.
-        self._auto_fst = None
         self._auto_fst_pending = self._fst is None and self._lazy_cats is not None
+
+    @classmethod
+    def from_tables(
+        cls, meta, catalogs: list[pa.Table], docs: list[pa.Table], blobs: dict[str, bytes],
+        block_cf: int,
+    ) -> "IndexSearcher":
+        """A searcher over one segment, ``"mem"``, held in memory
+        (``build_in_memory``): its catalog tables, whose rows address
+        the ``blobs`` by name (``file``) and hold disjoint terms, and
+        its ``docs`` tables.  ``block_cf`` is the posting-block budget
+        it was written with."""
+        self = cls.__new__(cls)
+        self.index_dir, self.meta, self.segments = None, meta, ["mem"]
+        self._min_block_cf = block_cf
+        self._lazy_cats = self._lazy_lens = None
+        cols = CATALOG_COLS + ADDRESS_COLS
+        cat = pa.concat_tables([t.select(cols) for t in catalogs]).sort_by("term")
+        self._open(PostingMemoryReader(blobs), {"mem": cat}, docs, {"mem": ""})
+        return self
+
+    def _open(
+        self, reader, cats, doc_lens, seg_paths, cache_policy="lru", cache_blocks=4096,
+        cache_postings=64,
+    ) -> None:
+        """The query state over loaded tables, shared by both
+        constructors.  ``cats`` maps each segment to its term-sorted
+        catalog rows, whose addresses name the blobs ``reader`` serves
+        as ``file`` joined to ``seg_paths[seg]`` (None: the paged
+        catalogs); ``doc_lens`` is (doc_id, doc_len) tables (None: the
+        paged docs table).  The forward store and the FST dictionary
+        start absent."""
+        self.posting_reader = reader
+        self._addrs: dict = {}
+        self.terms = self._terms_np = None
+        if cats is not None:
+            # merged catalog across segments: term → (df, cf) totals;
+            # terms kept as ONE sorted arrow column for matcher kernels.
+            if cats:
+                agg = (
+                    pa.concat_tables([t.select(CATALOG_COLS) for t in cats.values()])
+                    .group_by("term")
+                    .aggregate([("df", "sum"), ("cf", "sum"), ("max_tf", "max"), ("df_docs", "sum")])
+                    .sort_by("term")
+                )
+                self.terms = agg["term"].combine_chunks()
+                self._df, self._cf, self._max_tf, self._df_docs = (
+                    np.asarray(agg[c].to_numpy(zero_copy_only=False))
+                    for c in ("df_sum", "cf_sum", "max_tf_max", "df_docs_sum")
+                )
+            else:  # no segment
+                self.terms = pa.array([], type=pa.string())
+                self._df = self._cf = self._max_tf = self._df_docs = np.empty(0, dtype=np.int64)
+            # numpy view of the sorted term column: O(log vocab) binary
+            # search instead of O(vocab) pc.index scans per query term
+            self._terms_np = np.asarray(self.terms.to_pylist(), dtype=object)
+            # per-segment payload addresses, one sorted array each (the
+            # merged catalog above holds cross-segment totals only); a
+            # single segment's terms ARE the merged column
+            for seg, a in cats.items():
+                terms = (
+                    self._terms_np if len(cats) == 1
+                    else np.asarray(a["term"].to_pylist(), dtype=object)
+                )
+                files = a["file"].combine_chunks().dictionary_encode()
+                self._addrs[seg] = (
+                    terms,
+                    np.asarray(files.indices.to_numpy(zero_copy_only=False)),
+                    *(np.asarray(a[c].to_numpy(), dtype=np.int64) for c in ADDRESS_COLS[1:]),
+                    [os.path.join(seg_paths[seg], rel) for rel in files.dictionary.to_pylist()],
+                )
+        # doc lengths for BM25 (doc_id-indexed lookup arrays)
+        self._dl_docs = self._dl_lens = None
+        if doc_lens is not None:
+            ids, lens = (
+                np.concatenate([np.empty(0, dt)] + [np.asarray(t[c], dtype=dt) for t in doc_lens])
+                for c, dt in (("doc_id", np.uint64), ("doc_len", np.float64))
+            )
+            o = np.argsort(ids, kind="stable")
+            self._dl_docs, self._dl_lens = ids[o], lens[o]
+        self._fwd_ranges: dict[str, tuple[list[int], list[int], list[str]]] = {}
+        # posting caches (state/caches.py): full positions for the
+        # phrase/boolean paths, sized apart from the BM25 (docs, tfs) one
+        self._cache = make_cache(cache_policy, cache_postings)
+        self._cache_entries = make_cache(cache_policy, cache_blocks)
+        self._fst = self._auto_fst = None
+        self._auto_fst_pending = False
 
     # -- statistics ---------------------------------------------------------
 

@@ -28,7 +28,12 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..codecs import _expand_occurrences, varint_decode, varint_encode_offsets
+from ..codecs import (
+    _expand_occurrences,
+    restart_prefix_sum,
+    varint_decode,
+    varint_encode_offsets,
+)
 from ..state.index import POSTINGS_SCHEMA
 from ..tokenizer import DEFAULT_FIELD_ID, tokenize_batch
 
@@ -593,8 +598,8 @@ def merge_runs_batch(batch: pa.Table, block_cf: int = DEFAULT_BLOCK_CF) -> pa.Ta
       cf ≤ block_cf — the bulk) or OVERLAPPING (a multi-field doc split
       across batches, out-of-order ingest — rare): ONE segmented varint
       decode of every payload concatenated (delta resets at block /
-      entry starts, the ``decode_posting_columns`` prefix-sum trick
-      generalized across terms), one ``lexsort`` back into (term, doc,
+      entry starts, :func:`~..codecs.restart_prefix_sum` over the
+      blocks of every term), one ``lexsort`` back into (term, doc,
       field, token) order when any run overlaps, then the same
       :func:`encode_posting_rows` the invert uses (which chunks a
       merged list past ``block_cf``).
@@ -673,13 +678,8 @@ def merge_runs_batch(batch: pa.Table, block_cf: int = DEFAULT_BLOCK_CF) -> pa.Ta
         dfs = np.asarray(sub["df"].to_numpy(zero_copy_only=False), dtype=np.int64)
         # segmented decode of every block at once: doc deltas reset at
         # block starts, token deltas at entry starts
-        e_deltas = varint_decode(_payload_bytes(sub["docs"].combine_chunks()))
-        bstarts = np.zeros(len(dfs), dtype=np.int64)
-        np.cumsum(dfs[:-1], out=bstarts[1:])
-        csum = np.cumsum(e_deltas, dtype=np.uint64)
-        e_docs = csum - np.repeat(csum[bstarts] - e_deltas[bstarts], dfs)
         occ_docs, occ_fields, occ_tokens = _expand_occurrences(
-            e_docs,
+            restart_prefix_sum(varint_decode(_payload_bytes(sub["docs"].combine_chunks())), dfs),
             varint_decode(_payload_bytes(sub["fields"].combine_chunks())),
             varint_decode(_payload_bytes(sub["tfs"].combine_chunks())),
             varint_decode(_payload_bytes(sub["positions"].combine_chunks())),

@@ -6,7 +6,7 @@ posting rows, ``<seg>/payloads/<stem>.bin``, and the partition's
 catalog rows next to it.  This is the reference's ``PostingListAddress``
 model (PAPER.md §1.1): the catalog row of a term carries ``(file,
 offset, bm25_len, len)`` and a lookup reads exactly that byte range.
-The catalog rows come from the directory :func:`write_blob` returns;
+The catalog rows come from the directory :func:`encode_blob` returns;
 nothing reads a blob back to address it.
 
 Blob layout: one RECORD per term, in term order, then a directory
@@ -201,12 +201,12 @@ def atomic_write(path: str, write) -> None:
             os.remove(tmp)
 
 
-def write_blob(path: str, rows: pa.Table):
-    """Write the payload blob of term-sorted posting ``rows`` (no
-    sentinel rows) and return its directory, as :func:`read_directory`
-    would read it back.  Vectorized: the headers are one varint encode,
-    and the records are one Arrow ``take`` over [headers, docs, tfs,
-    fields, positions] in blob order, so the blob is that array's data
+def encode_blob(rows: pa.Table) -> tuple[bytes, tuple]:
+    """The payload blob of term-sorted posting ``rows`` (no sentinel
+    rows) and its directory, as :func:`read_directory` would read it
+    back.  Vectorized: the headers are one varint encode, and the
+    records are one Arrow ``take`` over [headers, docs, tfs, fields,
+    positions] in blob order, so the records are that array's data
     buffer."""
     n = rows.num_rows
     starts, counts = _term_groups(rows["term"].combine_chunks())
@@ -249,15 +249,8 @@ def write_blob(path: str, rows: pa.Table):
     hdr_len = np.diff(hdr_off)
     trailer = varint_encode(np.concatenate([rec_len, hdr_len, bm25_len]).astype(np.uint64))
     data = memoryview(pieces.buffers()[2])[int(offs[0]) : int(offs[-1])]
-
-    def write(tmp):
-        with open(tmp, "wb") as f:
-            f.write(data)
-            f.write(trailer)
-            f.write(_TRAILER.pack(len(trailer), T, MAGIC))
-
-    atomic_write(path, write)
-    return rec_start - offs[0], hdr_len, bm25_len, rec_len
+    blob = b"".join([data, trailer, _TRAILER.pack(len(trailer), T, MAGIC)])
+    return blob, (rec_start - offs[0], hdr_len, bm25_len, rec_len)
 
 
 def read_directory(path: str, blob: "bytes | None" = None):

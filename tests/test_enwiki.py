@@ -180,3 +180,50 @@ def test_fetch_to_dir_collisions_order_independent(wiki_dir, tmp_path):
     later = fetch_to_dir([ub], dest2)
     assert later != solo
     assert open(later[0]).read() != open(solo[0]).read()
+
+
+def test_fetch_to_dir_midrun_failure_keeps_manifest(tmp_path):
+    """Provenance of files already fetched must survive a failure on a
+    LATER url — otherwise a re-run with a same-basename different URL
+    would serve the first URL's cached bytes as the second's."""
+    d1 = tmp_path / "s1"
+    d1.mkdir()
+    f1 = d1 / "x.txt"
+    f1.write_text("from url A")
+    missing = tmp_path / "nope" / "x2.txt"  # never created
+    dest = str(tmp_path / "mirror")
+    with pytest.raises(Exception):
+        fetch_to_dir(["file://" + str(f1), "file://" + str(missing)], dest)
+    manifest = json.loads(open(os.path.join(dest, ".fetch_sources.json")).read())
+    assert manifest["x.txt"] == "file://" + str(f1)
+    # a DIFFERENT url claiming the same basename is hash-prefixed, not
+    # served A's cached bytes
+    d2 = tmp_path / "s2"
+    d2.mkdir()
+    f2 = d2 / "x.txt"
+    f2.write_text("from url B")
+    got = fetch_to_dir(["file://" + str(f2)], dest)
+    assert open(got[0]).read() == "from url B"
+
+
+def test_enwiki_empty_titles_keep_dense_ids(tmp_path, ray_session):
+    """An empty <title> (or one that empties after the prefix strip)
+    must keep its positional id slot — ids stay dense, matching the
+    row_number oracle (round-2 ADVICE #3)."""
+    from fulltextsearch_ray.sources.enwiki import read_enwiki_corpus
+
+    xml = (
+        "<feed>"
+        "<doc><title>Wikipedia: alpha</title></doc>"
+        "<doc><title>Wikipedia: </title></doc>"
+        "<doc><title></title></doc>"
+        "<doc><title>Wikipedia: beta</title></doc>"
+        "</feed>"
+    )
+    p = tmp_path / "shard-00.xml"
+    p.write_text(xml, encoding="utf-8")
+    rows = sorted(
+        read_enwiki_corpus(str(tmp_path)).take_all(), key=lambda r: r["doc_id"]
+    )
+    assert [r["doc_id"] for r in rows] == [1, 2, 3, 4]
+    assert [r["content"] for r in rows] == ["alpha", "", "", "beta"]

@@ -440,14 +440,18 @@ def _encoded_rows(block_cf):
 def _blob_and_catalog(rows, seg):
     """Write ``rows``' payload blob under ``seg`` and return the catalog
     rows that address it."""
-    from fulltextsearch_ray.state.payloads import write_blob
+    from fulltextsearch_ray.state.payloads import encode_blob
 
     blob = os.path.join(PAYLOAD_DIR, "p.bin")
-    return build_mod._catalog_rows(rows, blob, write_blob(os.path.join(seg, blob), rows))
+    data, directory = encode_blob(rows)
+    os.makedirs(os.path.join(seg, PAYLOAD_DIR), exist_ok=True)
+    with open(os.path.join(seg, blob), "wb") as f:
+        f.write(data)
+    return build_mod._catalog_rows(rows, blob, directory)
 
 
 def test_blob_round_trip(tmp_path):
-    """write_blob → read by address (decode_record) and whole-row
+    """encode_blob → read by address (decode_record) and whole-row
     (read_blob_rows, from the catalog rows) give back every row."""
     from fulltextsearch_ray.state.payloads import read_directory
 
@@ -508,6 +512,14 @@ def test_rewritten_partition_replaces_its_files(tmp_path):
     (cat_file,) = glob.glob(os.path.join(seg, "catalog", "*"))
     assert out["max_field"].to_pylist() == [1]
     cat = pq.read_table(cat_file)
+    # the files are the pure encode's, written: the in-memory index
+    # holds exactly what the disk build writes
+    stem, blob, enc_cat, enc_docs, counters = build_mod.encode_postings_partition(rows)
+    assert os.path.basename(cat_file) == stem + ".parquet"
+    assert open(os.path.join(seg, PAYLOAD_DIR, stem + ".bin"), "rb").read() == blob
+    assert enc_cat.equals(cat)
+    assert enc_docs.equals(pq.read_table(os.path.join(seg, "docs", stem + ".parquet")))
+    assert counters == out.to_pylist()[0]
     assert cat.drop_columns(ADDRESS_COLS).equals(build_mod.aggregate_catalog(posting))
     assert read_blob_rows(cat, seg).equals(posting)
     for r in cat.to_pylist():
