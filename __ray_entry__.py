@@ -230,15 +230,17 @@ def _index_dir_for(sf_dir: str) -> str:
     if cached:
         return cached
     from fulltextsearch_ray.pipelines.build import build_index
+    from fulltextsearch_ray.state.index import FORMAT_VERSION
 
-    # layout version busts stale caches when the index format evolves;
-    # the (mtime, size) fingerprint busts them when documents.parquet
+    # the index format number busts stale caches when the format
+    # evolves (a searcher refuses an index of another number); the
+    # (mtime, size) fingerprint busts them when documents.parquet
     # is regenerated IN PLACE (same path, new content) — without it
     # every index-backed gate would serve the old corpus against
     # oracles running on the new one (same device _ann_index_dir uses)
     st = os.stat(os.path.join(sf_dir, "documents.parquet"))
     tag = hashlib.md5(
-        f"{sf_dir}:v6:{st.st_mtime_ns}:{st.st_size}".encode()
+        f"{sf_dir}:format{FORMAT_VERSION}:{st.st_mtime_ns}:{st.st_size}".encode()
     ).hexdigest()[:10]
     idx = os.path.join("/tmp", "ftsray_cache", f"docs-{tag}")
     if not os.path.exists(os.path.join(idx, "meta.json")):

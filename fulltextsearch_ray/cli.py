@@ -121,7 +121,7 @@ def _main(argv: list[str] | None = None) -> int:
 
     p_compact = sub.add_parser(
         "compact", help="merge all segments into one (posting-chain collapse); also rewrites "
-        "a segment written before payload blobs, which search refuses",
+        "an index of an older format number, which every other verb refuses, in the current one",
     )
     p_compact.add_argument("--index", required=True)
     p_compact.add_argument(

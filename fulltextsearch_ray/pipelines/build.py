@@ -62,10 +62,12 @@ from ..stages.invert import (
     read_invert_batches_fn,
 )
 from ..state.index import (
+    FORMAT_VERSION,
     POSTINGS_SCHEMA,
     SEGMENTS_DIR,
     IndexMeta,
     SegmentManifest,
+    _read_meta,
     load_manifest,
     load_meta,
     save_manifest,
@@ -92,16 +94,15 @@ def compact_index(
     atomically.  Query results are identical before/after (the chain
     merge the searcher did at query time is now materialized).
 
-    This is also the one migration path: it reads postings of every
-    layout, so an index with a segment written before payload blobs
-    (which a searcher refuses) is rewritten even when it has only that
-    one segment.
+    This is also the one migration path: it reads an index of any
+    older format (which every other reader refuses, see
+    :mod:`~..state.index`) and writes it in :data:`FORMAT_VERSION`,
+    even when it has only one segment.
     """
     import pyarrow.parquet as pq
 
-    from ..state.payloads import predates_blobs
-
-    meta = load_meta(index_dir)
+    meta = _read_meta(index_dir)
+    older = meta.version != FORMAT_VERSION
     # Sweep segment dirs that meta does not reference: a crash between
     # a previous compaction's save_meta and its old-segment rmtree loop
     # orphans every pre-compaction dir forever (no later path touches
@@ -113,9 +114,7 @@ def compact_index(
         for d_name in os.listdir(seg_root):
             if d_name not in meta.segments:
                 shutil.rmtree(os.path.join(seg_root, d_name), ignore_errors=True)
-    if not meta.segments or (
-        len(meta.segments) == 1 and not predates_blobs(_catalog_columns(index_dir, meta.segments[0]))
-    ):
+    if not meta.segments or (len(meta.segments) == 1 and not older):
         return meta
     old_segments = list(meta.segments)
     inputs = _input_manifests(index_dir, old_segments)
@@ -158,7 +157,7 @@ def compact_index(
     # through Ray (read → sort(doc_id) → partitioned write).
     docs_dirs = [os.path.join(segment_dir(index_dir, s), "docs") for s in old_segments]
     os.makedirs(os.path.join(seg_path, "docs"), exist_ok=True)
-    # Sessions may disagree on the docs schema (legacy builds stored
+    # Sessions may disagree on the docs schema (older builds stored
     # meta columns directly in docs; current ones use docs_meta) — a
     # plain concat/union raises ArrowInvalid and the index could never
     # be compacted.  Unify permissively: missing columns fill with
@@ -206,7 +205,8 @@ def compact_index(
     # ``store_copy_file_budget`` files the merge is a driver copy loop
     # (cheap, schema-agnostic); past it the store REWRITES through Ray
     # (read → sort(doc_id) → partitioned write) so a many-thousand-file
-    # segment set never runs a per-file driver loop.
+    # segment set never runs a per-file driver loop.  Forward files of
+    # an older format may lack field_id: both paths conform them.
     for sub in ("forward", "docs_meta"):
         src_files: list[tuple[str, str]] = []
         for s in old_segments:
@@ -218,25 +218,20 @@ def compact_index(
         os.makedirs(dst, exist_ok=True)
         if len(src_files) <= store_copy_file_budget:
             for s, f in src_files:
-                shutil.copy2(f, os.path.join(dst, f"{s}-{os.path.basename(f)}"))
+                out = os.path.join(dst, f"{s}-{os.path.basename(f)}")
+                if sub == "forward" and older:
+                    pq.write_table(_conform_forward(pq.read_table(f)), out)
+                else:
+                    shutil.copy2(f, out)
             continue
         # STREAMING REWRITE: group by file schema (sessions may differ —
-        # legacy forward stores lack field_id; docs_meta columns vary)
+        # older forward stores lack field_id; docs_meta columns vary)
         by_schema: dict[str, list[str]] = {}
         for _s, f in src_files:
             by_schema.setdefault(str(pq.ParquetFile(f).schema_arrow), []).append(f)
         if sub == "forward":
-            from ..stages.forward import FORWARD_SCHEMA
-
-            def norm_fwd(b: pa.Table) -> pa.Table:
-                if "field_id" not in b.column_names:
-                    b = b.append_column(
-                        "field_id", pa.array(np.ones(b.num_rows, dtype=np.int32))
-                    )
-                return b.select(FORWARD_SCHEMA.names).cast(FORWARD_SCHEMA)
-
             parts = [
-                ray.data.read_parquet(files).map_batches(norm_fwd, batch_format="pyarrow")
+                ray.data.read_parquet(files).map_batches(_conform_forward, batch_format="pyarrow")
                 for files in by_schema.values()
             ]
             # one schema after normalization → ONE global sort: output
@@ -256,18 +251,26 @@ def compact_index(
         forward_ranges=forward_ranges, block_cf=block_cf,
     )
 
-    if not meta.num_fields and max_field:
-        # Legacy meta (num_fields=0, field count UNKNOWN) kept pruned
-        # BM25 on the loosest tf→∞ upper bound forever.  Compaction is
-        # the one moment the true count becomes derivable cheaply: the
-        # merging tasks report the largest field id they wrote (field
-        # ids are 1-based — the count is the max id).
-        meta.num_fields = max_field
+    # an older header without a field count (0): the merging tasks
+    # report the largest field id they wrote (field ids are 1-based —
+    # the count is the max id)
+    meta.num_fields = meta.num_fields or max(max_field, 1)
+    meta.version = FORMAT_VERSION
     meta.segments = [new_seg]
     save_meta(index_dir, meta)
     for s in old_segments:
         shutil.rmtree(segment_dir(index_dir, s), ignore_errors=True)
     return meta
+
+
+def _conform_forward(b: pa.Table) -> pa.Table:
+    """Forward-store rows in ``FORWARD_SCHEMA``; a file of an older
+    format without ``field_id`` holds field 1 only."""
+    from ..stages.forward import FORWARD_SCHEMA
+
+    if "field_id" not in b.column_names:
+        b = b.append_column("field_id", pa.array(np.ones(b.num_rows, dtype=np.int32)))
+    return b.select(FORWARD_SCHEMA.names).cast(FORWARD_SCHEMA)
 
 
 def _input_manifests(index_dir: str, segments: list[str]) -> list[SegmentManifest]:
@@ -558,24 +561,27 @@ def _scan_doc_ranges(dir_path: str, seg_path: str) -> list:
 def _scan_table_stats(dir_path: str, seg_path: str) -> dict:
     """Manifest-persisted footer stats for a key-sorted table directory
     (catalog or docs): relpath → {num_rows, columns, row_groups:
-    [[key_min, key_max, n_rows], ...] | None}.  One footer read per
-    file HERE, at build time, so every cold searcher actor afterwards
-    reads ONE manifest JSON instead of O(files) footers.  ``row_groups``
-    is None when any group lacks key statistics — the searcher then
-    falls back to that file's footer."""
+    [[key_min, key_max, n_rows], ...]}.  One footer read per file
+    HERE, at build time, so every cold searcher actor afterwards reads
+    ONE manifest JSON instead of O(files) footers.  The list position
+    of a group is its row-group index.  A file's last group may have
+    0 rows and no statistics (pyarrow writes an empty table as one
+    such group): it is left out.  Any other group without key
+    statistics raises ValueError, as the searcher pages the table by
+    these ranges."""
     import pyarrow.parquet as pq
 
     out: dict = {}
     for f in _parquet_files(dir_path):
         md = pq.ParquetFile(f).metadata
-        groups: "list | None" = []
+        groups = []
         for rg in range(md.num_row_groups):
             rgm = md.row_group(rg)
             st = rgm.column(0).statistics
-            if st is None or not st.has_min_max:
-                groups = None
-                break
-            groups.append([st.min, st.max, rgm.num_rows])
+            if st is not None and st.has_min_max:
+                groups.append([st.min, st.max, rgm.num_rows])
+            elif rgm.num_rows or rg + 1 < md.num_row_groups:
+                raise ValueError(f"{f}: row group {rg} has no key statistics")
         out[os.path.relpath(f, seg_path)] = {
             "num_rows": md.num_rows,
             "columns": list(md.schema.to_arrow_schema().names),
@@ -922,11 +928,7 @@ def build_index(
         # update rather than corrupting the totals with a partial sum
         meta.num_docs += manifest.num_docs
         meta.total_tokens += manifest.total_tokens
-    # num_fields=0 means a legacy index of UNKNOWN field count — an
-    # incremental session must keep it unknown (the old segments may be
-    # multi-field), not overwrite it with this session's count.
-    if meta.num_fields:
-        meta.num_fields = max(meta.num_fields, len(text_cols) if text_cols else 1)
+    meta.num_fields = max(meta.num_fields, len(text_cols) if text_cols else 1)
     meta.next_doc_id = max(meta.next_doc_id, manifest.max_doc_id + 1)
     save_meta(index_dir, meta)
     return meta

@@ -37,7 +37,6 @@ from functools import lru_cache
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..matchers import expand_pattern
@@ -62,8 +61,8 @@ from ..parser import (
     parse_query,
 )
 from ..state.caches import LRUCache, make_cache
-from ..state.index import load_meta, segment_dir
-from ..state.payloads import ADDRESS_COLS, TermPostings, decode_record, predates_blobs
+from ..state.index import load_manifest, load_meta, segment_dir
+from ..state.payloads import ADDRESS_COLS, TermPostings, decode_record
 
 logger = logging.getLogger(__name__)
 
@@ -140,59 +139,6 @@ def _sum_by_doc(docs: np.ndarray, vals: np.ndarray) -> "tuple[np.ndarray, np.nda
     docs, vals = docs[o], vals[o]
     uniq, idx = np.unique(docs, return_index=True)
     return uniq, np.add.reduceat(vals, idx) if len(idx) else vals[:0]
-
-
-class _ManifestFileMeta:
-    """Duck-typed stand-in for ``pq.FileMetaData`` built from the
-    manifest's persisted footer stats (``SegmentManifest.catalog_stats``
-    / ``docs_stats``): exposes exactly the surface IndexSearcher and
-    LazyRowGroupTable consume — ``num_rows``, ``num_row_groups``,
-    ``row_group(i).num_rows`` / ``.column(0).statistics`` (min/max),
-    ``schema.to_arrow_schema().names`` — WITHOUT opening the parquet
-    file, so a cold searcher actor does one manifest JSON read instead
-    of O(files) footer fetches."""
-
-    class _Stats:
-        has_min_max = True
-
-        def __init__(self, mn, mx):
-            self.min, self.max = mn, mx
-
-    class _ColumnMeta:
-        def __init__(self, st):
-            self.statistics = st
-
-    class _RowGroupMeta:
-        def __init__(self, mn, mx, rows):
-            self.num_rows = rows
-            self._stats = _ManifestFileMeta._Stats(mn, mx)
-
-        def column(self, i):
-            if i != 0:
-                raise IndexError("manifest stats cover the key (first) column only")
-            return _ManifestFileMeta._ColumnMeta(self._stats)
-
-    class _Schema:
-        def __init__(self, names):
-            self._names = list(names)
-
-        def to_arrow_schema(self):
-            import types
-
-            return types.SimpleNamespace(names=list(self._names))
-
-    def __init__(self, info: dict):
-        self.num_rows = int(info["num_rows"])
-        self._groups = info["row_groups"]
-        self.schema = _ManifestFileMeta._Schema(info["columns"])
-
-    @property
-    def num_row_groups(self) -> int:
-        return len(self._groups)
-
-    def row_group(self, i: int):
-        mn, mx, rows = self._groups[i]
-        return _ManifestFileMeta._RowGroupMeta(mn, mx, int(rows))
 
 
 # files one searcher keeps open (parquet footers of the paged tables
@@ -273,56 +219,34 @@ class PostingMemoryReader(PostingFileReader):
 
 class LazyRowGroupTable:
     """Row-group-paged access to a sorted parquet table (catalog or
-    docs): only the footer [key_min, key_max] per row group is held in
-    memory; row groups load on demand into a small LRU.
+    docs): only [key_min, key_max] per row group is held in memory;
+    row groups load on demand into a small LRU.
 
     This is the multi-billion-term/doc scale path: a searcher actor's
     resident state is O(row_groups) pointers + the LRU budget, not the
-    table.  The key column must be the FIRST column and globally
-    sorted across files (both the catalog and the docs table are
-    written that way)."""
+    table.  ``groups`` maps each file to its row groups' ``[key_min,
+    key_max, n_rows]``, as the manifest's footer stats hold them
+    (``SegmentManifest.catalog_stats`` / ``docs_stats``), so building
+    the table opens no file.  The key column must be the FIRST column
+    and globally sorted across files (both the catalog and the docs
+    table are written that way)."""
 
     def __init__(
         self,
-        files: list[str],
+        groups: "dict[str, list]",
         columns: list[str],
         cache_groups: int = 64,
-        metas: "dict | None" = None,
         handles: LRUCache | None = None,
     ):
         self.columns = columns
         # open files, shared with the searcher's posting reader
         self._handles = LRUCache(OPEN_FILES) if handles is None else handles
-        self.runs: list[tuple] = []  # (key_min, key_max, file, rg)
-        self.total_rows = 0
         self.loads = 0  # row-group reads served (cache misses) — lets
         # tests assert pruning (loads ≪ len(runs)) without instrumenting
-        for f in files:
-            md = (metas or {}).get(f)
-            pf = None  # one handle per file for any stat-less groups
-            if md is None:
-                pf = self._handles.get_or_load(f, pq.ParquetFile)
-                md = pf.metadata
-            self.total_rows += md.num_rows
-            for rg in range(md.num_row_groups):
-                st = md.row_group(rg).column(0).statistics
-                if st is None or not st.has_min_max:
-                    # this engine's writers always emit stats, but an
-                    # index written by a foreign/older writer may not:
-                    # degrade by reading the group's key column ONCE for
-                    # its true [min, max] rather than refusing to serve
-                    # the table (or silently dropping the group's rows)
-                    if md.row_group(rg).num_rows == 0:
-                        continue  # empty group: nothing to serve
-                    if pf is None:
-                        pf = self._handles.get_or_load(f, pq.ParquetFile)
-                    keycol = pf.read_row_group(rg, columns=[columns[0]]).column(0)
-                    mm = pc.min_max(keycol)
-                    self.runs.append(
-                        (mm["min"].as_py(), mm["max"].as_py(), f, rg)
-                    )
-                    continue
-                self.runs.append((st.min, st.max, f, rg))
+        # (key_min, key_max, file, rg)
+        self.runs: list[tuple] = [
+            (mn, mx, f, rg) for f, rgs in groups.items() for rg, (mn, mx, _rows) in enumerate(rgs)
+        ]
         self.runs.sort(key=lambda r: (r[0], r[1]))
         self._mins = [r[0] for r in self.runs]
         self._maxs = [r[1] for r in self.runs]
@@ -398,9 +322,13 @@ class IndexSearcher:
     to row-group-paged access (:class:`LazyRowGroupTable`) so an actor
     opens a multi-billion-term index within a fixed memory budget.
 
-    Postings are read only through the payload-blob address of each
-    catalog row; a segment written before payload blobs raises
-    ValueError here (``compact_index`` rewrites it)."""
+    It serves an index of ``FORMAT_VERSION`` only (an index of another
+    number raises ValueError naming ``compact_index``, which rewrites
+    it), so it assumes that format: postings are read only through the
+    payload-blob address of each catalog row, the catalog and docs
+    files and their row groups come from the segment manifests (a
+    listed segment without a readable manifest raises ValueError), and
+    every forward-store file has field ids."""
 
     def __init__(
         self,
@@ -416,67 +344,37 @@ class IndexSearcher:
         self.meta = load_meta(index_dir)
         self.segments = list(self.meta.segments)
 
-        from ..state.index import load_manifest
-
         manifests: dict = {}
         for seg in self.segments:
             try:
                 manifests[seg] = load_manifest(index_dir, seg)
-            except (FileNotFoundError, TypeError):
-                manifests[seg] = None
-        # smallest posting-block budget any segment was written with —
-        # 0 (unknown) if ANY manifest is legacy/missing.  Gates the
-        # tight MaxScore tf bound in _term_upper_bound: a mid-entry
-        # block split is impossible while max_tf ≤ block_cf/2.
-        bcs = [getattr(m, "block_cf", 0) or 0 for m in manifests.values()]
-        self._min_block_cf = min(bcs) if bcs and all(b > 0 for b in bcs) else 0
-
-        def table_files(seg: str, sub: str, stats_attr: str):
-            """(files, per-file metadata) for one segment table.  When
-            the manifest persists this table's footer stats, BOTH come
-            from the already-read manifest JSON — no directory listing
-            and no footer fetches; a legacy manifest (or a file whose
-            stats were unavailable at build time) falls back to the
-            real footer."""
-            segp = segment_dir(index_dir, seg)
-            man = manifests[seg]
-            stats = getattr(man, stats_attr, None) if man is not None else None
-            files: list[str] = []
-            metas: dict = {}
-            if stats:
-                for rel in sorted(stats):
-                    f = os.path.join(segp, rel)
-                    info = stats[rel]
-                    metas[f] = (
-                        _ManifestFileMeta(info)
-                        if info.get("row_groups") is not None
-                        else pq.ParquetFile(f).metadata
-                    )
-                    files.append(f)
-            else:
-                files = pq.ParquetDataset(os.path.join(segp, sub)).files
-                metas = {f: pq.ParquetFile(f).metadata for f in files}
-            return files, metas
-
-        docs_files: list[str] = []
-        seg_cat_files: dict[str, list[str]] = {}
-        cat_md: dict = {}
-        docs_md: dict = {}
-        for seg in self.segments:
-            fs, ms = table_files(seg, "catalog", "catalog_stats")
-            if predates_blobs(ms[fs[0]].schema.to_arrow_schema().names if fs else []):
+            except (OSError, TypeError, ValueError) as e:
                 raise ValueError(
-                    f"index {index_dir}: segment {seg} was written before payload blobs "
-                    f"(its catalog has no {'/'.join(ADDRESS_COLS)} columns); rewrite it "
-                    "once with compact_index (CLI: compact --index DIR)"
-                )
-            seg_cat_files[seg] = fs
-            cat_md.update(ms)
-            fs, ms = table_files(seg, "docs", "docs_stats")
-            docs_files.extend(fs)
-            docs_md.update(ms)
-        cat_rows = sum(md.num_rows for md in cat_md.values())
-        doc_rows = sum(md.num_rows for md in docs_md.values())
+                    f"index {index_dir}: segment {seg} has no readable manifest ({e})"
+                ) from None
+        # smallest posting-block budget any segment was written with:
+        # gates the tight MaxScore tf bound in _term_upper_bound (a
+        # mid-entry block split is impossible while max_tf ≤ block_cf/2)
+        self._min_block_cf = min((m.block_cf for m in manifests.values()), default=0)
+
+        # the files and row groups of each segment's catalog and docs
+        # table come from the already-read manifest JSON: no directory
+        # listing and no footer fetch
+        seg_cat_groups: dict[str, dict] = {}
+        docs_groups: dict = {}
+        cat_rows = doc_rows = 0
+        for seg, man in manifests.items():
+            segp = segment_dir(index_dir, seg)
+            seg_cat_groups[seg] = {
+                os.path.join(segp, rel): man.catalog_stats[rel]["row_groups"]
+                for rel in sorted(man.catalog_stats)
+            }
+            docs_groups.update(
+                (os.path.join(segp, rel), man.docs_stats[rel]["row_groups"])
+                for rel in sorted(man.docs_stats)
+            )
+            cat_rows += sum(info["num_rows"] for info in man.catalog_stats.values())
+            doc_rows += sum(info["num_rows"] for info in man.docs_stats.values())
 
         # one bounded set of open parquet files for the paged tables and
         # the posting reader; nothing is opened here
@@ -484,32 +382,27 @@ class IndexSearcher:
         cats = doc_lens = self._lazy_cats = self._lazy_lens = None
         if cat_rows <= catalog_budget_rows:
             cats = {}
-            for seg in self.segments:
-                t = pq.read_table(seg_cat_files[seg], columns=CATALOG_COLS + ADDRESS_COLS)
-                cats[seg] = t.sort_by("term") if len(seg_cat_files[seg]) > 1 else t
+            for seg, groups in seg_cat_groups.items():
+                t = pq.read_table(list(groups), columns=CATALOG_COLS + ADDRESS_COLS)
+                cats[seg] = t.sort_by("term") if len(groups) > 1 else t
         else:
             # one paged catalog PER SEGMENT (each is term-sorted; totals
             # sum across segments at lookup time)
             self._lazy_cats = [
-                LazyRowGroupTable(
-                    seg_cat_files[seg], CATALOG_COLS + ADDRESS_COLS, metas=cat_md, handles=handles
-                )
+                LazyRowGroupTable(seg_cat_groups[seg], CATALOG_COLS + ADDRESS_COLS, handles=handles)
                 for seg in self.segments
             ]
         if doc_rows <= doclen_budget_rows:
-            doc_lens = [pq.read_table(f, columns=["doc_id", "doc_len"]) for f in docs_files]
+            doc_lens = [pq.read_table(f, columns=["doc_id", "doc_len"]) for f in docs_groups]
         else:
-            self._lazy_lens = LazyRowGroupTable(
-                docs_files, ["doc_id", "doc_len"], metas=docs_md, handles=handles
-            )
+            self._lazy_lens = LazyRowGroupTable(docs_groups, ["doc_id", "doc_len"], handles=handles)
         self._open(
             PostingFileReader(handles), cats, doc_lens,
             {seg: segment_dir(index_dir, seg) for seg in self.segments},
             cache_policy, cache_blocks, cache_postings,
         )
-        for seg in self.segments:
-            man = manifests[seg]  # already read once at the top
-            if man is not None and man.forward_ranges:
+        for seg, man in manifests.items():
+            if man.forward_ranges:
                 self._fwd_ranges[seg] = (
                     [int(r[1]) for r in man.forward_ranges],
                     [int(r[2]) for r in man.forward_ranges],
@@ -929,8 +822,7 @@ class IndexSearcher:
         Point lookups: ids are grouped by covering file (binary search
         on the per-file doc ranges) and each file is read ONCE with a
         doc_id filter — non-matching documents are never read, and
-        nothing is tokenized.  Legacy stores without a field_id column
-        read as field 1."""
+        nothing is tokenized."""
         import bisect
 
         if not self._fwd_ranges:
@@ -953,11 +845,7 @@ class IndexSearcher:
         out: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
         for path, ids in by_file.items():
             t = pq.read_table(path, filters=[("doc_id", "in", ids)])
-            fids = (
-                t["field_id"].to_pylist()
-                if "field_id" in t.column_names
-                else [1] * t.num_rows
-            )
+            fids = t["field_id"].to_pylist()
             dids = t["doc_id"].to_pylist()
             offs = t["offsets"].to_pylist()
             lens = t["lengths"].to_pylist()
@@ -1249,25 +1137,25 @@ class IndexSearcher:
         df, mtf = float(row[0]), float(row[2])
         N = float(self.num_docs)
         idf = float(_bm25_idf(N, df))
-        nf = float(getattr(self.meta, "num_fields", 1))
         # max_tf is per catalog ENTRY; a doc's scored tf sums its
         # entries, so max_tf×num_fields bounds it ONLY while no entry
         # was mid-entry-split across posting blocks (stages/invert.py
         # fallback when one entry exceeds block_cf).  A split leaves a
         # piece with tf > block_cf/2, so max_tf ≤ block_cf/2 proves
-        # the term split-free; above it — or when any segment's
-        # block_cf is unknown (legacy manifest), or the field count is
-        # unknown (legacy meta) — use the tf→∞ supremum (K1+1), which
-        # is valid for ANY tf and within f(block_cf/2)/(K1+1) ≈ 1e-5
-        # of the tight bound exactly where it replaces it.
-        if not nf or not self._min_block_cf or 2.0 * mtf > self._min_block_cf:
+        # the term split-free; above it use the tf→∞ supremum (K1+1),
+        # which is valid for ANY tf and within f(block_cf/2)/(K1+1) ≈
+        # 1e-5 of the tight bound exactly where it replaces it.
+        if 2.0 * mtf > self._min_block_cf:
             return idf * (K1 + 1.0)
-        return float(_bm25_contrib(idf, mtf * nf, 0.0, 1.0))
+        return float(_bm25_contrib(idf, mtf * float(self.meta.num_fields), 0.0, 1.0))
 
     def _term_floor(self, term: str) -> float:
         """Most NEGATIVE per-doc contribution a term can make: 0 for
         idf ≥ 0, else idf·(K1+1) (the tf→∞/dl→0 extreme).  Negative
-        idf arises when a legacy entry-df exceeds N; it breaks
+        idf arises when a term's df_docs exceeds N — a doc split
+        mid-entry across posting blocks counts in each block's
+        n_docs, so a one-doc index of ``"hot " * 20`` at block_cf=8
+        gives hot df_docs 3 with N = 1; it breaks
         MaxScore's scores-only-grow premise — an accumulated doc's
         FINAL score can sit below its score at prune time, so the
         prune must budget for the drop (see bm25_topk_pruned)."""
@@ -1297,7 +1185,7 @@ class IndexSearcher:
         avgdl = self.avgdl or 1.0
         acc_docs = np.empty(0, dtype=np.uint64)
         acc_scores = np.empty(0, dtype=np.float64)
-        # Negative-idf terms (a legacy entry-df exceeding N) break two
+        # Negative-idf terms (an over-counted df_docs exceeding N) break two
         # MaxScore premises at once.  (1) An unseen doc need not
         # CONTAIN a remaining term, so a NEGATIVE upper bound must
         # count 0 — not its negative value — in the unseen-doc budget.

@@ -7,7 +7,7 @@ Parquet-native, *segmented* layout designed for distributed builds and
 per-partition resume:
 
     index_dir/
-      meta.json                      # header: doc counts, avgdl, segments
+      meta.json                      # header: format, doc counts, segments
       segments/<seg>/
         manifest.json                # per-segment lineage + counters
         docs/*.parquet               # doc_id, doc_len, sha256 (doc_id-sorted)
@@ -15,11 +15,17 @@ per-partition resume:
                                      #   payload bytes at one address
         catalog/*.parquet            # term, df, cf, n_blocks, address (sorted)
 
-A searcher reads a term's postings only through the address in its
-catalog row.  Segments written before payload blobs (a postings
-parquet file with payloads inline, catalogs without address columns)
-are refused by the searcher and rewritten by ``compact_index``, the
-one reader of every older layout.
+The header's ``version`` is the index format, :data:`FORMAT_VERSION`,
+checked each time an index is opened, as the reference checks its
+header's type (``PersistentIndex.cs:45-72``).  :func:`load_meta`
+refuses any other number, so every reader (the searcher, an
+incremental build, the dump) serves this format only: a searcher reads
+a term's postings only through the address in its catalog row, and
+builds its paged tables from the manifest's footer stats.
+``compact_index`` is the one reader of an older index (segments written
+before payload blobs, manifests without footer stats or block budget,
+headers without a field count, forward stores without field ids): it
+rewrites the index in this format, once.
 
 Each build session writes a NEW segment (append-only), mirroring the
 reference's incremental-session model where repeated terms chain a new
@@ -71,6 +77,12 @@ POSTINGS_SCHEMA = pa.schema(
 META_FILE = "meta.json"
 SEGMENTS_DIR = "segments"
 
+# The index format every reader assumes; an index of any other number
+# is refused until ``compact_index`` rewrites it.  2: payload blobs, and
+# manifests with footer stats and block budget, a header with a field
+# count, forward stores with field ids.
+FORMAT_VERSION = 2
+
 
 @dataclass
 class SegmentManifest:
@@ -89,20 +101,18 @@ class SegmentManifest:
     forward_ranges: list = field(default_factory=list)
     # per-file parquet footer stats for the catalog / docs tables:
     # relpath → {"num_rows": N, "columns": [...], "row_groups":
-    # [[key_min, key_max, n_rows], ...] | None}.  A cold searcher
-    # actor builds its (lazy) tables from this ONE manifest JSON read
-    # instead of fetching one parquet footer per file — at thousands
-    # of files × wide actor pools on network storage, the footer
-    # round-trips dominate cold start.  row_groups is None when a
-    # file's key column lacks min/max statistics (foreign writer);
-    # the searcher then falls back to that file's footer.
+    # [[key_min, key_max, n_rows], ...]} (no entry for a 0-row group).
+    # A cold searcher actor builds its (lazy) tables from this ONE
+    # manifest JSON read instead of fetching one parquet footer per
+    # file — at thousands of files × wide actor pools on network
+    # storage, the footer round-trips dominate cold start.
     catalog_stats: dict = field(default_factory=dict)
     docs_stats: dict = field(default_factory=dict)
-    # posting-block occurrence budget the segment was written with
-    # (0 = unknown/legacy).  The MaxScore prune needs it: a mid-entry
-    # block split is only possible when a term's catalog max_tf
-    # exceeds block_cf/2, so below that threshold max_tf×num_fields is
-    # a provably sound per-doc tf bound.
+    # posting-block occurrence budget the segment was written with.
+    # The MaxScore prune needs it: a mid-entry block split is only
+    # possible when a term's catalog max_tf exceeds block_cf/2, so
+    # below that threshold max_tf×num_fields is a provably sound
+    # per-doc tf bound.
     block_cf: int = 0
 
 
@@ -112,7 +122,7 @@ class IndexMeta:
     (``PersistentIndexInfo.cs:22-51``): persists ``next_doc_id`` across
     incremental sessions plus corpus-level BM25 statistics."""
 
-    version: int = 1
+    version: int = FORMAT_VERSION
     next_doc_id: int = 1
     num_docs: int = 0
     total_tokens: int = 0
@@ -122,10 +132,7 @@ class IndexMeta:
     modified_at: float = 0.0
     # max number of indexed FIELDS across sessions: scoring sums tf
     # across a doc's fields, so the MaxScore bound must scale the
-    # catalog's per-(doc,field) max_tf by this.  0 = UNKNOWN (a
-    # meta.json written before this field existed — the index may be
-    # multi-field, so the pruned BM25 path must fall back to the
-    # field-count-free tf→∞ bound, not assume 1).
+    # catalog's per-(doc,field) max_tf by this.
     num_fields: int = 1
 
     @property
@@ -137,16 +144,26 @@ def segment_dir(index_dir: str, name: str) -> str:
     return os.path.join(index_dir, SEGMENTS_DIR, name)
 
 
-def load_meta(index_dir: str) -> IndexMeta:
+def _read_meta(index_dir: str) -> IndexMeta:
+    """The header as written, of this format or an older one: a
+    ``version`` or ``num_fields`` key an older header lacks reads as 0
+    (for ``num_fields``: the field count is unknown, and compaction
+    recovers it)."""
     with open(os.path.join(index_dir, META_FILE)) as f:
-        d = json.load(f)
-    # legacy meta (pre-num_fields): the field count is UNKNOWN, not 1 —
-    # a multi-field index loaded through the old default would let the
-    # MaxScore bound mis-prune (tf split across fields beats the
-    # unscaled per-entry bound).  0 routes the pruned path to the
-    # universal tf→∞ bound.
-    d.setdefault("num_fields", 0)
-    return IndexMeta(**d)
+        return IndexMeta(**{"version": 0, "num_fields": 0, **json.load(f)})
+
+
+def load_meta(index_dir: str) -> IndexMeta:
+    """The header of an index of this format; any other format number
+    (or none) raises ValueError naming the migration."""
+    meta = _read_meta(index_dir)
+    if meta.version != FORMAT_VERSION:
+        found = f"format {meta.version}" if meta.version else "no format number"
+        raise ValueError(
+            f"index {index_dir}: its {META_FILE} has {found}, not format {FORMAT_VERSION}; "
+            "rewrite it once with compact_index (CLI: compact --index DIR)"
+        )
+    return meta
 
 
 def save_meta(index_dir: str, meta: IndexMeta) -> None:
@@ -162,8 +179,8 @@ def load_manifest(index_dir: str, name: str) -> SegmentManifest:
     with open(os.path.join(segment_dir(index_dir, name), "manifest.json")) as f:
         d = json.load(f)
     # keys that manifests written before payload blobs carry (the
-    # postings run catalog and its bucket count): dropped, so those
-    # manifests keep their stats and block budget
+    # postings run catalog and its bucket count): dropped, so
+    # compact_index reads those manifests' counters
     for retired in ("file_ranges", "num_buckets"):
         d.pop(retired, None)
     return SegmentManifest(**d)

@@ -1,8 +1,9 @@
 """BM25 scoring: one df definition (unique docs) across the exhaustive
-and MaxScore-pruned paths, pruned == exhaustive under negative idf,
-mid-entry block splits and multi-field documents, the manifest
-``block_cf`` gate on the tight MaxScore bound, and binary-searched
-term lookups agreeing with the scan kernels."""
+and MaxScore-pruned paths, pruned == exhaustive under negative idf
+(forged, and as a mid-entry block split gives it), mid-entry block
+splits and multi-field documents, the manifest ``block_cf`` gate on the
+tight MaxScore bound, and binary-searched term lookups agreeing with
+the scan kernels."""
 
 import json
 import os
@@ -93,17 +94,17 @@ def _assert_topk_parity(exact, pruned, ctx):
 
 
 def test_pruned_bm25_negative_idf_term_parity(ray_session):
-    """A term whose (forged, legacy-entry-df-style) df exceeds N has
-    idf < 0 and a NEGATIVE upper bound; summing it raw into the prune
-    budget under-states what an unseen doc can score.  Pruned top-k
-    must equal exhaustive top-k for every query mixing such a term."""
+    """A term whose (forged) df exceeds N has idf < 0 and a NEGATIVE
+    upper bound; summing it raw into the prune budget under-states what
+    an unseen doc can score.  Pruned top-k must equal exhaustive top-k
+    for every query mixing such a term."""
     from fulltextsearch_ray.pipelines.memory import build_in_memory
 
     rng = np.random.default_rng(3)
     vocab = [f"t{i}" for i in range(15)]
     texts = [" ".join(rng.choice(vocab, size=int(rng.integers(3, 30)))) for _ in range(60)]
     s = build_in_memory(_mk_docs(texts), text_col="text", doc_id_col="doc_id")
-    # forge df > N for the most common term (the legacy entry-df shape)
+    # forge df > N for the most common term
     i = int(np.argmax(s._df_docs))
     bad_term = str(s._terms_np[i])
     s._df_docs = s._df_docs.copy()  # the Arrow-backed view is read-only
@@ -113,6 +114,25 @@ def test_pruned_bm25_negative_idf_term_parity(ray_session):
         terms = [bad_term] + list(rng.choice(vocab, size=3, replace=False))
         for k in (1, 3, 10):
             _assert_topk_parity(s.bm25_topk(terms, k=k), s.bm25_topk_pruned(terms, k=k), (terms, k))
+
+
+def test_pruned_bm25_negative_idf_from_split_entry(ray_session):
+    """Unforged negative idf: a doc split mid-entry across posting
+    blocks counts in each block's n_docs, so one doc of 20 'hot' at
+    block_cf=8 gives 'hot' df_docs 3 with N = 1 — idf < 0, so the
+    prune's negative floor is reachable in this format.  Pruned ==
+    exhaustive."""
+    from fulltextsearch_ray.pipelines.memory import build_in_memory
+
+    s = build_in_memory(
+        _mk_docs(["hot " * 20 + "rare"]), text_col="text", doc_id_col="doc_id", block_cf=8
+    )
+    assert s.meta.num_docs == 1 and s.term_stats("hot") == (3, 20)
+    assert s._term_floor("hot") < 0
+    for terms in (["hot", "rare"], ["hot"], ["rare", "hot", "hot"]):
+        exact, pruned = s.bm25_topk(terms, k=1), s.bm25_topk_pruned(terms, k=1)
+        assert exact["score"][0].as_py() < 0 or terms[0] == "rare"
+        _assert_topk_parity(exact, pruned, terms)
 
 
 def test_pruned_bm25_mid_entry_split_parity(ray_session):
@@ -136,9 +156,13 @@ def test_pruned_bm25_mid_entry_split_parity(ray_session):
 
 
 def test_manifest_block_cf_gates_tight_bound(ray_session, tmp_path):
-    """Fresh builds persist block_cf; a legacy manifest (key absent)
-    forces the supremum bound (searcher._min_block_cf == 0)."""
-    from fulltextsearch_ray.pipelines.query import IndexSearcher, K1
+    """Fresh builds persist block_cf, which gates the tight bound: a
+    term with max_tf ≤ block_cf/2 gets idf·f(max_tf·num_fields), below
+    the tf→∞ supremum idf·(K1+1).  A manifest without block_cf (an
+    older index, format 1) is refused naming compact_index, which
+    writes it back — same bound, same results."""
+    from fulltextsearch_ray.pipelines.build import compact_index
+    from fulltextsearch_ray.pipelines.query import K1
 
     idx = str(tmp_path / "idx")
     build_index(_mk_docs(["apple pie", "banana split"]), idx,
@@ -146,23 +170,26 @@ def test_manifest_block_cf_gates_tight_bound(ray_session, tmp_path):
     s = IndexSearcher(idx)
     assert s._min_block_cf > 0
     tight = s._term_upper_bound("apple")
-    # legacy manifest: strip the block_cf key
-    man_path = None
-    for root, _dirs, files in os.walk(idx):
-        for f in files:
-            if f == "manifest.json":
-                man_path = os.path.join(root, f)
+    df = s.term_stats("apple")[0]
+    N = s.meta.num_docs
+    assert tight < np.log((N - df + 0.5) / (df + 0.5) + 1.0) * (K1 + 1.0)
+    want = s.bm25_topk(["apple", "pie"], k=2)
+    # older manifest: strip the block_cf key, header of format 1
+    (seg,) = s.segments
+    man_path = os.path.join(idx, "segments", seg, "manifest.json")
     m = json.loads(open(man_path).read())
     del m["block_cf"]
     with open(man_path, "w") as f:
         json.dump(m, f)
+    meta_path = os.path.join(idx, "meta.json")
+    meta = json.loads(open(meta_path).read())
+    with open(meta_path, "w") as f:
+        json.dump({**meta, "version": 1}, f)
+    with pytest.raises(ValueError, match="compact_index"):
+        IndexSearcher(idx)
+    compact_index(idx)
     s2 = IndexSearcher(idx)
-    assert s2._min_block_cf == 0
-    sup = s2._term_upper_bound("apple")
-    assert sup >= tight  # supremum is the loosest sound bound
-    # and it IS the supremum: idf * (K1+1)
-    df = s2.term_stats("apple")[0]
-    N = s2.meta.num_docs
-    assert abs(sup - np.log((N - df + 0.5) / (df + 0.5) + 1.0) * (K1 + 1.0)) < 1e-12
+    assert s2._min_block_cf == s._min_block_cf
+    assert s2._term_upper_bound("apple") == tight
     # results unchanged either way
-    assert s.bm25_topk(["apple", "pie"], k=2).equals(s2.bm25_topk(["apple", "pie"], k=2))
+    assert s2.bm25_topk(["apple", "pie"], k=2).equals(want)

@@ -1,7 +1,7 @@
-"""Compaction must carry the forward store, docs_meta and legacy
-segments — regression tests for segment-merge data loss — and stay
+"""Compaction must carry the forward store, docs_meta and segments of
+older formats — regression tests for segment-merge data loss — and stay
 safe to repeat: segment names derive from the inputs, orphaned segment
-dirs are swept, mixed docs / docs_meta schemas unify, and a legacy
+dirs are swept, mixed docs / docs_meta schemas unify, and an older
 meta's unknown field count is recovered."""
 
 import glob
@@ -139,27 +139,35 @@ def test_compact_streaming_store_rewrite(ray_session, tmp_path):
 
 
 def test_compact_streaming_rewrite_mixed_schemas(ray_session, tmp_path):
-    """Streaming rewrite with a legacy (field_id-less) forward store
-    and differing docs_meta schemas across sessions: normalization +
-    per-schema-group rewrite keep every row served correctly."""
+    """Streaming rewrite of an older index with a field_id-less forward
+    store and differing docs_meta schemas across sessions: the searcher
+    refuses it, and normalization + per-schema-group rewrite keep every
+    row served correctly."""
     idx = str(tmp_path / "idx")
     build_index(
         ray.data.from_arrow(_tbl([1], ["apple pie"], [{"k": 1}])),
         idx, text_col="text", doc_id_col="doc_id", meta_cols=("meta",), store_forward=True,
     )
-    # strip field_id from session 1's forward files → legacy layout
-    seg0 = load_meta(idx).segments[0]
-    for f in glob.glob(os.path.join(segment_dir(idx, seg0), "forward", "**", "*.parquet"),
-                       recursive=True):
-        t = pq.read_table(f)
-        if "field_id" in t.column_names:
-            pq.write_table(t.drop_columns(["field_id"]), f)
     build_index(
         ray.data.from_arrow(_tbl([2], ["banana split"])),
         idx, text_col="text", doc_id_col="doc_id", store_forward=True,
     )
     before = IndexSearcher(idx)
     want_pos = {d: before.get_positions_many([d])[d] for d in (1, 2)}
+    # strip field_id from session 1's forward files, header of format 1
+    # → the older layout
+    seg0 = load_meta(idx).segments[0]
+    for f in glob.glob(os.path.join(segment_dir(idx, seg0), "forward", "**", "*.parquet"),
+                       recursive=True):
+        t = pq.read_table(f)
+        if "field_id" in t.column_names:
+            pq.write_table(t.drop_columns(["field_id"]), f)
+    meta_path = os.path.join(idx, "meta.json")
+    m = json.loads(open(meta_path).read())
+    with open(meta_path, "w") as f:
+        json.dump({**m, "version": 1}, f)
+    with pytest.raises(ValueError, match="compact_index"):
+        IndexSearcher(idx)
     compact_index(idx, store_copy_file_budget=0)
     after = IndexSearcher(idx)
     for d in (1, 2):
@@ -199,7 +207,7 @@ def test_repeated_compaction_is_safe_and_sweeps_orphans(ray_session, tmp_path):
 
 
 def test_compact_unifies_mixed_docs_schemas(ray_session, tmp_path):
-    """A legacy segment whose docs table carries extra metadata columns
+    """An older segment whose docs table carries extra metadata columns
     must still compact with a current segment (plain concat raised
     ArrowInvalid — the index could never be compacted)."""
     idx = str(tmp_path / "midx")
@@ -207,7 +215,7 @@ def test_compact_unifies_mixed_docs_schemas(ray_session, tmp_path):
                 doc_id_col="doc_id", overwrite=True)
     build_index(ray.data.from_arrow(_tbl([2], ["beta gamma"])), idx,
                 doc_id_col="doc_id")
-    # make segment 0's docs table legacy-shaped: extra 'lang' column
+    # give segment 0's docs table the older shape: extra 'lang' column
     seg0 = segment_dir(idx, load_meta(idx).segments[0])
     f = glob.glob(os.path.join(seg0, "docs", "**", "*.parquet"), recursive=True)[0]
     t = pq.read_table(f)
@@ -216,16 +224,15 @@ def test_compact_unifies_mixed_docs_schemas(ray_session, tmp_path):
     compact_index(idx)
     s = IndexSearcher(idx)
     assert {int(d) for d in s.evaluate("WORD(beta)").docs} == {1, 2}
-    # the legacy metadata column survives (null for the other segment)
+    # the older metadata column survives (null for the other segment)
     assert s.get_metadata(1).get("lang") == "en"
     assert s.get_metadata(2).get("lang") is None
 
 
 def test_compact_recovers_num_fields_for_legacy_meta(ray_session, tmp_path):
-    """num_fields=0 (legacy meta, field count unknown) forces the
-    loosest BM25 prune bound; compaction rewrites every posting row,
-    so it must derive the true count from the fields column instead of
-    leaving the index degraded forever."""
+    """A meta of format 1 without num_fields (field count unknown) is
+    refused until compaction, which rewrites every posting row, so it
+    derives the true count from the fields column."""
     idx = str(tmp_path / "idx")
     kw = dict(
         text_col="title", text_cols=["title", "body"], doc_id_col="doc_id"
@@ -243,12 +250,12 @@ def test_compact_recovers_num_fields_for_legacy_meta(ray_session, tmp_path):
     build_index(ray.data.from_arrow(tbl([1, 2], ["apple pie", "rye loaf"],
                                         ["banana bread", "oat cake"])), idx, **kw)
     build_index(ray.data.from_arrow(tbl([3], ["cherry tart"], ["plum jam"])), idx, **kw)
-    # forge a legacy meta: drop the field-count key entirely
+    # forge an older meta: format 1, no field-count key
     meta_path = os.path.join(idx, "meta.json")
     m = json.loads(open(meta_path).read())
     del m["num_fields"]
     with open(meta_path, "w") as f:
-        json.dump(m, f)
+        json.dump({**m, "version": 1}, f)
     meta = compact_index(idx)
     assert meta.num_fields == 2
 

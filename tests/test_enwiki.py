@@ -227,3 +227,21 @@ def test_enwiki_empty_titles_keep_dense_ids(tmp_path, ray_session):
     )
     assert [r["doc_id"] for r in rows] == [1, 2, 3, 4]
     assert [r["content"] for r in rows] == ["alpha", "", "", "beta"]
+
+
+# -- fetch_to_dir --------------------------------------------------------------
+
+
+def test_fetch_to_dir_basename_collision(tmp_path):
+    from fulltextsearch_ray.sources.enwiki import fetch_to_dir
+
+    a = tmp_path / "a"
+    b = tmp_path / "b"
+    a.mkdir(), b.mkdir()
+    (a / "dump.txt").write_text("shard-a")
+    (b / "dump.txt").write_text("shard-b")
+    dest = str(tmp_path / "mirror")
+    got = fetch_to_dir([f"file://{a}/dump.txt", f"file://{b}/dump.txt"], dest)
+    assert len(got) == 2 and len(set(got)) == 2
+    contents = sorted(open(p).read() for p in got)
+    assert contents == ["shard-a", "shard-b"]

@@ -4,8 +4,10 @@ the column matchers, byte round-trips, and searcher/sidecar
 integration (PersistentDictionaryFst behavior)."""
 
 import random
+from types import SimpleNamespace
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 import ray.data
 
@@ -449,3 +451,114 @@ def test_fst_sidecar_load_detects_concurrent_rebuild(ray_session, tmp_path):
         fst_store.Fst = real_fst
         build_fst_sidecar(idx, shard_terms=1)  # restore a clean sidecar
     assert load_fst_sidecar(idx, segs) is not None
+
+
+# -- catalog term iteration over row-group statistics, corrupt images -------
+
+
+def test_fst_iter_segment_terms_breaks_truncated_ties(tmp_path, monkeypatch):
+    """Writer-truncated min statistics that tie across row-group runs
+    must be re-ordered by each run's TRUE first term."""
+    import fulltextsearch_ray.state.fst_store as fs
+
+    seg = tmp_path / "segments" / "s0" / "catalog"
+    seg.mkdir(parents=True)
+    # lexically FIRST filename holds the LATER terms: a tie broken by
+    # filename (the old behavior) would emit them out of order
+    pq.write_table(pa.table({"term": pa.array(["abcx", "abcy"])}), seg / "a.parquet")
+    pq.write_table(pa.table({"term": pa.array(["abca", "abcb"])}), seg / "b.parquet")
+    real_pq = fs.pq
+
+    class TruncPF:
+        def __init__(self, path):
+            self._pf = real_pq.ParquetFile(path)
+
+        @property
+        def metadata(self):
+            md = self._pf.metadata
+
+            def rg(i):
+                g = md.row_group(i)
+                st = g.column(0).statistics
+                return SimpleNamespace(
+                    num_rows=g.num_rows,
+                    column=lambda j: SimpleNamespace(
+                        statistics=SimpleNamespace(has_min_max=True, min=st.min[:3])
+                    ),
+                )
+
+            return SimpleNamespace(num_row_groups=md.num_row_groups, row_group=rg)
+
+        def read_row_group(self, i, columns=None):
+            return self._pf.read_row_group(i, columns=columns)
+
+    monkeypatch.setattr(
+        fs,
+        "pq",
+        SimpleNamespace(ParquetFile=TruncPF, ParquetDataset=real_pq.ParquetDataset),
+    )
+    got = list(fs._iter_segment_terms(str(tmp_path), "s0"))
+    assert got == ["abca", "abcb", "abcx", "abcy"]
+
+
+def test_fst_iter_segment_terms_single_statless_group(tmp_path, monkeypatch):
+    """ONE row group without key statistics (foreign writer) must be
+    keyed by its true first term — not a placeholder that sorts it
+    before every real run; empty row groups are skipped entirely."""
+    import fulltextsearch_ray.state.fst_store as fs
+
+    seg = tmp_path / "segments" / "s0" / "catalog"
+    seg.mkdir(parents=True)
+    # lexically FIRST file carries the LATER terms and will lose stats
+    pq.write_table(pa.table({"term": pa.array(["mmm", "nnn"])}), seg / "a.parquet")
+    pq.write_table(pa.table({"term": pa.array(["aaa", "bbb"])}), seg / "b.parquet")
+    pq.write_table(pa.table({"term": pa.array([], pa.string())}), seg / "c.parquet")
+    real_pq = fs.pq
+
+    class NoStatsPF:
+        def __init__(self, path):
+            self._pf = real_pq.ParquetFile(path)
+            self._strip = str(path).endswith("a.parquet")
+
+        @property
+        def metadata(self):
+            md = self._pf.metadata
+            strip = self._strip
+
+            def rg(i):
+                g = md.row_group(i)
+                stats = None if strip else g.column(0).statistics
+                return SimpleNamespace(
+                    num_rows=g.num_rows,
+                    column=lambda j: SimpleNamespace(statistics=stats),
+                )
+
+            return SimpleNamespace(num_row_groups=md.num_row_groups, row_group=rg)
+
+        def read_row_group(self, i, columns=None):
+            return self._pf.read_row_group(i, columns=columns)
+
+    monkeypatch.setattr(
+        fs,
+        "pq",
+        SimpleNamespace(ParquetFile=NoStatsPF, ParquetDataset=real_pq.ParquetDataset),
+    )
+    got = list(fs._iter_segment_terms(str(tmp_path), "s0"))
+    assert got == ["aaa", "bbb", "mmm", "nnn"]
+
+
+def test_corrupt_fst_images_raise_descriptive_errors():
+    from fulltextsearch_ray.fst import Fst, FstBuilder
+
+    b = FstBuilder()
+    for t in ["alpha", "beta", "gamma"]:
+        b.add(t, 1)
+    img = b.finish().get_bytes()
+    Fst(img)  # intact loads
+    with pytest.raises(ValueError, match="bad magic"):
+        Fst(img[:-1])
+    with pytest.raises(ValueError, match="corrupt FST image"):
+        Fst(bytes([255]) * 3 + img[-5:])  # footer size exceeds image? or overlong varint
+    # over-long varint in a doctored footer
+    with pytest.raises(ValueError):
+        Fst(b"\x80" * 40 + bytes([40 + 5]) + b"RFST")

@@ -297,3 +297,32 @@ def test_store_build_atomic_and_staleness_stamp(ray_session, tmp_path):
     import os
     os.remove(store_path(idx, "btree") + ".json")
     assert store_is_stale(idx, "btree") is None
+
+
+# -- crash ordering: descriptive corruption errors ---------------------------
+
+
+@pytest.mark.parametrize("kind", ["btree", "hash", "list"])
+def test_kvstore_truncated_file_raises_corrupt(tmp_path, kind):
+    from fulltextsearch_ray.state.kvstore import open_metadata_store
+
+    path = str(tmp_path / f"{kind}.bin")
+    with open_metadata_store(path, kind) as st:
+        for i in range(50):
+            st.save(i, b"v%d" % i * 20)
+    # tear the tail off the file: some pointer now runs past EOF
+    size = os.path.getsize(path)
+    with open(path, "r+b") as f:
+        f.truncate(size - 25)
+    st = open_metadata_store(path, kind)
+    hits = errors = 0
+    for i in range(50):
+        try:
+            if st.get(i) is not None:
+                hits += 1
+        except ValueError as e:
+            assert "corrupt store" in str(e)
+            errors += 1
+    st.close()
+    assert errors >= 1  # torn record surfaces as the descriptive error
+    assert hits >= 1  # earlier records still readable

@@ -1,10 +1,14 @@
 """Lazy (row-group-paged) catalog + doc-length mode: forcing the
 budgets to 0 must leave every query result identical to the eager
-searcher while holding no full-catalog arrays in memory."""
+searcher while holding no full-catalog arrays in memory.  Also the FST
+sidecar that lazy-mode WILD/EDIT expansion loads on first use (a stale
+one is ignored), and the tree-reduced ``top_terms``."""
 
 import logging
+import os
 
 import numpy as np
+import pyarrow as pa
 import pytest
 
 from fulltextsearch_ray.pipelines.build import build_index, compact_index
@@ -92,9 +96,9 @@ def test_covering_handles_overlapping_runs(tmp_path):
     """Regression: runs from different segments can overlap arbitrarily
     (multi-session custom doc ids); a NARROW run sorted after a WIDE
     one must not end the stab walk-back early."""
-    import pyarrow as pa
     import pyarrow.parquet as pq
 
+    from fulltextsearch_ray.pipelines.build import _scan_table_stats
     from fulltextsearch_ray.pipelines.query import LazyRowGroupTable
 
     wide = pa.table({"doc_id": pa.array([0, 700, 1000], pa.uint64()),
@@ -103,8 +107,9 @@ def test_covering_handles_overlapping_runs(tmp_path):
                        "doc_len": pa.array([4, 5], pa.int64())})
     pq.write_table(wide, str(tmp_path / "wide.parquet"))
     pq.write_table(narrow, str(tmp_path / "narrow.parquet"))
+    stats = _scan_table_stats(str(tmp_path), str(tmp_path))
     t = LazyRowGroupTable(
-        [str(tmp_path / "wide.parquet"), str(tmp_path / "narrow.parquet")],
+        {str(tmp_path / rel): info["row_groups"] for rel, info in stats.items()},
         ["doc_id", "doc_len"],
     )
     # runs sorted by min: [(0,1000), (500,600)].  Key 700 is covered
@@ -278,3 +283,146 @@ def test_term_stats_dataset_sums_segments(ray_session, tmp_path, monkeypatch, ga
     assert s.top_terms(2).to_pylist() == [
         {"term": "blue", "df": 2, "cf": 3}, {"term": "green", "df": 2, "cf": 2}
     ]
+
+
+# -- the FST sidecar in lazy mode, tree-reduced top_terms -------------------
+
+
+DOCS = [
+    "the quick brown fox jumps over the lazy dog",
+    "pack my box with five dozen liquor jugs",
+    "how vexingly quick daft zebras jump",
+    "the five boxing wizards jump quickly",
+    "sphinx of black quartz judge my vow",
+    "quick zephyrs blow vexing daft jim",
+] * 5
+
+
+@pytest.fixture(scope="module")
+def built_index(ray_session, tmp_path_factory):
+    import ray.data
+
+    from fulltextsearch_ray.pipelines.build import build_index
+
+    idx = str(tmp_path_factory.mktemp("pangrams") / "idx")
+    ds = ray.data.from_arrow(
+        pa.table(
+            {
+                "doc_id": pa.array(range(1, len(DOCS) + 1), pa.int64()),
+                "text": pa.array(DOCS, pa.string()),
+            }
+        )
+    )
+    build_index(ds, idx, text_col="text", doc_id_col="doc_id", overwrite=True)
+    return idx
+
+
+def test_lazy_edit_uses_fst_sidecar(built_index):
+    """With a fresh sidecar, a lazy-mode EDIT expansion must not page
+    the whole catalog; results identical to the paged scan."""
+    from fulltextsearch_ray.pipelines.query import IndexSearcher
+    from fulltextsearch_ray.state.fst_store import build_fst_sidecar
+
+    # paged scan baseline (no sidecar yet)
+    plain = IndexSearcher(built_index, catalog_budget_rows=0)
+    assert plain._auto_fst is None
+    base = plain.lookup("EDIT(quick,1)")
+    loads_full_scan = sum(c.loads for c in plain._lazy_cats)
+    assert loads_full_scan >= sum(len(c) for c in plain._lazy_cats)
+
+    build_fst_sidecar(built_index)
+    s = IndexSearcher(built_index, catalog_budget_rows=0)
+    # the sidecar loads LAZILY, on the first pattern expansion — cold
+    # start never reads the O(vocabulary) image
+    assert s._auto_fst is None and s._auto_fst_pending
+    got = s.lookup("EDIT(quick,1)")
+    assert s._auto_fst is not None and not s._auto_fst_pending
+    assert got == base and got  # non-trivial match set
+    assert sum(c.loads for c in s._lazy_cats) == 0  # no catalog paging
+    # WILD goes through the sidecar too
+    assert s.lookup("WILD(qui*)") == plain.lookup("WILD(qui*)")
+    # occurrence-level query parity (posting fetches still page, but
+    # only for the matched terms)
+    assert s.search_to_string("EDIT(quick,1)") == plain.search_to_string("EDIT(quick,1)")
+    # a pure WORD/BM25 workload on a fresh searcher never loads the image
+    w = IndexSearcher(built_index, catalog_budget_rows=0)
+    assert w.bm25_topk("quick fox", k=3)
+    assert w.lookup("WORD(quick)")
+    assert w._auto_fst is None and w._auto_fst_pending
+
+
+def test_stale_fst_sidecar_falls_back(built_index, tmp_path):
+    """A sidecar built over different segments is ignored."""
+    import json
+    import shutil
+
+    from fulltextsearch_ray.pipelines.query import IndexSearcher
+    from fulltextsearch_ray.state.fst_store import build_fst_sidecar, fst_dir
+
+    idx = str(tmp_path / "stale")
+    shutil.copytree(built_index, idx)
+    build_fst_sidecar(idx)
+    meta_path = os.path.join(fst_dir(idx), "fst.json")
+    with open(meta_path) as f:
+        info = json.load(f)
+    info["segments"] = ["someother-segment"]
+    with open(meta_path, "w") as f:
+        json.dump(info, f)
+    s = IndexSearcher(idx, catalog_budget_rows=0)
+    assert s._auto_fst is None
+    assert s.lookup("EDIT(quick,1)")  # paged fallback still works
+
+
+def test_top_terms_tree_reduce_bounded_driver(built_index):
+    from fulltextsearch_ray.functions.similarity import _REDUCE_FANIN
+    from fulltextsearch_ray.pipelines.query import IndexSearcher
+
+    s = IndexSearcher(built_index)
+    stats: dict = {}
+    top = s.top_terms(5, stats=stats)
+    assert top.num_rows == 5
+    assert stats["driver_rows"] <= _REDUCE_FANIN * 5
+    # parity with a full driver-side sort over the eager catalog
+    cf = s._cf
+    order = np.lexsort((s._terms_np, -cf))[:5]
+    expect = [str(t) for t in s._terms_np[order]]
+    assert top["term"].to_pylist() == expect
+
+
+def test_sharded_fst_sequential_writes_at_dispatch(tmp_path):
+    """Non-Ray sharded build: shard files exist on disk as soon as the
+    meta is written, and the loaded union matches the vocabulary (the
+    advice item: the driver must not hold every shard image)."""
+    import ray
+
+    from fulltextsearch_ray.pipelines.build import build_index
+    from fulltextsearch_ray.state import fst_store
+
+    # run sequentially even inside the test Ray session
+    idx = str(tmp_path / "idx")
+    import ray.data
+
+    ds = ray.data.from_arrow(
+        pa.table(
+            {
+                "doc_id": pa.array(range(1, 7), pa.int64()),
+                "text": pa.array(DOCS[:6], pa.string()),
+            }
+        )
+    )
+    build_index(ds, idx, text_col="text", doc_id_col="doc_id", overwrite=True)
+
+    orig = ray.is_initialized
+
+    try:
+        ray.is_initialized = lambda: False  # force the sequential path
+        info = fst_store.build_fst_sidecar(idx, shard_terms=5)
+    finally:
+        ray.is_initialized = orig
+    assert len(info["shards"]) >= 2
+    from fulltextsearch_ray.state.index import load_meta
+
+    fst = fst_store.load_fst_sidecar(idx, list(load_meta(idx).segments))
+    terms = [t for t, _ in fst.items()]
+    expect = sorted(set(fst_store.iter_index_terms(idx, list(load_meta(idx).segments))))
+    assert terms == expect

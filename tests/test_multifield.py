@@ -183,16 +183,19 @@ def test_highlight_matches_multifield_only_field1_tokens(multifield_fwd_index, t
     assert out.annotated.tolist() == ["HELLO World"]
 
 
-def test_legacy_meta_unknown_num_fields_still_prunes_exactly(
+def test_meta_without_num_fields_refused_then_compacted_prunes_exactly(
     ray_session, tmp_path
 ):
     """A meta.json written BEFORE num_fields existed may describe a
     multi-field index; loading it as num_fields=1 would re-introduce
-    the unscaled-bound mis-prune.  load_meta marks the count UNKNOWN
-    (0) and the pruned path falls back to the field-count-free tf→∞
-    bound — exact on the tuned mis-prune corpus."""
+    the unscaled-bound mis-prune.  The searcher refuses such a header
+    (format 1) naming compact_index, which recovers the field count
+    from the posting rows — then pruning is exact on the tuned
+    mis-prune corpus."""
     import json
     import os
+
+    from fulltextsearch_ray.pipelines.build import compact_index
 
     rows = [
         {"doc_id": 1, "a": " ".join(["alpha"] * 5), "b": " ".join(["alpha"] * 5)},
@@ -208,20 +211,19 @@ def test_legacy_meta_unknown_num_fields_still_prunes_exactly(
         ray.data.from_arrow(tbl), idx,
         text_cols=["a", "b"], doc_id_col="doc_id", overwrite=True,
     )
-    # simulate the legacy header: drop the num_fields key in place
+    # simulate the older header: format 1, no num_fields key
     meta_path = os.path.join(idx, "meta.json")
     with open(meta_path) as f:
         d = json.load(f)
     assert d.pop("num_fields") == 2
     with open(meta_path, "w") as f:
-        json.dump(d, f)
+        json.dump({**d, "version": 1}, f)
+    with pytest.raises(ValueError, match="compact_index"):
+        IndexSearcher(idx)
+    assert compact_index(idx).num_fields == 2
     s = IndexSearcher(idx)
-    assert s.meta.num_fields == 0  # unknown, NOT assumed single-field
+    assert s.meta.num_fields == 2  # recovered, NOT assumed single-field
     ex = s.bm25_topk(["alpha", "beta"], k=1)
     pr = s.bm25_topk_pruned(["alpha", "beta"], k=1)
     assert pr["doc_id"].to_pylist() == ex["doc_id"].to_pylist() == [1]
     assert pr["score"].to_pylist() == ex["score"].to_pylist()
-    # the unknown-count bound dominates every known-count bound
-    ub_unknown = s._term_upper_bound("alpha")
-    s.meta.num_fields = 2
-    assert ub_unknown >= s._term_upper_bound("alpha")

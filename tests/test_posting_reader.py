@@ -8,9 +8,10 @@ decodes them (one ``pread`` and one ``varint_decode`` per record) equal
 paged catalogs alike, over a two-segment index, its compaction, a
 multi-field index and a record of 150 blocks.  An index written before
 payload blobs (payloads inline in a postings parquet file, unsorted
-rows, catalogs without address columns), of one segment or of two, is
-refused by the searcher with an error naming ``compact_index``, and
-after ``compact_index`` serves the same answers as the fresh index.
+rows, catalogs without address columns, a header of format 1), of one
+segment or of two, is refused by the searcher and by an incremental
+build with an error naming ``compact_index``, and after
+``compact_index`` serves the same answers as the fresh index.
 Corrupt blobs (truncated, lengths that disagree, a region boundary
 inside a varint, region counts that disagree with the header, records
 that disagree with their catalog row) raise ValueError naming the file
@@ -18,8 +19,7 @@ and the term, by address and in the whole-row read.  The layout side:
 ``merge_runs_batch`` returns rows in (term, first_doc, block_id) order,
 and ``build_index`` / ``compact_index`` write term-sorted catalog
 files.  Also the cold-start contract: a searcher built from manifest
-stats opens no parquet footer and no blob, also from a manifest that
-still carries the retired postings run-catalog keys.
+stats opens no parquet footer and no blob.
 """
 
 import glob
@@ -50,7 +50,6 @@ from fulltextsearch_ray.state.index import (
     load_meta,
     save_manifest,
     segment_dir,
-    segment_is_complete,
 )
 from fulltextsearch_ray.state.payloads import (
     ADDRESS_COLS,
@@ -146,8 +145,9 @@ def _to_pre_blob_layout(idx):
     their payloads inline, with one doc-stats sentinel row per docs file
     among them, shuffled out of term order in 4,096-row groups the way
     the category-concatenating merge wrote them; no payloads directory,
-    catalogs without address columns, and manifests that carry the
-    postings run catalog (``file_ranges``, ``num_buckets``)."""
+    catalogs without address columns, manifests that carry the
+    postings run catalog (``file_ranges``, ``num_buckets``), and a
+    header of format 1."""
     rng = np.random.default_rng(11)
     for seg in load_meta(idx).segments:
         segp = segment_dir(idx, seg)
@@ -177,6 +177,11 @@ def _to_pre_blob_layout(idx):
         d.update(file_ranges=ranges, num_buckets=4)
         with open(mpath, "w") as f:
             json.dump(d, f)
+    mpath = os.path.join(idx, "meta.json")
+    with open(mpath) as f:
+        d = json.load(f)
+    with open(mpath, "w") as f:
+        json.dump({**d, "version": 1}, f)
     return idx
 
 
@@ -307,14 +312,21 @@ def _assert_same_answers(got: IndexSearcher, want: IndexSearcher, terms):
 
 
 def test_searcher_refuses_pre_blob_segments(legacy_indexes):
-    """A pre-blob segment fails loudly at open, eager and paged alike,
-    naming the segment and the migration, instead of being served."""
+    """A pre-blob index fails loudly at open, eager and paged alike, and
+    at an incremental build before it writes a segment, naming the
+    index and the migration, instead of being served."""
+    import ray.data
+
     for kind, idx in legacy_indexes.items():
-        segs = load_meta(idx).segments
+        segs = os.listdir(os.path.join(idx, "segments"))
         assert len(segs) == (2 if kind == "two" else 1)
         for budget in (2_000_000, 0):
-            with pytest.raises(ValueError, match=f"segment {segs[0]} .*compact_index"):
+            with pytest.raises(ValueError, match=f"index {idx}: .*format 1.*compact_index"):
                 IndexSearcher(idx, catalog_budget_rows=budget)
+        delta = pa.table({"doc_id": np.array([9001], np.uint64), "text": ["late doc"]})
+        with pytest.raises(ValueError, match="compact_index"):
+            build_index(ray.data.from_arrow(delta), idx, doc_id_col="doc_id")
+        assert sorted(os.listdir(os.path.join(idx, "segments"))) == sorted(segs)
 
 
 def test_legacy_index_compacts_into_blobs(legacy_indexes, compacted_legacy):
@@ -322,7 +334,7 @@ def test_legacy_index_compacts_into_blobs(legacy_indexes, compacted_legacy):
     two into one segment of payload blobs and term-sorted files; a
     second compaction of that one blob segment changes nothing."""
     for kind, idx in compacted_legacy.items():
-        before = load_meta(legacy_indexes[kind]).segments
+        before = os.listdir(os.path.join(legacy_indexes[kind], "segments"))
         assert all(predates_blobs(build_mod._catalog_columns(legacy_indexes[kind], s)) for s in before)
         (seg,) = load_meta(idx).segments
         assert seg not in before
@@ -820,25 +832,11 @@ def test_manifest_persists_table_stats(built_index):
                 assert rows > 0 and mn <= mx
 
 
-def test_cold_start_opens_zero_footers(built_index, tmp_path, monkeypatch):
+def test_cold_start_opens_zero_footers(built_index, monkeypatch):
     """With manifest stats present, IndexSearcher.__init__ in lazy mode
     must not construct a single pq.ParquetFile (the old cold start did
-    one footer fetch per catalog/docs file per actor).  The same holds
-    for a manifest that still carries the retired postings run-catalog
-    keys (``file_ranges``, ``num_buckets``): it loads, counts as
-    complete, and keeps its stats and block budget."""
+    one footer fetch per catalog/docs file per actor)."""
     import fulltextsearch_ray.pipelines.query as qmod
-
-    retired = str(tmp_path / "retired")
-    shutil.copytree(built_index, retired)
-    (seg,) = load_meta(retired).segments
-    mpath = os.path.join(segment_dir(retired, seg), "manifest.json")
-    with open(mpath) as f:
-        d = json.load(f)
-    d.update(file_ranges=[["postings/part-0.parquet", "box", "zebras"]], num_buckets=4)
-    with open(mpath, "w") as f:
-        json.dump(d, f)
-    assert load_manifest(retired, seg).catalog_stats and segment_is_complete(retired, seg)
 
     calls = []
     real = qmod.pq.ParquetFile
@@ -849,21 +847,19 @@ def test_cold_start_opens_zero_footers(built_index, tmp_path, monkeypatch):
             return real(path, *a, **k)
 
     monkeypatch.setattr(qmod.pq, "ParquetFile", CountingPF)
-    for idx in (built_index, retired):
-        calls.clear()
-        s = qmod.IndexSearcher(idx, catalog_budget_rows=0, doclen_budget_rows=0)
-        assert calls == [], f"cold start opened footers: {calls}"
-        assert s._min_block_cf > 0  # the manifest's block budget: the tight MaxScore bound
-        # ... and no payload blob
-        r = s.posting_reader
-        assert (r.files_opened, r.payload_reads, r.payload_bytes) == (0, 0, 0)
-        # the paged tables still serve lookups (reads happen lazily, now)
-        assert s.term_stats("quick")[0] > 0
-        assert calls, "lookups should read row groups on demand"
-        # a posting lookup opens the one blob holding the term and reads
-        # its record once, with no parquet row-group read
-        assert len(s.get_doc_tfs("quick")[0]) > 0
-        assert (r.files_opened, r.payload_reads) == (1, 1)
+    s = qmod.IndexSearcher(built_index, catalog_budget_rows=0, doclen_budget_rows=0)
+    assert calls == [], f"cold start opened footers: {calls}"
+    assert s._min_block_cf > 0  # the manifest's block budget: the tight MaxScore bound
+    # ... and no payload blob
+    r = s.posting_reader
+    assert (r.files_opened, r.payload_reads, r.payload_bytes) == (0, 0, 0)
+    # the paged tables still serve lookups (reads happen lazily, now)
+    assert s.term_stats("quick")[0] > 0
+    assert calls, "lookups should read row groups on demand"
+    # a posting lookup opens the one blob holding the term and reads
+    # its record once, with no parquet row-group read
+    assert len(s.get_doc_tfs("quick")[0]) > 0
+    assert (r.files_opened, r.payload_reads) == (1, 1)
 
 
 def test_manifest_stats_lookup_parity(built_index):
@@ -875,28 +871,3 @@ def test_manifest_stats_lookup_parity(built_index):
     for t in ("quick", "jump", "sphinx", "absentterm"):
         assert eager.term_stats(t) == lazy.term_stats(t)
     assert eager.bm25_topk("quick fox", k=5) == lazy.bm25_topk("quick fox", k=5)
-
-
-def test_legacy_manifest_without_stats_still_serves(built_index, tmp_path):
-    """An index whose manifest predates catalog_stats/docs_stats falls
-    back to footer reads — same results."""
-    import json
-    import shutil
-
-    from fulltextsearch_ray.pipelines.query import IndexSearcher
-
-    legacy = str(tmp_path / "legacy")
-    shutil.copytree(built_index, legacy)
-    from fulltextsearch_ray.state.index import load_meta, segment_dir
-
-    for seg in load_meta(legacy).segments:
-        mpath = os.path.join(segment_dir(legacy, seg), "manifest.json")
-        with open(mpath) as f:
-            d = json.load(f)
-        d.pop("catalog_stats", None)
-        d.pop("docs_stats", None)
-        with open(mpath, "w") as f:
-            json.dump(d, f)
-    a = IndexSearcher(built_index).bm25_topk("lazy dog", k=5)
-    b = IndexSearcher(legacy).bm25_topk("lazy dog", k=5)
-    assert a == b

@@ -540,3 +540,18 @@ def test_similarity_guards(ray_session, tmp_path):
     without = query_ann_index(idx, np.array([7]), q, k=1, nprobe=4, exclude_self=False)
     assert without["neighbor_id"].to_pylist() == [7]  # its own vector
     assert with_excl["neighbor_id"].to_pylist() != [7]
+
+
+# -- _topk_reduce_arrays: ULP-different duplicate pair occupies one slot ------
+
+
+def test_topk_dedup_keeps_one_slot_for_ulp_duplicates():
+    from fulltextsearch_ray.functions.similarity import _topk_reduce_arrays
+
+    qs = np.array([7, 7, 7, 7], dtype=np.int64)
+    ns = np.array([1, 1, 2, 3], dtype=np.int64)
+    ss = np.array([0.9, np.nextafter(0.9, 1.0), 0.5, 0.4], dtype=np.float64)
+    oq, on, os_, rank = _topk_reduce_arrays(qs, ns, ss, k=2)
+    assert on.tolist() == [1, 2]  # neighbor 1 once (max score), not twice
+    assert os_[0] == np.nextafter(0.9, 1.0)
+    assert rank.tolist() == [0, 1]
