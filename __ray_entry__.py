@@ -13,8 +13,10 @@ ray.init()/shutdown() anywhere in the library or these callables.
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import os
+import shutil
 from collections.abc import Callable
 from typing import Any
 
@@ -224,6 +226,25 @@ FROM ranked WHERE rank <= {k}
 
 _INDEX_CACHE: dict[str, str] = {}
 
+# the on-disk cache of what the queries build from an sf dir
+CACHE_ROOT = os.path.join("/tmp", "ftsray_cache")
+
+
+def _cache_dir(kind: str, sf_dir: str, fingerprint: str) -> str:
+    """The ``kind`` cache entry of ``sf_dir`` at ``fingerprint``, named
+    ``<kind>-<sf dir hash>-<fingerprint hash>``.  The same kind's
+    entries of this sf dir under any other fingerprint are removed: a
+    format bump or a regenerated input leaves them unreachable.  Another
+    sf dir's entries are never touched."""
+    key = hashlib.md5(os.path.abspath(sf_dir).encode()).hexdigest()[:10]
+    entry = os.path.join(
+        CACHE_ROOT, f"{kind}-{key}-{hashlib.md5(fingerprint.encode()).hexdigest()[:10]}"
+    )
+    for stale in glob.glob(os.path.join(CACHE_ROOT, f"{kind}-{key}-*")):
+        if stale != entry:
+            shutil.rmtree(stale, ignore_errors=True)
+    return entry
+
 
 def _index_dir_for(sf_dir: str) -> str:
     cached = _INDEX_CACHE.get(sf_dir)
@@ -237,12 +258,10 @@ def _index_dir_for(sf_dir: str) -> str:
     # (mtime, size) fingerprint busts them when documents.parquet
     # is regenerated IN PLACE (same path, new content) — without it
     # every index-backed gate would serve the old corpus against
-    # oracles running on the new one (same device _ann_index_dir uses)
+    # oracles running on the new one (same device _ann_index_dir uses);
+    # _cache_dir sweeps the entries either leaves behind
     st = os.stat(os.path.join(sf_dir, "documents.parquet"))
-    tag = hashlib.md5(
-        f"{sf_dir}:format{FORMAT_VERSION}:{st.st_mtime_ns}:{st.st_size}".encode()
-    ).hexdigest()[:10]
-    idx = os.path.join("/tmp", "ftsray_cache", f"docs-{tag}")
+    idx = _cache_dir("docs", sf_dir, f"format{FORMAT_VERSION}:{st.st_mtime_ns}:{st.st_size}")
     if not os.path.exists(os.path.join(idx, "meta.json")):
         import ray.data
 
@@ -414,10 +433,7 @@ def _q_enwiki_parse(sf_dir: str):
     from fulltextsearch_ray.sources.enwiki import read_enwiki_corpus
 
     _st = os.stat(os.path.join(sf_dir, "documents.parquet"))
-    tag = hashlib.md5(
-        f"{sf_dir}:enwiki-v1:{_st.st_mtime_ns}:{_st.st_size}".encode()
-    ).hexdigest()[:10]
-    xml_dir = os.path.join("/tmp", "ftsray_cache", f"enwiki-{tag}")
+    xml_dir = _cache_dir("enwiki", sf_dir, f"v1:{_st.st_mtime_ns}:{_st.st_size}")
     done = os.path.join(xml_dir, "_done")
     if not os.path.exists(done):
         os.makedirs(xml_dir, exist_ok=True)
@@ -672,10 +688,7 @@ def _ann_index_dir(sf_dir: str, *, rebuild: bool = False) -> str:
 
     emb = os.path.join(sf_dir, "embeddings.parquet")
     st = os.stat(emb)
-    tag = hashlib.md5(
-        f"{sf_dir}:annidx-v1:{st.st_mtime_ns}:{st.st_size}".encode()
-    ).hexdigest()[:10]
-    idx = os.path.join("/tmp", "ftsray_cache", f"annidx-{tag}")
+    idx = _cache_dir("annidx", sf_dir, f"v1:{st.st_mtime_ns}:{st.st_size}")
     if rebuild or not os.path.exists(os.path.join(idx, "meta.json")):
         ds = ray.data.read_parquet(
             os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "embedding"]

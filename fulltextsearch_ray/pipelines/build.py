@@ -6,25 +6,26 @@ Parquet-path fast shape (ONE streaming corpus pass, no pre-shuffle):
       → map_batches(read_invert_batches_fn, file-bundled task pool)
           # read file → tokenize → local invert into compressed runs
           # + fused doc-stats sentinel rows (doc_len, sha256)
-      → sort("term") → map_batches(merge_runs_batch     # THE shuffle
-                                   + write_postings_partition)
-          # per sort partition, in the merging task: one payload blob
-          # (every term's bytes at one address), the partition's
-          # catalog rows (per-term stats + blob address) and its docs
-          # rows (the decoded sentinel rows, doc_id-sorted); the task
-          # returns one row of counters
+      → term_partitions(merge_runs_batch                # THE shuffle
+                        + write_postings_partition)
+          # per partition (ONE, in-process, for runs within
+          # GATHER_BYTES): one payload blob (every term's bytes at one
+          # address), the partition's catalog rows (per-term stats +
+          # blob address) and its docs rows (the decoded sentinel
+          # rows, doc_id-sorted); it returns one row of counters
       → manifest.json (counters summed from the task rows, + lineage)
         + meta.json  (driver)
 
 Dataset-path (explicit doc_id_col / id_cols): normalize_corpus assigns
 ids (sorted-key rank or passthrough), then InvertStage as above.
 
-Streaming throughout: nothing materializes the corpus; the only
-all-to-all exchange is the sort on ``term`` over compressed partial
-runs (:func:`_write_postings`, shared with ``compact_index``).  A sort
-partition's commit is encoded in memory (:func:`encode_postings_partition`)
-and then written (:func:`write_postings_partition`); ``build_in_memory``
-keeps the encoded partitions instead.  Each build session appends a new SEGMENT;
+Streaming throughout: nothing materializes the corpus.  The term
+shuffle (:func:`term_partitions`) merges runs within
+``common.GATHER_BYTES`` in the driver; past it, the only all-to-all
+exchange is a sort on ``term``.  A partition's commit is encoded in
+memory (:func:`encode_postings_partition`) and then written
+(:func:`write_postings_partition`); ``build_in_memory`` keeps the
+encoded partitions instead.  Each build session appends a new SEGMENT;
 query merges segments (the reference's posting-chain semantic,
 ``PostingListWriter.cs:114-159``);
 ``compact_index`` collapses chains.  Completed segments are
@@ -32,7 +33,7 @@ checkpoints: re-running a multi-segment build skips any segment whose
 manifest validates (resume unit = segment).
 
 A segment is its catalog, payload blobs and docs table, one file of
-each per sort partition.  Catalog files hold disjoint term ranges, so
+each per partition.  Catalog files hold disjoint term ranges, so
 together they are the term-sorted catalog.  Sentinel keys are
 zero-padded doc ids, so on the parquet path docs files hold disjoint
 doc ranges (on the dataset path they may overlap; the searcher's docs
@@ -59,6 +60,7 @@ from ..sources.corpus import normalize_corpus, sha256_hex
 from ..stages.invert import (
     DEFAULT_BLOCK_CF,
     invert_batch_fn,
+    merge_runs_batch,
     read_invert_batches_fn,
 )
 from ..state.index import (
@@ -305,31 +307,30 @@ def _catalog_columns(index_dir: str, segment: str) -> list[str]:
     return pq.read_schema(files[0]).names if files else []
 
 
-def merge_term_runs(runs: ray.data.Dataset, block_cf: int) -> ray.data.Dataset:
-    """THE term shuffle: sort posting runs on ``term`` and merge each
-    sorted block with :func:`merge_runs_batch`.
+def term_partitions(runs: ray.data.Dataset, fn):
+    """THE term shuffle: yield ``fn``'s output per term-range partition
+    of ``runs``, each partition holding every run of its terms.  The
+    runs stream once into block refs.  Within ``common.GATHER_BYTES``
+    they are ONE partition and ``fn`` runs in-process (the merge groups
+    a term's runs itself); past it a sort on ``term``, fed from those
+    refs so the runs never execute twice, gives ``fn`` one partition
+    per Ray task.  Draining first pins nothing the sort would not: it
+    buffers its whole input anyway."""
+    from ..functions import common
 
-    A sort-based shuffle lands every term's runs contiguously in one
-    block, so the whole-block vectorized merge avoids per-group
-    scheduling (``map_groups`` costs ~ms per key, fatal at realistic
-    million-term vocabularies).  Each output block is term-sorted and
-    the blocks hold disjoint term ranges."""
-    from ..stages.invert import merge_runs_batch
-
-    return runs.sort("term").map_batches(
-        lambda b: merge_runs_batch(b, block_cf=block_cf),
-        batch_format="pyarrow",
-        batch_size=None,
-    )
+    refs, size = common._gather(runs, float("inf"))
+    if refs and size <= common.GATHER_BYTES:
+        yield fn(pa.concat_tables(common._tables(refs)))
+    elif refs:
+        parts = ray.data.from_arrow_refs(refs).sort("term").map_batches(
+            fn, batch_format="pyarrow", batch_size=None
+        )
+        # not to_arrow_refs: its schema fetch runs the sort (and fn's
+        # writes) a second time
+        yield from parts.iter_batches(batch_size=None, batch_format="pyarrow")
 
 
-def _merge_and_write(batch: pa.Table, *, block_cf: int, seg_path: str) -> pa.Table:
-    from ..stages.invert import merge_runs_batch
-
-    return write_postings_partition(merge_runs_batch(batch, block_cf=block_cf), seg_path)
-
-
-# What the task that writes a sort partition returns: one row of what
+# What the call that writes a partition returns: one row of what
 # it wrote and counted (see write_postings_partition)
 _PARTITION_SCHEMA = pa.schema([
     ("max_field", pa.int64()),
@@ -341,7 +342,7 @@ _PARTITION_SCHEMA = pa.schema([
 
 
 def write_postings_partition(rows: pa.Table, seg_path: str) -> pa.Table:
-    """Commit one merged sort partition (term-sorted rows) under
+    """Commit one merged partition (term-sorted rows) under
     ``seg_path``: the blob, catalog and docs files of
     :func:`encode_postings_partition`, renamed into place, so a retried
     task overwrites its own files instead of adding a second copy
@@ -372,7 +373,7 @@ def write_postings_partition(rows: pa.Table, seg_path: str) -> pa.Table:
 
 
 def encode_postings_partition(rows: pa.Table) -> tuple:
-    """One merged sort partition (term-sorted rows, at least one) as
+    """One merged partition (term-sorted rows, at least one) as
     its commit, in memory: ``(stem, blob, catalog, docs, counters)``.
     ``blob`` is the payload blob of its posting rows and ``catalog``
     their catalog rows, addressing ``payloads/<stem>.bin`` (both None
@@ -501,24 +502,23 @@ def _inline_rows(t: pa.Table) -> pa.Table:
 
 
 def _write_postings(runs: ray.data.Dataset, seg_path: str, block_cf: int) -> tuple[int, dict]:
-    """Shuffle + merge ``runs`` and write ``<seg>/payloads``,
-    ``<seg>/catalog`` and ``<seg>/docs``: the task that merges a sort
-    partition also commits it (:func:`write_postings_partition`), so a
-    partition becomes at most one payload blob, one catalog file and
-    one docs file.  Returns the largest field id written (0 for no
-    postings) and the segment manifest's counters over the partition
-    rows: sums, and the doc id range.
+    """Shuffle + merge ``runs`` (:func:`term_partitions`) and write
+    ``<seg>/payloads``, ``<seg>/catalog`` and ``<seg>/docs``: the call
+    that merges a partition also commits it
+    (:func:`write_postings_partition`), so a partition becomes at most
+    one payload blob, one catalog file and one docs file, and runs
+    within ``GATHER_BYTES`` become one of each.  Returns the largest
+    field id written (0 for no postings) and the segment manifest's
+    counters over the partition rows: sums, and the doc id range.
 
-    Sort partitions hold disjoint term ranges, so each term lies in
-    exactly one partition (checked here on the ranges the tasks
-    return), and the catalog files together are the term-sorted
-    catalog."""
-    kw = {"block_cf": block_cf, "seg_path": seg_path}
-    parts = (
-        runs.sort("term")
-        .map_batches(_merge_and_write, fn_kwargs=kw, batch_format="pyarrow", batch_size=None)
-        .take_all()
-    )
+    Partitions hold disjoint term ranges, so each term lies in exactly
+    one partition (checked here on the ranges the partitions return),
+    and the catalog files together are the term-sorted catalog."""
+
+    def merge_and_write(b: pa.Table) -> pa.Table:
+        return write_postings_partition(merge_runs_batch(b, block_cf=block_cf), seg_path)
+
+    parts = [p for t in term_partitions(runs, merge_and_write) for p in t.to_pylist()]
     _check_one_file_per_term(seg_path, parts)
     with_docs = [p for p in parts if p["num_docs"]]
     counters = {c: sum(p[c] for p in parts)

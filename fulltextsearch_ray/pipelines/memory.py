@@ -3,8 +3,9 @@
 no code copied): build + search entirely without a segment directory.
 
 The index is the partition commit of ``build_index`` kept in memory:
-the same distributed pipeline (local invert → term sort shuffle →
-vectorized run merge) and the same encode of each merged sort partition
+the same pipeline (local invert → term shuffle, one partition within
+``GATHER_BYTES``, else one per sort block → vectorized run merge) and
+the same encode of each merged partition
 (:func:`~.build.encode_postings_partition`) give one payload blob
 (``bytes``), one catalog table and one docs table per partition, and
 nothing is written.  The searcher is a plain :class:`IndexSearcher` over
@@ -18,16 +19,15 @@ scale past one node's memory.
 
 from __future__ import annotations
 
-import ray
 import ray.data
 
-from ..stages.invert import DEFAULT_BLOCK_CF, invert_batch_fn
+from ..stages.invert import DEFAULT_BLOCK_CF, invert_batch_fn, merge_runs_batch
 from ..state.index import IndexMeta
 from .build import (
     _check_one_file_per_term,
     empty_catalog,
     encode_postings_partition,
-    merge_term_runs,
+    term_partitions,
 )
 from .query import IndexSearcher
 
@@ -68,8 +68,7 @@ def build_in_memory(
         batch_size=batch_size,
     )
     blobs, cats, docs, parts = {}, [], [], []
-    for ref in merge_term_runs(runs, block_cf).to_arrow_refs():
-        rows = ray.get(ref)
+    for rows in term_partitions(runs, lambda b: merge_runs_batch(b, block_cf=block_cf)):
         if not rows.num_rows:
             continue
         _stem, blob, cat, part_docs, counters = encode_postings_partition(rows)

@@ -264,8 +264,7 @@ def encode_docstats_row(doc_ids: np.ndarray, doc_lens: np.ndarray, shas: list[st
     rows travel through the same shuffle (bucket = -1, term =
     '\\x00docs:<first_doc>' with the id zero-padded to 20 digits, so
     each batch stays its own group and key order is doc order) and the
-    task that merges their sort partition writes them out as its docs
-    file.
+    call that merges their partition writes them out as its docs file.
     """
     from ..codecs import varint_encode
 
@@ -582,12 +581,13 @@ def _payload_bytes(col: pa.Array) -> np.ndarray:
 
 
 def merge_runs_batch(batch: pa.Table, block_cf: int = DEFAULT_BLOCK_CF) -> pa.Table:
-    """Merge a TERM-SORTED batch of posting runs (many terms at once).
+    """Merge a batch of posting runs (many terms at once) that holds
+    every run of each of its terms, in any order.
 
-    After the sort-based shuffle on ``term`` every term's runs are
-    contiguous in one block, so one ``map_batches`` call merges
-    thousands of terms with ZERO per-group scheduling overhead.  Fully
-    vectorized — no per-term Python on any path:
+    The term shuffle (``pipelines.build.term_partitions``) hands it all
+    runs in-process, or one sort partition per Ray task, so one call
+    merges thousands of terms with ZERO per-group scheduling overhead.
+    Fully vectorized — no per-term Python on any path:
 
     * single-run terms and doc-stats sentinel rows pass through as one
       ``filter``;
@@ -625,8 +625,8 @@ def merge_runs_batch(batch: pa.Table, block_cf: int = DEFAULT_BLOCK_CF) -> pa.Ta
     )
     first = np.asarray(batch["first_doc"].to_numpy(zero_copy_only=False), dtype=np.uint64)
     blk_id = np.asarray(batch["block_id"].to_numpy(zero_copy_only=False), dtype=np.int64)
-    # canonical per-term run order: the sort shuffle guarantees term
-    # contiguity but not intra-term order
+    # canonical per-term run order: the batch holds all of a term's
+    # runs, but neither contiguous nor in order
     order = np.lexsort((blk_id, first, codes))
     if not np.array_equal(order, np.arange(n)):
         batch = batch.take(pa.array(order)).combine_chunks()

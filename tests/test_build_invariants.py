@@ -19,7 +19,7 @@ from fulltextsearch_ray.sources.corpus import (
     synth_code_batch,
     write_synth_corpus,
 )
-from fulltextsearch_ray.state.index import load_manifest, load_meta
+from fulltextsearch_ray.state.index import load_manifest, load_meta, segment_dir
 
 
 @pytest.fixture(scope="module")
@@ -388,3 +388,148 @@ def test_compact_without_manifest_raises(ray_session, tmp_path):
     with pytest.raises(ValueError, match=f"segment {segs[1]} has no readable manifest"):
         compact_index(idx)
     assert load_meta(idx).segments == segs
+
+
+# -- the term shuffle: in-process under GATHER_BYTES, a sort past it ---------
+
+# the catalog's blob address: where a term's record lies, not what it holds
+ADDRESS = ("file", "offset", "bm25_len", "len")
+DELTA = pa.table({"doc_id": pa.array(range(1000, 1060), pa.uint64()),
+                  "text": [f"the the fresh{i % 7} words the" for i in range(60)]})
+
+
+def _segment_files(idx: str) -> dict:
+    """Path → bytes of every payload, catalog and docs file of the
+    index's segments (the manifests hold ``created_at``)."""
+    out = {}
+    for s in load_meta(idx).segments:
+        for sub in ("payloads", "catalog", "docs"):
+            d = os.path.join(segment_dir(idx, s), sub)
+            for f in sorted(os.listdir(d)):
+                with open(os.path.join(d, f), "rb") as fh:
+                    out[os.path.relpath(os.path.join(d, f), idx)] = fh.read()
+    return out
+
+
+def _build(corpus_dir: str, idx: str, path: str) -> None:
+    """The corpus as one segment (by positional ids, on the parquet or
+    the dataset path) plus a delta session whose docs all carry one
+    stop word, at a block budget small enough to chunk and hot-merge."""
+    if path == "parquet":
+        build_index(corpus_dir, idx, text_col="content", block_cf=64, overwrite=True)
+    else:
+        ds = read_corpus_with_ids(corpus_dir, columns=["content"])
+        build_index(ds, idx, text_col="content", doc_id_col="doc_id", block_cf=64, overwrite=True)
+    build_index(ray.data.from_arrow(DELTA), idx, doc_id_col="doc_id", block_cf=64)
+
+
+@pytest.mark.parametrize("path", ["parquet", "dataset"])
+def test_segments_are_byte_reproducible(corpus_dir, tmp_path, path):
+    """Runs within ``GATHER_BYTES`` merge in-process, with no sampled
+    sort boundaries, so a segment is a function of its input: two
+    builds of one corpus, each with a delta session and a compaction,
+    write the same payload, catalog and docs files, names and bytes."""
+    from fulltextsearch_ray.pipelines.build import compact_index
+
+    runs = []
+    for i in range(2):
+        idx = str(tmp_path / f"idx{i}")
+        _build(corpus_dir, idx, path)
+        built = _segment_files(idx)
+        compact_index(idx, block_cf=64)
+        runs.append((built, _segment_files(idx)))
+    assert runs[0] == runs[1]
+    built, compacted = runs[0]
+    assert len(built) == 6 and len(compacted) == 3  # one file of each per segment
+
+
+def _catalog_rows(idx: str) -> pa.Table:
+    return pa.concat_tables(
+        pq.read_table(os.path.join(segment_dir(idx, s), "catalog")).drop_columns(list(ADDRESS))
+        for s in load_meta(idx).segments
+    ).sort_by("term")
+
+
+def _docs_rows(idx: str) -> pa.Table:
+    return pa.concat_tables(
+        pq.read_table(os.path.join(segment_dir(idx, s), "docs")) for s in load_meta(idx).segments
+    ).sort_by("doc_id")
+
+
+def _dump(idx: str) -> list:
+    from fulltextsearch_ray.pipelines.query import dump_postings_dataset
+
+    return sorted(tuple(r.values()) for r in dump_postings_dataset(idx).take_all())
+
+
+PROBES = ["the words", "def class return", "index builder cache", "fresh3 posting merge"]
+
+
+def test_in_process_and_sort_shuffles_agree(corpus_dir, tmp_path, monkeypatch):
+    """The runs merged in-process (the default budget) and through the
+    sort (``GATHER_BYTES`` = -1) give the same catalog rows but for
+    their blob addresses, the same docs rows, the same postings dump
+    and the same BM25 ranks, after the build, after a delta session
+    and its compaction, and in the in-memory index."""
+    from fulltextsearch_ray.functions import common
+    from fulltextsearch_ray.pipelines.build import compact_index
+    from fulltextsearch_ray.pipelines.memory import build_in_memory
+
+    def state(idx: str) -> tuple:
+        s = IndexSearcher(idx)
+        return (_catalog_rows(idx), _docs_rows(idx), _dump(idx),
+                [s.bm25_topk(q, k=10) for q in PROBES])
+
+    got, catalog_files = [], []
+    for budget in (common.GATHER_BYTES, -1):
+        monkeypatch.setattr(common, "GATHER_BYTES", budget)
+        idx = str(tmp_path / f"idx{budget}")
+        build_index(corpus_dir, idx, text_col="content", block_cf=64, overwrite=True)
+        built = state(idx)
+        (seg,) = load_meta(idx).segments
+        catalog_files.append(len(load_manifest(idx, seg).catalog_stats))
+        build_index(ray.data.from_arrow(DELTA), idx, doc_id_col="doc_id", block_cf=64)
+        compact_index(idx, block_cf=64)
+        mem = build_in_memory(read_corpus_with_ids(corpus_dir, columns=["content"]).repartition(4),
+                              text_col="content", doc_id_col="doc_id", block_cf=64, batch_size=100)
+        terms = mem.terms.to_pylist()
+        got.append((built, state(idx), terms, [mem.term_stats(t) for t in terms],
+                    [mem.bm25_topk(q, k=10) for q in PROBES], len(mem.posting_reader._blobs)))
+    assert catalog_files[0] == 1 and catalog_files[1] >= 2  # the sort really ran
+    assert got[0][5] == 1 and got[1][5] >= 2
+    for a, b in zip(got[0][:5], got[1][:5]):
+        assert a == b
+
+
+def test_sorted_shuffle_runs_its_input_once(ray_session, tmp_path, monkeypatch):
+    """Past the budget the runs are drained once and the sort is fed
+    from their blocks: the read → invert stage never runs twice.  Each
+    execution of a source block leaves its own marker file."""
+    import uuid
+
+    from fulltextsearch_ray.functions import common
+
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    n_blocks = 6
+
+    def mark(b: pa.Table) -> pa.Table:
+        (marks / f"{b['doc_id'][0].as_py()}-{uuid.uuid4().hex}").touch()
+        return b
+
+    rng = np.random.default_rng(7)
+    vocab = [f"w{i}" for i in range(50)]
+    blocks = [
+        pa.table({"doc_id": pa.array(range(j * 20 + 1, j * 20 + 21), pa.uint64()),
+                  "text": [" ".join(rng.choice(vocab, size=12)) for _ in range(20)]})
+        for j in range(n_blocks)
+    ]
+    ds = ray.data.from_arrow(blocks).map_batches(mark, batch_format="pyarrow", batch_size=None)
+    monkeypatch.setattr(common, "GATHER_BYTES", 1)
+    idx = str(tmp_path / "idx")
+    build_index(ds, idx, doc_id_col="doc_id", batch_size=20, overwrite=True)
+    firsts = sorted(int(p.name.split("-")[0]) for p in marks.iterdir())
+    assert firsts == [j * 20 + 1 for j in range(n_blocks)]
+    (seg,) = load_meta(idx).segments
+    assert len(load_manifest(idx, seg).catalog_stats) >= 2  # the sort ran
+    assert IndexSearcher(idx).num_docs == n_blocks * 20

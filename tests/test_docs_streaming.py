@@ -1,8 +1,9 @@
-"""Docs tables: the task that merges a sort partition writes its docs
+"""Docs tables: the call that merges a term partition writes its docs
 rows, so a segment holds one docs file per partition that carries
-doc-stats sentinel rows.  On the dataset path, explicit ids interleaved
-across invert batches give docs files with overlapping doc ranges,
-which the eager and the paged doc-length tables both serve.  Past the
+doc-stats sentinel rows.  On the dataset path, with the term sort
+forced (``common.GATHER_BYTES`` = -1), explicit ids interleaved across
+invert batches give docs files with overlapping doc ranges, which the
+eager and the paged doc-length tables both serve.  Past the
 driver budget a compaction's docs merge streams through Ray, with the
 same counters and search results."""
 
@@ -14,6 +15,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from fulltextsearch_ray.functions import common
 from fulltextsearch_ray.pipelines.build import build_index, compact_index
 from fulltextsearch_ray.pipelines.query import IndexSearcher
 from fulltextsearch_ray.sources.corpus import write_synth_corpus
@@ -47,8 +49,8 @@ def interleaved_index(idx):
     """200 docs over a three-word vocabulary in 8 input blocks, ids 1..200
     shuffled across them and inverted in 4-doc batches: each batch's
     sentinel row spans a wide id range, the sentinel rows are a large
-    share of the shuffled rows, and the sort runs one partition per
-    input block, so several partitions write docs files whose doc
+    share of the shuffled rows, and a forced sort runs one partition
+    per input block, so several partitions write docs files whose doc
     ranges overlap."""
     import ray.data
 
@@ -64,7 +66,8 @@ def interleaved_index(idx):
     return idx
 
 
-def test_overlapping_docs_files_serve_doc_lengths(ray_session, tmp_path):
+def test_overlapping_docs_files_serve_doc_lengths(ray_session, tmp_path, monkeypatch):
+    monkeypatch.setattr(common, "GATHER_BYTES", -1)
     idx = interleaved_index(str(tmp_path / "idx"))
     (seg,) = load_meta(idx).segments
     ranges = sorted((g[0], g[1]) for info in load_manifest(idx, seg).docs_stats.values()

@@ -1,7 +1,7 @@
 """In-memory index variant (reference InMemoryIndex.cs): identical
 query results to the persistent index over the same corpus, with no
 segment directory on disk.  The in-memory index is the partition commit
-held in memory (a blob, a catalog and a docs table per sort partition)
+held in memory (a blob, a catalog and a docs table per term partition)
 under a plain IndexSearcher, so a lookup is one ``read_range`` of a
 blob and one ``decode_record``, with the disk reader's counters and its
 corrupt-record errors."""
@@ -98,13 +98,17 @@ def _word_docs(n_docs: int, seed: int) -> pa.Table:
 @pytest.fixture(scope="module")
 def partitioned_indexes(ray_session, tmp_path_factory):
     """The persistent and in-memory index of one dataset of 4 blocks,
-    inverted 50 docs per batch, so the term sort has several
-    partitions."""
+    inverted 50 docs per batch, so the term sort, forced
+    (``common.GATHER_BYTES`` = -1), has several partitions."""
+    from fulltextsearch_ray.functions import common
+
     ds = ray.data.from_arrow(_word_docs(200, seed=5)).repartition(4)
     kw = dict(text_col="text", doc_id_col="doc_id", batch_size=50)
     idx = str(tmp_path_factory.mktemp("partidx"))
-    build_index(ds, idx, overwrite=True, **kw)
-    return IndexSearcher(idx), build_in_memory(ds, **kw)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(common, "GATHER_BYTES", -1)
+        build_index(ds, idx, overwrite=True, **kw)
+        return IndexSearcher(idx), build_in_memory(ds, **kw)
 
 
 def test_in_memory_partitions_match_persistent_for_every_term(partitioned_indexes):

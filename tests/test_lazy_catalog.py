@@ -193,11 +193,16 @@ def test_stale_fst_fallback_logged_once_per_searcher(ray_session, tmp_path, capl
 @pytest.fixture(scope="module")
 def multi_file_index(ray_session, tmp_path_factory):
     """A segment whose catalog is one file per sort partition: eight
-    corpus files give eight invert blocks into the term sort."""
+    corpus files give eight invert blocks into the term sort, forced
+    (``common.GATHER_BYTES`` = -1) for runs this small."""
+    from fulltextsearch_ray.functions import common
+
     d = str(tmp_path_factory.mktemp("multifilecorpus"))
     write_synth_corpus(d, 400, rows_per_file=50)
     idx = str(tmp_path_factory.mktemp("multifileidx"))
-    build_index(d, idx, text_col="content", overwrite=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(common, "GATHER_BYTES", -1)
+        build_index(d, idx, text_col="content", overwrite=True)
     return idx
 
 
