@@ -84,7 +84,6 @@ def compact_index(
     index_dir: str,
     *,
     block_cf: int = DEFAULT_BLOCK_CF,
-    docs_driver_budget: int = 5_000_000,
     store_copy_file_budget: int = 256,
 ) -> IndexMeta:
     """Merge ALL segments into one — the batch analog of collapsing the
@@ -154,10 +153,15 @@ def compact_index(
         max_doc_id=max((m.max_doc_id for m in with_docs), default=0),
     )
 
-    # docs table: merge of per-segment docs (ids are disjoint).  Small
-    # tables concat on the driver; past the budget the merge streams
-    # through Ray (read → sort(doc_id) → partitioned write).
+    # docs table: merge of per-segment docs (ids are disjoint), under
+    # the group stages' size rule: while the input files' uncompressed
+    # bytes (footer ``total_byte_size``) fit ``common.GATHER_BYTES``
+    # they concat on the driver; past it the merge streams through Ray
+    # (read → sort(doc_id) → partitioned write).
+    from ..functions import common
+
     docs_dirs = [os.path.join(segment_dir(index_dir, s), "docs") for s in old_segments]
+    doc_files = [f for d in docs_dirs for f in _parquet_files(d)]
     os.makedirs(os.path.join(seg_path, "docs"), exist_ok=True)
     # Sessions may disagree on the docs schema (older builds stored
     # meta columns directly in docs; current ones use docs_meta) — a
@@ -165,11 +169,15 @@ def compact_index(
     # be compacted.  Unify permissively: missing columns fill with
     # null, which is exactly the searcher's extra-docs-columns
     # metadata fallback semantics for docs that lack a value.
-    if counters["num_docs"] > docs_driver_budget:
-        doc_files = [f for d in docs_dirs for f in _parquet_files(d)]
+    footers = [pq.ParquetFile(f) for f in doc_files]
+    docs_bytes = sum(
+        pf.metadata.row_group(g).total_byte_size
+        for pf in footers for g in range(pf.metadata.num_row_groups)
+    )
+    if docs_bytes > common.GATHER_BYTES:
         by_docs_schema: dict[str, list[str]] = {}
-        for f in doc_files:
-            by_docs_schema.setdefault(str(pq.ParquetFile(f).schema_arrow), []).append(f)
+        for f, pf in zip(doc_files, footers):
+            by_docs_schema.setdefault(str(pf.schema_arrow), []).append(f)
         if len(by_docs_schema) == 1:
             ds_docs = ray.data.read_parquet(doc_files)
         else:
@@ -729,6 +737,36 @@ def _forward_file_batch_fn(batch: pa.Table, *, text_col: str, text_cols):
     yield from ForwardFileStage(text_col=text_col, text_cols=text_cols)(batch)
 
 
+def read_invert_runs(
+    path: str, *, start_id: int, text_col: str, text_cols, columns: list[str], block_cf: int,
+) -> "tuple[ray.data.Dataset, ray.data.Dataset]":
+    """``(runs, file items)`` of the parquet corpus at ``path`` with
+    positional doc ids from ``start_id``: the fused read + tokenize +
+    local invert (+ doc-stats sentinel rows) of
+    :class:`~..stages.invert.ReadInvertStage`, the posting runs that
+    :func:`term_partitions` shuffles.
+
+    File items are 1-row blocks, so ``batch_size`` counts FILES: a task
+    bundles several and groups its small files into ``chunk_rows``-doc
+    invert calls (fewer, larger runs into the term shuffle), while
+    keeping ≥4 tasks per CPU for balance.  A TASK pool, not an actor
+    pool: stage construction is config-only, actor launch/ramp was pure
+    critical-path overhead (interleaved A/B: ~2× wall on a 60k-doc build
+    vs tasks), and tasks can never starve the downstream AllToAll term
+    sort (see functions/similarity.py)."""
+    from ..sources.corpus import corpus_file_items
+
+    items, n_files = corpus_file_items(path, start_id=start_id)
+    pool = max(2, int(ray.cluster_resources().get("CPU", 8)))
+    runs = items.map_batches(
+        read_invert_batches_fn,
+        fn_kwargs=dict(text_col=text_col, text_cols=text_cols, columns=columns, block_cf=block_cf),
+        batch_format="pyarrow",
+        batch_size=max(1, n_files // (pool * 4)),
+    )
+    return runs, items
+
+
 def build_index(
     source: ray.data.Dataset | str,
     index_dir: str,
@@ -771,13 +809,6 @@ def build_index(
         shutil.rmtree(seg_path)  # incomplete previous attempt
     os.makedirs(seg_path, exist_ok=True)
 
-    # Task sizing only (stages run as task pools; Ray reuses worker
-    # processes, so heap warmup amortizes without actors): target ≥4
-    # file bundles per CPU for balance, uncapped — the old min(·, 32)
-    # was an actor-pool-width cap and under-split on wider clusters.
-    n_cpus = int(ray.cluster_resources().get("CPU", 8))
-    pool = max(2, n_cpus)
-
     ds = None
     runs = None
     input_lineage = None
@@ -785,36 +816,16 @@ def build_index(
         cols = sorted({*(text_cols or [text_col]), *(meta_cols or ()), *([doc_id_col] if doc_id_col else []), *(id_cols or [])})
         if doc_id_col is None and id_cols is None:
             # positional deterministic ids straight from the parquet
-            # layout: fused read+invert, one task per file, no shuffle
-            # before the term sort
-            from ..sources.corpus import corpus_file_items
-
-            items, n_files = corpus_file_items(source, start_id=meta.next_doc_id)
+            # layout: fused read+invert, no shuffle before the term sort
+            runs, items = read_invert_runs(
+                source, start_id=meta.next_doc_id, text_col=text_col, text_cols=text_cols,
+                columns=cols, block_cf=block_cf,
+            )
             # (the file list already lives on the driver — from_items —
             # so this gather adds nothing; the CAP bounds what the
             # manifest persists)
             input_lineage = cap_lineage(
                 [r["file"] for r in items.take_all()], lineage_budget
-            )
-            runs = items.map_batches(
-                read_invert_batches_fn,
-                fn_kwargs=dict(
-                    text_col=text_col, text_cols=text_cols, columns=cols, block_cf=block_cf,
-                ),
-                batch_format="pyarrow",
-                # bundle several file items per task (file items are
-                # 1-row blocks, so batch_size counts FILES): each task
-                # groups its small files into chunk_rows-doc invert
-                # calls — fewer, larger runs into the term shuffle —
-                # while keeping ≥4 tasks per worker for balance.
-                # TASK pool, not an actor pool: stage construction is
-                # config-only, actor launch/ramp was pure critical-path
-                # overhead (interleaved A/B: ~2× wall on a 60k-doc
-                # build vs tasks; the earlier fixed→autoscaling pool
-                # fix measured 37→29 s — tasks remove the remainder),
-                # and tasks can never starve the downstream AllToAll
-                # term sort (see functions/similarity.py)
-                batch_size=max(1, n_files // (pool * 4)),
             )
         else:
             src = ray.data.read_parquet(source, columns=cols)

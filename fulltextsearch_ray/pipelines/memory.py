@@ -27,6 +27,7 @@ from .build import (
     _check_one_file_per_term,
     empty_catalog,
     encode_postings_partition,
+    read_invert_runs,
     term_partitions,
 )
 from .query import IndexSearcher
@@ -44,29 +45,27 @@ def build_in_memory(
 ) -> IndexSearcher:
     """Build an ephemeral in-memory index with the distributed pipeline
     and return a searcher over it.  Writes NOTHING to disk."""
-    from ..sources.corpus import normalize_corpus, read_corpus_with_ids
+    from ..sources.corpus import normalize_corpus
 
-    if isinstance(source, str):
-        if doc_id_col is None and id_cols is None:
-            cols = sorted(set(text_cols or [text_col]))
-            ds = read_corpus_with_ids(source, columns=cols, start_id=1)
-        else:
-            ds = normalize_corpus(
-                ray.data.read_parquet(source), text_col, doc_id_col=doc_id_col,
-                id_cols=id_cols, start_id=1,
-            )
+    if isinstance(source, str) and doc_id_col is None and id_cols is None:
+        # positional ids: the disk build's fused read + invert
+        runs, _items = read_invert_runs(
+            source, start_id=1, text_col=text_col, text_cols=text_cols,
+            columns=sorted(set(text_cols or [text_col])), block_cf=block_cf,
+        )
     else:
+        if isinstance(source, str):
+            source = ray.data.read_parquet(source)
         ds = normalize_corpus(source, text_col, doc_id_col=doc_id_col, id_cols=id_cols, start_id=1)
-
-    runs = ds.map_batches(
-        invert_batch_fn,
-        fn_kwargs=dict(
-            text_col=text_col, text_cols=text_cols, doc_id_col="doc_id",
-            block_cf=block_cf, emit_docstats=True,
-        ),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+        runs = ds.map_batches(
+            invert_batch_fn,
+            fn_kwargs=dict(
+                text_col=text_col, text_cols=text_cols, doc_id_col="doc_id",
+                block_cf=block_cf, emit_docstats=True,
+            ),
+            batch_format="pyarrow",
+            batch_size=batch_size,
+        )
     blobs, cats, docs, parts = {}, [], [], []
     for rows in term_partitions(runs, lambda b: merge_runs_batch(b, block_cf=block_cf)):
         if not rows.num_rows:

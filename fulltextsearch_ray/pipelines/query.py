@@ -1289,6 +1289,7 @@ def dump_postings_dataset(index_dir: str) -> "ray.data.Dataset":
     ``ConsoleUtil/Program.cs:228-238``): every occurrence as a row
     (term, doc_id, field_id, token_id) — a map_batches decode over the
     whole posting rows of every segment, no driver-side loop."""
+    from ..stages.invert import decode_occurrences
     from .build import read_postings_dataset
 
     def decode_rows(batch: pa.Table) -> pa.Table:
@@ -1297,20 +1298,13 @@ def dump_postings_dataset(index_dir: str) -> "ray.data.Dataset":
                 {"term": pa.array([], pa.string()), "doc_id": pa.array([], pa.int64()),
                  "field_id": pa.array([], pa.int64()), "token_id": pa.array([], pa.int64())}
             )
-        # ALL blocks of the batch decode in the two global varint
-        # passes of the concat decoder — no per-block Python loop
-        from ..codecs import decode_posting_columns
-
-        *_, od, of, ot = decode_posting_columns(
-            batch["docs"].to_pylist(), batch["fields"].to_pylist(),
-            batch["tfs"].to_pylist(), batch["positions"].to_pylist(),
-            np.asarray(batch["df"].to_numpy(zero_copy_only=False)),
-        )
+        # ALL blocks of the batch decode in one varint pass per column
+        od, of, ot = decode_occurrences(batch)
         cf = np.asarray(batch["cf"].to_numpy(zero_copy_only=False))
-        terms = np.repeat(np.asarray(batch["term"].to_pylist(), dtype=object), cf)
+        terms = batch["term"].take(pa.array(np.repeat(np.arange(batch.num_rows), cf)))
         return pa.table(
             {
-                "term": pa.array(terms, pa.string()),
+                "term": terms,
                 "doc_id": pa.array(od.astype(np.int64)),
                 "field_id": pa.array(of.astype(np.int64)),
                 "token_id": pa.array(ot.astype(np.int64)),

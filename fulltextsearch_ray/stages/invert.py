@@ -3,7 +3,7 @@
 The build shape (SURVEY.md §3.4):
 
     read_parquet → map_batches(InvertStage)        # tokenize + LOCAL invert
-      → sort("term") → map_batches(merge_runs_batch)  # THE shuffle, key=term
+      → term_partitions(merge_runs_batch)           # THE shuffle, key=term
       → write_postings_partition (payload blob + catalog + docs per partition)
 
 ``InvertStage`` is the crucial scale lever: instead of exploding one
@@ -14,9 +14,10 @@ one compressed run per batch (not one row per occurrence), which also
 bounds the skew a single sort key can see: the merge of a hot term
 handles ~#batches compressed runs, not raw occurrences.
 
-Both the invert and the merge write blocks through ONE encoder,
-:func:`encode_posting_rows` (delta + varint per block, the reference's
-``PostingListVarIntDeltaWriter``).
+The invert and the merge of overlapping runs write blocks through ONE
+encoder, :func:`encode_posting_rows` (delta + varint per block, the
+reference's ``PostingListVarIntDeltaWriter``); the merge of doc-disjoint
+runs splices the bytes that encoder wrote (:func:`merge_runs_batch`).
 
 This replaces the reference's single-threaded in-RAM
 ``SortedDictionary<string, List<Occurrence>>`` accumulation
@@ -569,15 +570,118 @@ def read_invert_batches_fn(batch: pa.Table, **kw):
     yield from ReadInvertStage(**kw)(batch)
 
 
-def _payload_bytes(col: pa.Array) -> np.ndarray:
+def _offsets_and_data(col: "pa.Array | pa.ChunkedArray") -> tuple[np.ndarray, np.ndarray]:
+    """(value offsets, data bytes) of a null-free binary column: zero-copy
+    views of its Arrow buffers, never a Python bytes-object loop."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    off = np.frombuffer(col.buffers()[1], dtype=np.int32)[col.offset : col.offset + len(col) + 1]
+    return off, np.frombuffer(col.buffers()[2], dtype=np.uint8)
+
+
+def _payload_bytes(col: "pa.Array | pa.ChunkedArray") -> np.ndarray:
     """Concatenated payload bytes of a (null-free) binary column in row
-    order — a zero-copy view of the Arrow data buffer, never a Python
-    bytes-object loop."""
-    off = np.frombuffer(col.buffers()[1], dtype=np.int32)[
-        col.offset : col.offset + len(col) + 1
-    ]
-    data = np.frombuffer(col.buffers()[2], dtype=np.uint8)
+    order — a zero-copy view of the Arrow data buffer."""
+    off, data = _offsets_and_data(col)
     return data[off[0] : off[-1]]
+
+
+def decode_occurrences(rows: pa.Table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (docs, fields, tokens) occurrence arrays of whole posting
+    rows, in row order: ONE segmented varint decode per payload column
+    over its Arrow bytes (doc gaps restart at block starts, token gaps
+    at entry starts, :func:`~..codecs.restart_prefix_sum`).  The one
+    bulk decoder of posting rows: the merge of overlapping runs and the
+    conformance dump."""
+
+    def values(c):
+        return varint_decode(_payload_bytes(rows[c]))
+
+    dfs = np.asarray(rows["df"].to_numpy(zero_copy_only=False), dtype=np.int64)
+    return _expand_occurrences(
+        restart_prefix_sum(values("docs"), dfs), values("fields"), values("tfs"), values("positions"),
+    )
+
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Indices ``starts[i] .. starts[i] + lens[i] - 1`` of every range, concatenated."""
+    before = np.cumsum(lens) - lens
+    return np.repeat(starts - before, lens) + np.arange(int(lens.sum()))
+
+
+# a varint of v takes 1 + #{k ≥ 1 : v ≥ 2^(7k)} bytes
+_VARINT_STEPS = np.uint64(1) << np.arange(7, 64, 7, dtype=np.uint64)
+
+
+def _splice_runs(sub: pa.Table, counts: np.ndarray) -> pa.Table:
+    """One posting block per term from its strictly doc-disjoint runs,
+    built from their bytes.  ``sub`` holds the runs in (term, first_doc,
+    block_id) order, ``counts[i]`` runs for term i.
+
+    ``fields``, ``tfs`` and ``positions`` are the runs' payloads
+    concatenated (a run opens an entry, so its token gaps already
+    restart): new offsets over the same data buffer.  ``docs`` is the
+    payloads concatenated too, except that each later run's first
+    varint, the absolute id ``first_doc[i]``, becomes the gap
+    ``first_doc[i] - last_doc[i - 1]`` — the only varints decoded and
+    encoded.  The gap is never wider than the id, so it is written into
+    the tail of the id's bytes and the leading bytes dropped.  Block
+    stats sum (df, cf, n_docs) or max (max_tf) over the runs."""
+    n = sub.num_rows
+    starts = np.cumsum(counts) - counts
+    bounds = np.r_[starts, n]
+
+    def num(c):
+        return np.asarray(sub[c].to_numpy(zero_copy_only=False))
+
+    first, last = num("first_doc").astype(np.uint64), num("last_doc").astype(np.uint64)
+    later = np.ones(n, dtype=bool)
+    later[starts] = False
+    later = np.flatnonzero(later)
+
+    off, data = _offsets_and_data(sub["docs"])
+    base = (off - off[0]).astype(np.int64)
+    buf = data[off[0] : off[-1]].copy()
+    ids = first[later]
+    width = 1 + (ids[:, None] >= _VARINT_STEPS).sum(axis=1)
+    got = varint_decode(buf[_ranges(base[later], width)])
+    if len(got) != len(later) or not np.array_equal(got, ids):
+        raise ValueError("merge: a run's docs payload does not open with its first_doc")
+    gap_b, gap_ends = varint_encode_offsets(ids - last[later - 1])
+    shift = width - np.diff(np.r_[0, gap_ends])
+    buf[_ranges(base[later] + shift, width - shift)] = gap_b
+    row_len = np.diff(base)
+    row_len[later] -= shift
+    if shift.any():
+        keep = np.ones(len(buf), dtype=bool)
+        keep[_ranges(base[later], shift)] = False
+        buf = buf[keep]
+
+    def spliced(c):
+        o, d = _offsets_and_data(sub[c])
+        return _binary_column(d[o[0] : o[-1]], (o[1:] - o[0]).astype(np.int64), bounds)
+
+    def per_term(c, op=np.add):
+        return pa.array(op.reduceat(num(c), starts).astype(np.int64))
+
+    T = len(counts)
+    return pa.table(
+        {
+            "term": sub["term"].take(pa.array(starts)),
+            "bucket": pa.array(np.zeros(T, dtype=np.int32)),
+            "block_id": pa.array(np.zeros(T, dtype=np.int32)),
+            "first_doc": pa.array(first[starts], pa.uint64()),
+            "last_doc": pa.array(last[bounds[1:] - 1], pa.uint64()),
+            "df": per_term("df"),
+            "cf": per_term("cf"),
+            "max_tf": per_term("max_tf", np.maximum),
+            "n_docs": per_term("n_docs"),
+            "docs": _binary_column(buf, np.cumsum(row_len), bounds),
+            "fields": spliced("fields"),
+            "tfs": spliced("tfs"),
+            "positions": spliced("positions"),
+        }
+    )
 
 
 def merge_runs_batch(batch: pa.Table, block_cf: int = DEFAULT_BLOCK_CF) -> pa.Table:
@@ -587,21 +691,28 @@ def merge_runs_batch(batch: pa.Table, block_cf: int = DEFAULT_BLOCK_CF) -> pa.Ta
     The term shuffle (``pipelines.build.term_partitions``) hands it all
     runs in-process, or one sort partition per Ray task, so one call
     merges thousands of terms with ZERO per-group scheduling overhead.
-    Fully vectorized — no per-term Python on any path:
+    A term's runs are DISJOINT when, in (first_doc, block_id) order,
+    each ends strictly before the next begins (an equal boundary doc is
+    a multi-field doc split across batches).  Four paths, each
+    vectorized over all of its terms — no per-term Python:
 
     * single-run terms and doc-stats sentinel rows pass through as one
       ``filter``;
     * HOT terms (disjoint runs, total cf > block_cf — stop words):
       metadata-only block renumber on the whole sub-table, payloads
       untouched (skew safety);
-    * every other multi-run term — FRAGMENTED (disjoint runs, total
-      cf ≤ block_cf — the bulk) or OVERLAPPING (a multi-field doc split
-      across batches, out-of-order ingest — rare): ONE segmented varint
-      decode of every payload concatenated (delta resets at block /
-      entry starts, :func:`~..codecs.restart_prefix_sum` over the
-      blocks of every term), one ``lexsort`` back into (term, doc,
-      field, token) order when any run overlaps, then the same
-      :func:`encode_posting_rows` the invert uses (which chunks a
+    * FRAGMENTED terms (disjoint runs, total cf ≤ block_cf — the bulk,
+      as each batch and session appends new doc ids): one block
+      spliced from the runs' bytes by :func:`_splice_runs`, with no
+      decode and no re-encode.  Its payloads are the runs' payloads
+      concatenated, each later run's first ``docs`` varint turned from
+      an absolute id into the gap from the previous run's last doc —
+      byte for byte the block the encoder writes for the same
+      occurrences;
+    * OVERLAPPING terms (a multi-field doc split across batches, ids
+      reused across sessions — rare): :func:`decode_occurrences`, one
+      ``lexsort`` back into (term, doc, field, token) order, then the
+      same :func:`encode_posting_rows` the invert uses (which chunks a
       merged list past ``block_cf``).
 
     Output order (part of the contract, on every path): rows sorted by
@@ -646,8 +757,7 @@ def merge_runs_batch(batch: pa.Table, block_cf: int = DEFAULT_BLOCK_CF) -> pa.Ta
     sent = sent_code[codes[starts]]
     if (single | sent).all():
         return _term_sorted(batch)
-    # per-term strict disjointness (equal boundary docs = overlap: a
-    # multi-field doc split across batches must re-sort its entries)
+    # per-term strict disjointness
     okrow = np.ones(n, dtype=bool)
     okrow[1:] = (last[:-1] < first[1:]) | (codes[1:] != codes[:-1])
     disjoint = np.logical_and.reduceat(okrow, starts)
@@ -655,7 +765,11 @@ def merge_runs_batch(batch: pa.Table, block_cf: int = DEFAULT_BLOCK_CF) -> pa.Ta
 
     multi = ~single & ~sent
     hot = multi & disjoint & (total_cf > block_cf)
-    recode = multi & ~hot
+    fragmented = multi & disjoint & ~hot
+    overlap = multi & ~disjoint
+
+    def rows_of(term_mask):
+        return pa.array(np.repeat(term_mask, counts))
 
     out_tables = []
     pass_rows = np.repeat(single | sent, counts)
@@ -673,28 +787,22 @@ def merge_runs_batch(batch: pa.Table, block_cf: int = DEFAULT_BLOCK_CF) -> pa.Ta
             pa.array(pos_in_term[hot_rows].astype(np.int32)),
         )
         out_tables.append(sub)
-    if recode.any():
-        sub = batch.filter(pa.array(np.repeat(recode, counts))).combine_chunks()
-        dfs = np.asarray(sub["df"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        # segmented decode of every block at once: doc deltas reset at
-        # block starts, token deltas at entry starts
-        occ_docs, occ_fields, occ_tokens = _expand_occurrences(
-            restart_prefix_sum(varint_decode(_payload_bytes(sub["docs"].combine_chunks())), dfs),
-            varint_decode(_payload_bytes(sub["fields"].combine_chunks())),
-            varint_decode(_payload_bytes(sub["tfs"].combine_chunks())),
-            varint_decode(_payload_bytes(sub["positions"].combine_chunks())),
+    if fragmented.any():
+        out_tables.append(
+            _splice_runs(batch.filter(rows_of(fragmented)).combine_chunks(), counts[fragmented])
         )
-        r_starts = starts[recode]
+    if overlap.any():
+        sub = batch.filter(rows_of(overlap)).combine_chunks()
+        occ_docs, occ_fields, occ_tokens = decode_occurrences(sub)
+        r_starts = starts[overlap]
         bounds = np.zeros(len(r_starts) + 1, dtype=np.int64)
-        np.cumsum(total_cf[recode], out=bounds[1:])
-        if (recode & ~disjoint).any():
-            term_idx = np.repeat(np.arange(len(r_starts)), np.diff(bounds))
-            o = np.lexsort((occ_tokens, occ_fields, occ_docs, term_idx))
-            occ_docs, occ_fields, occ_tokens = occ_docs[o], occ_fields[o], occ_tokens[o]
+        np.cumsum(total_cf[overlap], out=bounds[1:])
+        term_idx = np.repeat(np.arange(len(r_starts)), np.diff(bounds))
+        o = np.lexsort((occ_tokens, occ_fields, occ_docs, term_idx))
         out_tables.append(
             encode_posting_rows(
                 np.asarray(terms.take(pa.array(r_starts)).to_pylist(), dtype=object),
-                bounds, occ_docs, occ_fields, occ_tokens, block_cf,
+                bounds, occ_docs[o], occ_fields[o], occ_tokens[o], block_cf,
             )
         )
     return _term_sorted(pa.concat_tables(out_tables).combine_chunks())

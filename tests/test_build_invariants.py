@@ -533,3 +533,33 @@ def test_sorted_shuffle_runs_its_input_once(ray_session, tmp_path, monkeypatch):
     (seg,) = load_meta(idx).segments
     assert len(load_manifest(idx, seg).catalog_stats) >= 2  # the sort ran
     assert IndexSearcher(idx).num_docs == n_blocks * 20
+
+
+def test_compaction_equals_one_build(corpus_dir, tmp_path):
+    """The chain-merge contract: two sessions over the halves of a
+    corpus, compacted, hold the same postings (dump), catalog rows but
+    for their blob addresses and docs rows as one build of the whole
+    corpus.  The sessions share terms, so the compaction merges
+    doc-disjoint runs of one term from both."""
+    import shutil
+
+    from fulltextsearch_ray.pipelines.build import compact_index
+
+    files = sorted(f for f in os.listdir(corpus_dir) if f.endswith(".parquet"))
+    assert len(files) >= 2
+    idx = str(tmp_path / "sessions")
+    for i, half in enumerate((files[: len(files) // 2], files[len(files) // 2 :])):
+        part = tmp_path / f"half{i}"
+        part.mkdir()
+        for f in half:
+            shutil.copy(os.path.join(corpus_dir, f), part / f)
+        build_index(str(part), idx, text_col="content")
+    a, b = (set(pq.read_table(os.path.join(segment_dir(idx, s), "catalog"))["term"].to_pylist())
+            for s in load_meta(idx).segments)
+    assert a & b
+    compact_index(idx)
+    one = str(tmp_path / "one")
+    build_index(corpus_dir, one, text_col="content")
+    assert _catalog_rows(idx).equals(_catalog_rows(one))
+    assert _docs_rows(idx).equals(_docs_rows(one))
+    assert _dump(idx) == _dump(one)

@@ -3,9 +3,9 @@ rows, so a segment holds one docs file per partition that carries
 doc-stats sentinel rows.  On the dataset path, with the term sort
 forced (``common.GATHER_BYTES`` = -1), explicit ids interleaved across
 invert batches give docs files with overlapping doc ranges, which the
-eager and the paged doc-length tables both serve.  Past the
-driver budget a compaction's docs merge streams through Ray, with the
-same counters and search results."""
+eager and the paged doc-length tables both serve.  When the input docs
+files' bytes pass ``common.GATHER_BYTES`` a compaction's docs merge
+streams through Ray, with the same counters and search results."""
 
 import hashlib
 import os
@@ -83,18 +83,21 @@ def test_overlapping_docs_files_serve_doc_lengths(ray_session, tmp_path, monkeyp
             assert eager.bm25_topk(q, k=k).equals(lazy.bm25_topk(q, k=k)), (q, k)
 
 
-def test_compact_streams_docs_past_budget(corpus, tmp_path_factory):
+def test_compact_streams_docs_past_budget(corpus, tmp_path_factory, monkeypatch):
     idx = str(tmp_path_factory.mktemp("idx_compact"))
     build_index(corpus, idx, text_col="content", overwrite=True)
     build_index(corpus, idx, text_col="content")  # second segment
     s_before = IndexSearcher(idx)
     expected = {q: s_before.bm25_topk(q, k=10) for q in ["index builder", "posting merge"]}
     before = [load_manifest(idx, s) for s in load_meta(idx).segments]
-    compact_index(idx, docs_driver_budget=0)
+    monkeypatch.setattr(common, "GATHER_BYTES", -1)
+    compact_index(idx)
     meta = load_meta(idx)
     assert len(meta.segments) == 1
+    # Ray's write, not the driver's one part-0 file
+    assert os.listdir(os.path.join(segment_dir(idx, meta.segments[0]), "docs")) != ["part-0.parquet"]
     # the compacted segment's counters come through the streaming
-    # aggregate (budget 0) and equal the pre-compaction roll-up
+    # aggregate (budget -1) and equal the pre-compaction roll-up
     man = load_manifest(idx, meta.segments[0])
     assert (man.num_docs, man.total_tokens, man.min_doc_id, man.max_doc_id) == (
         sum(m.num_docs for m in before), sum(m.total_tokens for m in before),

@@ -38,6 +38,35 @@ def both_indexes(ray_session, tmp_path_factory):
     return IndexSearcher(idx), mem
 
 
+def test_in_memory_path_reads_files_in_parallel(ray_session, tmp_path, monkeypatch):
+    """``build_in_memory`` over a parquet path takes the disk build's
+    fused read + invert, several file tasks wide: an 8-file corpus hands
+    the term shuffle more than one run block, and the index answers as
+    the disk build does."""
+    from fulltextsearch_ray.functions import common
+
+    d = str(tmp_path / "corpus")
+    write_synth_corpus(d, 800, rows_per_file=100)
+    blocks = []
+    gather = common._gather
+
+    def counting(ds, budget):
+        got = gather(ds, budget)
+        blocks.append(len(got[0]))
+        return got
+
+    monkeypatch.setattr(common, "_gather", counting)
+    mem = build_in_memory(d, text_col="content")
+    assert blocks and blocks[0] >= 2
+    idx = str(tmp_path / "idx")
+    build_index(d, idx, text_col="content")
+    disk = IndexSearcher(idx)
+    for q in QUERIES:
+        assert mem.search_to_string(q) == disk.search_to_string(q), q
+    for q in ["index builder", "def class return"]:
+        assert mem.bm25_topk(q, k=10).equals(disk.bm25_topk(q, k=10)), q
+
+
 def test_in_memory_matches_persistent_search(both_indexes):
     disk, mem = both_indexes
     for q in QUERIES:

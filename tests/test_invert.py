@@ -1,12 +1,13 @@
 """stages/invert.py: the posting encoder and the run merge.
 
-``encode_posting_rows`` (the one engine encoder: invert and merge both
-write blocks through it) and ``merge_runs_batch`` are pinned against a
-SCALAR ORACLE kept in this file: a per-term, per-block Python loop that
-encodes each greedy doc-snapped chunk with ``codecs.encode_posting_block``
-and merges one term's runs at a time (decode each row with
-``codecs.decode_posting_block``, lexsort, re-chunk).  The oracle is a
-test reference, not an engine path.
+``encode_posting_rows`` (the one engine encoder: the invert and the
+merge of overlapping runs write blocks through it) and
+``merge_runs_batch`` (which splices doc-disjoint runs from their bytes)
+are pinned against a SCALAR ORACLE kept in this file: a per-term,
+per-block Python loop that encodes each greedy doc-snapped chunk with
+``codecs.encode_posting_block`` and merges one term's runs at a time
+(decode each row with ``codecs.decode_posting_block``, lexsort,
+re-chunk).  The oracle is a test reference, not an engine path.
 """
 
 import numpy as np
@@ -312,28 +313,79 @@ def test_merge_runs_batch_matches_old_implementation_randomized():
         assert got.equals(want), f"trial {trial} (block_cf={block_cf}) diverged"
 
 
-@settings(max_examples=150, deadline=None)
-@given(_term_entries(single_field=False), st.sampled_from([1, 2, 3, 4, 8, 64]), st.data())
-def test_merge_matches_scalar_oracle(entries, block_cf, data):
-    """Each term's entries cut into runs at random entry boundaries —
-    a cut inside a doc makes two runs share a boundary doc (overlap) —
-    then shuffled and sorted by term, as the shuffle delivers them."""
-    _single, terms = entries
-    runs = []
-    for t, term in enumerate(terms):
-        cuts = data.draw(st.lists(st.booleans(), min_size=len(term) - 1, max_size=len(term) - 1))
-        start = 0
+@st.composite
+def _term_runs(draw):
+    """Each term's entries cut into runs at random entry boundaries (a
+    cut inside a doc makes two runs share a boundary doc: overlap)."""
+    _single, terms = draw(_term_entries(single_field=False))
+    out = []
+    for term in terms:
+        cuts = draw(st.lists(st.booleans(), min_size=len(term) - 1, max_size=len(term) - 1))
+        runs, start = [], 0
         for i in range(len(term)):
             if i == len(term) - 1 or cuts[i]:
-                names, bounds, docs, fields, tokens = _stream([term[start : i + 1]])
-                runs.append(scalar_posting_rows(
-                    [f"t{t:02d}"], bounds, docs, fields, tokens, 1 << 16
-                ))
+                runs.append(term[start : i + 1])
                 start = i + 1
+        out.append(runs)
+    return out
+
+
+def _shuffled_runs(term_runs, run_cf: int, seed: int) -> pa.Table:
+    """The runs of every term, each encoded at ``run_cf`` (several
+    blocks when it is small), in random row order and then sorted by
+    term only, as the shuffle delivers them."""
+    runs = []
+    for t, term in enumerate(term_runs):
+        for entries in term:
+            _names, bounds, docs, fields, tokens = _stream([entries])
+            runs.append(scalar_posting_rows([f"t{t:02d}"], bounds, docs, fields, tokens, run_cf))
     allruns = pa.concat_tables(runs)
-    perm = data.draw(st.permutations(range(allruns.num_rows)))
-    allruns = allruns.take(pa.array(perm, pa.int64()))
-    allruns = allruns.take(pc.sort_indices(allruns, sort_keys=[("term", "ascending")]))
+    perm = np.random.default_rng(seed).permutation(allruns.num_rows)
+    allruns = allruns.take(pa.array(perm))
+    return allruns.take(pc.sort_indices(allruns, sort_keys=[("term", "ascending")]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_term_runs(), st.sampled_from([1, 2, 3, 4, 8, 64, 1 << 16]),
+       st.sampled_from([8, 1 << 16]), st.integers(0, 2**32 - 1))
+# disjoint runs whose doc gap varint is narrower than the absolute id
+# it replaces (ids 127/128 and 16383/16384 change the byte width)
+@example([[[(100, 1, 2, 1)], [(127, 1, 1, 5)], [(128, 1, 3, 2)],
+           [(16383, 1, 1, 1)], [(16384, 1, 2, 7)], [(2**21, 1, 1, 1)]]], 1 << 16, 1 << 16, 0)
+# multi-field disjoint runs, next to a term whose runs overlap
+@example([[[(1, 1, 2, 1), (1, 2, 1, 4)], [(3, 2, 2, 1), (3, 3, 1, 1)], [(7, 1, 1, 1)]],
+          [[(2, 1, 1, 1), (2, 2, 1, 1)], [(2, 3, 2, 1)]]], 64, 1 << 16, 1)
+# a run of several blocks of one segment (encoded at block_cf 8) plus
+# a later run, merged into one block
+@example([[[(d, 1, 3, 1) for d in range(1, 11)], [(200, 2, 1, 1)]]], 1 << 16, 8, 2)
+def test_merge_matches_scalar_oracle(term_runs, block_cf, run_cf, seed):
+    allruns = _shuffled_runs(term_runs, run_cf, seed)
     got = merge_runs_batch(allruns, block_cf=block_cf)
     assert got.equals(_canon(got))  # already (term, first_doc, block_id)-sorted
     assert _canon(got).equals(_canon(scalar_merge_runs_batch(allruns, block_cf)))
+
+
+def test_disjoint_runs_merge_without_reencoding(monkeypatch):
+    """Doc-disjoint fragmented runs splice their bytes: the merge calls
+    the encoder zero times.  Runs that overlap at a boundary doc still
+    decode and re-encode."""
+    import fulltextsearch_ray.stages.invert as invert
+
+    calls = []
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return encode_posting_rows(*args, **kw)
+
+    monkeypatch.setattr(invert, "encode_posting_rows", counting)
+    disjoint = _shuffled_runs(
+        [[[(1, 1, 2, 1)], [(5, 1, 1, 1), (5, 2, 2, 4)], [(300, 1, 1, 1)]],
+         [[(2, 1, 1, 1)], [(9, 3, 1, 1)]]], 1 << 16, 0,
+    )
+    merged = merge_runs_batch(disjoint, block_cf=1 << 16)
+    assert not calls
+    assert merged.num_rows == 2
+    assert _canon(merged).equals(_canon(scalar_merge_runs_batch(disjoint, 1 << 16)))
+    overlapping = _shuffled_runs([[[(1, 1, 2, 1)], [(1, 2, 1, 1)]]], 1 << 16, 0)
+    merge_runs_batch(overlapping, block_cf=1 << 16)
+    assert len(calls) == 1
