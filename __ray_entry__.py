@@ -232,16 +232,22 @@ CACHE_ROOT = os.path.join("/tmp", "ftsray_cache")
 
 def _cache_dir(kind: str, sf_dir: str, fingerprint: str) -> str:
     """The ``kind`` cache entry of ``sf_dir`` at ``fingerprint``, named
-    ``<kind>-<sf dir hash>-<fingerprint hash>``.  The same kind's
-    entries of this sf dir under any other fingerprint are removed: a
-    format bump or a regenerated input leaves them unreachable.  Another
-    sf dir's entries are never touched."""
+    ``<kind>-<sf dir hash>-<fingerprint hash>`` (10 hex digits each).
+    The same kind's entries of this sf dir under any other fingerprint
+    are removed: a format bump or a regenerated input leaves them
+    unreachable.  So is any ``<kind>-*`` entry not of that shape, named
+    by an older scheme that no lookup reaches.  Another sf dir's
+    current entries are never touched."""
+    import re
+
     key = hashlib.md5(os.path.abspath(sf_dir).encode()).hexdigest()[:10]
     entry = os.path.join(
         CACHE_ROOT, f"{kind}-{key}-{hashlib.md5(fingerprint.encode()).hexdigest()[:10]}"
     )
-    for stale in glob.glob(os.path.join(CACHE_ROOT, f"{kind}-{key}-*")):
-        if stale != entry:
+    current = re.compile(re.escape(kind) + r"-[0-9a-f]{10}-[0-9a-f]{10}")
+    for stale in glob.glob(os.path.join(CACHE_ROOT, f"{kind}-*")):
+        name = os.path.basename(stale)
+        if stale != entry and (name.startswith(f"{kind}-{key}-") or not current.fullmatch(name)):
             shutil.rmtree(stale, ignore_errors=True)
     return entry
 

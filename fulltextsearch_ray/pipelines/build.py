@@ -5,7 +5,9 @@ Parquet-path fast shape (ONE streaming corpus pass, no pre-shuffle):
     file items (sorted listing + footer row counts → positional ids)
       → map_batches(read_invert_batches_fn, file-bundled task pool)
           # read file → tokenize → local invert into compressed runs
-          # + fused doc-stats sentinel rows (doc_len, sha256)
+          # + fused doc-stats sentinel rows (doc_len, sha256); each
+          # invert call also writes its docs_meta (meta_cols) and
+          # forward (store_forward) file: the ONE corpus read
       → term_partitions(merge_runs_batch                # THE shuffle
                         + write_postings_partition)
           # per partition (ONE, in-process, for runs within
@@ -33,14 +35,16 @@ checkpoints: re-running a multi-segment build skips any segment whose
 manifest validates (resume unit = segment).
 
 A segment is its catalog, payload blobs and docs table, one file of
-each per partition.  Catalog files hold disjoint term ranges, so
-together they are the term-sorted catalog.  Sentinel keys are
-zero-padded doc ids, so on the parquet path docs files hold disjoint
-doc ranges (on the dataset path they may overlap; the searcher's docs
-tables serve overlapping files).  The segment commit reads no blob,
-catalog or docs rows back: the manifest's counters are sums over the
-rows the tasks return (over the input manifests, for a compaction's
-docs).
+each per partition, plus the optional ``docs_meta`` and ``forward``
+tables, one file per invert call.  Catalog files hold disjoint term
+ranges, so together they are the term-sorted catalog.  Sentinel keys
+are zero-padded doc ids, so on the parquet path docs files hold
+disjoint doc ranges (on the dataset path they may overlap, and so may
+the docs_meta and forward files; the searcher serves overlapping
+files).  The segment commit reads no blob, catalog or docs rows back:
+the manifest's counters are sums over the rows the tasks return (over
+the input manifests, for a compaction's docs).  Compaction merges the
+three doc-keyed tables by one rule (:func:`_merge_doc_table`).
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..sources.corpus import normalize_corpus, sha256_hex
+from ..sources.corpus import normalize_corpus
 from ..stages.invert import (
     DEFAULT_BLOCK_CF,
     invert_batch_fn,
@@ -77,14 +81,12 @@ from ..state.index import (
     segment_dir,
     segment_is_complete,
 )
-from ..tokenizer import token_counts
 
 
 def compact_index(
     index_dir: str,
     *,
     block_cf: int = DEFAULT_BLOCK_CF,
-    store_copy_file_budget: int = 256,
 ) -> IndexMeta:
     """Merge ALL segments into one — the batch analog of collapsing the
     reference's per-session posting-list chains
@@ -93,15 +95,17 @@ def compact_index(
     Re-shuffles the (already compressed) posting rows of every segment
     by term, merges runs, rewrites one segment, then swaps meta
     atomically.  Query results are identical before/after (the chain
-    merge the searcher did at query time is now materialized).
+    merge the searcher did at query time is now materialized).  The
+    doc-keyed tables (``docs``, ``docs_meta``, ``forward``) merge by
+    one rule, :func:`_merge_doc_table`: within ``common.GATHER_BYTES``
+    a driver concat and sort, past it a Ray sort, one output per
+    schema group.
 
     This is also the one migration path: it reads an index of any
     older format (which every other reader refuses, see
     :mod:`~..state.index`) and writes it in :data:`FORMAT_VERSION`,
     even when it has only one segment.
     """
-    import pyarrow.parquet as pq
-
     meta = _read_meta(index_dir)
     older = meta.version != FORMAT_VERSION
     # Sweep segment dirs that meta does not reference: a crash between
@@ -153,107 +157,16 @@ def compact_index(
         max_doc_id=max((m.max_doc_id for m in with_docs), default=0),
     )
 
-    # docs table: merge of per-segment docs (ids are disjoint), under
-    # the group stages' size rule: while the input files' uncompressed
-    # bytes (footer ``total_byte_size``) fit ``common.GATHER_BYTES``
-    # they concat on the driver; past it the merge streams through Ray
-    # (read → sort(doc_id) → partitioned write).
-    from ..functions import common
+    # the doc-keyed tables: ids are disjoint across segments, so a merge
+    # of their rows keeps every row (without it, compaction destroyed
+    # highlight-from-store and per-doc metadata)
+    from ..stages.forward import FORWARD_ROW_GROUP
 
-    docs_dirs = [os.path.join(segment_dir(index_dir, s), "docs") for s in old_segments]
-    doc_files = [f for d in docs_dirs for f in _parquet_files(d)]
-    os.makedirs(os.path.join(seg_path, "docs"), exist_ok=True)
-    # Sessions may disagree on the docs schema (older builds stored
-    # meta columns directly in docs; current ones use docs_meta) — a
-    # plain concat/union raises ArrowInvalid and the index could never
-    # be compacted.  Unify permissively: missing columns fill with
-    # null, which is exactly the searcher's extra-docs-columns
-    # metadata fallback semantics for docs that lack a value.
-    footers = [pq.ParquetFile(f) for f in doc_files]
-    docs_bytes = sum(
-        pf.metadata.row_group(g).total_byte_size
-        for pf in footers for g in range(pf.metadata.num_row_groups)
-    )
-    if docs_bytes > common.GATHER_BYTES:
-        by_docs_schema: dict[str, list[str]] = {}
-        for f, pf in zip(doc_files, footers):
-            by_docs_schema.setdefault(str(pf.schema_arrow), []).append(f)
-        if len(by_docs_schema) == 1:
-            ds_docs = ray.data.read_parquet(doc_files)
-        else:
-            uni = pa.unify_schemas(
-                [pq.ParquetFile(fs[0]).schema_arrow for fs in by_docs_schema.values()],
-                promote_options="permissive",
-            )
-
-            def conform(b: pa.Table, _u=uni) -> pa.Table:
-                cols = []
-                for fld in _u:
-                    if fld.name in b.column_names:
-                        cols.append(b[fld.name].cast(fld.type))
-                    else:
-                        cols.append(pa.nulls(b.num_rows, fld.type))
-                return pa.table(dict(zip(_u.names, cols)))
-
-            parts = [
-                ray.data.read_parquet(fs).map_batches(conform, batch_format="pyarrow")
-                for fs in by_docs_schema.values()
-            ]
-            ds_docs = parts[0] if len(parts) == 1 else parts[0].union(*parts[1:])
-        ds_docs.sort("doc_id").write_parquet(os.path.join(seg_path, "docs"))
-    else:
-        docs = pa.concat_tables(
-            (pq.read_table(d) for d in docs_dirs), promote_options="permissive"
-        )
-        docs = docs.take(pa.array(np.argsort(docs["doc_id"].to_numpy(zero_copy_only=False))))
-        pq.write_table(docs, os.path.join(seg_path, "docs", "part-0.parquet"))
-
-    # carry the forward store and docs_meta tables into the compact
-    # segment (they are doc-keyed, ids are disjoint across segments —
-    # a file merge preserves every row); without this, compaction
-    # destroyed highlight-from-store and per-doc metadata.  Below
-    # ``store_copy_file_budget`` files the merge is a driver copy loop
-    # (cheap, schema-agnostic); past it the store REWRITES through Ray
-    # (read → sort(doc_id) → partitioned write) so a many-thousand-file
-    # segment set never runs a per-file driver loop.  Forward files of
-    # an older format may lack field_id: both paths conform them.
-    for sub in ("forward", "docs_meta"):
-        src_files: list[tuple[str, str]] = []
-        for s in old_segments:
-            src = os.path.join(segment_dir(index_dir, s), sub)
-            src_files.extend((s, f) for f in _parquet_files(src))
-        if not src_files:
-            continue
-        dst = os.path.join(seg_path, sub)
-        os.makedirs(dst, exist_ok=True)
-        if len(src_files) <= store_copy_file_budget:
-            for s, f in src_files:
-                out = os.path.join(dst, f"{s}-{os.path.basename(f)}")
-                if sub == "forward" and older:
-                    pq.write_table(_conform_forward(pq.read_table(f)), out)
-                else:
-                    shutil.copy2(f, out)
-            continue
-        # STREAMING REWRITE: group by file schema (sessions may differ —
-        # older forward stores lack field_id; docs_meta columns vary)
-        by_schema: dict[str, list[str]] = {}
-        for _s, f in src_files:
-            by_schema.setdefault(str(pq.ParquetFile(f).schema_arrow), []).append(f)
-        if sub == "forward":
-            parts = [
-                ray.data.read_parquet(files).map_batches(_conform_forward, batch_format="pyarrow")
-                for files in by_schema.values()
-            ]
-            # one schema after normalization → ONE global sort: output
-            # file doc ranges stay disjoint for the range catalog
-            ds_all = parts[0] if len(parts) == 1 else parts[0].union(*parts[1:])
-            ds_all.sort("doc_id").write_parquet(dst)
-        else:
-            # docs_meta has no range catalog (directory filter reads):
-            # each schema group rewrites independently, mirroring the
-            # copy path's mixed-schema directory layout exactly
-            for files in by_schema.values():
-                ray.data.read_parquet(files).sort("doc_id").write_parquet(dst)
+    for sub, conform, row_group in (("docs", None, None), ("docs_meta", None, None),
+                                    ("forward", _conform_forward, FORWARD_ROW_GROUP)):
+        files = [f for seg in old_segments
+                 for f in _parquet_files(os.path.join(segment_dir(index_dir, seg), sub))]
+        _merge_doc_table(files, os.path.join(seg_path, sub), conform, row_group)
     forward_ranges = _scan_doc_ranges(os.path.join(seg_path, "forward"), seg_path)
 
     _write_catalog_and_manifest(
@@ -271,6 +184,42 @@ def compact_index(
     for s in old_segments:
         shutil.rmtree(segment_dir(index_dir, s), ignore_errors=True)
     return meta
+
+
+def _merge_doc_table(files: list[str], dst: str, conform=None, row_group_size=None) -> None:
+    """Merge the doc-keyed parquet ``files`` (``docs``, ``docs_meta`` or
+    ``forward`` rows of disjoint doc ids) into ``dst``, one doc_id-sorted
+    output per schema group: sessions may disagree on a table's schema
+    (``docs_meta`` columns vary; older ``docs`` carried meta columns),
+    and the searcher reads a table per file.  ``conform`` maps a table
+    of an older layout onto the current one before grouping.  A group
+    whose footer ``total_byte_size`` fits ``common.GATHER_BYTES`` is
+    concatenated and sorted in the driver into one file; past it, it
+    streams through Ray (read → sort(doc_id) → write)."""
+    import pyarrow.parquet as pq
+
+    from ..functions import common
+
+    conform = conform or (lambda t: t)
+    groups: dict[str, list[str]] = {}
+    sizes: dict[str, int] = {}
+    for f in files:
+        md = pq.ParquetFile(f).metadata
+        key = str(conform(md.schema.to_arrow_schema().empty_table()).schema.remove_metadata())
+        groups.setdefault(key, []).append(f)
+        sizes[key] = sizes.get(key, 0) + sum(
+            md.row_group(g).total_byte_size for g in range(md.num_row_groups)
+        )
+    if groups:
+        os.makedirs(dst, exist_ok=True)
+    for i, (key, fs) in enumerate(groups.items()):
+        if sizes[key] <= common.GATHER_BYTES:
+            t = pa.concat_tables(conform(pq.read_table(f)) for f in fs).sort_by("doc_id")
+            pq.write_table(t, os.path.join(dst, f"part-{i}.parquet"), row_group_size=row_group_size)
+        else:
+            ray.data.read_parquet(fs).map_batches(conform, batch_format="pyarrow").sort(
+                "doc_id"
+            ).write_parquet(dst, row_group_size=row_group_size)
 
 
 def _conform_forward(b: pa.Table) -> pa.Table:
@@ -673,77 +622,12 @@ def _write_catalog_and_manifest(
     return manifest
 
 
-class DocStatsStage:
-    """Per-doc stats batch stage: doc_len (token count) + sha256(content).
-
-    The sha256 column is the per-row invariant the baseline requires
-    (BASELINE.json ``input_hint``): it must equal a recomputation from
-    the original input table.  With ``text_cols`` (compound documents)
-    doc_len sums the per-field counts and sha256 hashes the
-    '\x1f'-joined fields — the SAME semantics as the fused invert
-    sentinel (``InvertStage._docstats_table``), so docs_meta and docs
-    agree; a prior version always read ``text_col``, which crashed (or
-    silently hashed the wrong column) on multi-field builds.
-    """
-
-    def __init__(
-        self,
-        text_col: str,
-        meta_cols: tuple[str, ...] = (),
-        text_cols: "list[str] | None" = None,
-    ):
-        from ..stages.invert import _warm_heap
-
-        self.text_col = text_col
-        self.meta_cols = meta_cols
-        self.text_cols = list(text_cols) if text_cols else None
-        _warm_heap()
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..stages.invert import canonical_doc_texts
-
-        texts = canonical_doc_texts(batch, self.text_col, self.text_cols)
-        if self.text_cols:
-            lens = sum(
-                (np.asarray(token_counts(batch[c]), dtype=np.int64) for c in self.text_cols),
-                np.zeros(batch.num_rows, dtype=np.int64),
-            )
-        else:
-            lens = token_counts(batch[self.text_col])
-        out = {
-            "doc_id": batch["doc_id"],
-            "doc_len": pa.array(np.asarray(lens, dtype=np.int64), type=pa.int64()),
-            "sha256": pa.array(sha256_hex(texts), type=pa.string()),
-        }
-        for c in self.meta_cols:
-            out[c] = batch[c]
-        return pa.table(out)
-
-
-def _doc_stats_batch_fn(
-    batch: pa.Table, *, text_col: str, meta_cols: tuple, text_cols=None
-) -> pa.Table:
-    """Task-pool entry for :class:`DocStatsStage` — construction is
-    config-only, so tasks beat an actor pool (see
-    stages/invert.py:invert_batch_fn)."""
-    return DocStatsStage(text_col, meta_cols, text_cols)(batch)
-
-
-def _forward_file_batch_fn(batch: pa.Table, *, text_col: str, text_cols):
-    """Task-pool entry for ForwardFileStage (generator) — same
-    task-over-actor rationale as invert_batch_fn."""
-    from ..stages.forward import ForwardFileStage
-
-    yield from ForwardFileStage(text_col=text_col, text_cols=text_cols)(batch)
-
-
-def read_invert_runs(
-    path: str, *, start_id: int, text_col: str, text_cols, columns: list[str], block_cf: int,
-) -> "tuple[ray.data.Dataset, ray.data.Dataset]":
+def read_invert_runs(path: str, *, start_id: int, **stage_kw) -> "tuple[ray.data.Dataset, ray.data.Dataset]":
     """``(runs, file items)`` of the parquet corpus at ``path`` with
     positional doc ids from ``start_id``: the fused read + tokenize +
-    local invert (+ doc-stats sentinel rows) of
-    :class:`~..stages.invert.ReadInvertStage`, the posting runs that
+    local invert (+ doc-stats sentinel rows, and the doc tables a
+    ``seg_path`` asks for) of :class:`~..stages.invert.ReadInvertStage`,
+    built from ``stage_kw``, the posting runs that
     :func:`term_partitions` shuffles.
 
     File items are 1-row blocks, so ``batch_size`` counts FILES: a task
@@ -760,7 +644,7 @@ def read_invert_runs(
     pool = max(2, int(ray.cluster_resources().get("CPU", 8)))
     runs = items.map_batches(
         read_invert_batches_fn,
-        fn_kwargs=dict(text_col=text_col, text_cols=text_cols, columns=columns, block_cf=block_cf),
+        fn_kwargs=stage_kw,
         batch_format="pyarrow",
         batch_size=max(1, n_files // (pool * 4)),
     )
@@ -809,103 +693,36 @@ def build_index(
         shutil.rmtree(seg_path)  # incomplete previous attempt
     os.makedirs(seg_path, exist_ok=True)
 
-    ds = None
-    runs = None
+    # ONE corpus pass: each invert call tokenizes its batch into posting
+    # runs and a doc-stats sentinel row, and writes the batch's
+    # docs_meta and forward files; then term shuffle → merge → write
+    # (blobs, catalog, docs)
+    stage_kw = dict(
+        text_col=text_col, text_cols=text_cols, block_cf=block_cf,
+        seg_path=seg_path, meta_cols=tuple(meta_cols), store_forward=store_forward,
+    )
     input_lineage = None
     if isinstance(source, str):
-        cols = sorted({*(text_cols or [text_col]), *(meta_cols or ()), *([doc_id_col] if doc_id_col else []), *(id_cols or [])})
-        if doc_id_col is None and id_cols is None:
-            # positional deterministic ids straight from the parquet
-            # layout: fused read+invert, no shuffle before the term sort
-            runs, items = read_invert_runs(
-                source, start_id=meta.next_doc_id, text_col=text_col, text_cols=text_cols,
-                columns=cols, block_cf=block_cf,
-            )
-            # (the file list already lives on the driver — from_items —
-            # so this gather adds nothing; the CAP bounds what the
-            # manifest persists)
-            input_lineage = cap_lineage(
-                [r["file"] for r in items.take_all()], lineage_budget
-            )
-        else:
-            src = ray.data.read_parquet(source, columns=cols)
-            ds = normalize_corpus(src, text_col, doc_id_col=doc_id_col, id_cols=id_cols, start_id=meta.next_doc_id)
+        cols = sorted({*(text_cols or [text_col]), *meta_cols, *([doc_id_col] if doc_id_col else []), *(id_cols or [])})
+    if isinstance(source, str) and doc_id_col is None and id_cols is None:
+        # positional deterministic ids straight from the parquet
+        # layout: fused read+invert, no shuffle before the term sort
+        runs, items = read_invert_runs(source, start_id=meta.next_doc_id, columns=cols, **stage_kw)
+        # (the file list already lives on the driver — from_items —
+        # so this gather adds nothing; the CAP bounds what the
+        # manifest persists)
+        input_lineage = cap_lineage([r["file"] for r in items.take_all()], lineage_budget)
     else:
-        ds = normalize_corpus(source, text_col, doc_id_col=doc_id_col, id_cols=id_cols, start_id=meta.next_doc_id)
-
-    if meta_cols:
-        # metadata projection pass (only when extra doc columns are
-        # requested — the common path fuses doc stats into the invert).
-        # STREAMING: no corpus materialize — the invert below simply
-        # re-executes the (lazy, deterministic) normalize graph rather
-        # than pinning the whole corpus in the object store; ids are
-        # reproducible across executions (doc_id_col passes through,
-        # assign_doc_ids is rank-of-unique-key and materializes only
-        # its own keyed intermediate once).  On the positional fast
-        # path (ds is None) the pass reads the corpus with the SAME
-        # positional ids — meta_cols used to be silently dropped there.
-        if ds is not None:
-            meta_src = ds
-        else:
-            from ..sources.corpus import read_corpus_with_ids
-
-            meta_src = read_corpus_with_ids(
-                source, columns=cols, start_id=meta.next_doc_id
-            )
-        docs_ds = meta_src.map_batches(
-            _doc_stats_batch_fn,
-            fn_kwargs=dict(
-                text_col=text_col, meta_cols=meta_cols, text_cols=text_cols
-            ),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-        )
-        docs_ds.write_parquet(os.path.join(seg_path, "docs_meta"))
-
-    # --- single corpus pass: tokenize → local invert → fused doc
-    # stats sentinel rows → term shuffle → merge → write (blobs,
-    # catalog, docs) ---
-    if runs is None:
+        src = ray.data.read_parquet(source, columns=cols) if isinstance(source, str) else source
+        ds = normalize_corpus(src, text_col, doc_id_col=doc_id_col, id_cols=id_cols, start_id=meta.next_doc_id)
         runs = ds.map_batches(
             invert_batch_fn,
-            fn_kwargs=dict(
-                text_col=text_col, text_cols=text_cols, doc_id_col="doc_id",
-                block_cf=block_cf, emit_docstats=True,
-            ),
+            fn_kwargs=dict(stage_kw, doc_id_col="doc_id", emit_docstats=True),
             batch_format="pyarrow",
             batch_size=batch_size,
         )
     _max_field, counters = _write_postings(runs, seg_path, block_cf)
-
-    # --- optional forward store: per-doc token char spans, so highlight
-    # at query time slices text directly instead of re-tokenizing
-    # (the reference's persisted-positions model, PersistentBuilder.cs)
-    forward_ranges: list = []
-    if store_forward:
-        from ..stages.forward import forward_batch
-
-        fwd_dir = os.path.join(seg_path, "forward")
-        if ds is None:
-            from ..sources.corpus import corpus_file_items
-
-            f_items, _ = corpus_file_items(source, start_id=meta.next_doc_id)
-            fwd = f_items.map_batches(
-                _forward_file_batch_fn,
-                fn_kwargs={"text_col": text_col, "text_cols": text_cols},
-                batch_format="pyarrow",
-                batch_size=1,
-            )
-        else:
-            # sort: custom doc_id_col batches can arrive in any order,
-            # and the forward range catalog's bounded walk-left assumes
-            # sorted near-disjoint per-file doc ranges (an unsorted
-            # write made stored docs unreachable)
-            fwd = ds.map_batches(
-                lambda b: forward_batch(b, text_col, text_cols), batch_format="pyarrow",
-                batch_size=batch_size,
-            ).sort("doc_id")
-        fwd.write_parquet(fwd_dir, row_group_size=2048)
-        forward_ranges = _scan_doc_ranges(fwd_dir, seg_path)
+    forward_ranges = _scan_doc_ranges(os.path.join(seg_path, "forward"), seg_path)
 
     if input_lineage is not None:
         lineage = input_lineage

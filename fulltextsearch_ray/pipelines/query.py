@@ -30,6 +30,7 @@ an actor-pool ``map_batches`` class: the index loads once per actor
 
 from __future__ import annotations
 
+import itertools
 import logging
 import os
 from collections import OrderedDict
@@ -217,6 +218,45 @@ class PostingMemoryReader(PostingFileReader):
         return blob[offset : offset + length]
 
 
+def _stab(mins: list, maxs: list, cummax: list, key) -> list[int]:
+    """Indices, ascending, of the ranges ``[mins[j], maxs[j]]`` (sorted
+    by min) that contain ``key``.  Ranges may overlap arbitrarily, so
+    the walk left from the bisect hit goes on while the prefix max
+    ``cummax[j]`` of ``maxs`` still reaches the key: a narrow range
+    after a wide one must not end it."""
+    import bisect
+
+    out = []
+    j = bisect.bisect_right(mins, key) - 1
+    while j >= 0 and cummax[j] >= key:
+        if maxs[j] >= key:
+            out.append(j)
+        j -= 1
+    out.reverse()
+    return out
+
+
+def _file_ranges(rows: list, base: str) -> tuple[list[int], list[int], list[str]]:
+    """``(mins, maxs, paths)`` of ``[relpath, min_doc, max_doc]`` rows
+    sorted by min (the manifest's ``forward_ranges`` shape), paths
+    under ``base``."""
+    return ([int(r[1]) for r in rows], [int(r[2]) for r in rows],
+            [os.path.join(base, r[0]) for r in rows])
+
+
+def _files_by_range(ranges: tuple, ids) -> dict[str, list[int]]:
+    """``ids`` grouped by every file whose doc range holds them;
+    ``ranges`` is ``(mins, maxs, paths)``, one entry per file, sorted by
+    min, and the ranges may overlap (:func:`_stab`)."""
+    mins, maxs, paths = ranges
+    cummax = list(itertools.accumulate(maxs, max))
+    out: dict[str, list[int]] = {}
+    for d in ids:
+        for j in _stab(mins, maxs, cummax, d):
+            out.setdefault(paths[j], []).append(d)
+    return out
+
+
 class LazyRowGroupTable:
     """Row-group-paged access to a sorted parquet table (catalog or
     docs): only [key_min, key_max] per row group is held in memory;
@@ -251,14 +291,8 @@ class LazyRowGroupTable:
         self._mins = [r[0] for r in self.runs]
         self._maxs = [r[1] for r in self.runs]
         # running max of maxs: runs from DIFFERENT segments may overlap
-        # arbitrarily (multi-session custom doc ids), so a stab query
-        # cannot stop at the first run whose max < key — it stops where
-        # the PREFIX max drops below the key
-        self._cummax = []
-        cur = None
-        for m in self._maxs:
-            cur = m if cur is None or m > cur else cur
-            self._cummax.append(cur)
+        # arbitrarily (multi-session custom doc ids), see _stab
+        self._cummax = list(itertools.accumulate(self._maxs, max))
         self._cache: OrderedDict[tuple, pa.Table] = OrderedDict()
         self._cache_groups = cache_groups
 
@@ -281,20 +315,8 @@ class LazyRowGroupTable:
 
     def covering(self, key) -> list[int]:
         """Row-group indices whose [min, max] contains ``key`` —
-        correct for OVERLAPPING runs (walk back while the prefix max
-        still reaches the key; a narrow run after a wide one must not
-        end the scan)."""
-        import bisect
-
-        hi = bisect.bisect_right(self._mins, key)
-        out = []
-        j = hi - 1
-        while j >= 0 and self._cummax[j] >= key:
-            if self._maxs[j] >= key:
-                out.append(j)
-            j -= 1
-        out.reverse()
-        return out
+        correct for OVERLAPPING runs (:func:`_stab`)."""
+        return _stab(self._mins, self._maxs, self._cummax, key)
 
     def range_indices(self, lo, hi=None) -> list[int]:
         """Row groups intersecting [lo, hi) (hi=None → to the end)."""
@@ -403,11 +425,7 @@ class IndexSearcher:
         )
         for seg, man in manifests.items():
             if man.forward_ranges:
-                self._fwd_ranges[seg] = (
-                    [int(r[1]) for r in man.forward_ranges],
-                    [int(r[2]) for r in man.forward_ranges],
-                    [os.path.join(segment_dir(index_dir, seg), r[0]) for r in man.forward_ranges],
-                )
+                self._fwd_ranges[seg] = _file_ranges(man.forward_ranges, segment_dir(index_dir, seg))
 
         # opt-in FST term dictionary (reference PersistentDictionaryFst;
         # parquet catalog stays the default — SURVEY §1.5): pattern
@@ -524,6 +542,8 @@ class IndexSearcher:
             o = np.argsort(ids, kind="stable")
             self._dl_docs, self._dl_lens = ids[o], lens[o]
         self._fwd_ranges: dict[str, tuple[list[int], list[int], list[str]]] = {}
+        # (segment, docs_meta | docs) → the same, scanned on first use
+        self._meta_ranges: dict[tuple[str, str], tuple[list[int], list[int], list[str]]] = {}
         # posting caches (state/caches.py): full positions for the
         # phrase/boolean paths, sized apart from the BM25 (docs, tfs) one
         self._cache = make_cache(cache_policy, cache_postings)
@@ -819,29 +839,19 @@ class IndexSearcher:
         """(doc_id, field_id) → (token char offsets, lengths) from the
         forward store — the reference's per-(doc, field) PosIndex
         surface (65-bit ``P`` keys, ``PersistentIndex.cs:145-151``).
-        Point lookups: ids are grouped by covering file (binary search
-        on the per-file doc ranges) and each file is read ONCE with a
-        doc_id filter — non-matching documents are never read, and
-        nothing is tokenized."""
-        import bisect
-
+        Point lookups: ids are grouped by covering file (a stab of the
+        per-file doc ranges, :func:`_stab`) and each file is read ONCE
+        with a doc_id filter — non-matching documents are never read,
+        and nothing is tokenized.  Every file whose range holds a doc is
+        read: a build's files may overlap (dataset-path batches arrive
+        in any doc order), and a Ray compaction may split one doc's
+        field rows across two adjacent files."""
         if not self._fwd_ranges:
             raise ValueError("index was built without store_forward=True")
         wanted = sorted({int(d) for d in doc_ids})
         by_file: dict[str, list[int]] = {}
-        for seg, (mins, maxs, paths) in self._fwd_ranges.items():
-            for d in wanted:
-                # Walk LEFT from the bisect hit while earlier files'
-                # ranges still cover d: a streaming compaction rewrite
-                # (Ray sort → write) may split one doc's field rows
-                # across two adjacent range files (file A ends at doc d,
-                # file B starts at it) — every covering file must be
-                # read.  Fresh builds keep docs whole per file, so the
-                # walk stops after one step there.
-                j = bisect.bisect_right(mins, d) - 1
-                while j >= 0 and maxs[j] >= d:
-                    by_file.setdefault(paths[j], []).append(d)
-                    j -= 1
+        for ranges in self._fwd_ranges.values():
+            by_file.update(_files_by_range(ranges, wanted))
         out: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
         for path, ids in by_file.items():
             t = pq.read_table(path, filters=[("doc_id", "in", ids)])
@@ -871,9 +881,12 @@ class IndexSearcher:
         """doc_id → metadata dict (every stored doc column beyond the
         core doc_len/sha256) — the reference's fetch-metadata-by-doc-id
         surface (``IMetadataStorage.cs:3-8``, ``Program.cs:332-341``).
-        Point lookups with a doc_id filter; prefers the richer
-        ``docs_meta`` table (written when the index was built with
-        ``meta_cols``), falling back to extra columns in ``docs``."""
+        Point lookups with a doc_id filter, in the files whose footer
+        doc range holds an id (read once per searcher); prefers the
+        richer ``docs_meta`` table (written when the index was built
+        with ``meta_cols``), falling back to extra columns in ``docs``."""
+        from .build import _scan_doc_ranges
+
         wanted = sorted({int(d) for d in doc_ids})
         out: dict[int, dict] = {}
         core = {"doc_id", "doc_len", "sha256"}
@@ -887,9 +900,10 @@ class IndexSearcher:
                 remaining = [w for w in wanted if w not in out]
                 if not remaining:
                     break
-                d = os.path.join(base, sub)
-                if not os.path.isdir(d):
-                    continue
+                if (seg, sub) not in self._meta_ranges:
+                    self._meta_ranges[seg, sub] = _file_ranges(
+                        _scan_doc_ranges(os.path.join(base, sub), base), base
+                    )
                 # read per FILE, not per directory: a compacted segment
                 # mixes files of DIFFERENT schemas in one docs_meta dir
                 # (meta and meta-less source sessions), and a directory
@@ -897,20 +911,11 @@ class IndexSearcher:
                 # columns present only in later files were silently
                 # dropped.  Rows are doc-keyed and disjoint across
                 # files, so per-file dicts merge losslessly.
-                import glob as _glob
-
-                for f in sorted(
-                    _glob.glob(os.path.join(d, "**", "*.parquet"), recursive=True)
-                ):
-                    if not remaining:
-                        break
-                    t = pq.read_table(f, filters=[("doc_id", "in", remaining)])
-                    if not t.num_rows:
-                        continue
+                for f, ids in _files_by_range(self._meta_ranges[seg, sub], remaining).items():
+                    t = pq.read_table(f, filters=[("doc_id", "in", ids)])
                     meta_cols = [c for c in t.column_names if c not in core]
                     for j, did in enumerate(t["doc_id"].to_pylist()):
                         out[int(did)] = {c: t[c][j].as_py() for c in meta_cols}
-                    remaining = [w for w in remaining if w not in out]
         return out
 
     def get_metadata(self, doc_id: int) -> dict:

@@ -11,10 +11,14 @@ char length) of each token, delta-friendly int32 list columns in doc
 order.  Query-time highlight then slices the original text directly —
 no tokenizer run, no scan of non-matching documents.
 
-Build cost is one extra corpus pass (opt-in ``store_forward=True``):
-span extraction needs the Python regex ``finditer`` (Arrow's split
+The spans are written by the invert call that tokenizes the batch
+(opt-in ``store_forward=True``, see ``stages/invert.py:InvertStage``),
+one file per call: the build reads the corpus once.  Span extraction
+still runs the Python regex ``finditer`` over each text (Arrow's split
 kernels do not expose match offsets), paid once at build instead of on
-every highlight.
+every highlight.  The files of one segment may hold overlapping doc
+ranges (dataset-path batches arrive in any doc order); the searcher
+reads every file whose range holds a doc.
 
 Known divergence (same family as the ones documented in
 ``tokenizer.py``): spans come from the Python regex over the RAW text
@@ -42,6 +46,9 @@ FORWARD_SCHEMA = pa.schema(
         ("lengths", pa.list_(pa.int32())),
     ]
 )
+
+# rows per forward-file row group: a point lookup reads one group
+FORWARD_ROW_GROUP = 2048
 
 
 def _spans(texts: list) -> tuple[list, list]:
@@ -95,25 +102,3 @@ def forward_batch(
         out = out.take(pa.array(order))
     return out
 
-
-class ForwardFileStage:
-    """Fused per-file stage for the parquet fast path: read one file,
-    assign positional doc ids, emit span rows (mirrors
-    ``ReadInvertStage``'s item protocol: 1-row batches of
-    ``{file, offset}``)."""
-
-    def __init__(self, text_col: str, chunk_rows: int = 2048, text_cols: "list[str] | None" = None):
-        self.text_col = text_col
-        self.text_cols = list(text_cols) if text_cols else None
-        self.chunk_rows = chunk_rows
-
-    def __call__(self, batch: pa.Table):
-        import pyarrow.parquet as pq
-
-        read_cols = self.text_cols or [self.text_col]
-        for f, off in zip(batch["file"].to_pylist(), batch["offset"].to_pylist()):
-            t = pq.read_table(f, columns=read_cols)
-            ids = pa.array(np.arange(off, off + t.num_rows, dtype=np.uint64), pa.uint64())
-            t = t.append_column("doc_id", ids)
-            for s in range(0, t.num_rows, self.chunk_rows):
-                yield forward_batch(t.slice(s, self.chunk_rows), self.text_col, self.text_cols)

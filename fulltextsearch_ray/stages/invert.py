@@ -295,10 +295,9 @@ def encode_docstats_row(doc_ids: np.ndarray, doc_lens: np.ndarray, shas: list[st
 def canonical_doc_texts(batch: pa.Table, text_col: str, text_cols) -> list[str]:
     """THE canonical per-doc text the sha256 invariant hashes: the
     '\\x1f'-join of ``text_cols`` (None → "") or the single
-    ``text_col``.  One definition shared by the fused invert sentinel
-    (InvertStage._docstats_table) and the standalone DocStatsStage —
-    the two must produce byte-identical hash inputs or docs and
-    docs_meta silently disagree (a prior fork did exactly that)."""
+    ``text_col``.  The invert hashes it once per doc for both the docs
+    sentinel and the ``docs_meta`` rows (:meth:`InvertStage._doc_tables`),
+    so the two tables cannot disagree."""
     if text_cols:
         cols = [batch[c].to_pylist() for c in text_cols]
         return ["\x1f".join(v or "" for v in row) for row in zip(*cols)]
@@ -340,6 +339,15 @@ class InvertStage:
     ``num_buckets`` is accepted and ignored: the ``bucket`` column only
     tells posting rows (0) from sentinel rows (-1), and the traced
     ingest benchmark's replay still passes the argument.
+
+    With ``seg_path``, each call also writes the batch's other
+    doc-keyed tables under that segment, from the same read and
+    tokenize: ``docs_meta/<stem>.parquet`` (doc_id, doc_len, sha256 and
+    ``meta_cols``; only with ``meta_cols``) and ``forward/<stem>.parquet``
+    (:func:`~.forward.forward_batch` spans; only with
+    ``store_forward``).  The stem is the batch's first doc id,
+    zero-padded as in the sentinel key, and the write is atomic, so a
+    retried call overwrites its own files.
     """
 
     def __init__(
@@ -351,6 +359,9 @@ class InvertStage:
         field_id: int = DEFAULT_FIELD_ID,
         emit_docstats: bool = False,
         text_cols: "list[str] | None" = None,
+        seg_path: "str | None" = None,
+        meta_cols: tuple = (),
+        store_forward: bool = False,
     ):
         # text_cols: compound documents — field ids 1..N assigned in
         # column order (the reference's AddCompound contract,
@@ -361,13 +372,44 @@ class InvertStage:
         self.block_cf = block_cf
         self.field_id = field_id
         self.emit_docstats = emit_docstats
+        self.seg_path = seg_path
+        self.meta_cols = tuple(meta_cols)
+        self.store_forward = store_forward
         _warm_heap()
 
-    def _docstats_table(self, batch: pa.Table, doc_ids: np.ndarray, counts: np.ndarray) -> pa.Table:
+    def _doc_tables(self, batch: pa.Table, doc_ids: np.ndarray, counts: np.ndarray):
+        """The batch's doc-stats sentinel row (None without
+        ``emit_docstats``), after writing its ``docs_meta`` and
+        ``forward`` files (see the class docstring)."""
         import hashlib
+        import os
 
-        texts = canonical_doc_texts(batch, self.text_col, self.text_cols)
-        shas = [hashlib.sha256(t.encode("utf-8")).hexdigest() for t in texts]
+        import pyarrow.parquet as pq
+
+        from ..state.payloads import atomic_write
+        from .forward import FORWARD_ROW_GROUP, forward_batch
+
+        shas = None
+        if self.emit_docstats or (self.seg_path and self.meta_cols):
+            texts = canonical_doc_texts(batch, self.text_col, self.text_cols)
+            shas = [hashlib.sha256(t.encode("utf-8")).hexdigest() for t in texts]
+        if self.seg_path and batch.num_rows:
+            stem = f"{int(doc_ids.min()):020d}.parquet"
+            if self.meta_cols:
+                meta = pa.table({
+                    "doc_id": pa.array(doc_ids, pa.uint64()),
+                    "doc_len": pa.array(counts, pa.int64()),
+                    "sha256": pa.array(shas, pa.string()),
+                    **{c: batch[c] for c in self.meta_cols},
+                }).sort_by("doc_id")
+                atomic_write(os.path.join(self.seg_path, "docs_meta", stem),
+                             lambda tmp: pq.write_table(meta, tmp))
+            if self.store_forward:
+                fwd = forward_batch(batch, self.text_col, self.text_cols).sort_by("doc_id")
+                atomic_write(os.path.join(self.seg_path, "forward", stem),
+                             lambda tmp: pq.write_table(fwd, tmp, row_group_size=FORWARD_ROW_GROUP))
+        if not self.emit_docstats:
+            return None
         row = encode_docstats_row(doc_ids, counts, shas, int(counts.sum()))
         return pa.table(
             {k: pa.array([row[k]], type=POSTINGS_SCHEMA.field(k).type) for k in POSTINGS_SCHEMA.names}
@@ -415,14 +457,12 @@ class InvertStage:
             )
         if self.text_cols:
             terms, occ_docs, occ_fields, occ_tokens, counts = self._tokenize_multi(batch, doc_ids)
-            stats = self._docstats_table(batch, doc_ids, counts) if self.emit_docstats else None
+            stats = self._doc_tables(batch, doc_ids, counts)
             if len(occ_docs) == 0:
                 return stats if stats is not None else POSTINGS_SCHEMA.empty_table()
             return self._invert_sorted(terms, occ_docs, occ_fields, occ_tokens, stats)
         tok = tokenize_batch(batch[self.text_col])
-        stats = (
-            self._docstats_table(batch, doc_ids, tok.counts) if self.emit_docstats else None
-        )
+        stats = self._doc_tables(batch, doc_ids, tok.counts)
         if len(tok.doc_index) == 0:
             return stats if stats is not None else POSTINGS_SCHEMA.empty_table()
 
@@ -486,7 +526,9 @@ class InvertStage:
 
 class ReadInvertStage:
     """Fused file-group stage: read parquet file items → positional doc
-    ids → tokenize → local invert (+ doc-stats sentinels).
+    ids → tokenize → local invert (+ doc-stats sentinels, and with
+    ``seg_path`` the ``docs_meta`` and ``forward`` files of each invert
+    call, see :class:`InvertStage`).
 
     Input batches are 1-row file items ``{file, offset}``; the build
     sets ``batch_size`` so several SMALL files bundle into one task.
@@ -507,10 +549,14 @@ class ReadInvertStage:
         block_cf: int = DEFAULT_BLOCK_CF,
         chunk_rows: int = 8192,
         text_cols: list[str] | None = None,
+        seg_path: str | None = None,
+        meta_cols: tuple = (),
+        store_forward: bool = False,
     ):
         self.inner = InvertStage(
             text_col=text_col, text_cols=text_cols, doc_id_col="doc_id",
             block_cf=block_cf, emit_docstats=True,
+            seg_path=seg_path, meta_cols=meta_cols, store_forward=store_forward,
         )
         self.columns = columns
         self.chunk_rows = chunk_rows

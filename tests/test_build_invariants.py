@@ -535,6 +535,46 @@ def test_sorted_shuffle_runs_its_input_once(ray_session, tmp_path, monkeypatch):
     assert IndexSearcher(idx).num_docs == n_blocks * 20
 
 
+@pytest.mark.parametrize("gather_bytes", [None, 1], ids=["in_process", "sort"])
+def test_stored_tables_read_the_input_once(ray_session, tmp_path, monkeypatch, gather_bytes):
+    """A dataset-path build that stores metadata and the forward store
+    executes each source block once: the invert call that tokenizes a
+    batch also writes its docs_meta and forward files.  Each execution
+    of a source block leaves its own marker file."""
+    import glob
+    import uuid
+
+    from fulltextsearch_ray.functions import common
+
+    marks = tmp_path / "marks"
+    marks.mkdir()
+
+    def mark(b: pa.Table) -> pa.Table:
+        (marks / f"{b['doc_id'][0].as_py()}-{uuid.uuid4().hex}").touch()
+        return b
+
+    blocks = [
+        pa.table({"doc_id": pa.array(range(j * 20 + 1, j * 20 + 21), pa.uint64()),
+                  "text": [f"w{i % 7} w{(i * j) % 5} shared" for i in range(20)],
+                  "lang": ["en", "de"] * 10})
+        for j in range(4)
+    ]
+    ds = ray.data.from_arrow(blocks).map_batches(mark, batch_format="pyarrow", batch_size=None)
+    if gather_bytes is not None:
+        monkeypatch.setattr(common, "GATHER_BYTES", gather_bytes)
+    idx = str(tmp_path / "idx")
+    build_index(ds, idx, doc_id_col="doc_id", batch_size=20, meta_cols=("lang",),
+                store_forward=True, overwrite=True)
+    firsts = sorted(int(p.name.split("-")[0]) for p in marks.iterdir())
+    assert firsts == [j * 20 + 1 for j in range(4)]
+    (seg,) = load_meta(idx).segments
+    for sub in ("docs_meta", "forward"):
+        assert len(glob.glob(os.path.join(segment_dir(idx, seg), sub, "*.parquet"))) == 4, sub
+    s = IndexSearcher(idx)
+    assert s.get_metadata(21) == {"lang": "en"} and s.get_metadata(80) == {"lang": "de"}
+    assert s.get_positions(80)[0] == [0, 3, 6]
+
+
 def test_compaction_equals_one_build(corpus_dir, tmp_path):
     """The chain-merge contract: two sessions over the halves of a
     corpus, compacted, hold the same postings (dump), catalog rows but

@@ -236,3 +236,51 @@ def test_positions_doc_straddling_two_range_files(fwd_index, tmp_path):
     # non-straddling docs resolve to exactly one file each
     per2 = s.get_positions_field_many([3, 7])
     assert per2[(3, 1)] == ([0], [3]) and per2[(7, 1)] == ([1], [2])
+
+    # a wide range before a narrow one (a build's files may overlap):
+    # doc 8 lies in [1, 9] only, left of the bisect hit [3, 5]
+    wide = str(tmp_path / "wide.parquet")
+    narrow = str(tmp_path / "narrow.parquet")
+    fwd_file(wide, [(1, 1, [0], [1]), (8, 1, [2, 6], [3, 4]), (9, 1, [5], [5])])
+    fwd_file(narrow, [(3, 1, [7], [7]), (5, 1, [4], [4])])
+    s._fwd_ranges = {"seg": ([1, 3], [9, 5], [wide, narrow])}
+    assert s.get_positions_many([8, 3]) == {8: ([2, 6], [3, 4]), 3: ([7], [7])}
+
+
+def test_overlapping_forward_files_from_unsorted_batches(ray_session, tmp_path):
+    """Dataset-path batches in descending doc order, each spanning the
+    whole id range: every forward file overlaps every other, and each
+    doc's stored spans still equal the tokenizer's, before and after a
+    compaction merges two such sessions."""
+    import ray.data
+
+    from fulltextsearch_ray.pipelines.build import compact_index
+
+    rng = np.random.default_rng(3)
+    vocab = ["alpha", "beta", "gamma", "delta", "Ω-mega", "x1"]
+
+    def session(lo, hi, k=4):
+        ids = list(range(hi - 1, lo - 1, -1))  # descending
+        blocks = [ids[j::k] for j in range(k)]
+        texts = {d: " ".join(rng.choice(vocab, size=int(rng.integers(0, 9)))) for d in ids}
+        tables = [pa.table({"doc_id": pa.array(b, pa.int64()),
+                            "text": [texts[d] for d in b]}) for b in blocks]
+        return ray.data.from_arrow(tables), texts, len(blocks[0])
+
+    idx = str(tmp_path / "idx")
+    texts = {}
+    for lo, hi in ((1, 41), (41, 101)):
+        ds, t, rows = session(lo, hi)
+        texts.update(t)
+        build_index(ds, idx, doc_id_col="doc_id", store_forward=True, batch_size=rows)
+
+    def expect(d):
+        toks = tokenize_with_positions(texts[d])
+        return [o for _t, o, _l in toks], [l for _t, _o, l in toks]
+
+    want = {d: expect(d) for d in texts}
+    before = IndexSearcher(idx)
+    assert len(before._fwd_ranges) == 2
+    assert before.get_positions_many(list(texts)) == want
+    compact_index(idx)
+    assert IndexSearcher(idx).get_positions_many(list(texts)) == want

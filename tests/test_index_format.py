@@ -8,10 +8,10 @@ forward store: a header of format 1 (what indexes written before the
 number was checked say), a header without a number, a header without
 ``num_fields``, manifests without footer stats, without ``block_cf`` or
 with the retired postings run-catalog keys, and a forward store without
-``field_id`` (migrated by the copy and the streaming store paths).  The
-pre-blob layout is covered in tests/test_posting_reader.py.  Also the
-writer guarantee the searcher relies on: manifest footer stats never
-miss a row group.
+``field_id`` (migrated by the driver and the Ray paths of the
+doc-keyed tables' merge).  The pre-blob layout is covered in
+tests/test_posting_reader.py.  Also the writer guarantee the searcher
+relies on: manifest footer stats never miss a row group.
 """
 
 import glob
@@ -25,6 +25,7 @@ import pyarrow.parquet as pq
 import pytest
 import ray.data
 
+from fulltextsearch_ray.functions import common
 from fulltextsearch_ray.pipelines import build as build_mod
 from fulltextsearch_ray.pipelines.build import build_index, compact_index
 from fulltextsearch_ray.pipelines.memory import build_in_memory
@@ -86,32 +87,32 @@ def _strip_forward_field_ids(idx):
             pq.write_table(t, f)
 
 
-# shape name → (forge its segments, the header keys it lacks,
-# compact_index's store_copy_file_budget: 0 takes the streaming store
-# path); every shape's header says format 1 unless it lacks the number
+# shape name → (forge its segments, the header keys it lacks, whether
+# compact_index runs past GATHER_BYTES: the Ray path of the doc-keyed
+# tables); every shape's header says format 1 unless it lacks the number
 SHAPES = {
-    "format_1": (None, (), 256),
-    "unnumbered": (None, ("version",), 256),
-    "meta_without_num_fields": (None, ("num_fields",), 256),
+    "format_1": (None, (), False),
+    "unnumbered": (None, ("version",), False),
+    "meta_without_num_fields": (None, ("num_fields",), False),
     "manifest_without_stats": (
-        lambda idx: _edit_manifests(idx, drop=["catalog_stats", "docs_stats"]), (), 256,
+        lambda idx: _edit_manifests(idx, drop=["catalog_stats", "docs_stats"]), (), False,
     ),
-    "manifest_without_block_cf": (lambda idx: _edit_manifests(idx, drop=["block_cf"]), (), 256),
+    "manifest_without_block_cf": (lambda idx: _edit_manifests(idx, drop=["block_cf"]), (), False),
     "manifest_retired_keys": (
         lambda idx: _edit_manifests(
             idx, file_ranges=[["postings/part-0.parquet", "black", "zephyrs"]], num_buckets=4,
         ),
-        (), 256,
+        (), False,
     ),
-    "forward_without_field_id_copy": (_strip_forward_field_ids, (), 256),
-    "forward_without_field_id_stream": (_strip_forward_field_ids, (), 0),
+    "forward_without_field_id_copy": (_strip_forward_field_ids, (), False),
+    "forward_without_field_id_stream": (_strip_forward_field_ids, (), True),
 }
 
 
 def _older_index(fresh, root, shape):
     idx = str(root / shape)
     shutil.copytree(fresh, idx)
-    forge_segments, header_drop, _budget = SHAPES[shape]
+    forge_segments, header_drop, _ray_path = SHAPES[shape]
     if forge_segments:
         forge_segments(idx)
     _edit_json(os.path.join(idx, "meta.json"), header_drop, version=1)
@@ -138,7 +139,7 @@ def _assert_answers_equal(got: IndexSearcher, want: IndexSearcher):
 
 
 @pytest.mark.parametrize("shape", list(SHAPES))
-def test_older_shape_refused_then_migrated(fresh_index, tmp_path, shape):
+def test_older_shape_refused_then_migrated(fresh_index, tmp_path, monkeypatch, shape):
     """Each older shape: the searcher (eager and paged) and an
     incremental build refuse it naming compact_index, the build before
     it creates a segment directory; compact_index rewrites it in this
@@ -152,7 +153,9 @@ def test_older_shape_refused_then_migrated(fresh_index, tmp_path, shape):
         build_index(_docs(1, 3), idx, **KW)
     assert sorted(os.listdir(os.path.join(idx, SEGMENTS_DIR))) == segs
 
-    meta = compact_index(idx, store_copy_file_budget=SHAPES[shape][2])
+    if SHAPES[shape][2]:
+        monkeypatch.setattr(common, "GATHER_BYTES", -1)
+    meta = compact_index(idx)
     assert meta.version == load_meta(idx).version == FORMAT_VERSION
     (seg,) = meta.segments
     assert seg not in segs
