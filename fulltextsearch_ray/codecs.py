@@ -24,6 +24,7 @@ __all__ = [
     "varint_encode",
     "varint_decode",
     "varint_encode_offsets",
+    "varint_widths",
     "delta_encode",
     "delta_decode",
     "encode_posting_block",
@@ -36,8 +37,8 @@ __all__ = [
     "lower_bound_block",
 ]
 
+# a varint of v takes 1 + #{k ≥ 1 : v ≥ 2^(7k)} bytes
 _THRESHOLDS = [np.uint64(1) << np.uint64(7 * k) for k in range(1, 10)]
-_THRESHOLD_ARR = np.array(_THRESHOLDS, dtype=np.uint64)
 
 
 def varint_encode(values: np.ndarray) -> bytes:
@@ -64,23 +65,37 @@ def varint_encode_offsets(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # all-1-byte fast path (tfs, fields, small gaps — the bulk of
         # posting payloads): the encoding IS the value byte
         return v.astype(np.uint8), np.arange(1, n + 1, dtype=np.int64)
-    # bytes-per-value in ONE O(n log 10) searchsorted instead of 9
-    # full-array comparisons (this function dominates the posting-merge
-    # stage's CPU)
-    nb = 1 + np.searchsorted(_THRESHOLD_ARR, v, side="right").astype(np.int64)
+    nb = varint_widths(v, vmax)
     ends = np.cumsum(nb)
     starts = ends - nb
-    out = np.zeros(int(ends[-1]), dtype=np.uint8)
+    out = np.empty(int(ends[-1]), dtype=np.uint8)  # every byte is written below
+    # byte 0 of every value: its low 7 bits, no selection
+    out[starts] = (v.astype(np.uint8) & np.uint8(0x7F)) | ((nb > 1).astype(np.uint8) << np.uint8(7))
     mask7 = np.uint64(0x7F)
-    for k in range(10):
+    for k in range(1, int(nb.max())):
         sel = nb > k
-        if not sel.any():
-            break
         idx = starts[sel] + k
         chunk = (v[sel] >> np.uint64(7 * k)) & mask7
         cont = (nb[sel] - 1 > k).astype(np.uint8) << 7
         out[idx] = chunk.astype(np.uint8) | cont
     return out, ends
+
+
+def varint_widths(v: np.ndarray, vmax: "np.uint64 | None" = None) -> np.ndarray:
+    """Bytes of each uint64 value's varint (int64): one comparison per
+    threshold 2^(7k) ≤ ``vmax`` (the values' max, computed when not
+    given) — for ids and gaps under 2^14 that is two passes, where a
+    ``searchsorted`` over all nine thresholds costs a binary search per
+    value."""
+    nb = np.ones(len(v), dtype=np.int64)
+    if len(v) == 0:
+        return nb
+    vmax = v.max() if vmax is None else vmax
+    for t in _THRESHOLDS:
+        if t > vmax:
+            break
+        nb += v >= t
+    return nb
 
 
 def varint_decode(buf: bytes | memoryview | np.ndarray, count: int | None = None) -> np.ndarray:

@@ -28,12 +28,14 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..codecs import (
     _expand_occurrences,
     restart_prefix_sum,
     varint_decode,
     varint_encode_offsets,
+    varint_widths,
 )
 from ..state.index import POSTINGS_SCHEMA
 from ..tokenizer import DEFAULT_FIELD_ID, tokenize_batch
@@ -153,7 +155,7 @@ def _block_bounds(
 
 
 def encode_posting_rows(
-    terms_sorted: np.ndarray,
+    terms_sorted: pa.Array,
     bounds: np.ndarray,
     occ_docs: np.ndarray,
     occ_fields: "np.ndarray | None",
@@ -198,7 +200,7 @@ def encode_posting_rows(
         doc_start[blk_bounds[1:-1]] = True
         entry_start[blk_bounds[1:-1]] = True
         blk_term = np.searchsorted(bounds, blk_bounds[:-1], side="right") - 1
-        blk_terms = terms_sorted[blk_term]
+        blk_terms = terms_sorted.take(pa.array(blk_term))
         first_blk = np.searchsorted(blk_bounds, bounds[:-1])
         block_id = (np.arange(B) - first_blk[blk_term]).astype(np.int32)
 
@@ -237,7 +239,8 @@ def encode_posting_rows(
     )
     return pa.table(
         {
-            "term": pa.array(blk_terms, pa.string()),
+            # a large_string text column gives large_string terms
+            "term": blk_terms.cast(pa.string()),
             "bucket": pa.array(np.zeros(B, dtype=np.int32)),
             "block_id": pa.array(block_id),
             "first_doc": pa.array(e_docs[e_bounds[:-1]], pa.uint64()),
@@ -495,33 +498,48 @@ class InvertStage:
         stable sort by term only — a stable term sort over an already
         (doc, field, token)-ordered stream yields full
         (term, doc, field, token) order without a 3-key lexsort.
-        ``occ_fields is None`` signals a single-field stream."""
+        ``occ_fields is None`` signals a single-field stream.
+
+        The vocabulary is ordered in C++ (``array_sort_indices`` on the
+        dictionary: UTF-8 byte order is code-point order, which is
+        Python ``str`` order), and the occurrences by a radix sort of
+        their term ranks (:func:`_rank_argsort`) — no Python strings
+        and no comparison sort."""
         dict_arr = terms.dictionary_encode()
         codes = np.asarray(dict_arr.indices.to_numpy(zero_copy_only=False))
-        vocab = np.asarray(dict_arr.dictionary.to_pylist(), dtype=object)
-        vocab_order = np.argsort(vocab, kind="stable")
-        rank = np.empty(len(vocab), dtype=np.int64)
-        rank[vocab_order] = np.arange(len(vocab))
+        vocab_order = np.asarray(pc.array_sort_indices(dict_arr.dictionary))
+        V = len(vocab_order)
+        rank = np.empty(V, dtype=np.uint16 if V <= 1 << 16 else np.uint32)
+        rank[vocab_order] = np.arange(V)
         keyed = rank[codes]  # one O(n) gather, reused below
-        order = np.argsort(keyed, kind="stable")
+        order = _rank_argsort(keyed)
 
         occ_docs = occ_docs[order]
         if occ_fields is not None:
             occ_fields = occ_fields[order]
         occ_tokens = occ_tokens[order]
-        sorted_codes = keyed[order]
         # term boundaries in the sorted occurrence stream
-        counts = np.bincount(sorted_codes, minlength=len(vocab))
+        counts = np.bincount(keyed[order], minlength=V)
         present = counts > 0
         bounds = np.zeros(int(present.sum()) + 1, dtype=np.int64)
         np.cumsum(counts[present], out=bounds[1:])
-        terms_sorted = vocab[vocab_order][present]
+        terms_sorted = dict_arr.dictionary.take(pa.array(vocab_order[present]))
         rows = encode_posting_rows(
             terms_sorted, bounds, occ_docs, occ_fields, occ_tokens, self.block_cf,
         )
         if stats is not None:
             rows = pa.concat_tables([rows, stats]).combine_chunks()
         return rows
+
+
+def _rank_argsort(keyed: np.ndarray) -> np.ndarray:
+    """Stable argsort of term ranks, linear in their count: numpy's
+    stable sort of ``uint16`` is a radix sort, and wider ranks take two
+    stable ``uint16`` passes (LSD: low half, then high half)."""
+    if keyed.dtype == np.uint16:
+        return np.argsort(keyed, kind="stable")
+    low = np.argsort((keyed & 0xFFFF).astype(np.uint16), kind="stable")
+    return low[np.argsort((keyed[low] >> 16).astype(np.uint16), kind="stable")]
 
 
 class ReadInvertStage:
@@ -655,10 +673,6 @@ def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return np.repeat(starts - before, lens) + np.arange(int(lens.sum()))
 
 
-# a varint of v takes 1 + #{k ≥ 1 : v ≥ 2^(7k)} bytes
-_VARINT_STEPS = np.uint64(1) << np.arange(7, 64, 7, dtype=np.uint64)
-
-
 def _splice_runs(sub: pa.Table, counts: np.ndarray) -> pa.Table:
     """One posting block per term from its strictly doc-disjoint runs,
     built from their bytes.  ``sub`` holds the runs in (term, first_doc,
@@ -689,7 +703,7 @@ def _splice_runs(sub: pa.Table, counts: np.ndarray) -> pa.Table:
     base = (off - off[0]).astype(np.int64)
     buf = data[off[0] : off[-1]].copy()
     ids = first[later]
-    width = 1 + (ids[:, None] >= _VARINT_STEPS).sum(axis=1)
+    width = varint_widths(ids)
     got = varint_decode(buf[_ranges(base[later], width)])
     if len(got) != len(later) or not np.array_equal(got, ids):
         raise ValueError("merge: a run's docs payload does not open with its first_doc")
@@ -771,12 +785,10 @@ def merge_runs_batch(batch: pa.Table, block_cf: int = DEFAULT_BLOCK_CF) -> pa.Ta
     terms = batch["term"]
     if isinstance(terms, pa.ChunkedArray):
         terms = terms.combine_chunks()
-    import pyarrow.compute as _pc
-
     dict_arr = terms.dictionary_encode()
     codes = np.asarray(dict_arr.indices.to_numpy(zero_copy_only=False), dtype=np.int64)
     sent_code = np.asarray(
-        _pc.starts_with(dict_arr.dictionary, pattern=DOCSTATS_TERM_PREFIX).to_numpy(
+        pc.starts_with(dict_arr.dictionary, pattern=DOCSTATS_TERM_PREFIX).to_numpy(
             zero_copy_only=False
         )
     )
@@ -847,7 +859,7 @@ def merge_runs_batch(batch: pa.Table, block_cf: int = DEFAULT_BLOCK_CF) -> pa.Ta
         o = np.lexsort((occ_tokens, occ_fields, occ_docs, term_idx))
         out_tables.append(
             encode_posting_rows(
-                np.asarray(terms.take(pa.array(r_starts)).to_pylist(), dtype=object),
+                terms.take(pa.array(r_starts)),
                 bounds, occ_docs[o], occ_fields[o], occ_tokens[o], block_cf,
             )
         )
@@ -857,9 +869,7 @@ def merge_runs_batch(batch: pa.Table, block_cf: int = DEFAULT_BLOCK_CF) -> pa.Ta
 def _term_sorted(t: pa.Table) -> pa.Table:
     """``t`` in (term, first_doc, block_id) order: one stable
     ``sort_indices`` + ``take``, skipped when already in order."""
-    import pyarrow.compute as _pc
-
-    idx = _pc.sort_indices(
+    idx = pc.sort_indices(
         t, sort_keys=[("term", "ascending"), ("first_doc", "ascending"), ("block_id", "ascending")]
     )
     if np.array_equal(idx.to_numpy(), np.arange(t.num_rows)):

@@ -448,6 +448,7 @@ def build_store_from_index(index_dir: str, kind: str, path: "str | None" = None)
     This is the reference-parity serving shape (one ``IMetadataStorage``
     file per index); the parquet tables remain the distributed source
     of truth — rebuilding after new sessions just reruns this."""
+    import glob
     import json
 
     import pyarrow.parquet as pq
@@ -470,11 +471,16 @@ def build_store_from_index(index_dir: str, kind: str, path: "str | None" = None)
         seen: set[int] = set()
         for seg in segments:
             base = segment_dir(index_dir, seg)
-            for sub in ("docs_meta", "docs"):
-                d = os.path.join(base, sub)
-                if not os.path.isdir(d):
-                    continue
-                t = pq.read_table(d)
+            # read per FILE, as IndexSearcher.get_metadata_many does: a
+            # compacted segment can mix docs_meta files of different
+            # schemas (sessions with different meta_cols), and a
+            # directory read takes the schema of the first file only
+            files = [
+                f for sub in ("docs_meta", "docs")
+                for f in sorted(glob.glob(os.path.join(base, sub, "**", "*.parquet"), recursive=True))
+            ]
+            for f in files:
+                t = pq.read_table(f)
                 meta_cols = [c for c in t.column_names if c not in core]
                 ids = t["doc_id"].to_pylist()
                 # one to_pylist per COLUMN (per-cell ChunkedArray

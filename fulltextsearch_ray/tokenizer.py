@@ -20,15 +20,20 @@ the 64-char truncation counts CODEPOINTS where the reference counts
 .NET UTF-16 code units, so a token of >32 astral characters keeps 64
 codepoints here vs 32 chars there (astral chars cost 2 UTF-16 units).
 
-Two paths, one output.  Index-side (and any non-ASCII) text goes
-through :func:`tokenize_batch`: Arrow C++ kernels lowercase, RE2-split
-and truncate a whole batch, with numpy id arithmetic — no per-token
-Python loop.  Query-side :func:`tokenize` on pure-ASCII text skips
-Arrow: Arrow's ``split_pattern_regex`` recompiles the RE2 pattern on
-every call (for the ``\\p{L}\\p{N}`` class that compile dominated a
-warm BM25 query), while on ASCII the token class is exactly
-``[A-Za-z0-9_-]`` and ``str.lower`` equals ``utf8_lower``, so one
-precompiled Python pattern gives the identical terms.
+Two paths, one output.  The output is defined as Arrow's
+``utf8_lower`` then an RE2 split on ``SPLIT_PATTERN``.  Index-side (and
+any non-ASCII) text goes through :func:`flat_tokens` /
+:func:`tokenize_batch`, which compute it for a whole batch without
+running RE2 over ASCII: one 256-entry byte map (ASCII letters lowered,
+every ASCII byte outside ``[A-Za-z0-9_-]`` a space) and one
+``ascii_split_whitespace``; only the words that still hold a non-ASCII
+byte are lowered and RE2-split, then put back in place.  Ids are numpy
+arithmetic — no per-token Python loop.  Query-side :func:`tokenize` on
+pure-ASCII text skips Arrow: Arrow's ``split_pattern_regex`` recompiles
+the RE2 pattern on every call (for the ``\\p{L}\\p{N}`` class that
+compile dominated a warm BM25 query), while on ASCII the token class is
+exactly ``[A-Za-z0-9_-]`` and ``str.lower`` equals ``utf8_lower``, so
+one precompiled Python pattern gives the identical terms.
 """
 
 from __future__ import annotations
@@ -116,14 +121,47 @@ def token_counts(texts: "Iterable[str] | pa.Array | pa.ChunkedArray") -> np.ndar
 SPLIT_PATTERN = r"[^\p{L}\p{N}_\-]+"
 
 
+# One byte map per batch (``bytes.translate``): ASCII letters lowered,
+# the other ASCII token chars [a-z0-9_-] kept, every other ASCII byte a
+# space, and the bytes of multi-byte UTF-8 sequences (>= 0x80) kept.
+_TOKEN_BYTES = b"abcdefghijklmnopqrstuvwxyz0123456789_-"
+_BYTE_MAP = bytes(
+    c + 32 if 65 <= c <= 90 else c if c >= 128 or c in _TOKEN_BYTES else 32
+    for c in range(256)
+)
+
+
+def _offsets(a: pa.Array) -> np.ndarray:
+    """The value offsets of a (large) string array: a view of its buffer."""
+    dtype = np.int64 if pa.types.is_large_string(a.type) else np.int32
+    return np.frombuffer(a.buffers()[1], dtype=dtype)[a.offset : a.offset + len(a) + 1]
+
+
+def _nonempty(words: pa.Array, parent: np.ndarray) -> tuple[pa.Array, np.ndarray]:
+    """``words`` and their ``parent`` entries, empty words dropped."""
+    keep = pc.greater(pc.binary_length(words), 0)
+    return words.filter(keep), parent[np.asarray(keep.to_numpy(zero_copy_only=False))]
+
+
 def flat_tokens(
     texts: "Iterable[str] | pa.Array | pa.ChunkedArray",
 ) -> tuple[pa.Array, np.ndarray, np.ndarray]:
     """Lowercased UNtruncated tokens of a batch as parallel arrays:
-    (tokens, doc_index, per-doc counts).  Pure Arrow C++ kernels — the
-    shared flatten step of the text-analysis / dedup operators (no
-    64-char dictionary truncation, matching the SQL oracles' raw
-    ``regexp_extract_all`` tokenization)."""
+    (tokens, doc_index, per-doc counts) — the shared flatten step of
+    the index, text-analysis and dedup operators (no 64-char dictionary
+    truncation, matching the SQL oracles' raw ``regexp_extract_all``
+    tokenization).
+
+    The tokens are those of ``utf8_lower`` then a ``SPLIT_PATTERN``
+    split of each doc, computed without running RE2 over ASCII: the
+    batch's data buffer goes through ``_BYTE_MAP`` and one
+    ``ascii_split_whitespace``.  Every ASCII byte outside
+    ``[A-Za-z0-9_-]`` is a separator of ``SPLIT_PATTERN`` and
+    ``utf8_lower`` maps one codepoint at a time, so a doc's tokens are
+    the concatenation of its space-split words' tokens: an ASCII word
+    is its own token, and only the words holding a byte >= 0x80 are
+    lowered and RE2-split, their tokens put back in place with one
+    ``take``."""
     if isinstance(texts, pa.ChunkedArray):
         arr = texts.combine_chunks()
     elif isinstance(texts, pa.Array):
@@ -131,38 +169,65 @@ def flat_tokens(
     else:
         arr = pa.array(list(texts), type=pa.string())
     arr = pc.fill_null(arr, "")
-    lowered = pc.utf8_lower(arr)
-    parts = pc.split_pattern_regex(lowered, SPLIT_PATTERN)
-    flat = pc.list_flatten(parts)
-    parent = np.asarray(pc.list_parent_indices(parts).to_numpy(zero_copy_only=False))
-    keep = np.asarray(pc.greater(pc.utf8_length(flat), 0).to_numpy(zero_copy_only=False))
-    toks = flat.filter(pa.array(keep))
-    parent = parent[keep]
-    counts = np.bincount(parent, minlength=len(arr)).astype(np.int64)
-    return toks, parent, counts
+    n = len(arr)
+    # rebase the offsets so a slice maps only its own bytes
+    off = _offsets(arr)
+    lo, hi = (int(off[0]), int(off[-1])) if n else (0, 0)
+    data = arr.buffers()[2]
+    raw = memoryview(data)[lo:hi].tobytes() if data is not None else b""
+    mapped = pa.Array.from_buffers(
+        arr.type, n, [None, pa.py_buffer(off - off.dtype.type(lo)), pa.py_buffer(raw.translate(_BYTE_MAP))]
+    )
+    parts = pc.ascii_split_whitespace(mapped)
+    words, parent = _nonempty(
+        pc.list_flatten(parts),
+        np.asarray(pc.list_parent_indices(parts).to_numpy(zero_copy_only=False)),
+    )
+    if not raw.isascii():
+        # the words holding a byte >= 0x80: one scan of their bytes
+        w_off = _offsets(words)
+        w_data = np.frombuffer(words.buffers()[2], dtype=np.uint8)[w_off[0] : w_off[-1]]
+        high = np.flatnonzero(w_data >= 0x80) + w_off[0]
+        wide = np.unique(np.searchsorted(w_off, high, side="right") - 1)
+        split = pc.split_pattern_regex(pc.utf8_lower(words.take(pa.array(wide))), SPLIT_PATTERN)
+        sub, sub_word = _nonempty(
+            pc.list_flatten(split),
+            wide[np.asarray(pc.list_parent_indices(split).to_numpy(zero_copy_only=False))],
+        )
+        # the ASCII words and the wide words' tokens, each in word
+        # order: a stable sort by word index interleaves the two runs
+        narrow = np.ones(len(words), dtype=bool)
+        narrow[wide] = False
+        narrow = np.flatnonzero(narrow)
+        owner = np.concatenate([narrow, sub_word])
+        order = np.argsort(owner, kind="stable")
+        src = np.concatenate([narrow, len(words) + np.arange(len(sub_word))])[order]
+        words = pa.concat_arrays([words, sub]).take(pa.array(src))
+        parent = parent[owner[order]]
+    counts = np.bincount(parent, minlength=n).astype(np.int64)
+    return words, parent, counts
 
 
 def tokenize_batch(texts: "Iterable[str] | pa.Array | pa.ChunkedArray") -> TokenizedBatch:
     """Tokenize a batch of documents into parallel exploded arrays.
 
-    Fully Arrow-native hot path: lowercasing, regex splitting,
-    flattening and term truncation are C++ kernels — no Python string
-    objects are created (the old per-doc ``findall`` path allocated
-    hundreds of Python strings per document, which destroyed
-    multi-worker scaling via allocator pressure).  Ids/indices are
-    numpy arithmetic.
+    Fully Arrow-native hot path: lowercasing, splitting (see
+    :func:`flat_tokens`), flattening and term truncation are C++
+    kernels — no Python string objects are created (the old per-doc
+    ``findall`` path allocated hundreds of Python strings per
+    document, which destroyed multi-worker scaling via allocator
+    pressure).  Ids/indices are numpy arithmetic.
     """
-    toks, _parent, counts = flat_tokens(texts)
-    n_docs = len(counts)
-    # Truncate >64-char terms (vectorized; no-op for the common case).
+    toks, doc_index, counts = flat_tokens(texts)
+    # Truncate >64-char terms; a token of at most 64 bytes has at most
+    # 64 codepoints, so the slice runs only when some token is longer.
     # NOTE a documented parity divergence: this counts CODEPOINTS,
     # while the reference's MAX_TOKEN_SIZE counts .NET UTF-16 code
     # units (an astral char costs 2 there) — see the module docstring.
-    terms = pc.utf8_slice_codeunits(toks, 0, MAX_TOKEN_SIZE)
-    total = int(counts.sum())
-    starts = np.zeros(n_docs + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-    doc_index = np.repeat(np.arange(n_docs, dtype=np.int64), counts)
+    terms = toks
+    if len(toks) and np.diff(_offsets(toks)).max() > MAX_TOKEN_SIZE:
+        terms = pc.utf8_slice_codeunits(toks, 0, MAX_TOKEN_SIZE)
+    starts = np.cumsum(counts) - counts
     # 1-based token id within each document.
-    token_ids = (np.arange(total, dtype=np.int64) - np.repeat(starts[:-1], counts) + 1).astype(np.uint64)
+    token_ids = (np.arange(len(doc_index), dtype=np.int64) - starts[doc_index] + 1).astype(np.uint64)
     return TokenizedBatch(terms, counts, doc_index, token_ids)

@@ -150,7 +150,7 @@ def _stream(term_entries):
 
 def _encode_one(occ_docs, occ_fields, occ_tokens, block_cf):
     return encode_posting_rows(
-        np.array(["t"], dtype=object), np.array([0, len(occ_docs)], dtype=np.int64),
+        pa.array(["t"]), np.array([0, len(occ_docs)], dtype=np.int64),
         occ_docs, occ_fields, occ_tokens, block_cf,
     )
 
@@ -215,7 +215,9 @@ def _term_entries(draw, single_field=None):
 def test_encoder_matches_scalar_oracle(entries, block_cf):
     single_field, terms = entries
     names, bounds, docs, fields, tokens = _stream(terms)
-    got = encode_posting_rows(names, bounds, docs, None if single_field else fields, tokens, block_cf)
+    got = encode_posting_rows(
+        pa.array(names, pa.string()), bounds, docs, None if single_field else fields, tokens, block_cf,
+    )
     want = scalar_posting_rows(names, bounds, docs, fields, tokens, block_cf)
     assert got.equals(want)
     assert (got["cf"].to_numpy() <= block_cf).all()
@@ -389,3 +391,63 @@ def test_disjoint_runs_merge_without_reencoding(monkeypatch):
     overlapping = _shuffled_runs([[[(1, 1, 2, 1)], [(1, 2, 1, 1)]]], 1 << 16, 0)
     merge_runs_batch(overlapping, block_cf=1 << 16)
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# invert: term order
+# ---------------------------------------------------------------------------
+
+
+def _python_sorted_rows(texts, doc_ids, block_cf=1 << 16):
+    """The runs of one invert call with the occurrences ordered by a
+    Python ``sorted`` over (term, doc, token): the order the invert's
+    byte-order vocab sort and radix rank sort must reproduce."""
+    from fulltextsearch_ray.tokenizer import tokenize_batch
+
+    tok = tokenize_batch(texts)
+    terms = tok.terms.to_pylist()
+    occ_docs = doc_ids[tok.doc_index]
+    occ_tokens = tok.token_ids
+    order = sorted(range(len(terms)), key=lambda i: (terms[i], int(occ_docs[i]), int(occ_tokens[i])))
+    vocab = sorted(set(terms))
+    per_term = {t: 0 for t in vocab}
+    for t in terms:
+        per_term[t] += 1
+    bounds = np.r_[0, np.cumsum([per_term[t] for t in vocab])].astype(np.int64)
+    return encode_posting_rows(
+        pa.array(vocab, pa.string()), bounds, occ_docs[order], None, occ_tokens[order], block_cf,
+    )
+
+
+def _invert(texts, doc_ids):
+    batch = pa.table({"doc_id": pa.array(doc_ids, pa.uint64()), "text": pa.array(texts, pa.string())})
+    return InvertStage(text_col="text", doc_id_col="doc_id")(batch)
+
+
+def test_invert_over_65536_terms_matches_python_order():
+    """More distinct terms than a uint16 rank holds: the two-pass
+    rank sort.  Terms mix ASCII and non-ASCII, and repeat across docs."""
+    rng = np.random.default_rng(7)
+    vocab = [f"w{i:05x}" for i in range(66_000)] + [f"é{i}" for i in range(300)] + [
+        f"\U00011f04{i}" for i in range(300)
+    ]
+    picks = np.concatenate([rng.permutation(len(vocab)), rng.integers(0, len(vocab), 20_000)])
+    texts = [" ".join(vocab[j] for j in chunk) for chunk in np.array_split(picks, 400)]
+    doc_ids = np.arange(1, len(texts) + 1, dtype=np.uint64)
+    got = _invert(texts, doc_ids)
+    assert got.num_rows == len(vocab) > 1 << 16
+    assert got.equals(_python_sorted_rows(texts, doc_ids))
+
+
+def test_invert_non_ascii_terms_match_python_order():
+    """Non-ASCII terms sort by code point, as Python ``str`` does:
+    Latin-1, BMP and astral letters, a letter that sorts past U+FFFF
+    only by its second char, and lowercasings that land on ASCII."""
+    words = ["zoë", "zoe", "über", "ubar", "中文", "ﾊ", "a\U00011f04", "aￜ",
+             "İstanbul", "Kelvin", "kelvin", "ǆ", "straße", "stra", "ab́c"]
+    rng = np.random.default_rng(3)
+    texts = [" ".join(rng.choice(words, size=12)) for _ in range(40)]
+    doc_ids = np.arange(1, len(texts) + 1, dtype=np.uint64)
+    got = _invert(texts, doc_ids)
+    assert got.equals(_python_sorted_rows(texts, doc_ids))
+    assert got["term"].to_pylist() == sorted(set(got["term"].to_pylist()))

@@ -326,3 +326,33 @@ def test_kvstore_truncated_file_raises_corrupt(tmp_path, kind):
     st.close()
     assert errors >= 1  # torn record surfaces as the descriptive error
     assert hits >= 1  # earlier records still readable
+
+
+def test_store_from_index_keeps_mixed_meta_columns(ray_session, tmp_path):
+    """Sessions built with different ``meta_cols`` compact into one
+    docs_meta dir of mixed schemas; the store reads it per file, so doc
+    2 keeps ``beta`` (a directory read took the first file's schema and
+    stored it as ``{"alpha": null}``)."""
+    import pyarrow as pa
+    import ray.data
+
+    from fulltextsearch_ray.pipelines.build import build_index, compact_index
+    from fulltextsearch_ray.pipelines.query import IndexSearcher
+
+    idx = str(tmp_path / "idx")
+    for doc_id, text, col, val in [(1, "apple pie", "alpha", "A1"), (2, "banana split", "beta", "B2")]:
+        build_index(
+            ray.data.from_arrow(pa.table({
+                "doc_id": pa.array([doc_id], pa.int64()),
+                "text": pa.array([text], pa.string()),
+                col: pa.array([val], pa.string()),
+            })),
+            idx, text_col="text", doc_id_col="doc_id", meta_cols=(col,),
+        )
+    compact_index(idx)
+    want = IndexSearcher(idx).get_metadata_many([1, 2])
+    assert want == {1: {"alpha": "A1"}, 2: {"beta": "B2"}}
+    for kind in sorted(METADATA_STORE_KINDS):
+        build_store_from_index(idx, kind)
+        with open_metadata_store(store_path(idx, kind), kind) as st:
+            assert {d: json.loads(st.get(d)) for d in (1, 2)} == want, kind

@@ -444,7 +444,7 @@ def _encoded_rows(block_cf):
     docs = np.r_[np.arange(1, 301), [7, 7, 7], [1 << 40, (1 << 40) + 5]].astype(np.uint64)
     tokens = np.r_[np.ones(300), [2, 5, 9], [1, 1]].astype(np.uint64)
     return encode_posting_rows(
-        np.array(["a", "b", "c"], dtype=object), np.array([0, 300, 303, 305]),
+        pa.array(["a", "b", "c"]), np.array([0, 300, 303, 305]),
         docs, None, tokens, block_cf,
     )
 
@@ -557,7 +557,7 @@ def _mixed_field_rows():
     fields = np.r_[[1, 1, 1, 2, 2, 1], [2, 2]].astype(np.uint64)
     tokens = np.r_[[1, 1, 1, 1, 1, 1], [1, 1]].astype(np.uint64)
     return encode_posting_rows(
-        np.array(["x", "y"], dtype=object), np.array([0, 6, 8]),
+        pa.array(["x", "y"]), np.array([0, 6, 8]),
         docs, fields, tokens, 2,
     )
 

@@ -1,12 +1,15 @@
 """Tokenizer parity tests — fixtures from FIXTURES.md §8 / reference BasicTokenizer."""
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.compute as pc
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fulltextsearch_ray.tokenizer import (
     MAX_TOKEN_SIZE,
+    SPLIT_PATTERN,
+    flat_tokens,
     token_counts,
     tokenize,
     tokenize_batch,
@@ -64,11 +67,33 @@ def test_positions_offsets():
     assert pos == [("hello", 0, 5), ("world", 6, 5)]
 
 
-# -- ASCII fast path of tokenize() == the Arrow kernel path ------------------
+# -- the RE2 oracle ------------------------------------------------------------
+
+
+def _re2_flat_tokens(texts):
+    """The tokenizer's definition, as one RE2 split per doc:
+    ``utf8_lower`` then ``split_pattern_regex(SPLIT_PATTERN)``, empty
+    pieces dropped.  Returns (tokens, doc_index, per-doc counts)."""
+    if isinstance(texts, pa.ChunkedArray):
+        arr = texts.combine_chunks()
+    elif isinstance(texts, pa.Array):
+        arr = texts
+    else:
+        arr = pa.array(list(texts), type=pa.string())
+    parts = pc.split_pattern_regex(pc.utf8_lower(pc.fill_null(arr, "")), SPLIT_PATTERN)
+    flat = pc.list_flatten(parts).to_pylist()
+    parent = pc.list_parent_indices(parts).to_numpy(zero_copy_only=False)
+    keep = [bool(t) for t in flat]
+    toks = [t for t in flat if t]
+    parent = np.asarray(parent, dtype=np.int64)[keep]
+    return toks, parent, np.bincount(parent, minlength=len(arr)).astype(np.int64)
 
 
 def _reference(text: str) -> list[str]:
-    return tokenize_batch([text]).terms.to_pylist()
+    return [t[:MAX_TOKEN_SIZE] for t in _re2_flat_tokens([text])[0]]
+
+
+# -- ASCII fast path of tokenize() == the Arrow kernel path ------------------
 
 
 def test_ascii_fast_path_exhaustive_chars_and_pairs():
@@ -134,3 +159,85 @@ def test_ascii_input_never_reaches_re2(monkeypatch):
     assert calls == []
     assert tokenize("İstanbul") == _reference("İstanbul")
     assert len(calls) == 2  # tokenize + the reference, both via RE2
+
+
+# -- flat_tokens / tokenize_batch == the RE2 oracle --------------------------
+
+# ASCII letters, digits, token punctuation and separators (NUL, DEL,
+# whitespace), next to characters whose handling differs by path: 'İ'
+# and KELVIN SIGN lower to ASCII letters, U+11F04 is a letter to RE2
+# only, U+0301 is a combining mark, '—' and '©' are non-ASCII
+# separators.
+_CHARS = st.sampled_from(
+    list("aZq09_-. ,;!\t\n\x00\x7f") + ["ü", "İ", "\u212a", "\U00011f04", "\u0301", "—", "©", "ß"]
+)
+_doc = st.one_of(
+    st.none(),
+    st.text(_CHARS, max_size=30),
+    # a token over 64 chars between separators
+    st.tuples(st.sampled_from(["x", "é", "\U00011f04"]), st.integers(60, 70), st.text(_CHARS, max_size=5))
+    .map(lambda t: t[0] * t[1] + t[2]),
+)
+
+
+@st.composite
+def _batches(draw):
+    """(docs, the Arrow form handed to the tokenizer): a list, an
+    array, a slice with a nonzero offset, or a two-chunk array."""
+    docs = draw(st.lists(_doc, max_size=8))
+    form = draw(st.sampled_from(["list", "array", "slice", "chunked"]))
+    if form == "list":
+        return docs, [d or "" for d in docs]
+    if form == "array":
+        return docs, pa.array(docs, pa.string())
+    if form == "slice":
+        return docs, pa.array(["Lead", *docs, "Tail"], pa.string()).slice(1, len(docs))
+    cut = draw(st.integers(0, len(docs)))
+    return docs, pa.chunked_array([pa.array(docs[:cut], pa.string()), pa.array(docs[cut:], pa.string())])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_batches())
+# adjacent docs that end and start on token chars
+@example((["ab", "cd", "E-f", "_g"], pa.array(["ab", "cd", "E-f", "_g"], pa.string())))
+@example(([None, "", " "], pa.array([None, "", " "], pa.string())))
+@example((["İx\u212a ü—©x"], ["İx\u212a ü—©x"]))
+def test_flat_tokens_and_batch_match_re2_oracle(batch):
+    docs, arg = batch
+    toks, parent, counts = flat_tokens(arg)
+    want_toks, want_parent, want_counts = _re2_flat_tokens(arg)
+    assert toks.to_pylist() == want_toks
+    assert np.array_equal(parent, want_parent) and parent.dtype == np.int64
+    assert np.array_equal(counts, want_counts) and counts.dtype == np.int64
+    assert len(counts) == len(docs)
+
+    tb = tokenize_batch(arg)
+    assert tb.terms.to_pylist() == [t[:MAX_TOKEN_SIZE] for t in want_toks]
+    assert np.array_equal(tb.counts, want_counts)
+    assert np.array_equal(tb.doc_index, want_parent)
+    want_ids = np.concatenate([np.arange(1, c + 1) for c in want_counts]) if len(want_toks) else []
+    assert np.array_equal(tb.token_ids, np.asarray(want_ids, dtype=np.uint64))
+    assert tb.token_ids.dtype == np.uint64
+
+
+def test_ascii_batch_never_reaches_re2(monkeypatch):
+    """An all-ASCII batch is split by the byte map alone; a batch with
+    one non-ASCII word sends that word, and only it, to RE2."""
+    calls = []
+    real = pc.split_pattern_regex
+
+    def spy(strings, *args, **kwargs):
+        calls.append(strings.to_pylist())
+        return real(strings, *args, **kwargs)
+
+    monkeypatch.setattr(pc, "split_pattern_regex", spy)
+    texts = ["Full-Text search_engine, 2017!", "", None, "x" * 70, "a\x00b\x7fc"]
+    assert tokenize_batch(texts).terms.to_pylist() == [
+        "full-text", "search_engine", "2017", "x" * MAX_TOKEN_SIZE, "a", "b", "c",
+    ]
+    assert flat_tokens(pa.chunked_array([pa.array(texts[:2]), pa.array(texts[2:])]))[2].tolist() == [3, 0, 0, 1, 3]
+    assert calls == []
+    assert flat_tokens(["plain words, then Über—alles"])[0].to_pylist() == [
+        "plain", "words", "then", "über", "alles",
+    ]
+    assert calls == [["über—alles"]]
