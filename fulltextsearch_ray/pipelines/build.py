@@ -76,6 +76,7 @@ from ..state.index import (
     _read_meta,
     load_manifest,
     load_meta,
+    parquet_files,
     save_manifest,
     save_meta,
     segment_dir,
@@ -165,7 +166,7 @@ def compact_index(
     for sub, conform, row_group in (("docs", None, None), ("docs_meta", None, None),
                                     ("forward", _conform_forward, FORWARD_ROW_GROUP)):
         files = [f for seg in old_segments
-                 for f in _parquet_files(os.path.join(segment_dir(index_dir, seg), sub))]
+                 for f in parquet_files(os.path.join(segment_dir(index_dir, seg), sub))]
         _merge_doc_table(files, os.path.join(seg_path, sub), conform, row_group)
     forward_ranges = _scan_doc_ranges(os.path.join(seg_path, "forward"), seg_path)
 
@@ -247,20 +248,12 @@ def _input_manifests(index_dir: str, segments: list[str]) -> list[SegmentManifes
     return out
 
 
-def _parquet_files(dir_path: str, pattern: str = "*.parquet") -> list[str]:
-    """The parquet (or ``pattern``) files under ``dir_path``, sorted;
-    none when it is missing."""
-    import glob as _glob
-
-    return sorted(_glob.glob(os.path.join(dir_path, "**", pattern), recursive=True))
-
-
 def _catalog_columns(index_dir: str, segment: str) -> list[str]:
     """Column names of a segment's catalog (from its first file's
     footer; none when it has no catalog file)."""
     import pyarrow.parquet as pq
 
-    files = _parquet_files(os.path.join(segment_dir(index_dir, segment), "catalog"))
+    files = parquet_files(os.path.join(segment_dir(index_dir, segment), "catalog"))
     return pq.read_schema(files[0]).names if files else []
 
 
@@ -423,10 +416,10 @@ def read_postings_dataset(index_dir: str, segments: list[str]) -> ray.data.Datas
     for s in segments:
         seg_path = segment_dir(index_dir, s)
         inline = predates_blobs(_catalog_columns(index_dir, s))
-        files = _parquet_files(os.path.join(seg_path, "postings" if inline else "catalog"))
+        files = parquet_files(os.path.join(seg_path, "postings" if inline else "catalog"))
         items.extend({"path": f, "seg": seg_path, "inline": inline} for f in files)
         if not inline:
-            files = files + _parquet_files(os.path.join(seg_path, PAYLOAD_DIR), "*.bin")
+            files = files + parquet_files(os.path.join(seg_path, PAYLOAD_DIR), "*.bin")
         size += sum(os.path.getsize(f) for f in files)
     n = max(1, min(len(items), size // ray.data.DataContext.get_current().target_min_block_size))
     return ray.data.from_items(items, override_num_blocks=n).map_batches(
@@ -501,7 +494,7 @@ def _scan_doc_ranges(dir_path: str, seg_path: str) -> list:
     import pyarrow.parquet as pq
 
     out: list = []
-    for f in _parquet_files(dir_path):
+    for f in parquet_files(dir_path):
         md = pq.ParquetFile(f).metadata
         dmins, dmaxs = [], []
         for rg in range(md.num_row_groups):
@@ -529,7 +522,7 @@ def _scan_table_stats(dir_path: str, seg_path: str) -> dict:
     import pyarrow.parquet as pq
 
     out: dict = {}
-    for f in _parquet_files(dir_path):
+    for f in parquet_files(dir_path):
         md = pq.ParquetFile(f).metadata
         groups = []
         for rg in range(md.num_row_groups):

@@ -502,9 +502,10 @@ class InvertStage:
 
         The vocabulary is ordered in C++ (``array_sort_indices`` on the
         dictionary: UTF-8 byte order is code-point order, which is
-        Python ``str`` order), and the occurrences by a radix sort of
-        their term ranks (:func:`_rank_argsort`) — no Python strings
-        and no comparison sort."""
+        Python ``str`` order), and the occurrences by a stable argsort
+        of their term ranks — no Python strings.  Ranks are ``uint16``
+        whenever the vocabulary fits, where numpy's stable sort is a
+        radix sort."""
         dict_arr = terms.dictionary_encode()
         codes = np.asarray(dict_arr.indices.to_numpy(zero_copy_only=False))
         vocab_order = np.asarray(pc.array_sort_indices(dict_arr.dictionary))
@@ -512,7 +513,7 @@ class InvertStage:
         rank = np.empty(V, dtype=np.uint16 if V <= 1 << 16 else np.uint32)
         rank[vocab_order] = np.arange(V)
         keyed = rank[codes]  # one O(n) gather, reused below
-        order = _rank_argsort(keyed)
+        order = np.argsort(keyed, kind="stable")
 
         occ_docs = occ_docs[order]
         if occ_fields is not None:
@@ -530,16 +531,6 @@ class InvertStage:
         if stats is not None:
             rows = pa.concat_tables([rows, stats]).combine_chunks()
         return rows
-
-
-def _rank_argsort(keyed: np.ndarray) -> np.ndarray:
-    """Stable argsort of term ranks, linear in their count: numpy's
-    stable sort of ``uint16`` is a radix sort, and wider ranks take two
-    stable ``uint16`` passes (LSD: low half, then high half)."""
-    if keyed.dtype == np.uint16:
-        return np.argsort(keyed, kind="stable")
-    low = np.argsort((keyed & 0xFFFF).astype(np.uint16), kind="stable")
-    return low[np.argsort((keyed[low] >> 16).astype(np.uint16), kind="stable")]
 
 
 class ReadInvertStage:

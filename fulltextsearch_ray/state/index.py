@@ -144,6 +144,14 @@ def segment_dir(index_dir: str, name: str) -> str:
     return os.path.join(index_dir, SEGMENTS_DIR, name)
 
 
+def parquet_files(dir_path: str, pattern: str = "*.parquet") -> list[str]:
+    """The parquet (or ``pattern``) files under ``dir_path``, sorted;
+    none when it is missing."""
+    import glob
+
+    return sorted(glob.glob(os.path.join(dir_path, "**", pattern), recursive=True))
+
+
 def _read_meta(index_dir: str) -> IndexMeta:
     """The header as written, of this format or an older one: a
     ``version`` or ``num_fields`` key an older header lacks reads as 0

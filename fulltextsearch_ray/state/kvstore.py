@@ -448,12 +448,11 @@ def build_store_from_index(index_dir: str, kind: str, path: "str | None" = None)
     This is the reference-parity serving shape (one ``IMetadataStorage``
     file per index); the parquet tables remain the distributed source
     of truth — rebuilding after new sessions just reruns this."""
-    import glob
     import json
 
     import pyarrow.parquet as pq
 
-    from .index import load_meta, segment_dir
+    from .index import load_meta, parquet_files, segment_dir
 
     path = path or store_path(index_dir, kind)
     # Build into a temp file and os.replace at the end: building in
@@ -477,7 +476,7 @@ def build_store_from_index(index_dir: str, kind: str, path: "str | None" = None)
             # directory read takes the schema of the first file only
             files = [
                 f for sub in ("docs_meta", "docs")
-                for f in sorted(glob.glob(os.path.join(base, sub, "**", "*.parquet"), recursive=True))
+                for f in parquet_files(os.path.join(base, sub))
             ]
             for f in files:
                 t = pq.read_table(f)

@@ -27,13 +27,15 @@ any non-ASCII) text goes through :func:`flat_tokens` /
 running RE2 over ASCII: one 256-entry byte map (ASCII letters lowered,
 every ASCII byte outside ``[A-Za-z0-9_-]`` a space) and one
 ``ascii_split_whitespace``; only the words that still hold a non-ASCII
-byte are lowered and RE2-split, then put back in place.  Ids are numpy
-arithmetic — no per-token Python loop.  Query-side :func:`tokenize` on
-pure-ASCII text skips Arrow: Arrow's ``split_pattern_regex`` recompiles
-the RE2 pattern on every call (for the ``\\p{L}\\p{N}`` class that
-compile dominated a warm BM25 query), while on ASCII the token class is
-exactly ``[A-Za-z0-9_-]`` and ``str.lower`` equals ``utf8_lower``, so
-one precompiled Python pattern gives the identical terms.
+byte are lowered and RE2-split, then put back in place (a batch dense
+in non-ASCII bytes, where most words would be, is RE2-split whole
+instead).  Ids are numpy arithmetic — no per-token Python loop.
+Query-side :func:`tokenize` on pure-ASCII text skips Arrow: Arrow's
+``split_pattern_regex`` recompiles the RE2 pattern on every call (for
+the ``\\p{L}\\p{N}`` class that compile dominated a warm BM25 query),
+while on ASCII the token class is exactly ``[A-Za-z0-9_-]`` and
+``str.lower`` equals ``utf8_lower``, so one precompiled Python pattern
+gives the identical terms.
 """
 
 from __future__ import annotations
@@ -130,6 +132,12 @@ _BYTE_MAP = bytes(
     for c in range(256)
 )
 
+# The byte-map split pays per non-ASCII word (a take, a lower, an RE2
+# call, the put-back), so it beats one RE2 pass over the docs only
+# while such words are few.  A batch with more than one byte >= 0x80
+# in this many (Cyrillic, CJK, accented prose) is RE2-split whole.
+_DENSE_NON_ASCII = 32
+
 
 def _offsets(a: pa.Array) -> np.ndarray:
     """The value offsets of a (large) string array: a view of its buffer."""
@@ -141,6 +149,20 @@ def _nonempty(words: pa.Array, parent: np.ndarray) -> tuple[pa.Array, np.ndarray
     """``words`` and their ``parent`` entries, empty words dropped."""
     keep = pc.greater(pc.binary_length(words), 0)
     return words.filter(keep), parent[np.asarray(keep.to_numpy(zero_copy_only=False))]
+
+
+def _flatten(parts) -> tuple[pa.Array, np.ndarray]:
+    """The non-empty items of a list array and their row indices."""
+    return _nonempty(
+        pc.list_flatten(parts),
+        np.asarray(pc.list_parent_indices(parts).to_numpy(zero_copy_only=False)),
+    )
+
+
+def _re2_split(strings: pa.Array) -> tuple[pa.Array, np.ndarray]:
+    """The output's definition: ``utf8_lower`` then a ``SPLIT_PATTERN``
+    split; (tokens, index of the string each came from)."""
+    return _flatten(pc.split_pattern_regex(pc.utf8_lower(strings), SPLIT_PATTERN))
 
 
 def flat_tokens(
@@ -161,7 +183,8 @@ def flat_tokens(
     the concatenation of its space-split words' tokens: an ASCII word
     is its own token, and only the words holding a byte >= 0x80 are
     lowered and RE2-split, their tokens put back in place with one
-    ``take``."""
+    ``take``.  A batch denser in non-ASCII bytes than one in
+    ``_DENSE_NON_ASCII`` is RE2-split whole, which is cheaper there."""
     if isinstance(texts, pa.ChunkedArray):
         arr = texts.combine_chunks()
     elif isinstance(texts, pa.Array):
@@ -175,35 +198,32 @@ def flat_tokens(
     lo, hi = (int(off[0]), int(off[-1])) if n else (0, 0)
     data = arr.buffers()[2]
     raw = memoryview(data)[lo:hi].tobytes() if data is not None else b""
-    mapped = pa.Array.from_buffers(
-        arr.type, n, [None, pa.py_buffer(off - off.dtype.type(lo)), pa.py_buffer(raw.translate(_BYTE_MAP))]
-    )
-    parts = pc.ascii_split_whitespace(mapped)
-    words, parent = _nonempty(
-        pc.list_flatten(parts),
-        np.asarray(pc.list_parent_indices(parts).to_numpy(zero_copy_only=False)),
-    )
-    if not raw.isascii():
-        # the words holding a byte >= 0x80: one scan of their bytes
-        w_off = _offsets(words)
-        w_data = np.frombuffer(words.buffers()[2], dtype=np.uint8)[w_off[0] : w_off[-1]]
-        high = np.flatnonzero(w_data >= 0x80) + w_off[0]
-        wide = np.unique(np.searchsorted(w_off, high, side="right") - 1)
-        split = pc.split_pattern_regex(pc.utf8_lower(words.take(pa.array(wide))), SPLIT_PATTERN)
-        sub, sub_word = _nonempty(
-            pc.list_flatten(split),
-            wide[np.asarray(pc.list_parent_indices(split).to_numpy(zero_copy_only=False))],
+    n_high = np.count_nonzero(np.frombuffer(raw, dtype=np.uint8) >= 0x80)
+    if n_high * _DENSE_NON_ASCII > len(raw):
+        words, parent = _re2_split(arr)
+    else:
+        mapped = pa.Array.from_buffers(
+            arr.type, n, [None, pa.py_buffer(off - off.dtype.type(lo)), pa.py_buffer(raw.translate(_BYTE_MAP))]
         )
-        # the ASCII words and the wide words' tokens, each in word
-        # order: a stable sort by word index interleaves the two runs
-        narrow = np.ones(len(words), dtype=bool)
-        narrow[wide] = False
-        narrow = np.flatnonzero(narrow)
-        owner = np.concatenate([narrow, sub_word])
-        order = np.argsort(owner, kind="stable")
-        src = np.concatenate([narrow, len(words) + np.arange(len(sub_word))])[order]
-        words = pa.concat_arrays([words, sub]).take(pa.array(src))
-        parent = parent[owner[order]]
+        words, parent = _flatten(pc.ascii_split_whitespace(mapped))
+        if n_high:
+            # the words holding a byte >= 0x80: one scan of their bytes
+            w_off = _offsets(words)
+            w_data = np.frombuffer(words.buffers()[2], dtype=np.uint8)[w_off[0] : w_off[-1]]
+            high = np.flatnonzero(w_data >= 0x80) + w_off[0]
+            wide = np.unique(np.searchsorted(w_off, high, side="right") - 1)
+            sub, k = _re2_split(words.take(pa.array(wide)))
+            sub_word = wide[k]
+            # the ASCII words and the wide words' tokens, each in word
+            # order: a stable sort by word index interleaves the two runs
+            narrow = np.ones(len(words), dtype=bool)
+            narrow[wide] = False
+            narrow = np.flatnonzero(narrow)
+            owner = np.concatenate([narrow, sub_word])
+            order = np.argsort(owner, kind="stable")
+            src = np.concatenate([narrow, len(words) + np.arange(len(sub_word))])[order]
+            words = pa.concat_arrays([words, sub]).take(pa.array(src))
+            parent = parent[owner[order]]
     counts = np.bincount(parent, minlength=n).astype(np.int64)
     return words, parent, counts
 

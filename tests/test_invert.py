@@ -425,8 +425,7 @@ def _invert(texts, doc_ids):
 
 
 def test_invert_over_65536_terms_matches_python_order():
-    """More distinct terms than a uint16 rank holds: the two-pass
-    rank sort.  Terms mix ASCII and non-ASCII, and repeat across docs."""
+    """More distinct terms than a uint16 rank holds: ``uint32`` ranks.  Terms mix ASCII and non-ASCII, and repeat across docs."""
     rng = np.random.default_rng(7)
     vocab = [f"w{i:05x}" for i in range(66_000)] + [f"é{i}" for i in range(300)] + [
         f"\U00011f04{i}" for i in range(300)

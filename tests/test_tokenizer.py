@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fulltextsearch_ray.tokenizer import (
+    _DENSE_NON_ASCII,
     MAX_TOKEN_SIZE,
     SPLIT_PATTERN,
     flat_tokens,
@@ -183,8 +184,13 @@ _doc = st.one_of(
 @st.composite
 def _batches(draw):
     """(docs, the Arrow form handed to the tokenizer): a list, an
-    array, a slice with a nonzero offset, or a two-chunk array."""
+    array, a slice with a nonzero offset, or a two-chunk array.  Half
+    the batches get an ASCII doc long enough to keep them under
+    ``_DENSE_NON_ASCII``, so both splits are drawn."""
     docs = draw(st.lists(_doc, max_size=8))
+    if draw(st.booleans()):
+        n_high = sum(len(d.encode()) - len(d.encode("ascii", "ignore")) for d in docs if d)
+        docs.insert(draw(st.integers(0, len(docs))), "Pad, " * (n_high * _DENSE_NON_ASCII // 5 + 1))
     form = draw(st.sampled_from(["list", "array", "slice", "chunked"]))
     if form == "list":
         return docs, [d or "" for d in docs]
@@ -221,8 +227,9 @@ def test_flat_tokens_and_batch_match_re2_oracle(batch):
 
 
 def test_ascii_batch_never_reaches_re2(monkeypatch):
-    """An all-ASCII batch is split by the byte map alone; a batch with
-    one non-ASCII word sends that word, and only it, to RE2."""
+    """An all-ASCII batch is split by the byte map alone; a mostly-ASCII
+    batch sends its non-ASCII words, and only them, to RE2; a batch
+    dense in non-ASCII bytes goes to RE2 whole."""
     calls = []
     real = pc.split_pattern_regex
 
@@ -237,7 +244,10 @@ def test_ascii_batch_never_reaches_re2(monkeypatch):
     ]
     assert flat_tokens(pa.chunked_array([pa.array(texts[:2]), pa.array(texts[2:])]))[2].tolist() == [3, 0, 0, 1, 3]
     assert calls == []
-    assert flat_tokens(["plain words, then Über—alles"])[0].to_pylist() == [
-        "plain", "words", "then", "über", "alles",
+    assert flat_tokens(["plain words, " * 12 + "then Über—alles"])[0].to_pylist() == [
+        *["plain", "words"] * 12, "then", "über", "alles",
     ]
     assert calls == [["über—alles"]]
+    dense = ["Поиск по тексту", "全文検索、索引"]
+    assert flat_tokens(dense)[0].to_pylist() == ["поиск", "по", "тексту", "全文検索", "索引"]
+    assert calls[1:] == [["поиск по тексту", "全文検索、索引"]]
