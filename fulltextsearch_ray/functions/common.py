@@ -141,6 +141,13 @@ def hash_partition(hashes, P: int) -> np.ndarray:
 GATHER_BYTES = 128 << 20
 
 
+def footer_bytes(md) -> int:
+    """Uncompressed bytes of a parquet file by its footer ``md``: what
+    the write path holds a corpus or doc-table file to
+    :data:`GATHER_BYTES` by, before it reads the file."""
+    return sum(md.row_group(g).total_byte_size for g in range(md.num_row_groups))
+
+
 def _gather(ds, budget: int) -> "tuple[list, int] | None":
     """(refs, bytes) of ``ds``'s non-empty blocks, or None as soon as
     their bytes pass ``budget``: the stream stops there, so an

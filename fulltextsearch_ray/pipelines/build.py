@@ -2,12 +2,15 @@
 
 Parquet-path fast shape (ONE streaming corpus pass, no pre-shuffle):
 
-    file items (sorted listing + footer row counts → positional ids)
+    file items (sorted listing + footer row counts → positional ids;
+                the file list itself feeds the lineage)
       → map_batches(read_invert_batches_fn, file-bundled task pool)
           # read file → tokenize → local invert into compressed runs
           # + fused doc-stats sentinel rows (doc_len, sha256); each
           # invert call also writes its docs_meta (meta_cols) and
-          # forward (store_forward) file: the ONE corpus read
+          # forward (store_forward) file: the ONE corpus read.  A
+          # one-file corpus within GATHER_BYTES makes the same call
+          # in-process (Ray would run it as one task anyway)
       → term_partitions(merge_runs_batch                # THE shuffle
                         + write_postings_partition)
           # per partition (ONE, in-process, for runs within
@@ -17,6 +20,10 @@ Parquet-path fast shape (ONE streaming corpus pass, no pre-shuffle):
           # rows, doc_id-sorted); it returns one row of counters
       → manifest.json (counters summed from the task rows, + lineage)
         + meta.json  (driver)
+
+Within ``GATHER_BYTES`` a one-file parquet session and a compaction
+start no Ray execution at all, and a many-file parquet build starts
+exactly one (the read+invert, whose runs the term shuffle drains).
 
 Dataset-path (explicit doc_id_col / id_cols): normalize_corpus assigns
 ids (sorted-key rank or passthrough), then InvertStage as above.
@@ -63,6 +70,7 @@ import ray.data
 from ..sources.corpus import normalize_corpus
 from ..stages.invert import (
     DEFAULT_BLOCK_CF,
+    ReadInvertStage,
     invert_batch_fn,
     merge_runs_batch,
     read_invert_batches_fn,
@@ -93,9 +101,14 @@ def compact_index(
     reference's per-session posting-list chains
     (``PostingListWriter.cs:114-159``) into single lists.
 
-    Re-shuffles the (already compressed) posting rows of every segment
-    by term, merges runs, rewrites one segment, then swaps meta
-    atomically.  Query results are identical before/after (the chain
+    Reads the whole (already compressed) posting rows of every segment
+    from its catalog and blobs, merges each term's runs
+    (:func:`term_partitions`), rewrites one segment, then swaps meta
+    atomically.  When the catalog and blob bytes fit
+    ``common.GATHER_BYTES`` the read runs in-process, and so does the
+    merge while the rows it read fit too: such a compaction starts no
+    Ray execution.  Past it the read is
+    :func:`read_postings_dataset`'s Ray read, and the merge a sort.  Query results are identical before/after (the chain
     merge the searcher did at query time is now materialized).  The
     doc-keyed tables (``docs``, ``docs_meta``, ``forward``) merge by
     one rule, :func:`_merge_doc_table`: within ``common.GATHER_BYTES``
@@ -146,7 +159,10 @@ def compact_index(
     # whole posting rows of either layout (payload blobs, or payloads
     # inline from before blobs), without sentinel rows: the input docs
     # tables merge below
-    runs = read_postings_dataset(index_dir, old_segments)
+    from ..functions import common
+
+    items, size = _postings_items(index_dir, old_segments)
+    runs = _read_postings(items) if size <= common.GATHER_BYTES else _postings_dataset(items, size)
     max_field, counters = _write_postings(runs, seg_path, block_cf)
     # the compacted postings carry no sentinel rows: the docs counters
     # are those of the input segments, whose doc ids are disjoint
@@ -208,9 +224,7 @@ def _merge_doc_table(files: list[str], dst: str, conform=None, row_group_size=No
         md = pq.ParquetFile(f).metadata
         key = str(conform(md.schema.to_arrow_schema().empty_table()).schema.remove_metadata())
         groups.setdefault(key, []).append(f)
-        sizes[key] = sizes.get(key, 0) + sum(
-            md.row_group(g).total_byte_size for g in range(md.num_row_groups)
-        )
+        sizes[key] = sizes.get(key, 0) + common.footer_bytes(md)
     if groups:
         os.makedirs(dst, exist_ok=True)
     for i, (key, fs) in enumerate(groups.items()):
@@ -257,21 +271,36 @@ def _catalog_columns(index_dir: str, segment: str) -> list[str]:
     return pq.read_schema(files[0]).names if files else []
 
 
-def term_partitions(runs: ray.data.Dataset, fn):
+def term_partitions(runs: "ray.data.Dataset | pa.Table", fn):
     """THE term shuffle: yield ``fn``'s output per term-range partition
-    of ``runs``, each partition holding every run of its terms.  The
-    runs stream once into block refs.  Within ``common.GATHER_BYTES``
-    they are ONE partition and ``fn`` runs in-process (the merge groups
-    a term's runs itself); past it a sort on ``term``, fed from those
-    refs so the runs never execute twice, gives ``fn`` one partition
-    per Ray task.  Draining first pins nothing the sort would not: it
-    buffers its whole input anyway."""
+    of ``runs``, each partition holding every run of its terms.  A
+    dataset's runs stream once into block refs.  Within
+    ``common.GATHER_BYTES`` they are ONE partition and ``fn`` runs
+    in-process (the merge groups a term's runs itself); past it a sort
+    on ``term``, fed from those refs so the runs never execute twice,
+    gives ``fn`` one partition per Ray task.  Draining first pins
+    nothing the sort would not: it buffers its whole input anyway.
+
+    An Arrow table is runs already read in-process (a one-file
+    session, a compaction read), held to the same rule by its
+    ``nbytes``: within the budget it is the one in-process partition
+    and never goes back through Ray; past it each of its chunks (an
+    invert call's runs, a read file's rows) becomes one block of the
+    sort.  Runs without rows never call ``fn``."""
     from ..functions import common
 
-    refs, size = common._gather(runs, float("inf"))
-    if refs and size <= common.GATHER_BYTES:
-        yield fn(pa.concat_tables(common._tables(refs)))
-    elif refs:
+    if isinstance(runs, pa.Table):
+        if runs.nbytes <= common.GATHER_BYTES:
+            if runs.num_rows:
+                yield fn(runs)
+            return
+        refs = [ray.put(pa.Table.from_batches([b])) for b in runs.to_batches() if b.num_rows]
+    else:
+        refs, size = common._gather(runs, float("inf"))
+        if refs and size <= common.GATHER_BYTES:
+            yield fn(pa.concat_tables(common._tables(refs)))
+            return
+    if refs:
         parts = ray.data.from_arrow_refs(refs).sort("term").map_batches(
             fn, batch_format="pyarrow", batch_size=None
         )
@@ -397,19 +426,21 @@ def empty_catalog() -> pa.Table:
 
 def read_postings_dataset(index_dir: str, segments: list[str]) -> ray.data.Dataset:
     """Whole posting rows (the in-memory run schema, no doc-stats
-    sentinel rows) of the given segments — the Ray read for compaction
-    and the dump.  A segment's rows come from its catalog files and the
-    blobs they address (:func:`~..state.payloads.read_blob_rows`); a
-    segment written before blobs is read from its inline-payload
-    postings parquet files instead, once, by the compaction that
-    migrates it.
+    sentinel rows) of the given segments, as a Ray read: the dump's,
+    and a compaction's past ``common.GATHER_BYTES`` (within it
+    :func:`compact_index` reads the same items in-process,
+    :func:`_read_postings`).  A segment's rows come from its catalog
+    files and the blobs they address
+    (:func:`~..state.payloads.read_blob_rows`); a segment written before
+    blobs is read from its inline-payload postings parquet files
+    instead, once, by the compaction that migrates it."""
+    return _postings_dataset(*_postings_items(index_dir, segments))
 
-    A read task takes whole files, grouped to about
-    ``target_min_block_size`` bytes each (the rule
-    ``ray.data.read_parquet`` sizes its blocks by), so a shuffle after
-    it runs as many partitions as a parquet read of those bytes would
-    (one task per file cost the ingest workload's compaction 1.6-1.8 s
-    of CPU against 0.9-1.2 s, 1 CPU)."""
+
+def _postings_items(index_dir: str, segments: list[str]) -> tuple[list[dict], int]:
+    """The read items of the segments' whole posting rows, one per
+    catalog file (per postings file for a segment written before
+    blobs), and the bytes they read: those files and the blobs."""
     from ..state.payloads import PAYLOAD_DIR, predates_blobs
 
     items, size = [], 0
@@ -421,6 +452,17 @@ def read_postings_dataset(index_dir: str, segments: list[str]) -> ray.data.Datas
         if not inline:
             files = files + parquet_files(os.path.join(seg_path, PAYLOAD_DIR), "*.bin")
         size += sum(os.path.getsize(f) for f in files)
+    return items, size
+
+
+def _postings_dataset(items: list[dict], size: int) -> ray.data.Dataset:
+    """The Ray read of :func:`_postings_items`' ``items`` (``size``
+    bytes).  A read task takes whole files, grouped to about
+    ``target_min_block_size`` bytes each (the rule
+    ``ray.data.read_parquet`` sizes its blocks by), so a shuffle after
+    it runs as many partitions as a parquet read of those bytes would
+    (one task per file cost the ingest workload's compaction 1.6-1.8 s
+    of CPU against 0.9-1.2 s, 1 CPU)."""
     n = max(1, min(len(items), size // ray.data.DataContext.get_current().target_min_block_size))
     return ray.data.from_items(items, override_num_blocks=n).map_batches(
         _read_postings_batch, batch_format="pyarrow", batch_size=None
@@ -428,14 +470,19 @@ def read_postings_dataset(index_dir: str, segments: list[str]) -> ray.data.Datas
 
 
 def _read_postings_batch(batch: pa.Table) -> pa.Table:
+    return _read_postings(batch.to_pylist())
+
+
+def _read_postings(items: list[dict]) -> pa.Table:
+    """The whole posting rows of read ``items`` (:func:`_postings_items`)."""
     import pyarrow.parquet as pq
 
     from ..state.payloads import read_blob_rows
 
     out = [POSTINGS_SCHEMA.empty_table()]
-    for path, seg_path, inline in zip(*(batch[c].to_pylist() for c in ("path", "seg", "inline"))):
-        t = pq.read_table(path)
-        out.append(_inline_rows(t) if inline else read_blob_rows(t, seg_path))
+    for it in items:
+        t = pq.read_table(it["path"])
+        out.append(_inline_rows(t) if it["inline"] else read_blob_rows(t, it["seg"]))
     return pa.concat_tables(out)
 
 
@@ -451,7 +498,7 @@ def _inline_rows(t: pa.Table) -> pa.Table:
     return t.select(POSTINGS_SCHEMA.names).cast(POSTINGS_SCHEMA)
 
 
-def _write_postings(runs: ray.data.Dataset, seg_path: str, block_cf: int) -> tuple[int, dict]:
+def _write_postings(runs: "ray.data.Dataset | pa.Table", seg_path: str, block_cf: int) -> tuple[int, dict]:
     """Shuffle + merge ``runs`` (:func:`term_partitions`) and write
     ``<seg>/payloads``, ``<seg>/catalog`` and ``<seg>/docs``: the call
     that merges a partition also commits it
@@ -615,33 +662,47 @@ def _write_catalog_and_manifest(
     return manifest
 
 
-def read_invert_runs(path: str, *, start_id: int, **stage_kw) -> "tuple[ray.data.Dataset, ray.data.Dataset]":
-    """``(runs, file items)`` of the parquet corpus at ``path`` with
+def read_invert_runs(path: str, *, start_id: int, **stage_kw) -> "tuple[ray.data.Dataset | pa.Table, list[str]]":
+    """``(runs, files)`` of the parquet corpus at ``path`` with
     positional doc ids from ``start_id``: the fused read + tokenize +
     local invert (+ doc-stats sentinel rows, and the doc tables a
     ``seg_path`` asks for) of :class:`~..stages.invert.ReadInvertStage`,
-    built from ``stage_kw``, the posting runs that
-    :func:`term_partitions` shuffles.
+    built from ``stage_kw``, gives the posting runs that
+    :func:`term_partitions` shuffles; ``files`` is the sorted file list.
 
-    File items are 1-row blocks, so ``batch_size`` counts FILES: a task
-    bundles several and groups its small files into ``chunk_rows``-doc
-    invert calls (fewer, larger runs into the term shuffle), while
-    keeping ≥4 tasks per CPU for balance.  A TASK pool, not an actor
+    A corpus of ONE file whose footer bytes (the listing's ``bytes``)
+    fit ``common.GATHER_BYTES`` is read and inverted in-process, by
+    the stage its one Ray task would run, on the same one-row item
+    table, and the runs come back as one Arrow table: same runs and
+    files, no Ray execution.  The stage, not its task entry
+    (:func:`~..stages.invert.read_invert_batches_fn`): the entry's
+    worker settings (one Arrow thread, no heap trim) would stay with
+    the caller's process for the rest of its life.
+
+    Any other corpus goes to a task pool.  File items are 1-row
+    blocks, so ``batch_size`` counts FILES: a task bundles several and
+    groups its small files into ``chunk_rows``-doc invert calls (fewer,
+    larger runs into the term shuffle), while keeping ≥4 tasks per CPU
+    for balance.  A TASK pool, not an actor
     pool: stage construction is config-only, actor launch/ramp was pure
     critical-path overhead (interleaved A/B: ~2× wall on a 60k-doc build
     vs tasks), and tasks can never starve the downstream AllToAll term
     sort (see functions/similarity.py)."""
+    from ..functions import common
     from ..sources.corpus import corpus_file_items
 
-    items, n_files = corpus_file_items(path, start_id=start_id)
+    items = corpus_file_items(path, start_id=start_id)
+    files = [it["file"] for it in items]
+    if len(items) == 1 and items[0]["bytes"] <= common.GATHER_BYTES:
+        return pa.concat_tables(ReadInvertStage(**stage_kw)(pa.Table.from_pylist(items))), files
     pool = max(2, int(ray.cluster_resources().get("CPU", 8)))
-    runs = items.map_batches(
+    runs = ray.data.from_items(items, override_num_blocks=len(items)).map_batches(
         read_invert_batches_fn,
         fn_kwargs=stage_kw,
         batch_format="pyarrow",
-        batch_size=max(1, n_files // (pool * 4)),
+        batch_size=max(1, len(items) // (pool * 4)),
     )
-    return runs, items
+    return runs, files
 
 
 def build_index(
@@ -700,11 +761,9 @@ def build_index(
     if isinstance(source, str) and doc_id_col is None and id_cols is None:
         # positional deterministic ids straight from the parquet
         # layout: fused read+invert, no shuffle before the term sort
-        runs, items = read_invert_runs(source, start_id=meta.next_doc_id, columns=cols, **stage_kw)
-        # (the file list already lives on the driver — from_items —
-        # so this gather adds nothing; the CAP bounds what the
-        # manifest persists)
-        input_lineage = cap_lineage([r["file"] for r in items.take_all()], lineage_budget)
+        runs, files = read_invert_runs(source, start_id=meta.next_doc_id, columns=cols, **stage_kw)
+        # the CAP bounds what the manifest persists
+        input_lineage = cap_lineage(files, lineage_budget)
     else:
         src = ray.data.read_parquet(source, columns=cols) if isinstance(source, str) else source
         ds = normalize_corpus(src, text_col, doc_id_col=doc_id_col, id_cols=id_cols, start_id=meta.next_doc_id)

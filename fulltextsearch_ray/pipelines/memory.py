@@ -49,7 +49,7 @@ def build_in_memory(
 
     if isinstance(source, str) and doc_id_col is None and id_cols is None:
         # positional ids: the disk build's fused read + invert
-        runs, _items = read_invert_runs(
+        runs, _files = read_invert_runs(
             source, start_id=1, text_col=text_col, text_cols=text_cols,
             columns=sorted(set(text_cols or [text_col])), block_cf=block_cf,
         )

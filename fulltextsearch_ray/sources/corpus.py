@@ -175,14 +175,20 @@ def assign_doc_ids(
     )
 
 
-def corpus_file_items(path: str, start_id: int = 1) -> "tuple[ray.data.Dataset, int]":
-    """File-item dataset (file, offset) for the fused read+invert path:
-    sorted listing, footer row counts → positional doc-id offsets, one
-    block per item (⇒ one downstream task per file at batch_size=1)."""
+def corpus_file_items(path: str, start_id: int = 1) -> list[dict]:
+    """File items ``{file, offset, bytes}`` for the fused read+invert
+    path, from the sorted listing and the footers alone: positional
+    doc-id offsets from the row counts, and each file's uncompressed
+    bytes (:func:`~..functions.common.footer_bytes`).  A Ray caller
+    makes them one block each (``override_num_blocks=len(items)``),
+    otherwise ``from_items`` packs every item into a single block and
+    the whole downstream pipeline collapses into ONE task."""
     import glob
     import os
 
     import pyarrow.parquet as pq
+
+    from ..functions.common import footer_bytes
 
     if os.path.isdir(path):
         files = sorted(glob.glob(os.path.join(path, "**", "*.parquet"), recursive=True))
@@ -190,11 +196,12 @@ def corpus_file_items(path: str, start_id: int = 1) -> "tuple[ray.data.Dataset, 
         files = [path]
     if not files:
         raise FileNotFoundError(f"no parquet files under {path}")
-    offsets = [start_id]
+    items, offset = [], start_id
     for f in files:
-        offsets.append(offsets[-1] + pq.ParquetFile(f).metadata.num_rows)
-    items = [{"file": f, "offset": o} for f, o in zip(files, offsets[:-1])]
-    return ray.data.from_items(items, override_num_blocks=len(items)), len(files)
+        md = pq.ParquetFile(f).metadata
+        items.append({"file": f, "offset": offset, "bytes": footer_bytes(md)})
+        offset += md.num_rows
+    return items
 
 
 def read_corpus_with_ids(
@@ -215,10 +222,7 @@ def read_corpus_with_ids(
     """
     import pyarrow.parquet as pq
 
-    # one block per file item (corpus_file_items) — otherwise
-    # from_items packs every item into a single block and the whole
-    # downstream pipeline collapses into ONE task (no parallelism)
-    items, _n_files = corpus_file_items(path, start_id=start_id)
+    items = corpus_file_items(path, start_id=start_id)
 
     def read_file(batch: pa.Table) -> pa.Table:
         out = []
@@ -234,7 +238,9 @@ def read_corpus_with_ids(
             out.append(t.append_column("doc_id", ids))
         return pa.concat_tables(out)
 
-    return items.map_batches(read_file, batch_format="pyarrow", batch_size=1)
+    return ray.data.from_items(items, override_num_blocks=len(items)).map_batches(
+        read_file, batch_format="pyarrow", batch_size=1
+    )
 
 
 def normalize_corpus(

@@ -336,8 +336,10 @@ class InvertStage:
     plus one fused doc-stats sentinel row per batch (doc_len for BM25,
     sha256 invariant).
 
-    Runs as a TASK pool via :func:`invert_batch_fn` (construction is
-    config-only; the heap warmup is memoized per worker process).
+    Runs as a TASK pool via :func:`invert_batch_fn`.  Construction is
+    config-only: the task entries warm the worker heap
+    (:func:`_warm_heap`), so a stage the driver builds and calls itself
+    leaves that process's Arrow threads and allocator as they were.
 
     ``num_buckets`` is accepted and ignored: the ``bucket`` column only
     tells posting rows (0) from sentinel rows (-1), and the traced
@@ -378,7 +380,6 @@ class InvertStage:
         self.seg_path = seg_path
         self.meta_cols = tuple(meta_cols)
         self.store_forward = store_forward
-        _warm_heap()
 
     def _doc_tables(self, batch: pa.Table, doc_ids: np.ndarray, counts: np.ndarray):
         """The batch's doc-stats sentinel row (None without
@@ -607,21 +608,23 @@ class ReadInvertStage:
 def invert_batch_fn(batch: pa.Table, **kw) -> pa.Table:
     """Task-pool entry for :class:`InvertStage`.
 
-    Stage construction is config assignment plus the PROCESS-memoized
-    heap warmup, so a plain task pool beats an actor pool for the
-    invert: no actor launch/ramp-up on the critical path (an
-    interleaved A/B on a 60k-doc build measured ~2× wall for the
-    autoscaling actor pool vs tasks) and zero AllToAll-starvation risk
-    (a CPU-reserving pool can stall the downstream term sort — see
-    functions/similarity.py).  Ray reuses worker processes across
-    tasks, so kernels and the warmed heap persist exactly as they
-    would in an actor."""
+    The entry warms the worker's heap once per PROCESS
+    (:func:`_warm_heap`) and stage construction is config assignment,
+    so a plain task pool beats an actor pool for the invert: no actor
+    launch/ramp-up on the critical path (an interleaved A/B on a
+    60k-doc build measured ~2× wall for the autoscaling actor pool vs
+    tasks) and zero AllToAll-starvation risk (a CPU-reserving pool can
+    stall the downstream term sort — see functions/similarity.py).  Ray
+    reuses worker processes across tasks, so kernels and the warmed
+    heap persist exactly as they would in an actor."""
+    _warm_heap()
     return InvertStage(**kw)(batch)
 
 
 def read_invert_batches_fn(batch: pa.Table, **kw):
     """Task-pool entry for :class:`ReadInvertStage` (generator) — see
     :func:`invert_batch_fn` for why tasks, not actors."""
+    _warm_heap()
     yield from ReadInvertStage(**kw)(batch)
 
 

@@ -603,3 +603,140 @@ def test_compaction_equals_one_build(corpus_dir, tmp_path):
     assert _catalog_rows(idx).equals(_catalog_rows(one))
     assert _docs_rows(idx).equals(_docs_rows(one))
     assert _dump(idx) == _dump(one)
+
+
+# -- steps without parallel work run in-process -----------------------------
+
+
+@pytest.fixture(scope="module")
+def eight_files(ray_session, tmp_path_factory):
+    d = str(tmp_path_factory.mktemp("eight"))
+    write_synth_corpus(d, 200, rows_per_file=25)
+    return d
+
+
+def _one_file(d, table: pa.Table) -> str:
+    d.mkdir()
+    pq.write_table(table, d / "part-0.parquet")
+    return str(d)
+
+
+ONE_FILE = pa.table({"content": [f"the the fresh{i % 7} words the" for i in range(60)],
+                     "lang": ["en", "de", "fr"] * 20})
+
+
+def test_only_the_many_file_read_starts_ray(eight_files, tmp_path, monkeypatch, ray_executions):
+    """Within ``GATHER_BYTES`` the write path starts Ray only where it
+    has parallel work: an 8-file build runs one execution (its read +
+    invert, which the term shuffle drains), a one-file session and a
+    compaction none.  With ``GATHER_BYTES`` = -1 all three go through
+    Ray again, and the catalog rows but for their blob addresses, the
+    docs rows and the postings dump equal the in-process results, after
+    the one-file session and after the compaction."""
+    from fulltextsearch_ray.functions import common
+    from fulltextsearch_ray.pipelines.build import compact_index
+
+    delta = _one_file(tmp_path / "delta", ONE_FILE)
+    got, counts = [], []
+    for budget in (common.GATHER_BYTES, -1):
+        monkeypatch.setattr(common, "GATHER_BYTES", budget)
+        idx = str(tmp_path / f"idx{budget}")
+        steps = (lambda: build_index(eight_files, idx, text_col="content", block_cf=64),
+                 lambda: build_index(delta, idx, text_col="content", block_cf=64),
+                 lambda: compact_index(idx, block_cf=64))
+        n, states = [], []
+        for step in steps:
+            ray_executions.clear()
+            step()
+            n.append(len(ray_executions))
+            states.append((_catalog_rows(idx), _docs_rows(idx), _dump(idx)))
+        assert len(load_meta(idx).segments) == 1 and load_meta(idx).num_docs == 260
+        counts.append(n)
+        got.append(states[1:])
+    assert counts[0] == [1, 0, 0]
+    assert all(counts[1]), counts[1]
+    for (cat_a, docs_a, dump_a), (cat_b, docs_b, dump_b) in zip(*got):
+        assert cat_a.equals(cat_b) and docs_a.equals(docs_b) and dump_a == dump_b
+
+
+def test_one_file_session_stores_metadata_and_spans(tmp_path, ray_executions):
+    """A one-file session inverted in-process writes the same
+    ``docs_meta`` and forward files a Ray task would: the searcher
+    serves its per-doc metadata and token spans, and no Ray execution
+    ran."""
+    src = _one_file(tmp_path / "c", ONE_FILE)
+    idx = str(tmp_path / "idx")
+    build_index(src, idx, text_col="content", meta_cols=("lang",), store_forward=True)
+    assert ray_executions == []
+    s = IndexSearcher(idx)
+    assert s.num_docs == 60
+    assert s.get_metadata(1) == {"lang": "en"} and s.get_metadata(60) == {"lang": "fr"}
+    assert s.get_positions(3) == ([0, 4, 8, 15, 21], [3, 3, 6, 5, 3])
+    assert s.bm25_topk("fresh2", k=20)["doc_id"].to_pylist() == [3, 10, 17, 24, 31, 38, 45, 52, 59]
+
+
+def test_empty_one_file_corpus_commits_an_empty_segment(tmp_path, ray_executions):
+    """A corpus of one empty file still commits its segment (an empty
+    catalog and docs file, zero counters), in-process, and a later
+    session numbers its docs from 1."""
+    src = _one_file(tmp_path / "c", pa.table({"content": pa.array([], pa.string())}))
+    idx = str(tmp_path / "idx")
+    meta = build_index(src, idx, text_col="content")
+    assert ray_executions == []
+    (seg,) = meta.segments
+    m = load_manifest(idx, seg)
+    assert m.complete and (m.num_docs, m.num_terms, m.num_occurrences) == (0, 0, 0)
+    assert meta.num_docs == 0 and meta.next_doc_id == 1
+    assert IndexSearcher(idx).bm25_topk("words", k=3).num_rows == 0
+    meta = build_index(_one_file(tmp_path / "more", ONE_FILE), idx, text_col="content")
+    assert len(meta.segments) == 2 and meta.num_docs == 60
+    assert IndexSearcher(idx).bm25_topk("fresh0", k=1)["doc_id"].to_pylist() == [1]
+
+
+def test_one_file_session_keeps_the_callers_process_settings(ray_session, tmp_path, monkeypatch):
+    """The in-process read + invert of a one-file session (and of the
+    in-memory build over it) runs the stage, not its Ray task entry:
+    the caller's Arrow thread counts stay as they were, and the worker
+    heap setup (``_warm_heap``: one Arrow thread, no heap trim) never
+    runs in the caller's process."""
+    from fulltextsearch_ray.pipelines.memory import build_in_memory
+    from fulltextsearch_ray.stages import invert
+
+    monkeypatch.setattr(invert, "_HEAP_WARMED", False)
+    src = _one_file(tmp_path / "c", ONE_FILE)
+    cpus, io = pa.cpu_count(), pa.io_thread_count()
+    pa.set_cpu_count(3)
+    pa.set_io_thread_count(5)
+    try:
+        build_index(src, str(tmp_path / "idx"), text_col="content")
+        assert build_in_memory(src, text_col="content").bm25_topk("fresh0", k=1).num_rows == 1
+        assert (pa.cpu_count(), pa.io_thread_count()) == (3, 5)
+        assert not invert._HEAP_WARMED
+    finally:
+        pa.set_cpu_count(cpus)
+        pa.set_io_thread_count(io)
+
+
+def test_one_file_runs_past_the_budget_take_the_sort(tmp_path, monkeypatch, ray_executions):
+    """The one-file gate holds the file's footer bytes to
+    ``GATHER_BYTES``, the shuffle the runs' own bytes: runs past the
+    budget from a file within it go through the Ray sort, as a
+    dataset's runs would, and give the same catalog rows but for their
+    addresses, docs rows and postings dump as the in-process merge."""
+    from fulltextsearch_ray.functions import common
+    from fulltextsearch_ray.pipelines.build import read_invert_runs
+    from fulltextsearch_ray.sources.corpus import corpus_file_items
+
+    src = _one_file(tmp_path / "c", ONE_FILE)
+    (item,) = corpus_file_items(src)
+    runs, _files = read_invert_runs(src, start_id=1, text_col="content", columns=["content"])
+    assert isinstance(runs, pa.Table) and item["bytes"] < runs.nbytes
+    ref, idx = str(tmp_path / "ref"), str(tmp_path / "idx")
+    build_index(src, ref, text_col="content")
+    monkeypatch.setattr(common, "GATHER_BYTES", item["bytes"])
+    ray_executions.clear()
+    build_index(src, idx, text_col="content")
+    assert ray_executions, "runs past the budget merged in-process"
+    assert _catalog_rows(idx).equals(_catalog_rows(ref))
+    assert _docs_rows(idx).equals(_docs_rows(ref))
+    assert _dump(idx) == _dump(ref)
